@@ -33,6 +33,7 @@ from .pipeline import (
     save_models,
 )
 from .qlearning import export_policies
+from .timing import timed
 
 MANIFEST_FILE = "manifest.json"
 MANIFEST_FORMAT = "qslate-manifest"
@@ -139,11 +140,18 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _parse_corpus(items_text: str, sessions_text: str):
+    catalog = parse_items(items_text)
+    return catalog, parse_sessions(sessions_text, catalog)
+
+
 def cmd_train(args) -> int:
     items_text = _read_text(args.items)
     sessions_text = _read_text(args.sessions)
-    catalog = parse_items(items_text)
-    sessions = parse_sessions(sessions_text, catalog)
+    timings: list[tuple[str, float]] = []
+    catalog, sessions = timed(
+        timings, "parse", lambda: _parse_corpus(items_text, sessions_text)
+    )
     params = _params_from_args(args)
 
     train_sessions, _ = holdout_split(sessions, args.train_frac, args.seed)
@@ -174,6 +182,7 @@ def cmd_train(args) -> int:
     ]
     (model_dir / "policy.txt").write_text("\n".join(policy_lines) + "\n")
 
+    stats.timings[:0] = timings
     summary = {
         "stamp": stamp,
         "sessions_total": len(sessions),
@@ -181,6 +190,7 @@ def cmd_train(args) -> int:
         "epochs": params.epochs,
         "wall_seconds": wall,
         **stats.to_dict(),
+        "pca": model.components.report(),
     }
     if args.report_speedup and args.threads > 1:
         serial_params = params.replace(threads=1, deterministic=True)
@@ -197,6 +207,15 @@ def cmd_train(args) -> int:
 
     for name, secs in stats.timings:
         print(f"stage {name:<16} {secs:8.3f} s")
+    components = model.components
+    unconverged = [j for j, ok in enumerate(components.converged) if not ok]
+    if unconverged:
+        label = "component" if len(unconverged) == 1 else "components"
+        print(
+            f"warning: sparse PCA {label} {', '.join(map(str, unconverged))} did not "
+            f"converge in {components.n_iter[unconverged[0]]} iterations",
+            file=sys.stderr,
+        )
     print(
         f"trained {stats.n_clusters} clusters "
         f"({stats.n_clusters_before_merge} before support merge), "

@@ -23,7 +23,15 @@ class FitError(QslateError):
 
 
 class ComponentCollapseError(FitError):
-    """Soft-thresholding zeroed an entire component (l1 penalty too large)."""
+    """Soft-thresholding zeroed an entire component (l1 penalty too large).
+
+    ``component`` is the index of the component that collapsed; every
+    component before it was fitted.
+    """
+
+    def __init__(self, message: str, component: int):
+        super().__init__(message)
+        self.component = component
 
 
 class TrainError(QslateError):

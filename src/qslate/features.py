@@ -6,11 +6,24 @@ click indicator per catalog item (ascending item id), giving
 portrait columns are z-scored, click indicators are centered but not
 variance-scaled (scaling would blow up rare-click columns), and components
 are extracted one at a time by power iteration with soft-thresholded
-loadings, deflating the standardized data between components.
+loadings.
+
+The fit works in covariance form.  The standardized data ``R`` (``n`` rows,
+``p`` columns) is reduced once to ``C = R^T R / n``; each power step is then
+one ``p x p`` product ``C v`` instead of two passes over the ``n`` rows.
+Deflating ``R`` by projection, ``R <- R - (R v) v^T``, has the closed form
+
+    C <- C - (C v) v^T - v (C v)^T + (v^T C v) v v^T
+
+on ``C``, so the rows are never revisited.  Because deflation is greedy,
+the first ``j`` components of a fit do not depend on how many more follow:
+a ``k = 8`` fit equals the first 8 rows of a ``k = 16`` fit with the same
+seed.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +34,7 @@ from .errors import ComponentCollapseError, DataError, FitError, ModelFileError
 from .ingest import N_PORTRAITS, ItemCatalog, SessionRecord, UserRecord
 
 COMPONENTS_FORMAT = "qslate-components"
-COMPONENTS_VERSION = 1
+COMPONENTS_VERSION = 2
 
 
 @dataclass
@@ -64,6 +77,10 @@ class SparseComponents:
     Each loading row has unit norm, or is all zero and flagged in
     ``degenerate`` (requested k exceeded the numeric rank of the data).
     A component zeroed by soft-thresholding itself raises instead.
+    ``n_iter[j]`` counts the power steps component ``j`` took, and
+    ``converged[j]`` is False when it stopped at ``max_iter`` before its
+    step fell below ``tol``; a degenerate component takes no step and
+    counts as converged.
     """
 
     loadings: np.ndarray
@@ -73,10 +90,41 @@ class SparseComponents:
     l1_penalty: float
     explained_variance: np.ndarray
     degenerate: tuple[bool, ...]
+    n_iter: tuple[int, ...]
+    converged: tuple[bool, ...]
 
     @property
     def n_cols(self) -> int:
         return self.loadings.shape[1]
+
+    def leading(self, k: int) -> "SparseComponents":
+        """The first ``k`` components.
+
+        Deflation is greedy, so this equals a fit with ``k`` components
+        under the same seed, bit for bit.
+        """
+        return dataclasses.replace(
+            self,
+            loadings=self.loadings[:k],
+            k=k,
+            explained_variance=self.explained_variance[:k],
+            degenerate=self.degenerate[:k],
+            n_iter=self.n_iter[:k],
+            converged=self.converged[:k],
+        )
+
+    def report(self) -> list[dict]:
+        """Per-component fit facts: iterations, convergence, variance, nonzeros."""
+        return [
+            {
+                "component": j,
+                "n_iter": self.n_iter[j],
+                "converged": self.converged[j],
+                "explained_variance": float(self.explained_variance[j]),
+                "nnz": int(np.count_nonzero(self.loadings[j])),
+            }
+            for j in range(self.k)
+        ]
 
     def save(self, path: str | Path, stamp: str | None = None) -> None:
         payload = {
@@ -90,6 +138,8 @@ class SparseComponents:
             "loadings": self.loadings.tolist(),
             "explained_variance": self.explained_variance.tolist(),
             "degenerate": list(self.degenerate),
+            "n_iter": list(self.n_iter),
+            "converged": list(self.converged),
         }
         Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
 
@@ -111,6 +161,8 @@ class SparseComponents:
             l1_penalty=float(payload["l1_penalty"]),
             explained_variance=np.asarray(payload["explained_variance"], dtype=np.float64),
             degenerate=tuple(bool(b) for b in payload["degenerate"]),
+            n_iter=tuple(int(i) for i in payload["n_iter"]),
+            converged=tuple(bool(b) for b in payload["converged"]),
         )
         return comps, payload.get("stamp")
 
@@ -144,9 +196,17 @@ def fit_sparse_pca(
     ``l1_penalty`` is relative: at each iteration, loading entries whose
     magnitude is at most ``l1_penalty`` times the largest magnitude are
     soft-thresholded away, so 0 recovers ordinary PCA and values approaching
-    1 keep almost nothing.  Components are extracted in sequence, deflating
-    the standardized data by projection after each one.  Deterministic for a
-    fixed seed.
+    1 keep almost nothing.  Components are extracted in sequence on the
+    covariance ``C`` of the standardized data, deflating ``C`` in closed
+    form after each one; a component's explained variance is ``v^T C v``.
+    Each component runs until its step ``||v_new - v||`` falls below ``tol``
+    (``converged``) or for ``max_iter`` steps.  Deterministic for a fixed
+    seed.
+
+    Once the deflated ``trace(C)`` is at most ``1e-10`` times its starting
+    value, what remains is rounding (about ``eps * trace(C)``, possibly
+    negative): the requested k exceeds the data rank, and the remaining
+    components are zero and flagged degenerate.
 
     When ``X`` is a :class:`FeatureMatrix` only the portrait columns are
     z-scored; a plain array has all columns z-scored unless ``zscore_mask``
@@ -172,38 +232,46 @@ def fit_sparse_pca(
         raise FitError("l1_penalty must be nonnegative")
 
     means, scales = _column_stats(values, zscore_mask)
-    residual = (values - means) / scales
+    standardized = values - means
+    standardized /= scales
+    cov = standardized.T @ standardized / n
+    del standardized
     rng = np.random.default_rng(seed)
-    # Past this point the residual is numerical noise: the requested k
-    # exceeds the data rank and the remaining components are degenerate.
-    rank_floor = 1e-10 * np.linalg.norm(residual)
+    rank_floor = 1e-10 * float(np.trace(cov))
 
     loadings = np.zeros((k, p))
     explained = np.zeros(k)
     degenerate: list[bool] = []
+    n_iter: list[int] = []
+    converged: list[bool] = []
     for j in range(k):
-        if np.linalg.norm(residual) <= rank_floor:
-            loadings[j] = 0.0
+        if float(np.trace(cov)) <= rank_floor:
             degenerate.append(True)
+            n_iter.append(0)
+            converged.append(True)
             continue
         v = rng.normal(size=p)
         v /= np.linalg.norm(v)
-        for _ in range(max_iter):
-            w = residual.T @ (residual @ v) / n
+        done = False
+        for step in range(1, max_iter + 1):
+            w = cov @ v
             if l1_penalty > 0.0:
                 w = _soft_threshold(w, l1_penalty * np.abs(w).max(initial=0.0))
             norm = np.linalg.norm(w)
             if norm == 0.0:
                 if l1_penalty > 0.0:
                     raise ComponentCollapseError(
-                        f"component {j} collapsed to zero: l1_penalty={l1_penalty} too large"
+                        f"component {j} collapsed to zero: l1_penalty={l1_penalty} too large",
+                        component=j,
                     )
                 v = np.zeros(p)
+                done = True
                 break
             v_new = w / norm
             delta = float(np.linalg.norm(v_new - v))
             v = v_new
             if delta < tol:
+                done = True
                 break
         is_zero = not v.any()
         if not is_zero:
@@ -211,11 +279,13 @@ def fit_sparse_pca(
             pivot = int(np.argmax(np.abs(v)))
             if v[pivot] < 0:
                 v = -v
-        scores = residual @ v
-        explained[j] = float(scores @ scores) / n
+        cv = cov @ v
+        explained[j] = float(v @ cv)
         loadings[j] = v
         degenerate.append(is_zero)
-        residual = residual - np.outer(scores, v)
+        n_iter.append(step)
+        converged.append(done)
+        cov = cov - np.outer(cv, v) - np.outer(v, cv) + explained[j] * np.outer(v, v)
 
     comps = SparseComponents(
         loadings=loadings,
@@ -225,6 +295,8 @@ def fit_sparse_pca(
         l1_penalty=l1_penalty,
         explained_variance=explained,
         degenerate=tuple(degenerate),
+        n_iter=tuple(n_iter),
+        converged=tuple(converged),
     )
     if l1_penalty > 0.0 and sparsity_floor > 0.0:
         zero_frac = float((comps.loadings == 0.0).mean())
@@ -250,9 +322,10 @@ def transform(X: FeatureMatrix | np.ndarray, components: SparseComponents) -> np
         raise DataError(
             f"feature matrix has {values.shape[1]} columns, components expect {components.n_cols}"
         )
+    # Allocated before the n x p temporary, which is then freed from the top
+    # of the heap instead of leaving a hole under this longer-lived result.
+    out = np.zeros((values.shape[0], components.k))
     standardized = (values - components.column_means) / components.column_scales
-    n = standardized.shape[0]
-    out = np.zeros((n, components.k))
     loadings_t = components.loadings.T  # (p, k)
     for col in range(components.n_cols):
         out += standardized[:, col : col + 1] * loadings_t[col]

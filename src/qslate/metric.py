@@ -13,15 +13,23 @@ buying.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, FitError, QslateError
-from .ingest import ItemCatalog, SessionRecord
-from .pipeline import PipelineParams, fit_pipeline, recommend_for_sessions
+from .errors import ComponentCollapseError, DataError, FitError, QslateError
+from .features import FeatureMatrix, SparseComponents, build_raw_features, transform
+from .ingest import ItemCatalog, SessionRecord, Transition, sessions_to_transitions
+from .pipeline import (
+    PipelineParams,
+    fit_components,
+    fit_on_reduced,
+    recommend_for_clusters,
+    training_features,
+)
 
 
 @dataclass(frozen=True)
@@ -183,6 +191,121 @@ def select_best(cells: list[GridCellResult]) -> int:
     return chosen.index
 
 
+def _groups(cells: list[GridCellResult], key: Callable) -> list[list[GridCellResult]]:
+    """``cells`` split by equal ``key(cell)``, in order of first appearance."""
+    groups: list[tuple[object, list[GridCellResult]]] = []
+    for cell in cells:
+        value = key(cell)
+        for seen, members in groups:
+            if seen == value:
+                members.append(cell)
+                break
+        else:
+            groups.append((value, [cell]))
+    return [members for _, members in groups]
+
+
+def _fail(cells: list[GridCellResult], exc: QslateError) -> None:
+    for cell in cells:
+        cell.error = str(exc)
+
+
+def _shared_components(
+    cells: list[GridCellResult], params: list[PipelineParams], raw: FeatureMatrix
+) -> tuple[SparseComponents | None, list[GridCellResult]]:
+    """Fit sparse PCA once for cells that share ``l1_penalty``.
+
+    The fit runs at the largest ``k_features`` among the cells.  A cell that
+    fit cannot serve fails with the message its own fit would give: a
+    collapse at component ``j`` fails the cells with ``k_features > j``, any
+    other error the cells at that k, and the fit is retried for the rest.
+    Returns the components and the cells they serve.
+    """
+    def k_of(cell: GridCellResult) -> int:
+        return params[cell.index].k_features
+
+    while cells:
+        k = max(map(k_of, cells))
+        try:
+            return fit_components(raw, params[cells[0].index].replace(k_features=k)), cells
+        except QslateError as exc:
+            limit = exc.component if isinstance(exc, ComponentCollapseError) else k - 1
+            _fail([c for c in cells if k_of(c) > limit], exc)
+        cells = [c for c in cells if k_of(c) <= limit]
+    return None, []
+
+
+@dataclass
+class _ReducedGroup:
+    """Cells that share ``l1_penalty``, with their fit and projected rows."""
+
+    cells: list[GridCellResult]
+    components: SparseComponents
+    reduced: np.ndarray
+    reduced_validation: np.ndarray
+
+    def leading(self, k: int) -> tuple[SparseComponents, np.ndarray, np.ndarray]:
+        """The first ``k`` components and reduced columns.
+
+        transform builds each output column on its own, so the first k
+        columns are bit-identical to a transform by the first k components.
+        """
+        return (
+            self.components.leading(k),
+            np.ascontiguousarray(self.reduced[:, :k]),
+            np.ascontiguousarray(self.reduced_validation[:, :k]),
+        )
+
+
+def _reduce(
+    cells: list[GridCellResult],
+    params: list[PipelineParams],
+    raw: FeatureMatrix,
+    raw_validation: FeatureMatrix,
+) -> list[_ReducedGroup]:
+    """Fit sparse PCA once per ``l1_penalty`` and project both splits."""
+    groups = []
+    for l1_cells in _groups(cells, lambda c: params[c.index].l1_penalty):
+        components, l1_cells = _shared_components(l1_cells, params, raw)
+        if components is not None:
+            groups.append(_ReducedGroup(
+                l1_cells,
+                components,
+                transform(raw, components),
+                transform(raw_validation, components),
+            ))
+    return groups
+
+
+def _score_model_cells(
+    cells: list[GridCellResult],
+    params: list[PipelineParams],
+    reduced: tuple[SparseComponents, np.ndarray, np.ndarray],
+    transitions: list[Transition],
+    validation: list[SessionRecord],
+    catalog: ItemCatalog,
+    cfg: MetricConfig,
+) -> None:
+    """Fit one model for cells that differ only in ``min_visits``; score each."""
+    components, Z, Z_validation = reduced
+    try:
+        model, stats = fit_on_reduced(
+            components, Z, lambda: transitions, params[cells[0].index], []
+        )
+        cluster_ids = model.cluster_model.assign_many(Z_validation)
+    except QslateError as exc:
+        _fail(cells, exc)
+        return
+    for cell in cells:
+        policy_model = dataclasses.replace(model, min_visits=params[cell.index].min_visits)
+        try:
+            recs = recommend_for_clusters(policy_model, cluster_ids, catalog)
+            cell.report = score(recs, validation, catalog, cfg)
+            cell.n_clusters = stats.n_clusters
+        except QslateError as exc:
+            cell.error = str(exc)
+
+
 def tune(
     grid: Mapping[str, Sequence],
     sessions: list[SessionRecord],
@@ -196,25 +319,45 @@ def tune(
     """Fit and score every grid cell on one shared holdout split.
 
     A cell whose pipeline fails at any stage is recorded with the failure
-    message and excluded from selection.
+    message and excluded from selection.  Each cell's result equals a
+    ``fit_pipeline`` -> ``recommend_for_sessions`` -> ``score`` run of that
+    cell on the same split, but work that cells share is done once: the
+    features and transitions, sparse PCA for each ``l1_penalty`` (at the
+    largest ``k_features`` and sliced for smaller ones, which greedy
+    deflation makes exact), and the clusters and Q-tables for cells that
+    differ only in ``min_visits``.  One model is held at a time.
     """
     cfg.validate()
     cells_params = expand_grid(grid)
     train_set, validation = holdout_split(sessions, train_fraction, seed)
     base = base_params or PipelineParams(seed=seed)
 
-    cells: list[GridCellResult] = []
-    for index, overrides in enumerate(cells_params):
-        params = base.replace(**overrides)
-        cell = GridCellResult(index=index, params=overrides)
-        try:
-            model, stats = fit_pipeline(train_set, catalog, params)
-            recs = recommend_for_sessions(model, validation, catalog)
-            cell.report = score(recs, validation, catalog, cfg)
-            cell.n_clusters = stats.n_clusters
-        except QslateError as exc:
-            cell.error = str(exc)
-        cells.append(cell)
+    cells = [GridCellResult(index=i, params=o) for i, o in enumerate(cells_params)]
+    params = [base.replace(**overrides) for overrides in cells_params]
+    try:
+        raw = training_features(train_set, catalog)
+        raw_validation = build_raw_features(validation, catalog)
+        transitions = sessions_to_transitions(train_set, catalog)
+    except QslateError as exc:
+        _fail(cells, exc)
+    else:
+        # Every PCA fit and transform runs first, so that the raw matrices
+        # are released before clustering allocates its distance blocks.
+        reduced_groups = _reduce(cells, params, raw, raw_validation)
+        del raw, raw_validation
+        for group in reduced_groups:
+            for model_cells in _groups(
+                group.cells, lambda c: params[c.index].replace(min_visits=0)
+            ):
+                _score_model_cells(
+                    model_cells,
+                    params,
+                    group.leading(params[model_cells[0].index].k_features),
+                    transitions,
+                    validation,
+                    catalog,
+                    cfg,
+                )
 
     best_index = select_best(cells)
     return TuneResult(

@@ -1,16 +1,18 @@
 """End-to-end model fitting: features -> clustering -> Q-tables.
 
 Shared by the train and tune entry points so a hyperparameter grid cell and
-a production fit run exactly the same code.
+a production fit run exactly the same code.  ``fit_pipeline`` runs every
+stage in order through ``training_features``, ``fit_components`` and
+``fit_on_reduced``; ``tune`` calls those three itself so that it can build
+features once and fit sparse PCA once for cells that share it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -23,9 +25,16 @@ from .clustering import (
     save_cluster_model,
 )
 from .errors import DataError, ModelFileError
-from .features import SparseComponents, build_raw_features, fit_sparse_pca, transform
-from .ingest import ItemCatalog, SessionRecord, sessions_to_transitions
+from .features import (
+    FeatureMatrix,
+    SparseComponents,
+    build_raw_features,
+    fit_sparse_pca,
+    transform,
+)
+from .ingest import ItemCatalog, SessionRecord, Transition, sessions_to_transitions
 from .qlearning import QTableBank, TrainConfig, export_policies, train
+from .timing import timed
 
 DEFAULT_MIN_CLUSTER_SUPPORT = 500
 
@@ -93,39 +102,69 @@ def _fit_cluster_model(Z: np.ndarray, spec: Mapping[str, Any], seed: int) -> Clu
     raise DataError(f"unknown cluster method {method!r}")
 
 
-def fit_pipeline(
-    sessions: list[SessionRecord], catalog: ItemCatalog, params: PipelineParams
-) -> tuple[PipelineModel, FitStats]:
-    """Fit the full pipeline on the given sessions."""
+def _stage_seeds(seed: int) -> tuple[int, int]:
+    """Independent seeds for sparse PCA and for clustering."""
+    seed_pca, seed_cluster = np.random.SeedSequence(seed).generate_state(2)
+    return int(seed_pca), int(seed_cluster)
+
+
+def training_features(sessions: list[SessionRecord], catalog: ItemCatalog) -> FeatureMatrix:
+    """Check the fit inputs and build their raw state matrix."""
     if not sessions:
         raise DataError("cannot fit on zero sessions")
     if len(catalog) == 0:
         raise DataError("cannot fit with an empty catalog")
-    seed_pca, seed_cluster = (
-        int(s) for s in np.random.SeedSequence(params.seed).generate_state(2)
+    return build_raw_features(sessions, catalog)
+
+
+def fit_components(raw: FeatureMatrix, params: PipelineParams) -> SparseComponents:
+    """The sparse PCA stage, seeded from ``params.seed``."""
+    return fit_sparse_pca(
+        raw,
+        k=params.k_features,
+        l1_penalty=params.l1_penalty,
+        seed=_stage_seeds(params.seed)[0],
     )
 
+
+def fit_pipeline(
+    sessions: list[SessionRecord], catalog: ItemCatalog, params: PipelineParams
+) -> tuple[PipelineModel, FitStats]:
+    """Fit the full pipeline on the given sessions."""
     timings: list[tuple[str, float]] = []
-
-    def timed(name: str, fn):
-        start = time.perf_counter()
-        result = fn()
-        timings.append((name, time.perf_counter() - start))
-        return result
-
-    raw = timed("build_features", lambda: build_raw_features(sessions, catalog))
-    components = timed(
-        "fit_sparse_pca",
-        lambda: fit_sparse_pca(
-            raw, k=params.k_features, l1_penalty=params.l1_penalty, seed=seed_pca
-        ),
+    raw = timed(timings, "build_features", lambda: training_features(sessions, catalog))
+    components = timed(timings, "fit_sparse_pca", lambda: fit_components(raw, params))
+    reduced = timed(timings, "transform", lambda: transform(raw, components))
+    return fit_on_reduced(
+        components,
+        reduced,
+        lambda: sessions_to_transitions(sessions, catalog),
+        params,
+        timings,
     )
-    reduced = timed("transform", lambda: transform(raw, components))
+
+
+def fit_on_reduced(
+    components: SparseComponents,
+    reduced: np.ndarray,
+    make_transitions: Callable[[], list[Transition]],
+    params: PipelineParams,
+    timings: list[tuple[str, float]],
+) -> tuple[PipelineModel, FitStats]:
+    """The stages after ``transform``: cluster, assign, merge and train.
+
+    ``reduced`` holds the training rows projected on ``components``, and
+    ``make_transitions`` returns their transitions when that stage runs.
+    Stage timings are appended to ``timings``.
+    """
+    seed_cluster = _stage_seeds(params.seed)[1]
     cluster_model = timed(
-        "fit_clusters", lambda: _fit_cluster_model(reduced, params.cluster, seed_cluster)
+        timings,
+        "fit_clusters",
+        lambda: _fit_cluster_model(reduced, params.cluster, seed_cluster),
     )
-    assignments = timed("assign", lambda: cluster_model.assign_many(reduced))
-    transitions = timed("transitions", lambda: sessions_to_transitions(sessions, catalog))
+    assignments = timed(timings, "assign", lambda: cluster_model.assign_many(reduced))
+    transitions = timed(timings, "transitions", make_transitions)
 
     n_before = cluster_model.n_clusters
     counts = np.bincount(
@@ -145,7 +184,7 @@ def fit_pipeline(
         deterministic=params.deterministic,
         backend=params.backend,
     )
-    timed("train", lambda: train(bank, transitions, assignments, cfg))
+    timed(timings, "train", lambda: train(bank, transitions, assignments, cfg))
 
     sizes = np.bincount(assignments, minlength=cluster_model.n_clusters)
     stats = FitStats(
@@ -170,7 +209,13 @@ def recommend_for_sessions(
     """Batch recommendation: one 9-item list per session, in input order."""
     raw = build_raw_features(sessions, catalog)
     reduced = transform(raw, model.components)
-    cluster_ids = model.cluster_model.assign_many(reduced)
+    return recommend_for_clusters(model, model.cluster_model.assign_many(reduced), catalog)
+
+
+def recommend_for_clusters(
+    model: PipelineModel, cluster_ids: np.ndarray, catalog: ItemCatalog
+) -> list[list[int]]:
+    """The policy step of ``recommend_for_sessions``: one 9-item list per cluster id."""
     policies = export_policies(model.bank, catalog, model.min_visits)
     return [list(policies[int(c)]) for c in cluster_ids]
 

@@ -269,3 +269,66 @@ def toy_mdp(
             for i, t in enumerate(transitions)
         ]
     return catalog, transitions, clusters, outcomes
+
+
+def residual_sparse_pca(values, k, l1_penalty, zscore_mask, seed=0, max_iter=200, tol=1e-7):
+    """Thresholded power iteration on the deflated standardized data itself.
+
+    The reference for the covariance form in ``qslate.features``: every
+    power step makes two passes over the ``n`` rows, and each component is
+    removed from the rows by projection.  The rank floor is the same
+    ``1e-10`` of the starting ``trace(R^T R / n)``.  Returns loadings,
+    explained variances, degenerate flags, iteration counts and convergence
+    flags.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    n, p = values.shape
+    means = values.mean(axis=0)
+    scales = np.ones(p)
+    if zscore_mask.any():
+        stds = values[:, zscore_mask].std(axis=0)
+        stds[stds == 0.0] = 1.0
+        scales[zscore_mask] = stds
+    residual = (values - means) / scales
+    rng = np.random.default_rng(seed)
+    rank_floor = 1e-10 * float((residual * residual).sum()) / n
+
+    loadings = np.zeros((k, p))
+    explained = np.zeros(k)
+    degenerate, n_iter, converged = [], [], []
+    for j in range(k):
+        if float((residual * residual).sum()) / n <= rank_floor:
+            degenerate.append(True)
+            n_iter.append(0)
+            converged.append(True)
+            continue
+        v = rng.normal(size=p)
+        v /= np.linalg.norm(v)
+        done = False
+        for step in range(1, max_iter + 1):
+            w = residual.T @ (residual @ v) / n
+            if l1_penalty > 0.0:
+                level = l1_penalty * np.abs(w).max(initial=0.0)
+                w = np.sign(w) * np.maximum(np.abs(w) - level, 0.0)
+            norm = np.linalg.norm(w)
+            if norm == 0.0:
+                assert l1_penalty == 0.0, f"component {j} collapsed"
+                v = np.zeros(p)
+                done = True
+                break
+            v_new = w / norm
+            delta = float(np.linalg.norm(v_new - v))
+            v = v_new
+            if delta < tol:
+                done = True
+                break
+        if v.any() and v[int(np.argmax(np.abs(v)))] < 0:
+            v = -v
+        scores = residual @ v
+        explained[j] = float(scores @ scores) / n
+        loadings[j] = v
+        degenerate.append(not v.any())
+        n_iter.append(step)
+        converged.append(done)
+        residual = residual - np.outer(scores, v)
+    return loadings, explained, tuple(degenerate), tuple(n_iter), tuple(converged)

@@ -74,8 +74,13 @@ class TestTrain:
         for name in ("components.json", "clusters.json", "qtables.json"):
             assert json.loads((model_dir / name).read_text())["stamp"] == stamp
         summary = json.loads((model_dir / "summary.json").read_text())
-        stages = {entry["stage"] for entry in summary["timings"]}
-        assert {"build_features", "fit_sparse_pca", "fit_clusters", "train"} <= stages
+        stages = [entry["stage"] for entry in summary["timings"]]
+        assert stages[0] == "parse"
+        assert {"build_features", "fit_sparse_pca", "fit_clusters", "train"} <= set(stages)
+        pca = summary["pca"]
+        assert [c["component"] for c in pca] == list(range(6))
+        for c in pca:
+            assert {"n_iter", "converged", "explained_variance", "nnz"} <= set(c)
         assert summary["n_clusters"] >= 1
         assert summary["wall_seconds"] > 0
         catalog = parse_items((data / "items.txt").read_text())
@@ -84,6 +89,18 @@ class TestTrain:
             assert len(fields) == 10
             items = [int(v) for v in fields[1:]]
             assert [catalog.location(i) for i in items] == [1, 1, 1, 2, 2, 2, 3, 3, 3]
+
+    def test_unconverged_components_named_on_stderr(self, tmp_path, capsys):
+        data = generate_corpus(tmp_path)
+        capsys.readouterr()
+        model_dir = train_models(tmp_path, data, **{"--k-features": 16})
+        summary = json.loads((model_dir / "summary.json").read_text())
+        unconverged = [c["component"] for c in summary["pca"] if not c["converged"]]
+        assert unconverged
+        warnings = [line for line in capsys.readouterr().err.splitlines() if "converge" in line]
+        assert len(warnings) == 1
+        named = warnings[0].split("components ")[1].split(" did")[0]
+        assert named == ", ".join(map(str, unconverged))
 
     def test_deterministic_reruns_byte_identical(self, tmp_path):
         data = generate_corpus(tmp_path)

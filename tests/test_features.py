@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_session
+from oracles import residual_sparse_pca
 from qslate.errors import ComponentCollapseError, DataError, FitError
 from qslate.features import (
     FeatureMatrix,
@@ -29,6 +30,14 @@ def planted_sparse_data(seed=123, p=391, k=4, nnz=10, n=800, noise=0.05):
 
 def center_only(p):
     return np.zeros(p, dtype=bool)
+
+
+def readme_shaped_features():
+    """Raw features of a README-shaped corpus: 381 items, so 391 columns."""
+    corpus = generate_synthetic(
+        SyntheticConfig(num_items=381, num_users=300, num_sessions=1500, seed=7)
+    )
+    return build_raw_features(corpus.sessions, corpus.catalog)
 
 
 class TestBuildRawFeatures:
@@ -142,9 +151,71 @@ class TestFitSparsePca:
         X = base @ rng.normal(size=(2, 5))  # rank 2 in 5 columns
         comps = fit_sparse_pca(X, k=5, l1_penalty=0.0, seed=0, zscore_mask=center_only(5))
         assert any(comps.degenerate)
+
+    def test_positive_rounding_past_rank_flags_degenerate(self):
+        # On this rank-2 matrix the trace left after two deflations is a
+        # positive 1e-16 of the starting trace: rounding the floor must catch.
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(40, 2)) @ rng.normal(size=(2, 5))
+        comps = fit_sparse_pca(X, k=5, l1_penalty=0.0, seed=0, zscore_mask=center_only(5))
+        assert comps.degenerate == (False, False, True, True, True)
         for j, row in enumerate(comps.loadings):
             if comps.degenerate[j]:
                 assert not row.any()
+
+    def test_full_rank_full_k_flags_nothing_degenerate(self):
+        X = np.random.default_rng(12).normal(size=(60, 9))
+        comps = fit_sparse_pca(X, k=9, l1_penalty=0.0, seed=0, zscore_mask=center_only(9))
+        assert not any(comps.degenerate)
+        assert (comps.explained_variance > 0).all()
+
+    @pytest.mark.parametrize(
+        "data, k, l1",
+        [("planted", 4, 0.0), ("planted", 4, 0.25), ("readme", 16, 0.0), ("readme", 16, 0.1)],
+    )
+    def test_matches_residual_form_oracle(self, data, k, l1):
+        if data == "planted":
+            values, _ = planted_sparse_data()
+            mask = center_only(values.shape[1])
+        else:
+            fm = readme_shaped_features()
+            values = fm.values
+            mask = np.arange(fm.n_cols) < fm.n_portraits
+        comps = fit_sparse_pca(values, k=k, l1_penalty=l1, seed=3, zscore_mask=mask)
+        loadings, explained, degenerate, _, _ = residual_sparse_pca(
+            values, k, l1, mask, seed=3
+        )
+        assert ((comps.loadings == 0.0) == (loadings == 0.0)).all()
+        assert comps.degenerate == degenerate
+        assert np.abs(comps.loadings - loadings).max() <= 1e-10
+        assert np.abs(comps.explained_variance - explained).max() <= 1e-10
+
+    def test_smaller_k_is_prefix_of_larger_k(self):
+        fm = readme_shaped_features()
+        small = fit_sparse_pca(fm, k=8, l1_penalty=0.1, seed=5)
+        large = fit_sparse_pca(fm, k=16, l1_penalty=0.1, seed=5)
+        assert (small.loadings == large.loadings[:8]).all()
+        assert (small.explained_variance == large.explained_variance[:8]).all()
+        assert small.n_iter == large.n_iter[:8]
+        sliced = large.leading(8)
+        assert (sliced.loadings == small.loadings).all()
+        assert sliced.k == 8
+        assert (sliced.degenerate, sliced.n_iter, sliced.converged) == (
+            small.degenerate, small.n_iter, small.converged
+        )
+        assert (transform(fm, small) == transform(fm, large)[:, :8]).all()
+
+    def test_iteration_cap_reports_unconverged(self):
+        X, _ = planted_sparse_data(seed=5, p=60, n=120)
+        comps = fit_sparse_pca(X, k=3, l1_penalty=0.2, seed=1, max_iter=1)
+        assert comps.n_iter == (1, 1, 1)
+        assert comps.converged == (False, False, False)
+
+    def test_planted_fit_converges(self):
+        X, _ = planted_sparse_data()
+        comps = fit_sparse_pca(X, k=4, l1_penalty=0.25, seed=0, zscore_mask=center_only(391))
+        assert all(comps.converged)
+        assert all(0 < n < 200 for n in comps.n_iter)
 
     def test_sparsity_floor_enforced(self):
         X, _ = planted_sparse_data(seed=5, p=60, n=120)
@@ -219,7 +290,8 @@ class TestTransform:
 class TestSerialization:
     def test_save_load_round_trip(self, tmp_path):
         X, _ = planted_sparse_data(seed=14, p=40, n=90)
-        comps = fit_sparse_pca(X, k=3, l1_penalty=0.2, seed=2)
+        comps = fit_sparse_pca(X, k=3, l1_penalty=0.2, seed=2, max_iter=6)
+        assert comps.converged == (True, True, False)
         path = tmp_path / "components.json"
         comps.save(path, stamp="abc123")
         loaded, stamp = SparseComponents.load(path)
@@ -229,6 +301,9 @@ class TestSerialization:
         assert (loaded.column_scales == comps.column_scales).all()
         assert loaded.degenerate == comps.degenerate
         assert loaded.k == comps.k
+        assert (loaded.explained_variance == comps.explained_variance).all()
+        assert loaded.n_iter == comps.n_iter
+        assert loaded.converged == comps.converged
 
     def test_load_rejects_garbage(self, tmp_path):
         from qslate.errors import ModelFileError

@@ -3,7 +3,8 @@ from hypothesis import given, strategies as st
 
 from conftest import make_catalog, make_session
 from oracles import naive_metric_score
-from qslate.errors import DataError, FitError
+from qslate import pipeline
+from qslate.errors import ComponentCollapseError, DataError, FitError, QslateError
 from qslate.ingest import SyntheticConfig, generate_synthetic, sessions_to_transitions
 from qslate.metric import (
     GridCellResult,
@@ -15,7 +16,7 @@ from qslate.metric import (
     select_best,
     tune,
 )
-from qslate.pipeline import PipelineParams
+from qslate.pipeline import PipelineParams, fit_pipeline, recommend_for_sessions
 
 
 class TestScore:
@@ -244,6 +245,73 @@ class TestTune:
         assert bad.error is not None and "too large" in bad.error
         assert bad.report is None
         assert result.best_index == good.index == 0
+
+    def assert_cells_match_independent_runs(self, result, corpus, base):
+        train_set, validation = holdout_split(corpus.sessions, 0.8, 0)
+        for cell in result.cells:
+            try:
+                model, stats = fit_pipeline(train_set, corpus.catalog, base.replace(**cell.params))
+                recs = recommend_for_sessions(model, validation, corpus.catalog)
+                expected = (score(recs, validation, corpus.catalog).score, stats.n_clusters, None)
+            except QslateError as exc:
+                expected = (None, None, str(exc))
+            got = (cell.report.score if cell.report else None, cell.n_clusters, cell.error)
+            assert got == expected, cell.params
+
+    @pytest.fixture
+    def pca_calls(self, monkeypatch):
+        calls = []
+        real = pipeline.fit_sparse_pca
+
+        def counting(raw, k, **kwargs):
+            calls.append(k)
+            return real(raw, k=k, **kwargs)
+
+        monkeypatch.setattr(pipeline, "fit_sparse_pca", counting)
+        return calls
+
+    def test_cells_equal_independent_pipeline_runs(self, small_corpus, pca_calls):
+        grid = {
+            "k_features": [4, 8, 40],  # 40 exceeds the 28 feature columns
+            "cluster": [
+                {"method": "kmeans", "k": 4},
+                {"method": "dbscan", "eps": 1.0, "min_pts": 5},
+            ],
+            "min_visits": [3, 30],
+        }
+        result = tune(grid, small_corpus.sessions, small_corpus.catalog,
+                      base_params=self.base())
+        # one failed attempt at k=40, then the shared fit at k=8
+        assert pca_calls == [40, 8]
+        assert [c.error is None for c in result.cells] == [True] * 8 + [False] * 4
+        self.assert_cells_match_independent_runs(result, small_corpus, self.base())
+
+    def test_part_way_collapse_fails_only_larger_k(self, small_corpus, pca_calls, monkeypatch):
+        # A real fit collapses at component 0 (l1_penalty >= 1) or not at
+        # all, since below 1 the largest loading survives the threshold; a
+        # collapse at component 5 is injected for fits that reach it.
+        counting = pipeline.fit_sparse_pca
+
+        def collapsing(raw, k, l1_penalty, **kwargs):
+            if k <= 5:
+                return counting(raw, k=k, l1_penalty=l1_penalty, **kwargs)
+            pca_calls.append(k)
+            raise ComponentCollapseError(
+                f"component 5 collapsed to zero: l1_penalty={l1_penalty} too large",
+                component=5,
+            )
+
+        monkeypatch.setattr(pipeline, "fit_sparse_pca", collapsing)
+        grid = {"k_features": [8, 4, 6, 5], "min_visits": [3, 30]}
+        result = tune(grid, small_corpus.sessions, small_corpus.catalog,
+                      base_params=self.base())
+        assert pca_calls == [8, 5]
+        for cell in result.cells:
+            if cell.params["k_features"] > 5:
+                assert cell.error == "component 5 collapsed to zero: l1_penalty=0.1 too large"
+            else:
+                assert cell.error is None
+        self.assert_cells_match_independent_runs(result, small_corpus, self.base())
 
     def test_planted_group_count_selected(self):
         # 4 planted groups; the winning cluster count must be 4 in >= 8 of 10
