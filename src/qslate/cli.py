@@ -31,9 +31,9 @@ from .pipeline import (
     load_models,
     recommend_for_sessions,
     save_models,
+    timed,
 )
 from .qlearning import export_policies
-from .timing import timed
 
 MANIFEST_FILE = "manifest.json"
 MANIFEST_FORMAT = "qslate-manifest"

@@ -211,6 +211,12 @@ def fit_sparse_pca(
     When ``X`` is a :class:`FeatureMatrix` only the portrait columns are
     z-scored; a plain array has all columns z-scored unless ``zscore_mask``
     says otherwise.
+
+    The covariance form assumes at least as many rows as columns
+    (``n >= p``), as on every corpus the project fits.  With ``p > n`` the
+    ``p x p`` matrix ``C`` is larger than the data and each power step costs
+    ``p^2`` against the ``2np`` of iterating on the rows; that shape is
+    allowed but has not been measured.
     """
     if isinstance(X, FeatureMatrix):
         values = X.values

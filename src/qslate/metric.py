@@ -14,6 +14,7 @@ buying.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -260,28 +261,45 @@ class _ReducedGroup:
 def _reduce(
     cells: list[GridCellResult],
     params: list[PipelineParams],
-    raw: FeatureMatrix,
-    raw_validation: FeatureMatrix,
+    train_set: list[SessionRecord],
+    validation: list[SessionRecord],
+    catalog: ItemCatalog,
 ) -> list[_ReducedGroup]:
-    """Fit sparse PCA once per ``l1_penalty`` and project both splits."""
-    groups = []
-    for l1_cells in _groups(cells, lambda c: params[c.index].l1_penalty):
-        components, l1_cells = _shared_components(l1_cells, params, raw)
-        if components is not None:
-            groups.append(_ReducedGroup(
-                l1_cells,
-                components,
-                transform(raw, components),
-                transform(raw_validation, components),
-            ))
-    return groups
+    """Fit sparse PCA once per ``l1_penalty`` and project both splits.
+
+    The fits keep only their ``k x p`` loadings, so the training matrix is
+    the one raw matrix live while they run; it is released before the
+    validation matrix is built.  A failure to build either matrix fails
+    every cell it would reach.
+    """
+    try:
+        raw = training_features(train_set, catalog)
+    except QslateError as exc:
+        _fail(cells, exc)
+        return []
+    fits = [
+        _shared_components(l1_cells, params, raw)
+        for l1_cells in _groups(cells, lambda c: params[c.index].l1_penalty)
+    ]
+    fits = [(components, fit_cells) for components, fit_cells in fits if fit_cells]
+    reduced = [transform(raw, components) for components, _ in fits]
+    del raw
+    try:
+        raw_validation = build_raw_features(validation, catalog)
+    except QslateError as exc:
+        _fail([cell for _, fit_cells in fits for cell in fit_cells], exc)
+        return []
+    return [
+        _ReducedGroup(fit_cells, components, Z, transform(raw_validation, components))
+        for (components, fit_cells), Z in zip(fits, reduced)
+    ]
 
 
 def _score_model_cells(
     cells: list[GridCellResult],
     params: list[PipelineParams],
     reduced: tuple[SparseComponents, np.ndarray, np.ndarray],
-    transitions: list[Transition],
+    transitions: Callable[[], list[Transition]],
     validation: list[SessionRecord],
     catalog: ItemCatalog,
     cfg: MetricConfig,
@@ -290,7 +308,7 @@ def _score_model_cells(
     components, Z, Z_validation = reduced
     try:
         model, stats = fit_on_reduced(
-            components, Z, lambda: transitions, params[cells[0].index], []
+            components, Z, transitions, params[cells[0].index], []
         )
         cluster_ids = model.cluster_model.assign_many(Z_validation)
     except QslateError as exc:
@@ -334,30 +352,22 @@ def tune(
 
     cells = [GridCellResult(index=i, params=o) for i, o in enumerate(cells_params)]
     params = [base.replace(**overrides) for overrides in cells_params]
-    try:
-        raw = training_features(train_set, catalog)
-        raw_validation = build_raw_features(validation, catalog)
-        transitions = sessions_to_transitions(train_set, catalog)
-    except QslateError as exc:
-        _fail(cells, exc)
-    else:
-        # Every PCA fit and transform runs first, so that the raw matrices
-        # are released before clustering allocates its distance blocks.
-        reduced_groups = _reduce(cells, params, raw, raw_validation)
-        del raw, raw_validation
-        for group in reduced_groups:
-            for model_cells in _groups(
-                group.cells, lambda c: params[c.index].replace(min_visits=0)
-            ):
-                _score_model_cells(
-                    model_cells,
-                    params,
-                    group.leading(params[model_cells[0].index].k_features),
-                    transitions,
-                    validation,
-                    catalog,
-                    cfg,
-                )
+    # Built on first use, after the first clustering, as fit_pipeline does,
+    # and then shared; a failure is raised again for each model.
+    transitions = functools.cache(lambda: sessions_to_transitions(train_set, catalog))
+    for group in _reduce(cells, params, train_set, validation, catalog):
+        for model_cells in _groups(
+            group.cells, lambda c: params[c.index].replace(min_visits=0)
+        ):
+            _score_model_cells(
+                model_cells,
+                params,
+                group.leading(params[model_cells[0].index].k_features),
+                transitions,
+                validation,
+                catalog,
+                cfg,
+            )
 
     best_index = select_best(cells)
     return TuneResult(

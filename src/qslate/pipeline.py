@@ -10,9 +10,10 @@ features once and fit sparse PCA once for cells that share it.
 from __future__ import annotations
 
 import dataclasses
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, TypeVar
 
 import numpy as np
 
@@ -34,9 +35,18 @@ from .features import (
 )
 from .ingest import ItemCatalog, SessionRecord, Transition, sessions_to_transitions
 from .qlearning import QTableBank, TrainConfig, export_policies, train
-from .timing import timed
 
 DEFAULT_MIN_CLUSTER_SUPPORT = 500
+
+T = TypeVar("T")
+
+
+def timed(timings: list[tuple[str, float]], name: str, fn: Callable[[], T]) -> T:
+    """Run ``fn()``, append ``(name, wall seconds)`` to ``timings``, return its result."""
+    start = time.perf_counter()
+    result = fn()
+    timings.append((name, time.perf_counter() - start))
+    return result
 
 
 @dataclass(frozen=True)

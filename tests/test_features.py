@@ -151,6 +151,9 @@ class TestFitSparsePca:
         X = base @ rng.normal(size=(2, 5))  # rank 2 in 5 columns
         comps = fit_sparse_pca(X, k=5, l1_penalty=0.0, seed=0, zscore_mask=center_only(5))
         assert any(comps.degenerate)
+        for j, row in enumerate(comps.loadings):
+            if comps.degenerate[j]:
+                assert not row.any()
 
     def test_positive_rounding_past_rank_flags_degenerate(self):
         # On this rank-2 matrix the trace left after two deflations is a
