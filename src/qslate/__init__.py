@@ -4,7 +4,6 @@ from .clustering import (
     ClusterModel,
     DbscanModel,
     KMeansModel,
-    assign,
     fit_dbscan,
     fit_kmeans,
     merge_small_clusters,

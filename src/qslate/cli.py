@@ -16,6 +16,8 @@ from pathlib import Path
 
 from .errors import DataError, QslateError
 from .ingest import (
+    N_PORTRAITS,
+    ItemCatalog,
     SyntheticConfig,
     generate_synthetic,
     parse_items,
@@ -26,6 +28,7 @@ from .ingest import (
 )
 from .metric import MetricConfig, TuneResult, holdout_split, score, tune
 from .pipeline import (
+    PipelineModel,
     PipelineParams,
     fit_pipeline,
     load_models,
@@ -89,7 +92,6 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--train-frac", type=float, default=0.8)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--deterministic", action="store_true")
-    p.add_argument("--backend", choices=("process", "thread"), default="process")
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -110,7 +112,6 @@ def _params_from_args(args) -> PipelineParams:
         seed=args.seed,
         threads=args.threads,
         deterministic=args.deterministic,
-        backend=args.backend,
     )
 
 
@@ -192,7 +193,7 @@ def cmd_train(args) -> int:
         **stats.to_dict(),
         "pca": model.components.report(),
     }
-    if args.report_speedup and args.threads > 1:
+    if args.report_speedup and args.threads > 1 and not args.deterministic:
         serial_params = params.replace(threads=1, deterministic=True)
         t0 = time.perf_counter()
         fit_pipeline(train_sessions, catalog, serial_params)
@@ -236,8 +237,8 @@ def _load_manifest(model_dir: Path) -> dict:
     return manifest
 
 
-def cmd_evaluate(args) -> int:
-    model_dir = Path(args.model_dir)
+def _load_model(model_dir: Path, catalog: ItemCatalog) -> tuple[PipelineModel, dict]:
+    """Load a model directory, checked against its manifest and ``catalog``."""
     manifest = _load_manifest(model_dir)
     model, stamp = load_models(model_dir, int(manifest["params"]["min_visits"]))
     if stamp != manifest["stamp"]:
@@ -245,13 +246,15 @@ def cmd_evaluate(args) -> int:
             f"{model_dir / MANIFEST_FILE}: manifest stamp {manifest['stamp']!r} "
             f"does not match model files ({stamp!r})"
         )
-    items_text = _read_text(args.items)
-    catalog = parse_items(items_text)
-    if model.components.n_cols != len(catalog) + 10:
-        raise DataError(
-            f"model expects {model.components.n_cols - 10} catalog items, "
-            f"data has {len(catalog)}"
-        )
+    n_items = model.components.n_cols - N_PORTRAITS
+    if n_items != len(catalog):
+        raise DataError(f"model expects {n_items} catalog items, data has {len(catalog)}")
+    return model, manifest
+
+
+def cmd_evaluate(args) -> int:
+    catalog = parse_items(_read_text(args.items))
+    model, manifest = _load_model(Path(args.model_dir), catalog)
     sessions = parse_sessions(_read_text(args.sessions), catalog)
     _, validation = holdout_split(sessions, manifest["train_fraction"], manifest["seed"])
 
@@ -362,12 +365,8 @@ def _write_grid_csv(path: Path, result: TuneResult, grid_keys: list[str]) -> Non
 
 
 def cmd_recommend(args) -> int:
-    model_dir = Path(args.model_dir)
-    manifest = _load_manifest(model_dir)
-    model, stamp = load_models(model_dir, int(manifest["params"]["min_visits"]))
-    if stamp != manifest["stamp"]:
-        raise DataError(f"{model_dir}: manifest stamp does not match model files")
     catalog = parse_items(_read_text(args.items))
+    model, _ = _load_model(Path(args.model_dir), catalog)
     users = parse_users(_read_text(args.users), catalog)
     if not users:
         raise DataError(f"{args.users}: no users to recommend for")

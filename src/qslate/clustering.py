@@ -238,11 +238,6 @@ def fit_dbscan(Z: np.ndarray, eps: float, min_pts: int) -> DbscanModel:
     )
 
 
-def assign(model: ClusterModel, z: np.ndarray) -> int:
-    """Total assignment of one reduced vector to a cluster id."""
-    return model.assign(z)
-
-
 def _base_cluster_distances(model: ClusterModel) -> np.ndarray:
     """Pairwise distance between base clusters (before any merge map)."""
     if isinstance(model, KMeansModel):

@@ -64,7 +64,6 @@ class PipelineParams:
     seed: int = 0
     threads: int = 1
     deterministic: bool = False
-    backend: str = "process"
 
     def replace(self, **overrides) -> "PipelineParams":
         return dataclasses.replace(self, **overrides)
@@ -192,7 +191,6 @@ def fit_on_reduced(
         epochs=params.epochs,
         threads=params.threads,
         deterministic=params.deterministic,
-        backend=params.backend,
     )
     timed(timings, "train", lambda: train(bank, transitions, assignments, cfg))
 

@@ -10,15 +10,12 @@ stays out of memory.  Each update applies
 where the inner max ranges over the stored next-step actions of the same
 cluster and transitions into the terminal state use the target ``r`` alone.
 
-Three execution drivers share one update rule:
+One update loop, ``_train_serial``, has two drivers:
 
-* serial, input order (always used when ``deterministic`` or one thread);
-* a thread pool over transition shards with striped per-cell locks, so a
-  read-modify-write of a cell never interleaves non-atomically;
+* in process, in input order (used when ``deterministic`` or one thread);
 * a process pool sharded by cluster.  Clusters never share cells, so each
-  worker trains its clusters' tables serially and the merged result is
-  bit-identical to a serial run.  This is the default parallel backend
-  because CPython threads cannot speed up the pure-Python update loop.
+  worker runs the same loop over its clusters' transitions in input order
+  and the merged result is bit-identical to a serial run.
 
 Each table's running maximum is maintained incrementally (rescanning only
 when the maximal cell decreases); a full scan per update would make training
@@ -30,8 +27,7 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
-import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,8 +40,6 @@ from .ingest import STEPS, ItemCatalog, SessionRecord, Transition, UserRecord
 
 QTABLES_FORMAT = "qslate-qtables"
 QTABLES_VERSION = 1
-
-_N_STRIPES = 64  # power of two
 
 Slate = tuple[int, int, int]
 
@@ -89,7 +83,7 @@ class TrainConfig:
     epochs: int = 10
     threads: int = 1
     deterministic: bool = False
-    backend: str = "process"
+    backend: str = "process"  # the only parallel backend; kept for callers that name it
 
     def validate(self) -> None:
         if not 0.0 < self.alpha <= 1.0:
@@ -100,7 +94,7 @@ class TrainConfig:
             raise DataError("epochs must be >= 1")
         if self.threads < 1:
             raise DataError("threads must be >= 1")
-        if self.backend not in ("process", "thread"):
+        if self.backend != "process":
             raise DataError(f"unknown backend {self.backend!r}")
 
 
@@ -240,65 +234,12 @@ def _train_serial(tables, stream, alpha: float, gamma: float, epochs: int) -> No
                 tmax[key] = max(c[0] for c in tab.values())
 
 
-def _train_threads(tables, stream, alpha, gamma, epochs, threads) -> None:
-    stripes = [threading.Lock() for _ in range(_N_STRIPES)]
-    mask = _N_STRIPES - 1
-    tmax = _init_maxes(tables)
-    max_locks = {key: threading.Lock() for key in tables}
-    shards = [stream[i::threads] for i in range(threads)]
-
-    def worker(shard):
-        for cid, step, action, reward, terminal in shard:
-            if terminal:
-                target = reward
-            else:
-                nm = tmax[(cid, step + 1)]
-                target = reward + gamma * nm if nm > 0.0 else reward
-            key = (cid, step)
-            tab = tables[key]
-            with stripes[hash((cid, step, action)) & mask]:
-                cell = tab.get(action)
-                if cell is None:
-                    q_old = 0.0
-                    q_new = alpha * target
-                    tab[action] = [q_new, 1]
-                else:
-                    q_old = cell[0]
-                    q_new = q_old + alpha * (target - q_old)
-                    cell[0] = q_new
-                    cell[1] += 1
-            with max_locks[key]:
-                cur = tmax[key]
-                if q_new >= cur:
-                    tmax[key] = q_new
-                elif q_old >= cur:
-                    # list() snapshots atomically; concurrent cell writes are fine.
-                    tmax[key] = max(c[0] for c in list(tab.values()))
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for _ in range(epochs):
-            # Barrier per epoch so epoch semantics match the serial driver.
-            for fut in [pool.submit(worker, sh) for sh in shards]:
-                fut.result()
-
-
 def _process_worker(args):
-    n_clusters, tables_payload, packed, alpha, gamma, epochs = args
-    tables = {
-        (c, s): {} for c in range(n_clusters) for s in STEPS
-    }
-    for key_str, cells in tables_payload.items():
-        c, s = (int(v) for v in key_str.split(","))
-        tables[(c, s)] = {tuple(slate): [q, visits] for slate, q, visits in cells}
+    tables, packed, alpha, gamma, epochs = args
     cids, steps, a1, a2, a3, rewards, terminals = (col.tolist() for col in packed)
-    actions = list(zip(a1, a2, a3))
-    stream = list(zip(cids, steps, actions, rewards, terminals))
+    stream = list(zip(cids, steps, zip(a1, a2, a3), rewards, terminals))
     _train_serial(tables, stream, alpha, gamma, epochs)
-    out = {}
-    for (c, s), tab in tables.items():
-        if tab:
-            out[f"{c},{s}"] = [(list(slate), cell[0], cell[1]) for slate, cell in tab.items()]
-    return out
+    return tables
 
 
 def _train_processes(bank, stream, alpha, gamma, epochs, workers) -> None:
@@ -324,15 +265,9 @@ def _train_processes(bank, stream, alpha, gamma, epochs, workers) -> None:
     jobs = []
     for members in bins:
         mask = np.isin(cid_of, np.asarray(members, dtype=np.int64))
-        payload = {}
-        for cid in members:
-            for s in STEPS:
-                tab = bank.tables[(cid, s)]
-                if tab:
-                    payload[f"{cid},{s}"] = [
-                        (list(slate), cell[0], cell[1]) for slate, cell in tab.items()
-                    ]
-        # Arrays pickle as raw buffers; workers expand to lists locally.
+        # Tables pickle with their tuple keys; arrays pickle as raw buffers
+        # and workers expand them to lists locally.
+        tables = {(cid, s): bank.tables[(cid, s)] for cid in members for s in STEPS}
         packed = (
             cid_of[mask],
             step_of[mask],
@@ -342,19 +277,15 @@ def _train_processes(bank, stream, alpha, gamma, epochs, workers) -> None:
             r_of[mask],
             t_of[mask],
         )
-        jobs.append((bank.n_clusters, payload, packed, alpha, gamma, epochs))
+        jobs.append((tables, packed, alpha, gamma, epochs))
 
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:
         ctx = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-        for result in pool.map(_process_worker, jobs):
-            for key_str, cells in result.items():
-                c, s = (int(v) for v in key_str.split(","))
-                bank.tables[(c, s)] = {
-                    tuple(slate): [q, visits] for slate, q, visits in cells
-                }
+        for tables in pool.map(_process_worker, jobs):
+            bank.tables.update(tables)
 
 
 def train(
@@ -367,10 +298,10 @@ def train(
 
     ``session_clusters`` maps ``Transition.session_ref`` to a cluster id
     (any indexable: list, array, or dict).  With ``deterministic`` set or a
-    single thread, updates apply in input order on one thread; otherwise the
-    configured parallel backend runs.  Cell values and visit counters are
-    updated atomically per cell; parallel float results may differ across
-    runs by summation order only.
+    single thread, updates apply in input order in this process; otherwise
+    whole clusters are sharded across ``cfg.threads`` worker processes, each
+    applying its clusters' updates in input order.  Clusters never share a
+    cell, so both drivers produce bit-identical tables.
     """
     cfg.validate()
     stream = _prepare_stream(bank, transitions, session_clusters)
@@ -378,8 +309,6 @@ def train(
         return bank
     if cfg.deterministic or cfg.threads == 1:
         _train_serial(bank.tables, stream, cfg.alpha, cfg.gamma, cfg.epochs)
-    elif cfg.backend == "thread":
-        _train_threads(bank.tables, stream, cfg.alpha, cfg.gamma, cfg.epochs, cfg.threads)
     else:
         _train_processes(bank, stream, cfg.alpha, cfg.gamma, cfg.epochs, cfg.threads)
     return bank

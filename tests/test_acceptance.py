@@ -164,19 +164,19 @@ def test_criterion_5_parallel_correctness():
         serial = QTableBank(3)
         train(serial, transitions, clusters,
               TrainConfig(alpha=1.0, gamma=0.5, epochs=4, deterministic=True))
-        threaded = QTableBank(3)
-        train(threaded, transitions, clusters,
-              TrainConfig(alpha=1.0, gamma=0.5, epochs=4, threads=8, backend="thread"))
-        assert export_policies(serial, catalog, 3) == export_policies(threaded, catalog, 3)
+        parallel = QTableBank(3)
+        train(parallel, transitions, clusters,
+              TrainConfig(alpha=1.0, gamma=0.5, epochs=4, threads=8))
+        assert export_policies(serial, catalog, 3) == export_policies(parallel, catalog, 3)
 
-        # Float fixture: five 8-thread runs agree per cell within 1e-6.
+        # Float fixture: five 8-worker runs agree per cell within 1e-6.
         reference = QTableBank(3)
         train(reference, transitions, clusters,
               TrainConfig(alpha=0.3, gamma=0.9, epochs=60, deterministic=True))
         for _ in range(5):
             bank = QTableBank(3)
             train(bank, transitions, clusters,
-                  TrainConfig(alpha=0.3, gamma=0.9, epochs=60, threads=8, backend="thread"))
+                  TrainConfig(alpha=0.3, gamma=0.9, epochs=60, threads=8))
             for key in reference.tables:
                 for action, cell in reference.tables[key].items():
                     assert abs(bank.tables[key][action][0] - cell[0]) <= 1e-6

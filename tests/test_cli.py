@@ -118,7 +118,7 @@ class TestTrain:
             "train", "--items", data / "items.txt", "--sessions", data / "sessions.txt",
             "--model-dir", parallel_dir, "--k-features", 6, "--l1", 0.1,
             "--cluster", "kmeans", "--k", 4, "--epochs", 5, "--min-support", 50,
-            "--seed", 1, "--threads", 8, "--backend", "process",
+            "--seed", 1, "--threads", 8,
         )
         assert code == 0
         assert (serial / "policy.txt").read_bytes() == (parallel_dir / "policy.txt").read_bytes()
@@ -148,6 +148,19 @@ class TestTrain:
         assert speedup["threads"] == 2
         assert speedup["serial_wall_seconds"] > 0
         assert speedup["parallel_wall_seconds"] > 0
+
+    def test_report_speedup_skipped_when_deterministic(self, tmp_path):
+        data = generate_corpus(tmp_path)
+        models = train_models(tmp_path, data, **{"--threads": 2, "--report-speedup": None})
+        summary = json.loads((models / "summary.json").read_text())
+        assert "speedup" not in summary
+
+    def test_backend_flag_is_usage_error(self, tmp_path, capsys):
+        data = generate_corpus(tmp_path)
+        code = run("train", "--items", data / "items.txt", "--sessions", data / "sessions.txt",
+                   "--model-dir", tmp_path / "m", "--backend", "process")
+        assert code == 1
+        assert "--backend" in capsys.readouterr().err
 
 
 class TestEvaluate:
@@ -317,6 +330,18 @@ class TestRecommend:
         for line in out_lines:
             items = [int(v) for v in line.split()[1:]]
             assert [catalog.location(i) for i in items] == [1, 1, 1, 2, 2, 2, 3, 3, 3]
+
+
+    def test_catalog_size_mismatch_detected(self, tmp_path, capsys):
+        data = generate_corpus(tmp_path)
+        models = train_models(tmp_path, data)
+        other = generate_corpus(tmp_path / "other", items=30)
+        users = tmp_path / "users.txt"
+        users.write_text("1 - 0,0,0,0,0,0,0,0,0,0\n")
+        code = run("recommend", "--items", other / "items.txt", "--model-dir", models,
+                   "--users", users)
+        assert code == 2
+        assert "catalog items" in capsys.readouterr().err
 
 
 class TestUsage:

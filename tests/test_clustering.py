@@ -5,7 +5,6 @@ from oracles import adjusted_rand_index
 from qslate.clustering import (
     DbscanModel,
     KMeansModel,
-    assign,
     fit_dbscan,
     fit_kmeans,
     load_cluster_model,
@@ -153,7 +152,7 @@ class TestAssign:
         with pytest.raises(DataError, match="dim"):
             model.assign(np.zeros(4))
         with pytest.raises(DataError, match="dim"):
-            assign(model, np.zeros(2))
+            model.assign(np.zeros(2))
 
 
 class TestMergeSmallClusters:

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -79,6 +80,7 @@ class TestTrainConfig:
             {"epochs": 0},
             {"threads": 0},
             {"backend": "gpu"},
+            {"backend": "thread"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -250,39 +252,24 @@ class TestParallelTraining:
               TrainConfig(alpha=0.1, gamma=0.9, epochs=4, threads=4, backend="process"))
         assert serial.tables == parallel.tables
 
-    def test_thread_backend_idempotent_fixture_matches_serial(self):
-        catalog, transitions, clusters, _ = toy_mdp(repeats=4)
-        serial = QTableBank(3)
+    def test_process_workers_continue_trained_tables(self):
+        corpus = generate_synthetic(
+            SyntheticConfig(num_items=18, num_users=80, num_sessions=1500, seed=56,
+                            preference_scale=2.0, base_appeal=0.4)
+        )
+        transitions = sessions_to_transitions(corpus.sessions, corpus.catalog)
+        clusters = [corpus.truth.user_groups[s.user_id] for s in corpus.sessions]
+        bank = QTableBank(4)
+        train(bank, transitions, clusters,
+              TrainConfig(alpha=0.1, gamma=0.9, epochs=1, deterministic=True))
+        serial, parallel = copy.deepcopy(bank), copy.deepcopy(bank)
         train(serial, transitions, clusters,
-              TrainConfig(alpha=1.0, gamma=0.5, epochs=4, deterministic=True))
-        threaded = QTableBank(3)
-        train(threaded, transitions, clusters,
-              TrainConfig(alpha=1.0, gamma=0.5, epochs=4, threads=8, backend="thread"))
-        assert export_policies(serial, catalog, 3) == export_policies(threaded, catalog, 3)
-        for key in serial.tables:
-            for action, cell in serial.tables[key].items():
-                assert threaded.tables[key][action][0] == cell[0]
-
-    def test_thread_backend_visit_totals_conserved(self):
-        _, transitions, clusters, _ = toy_mdp(repeats=3)
-        threaded = QTableBank(3)
-        train(threaded, transitions, clusters,
-              TrainConfig(alpha=0.5, gamma=0.5, epochs=5, threads=8, backend="thread"))
-        total_visits = sum(v for *_, v in threaded.cells())
-        assert total_visits == len(transitions) * 5
-
-    def test_thread_runs_agree_on_converged_fixture(self):
-        _, transitions, clusters, _ = toy_mdp(repeats=3)
-        reference = QTableBank(3)
-        train(reference, transitions, clusters,
-              TrainConfig(alpha=0.5, gamma=0.5, epochs=40, deterministic=True))
-        for _ in range(5):
-            bank = QTableBank(3)
-            train(bank, transitions, clusters,
-                  TrainConfig(alpha=0.5, gamma=0.5, epochs=40, threads=8, backend="thread"))
-            for key in reference.tables:
-                for action, cell in reference.tables[key].items():
-                    assert abs(bank.tables[key][action][0] - cell[0]) <= 1e-6
+              TrainConfig(alpha=0.1, gamma=0.9, epochs=2, deterministic=True))
+        # 8 workers for 4 clusters: each worker receives one cluster's trained tables.
+        train(parallel, transitions, clusters,
+              TrainConfig(alpha=0.1, gamma=0.9, epochs=2, threads=8, backend="process"))
+        assert bank.n_cells() > 0
+        assert serial.tables == parallel.tables
 
 
 class TestPolicies:
