@@ -160,7 +160,14 @@ def cmd_train(args) -> int:
     model, stats = fit_pipeline(train_sessions, catalog, params)
     wall = time.perf_counter() - started
 
-    params_json = json.dumps(params.resolved(), sort_keys=True)
+    # threads and deterministic choose how training runs, not what it learns,
+    # so they stay out of the stamp (the manifest still records them).
+    model_params = {
+        key: value
+        for key, value in params.resolved().items()
+        if key not in ("threads", "deterministic")
+    }
+    params_json = json.dumps(model_params, sort_keys=True)
     stamp = _stamp(items_text, sessions_text, params_json, str(args.train_frac))
     model_dir = Path(args.model_dir)
     model_dir.mkdir(parents=True, exist_ok=True)

@@ -6,6 +6,13 @@ centroid with ties broken toward the lowest cluster id; DBSCAN maps to the
 cluster of the nearest core point regardless of ``eps``, because every user
 must receive some policy even if they would be noise under the training-time
 rule.  Fitting is single-threaded and deterministic for a fixed seed.
+
+Both fits take an optional ``rows`` index for training points that repeat
+(the sessions of one user state): the training points are ``Z[rows]``, but
+each distinct row of ``Z`` is measured once and weighted by its count in
+``rows``.  Such a fit equals the fit of ``Z[rows]``: k-means++ draws the same
+training points from the same random stream, and Lloyd's means, the inertia
+and DBSCAN's eps-ball counts are weighted sums over the distinct rows.
 """
 
 from __future__ import annotations
@@ -22,7 +29,8 @@ from .errors import DataError, FitError, ModelFileError
 CLUSTERS_FORMAT = "qslate-clusters"
 CLUSTERS_VERSION = 1
 
-_BLOCK = 2048
+# Rows per distance block: DBSCAN holds block x n distances at a time.
+_BLOCK = 256
 
 
 def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -100,29 +108,54 @@ class DbscanModel:
 ClusterModel = Union[KMeansModel, DbscanModel]
 
 
-def _kmeanspp_init(Z: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = len(Z)
-    first = int(rng.integers(n))
+def _training_rows(Z: np.ndarray, rows: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The row of each training point (default: one per row) and each row's count."""
+    if rows is None:
+        return np.arange(len(Z)), np.ones(len(Z), dtype=np.int64)
+    weights = np.bincount(rows, minlength=len(Z))
+    if len(weights) != len(Z) or not weights.all():
+        raise FitError("rows must index every row of Z, and only rows of Z")
+    return rows, weights
+
+
+def _kmeanspp_init(
+    Z: np.ndarray, rows: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
+    """k-means++ seeding that draws training points ``Z[rows]``.
+
+    Distances are computed once per distinct row and read through ``rows``,
+    so the draws are those of an unweighted seeding on ``Z[rows]``.
+    """
+    first = rows[int(rng.integers(len(rows)))]
     centroids = [Z[first]]
     d2 = _sq_dists(Z, Z[first][None, :])[:, 0]
     while len(centroids) < k:
-        total = float(d2.sum())
+        point_d2 = d2[rows]
+        total = float(point_d2.sum())
         if total <= 0.0:
             distinct = len(np.unique(Z, axis=0))
             raise FitError(f"k={k} exceeds the {distinct} distinct rows available")
-        nxt = int(rng.choice(n, p=d2 / total))
+        nxt = rows[int(rng.choice(len(rows), p=point_d2 / total))]
         centroids.append(Z[nxt])
         d2 = np.minimum(d2, _sq_dists(Z, Z[nxt][None, :])[:, 0])
     return np.array(centroids)
 
 
-def fit_kmeans(Z: np.ndarray, k: int, seed: int = 0, max_iter: int = 100) -> KMeansModel:
+def fit_kmeans(
+    Z: np.ndarray,
+    k: int,
+    seed: int = 0,
+    max_iter: int = 100,
+    rows: np.ndarray | None = None,
+) -> KMeansModel:
     """Lloyd's algorithm from a k-means++ seeding.
 
     Iterates until the assignment stabilizes or ``max_iter`` is reached;
     clusters that empty out are re-seeded at the point farthest from its
     assigned centroid.  ``inertia_history`` records the within-cluster sum
     of squares at every assignment step (non-increasing by construction).
+    With ``rows`` the training points are ``Z[rows]`` (see the module
+    docstring); ``labels_`` then labels the rows of ``Z``.
     """
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2 or len(Z) == 0:
@@ -131,16 +164,17 @@ def fit_kmeans(Z: np.ndarray, k: int, seed: int = 0, max_iter: int = 100) -> KMe
         raise FitError("k must be >= 1")
     if max_iter < 1:
         raise FitError("max_iter must be >= 1")
+    rows, weights = _training_rows(Z, rows)
     n = len(Z)
     rng = np.random.default_rng(seed)
-    centroids = _kmeanspp_init(Z, k, rng)
+    centroids = _kmeanspp_init(Z, rows, k, rng)
 
     history: list[float] = []
     labels: np.ndarray | None = None
     for _ in range(max_iter):
         d2 = _sq_dists(Z, centroids)
         new_labels = d2.argmin(axis=1)
-        history.append(float(d2[np.arange(n), new_labels].sum()))
+        history.append(float((weights * d2[np.arange(n), new_labels]).sum()))
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -149,7 +183,8 @@ def fit_kmeans(Z: np.ndarray, k: int, seed: int = 0, max_iter: int = 100) -> KMe
         for c in range(k):
             members = labels == c
             if members.any():
-                updated[c] = Z[members].mean(axis=0)
+                w = weights[members]
+                updated[c] = (Z[members] * w[:, None]).sum(axis=0) / w.sum()
             else:
                 empties.append(c)
         if empties:
@@ -162,7 +197,7 @@ def fit_kmeans(Z: np.ndarray, k: int, seed: int = 0, max_iter: int = 100) -> KMe
     else:
         d2 = _sq_dists(Z, centroids)
         labels = d2.argmin(axis=1)
-        history.append(float(d2[np.arange(n), labels].sum()))
+        history.append(float((weights * d2[np.arange(n), labels]).sum()))
 
     return KMeansModel(
         centroids=centroids,
@@ -171,7 +206,9 @@ def fit_kmeans(Z: np.ndarray, k: int, seed: int = 0, max_iter: int = 100) -> KMe
     )
 
 
-def fit_dbscan(Z: np.ndarray, eps: float, min_pts: int) -> DbscanModel:
+def fit_dbscan(
+    Z: np.ndarray, eps: float, min_pts: int, rows: np.ndarray | None = None
+) -> DbscanModel:
     """Density clustering; raises :class:`FitError` when every point is noise.
 
     A point is core when its eps-ball (itself included) holds at least
@@ -179,7 +216,9 @@ def fit_dbscan(Z: np.ndarray, eps: float, min_pts: int) -> DbscanModel:
     a cluster; every other point takes the cluster of its nearest core point
     when one lies within eps, otherwise it is noise.  The nearest-core rule
     (rather than expansion order) keeps the partition invariant under row
-    permutation.
+    permutation.  With ``rows`` the training points are ``Z[rows]`` (see the
+    module docstring): eps-balls and ``n_noise`` count training points, while
+    core points and ``labels_`` stay one per row of ``Z``.
     """
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2 or len(Z) == 0:
@@ -188,13 +227,14 @@ def fit_dbscan(Z: np.ndarray, eps: float, min_pts: int) -> DbscanModel:
         raise FitError("eps must be positive")
     if min_pts < 1:
         raise FitError("min_pts must be >= 1")
+    weights = _training_rows(Z, rows)[1]
     n = len(Z)
     eps2 = eps * eps
 
     counts = np.zeros(n, dtype=np.int64)
     for start in range(0, n, _BLOCK):
         block = slice(start, min(start + _BLOCK, n))
-        counts[block] = (_sq_dists(Z[block], Z) <= eps2).sum(axis=1)
+        counts[block] = (_sq_dists(Z[block], Z) <= eps2) @ weights
     core_mask = counts >= min_pts
     core_rows = np.flatnonzero(core_mask)
     if len(core_rows) == 0:
@@ -233,7 +273,7 @@ def fit_dbscan(Z: np.ndarray, eps: float, min_pts: int) -> DbscanModel:
         core_points=core_Z,
         core_labels=core_labels,
         n_clusters=next_label,
-        n_noise=int((labels == -1).sum()),
+        n_noise=int(weights[labels == -1].sum()),
         labels_=labels,
     )
 

@@ -2,15 +2,19 @@
 
 The raw state of a session is its 10 portrait values followed by one 0/1
 click indicator per catalog item (ascending item id), giving
-``num_items + 10`` columns.  Sparse PCA compresses that wide, sparse state:
-portrait columns are z-scored, click indicators are centered but not
-variance-scaled (scaling would blow up rare-click columns), and components
-are extracted one at a time by power iteration with soft-thresholded
-loadings.
+``num_items + 10`` columns.  Sessions of one user repeat that state, so the
+feature matrix holds one row per distinct state with an integer weight, its
+session count, and an index from each session back to its row.  Sparse PCA
+compresses that wide, sparse state: portrait columns are z-scored, click
+indicators are centered but not variance-scaled (scaling would blow up
+rare-click columns), and components are extracted one at a time by power
+iteration with soft-thresholded loadings.
 
-The fit works in covariance form.  The standardized data ``R`` (``n`` rows,
-``p`` columns) is reduced once to ``C = R^T R / n``; each power step is then
-one ``p x p`` product ``C v`` instead of two passes over the ``n`` rows.
+The fit works in covariance form.  The standardized data ``R`` (``u``
+distinct rows with weights ``w`` summing to ``n``, ``p`` columns) is reduced
+once to ``C = R^T diag(w) R / n``, which equals ``R^T R / n`` over the ``n``
+session rows; each power step is then one ``p x p`` product ``C v`` instead
+of two passes over the rows.
 Deflating ``R`` by projection, ``R <- R - (R v) v^T``, has the closed form
 
     C <- C - (C v) v^T - v (C v)^T + (v^T C v) v v^T
@@ -39,10 +43,17 @@ COMPONENTS_VERSION = 2
 
 @dataclass
 class FeatureMatrix:
-    """Dense raw state matrix plus the meaning of its columns."""
+    """Raw states, one row per distinct state, plus the meaning of its columns.
+
+    ``values`` is ``u x p``; ``weights[j]`` counts the records whose state
+    is row ``j``, and ``rows[i]`` is the row of record ``i``, so
+    ``values[rows]`` is the one-row-per-record matrix.
+    """
 
     values: np.ndarray
     item_ids: tuple[int, ...]
+    weights: np.ndarray
+    rows: np.ndarray
     n_portraits: int = N_PORTRAITS
 
     @property
@@ -57,17 +68,32 @@ class FeatureMatrix:
 def build_raw_features(
     records: list[SessionRecord] | list[UserRecord], catalog: ItemCatalog
 ) -> FeatureMatrix:
-    """Stack portraits and one-hot click indicators, one row per record."""
+    """Stack portraits and one-hot click indicators, one row per distinct state.
+
+    A state is a record's ``(clicked_items, portraits)``; rows follow the
+    order in which states first appear.
+    """
     if len(catalog) == 0:
         raise DataError("catalog is empty")
     item_ids = catalog.item_ids
     col_of = {item_id: N_PORTRAITS + j for j, item_id in enumerate(item_ids)}
-    values = np.zeros((len(records), N_PORTRAITS + len(item_ids)))
-    for i, rec in enumerate(records):
-        values[i, :N_PORTRAITS] = rec.portraits
-        for item_id in rec.clicked_items:
+    row_of: dict[tuple[frozenset[int], tuple[float, ...]], int] = {}
+    rows = np.fromiter(
+        (row_of.setdefault((rec.clicked_items, rec.portraits), len(row_of)) for rec in records),
+        dtype=np.int64,
+        count=len(records),
+    )
+    values = np.zeros((len(row_of), N_PORTRAITS + len(item_ids)))
+    for i, (clicks, portraits) in enumerate(row_of):
+        values[i, :N_PORTRAITS] = portraits
+        for item_id in clicks:
             values[i, col_of[item_id]] = 1.0
-    return FeatureMatrix(values=values, item_ids=item_ids)
+    return FeatureMatrix(
+        values=values,
+        item_ids=item_ids,
+        weights=np.bincount(rows, minlength=len(row_of)),
+        rows=rows,
+    )
 
 
 @dataclass
@@ -167,11 +193,14 @@ class SparseComponents:
         return comps, payload.get("stamp")
 
 
-def _column_stats(values: np.ndarray, zscore_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    means = values.mean(axis=0)
+def _column_stats(
+    values: np.ndarray, weights: np.ndarray, zscore_mask: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    n = weights.sum()
+    means = weights @ values / n
     scales = np.ones(values.shape[1])
     if zscore_mask.any():
-        stds = values[:, zscore_mask].std(axis=0)
+        stds = np.sqrt(weights @ (values[:, zscore_mask] - means[zscore_mask]) ** 2 / n)
         stds[stds == 0.0] = 1.0  # constant columns contribute zero after centering
         scales[zscore_mask] = stds
     return means, scales
@@ -203,6 +232,11 @@ def fit_sparse_pca(
     (``converged``) or for ``max_iter`` steps.  Deterministic for a fixed
     seed.
 
+    The column statistics and ``C`` weight each row of a
+    :class:`FeatureMatrix` by its session count, so the fit is that of the
+    one-row-per-session matrix ``X.values[X.rows]``, and the range of ``k``
+    counts those session rows; a plain array has unit weights.
+
     Once the deflated ``trace(C)`` is at most ``1e-10`` times its starting
     value, what remains is rounding (about ``eps * trace(C)``, possibly
     negative): the requested k exceeds the data rank, and the remaining
@@ -212,22 +246,23 @@ def fit_sparse_pca(
     z-scored; a plain array has all columns z-scored unless ``zscore_mask``
     says otherwise.
 
-    The covariance form assumes at least as many rows as columns
-    (``n >= p``), as on every corpus the project fits.  With ``p > n`` the
-    ``p x p`` matrix ``C`` is larger than the data and each power step costs
-    ``p^2`` against the ``2np`` of iterating on the rows; that shape is
-    allowed but has not been measured.
+    The covariance form pays off when there are at least as many distinct
+    rows as columns (``u >= p``).  With ``p > u``, as on a corpus of few
+    users with many sessions each, ``C`` is larger than the data and each
+    power step costs ``p^2`` against the ``2up`` of iterating on the rows.
     """
     if isinstance(X, FeatureMatrix):
         values = X.values
+        weights = X.weights
         if zscore_mask is None:
             zscore_mask = np.zeros(values.shape[1], dtype=bool)
             zscore_mask[: X.n_portraits] = True
     else:
         values = np.asarray(X, dtype=np.float64)
+        weights = np.ones(len(values))
         if zscore_mask is None:
             zscore_mask = np.ones(values.shape[1], dtype=bool)
-    n, p = values.shape
+    n, p = int(weights.sum()), values.shape[1]
     if k < 1 or k > min(n, p):
         raise FitError(f"k={k} out of range [1, {min(n, p)}]")
     if max_iter < 1:
@@ -237,9 +272,12 @@ def fit_sparse_pca(
     if l1_penalty < 0:
         raise FitError("l1_penalty must be nonnegative")
 
-    means, scales = _column_stats(values, zscore_mask)
+    means, scales = _column_stats(values, weights, zscore_mask)
     standardized = values - means
     standardized /= scales
+    # Rows scaled by sqrt(w) keep the product in the A^T A form, which BLAS
+    # computes as an exactly symmetric rank-k update.
+    standardized *= np.sqrt(weights)[:, None]
     cov = standardized.T @ standardized / n
     del standardized
     rng = np.random.default_rng(seed)

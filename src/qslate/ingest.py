@@ -136,6 +136,37 @@ def _parse_int_list(text: str, what: str, line_no: int) -> tuple[int, ...]:
         raise DataError(f"line {line_no}: bad {what} value in {text!r}") from None
 
 
+def _state_parser(catalog: ItemCatalog):
+    """A parser of one file's clicks and portraits fields, cached by raw text.
+
+    Sessions of one user repeat the same two fields, so each distinct text
+    is parsed and checked once per file: on its first line, which is the
+    line an error names.  Every line with equal click text shares one
+    ``frozenset`` and every line with equal portrait text one tuple.
+    """
+    clicks_of: dict[str, frozenset[int]] = {}
+    portraits_of: dict[str, tuple[float, ...]] = {}
+
+    def parse(
+        clicks_text: str, portraits_text: str, line_no: int
+    ) -> tuple[frozenset[int], tuple[float, ...]]:
+        clicks = clicks_of.get(clicks_text)
+        if clicks is None:
+            ids = _parse_int_list(clicks_text, "click history", line_no)
+            for c in ids:
+                if c not in catalog:
+                    raise DataError(f"line {line_no}: clicked item {c} not in catalog")
+            clicks = clicks_of[clicks_text] = frozenset(ids)
+        portraits = portraits_of.get(portraits_text)
+        if portraits is None:
+            portraits = portraits_of[portraits_text] = _parse_float_list(
+                portraits_text, N_PORTRAITS, "portraits", line_no
+            )
+        return clicks, portraits
+
+    return parse
+
+
 def parse_items(text: str) -> ItemCatalog:
     """Parse an item file into a catalog.
 
@@ -187,6 +218,7 @@ def parse_sessions(text: str, catalog: ItemCatalog) -> list[SessionRecord]:
     violated constraint; a slate item whose location does not match its row
     is reported by 1-based slate position.
     """
+    parse_state = _state_parser(catalog)
     sessions: list[SessionRecord] = []
     for line_no, line in enumerate(text.splitlines(), 1):
         if not line.strip():
@@ -198,11 +230,7 @@ def parse_sessions(text: str, catalog: ItemCatalog) -> list[SessionRecord]:
             user_id = int(fields[0])
         except ValueError:
             raise DataError(f"line {line_no}: bad user_id {fields[0]!r}") from None
-        clicks = _parse_int_list(fields[1], "click history", line_no)
-        for c in clicks:
-            if c not in catalog:
-                raise DataError(f"line {line_no}: clicked item {c} not in catalog")
-        portraits = _parse_float_list(fields[2], N_PORTRAITS, "portraits", line_no)
+        clicks, portraits = parse_state(fields[1], fields[2], line_no)
         slate = _parse_int_list(fields[3], "exposed slate", line_no)
         if len(slate) != SLATE_SIZE:
             raise DataError(f"line {line_no}: expected {SLATE_SIZE} slate items, got {len(slate)}")
@@ -232,7 +260,7 @@ def parse_sessions(text: str, catalog: ItemCatalog) -> list[SessionRecord]:
         sessions.append(
             SessionRecord(
                 user_id=user_id,
-                clicked_items=frozenset(clicks),
+                clicked_items=clicks,
                 portraits=portraits,
                 exposed_slate=slate,
                 purchase_labels=tuple(bool(v) for v in labels_raw),
@@ -255,6 +283,7 @@ def serialize_sessions(sessions: list[SessionRecord]) -> str:
 
 def parse_users(text: str, catalog: ItemCatalog) -> list[UserRecord]:
     """Parse a user file: ``<user_id> <clicks or -> <p1,...,p10>`` per line."""
+    parse_state = _state_parser(catalog)
     users: list[UserRecord] = []
     for line_no, line in enumerate(text.splitlines(), 1):
         if not line.strip():
@@ -266,12 +295,7 @@ def parse_users(text: str, catalog: ItemCatalog) -> list[UserRecord]:
             user_id = int(fields[0])
         except ValueError:
             raise DataError(f"line {line_no}: bad user_id {fields[0]!r}") from None
-        clicks = _parse_int_list(fields[1], "click history", line_no)
-        for c in clicks:
-            if c not in catalog:
-                raise DataError(f"line {line_no}: clicked item {c} not in catalog")
-        portraits = _parse_float_list(fields[2], N_PORTRAITS, "portraits", line_no)
-        users.append(UserRecord(user_id, frozenset(clicks), portraits))
+        users.append(UserRecord(user_id, *parse_state(fields[1], fields[2], line_no)))
     return users
 
 

@@ -238,12 +238,18 @@ def _shared_components(
 
 @dataclass
 class _ReducedGroup:
-    """Cells that share ``l1_penalty``, with their fit and projected rows."""
+    """Cells that share ``l1_penalty``, with their fit and projected states.
+
+    ``rows`` and ``validation_rows`` map each session of the two splits to
+    its state, as ``FeatureMatrix.rows`` does.
+    """
 
     cells: list[GridCellResult]
     components: SparseComponents
     reduced: np.ndarray
     reduced_validation: np.ndarray
+    rows: np.ndarray
+    validation_rows: np.ndarray
 
     def leading(self, k: int) -> tuple[SparseComponents, np.ndarray, np.ndarray]:
         """The first ``k`` components and reduced columns.
@@ -283,6 +289,7 @@ def _reduce(
     ]
     fits = [(components, fit_cells) for components, fit_cells in fits if fit_cells]
     reduced = [transform(raw, components) for components, _ in fits]
+    rows = raw.rows
     del raw
     try:
         raw_validation = build_raw_features(validation, catalog)
@@ -290,7 +297,14 @@ def _reduce(
         _fail([cell for _, fit_cells in fits for cell in fit_cells], exc)
         return []
     return [
-        _ReducedGroup(fit_cells, components, Z, transform(raw_validation, components))
+        _ReducedGroup(
+            fit_cells,
+            components,
+            Z,
+            transform(raw_validation, components),
+            rows,
+            raw_validation.rows,
+        )
         for (components, fit_cells), Z in zip(fits, reduced)
     ]
 
@@ -298,19 +312,20 @@ def _reduce(
 def _score_model_cells(
     cells: list[GridCellResult],
     params: list[PipelineParams],
-    reduced: tuple[SparseComponents, np.ndarray, np.ndarray],
+    group: _ReducedGroup,
     transitions: Callable[[], list[Transition]],
     validation: list[SessionRecord],
     catalog: ItemCatalog,
     cfg: MetricConfig,
 ) -> None:
     """Fit one model for cells that differ only in ``min_visits``; score each."""
-    components, Z, Z_validation = reduced
+    cell_params = params[cells[0].index]
+    components, Z, Z_validation = group.leading(cell_params.k_features)
     try:
         model, stats = fit_on_reduced(
-            components, Z, transitions, params[cells[0].index], []
+            components, Z, group.rows, transitions, cell_params, []
         )
-        cluster_ids = model.cluster_model.assign_many(Z_validation)
+        cluster_ids = model.cluster_model.assign_many(Z_validation)[group.validation_rows]
     except QslateError as exc:
         _fail(cells, exc)
         return
@@ -362,7 +377,7 @@ def tune(
             _score_model_cells(
                 model_cells,
                 params,
-                group.leading(params[model_cells[0].index].k_features),
+                group,
                 transitions,
                 validation,
                 catalog,

@@ -5,6 +5,11 @@ a production fit run exactly the same code.  ``fit_pipeline`` runs every
 stage in order through ``training_features``, ``fit_components`` and
 ``fit_on_reduced``; ``tune`` calls those three itself so that it can build
 features once and fit sparse PCA once for cells that share it.
+
+Features, sparse PCA and clustering work on distinct user states, each
+weighted by its session count; cluster labels are then scattered back to
+sessions through ``FeatureMatrix.rows``, and everything after (transitions,
+support counts, training) counts sessions.
 """
 
 from __future__ import annotations
@@ -102,12 +107,14 @@ class FitStats:
         }
 
 
-def _fit_cluster_model(Z: np.ndarray, spec: Mapping[str, Any], seed: int) -> ClusterModel:
+def _fit_cluster_model(
+    Z: np.ndarray, rows: np.ndarray, spec: Mapping[str, Any], seed: int
+) -> ClusterModel:
     method = spec.get("method")
     if method == "kmeans":
-        return fit_kmeans(Z, k=int(spec["k"]), seed=seed)
+        return fit_kmeans(Z, k=int(spec["k"]), seed=seed, rows=rows)
     if method == "dbscan":
-        return fit_dbscan(Z, eps=float(spec["eps"]), min_pts=int(spec["min_pts"]))
+        return fit_dbscan(Z, eps=float(spec["eps"]), min_pts=int(spec["min_pts"]), rows=rows)
     raise DataError(f"unknown cluster method {method!r}")
 
 
@@ -147,6 +154,7 @@ def fit_pipeline(
     return fit_on_reduced(
         components,
         reduced,
+        raw.rows,
         lambda: sessions_to_transitions(sessions, catalog),
         params,
         timings,
@@ -156,23 +164,27 @@ def fit_pipeline(
 def fit_on_reduced(
     components: SparseComponents,
     reduced: np.ndarray,
+    rows: np.ndarray,
     make_transitions: Callable[[], list[Transition]],
     params: PipelineParams,
     timings: list[tuple[str, float]],
 ) -> tuple[PipelineModel, FitStats]:
     """The stages after ``transform``: cluster, assign, merge and train.
 
-    ``reduced`` holds the training rows projected on ``components``, and
-    ``make_transitions`` returns their transitions when that stage runs.
-    Stage timings are appended to ``timings``.
+    ``reduced`` holds the distinct training states projected on
+    ``components`` and ``rows`` each session's state, as in
+    :class:`FeatureMatrix`; clusters are fit on the states, each weighted by
+    its session count, and their labels scattered back to the sessions.
+    ``make_transitions`` returns the sessions' transitions when that stage
+    runs.  Stage timings are appended to ``timings``.
     """
     seed_cluster = _stage_seeds(params.seed)[1]
     cluster_model = timed(
         timings,
         "fit_clusters",
-        lambda: _fit_cluster_model(reduced, params.cluster, seed_cluster),
+        lambda: _fit_cluster_model(reduced, rows, params.cluster, seed_cluster),
     )
-    assignments = timed(timings, "assign", lambda: cluster_model.assign_many(reduced))
+    assignments = timed(timings, "assign", lambda: cluster_model.assign_many(reduced)[rows])
     transitions = timed(timings, "transitions", make_transitions)
 
     n_before = cluster_model.n_clusters
@@ -217,7 +229,8 @@ def recommend_for_sessions(
     """Batch recommendation: one 9-item list per session, in input order."""
     raw = build_raw_features(sessions, catalog)
     reduced = transform(raw, model.components)
-    return recommend_for_clusters(model, model.cluster_model.assign_many(reduced), catalog)
+    cluster_ids = model.cluster_model.assign_many(reduced)[raw.rows]
+    return recommend_for_clusters(model, cluster_ids, catalog)
 
 
 def recommend_for_clusters(

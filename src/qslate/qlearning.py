@@ -248,7 +248,11 @@ def _train_processes(bank, stream, alpha, gamma, epochs, workers) -> None:
     for item in stream:
         volumes[item[0]] = volumes.get(item[0], 0) + 1
     order = sorted(volumes, key=lambda c: (-volumes[c], c))
-    workers = min(workers, len(order)) or 1
+    workers = min(workers, len(order))
+    if workers == 1:
+        # One cluster: a pool would only add a fork and a pickle round trip.
+        _train_serial(bank.tables, stream, alpha, gamma, epochs)
+        return
     bins: list[list[int]] = [[] for _ in range(workers)]
     load = [0] * workers
     for cid in order:
@@ -297,11 +301,12 @@ def train(
     """Run ``cfg.epochs`` update passes over the transition stream.
 
     ``session_clusters`` maps ``Transition.session_ref`` to a cluster id
-    (any indexable: list, array, or dict).  With ``deterministic`` set or a
-    single thread, updates apply in input order in this process; otherwise
-    whole clusters are sharded across ``cfg.threads`` worker processes, each
-    applying its clusters' updates in input order.  Clusters never share a
-    cell, so both drivers produce bit-identical tables.
+    (any indexable: list, array, or dict).  With ``deterministic`` set, a
+    single thread or a stream of one cluster, updates apply in input order in
+    this process; otherwise whole clusters are sharded across up to
+    ``cfg.threads`` worker processes, each applying its clusters' updates in
+    input order.  Clusters never share a cell, so both drivers produce
+    bit-identical tables.
     """
     cfg.validate()
     stream = _prepare_stream(bank, transitions, session_clusters)

@@ -332,3 +332,58 @@ def residual_sparse_pca(values, k, l1_penalty, zscore_mask, seed=0, max_iter=200
         converged.append(done)
         residual = residual - np.outer(scores, v)
     return loadings, explained, tuple(degenerate), tuple(n_iter), tuple(converged)
+
+
+def unweighted_kmeans(Z, k, seed=0, max_iter=100):
+    """k-means++ and Lloyd with one training point per row and no weights.
+
+    The reference for ``qslate.clustering.fit_kmeans`` without ``rows``,
+    which must match it bit for bit: the same seeding draws, the same means
+    and the same inertia sums.  Returns centroids, labels and the inertia
+    history.
+    """
+    Z = np.asarray(Z, dtype=np.float64)
+    n = len(Z)
+
+    def sq_dists(A, B):
+        d2 = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
+        np.maximum(d2, 0.0, out=d2)
+        return d2
+
+    rng = np.random.default_rng(seed)
+    first = int(rng.integers(n))
+    centroids = [Z[first]]
+    d2 = sq_dists(Z, Z[first][None, :])[:, 0]
+    while len(centroids) < k:
+        nxt = int(rng.choice(n, p=d2 / float(d2.sum())))
+        centroids.append(Z[nxt])
+        d2 = np.minimum(d2, sq_dists(Z, Z[nxt][None, :])[:, 0])
+    centroids = np.array(centroids)
+
+    history, labels = [], None
+    for _ in range(max_iter):
+        d2 = sq_dists(Z, centroids)
+        new_labels = d2.argmin(axis=1)
+        history.append(float(d2[np.arange(n), new_labels].sum()))
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        updated = centroids.copy()
+        empties = []
+        for c in range(k):
+            members = labels == c
+            if members.any():
+                updated[c] = Z[members].mean(axis=0)
+            else:
+                empties.append(c)
+        dist = d2[np.arange(n), labels].copy()
+        for c in empties:
+            far = int(dist.argmax())
+            updated[c] = Z[far]
+            dist[far] = -1.0
+        centroids = updated
+    else:
+        d2 = sq_dists(Z, centroids)
+        labels = d2.argmin(axis=1)
+        history.append(float(d2[np.arange(n), labels].sum()))
+    return centroids, labels, history

@@ -122,10 +122,29 @@ class TestTrain:
         )
         assert code == 0
         assert (serial / "policy.txt").read_bytes() == (parallel_dir / "policy.txt").read_bytes()
-        # stamps differ (thread config is hashed); the learned tables must not
         serial_tables = json.loads((serial / "qtables.json").read_text())["tables"]
         parallel_tables = json.loads((parallel_dir / "qtables.json").read_text())["tables"]
         assert serial_tables == parallel_tables
+
+    def test_execution_settings_leave_stamp_and_models_unchanged(self, tmp_path):
+        data = generate_corpus(tmp_path)
+        deterministic = train_models(tmp_path / "deterministic", data)
+        threaded = tmp_path / "threaded" / "models"
+        code = run(
+            "train", "--items", data / "items.txt", "--sessions", data / "sessions.txt",
+            "--model-dir", threaded, "--k-features", 6, "--l1", 0.1,
+            "--cluster", "kmeans", "--k", 4, "--epochs", 5, "--min-support", 50,
+            "--seed", 1, "--threads", 2,
+        )
+        assert code == 0
+        manifests = [json.loads((d / "manifest.json").read_text())
+                     for d in (deterministic, threaded)]
+        assert manifests[0]["stamp"] == manifests[1]["stamp"]
+        assert (manifests[0]["params"]["threads"], manifests[1]["params"]["threads"]) == (1, 2)
+        assert manifests[0]["params"]["deterministic"] is True
+        assert manifests[1]["params"]["deterministic"] is False
+        for name in ("components.json", "clusters.json", "qtables.json", "policy.txt"):
+            assert (deterministic / name).read_bytes() == (threaded / name).read_bytes()
 
     def test_missing_input_file(self, tmp_path, capsys):
         code = run("train", "--items", tmp_path / "none.txt", "--sessions",

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import adjusted_rand_index
+from oracles import adjusted_rand_index, unweighted_kmeans
+from qslate import clustering
 from qslate.clustering import (
     DbscanModel,
     KMeansModel,
@@ -23,6 +24,23 @@ def three_blobs(seed=0, n_per=120, spread=0.1, sep=10.0):
     labels = np.repeat(np.arange(3), n_per)
     order = rng.permutation(len(points))
     return points[order], labels[order]
+
+
+def repeat_rows(n_rows, seed, max_count=4):
+    """A shuffled ``rows`` index that holds each row 1 to ``max_count`` times."""
+    rng = np.random.default_rng(seed)
+    rows = np.repeat(np.arange(n_rows), rng.integers(1, max_count + 1, size=n_rows))
+    assert np.bincount(rows).max() > 1
+    return rng.permutation(rows)
+
+
+def same_partition(a, b) -> bool:
+    """Equal labelings up to renaming the clusters, with noise (-1) kept as is."""
+    a, b = np.asarray(a), np.asarray(b)
+    if not ((a == -1) == (b == -1)).all():
+        return False
+    pairs = set(zip(a[a != -1].tolist(), b[b != -1].tolist()))
+    return len(pairs) == len({x for x, _ in pairs}) == len({y for _, y in pairs})
 
 
 class TestKMeans:
@@ -61,6 +79,40 @@ class TestKMeans:
         model = fit_kmeans(Z, k=5, seed=2)
         recomputed = model.assign_many(Z)
         assert (recomputed == model.labels_).all()
+
+    @pytest.mark.parametrize("data, k, seed", [
+        ("blobs", 3, 0), ("overlapping", 5, 2), ("overlapping", 4, 1), ("normal", 8, 7),
+    ])
+    def test_without_rows_bit_identical_to_unweighted_oracle(self, data, k, seed):
+        if data == "blobs":
+            Z, _ = three_blobs()
+        elif data == "overlapping":
+            Z, _ = three_blobs(seed=5, spread=2.0, sep=4.0)
+        else:
+            Z = np.random.default_rng(seed).normal(size=(300, 6))
+        model = fit_kmeans(Z, k=k, seed=seed)
+        centroids, labels, history = unweighted_kmeans(Z, k, seed=seed)
+        assert (model.centroids == centroids).all()
+        assert (model.labels_ == labels).all()
+        assert model.inertia_history == tuple(history)
+
+    @pytest.mark.parametrize("k, seed", [(3, 0), (5, 2), (7, 4)])
+    def test_repeated_rows_fit_equals_expanded_fit(self, k, seed):
+        Z, _ = three_blobs(seed=3, spread=1.5, sep=5.0)
+        rows = repeat_rows(len(Z), seed=k)
+        weighted = fit_kmeans(Z, k=k, seed=seed, rows=rows)
+        expanded = fit_kmeans(Z[rows], k=k, seed=seed)
+        assert (weighted.labels_[rows] == expanded.labels_).all()
+        assert np.abs(weighted.centroids - expanded.centroids).max() <= 1e-12
+        assert len(weighted.inertia_history) == len(expanded.inertia_history)
+        assert np.allclose(weighted.inertia_history, expanded.inertia_history, rtol=1e-12, atol=0)
+
+    def test_rows_must_cover_every_row(self):
+        Z = np.random.default_rng(0).normal(size=(5, 2))
+        with pytest.raises(FitError, match="rows"):
+            fit_kmeans(Z, k=2, rows=np.array([0, 1, 2, 3, 3]))
+        with pytest.raises(FitError, match="rows"):
+            fit_dbscan(Z, eps=1.0, min_pts=2, rows=np.array([0, 1, 2, 3, 4, 5]))
 
 
 class TestDbscan:
@@ -117,6 +169,38 @@ class TestDbscan:
             fit_dbscan(Z, eps=0.0, min_pts=1)
         with pytest.raises(FitError):
             fit_dbscan(Z, eps=1.0, min_pts=0)
+
+    def test_repeated_rows_fit_equals_expanded_fit(self):
+        rng = np.random.default_rng(21)
+        Z = np.concatenate([
+            rng.normal(size=(40, 2)) * 0.4,
+            rng.normal(size=(40, 2)) * 0.4 + np.array([6.0, 0.0]),
+            rng.uniform(-15.0, 15.0, size=(30, 2)),
+        ])
+        rows = repeat_rows(len(Z), seed=22)
+        weighted = fit_dbscan(Z, eps=0.6, min_pts=8, rows=rows)
+        expanded = fit_dbscan(Z[rows], eps=0.6, min_pts=8)
+        assert same_partition(weighted.labels_[rows], expanded.labels_)
+        assert weighted.n_clusters == expanded.n_clusters
+        assert weighted.n_noise == expanded.n_noise == int((expanded.labels_ == -1).sum())
+        assert (np.unique(weighted.core_points, axis=0)
+                == np.unique(expanded.core_points, axis=0)).all()
+        # The counts matter: one point per row would leave other core points.
+        assert len(fit_dbscan(Z, eps=0.6, min_pts=8).core_points) != len(weighted.core_points)
+
+    def test_labels_independent_of_block_size(self, monkeypatch):
+        Z, _ = three_blobs(seed=15, n_per=220, spread=1.0, sep=4.0)
+        probe = np.random.default_rng(16).normal(size=(650, 2)) * 6.0
+        default = fit_dbscan(Z, eps=0.35, min_pts=6)
+        default_assigned = default.assign_many(probe)
+        monkeypatch.setattr(clustering, "_BLOCK", 7)
+        small = fit_dbscan(Z, eps=0.35, min_pts=6)
+        assert len(Z) >= 600 and default.n_noise > 0 and default.n_clusters > 1
+        assert (small.labels_ == default.labels_).all()
+        assert (small.core_points == default.core_points).all()
+        assert (small.core_labels == default.core_labels).all()
+        assert small.n_noise == default.n_noise
+        assert (small.assign_many(probe) == default_assigned).all()
 
 
 class TestAssign:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -67,13 +69,28 @@ class TestBuildRawFeatures:
         fm = build_raw_features(corpus.sessions, corpus.catalog)
         for j, item_id in enumerate(fm.item_ids):
             count = sum(1 for s in corpus.sessions if item_id in s.clicked_items)
-            assert fm.values[:, 10 + j].sum() == count
+            assert fm.values[fm.rows, 10 + j].sum() == count
 
     def test_empty_catalog_rejected(self):
         from qslate.ingest import ItemCatalog
 
         with pytest.raises(DataError):
             build_raw_features([], ItemCatalog.from_records([]))
+
+    def test_one_row_per_distinct_state(self):
+        corpus = generate_synthetic(
+            SyntheticConfig(num_items=30, num_users=50, num_sessions=400, seed=31)
+        )
+        sessions = corpus.sessions
+        fm = build_raw_features(sessions, corpus.catalog)
+        states = list(dict.fromkeys((s.clicked_items, s.portraits) for s in sessions))
+        assert fm.n_rows == len(states) < len(sessions)
+        assert fm.rows.tolist() == [states.index((s.clicked_items, s.portraits)) for s in sessions]
+        assert fm.weights.tolist() == np.bincount(fm.rows).tolist()
+        per_session = np.concatenate(
+            [build_raw_features([s], corpus.catalog).values for s in sessions]
+        )
+        assert (fm.values[fm.rows] == per_session).all()
 
 
 class TestFitSparsePca:
@@ -182,7 +199,7 @@ class TestFitSparsePca:
             mask = center_only(values.shape[1])
         else:
             fm = readme_shaped_features()
-            values = fm.values
+            values = fm.values[fm.rows]
             mask = np.arange(fm.n_cols) < fm.n_portraits
         comps = fit_sparse_pca(values, k=k, l1_penalty=l1, seed=3, zscore_mask=mask)
         loadings, explained, degenerate, _, _ = residual_sparse_pca(
@@ -192,6 +209,47 @@ class TestFitSparsePca:
         assert comps.degenerate == degenerate
         assert np.abs(comps.loadings - loadings).max() <= 1e-10
         assert np.abs(comps.explained_variance - explained).max() <= 1e-10
+
+    @pytest.mark.parametrize(
+        "data, k, l1",
+        [("planted", 4, 0.0), ("planted", 4, 0.25), ("readme", 16, 0.0), ("readme", 16, 0.1)],
+    )
+    def test_weighted_fit_matches_expanded_rows(self, data, k, l1):
+        if data == "planted":
+            values, _ = planted_sparse_data(n=300)
+            rng = np.random.default_rng(17)
+            rows = rng.permutation(np.repeat(np.arange(300), rng.integers(1, 5, size=300)))
+            fm = FeatureMatrix(values, tuple(range(1, 382)), np.bincount(rows), rows)
+        else:
+            fm = readme_shaped_features()
+        assert fm.weights.max() > 1
+        expanded = FeatureMatrix(
+            fm.values[fm.rows], fm.item_ids, np.ones(len(fm.rows), dtype=np.int64),
+            np.arange(len(fm.rows)),
+        )
+        weighted = fit_sparse_pca(fm, k=k, l1_penalty=l1, seed=3)
+        reference = fit_sparse_pca(expanded, k=k, l1_penalty=l1, seed=3)
+        assert ((weighted.loadings == 0.0) == (reference.loadings == 0.0)).all()
+        assert weighted.degenerate == reference.degenerate
+        assert np.abs(weighted.loadings - reference.loadings).max() <= 1e-10
+        assert np.abs(weighted.explained_variance - reference.explained_variance).max() <= 1e-10
+        assert np.abs(weighted.column_means - reference.column_means).max() <= 1e-12
+        assert np.abs(weighted.column_scales - reference.column_scales).max() <= 1e-12
+
+    def test_rank_and_k_range_count_sessions(self):
+        # Three distinct states in eight columns, each state the state of
+        # three sessions: k may reach the nine session rows, and components
+        # past the rank are flagged as on the expanded rows.
+        values = np.random.default_rng(8).normal(size=(3, 8))
+        rows = np.repeat(np.arange(3), 3)
+        fm = FeatureMatrix(values, tuple(range(1, 9)), np.bincount(rows), rows, n_portraits=8)
+        expanded = FeatureMatrix(values[rows], fm.item_ids, np.ones(9, dtype=np.int64),
+                                 np.arange(9), n_portraits=8)
+        weighted = fit_sparse_pca(fm, k=8, seed=0)
+        reference = fit_sparse_pca(expanded, k=8, seed=0)
+        assert weighted.degenerate == reference.degenerate == (False,) * 2 + (True,) * 6
+        with pytest.raises(FitError, match=r"\[1, 8\]"):
+            fit_sparse_pca(fm, k=9)
 
     def test_smaller_k_is_prefix_of_larger_k(self):
         fm = readme_shaped_features()
@@ -235,11 +293,13 @@ class TestFitSparsePca:
 
     def test_feature_matrix_zscores_portraits_only(self, catalog9):
         sessions = [
-            make_session([False] * 9, user_id=u, clicks=(1,) if u % 2 else ())
+            dataclasses.replace(
+                make_session([False] * 9, user_id=u, clicks=(1,) if u % 2 else ()),
+                portraits=(u * 10.0,) + (1.0,) * 9,  # a portrait with real variance
+            )
             for u in range(1, 21)
         ]
         fm = build_raw_features(sessions, catalog9)
-        fm.values[:, 0] = np.arange(20) * 10.0  # give a portrait real variance
         comps = fit_sparse_pca(fm, k=2, seed=0)
         assert comps.column_scales[0] > 1.0  # z-scored portrait
         assert (comps.column_scales[10:] == 1.0).all()  # clicks centered only

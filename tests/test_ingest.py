@@ -119,6 +119,46 @@ class TestParseSessions:
         assert reparsed == corpus.sessions
 
 
+class TestStateCache:
+    TAIL = "1,2,3,4,5,6,7,8,9 1,0,1,1,1,1,0,0,1 1700000000"
+
+    def test_equal_field_texts_share_one_object(self, catalog9):
+        text = (
+            f"7 1,5 0,1,2,3,4,5,6,7,8,9 {self.TAIL}\n"
+            f"8 2 0,1,2,3,4,5,6,7,8,9 {self.TAIL}\n"
+            f"9 1,5 0,1,2,3,4,5,6,7,8,9 {self.TAIL}\n"
+        )
+        first, other, again = parse_sessions(text, catalog9)
+        assert again.clicked_items is first.clicked_items
+        assert other.clicked_items == {2}
+        assert other.portraits is first.portraits
+        users = parse_users("4 2,3 0,1,2,3,4,5,6,7,8,9\n5 2,3 0,1,2,3,4,5,6,7,8,9\n", catalog9)
+        assert users[1].clicked_items is users[0].clicked_items
+        assert users[1].portraits is users[0].portraits
+
+    def test_bad_click_named_at_first_line_it_appears(self, catalog9):
+        text = (
+            f"7 1,5 0,1,2,3,4,5,6,7,8,9 {self.TAIL}\n"
+            f"7 1,99 0,1,2,3,4,5,6,7,8,9 {self.TAIL}\n"
+            f"7 1,99 0,1,2,3,4,5,6,7,8,9 {self.TAIL}\n"
+        )
+        with pytest.raises(DataError, match="line 2: clicked item 99 not in catalog"):
+            parse_sessions(text, catalog9)
+        with pytest.raises(DataError, match="line 3: clicked item 99 not in catalog"):
+            parse_sessions(text.replace("1,99", "1,5", 1), catalog9)
+
+    def test_generated_corpus_round_trips_with_shared_states(self):
+        corpus = generate_synthetic(
+            SyntheticConfig(num_items=30, num_users=40, num_sessions=2000, seed=12)
+        )
+        reparsed = parse_sessions(serialize_sessions(corpus.sessions), corpus.catalog)
+        assert reparsed == corpus.sessions
+        by_user = {}
+        for s in reparsed:
+            by_user.setdefault(s.user_id, set()).add((id(s.clicked_items), id(s.portraits)))
+        assert all(len(ids) == 1 for ids in by_user.values())
+
+
 class TestParseUsers:
     def test_user_line(self, catalog9):
         users = parse_users("4 2,3 0,1,2,3,4,5,6,7,8,9\n", catalog9)
@@ -128,6 +168,11 @@ class TestParseUsers:
     def test_bad_field_count(self, catalog9):
         with pytest.raises(DataError, match="3 fields"):
             parse_users("4 2,3\n", catalog9)
+
+    def test_unknown_clicked_item_rejected(self, catalog9):
+        text = "4 2,3 0,1,2,3,4,5,6,7,8,9\n5 2,42 0,1,2,3,4,5,6,7,8,9\n"
+        with pytest.raises(DataError, match="line 2: clicked item 42 not in catalog"):
+            parse_users(text, catalog9)
 
 
 class TestTransitions:

@@ -8,6 +8,7 @@ from qslate.pipeline import (
     PipelineParams,
     fit_pipeline,
     load_models,
+    recommend_for_clusters,
     recommend_for_sessions,
     save_models,
 )
@@ -44,7 +45,7 @@ def test_merged_clusters_respect_support(corpus):
                        min_cluster_support=400)
     transitions = sessions_to_transitions(corpus.sessions, corpus.catalog)
     raw = build_raw_features(corpus.sessions, corpus.catalog)
-    assigned = model.cluster_model.assign_many(transform(raw, model.components))
+    assigned = model.cluster_model.assign_many(transform(raw, model.components))[raw.rows]
     counts = np.bincount([assigned[t.session_ref] for t in transitions],
                          minlength=stats.n_clusters)
     assert stats.n_clusters < 10 or (counts >= 400).all()
@@ -58,6 +59,22 @@ def test_recommendations_align_with_sessions(corpus):
     assert len(recs) == 25
     for rec in recs:
         assert [corpus.catalog.location(i) for i in rec] == [1, 1, 1, 2, 2, 2, 3, 3, 3]
+
+
+@pytest.mark.parametrize("cluster", [
+    {"method": "kmeans", "k": 4},
+    {"method": "dbscan", "eps": 2.0, "min_pts": 10},
+])
+def test_recommendations_equal_per_session_pipeline(corpus, cluster):
+    model, stats = fit(corpus, cluster=cluster, min_cluster_support=1)
+    sessions = corpus.sessions[:400]
+    assert sum(stats.cluster_sizes) == len(corpus.sessions)
+    expected = []
+    for s in sessions:
+        z = transform(build_raw_features([s], corpus.catalog), model.components)
+        expected.append(recommend_for_clusters(model, model.cluster_model.assign_many(z),
+                                               corpus.catalog)[0])
+    assert recommend_for_sessions(model, sessions, corpus.catalog) == expected
 
 
 def test_dbscan_variant_fits(corpus):

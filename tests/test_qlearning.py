@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import exponentially_weighted_value, toy_mdp, value_iteration
+from qslate import qlearning
 from qslate.errors import DataError, TrainError
 from qslate.ingest import SyntheticConfig, Transition, generate_synthetic, sessions_to_transitions
 from qslate.pipeline import PipelineParams, fit_pipeline
@@ -271,6 +272,27 @@ class TestParallelTraining:
         assert bank.n_cells() > 0
         assert serial.tables == parallel.tables
 
+    def test_single_cluster_trains_in_process(self, monkeypatch):
+        corpus = generate_synthetic(
+            SyntheticConfig(num_items=18, num_users=40, num_sessions=300, seed=57,
+                            base_appeal=0.4)
+        )
+        transitions = sessions_to_transitions(corpus.sessions, corpus.catalog)
+        clusters = [1] * len(corpus.sessions)  # cluster 0 of 2 stays empty
+        serial = QTableBank(2)
+        train(serial, transitions, clusters,
+              TrainConfig(alpha=0.1, gamma=0.9, epochs=3, deterministic=True))
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started for one cluster")
+
+        monkeypatch.setattr(qlearning, "ProcessPoolExecutor", no_pool)
+        parallel = QTableBank(2)
+        train(parallel, transitions, clusters,
+              TrainConfig(alpha=0.1, gamma=0.9, epochs=3, threads=8))
+        assert serial.n_cells() > 0
+        assert serial.tables == parallel.tables
+
 
 class TestPolicies:
     def build_bank(self):
@@ -365,7 +387,7 @@ class TestRecommend:
         from qslate.features import build_raw_features, transform
 
         raw = build_raw_features(corpus.sessions[:50], corpus.catalog)
-        cids = model.cluster_model.assign_many(transform(raw, model.components))
+        cids = model.cluster_model.assign_many(transform(raw, model.components))[raw.rows]
         outputs = {}
         for sess, cid in zip(corpus.sessions[:50], cids):
             items = tuple(
