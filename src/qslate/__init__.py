@@ -47,7 +47,6 @@ from .qlearning import (
     greedy_policy,
     make_slate,
     q_value,
-    recommend,
     train,
 )
 

@@ -41,6 +41,8 @@ from .qlearning import export_policies
 MANIFEST_FILE = "manifest.json"
 MANIFEST_FORMAT = "qslate-manifest"
 MANIFEST_VERSION = 1
+# Characters hashed per piece: small enough that no piece is a large allocation.
+_DIGEST_PIECE = 1 << 16
 
 
 class UsageError(Exception):
@@ -67,6 +69,14 @@ def _read_text(path: str) -> str:
         return Path(path).read_text()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
+
+
+def _digest(text: str) -> str:
+    """sha256 of ``text`` in UTF-8, encoded a piece at a time (no full copy)."""
+    digest = hashlib.sha256()
+    for start in range(0, len(text), _DIGEST_PIECE):
+        digest.update(text[start : start + _DIGEST_PIECE].encode())
+    return digest.hexdigest()
 
 
 def _stamp(*parts: str) -> str:
@@ -168,7 +178,8 @@ def cmd_train(args) -> int:
         if key not in ("threads", "deterministic")
     }
     params_json = json.dumps(model_params, sort_keys=True)
-    stamp = _stamp(items_text, sessions_text, params_json, str(args.train_frac))
+    digests = {"items": _digest(items_text), "sessions": _digest(sessions_text)}
+    stamp = _stamp(digests["items"], digests["sessions"], params_json, str(args.train_frac))
     model_dir = Path(args.model_dir)
     model_dir.mkdir(parents=True, exist_ok=True)
     save_models(model, model_dir, stamp)
@@ -181,6 +192,7 @@ def cmd_train(args) -> int:
         "train_fraction": args.train_frac,
         "params": params.resolved(),
         "n_catalog_items": len(catalog),
+        "sha256": digests,
     }
     (model_dir / MANIFEST_FILE).write_text(json.dumps(manifest, sort_keys=True) + "\n")
 
@@ -244,8 +256,22 @@ def _load_manifest(model_dir: Path) -> dict:
     return manifest
 
 
-def _load_model(model_dir: Path, catalog: ItemCatalog) -> tuple[PipelineModel, dict]:
-    """Load a model directory, checked against its manifest and ``catalog``."""
+def _check_digest(manifest: dict, model_dir: Path, name: str, path: str, text: str) -> None:
+    """Require ``text``, read from ``path``, to be the ``name`` input of training."""
+    digests = manifest.get("sha256")
+    recorded = digests.get(name) if isinstance(digests, dict) else None
+    if recorded is None:
+        raise DataError(f"{model_dir / MANIFEST_FILE}: manifest records no {name} digest")
+    if _digest(text) != recorded:
+        raise DataError(
+            f"{path}: not the {name} file the model was trained on (sha256 differs)"
+        )
+
+
+def _load_model(model_dir: Path, items_path: str) -> tuple[PipelineModel, dict, ItemCatalog]:
+    """Load a model directory and its catalog, checked against its manifest."""
+    items_text = _read_text(items_path)
+    catalog = parse_items(items_text)
     manifest = _load_manifest(model_dir)
     model, stamp = load_models(model_dir, int(manifest["params"]["min_visits"]))
     if stamp != manifest["stamp"]:
@@ -256,13 +282,16 @@ def _load_model(model_dir: Path, catalog: ItemCatalog) -> tuple[PipelineModel, d
     n_items = model.components.n_cols - N_PORTRAITS
     if n_items != len(catalog):
         raise DataError(f"model expects {n_items} catalog items, data has {len(catalog)}")
-    return model, manifest
+    _check_digest(manifest, model_dir, "items", items_path, items_text)
+    return model, manifest, catalog
 
 
 def cmd_evaluate(args) -> int:
-    catalog = parse_items(_read_text(args.items))
-    model, manifest = _load_model(Path(args.model_dir), catalog)
-    sessions = parse_sessions(_read_text(args.sessions), catalog)
+    model_dir = Path(args.model_dir)
+    model, manifest, catalog = _load_model(model_dir, args.items)
+    sessions_text = _read_text(args.sessions)
+    _check_digest(manifest, model_dir, "sessions", args.sessions, sessions_text)
+    sessions = parse_sessions(sessions_text, catalog)
     _, validation = holdout_split(sessions, manifest["train_fraction"], manifest["seed"])
 
     cfg = MetricConfig(step_weights=args.weights)
@@ -372,8 +401,7 @@ def _write_grid_csv(path: Path, result: TuneResult, grid_keys: list[str]) -> Non
 
 
 def cmd_recommend(args) -> int:
-    catalog = parse_items(_read_text(args.items))
-    model, _ = _load_model(Path(args.model_dir), catalog)
+    model, _, catalog = _load_model(Path(args.model_dir), args.items)
     users = parse_users(_read_text(args.users), catalog)
     if not users:
         raise DataError(f"{args.users}: no users to recommend for")

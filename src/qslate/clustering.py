@@ -13,6 +13,14 @@ each distinct row of ``Z`` is measured once and weighted by its count in
 ``rows``.  Such a fit equals the fit of ``Z[rows]``: k-means++ draws the same
 training points from the same random stream, and Lloyd's means, the inertia
 and DBSCAN's eps-ball counts are weighted sums over the distinct rows.
+
+Every distance goes through ``_sq_dists``, and DBSCAN computes its distances
+in ``_BLOCK``-row blocks.  Its clusters are the connected components of the
+core graph (core points within eps of each other), found with a vectorised
+union-find over each block's edges.  The support merge reduces the blocked
+core distances to a single-linkage matrix between clusters and then merges
+with the Lance-Williams update ``d(a+b, x) = min(d(a, x), d(b, x))``, so each
+merge costs O(k) for k clusters.
 """
 
 from __future__ import annotations
@@ -39,6 +47,45 @@ def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     d2 = aa + bb - 2.0 * (A @ B.T)
     np.maximum(d2, 0.0, out=d2)
     return d2
+
+
+def _runs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start index and value of each run of equal values in ``labels``."""
+    starts = np.flatnonzero(np.r_[True, labels[1:] != labels[:-1]])
+    return starts, labels[starts]
+
+
+def _nearest(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``A``'s nearest row of ``B`` (lowest index on ties) and its ``d^2``."""
+    d2 = _sq_dists(A, B)
+    nearest = d2.argmin(axis=1)
+    return nearest, d2[np.arange(len(A)), nearest]
+
+
+def _join(parent: np.ndarray, start: int, adjacent: np.ndarray) -> None:
+    """Union the components joined by the true cells of ``adjacent``.
+
+    Cell ``(r, c)`` is the edge between nodes ``start + r`` and ``c`` of the
+    forest ``parent``, which enters and leaves compressed (each node points
+    at its root); each root is the smallest index of its component.  Every
+    round hooks the larger root of each edge that spans two components to
+    the smallest root it meets, then jumps pointers until each node points
+    at a root again.
+    """
+    i, j = np.nonzero(adjacent)
+    i += start
+    while True:
+        ri, rj = parent[i], parent[j]
+        spans = ri != rj
+        if not spans.any():
+            return
+        i, j, ri, rj = i[spans], j[spans], ri[spans], rj[spans]
+        np.minimum.at(parent, np.maximum(ri, rj), np.minimum(ri, rj))
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent[:] = up
 
 
 @dataclass
@@ -97,8 +144,7 @@ class DbscanModel:
         out = np.empty(len(Z), dtype=np.int64)
         for start in range(0, len(Z), _BLOCK):
             block = slice(start, min(start + _BLOCK, len(Z)))
-            nearest = _sq_dists(Z[block], self.core_points).argmin(axis=1)
-            out[block] = self.core_labels[nearest]
+            out[block] = self.core_labels[_nearest(Z[block], self.core_points)[0]]
         return out
 
     def assign(self, z: np.ndarray) -> int:
@@ -212,13 +258,19 @@ def fit_dbscan(
     """Density clustering; raises :class:`FitError` when every point is noise.
 
     A point is core when its eps-ball (itself included) holds at least
-    ``min_pts`` training points.  Core points within eps of each other share
-    a cluster; every other point takes the cluster of its nearest core point
-    when one lies within eps, otherwise it is noise.  The nearest-core rule
-    (rather than expansion order) keeps the partition invariant under row
-    permutation.  With ``rows`` the training points are ``Z[rows]`` (see the
-    module docstring): eps-balls and ``n_noise`` count training points, while
-    core points and ``labels_`` stay one per row of ``Z``.
+    ``min_pts`` training points.  The clusters are the connected components
+    of the core graph, whose edges join core points within eps of each
+    other.  The eps-balls are counted in ``_BLOCK``-row blocks, and once a
+    block's rows are counted, its core rows' edges to earlier core rows go
+    into a union-find whose roots are the smallest index of their
+    component; clusters are numbered in the order of their roots, which is
+    the order of their first core point.  Every other point takes the
+    cluster of its nearest core point when one lies within eps, otherwise it
+    is noise.  The nearest-core rule (rather than expansion order) keeps the
+    partition invariant under row permutation.  With ``rows`` the training
+    points are ``Z[rows]`` (see the module docstring): eps-balls and
+    ``n_noise`` count training points, while core points and ``labels_``
+    stay one per row of ``Z``.
     """
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2 or len(Z) == 0:
@@ -232,65 +284,82 @@ def fit_dbscan(
     eps2 = eps * eps
 
     counts = np.zeros(n, dtype=np.int64)
+    parent = np.arange(n)
     for start in range(0, n, _BLOCK):
-        block = slice(start, min(start + _BLOCK, n))
-        counts[block] = (_sq_dists(Z[block], Z) <= eps2) @ weights
-    core_mask = counts >= min_pts
-    core_rows = np.flatnonzero(core_mask)
+        stop = min(start + _BLOCK, n)
+        near = _sq_dists(Z[start:stop], Z) <= eps2
+        counts[start:stop] = near @ weights
+        # The block's rows and every earlier row now know whether they are
+        # core, so the core graph gains its edges (i, j) with j < i here.
+        core = counts[:stop] >= min_pts
+        _join(parent, start, np.tril(near[:, :stop] & core & core[start:, None], start - 1))
+    core_rows = np.flatnonzero(counts >= min_pts)
     if len(core_rows) == 0:
         raise FitError("no clusters formed: every point is noise (eps/min_pts mismatch)")
 
     core_Z = Z[core_rows]
-    m = len(core_rows)
-    core_labels = np.full(m, -1, dtype=np.int64)
-    next_label = 0
-    for start in range(m):
-        if core_labels[start] >= 0:
-            continue
-        queue = [start]
-        core_labels[start] = next_label
-        while queue:
-            c = queue.pop()
-            d2row = ((core_Z - core_Z[c]) ** 2).sum(axis=1)
-            for nb in np.flatnonzero(d2row <= eps2):
-                if core_labels[nb] < 0:
-                    core_labels[nb] = next_label
-                    queue.append(nb)
-        next_label += 1
+    root_rows = core_rows[parent[core_rows] == core_rows]
+    core_labels = np.searchsorted(root_rows, parent[core_rows])
 
     labels = np.full(n, -1, dtype=np.int64)
     for start in range(0, n, _BLOCK):
         block = slice(start, min(start + _BLOCK, n))
-        d2 = _sq_dists(Z[block], core_Z)
-        nearest = d2.argmin(axis=1)
-        within = d2[np.arange(d2.shape[0]), nearest] <= eps2
-        blk = np.where(within, core_labels[nearest], -1)
-        labels[block] = blk
+        nearest, d2 = _nearest(Z[block], core_Z)
+        labels[block] = np.where(d2 <= eps2, core_labels[nearest], -1)
 
     return DbscanModel(
         eps=eps,
         min_pts=min_pts,
         core_points=core_Z,
         core_labels=core_labels,
-        n_clusters=next_label,
+        n_clusters=len(root_rows),
         n_noise=int(weights[labels == -1].sum()),
         labels_=labels,
     )
 
 
-def _base_cluster_distances(model: ClusterModel) -> np.ndarray:
-    """Pairwise distance between base clusters (before any merge map)."""
-    if isinstance(model, KMeansModel):
-        return np.sqrt(_sq_dists(model.centroids, model.centroids))
+def _core_linkage(model: DbscanModel) -> np.ndarray:
+    """Single-linkage distances between the clusters of a DBSCAN model.
+
+    The core points are sorted by label.  Each ``_BLOCK``-row block is
+    measured against the points whose label exceeds the block's first label
+    (the pairs within one cluster cannot matter), and the distances are
+    reduced with ``np.minimum.reduceat`` over runs of equal column labels,
+    then of equal row labels.  Every pair of labels ``a < b`` is measured
+    from the rows of ``a``, so the upper triangle is complete; it is
+    mirrored.
+    """
     k = model.n_clusters
-    dist = np.full((k, k), np.inf)
-    for a in range(k):
-        pa = model.core_points[model.core_labels == a]
-        for b in range(a + 1, k):
-            pb = model.core_points[model.core_labels == b]
-            d = float(np.sqrt(_sq_dists(pa, pb).min()))
-            dist[a, b] = dist[b, a] = d
-    np.fill_diagonal(dist, 0.0)
+    order = np.argsort(model.core_labels, kind="stable")
+    points, labels = model.core_points[order], model.core_labels[order]
+    link = np.full((k, k), np.inf)
+    for start in range(0, len(points), _BLOCK):
+        later = int(np.searchsorted(labels, labels[start], side="right"))
+        if later == len(points):
+            break
+        d2 = _sq_dists(points[start : start + _BLOCK], points[later:])
+        row_starts, row_labels = _runs(labels[start : start + len(d2)])
+        col_starts, col_labels = _runs(labels[later:])
+        block = np.minimum.reduceat(d2, col_starts, axis=1)
+        block = np.minimum.reduceat(block, row_starts, axis=0)
+        cells = np.ix_(row_labels, col_labels)
+        link[cells] = np.minimum(link[cells], block)
+    link = np.triu(link, 1)
+    return np.sqrt(link + link.T)
+
+
+def _group_distances(model: ClusterModel, base_to_group: np.ndarray) -> np.ndarray:
+    """Single-linkage distance between the model's clusters (row to column).
+
+    A DBSCAN cluster is its own base cluster; a k-means cluster is the group
+    of centroids that its merge map sends to it.
+    """
+    if isinstance(model, DbscanModel):
+        return _core_linkage(model)
+    n_groups = int(base_to_group.max()) + 1
+    dist = np.full((n_groups, n_groups), np.inf)
+    base = np.sqrt(_sq_dists(model.centroids, model.centroids))
+    np.minimum.at(dist, (base_to_group[:, None], base_to_group[None, :]), base)
     return dist
 
 
@@ -299,56 +368,52 @@ def merge_small_clusters(
 ) -> tuple[ClusterModel, np.ndarray]:
     """Merge clusters with fewer than ``min_support`` transitions.
 
-    Each undersupported cluster is folded into its nearest neighbor cluster
-    (single-linkage over base clusters) until every surviving cluster meets
-    the support threshold or only one remains.  Returns the updated model
-    and the old-id -> new-id relabeling.
+    Until every surviving cluster meets the support threshold or only one
+    remains, the cluster with the fewest transitions (then the lowest id) is
+    folded into its nearest neighbor (then the lowest id) under single
+    linkage over base clusters, and the pair keeps the lower id.  The
+    distances start as one matrix between clusters (for DBSCAN, reduced
+    from blocked core-point distances) and each merge updates it by
+    Lance-Williams, ``d(a+b, x) = min(d(a, x), d(b, x))``, so the merges
+    cost O(k^2) in all for k clusters.  Returns the updated model and the
+    old-id -> new-id relabeling.
     """
     counts = np.asarray(counts, dtype=np.int64)
     if isinstance(model, KMeansModel):
-        n_base = len(model.centroids)
         base_to_group = np.asarray(model.merge_map, dtype=np.int64)
     else:
-        n_base = model.n_clusters
-        base_to_group = np.arange(n_base)
+        base_to_group = np.arange(model.n_clusters)
     n_groups = len(set(base_to_group.tolist()))
     if len(counts) != n_groups:
         raise DataError(f"expected {n_groups} counts, got {len(counts)}")
     if min_support < 1 or n_groups == 1:
         return model, np.arange(n_groups)
 
-    base_dist = _base_cluster_distances(model)
-    # Groups of base clusters, keyed by the smallest surviving group id.
-    group_members: dict[int, set[int]] = {}
-    for base, g in enumerate(base_to_group):
-        group_members.setdefault(int(g), set()).add(int(base))
-    group_counts = {g: int(counts[g]) for g in group_members}
-
-    while len(group_members) > 1:
-        lacking = [g for g in group_members if group_counts[g] < min_support]
-        if not lacking:
+    dist = _group_distances(model, base_to_group)
+    np.fill_diagonal(dist, np.inf)
+    support = counts.copy()
+    alive = np.ones(n_groups, dtype=bool)
+    # Each group's surviving id: the lowest id of the groups merged with it.
+    key_of = np.arange(n_groups)
+    for _ in range(n_groups - 1):
+        lacking = np.flatnonzero(alive & (support < min_support))
+        if len(lacking) == 0:
             break
-        small = min(lacking, key=lambda g: (group_counts[g], g))
-        best, best_d = -1, np.inf
-        for other in group_members:
-            if other == small:
-                continue
-            d = min(base_dist[a, b] for a in group_members[small] for b in group_members[other])
-            if d < best_d or (d == best_d and other < best):
-                best, best_d = other, d
-        key = min(small, best)
-        merged_members = group_members.pop(small) | group_members.pop(best)
-        merged_count = group_counts.pop(small) + group_counts.pop(best)
-        group_members[key] = merged_members
-        group_counts[key] = merged_count
+        small = int(lacking[np.argmin(support[lacking])])
+        best = int(np.argmin(dist[small]))
+        key, gone = min(small, best), max(small, best)
+        np.minimum(dist[key], dist[gone], out=dist[key])
+        np.minimum(dist[:, key], dist[:, gone], out=dist[:, key])
+        dist[key, key] = np.inf
+        dist[gone] = np.inf
+        dist[:, gone] = np.inf
+        support[key] += support[gone]
+        alive[gone] = False
+        key_of[key_of == gone] = key
 
-    final_ids = {g: i for i, g in enumerate(sorted(group_members))}
-    old_to_new = np.empty(n_groups, dtype=np.int64)
-    base_final = np.empty(n_base, dtype=np.int64)
-    for key, members in group_members.items():
-        for base in members:
-            base_final[base] = final_ids[key]
-            old_to_new[int(base_to_group[base])] = final_ids[key]
+    survivors = np.flatnonzero(alive)
+    old_to_new = np.searchsorted(survivors, key_of)
+    base_final = old_to_new[base_to_group]
 
     if isinstance(model, KMeansModel):
         merged_model: ClusterModel = KMeansModel(
@@ -363,7 +428,7 @@ def merge_small_clusters(
             min_pts=model.min_pts,
             core_points=model.core_points,
             core_labels=base_final[model.core_labels],
-            n_clusters=len(group_members),
+            n_clusters=len(survivors),
             n_noise=model.n_noise,
             labels_=None,
         )

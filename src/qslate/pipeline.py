@@ -176,7 +176,9 @@ def fit_on_reduced(
     :class:`FeatureMatrix`; clusters are fit on the states, each weighted by
     its session count, and their labels scattered back to the sessions.
     ``make_transitions`` returns the sessions' transitions when that stage
-    runs.  Stage timings are appended to ``timings``.
+    runs.  The ``merge`` stage counts each cluster's transitions and folds
+    clusters below ``min_cluster_support`` into their neighbors.  Stage
+    timings are appended to ``timings``.
     """
     seed_cluster = _stage_seeds(params.seed)[1]
     cluster_model = timed(
@@ -188,12 +190,13 @@ def fit_on_reduced(
     transitions = timed(timings, "transitions", make_transitions)
 
     n_before = cluster_model.n_clusters
-    counts = np.bincount(
-        [assignments[t.session_ref] for t in transitions], minlength=n_before
-    )
-    cluster_model, remap = merge_small_clusters(
-        cluster_model, counts, params.min_cluster_support
-    )
+
+    def merge() -> tuple[ClusterModel, np.ndarray]:
+        refs = np.fromiter((t.session_ref for t in transitions), np.int64, len(transitions))
+        counts = np.bincount(assignments[refs], minlength=n_before)
+        return merge_small_clusters(cluster_model, counts, params.min_cluster_support)
+
+    cluster_model, remap = timed(timings, "merge", merge)
     assignments = remap[assignments]
 
     bank = QTableBank(cluster_model.n_clusters)

@@ -33,10 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import ClusterModel
 from .errors import DataError, ModelFileError, TrainError
-from .features import SparseComponents, build_raw_features, transform
-from .ingest import STEPS, ItemCatalog, SessionRecord, Transition, UserRecord
+from .ingest import STEPS, ItemCatalog, Transition
 
 QTABLES_FORMAT = "qslate-qtables"
 QTABLES_VERSION = 1
@@ -375,19 +373,3 @@ def export_policies(
         steps = greedy_policy(bank, c, catalog, min_visits)
         out[c] = tuple(i for slate in steps for i in slate)
     return out
-
-
-def recommend(
-    bank: QTableBank,
-    components: SparseComponents,
-    cluster_model: ClusterModel,
-    record: SessionRecord | UserRecord,
-    catalog: ItemCatalog,
-    min_visits: int = 3,
-) -> list[int]:
-    """Full pipeline for one user: features -> transform -> assign -> policy."""
-    raw = build_raw_features([record], catalog)
-    reduced = transform(raw, components)
-    cluster_id = cluster_model.assign(reduced[0])
-    steps = greedy_policy(bank, cluster_id, catalog, min_visits)
-    return [i for slate in steps for i in slate]

@@ -387,3 +387,141 @@ def unweighted_kmeans(Z, k, seed=0, max_iter=100):
         labels = d2.argmin(axis=1)
         history.append(float(d2[np.arange(n), labels].sum()))
     return centroids, labels, history
+
+
+def _matmul_sq_dists(A, B):
+    d2 = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
+    np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
+def expansion_dbscan(Z, eps, min_pts, rows=None):
+    """DBSCAN grown breadth-first from each unlabeled core point in row order.
+
+    The reference for the union-find core graph in
+    ``qslate.clustering.fit_dbscan``: one distance pass per core point, in the
+    direct ``sum((a - b)**2)`` form, labels each core point with the count of
+    clusters started before its own.  Eps-ball counts and the final
+    nearest-core labels use the ``|a|^2 + |b|^2 - 2ab`` form.  Returns a
+    ``DbscanModel``, or None when no point is core; with ``rows`` the
+    training points are ``Z[rows]``.
+    """
+    from qslate.clustering import DbscanModel
+
+    Z = np.asarray(Z, dtype=np.float64)
+    n = len(Z)
+    weights = np.ones(n, dtype=np.int64) if rows is None else np.bincount(rows, minlength=n)
+    eps2 = eps * eps
+    counts = (_matmul_sq_dists(Z, Z) <= eps2) @ weights
+    core_Z = Z[counts >= min_pts]
+    m = len(core_Z)
+    if m == 0:
+        return None
+    core_labels = np.full(m, -1, dtype=np.int64)
+    next_label = 0
+    for start in range(m):
+        if core_labels[start] >= 0:
+            continue
+        queue = [start]
+        core_labels[start] = next_label
+        while queue:
+            c = queue.pop()
+            d2row = ((core_Z - core_Z[c]) ** 2).sum(axis=1)
+            for nb in np.flatnonzero(d2row <= eps2):
+                if core_labels[nb] < 0:
+                    core_labels[nb] = next_label
+                    queue.append(nb)
+        next_label += 1
+
+    d2 = _matmul_sq_dists(Z, core_Z)
+    nearest = d2.argmin(axis=1)
+    within = d2[np.arange(n), nearest] <= eps2
+    labels = np.where(within, core_labels[nearest], -1)
+    return DbscanModel(
+        eps=eps,
+        min_pts=min_pts,
+        core_points=core_Z,
+        core_labels=core_labels,
+        n_clusters=next_label,
+        n_noise=int(weights[labels == -1].sum()),
+        labels_=labels,
+    )
+
+
+def pairwise_merge(model, counts, min_support):
+    """Support merge that rescans member pairs of every group pair per merge.
+
+    The reference for the Lance-Williams merge in
+    ``qslate.clustering.merge_small_clusters``: base-cluster distances are
+    single linkage computed one pair of clusters at a time, and each merge
+    takes the group with the fewest transitions (then the lowest id) into
+    its nearest group (then the lowest id) by the minimum over all member
+    pairs.  Returns the merged model and the old-id -> new-id map.
+    """
+    from qslate.clustering import DbscanModel, KMeansModel
+
+    counts = np.asarray(counts, dtype=np.int64)
+    if isinstance(model, KMeansModel):
+        n_base = len(model.centroids)
+        base_to_group = np.asarray(model.merge_map, dtype=np.int64)
+        base_dist = np.sqrt(_matmul_sq_dists(model.centroids, model.centroids))
+    else:
+        n_base = model.n_clusters
+        base_to_group = np.arange(n_base)
+        base_dist = np.full((n_base, n_base), np.inf)
+        for a in range(n_base):
+            pa = model.core_points[model.core_labels == a]
+            for b in range(a + 1, n_base):
+                pb = model.core_points[model.core_labels == b]
+                d = float(np.sqrt(_matmul_sq_dists(pa, pb).min()))
+                base_dist[a, b] = base_dist[b, a] = d
+        np.fill_diagonal(base_dist, 0.0)
+    n_groups = len(set(base_to_group.tolist()))
+    if min_support < 1 or n_groups == 1:
+        return model, np.arange(n_groups)
+
+    group_members: dict[int, set[int]] = {}
+    for base, g in enumerate(base_to_group):
+        group_members.setdefault(int(g), set()).add(int(base))
+    group_counts = {g: int(counts[g]) for g in group_members}
+    while len(group_members) > 1:
+        lacking = [g for g in group_members if group_counts[g] < min_support]
+        if not lacking:
+            break
+        small = min(lacking, key=lambda g: (group_counts[g], g))
+        best, best_d = -1, np.inf
+        for other in group_members:
+            if other == small:
+                continue
+            d = min(base_dist[a, b] for a in group_members[small] for b in group_members[other])
+            if d < best_d or (d == best_d and other < best):
+                best, best_d = other, d
+        key = min(small, best)
+        merged_members = group_members.pop(small) | group_members.pop(best)
+        merged_count = group_counts.pop(small) + group_counts.pop(best)
+        group_members[key] = merged_members
+        group_counts[key] = merged_count
+
+    final_ids = {g: i for i, g in enumerate(sorted(group_members))}
+    old_to_new = np.empty(n_groups, dtype=np.int64)
+    base_final = np.empty(n_base, dtype=np.int64)
+    for key, members in group_members.items():
+        for base in members:
+            base_final[base] = final_ids[key]
+            old_to_new[int(base_to_group[base])] = final_ids[key]
+    if isinstance(model, KMeansModel):
+        merged = KMeansModel(
+            centroids=model.centroids,
+            merge_map=tuple(int(v) for v in base_final),
+            inertia_history=model.inertia_history,
+        )
+    else:
+        merged = DbscanModel(
+            eps=model.eps,
+            min_pts=model.min_pts,
+            core_points=model.core_points,
+            core_labels=base_final[model.core_labels],
+            n_clusters=len(group_members),
+            n_noise=model.n_noise,
+        )
+    return merged, old_to_new

@@ -246,6 +246,30 @@ class TestEvaluate:
         assert code == 2
         assert "catalog items" in capsys.readouterr().err
 
+    def test_other_sessions_file_rejected(self, tmp_path, capsys):
+        data = generate_corpus(tmp_path)
+        models = train_models(tmp_path, data)
+        other = generate_corpus(tmp_path / "other", seed=6)
+        code = run("evaluate", "--items", data / "items.txt", "--sessions",
+                   other / "sessions.txt", "--model-dir", models, "--report-dir", tmp_path / "r")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(other / "sessions.txt") in err and "sessions file" in err
+        assert not (tmp_path / "r").exists()
+
+    def test_manifest_without_digests_rejected(self, tmp_path, capsys):
+        data = generate_corpus(tmp_path)
+        models = train_models(tmp_path, data)
+        manifest = json.loads((models / "manifest.json").read_text())
+        assert set(manifest["sha256"]) == {"items", "sessions"}
+        del manifest["sha256"]
+        (models / "manifest.json").write_text(json.dumps(manifest))
+        code = run("evaluate", "--items", data / "items.txt", "--sessions",
+                   data / "sessions.txt", "--model-dir", models, "--report-dir", tmp_path / "r")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and "no items digest" in err
+
 
 class TestTune:
     def test_singleton_grid(self, tmp_path):
@@ -361,6 +385,20 @@ class TestRecommend:
                    "--users", users)
         assert code == 2
         assert "catalog items" in capsys.readouterr().err
+
+    def test_other_catalog_of_same_size_rejected(self, tmp_path, capsys):
+        data = generate_corpus(tmp_path)
+        models = train_models(tmp_path, data)
+        other = generate_corpus(tmp_path / "other", seed=6)
+        assert (other / "items.txt").read_text() != (data / "items.txt").read_text()
+        users = tmp_path / "users.txt"
+        users.write_text("1 - 0,0,0,0,0,0,0,0,0,0\n")
+        code = run("recommend", "--items", other / "items.txt", "--model-dir", models,
+                   "--users", users, "--out", tmp_path / "recs.txt")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(other / "items.txt") in err and "items file" in err
+        assert not (tmp_path / "recs.txt").exists()
 
 
 class TestUsage:

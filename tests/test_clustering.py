@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import adjusted_rand_index, unweighted_kmeans
+from oracles import adjusted_rand_index, expansion_dbscan, pairwise_merge, unweighted_kmeans
 from qslate import clustering
 from qslate.clustering import (
     DbscanModel,
@@ -41,6 +44,71 @@ def same_partition(a, b) -> bool:
         return False
     pairs = set(zip(a[a != -1].tolist(), b[b != -1].tolist()))
     return len(pairs) == len({x for x, _ in pairs}) == len({y for _, y in pairs})
+
+
+@st.composite
+def grid_fits(draw, max_points=60):
+    """DBSCAN inputs on a half-integer grid, where both distance forms are exact.
+
+    Small coordinates make duplicate points and pairs exactly eps apart
+    common; ``rows`` optionally repeats each point one to three times.
+    """
+    dim = draw(st.integers(1, 3))
+    coords = st.tuples(*[st.integers(-6, 6)] * dim)
+    Z = np.array(draw(st.lists(coords, min_size=1, max_size=max_points)), dtype=np.float64) / 2
+    repeats = draw(st.none() | st.lists(st.integers(1, 3), min_size=len(Z), max_size=len(Z)))
+    rows = None if repeats is None else np.repeat(np.arange(len(Z)), repeats)
+    return Z, rows, draw(st.sampled_from([0.5, 1.0, 1.5, 2.0])), draw(st.integers(1, 6))
+
+
+@st.composite
+def shuffled_chains(draw):
+    """Chains of points exactly 1 apart, plus stray grid points, in random order."""
+    points = []
+    for c in range(draw(st.integers(1, 3))):
+        points += [(float(i), 4.0 * c) for i in range(draw(st.integers(2, 30)))]
+    strays = st.tuples(st.integers(-8, 40), st.integers(-4, 12))
+    points += [(float(x), float(y)) for x, y in draw(st.lists(strays, max_size=20))]
+    order = draw(st.permutations(range(len(points))))
+    return np.array(points)[list(order)]
+
+
+def assert_matches_expansion(Z, eps, min_pts, rows=None):
+    expected = expansion_dbscan(Z, eps, min_pts, rows=rows)
+    if expected is None:
+        with pytest.raises(FitError, match="noise"):
+            fit_dbscan(Z, eps, min_pts, rows=rows)
+        return
+    model = fit_dbscan(Z, eps, min_pts, rows=rows)
+    assert (model.labels_ == expected.labels_).all()
+    assert (model.core_points == expected.core_points).all()
+    assert (model.core_labels == expected.core_labels).all()
+    assert model.n_clusters == expected.n_clusters
+    assert model.n_noise == expected.n_noise
+
+
+def assert_same_merge(model, counts, min_support):
+    merged, remap = merge_small_clusters(model, counts, min_support)
+    expected, expected_remap = pairwise_merge(model, counts, min_support)
+    assert (remap == expected_remap).all()
+    assert type(merged) is type(expected)
+    assert merged.n_clusters == expected.n_clusters
+    if isinstance(expected, KMeansModel):
+        assert merged.merge_map == expected.merge_map
+        assert (merged.centroids == expected.centroids).all()
+    else:
+        assert (merged.core_labels == expected.core_labels).all()
+        assert (merged.core_points == expected.core_points).all()
+        assert (merged.eps, merged.min_pts, merged.n_noise) == (
+            expected.eps, expected.min_pts, expected.n_noise)
+    return merged
+
+
+def grid_islands(cells, sizes):
+    """One DBSCAN cluster per cell at eps 1: a row of 1-2 points, 2+ from any other."""
+    return np.array(
+        [(3.0 * x + i, 3.0 * y) for (x, y), size in zip(cells, sizes) for i in range(size)]
+    )
 
 
 class TestKMeans:
@@ -203,6 +271,35 @@ class TestDbscan:
         assert (small.assign_many(probe) == default_assigned).all()
 
 
+class TestDbscanMatchesExpansionOracle:
+    @settings(max_examples=300)
+    @given(grid_fits())
+    def test_grid_points(self, fit):
+        Z, rows, eps, min_pts = fit
+        assert_matches_expansion(Z, eps, min_pts, rows)
+
+    @settings(max_examples=150)
+    @given(grid_fits())
+    def test_grid_points_in_blocks_of_7(self, fit):
+        Z, rows, eps, min_pts = fit
+        with mock.patch.object(clustering, "_BLOCK", 7):
+            assert_matches_expansion(Z, eps, min_pts, rows)
+
+    @settings(max_examples=150)
+    @given(shuffled_chains(), st.integers(1, 3))
+    def test_chains_across_blocks_of_7(self, Z, min_pts):
+        with mock.patch.object(clustering, "_BLOCK", 7):
+            assert_matches_expansion(Z, 1.0, min_pts)
+
+    # Off the grid the two distance forms differ in the last bits; on these
+    # seeds no core pair lies close enough to eps for that to matter.
+    @pytest.mark.parametrize("seed", range(6))
+    def test_gaussian_points(self, seed):
+        rng = np.random.default_rng(seed)
+        Z = rng.normal(size=(700, 3)) * 2.0
+        assert_matches_expansion(Z, [0.5, 1.0][seed % 2], 4)
+
+
 class TestAssign:
     def test_exact_centroid_maps_to_its_id(self):
         Z, _ = three_blobs(seed=4)
@@ -280,6 +377,43 @@ class TestMergeSmallClusters:
         model = KMeansModel(centroids=np.zeros((3, 2)))
         with pytest.raises(DataError):
             merge_small_clusters(model, np.array([1, 2]), min_support=10)
+
+
+class TestMergeMatchesPairwiseOracle:
+    @settings(max_examples=100)
+    @given(
+        st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=2, max_size=40,
+                 unique=True),
+        st.data(),
+    )
+    def test_dbscan_islands(self, cells, data):
+        sizes = data.draw(st.lists(st.integers(1, 2), min_size=len(cells), max_size=len(cells)))
+        model = fit_dbscan(grid_islands(cells, sizes), eps=1.0, min_pts=1)
+        assert model.n_clusters == len(cells)
+        counts = data.draw(st.lists(st.integers(0, 5), min_size=len(cells),
+                                    max_size=len(cells)))
+        assert_same_merge(model, np.array(counts), data.draw(st.integers(1, 30)))
+
+    @settings(max_examples=100)
+    @given(st.integers(2, 12), st.data())
+    def test_kmeans_merged_twice(self, k, data):
+        centroids = data.draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                                       min_size=k, max_size=k))
+        model = KMeansModel(centroids=np.array(centroids, dtype=np.float64))
+        for _ in range(2):
+            n = model.n_clusters
+            counts = np.array(data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)))
+            model = assert_same_merge(model, counts, data.draw(st.integers(1, 25)))
+
+    def test_dbscan_fit_with_600_clusters(self):
+        rng = np.random.default_rng(31)
+        cells = [(x, y) for x in range(25) for y in range(25) if rng.random() < 0.97]
+        Z = grid_islands(cells, rng.integers(1, 3, size=len(cells)))
+        model = fit_dbscan(Z[rng.permutation(len(Z))], eps=1.0, min_pts=1)
+        assert model.n_clusters == len(cells) >= 500
+        counts = rng.integers(0, 10, size=model.n_clusters)
+        merged = assert_same_merge(model, counts, 60)
+        assert 1 < merged.n_clusters < model.n_clusters / 4
 
 
 class TestSerialization:

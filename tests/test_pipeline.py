@@ -34,7 +34,7 @@ def test_stats_report_every_stage(corpus):
     model, stats = fit(corpus)
     stages = [name for name, _ in stats.timings]
     assert stages == ["build_features", "fit_sparse_pca", "transform",
-                      "fit_clusters", "assign", "transitions", "train"]
+                      "fit_clusters", "assign", "transitions", "merge", "train"]
     assert stats.n_transitions > 2000  # every session emits step 1 at least
     assert stats.table_cells == model.bank.n_cells()
     assert len(stats.cluster_sizes) == stats.n_clusters
@@ -51,6 +51,22 @@ def test_merged_clusters_respect_support(corpus):
     assert stats.n_clusters < 10 or (counts >= 400).all()
     if stats.n_clusters > 1:
         assert (counts >= 400).all()
+
+
+def test_merge_stage_counts_transitions(corpus):
+    model, stats = fit(corpus, min_cluster_support=1)
+    assert stats.n_clusters == stats.n_clusters_before_merge == 4
+    transitions = sessions_to_transitions(corpus.sessions, corpus.catalog)
+    raw = build_raw_features(corpus.sessions, corpus.catalog)
+    assigned = model.cluster_model.assign_many(transform(raw, model.components))[raw.rows]
+    counts = np.bincount([assigned[t.session_ref] for t in transitions], minlength=4)
+    # Every cluster has fewer sessions than transitions, so a support of the
+    # smallest transition count merges nothing only if transitions are counted.
+    assert (np.array(stats.cluster_sizes) < counts).all()
+    _, kept = fit(corpus, min_cluster_support=int(counts.min()))
+    assert kept.n_clusters == 4
+    _, merged = fit(corpus, min_cluster_support=int(counts.min()) + 1)
+    assert merged.n_clusters < 4
 
 
 def test_recommendations_align_with_sessions(corpus):

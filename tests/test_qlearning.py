@@ -9,7 +9,7 @@ from oracles import exponentially_weighted_value, toy_mdp, value_iteration
 from qslate import qlearning
 from qslate.errors import DataError, TrainError
 from qslate.ingest import SyntheticConfig, Transition, generate_synthetic, sessions_to_transitions
-from qslate.pipeline import PipelineParams, fit_pipeline
+from qslate.pipeline import PipelineParams, fit_pipeline, recommend_for_sessions
 from qslate.qlearning import (
     ClusterState,
     QTableBank,
@@ -18,7 +18,6 @@ from qslate.qlearning import (
     greedy_policy,
     make_slate,
     q_value,
-    recommend,
     train,
 )
 
@@ -371,13 +370,16 @@ def fitted():
     return corpus, model
 
 
+def recommend_one(model, record, catalog):
+    """The batch inference path called on a single session."""
+    (items,) = recommend_for_sessions(model, [record], catalog)
+    return items
+
+
 class TestRecommend:
     def test_nine_items_in_step_order(self, fitted):
         corpus, model = fitted
-        items = recommend(
-            model.bank, model.components, model.cluster_model,
-            corpus.sessions[0], corpus.catalog,
-        )
+        items = recommend_one(model, corpus.sessions[0], corpus.catalog)
         assert len(items) == 9
         for pos, item in enumerate(items, 1):
             assert corpus.catalog.location(item) == (pos - 1) // 3 + 1
@@ -390,18 +392,14 @@ class TestRecommend:
         cids = model.cluster_model.assign_many(transform(raw, model.components))[raw.rows]
         outputs = {}
         for sess, cid in zip(corpus.sessions[:50], cids):
-            items = tuple(
-                recommend(model.bank, model.components, model.cluster_model, sess, corpus.catalog)
-            )
+            items = tuple(recommend_one(model, sess, corpus.catalog))
             outputs.setdefault(int(cid), set()).add(items)
         assert all(len(v) == 1 for v in outputs.values())
 
     def test_location_constraint_for_many_users(self, fitted):
         corpus, model = fitted
         for sess in corpus.sessions[:1000]:
-            items = recommend(
-                model.bank, model.components, model.cluster_model, sess, corpus.catalog
-            )
+            items = recommend_one(model, sess, corpus.catalog)
             assert [corpus.catalog.location(i) for i in items] == [1, 1, 1, 2, 2, 2, 3, 3, 3]
 
 
