@@ -14,7 +14,7 @@ import sys
 import time
 from pathlib import Path
 
-from .errors import DataError, QslateError
+from .errors import DataError, QslateError, read_model_file, write_model_file
 from .ingest import (
     N_PORTRAITS,
     ItemCatalog,
@@ -184,17 +184,13 @@ def cmd_train(args) -> int:
     model_dir.mkdir(parents=True, exist_ok=True)
     save_models(model, model_dir, stamp)
 
-    manifest = {
-        "format": MANIFEST_FORMAT,
-        "version": MANIFEST_VERSION,
-        "stamp": stamp,
+    write_model_file(model_dir / MANIFEST_FILE, MANIFEST_FORMAT, MANIFEST_VERSION, stamp, {
         "seed": args.seed,
         "train_fraction": args.train_frac,
         "params": params.resolved(),
         "n_catalog_items": len(catalog),
         "sha256": digests,
-    }
-    (model_dir / MANIFEST_FILE).write_text(json.dumps(manifest, sort_keys=True) + "\n")
+    })
 
     policies = export_policies(model.bank, catalog, params.min_visits)
     policy_lines = [
@@ -212,17 +208,6 @@ def cmd_train(args) -> int:
         **stats.to_dict(),
         "pca": model.components.report(),
     }
-    if args.report_speedup and args.threads > 1 and not args.deterministic:
-        serial_params = params.replace(threads=1, deterministic=True)
-        t0 = time.perf_counter()
-        fit_pipeline(train_sessions, catalog, serial_params)
-        serial_wall = time.perf_counter() - t0
-        summary["speedup"] = {
-            "parallel_wall_seconds": wall,
-            "serial_wall_seconds": serial_wall,
-            "threads": args.threads,
-            "speedup": serial_wall / wall if wall > 0 else float("nan"),
-        }
     (model_dir / "summary.json").write_text(json.dumps(summary, sort_keys=True) + "\n")
 
     for name, secs in stats.timings:
@@ -245,15 +230,14 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_manifest(model_dir: Path) -> dict:
-    path = model_dir / MANIFEST_FILE
-    try:
-        manifest = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path}: cannot read manifest: {exc}") from None
-    if manifest.get("format") != MANIFEST_FORMAT:
-        raise DataError(f"{path}: not a manifest file")
-    return manifest
+def _manifest(payload: dict) -> dict:
+    """The manifest, with the fields that loading and evaluation read checked."""
+    if not isinstance(payload["stamp"], str):
+        raise TypeError(f"stamp {payload['stamp']!r} is not a string")
+    payload["seed"] = int(payload["seed"])
+    payload["train_fraction"] = float(payload["train_fraction"])
+    payload["params"]["min_visits"] = int(payload["params"]["min_visits"])
+    return payload
 
 
 def _check_digest(manifest: dict, model_dir: Path, name: str, path: str, text: str) -> None:
@@ -272,8 +256,10 @@ def _load_model(model_dir: Path, items_path: str) -> tuple[PipelineModel, dict, 
     """Load a model directory and its catalog, checked against its manifest."""
     items_text = _read_text(items_path)
     catalog = parse_items(items_text)
-    manifest = _load_manifest(model_dir)
-    model, stamp = load_models(model_dir, int(manifest["params"]["min_visits"]))
+    manifest, _ = read_model_file(
+        model_dir / MANIFEST_FILE, MANIFEST_FORMAT, MANIFEST_VERSION, _manifest
+    )
+    model, stamp = load_models(model_dir, manifest["params"]["min_visits"])
     if stamp != manifest["stamp"]:
         raise DataError(
             f"{model_dir / MANIFEST_FILE}: manifest stamp {manifest['stamp']!r} "
@@ -440,8 +426,6 @@ def build_parser() -> _Parser:
     p.add_argument("--items", required=True, help="item file")
     p.add_argument("--sessions", required=True, help="session file")
     p.add_argument("--model-dir", required=True)
-    p.add_argument("--report-speedup", action="store_true",
-                   help="also time a serial fit and report the speedup")
     _add_pipeline_flags(p)
     p.set_defaults(func=cmd_train)
 

@@ -18,21 +18,21 @@ Every distance goes through ``_sq_dists``, and DBSCAN computes its distances
 in ``_BLOCK``-row blocks.  Its clusters are the connected components of the
 core graph (core points within eps of each other), found with a vectorised
 union-find over each block's edges.  The support merge reduces the blocked
-core distances to a single-linkage matrix between clusters and then merges
-with the Lance-Williams update ``d(a+b, x) = min(d(a, x), d(b, x))``, so each
-merge costs O(k) for k clusters.
+distances between the points of its clusters (DBSCAN core points, or
+k-means centroids) to a single-linkage matrix between clusters and then
+merges with the Lance-Williams update ``d(a+b, x) = min(d(a, x), d(b, x))``,
+so each merge costs O(k) for k clusters.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
-from .errors import DataError, FitError, ModelFileError
+from .errors import DataError, FitError, read_model_file, write_model_file
 
 CLUSTERS_FORMAT = "qslate-clusters"
 CLUSTERS_VERSION = 1
@@ -318,20 +318,18 @@ def fit_dbscan(
     )
 
 
-def _core_linkage(model: DbscanModel) -> np.ndarray:
-    """Single-linkage distances between the clusters of a DBSCAN model.
+def _core_linkage(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Single-linkage distances between the ``k`` groups of labelled points.
 
-    The core points are sorted by label.  Each ``_BLOCK``-row block is
-    measured against the points whose label exceeds the block's first label
-    (the pairs within one cluster cannot matter), and the distances are
-    reduced with ``np.minimum.reduceat`` over runs of equal column labels,
-    then of equal row labels.  Every pair of labels ``a < b`` is measured
-    from the rows of ``a``, so the upper triangle is complete; it is
-    mirrored.
+    The points are sorted by label.  Each ``_BLOCK``-row block is measured
+    against the points whose label exceeds the block's first label (the
+    pairs within one group cannot matter), and the distances are reduced
+    with ``np.minimum.reduceat`` over runs of equal column labels, then of
+    equal row labels.  Every pair of labels ``a < b`` is measured from the
+    rows of ``a``, so the upper triangle is complete; it is mirrored.
     """
-    k = model.n_clusters
-    order = np.argsort(model.core_labels, kind="stable")
-    points, labels = model.core_points[order], model.core_labels[order]
+    order = np.argsort(labels, kind="stable")
+    points, labels = points[order], labels[order]
     link = np.full((k, k), np.inf)
     for start in range(0, len(points), _BLOCK):
         later = int(np.searchsorted(labels, labels[start], side="right"))
@@ -348,21 +346,6 @@ def _core_linkage(model: DbscanModel) -> np.ndarray:
     return np.sqrt(link + link.T)
 
 
-def _group_distances(model: ClusterModel, base_to_group: np.ndarray) -> np.ndarray:
-    """Single-linkage distance between the model's clusters (row to column).
-
-    A DBSCAN cluster is its own base cluster; a k-means cluster is the group
-    of centroids that its merge map sends to it.
-    """
-    if isinstance(model, DbscanModel):
-        return _core_linkage(model)
-    n_groups = int(base_to_group.max()) + 1
-    dist = np.full((n_groups, n_groups), np.inf)
-    base = np.sqrt(_sq_dists(model.centroids, model.centroids))
-    np.minimum.at(dist, (base_to_group[:, None], base_to_group[None, :]), base)
-    return dist
-
-
 def merge_small_clusters(
     model: ClusterModel, counts: np.ndarray, min_support: int
 ) -> tuple[ClusterModel, np.ndarray]:
@@ -371,25 +354,26 @@ def merge_small_clusters(
     Until every surviving cluster meets the support threshold or only one
     remains, the cluster with the fewest transitions (then the lowest id) is
     folded into its nearest neighbor (then the lowest id) under single
-    linkage over base clusters, and the pair keeps the lower id.  The
-    distances start as one matrix between clusters (for DBSCAN, reduced
-    from blocked core-point distances) and each merge updates it by
-    Lance-Williams, ``d(a+b, x) = min(d(a, x), d(b, x))``, so the merges
-    cost O(k^2) in all for k clusters.  Returns the updated model and the
-    old-id -> new-id relabeling.
+    linkage over base points (k-means centroids or DBSCAN core points), and
+    the pair keeps the lower id.  The distances start as one matrix between
+    clusters, reduced from blocked base-point distances, and each merge
+    updates it by Lance-Williams, ``d(a+b, x) = min(d(a, x), d(b, x))``, so
+    the merges cost O(k^2) in all for k clusters.  Returns the updated model
+    and the old-id -> new-id relabeling.
     """
     counts = np.asarray(counts, dtype=np.int64)
+    # Each base point (centroid or core point) and the cluster it belongs to.
     if isinstance(model, KMeansModel):
-        base_to_group = np.asarray(model.merge_map, dtype=np.int64)
+        points, base_to_group = model.centroids, np.asarray(model.merge_map, dtype=np.int64)
     else:
-        base_to_group = np.arange(model.n_clusters)
-    n_groups = len(set(base_to_group.tolist()))
+        points, base_to_group = model.core_points, model.core_labels
+    n_groups = model.n_clusters
     if len(counts) != n_groups:
         raise DataError(f"expected {n_groups} counts, got {len(counts)}")
     if min_support < 1 or n_groups == 1:
         return model, np.arange(n_groups)
 
-    dist = _group_distances(model, base_to_group)
+    dist = _core_linkage(points, base_to_group, n_groups)
     np.fill_diagonal(dist, np.inf)
     support = counts.copy()
     alive = np.ones(n_groups, dtype=bool)
@@ -416,40 +400,21 @@ def merge_small_clusters(
     base_final = old_to_new[base_to_group]
 
     if isinstance(model, KMeansModel):
-        merged_model: ClusterModel = KMeansModel(
-            centroids=model.centroids,
-            merge_map=tuple(int(v) for v in base_final),
-            inertia_history=model.inertia_history,
-            labels_=None,
-        )
+        merged = replace(model, merge_map=tuple(int(v) for v in base_final), labels_=None)
     else:
-        merged_model = DbscanModel(
-            eps=model.eps,
-            min_pts=model.min_pts,
-            core_points=model.core_points,
-            core_labels=base_final[model.core_labels],
-            n_clusters=len(survivors),
-            n_noise=model.n_noise,
-            labels_=None,
-        )
-    return merged_model, old_to_new
+        merged = replace(model, core_labels=base_final, n_clusters=len(survivors), labels_=None)
+    return merged, old_to_new
 
 
 def save_cluster_model(model: ClusterModel, path: str | Path, stamp: str | None = None) -> None:
     if isinstance(model, KMeansModel):
-        payload = {
-            "format": CLUSTERS_FORMAT,
-            "version": CLUSTERS_VERSION,
-            "stamp": stamp,
+        body = {
             "method": "kmeans",
             "centroids": model.centroids.tolist(),
             "merge_map": list(model.merge_map),
         }
     else:
-        payload = {
-            "format": CLUSTERS_FORMAT,
-            "version": CLUSTERS_VERSION,
-            "stamp": stamp,
+        body = {
             "method": "dbscan",
             "eps": model.eps,
             "min_pts": model.min_pts,
@@ -458,26 +423,18 @@ def save_cluster_model(model: ClusterModel, path: str | Path, stamp: str | None 
             "n_clusters": model.n_clusters,
             "n_noise": model.n_noise,
         }
-    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
+    write_model_file(path, CLUSTERS_FORMAT, CLUSTERS_VERSION, stamp, body)
 
 
-def load_cluster_model(path: str | Path) -> tuple[ClusterModel, str | None]:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ModelFileError(path, f"cannot read cluster file: {exc}") from None
-    if payload.get("format") != CLUSTERS_FORMAT:
-        raise ModelFileError(path, "not a cluster model file")
-    if payload.get("version") != CLUSTERS_VERSION:
-        raise ModelFileError(path, f"unsupported version {payload.get('version')}")
+def _cluster_model(payload: dict) -> ClusterModel:
     method = payload.get("method")
     if method == "kmeans":
-        model: ClusterModel = KMeansModel(
+        return KMeansModel(
             centroids=np.asarray(payload["centroids"], dtype=np.float64),
             merge_map=tuple(int(v) for v in payload["merge_map"]),
         )
-    elif method == "dbscan":
-        model = DbscanModel(
+    if method == "dbscan":
+        return DbscanModel(
             eps=float(payload["eps"]),
             min_pts=int(payload["min_pts"]),
             core_points=np.asarray(payload["core_points"], dtype=np.float64),
@@ -485,6 +442,8 @@ def load_cluster_model(path: str | Path) -> tuple[ClusterModel, str | None]:
             n_clusters=int(payload["n_clusters"]),
             n_noise=int(payload["n_noise"]),
         )
-    else:
-        raise ModelFileError(path, f"unknown cluster method {method!r}")
-    return model, payload.get("stamp")
+    raise DataError(f"unknown cluster method {method!r}")
+
+
+def load_cluster_model(path: str | Path) -> tuple[ClusterModel, str | None]:
+    return read_model_file(path, CLUSTERS_FORMAT, CLUSTERS_VERSION, _cluster_model)

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the model-file envelope."""
+
+import json
+from pathlib import Path
 
 
 class QslateError(Exception):
@@ -16,6 +19,35 @@ class ModelFileError(DataError):
         self.path = str(path)
         self.reason = reason
         super().__init__(f"{path}: {reason}")
+
+
+def write_model_file(path, fmt: str, version: int, stamp: str | None, body: dict) -> None:
+    """Write ``body`` as one sorted-key JSON object under a format/version/stamp header."""
+    payload = {"format": fmt, "version": version, "stamp": stamp, **body}
+    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
+
+
+def read_model_file(path, fmt: str, version: int, build):
+    """Read a file written by :func:`write_model_file`: ``(build(payload), stamp)``.
+
+    Every way the file can be unreadable, of another format or version, or
+    missing or mistyping a field that ``build`` reads raises
+    :class:`ModelFileError` naming ``path``.
+    """
+    try:
+        payload = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ModelFileError(path, f"cannot read {fmt} file: {exc}") from None
+    if not isinstance(payload, dict) or payload.get("format") != fmt:
+        raise ModelFileError(path, f"not a {fmt} file")
+    if payload.get("version") != version:
+        raise ModelFileError(path, f"unsupported version {payload.get('version')}")
+    try:
+        return build(payload), payload.get("stamp")
+    except KeyError as exc:
+        raise ModelFileError(path, f"{fmt} file lacks field {exc}") from None
+    except (TypeError, ValueError, AttributeError, DataError) as exc:
+        raise ModelFileError(path, f"malformed {fmt} file: {exc}") from None
 
 
 class FitError(QslateError):

@@ -28,13 +28,12 @@ seed.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ComponentCollapseError, DataError, FitError, ModelFileError
+from .errors import ComponentCollapseError, DataError, FitError, read_model_file, write_model_file
 from .ingest import N_PORTRAITS, ItemCatalog, SessionRecord, UserRecord
 
 COMPONENTS_FORMAT = "qslate-components"
@@ -153,10 +152,7 @@ class SparseComponents:
         ]
 
     def save(self, path: str | Path, stamp: str | None = None) -> None:
-        payload = {
-            "format": COMPONENTS_FORMAT,
-            "version": COMPONENTS_VERSION,
-            "stamp": stamp,
+        write_model_file(path, COMPONENTS_FORMAT, COMPONENTS_VERSION, stamp, {
             "k": self.k,
             "l1_penalty": self.l1_penalty,
             "column_means": self.column_means.tolist(),
@@ -166,20 +162,11 @@ class SparseComponents:
             "degenerate": list(self.degenerate),
             "n_iter": list(self.n_iter),
             "converged": list(self.converged),
-        }
-        Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
+        })
 
     @classmethod
     def load(cls, path: str | Path) -> tuple["SparseComponents", str | None]:
-        try:
-            payload = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ModelFileError(path, f"cannot read components file: {exc}") from None
-        if payload.get("format") != COMPONENTS_FORMAT:
-            raise ModelFileError(path, "not a components file")
-        if payload.get("version") != COMPONENTS_VERSION:
-            raise ModelFileError(path, f"unsupported version {payload.get('version')}")
-        comps = cls(
+        return read_model_file(path, COMPONENTS_FORMAT, COMPONENTS_VERSION, lambda payload: cls(
             loadings=np.asarray(payload["loadings"], dtype=np.float64),
             column_means=np.asarray(payload["column_means"], dtype=np.float64),
             column_scales=np.asarray(payload["column_scales"], dtype=np.float64),
@@ -189,8 +176,7 @@ class SparseComponents:
             degenerate=tuple(bool(b) for b in payload["degenerate"]),
             n_iter=tuple(int(i) for i in payload["n_iter"]),
             converged=tuple(bool(b) for b in payload["converged"]),
-        )
-        return comps, payload.get("stamp")
+        ))
 
 
 def _column_stats(
@@ -218,7 +204,6 @@ def fit_sparse_pca(
     tol: float = 1e-7,
     seed: int = 0,
     zscore_mask: np.ndarray | None = None,
-    sparsity_floor: float = 0.0,
 ) -> SparseComponents:
     """Fit ``k`` sparse components by thresholded power iteration.
 
@@ -331,7 +316,7 @@ def fit_sparse_pca(
         converged.append(done)
         cov = cov - np.outer(cv, v) - np.outer(v, cv) + explained[j] * np.outer(v, v)
 
-    comps = SparseComponents(
+    return SparseComponents(
         loadings=loadings,
         column_means=means,
         column_scales=scales,
@@ -342,13 +327,6 @@ def fit_sparse_pca(
         n_iter=tuple(n_iter),
         converged=tuple(converged),
     )
-    if l1_penalty > 0.0 and sparsity_floor > 0.0:
-        zero_frac = float((comps.loadings == 0.0).mean())
-        if zero_frac < sparsity_floor:
-            raise FitError(
-                f"zero fraction {zero_frac:.3f} below sparsity floor {sparsity_floor:.3f}"
-            )
-    return comps
 
 
 def transform(X: FeatureMatrix | np.ndarray, components: SparseComponents) -> np.ndarray:

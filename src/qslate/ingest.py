@@ -351,7 +351,6 @@ class SyntheticConfig:
     price_penalty: float = 0.01
     preference_scale: float = 1.0
     click_bias: float = 1.0
-    popularity_bias: float = 0.5
     base_appeal: float = 0.0
 
     def validate(self) -> None:
@@ -533,7 +532,7 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticCorpus:
         frozenset(int(i) for i in item_ids[clicks_mask[u]]) for u in range(config.num_users)
     ]
 
-    popularity = 1.0 + rng.exponential(config.popularity_bias, size=n_items)
+    popularity = 1.0 + rng.exponential(0.5, size=n_items)  # the mild popularity bias
     loc_members = [np.flatnonzero(locations == loc) for loc in STEPS]
     log_pop = [np.log(popularity[m]) for m in loc_members]
 

@@ -51,17 +51,13 @@ class ScoreReport:
     score: float
     per_step_value: tuple[float, float, float]
     n_sessions: int
-    per_session: list[float] | None = None
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "score": self.score,
             "per_step_value": list(self.per_step_value),
             "n_sessions": self.n_sessions,
         }
-        if self.per_session is not None:
-            out["per_session"] = self.per_session
-        return out
 
 
 def _per_step_items(rec) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
@@ -78,7 +74,6 @@ def score(
     sessions: list[SessionRecord],
     catalog: ItemCatalog,
     cfg: MetricConfig = MetricConfig(),
-    keep_breakdown: bool = False,
 ) -> ScoreReport:
     """Score recommendations against logged purchases.
 
@@ -94,7 +89,6 @@ def score(
             f"{len(sessions)} sessions but {len(recommendations)} recommendations"
         )
     value = [0.0, 0.0, 0.0]
-    breakdown: list[float] | None = [] if keep_breakdown else None
     for i, (rec, sess) in enumerate(zip(recommendations, sessions)):
         if rec is None:
             raise DataError(f"missing recommendation for session {i}")
@@ -102,22 +96,16 @@ def score(
         purchased = {
             it for it, lab in zip(sess.exposed_slate, sess.purchase_labels) if lab
         }
-        contribution = 0.0
         for st, items in enumerate(steps, 1):
             for it in sorted(set(items)):
                 if it in purchased and catalog.location(it) == st:
-                    price = catalog.price(it)
-                    value[st - 1] += price
-                    contribution += cfg.step_weights[st - 1] * price
-        if breakdown is not None:
-            breakdown.append(contribution)
+                    value[st - 1] += catalog.price(it)
     n = len(sessions)
     total = sum(w * v for w, v in zip(cfg.step_weights, value)) / n
     return ScoreReport(
         score=total,
         per_step_value=(value[0], value[1], value[2]),
         n_sessions=n,
-        per_session=breakdown,
     )
 
 
@@ -158,8 +146,33 @@ class TuneResult:
         return self.cells[self.best_index]
 
 
-#: Grid keys tune understands; anything else is rejected early.
-GRID_KEYS = ("k_features", "l1_penalty", "cluster", "alpha", "gamma", "epochs", "min_visits")
+#: Grid keys tune understands and the kind of their values; others are rejected.
+GRID_KEYS = {
+    "k_features": int,
+    "l1_penalty": float,
+    "cluster": dict,
+    "alpha": float,
+    "gamma": float,
+    "epochs": int,
+    "min_visits": int,
+}
+_EXPECTED = {
+    int: "an integer",
+    float: "a number",
+    dict: 'an object {"method": "kmeans", "k": integer >= 1} '
+    'or {"method": "dbscan", "eps": number, "min_pts": integer}',
+}
+
+
+def _is(kind: type, value) -> bool:
+    """Whether ``value`` is of ``kind``: an integer, a number or a cluster spec."""
+    if kind is dict:
+        method = value.get("method") if isinstance(value, dict) else None
+        if method == "kmeans":
+            return _is(int, value.get("k")) and value["k"] >= 1
+        dbscan = method == "dbscan" and _is(float, value.get("eps"))
+        return dbscan and _is(int, value.get("min_pts"))
+    return isinstance(value, (int, kind)) and not isinstance(value, bool)
 
 
 def expand_grid(grid: Mapping[str, Sequence]) -> list[dict]:
@@ -168,9 +181,14 @@ def expand_grid(grid: Mapping[str, Sequence]) -> list[dict]:
         raise DataError("empty hyperparameter grid")
     for key, values in grid.items():
         if key not in GRID_KEYS:
-            raise DataError(f"unknown grid key {key!r}; expected one of {GRID_KEYS}")
+            raise DataError(f"unknown grid key {key!r}; expected one of {tuple(GRID_KEYS)}")
         if not isinstance(values, (list, tuple)) or len(values) == 0:
             raise DataError(f"grid key {key!r} must map to a nonempty list")
+        for value in values:
+            if not _is(GRID_KEYS[key], value):
+                raise DataError(
+                    f"grid key {key!r}: bad value {value!r}; expected {_EXPECTED[GRID_KEYS[key]]}"
+                )
     keys = list(grid)
     return [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
 

@@ -12,7 +12,8 @@ cluster and transitions into the terminal state use the target ``r`` alone.
 
 One update loop, ``_train_serial``, has two drivers:
 
-* in process, in input order (used when ``deterministic`` or one thread);
+* in process, in input order (used when ``deterministic``, or when the
+  threads or the stream's clusters number one);
 * a process pool sharded by cluster.  Clusters never share cells, so each
   worker runs the same loop over its clusters' transitions in input order
   and the merged result is bit-identical to a serial run.
@@ -24,7 +25,6 @@ quadratic in table size.
 
 from __future__ import annotations
 
-import json
 import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ModelFileError, TrainError
+from .errors import DataError, TrainError, read_model_file, write_model_file
 from .ingest import STEPS, ItemCatalog, Transition
 
 QTABLES_FORMAT = "qslate-qtables"
@@ -58,20 +58,6 @@ def make_slate(
         if step is not None and locs != {step}:
             raise DataError(f"slate {slate} has location {locs.pop()}, expected step {step}")
     return slate
-
-
-@dataclass(frozen=True)
-class ClusterState:
-    """A Q-table address: which cluster, which slate step."""
-
-    cluster_id: int
-    step: int
-
-    def __post_init__(self) -> None:
-        if self.step not in STEPS:
-            raise DataError(f"step {self.step} outside {{1,2,3}}")
-        if self.cluster_id < 0:
-            raise DataError(f"negative cluster_id {self.cluster_id}")
 
 
 @dataclass(frozen=True)
@@ -138,39 +124,22 @@ class QTableBank:
                 "-".join(str(i) for i in slate): [cell[0], cell[1]]
                 for slate, cell in sorted(tab.items())
             }
-        payload = {
-            "format": QTABLES_FORMAT,
-            "version": QTABLES_VERSION,
-            "stamp": stamp,
-            "n_clusters": self.n_clusters,
-            "tables": tables,
-        }
-        Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
+        body = {"n_clusters": self.n_clusters, "tables": tables}
+        write_model_file(path, QTABLES_FORMAT, QTABLES_VERSION, stamp, body)
 
     @classmethod
     def load(cls, path: str | Path) -> tuple["QTableBank", str | None]:
-        try:
-            payload = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ModelFileError(path, f"cannot read q-table file: {exc}") from None
-        if payload.get("format") != QTABLES_FORMAT:
-            raise ModelFileError(path, "not a q-table file")
-        if payload.get("version") != QTABLES_VERSION:
-            raise ModelFileError(path, f"unsupported version {payload.get('version')}")
-        bank = cls(int(payload["n_clusters"]))
-        for c_str, steps in payload["tables"].items():
-            for s_str, cells in steps.items():
-                tab = bank.tables[(int(c_str), int(s_str))]
-                for slate_str, (q, visits) in cells.items():
-                    slate = tuple(int(i) for i in slate_str.split("-"))
-                    tab[slate] = [float(q), int(visits)]
-        return bank, payload.get("stamp")
+        def build(payload: dict) -> "QTableBank":
+            bank = cls(int(payload["n_clusters"]))
+            for c_str, steps in payload["tables"].items():
+                for s_str, cells in steps.items():
+                    tab = bank.tables[bank._key(int(c_str), int(s_str))]
+                    for slate_str, (q, visits) in cells.items():
+                        slate = tuple(int(i) for i in slate_str.split("-"))
+                        tab[slate] = [float(q), int(visits)]
+            return bank
 
-
-def q_value(bank: QTableBank, state: ClusterState, action, catalog: ItemCatalog | None = None) -> float:
-    """Stored value of (state, action); 0 when the cell was never visited."""
-    slate = make_slate(action, catalog=catalog, step=state.step if catalog else None)
-    return bank.q_value(state.cluster_id, state.step, slate)
+        return read_model_file(path, QTABLES_FORMAT, QTABLES_VERSION, build)
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +215,6 @@ def _train_processes(bank, stream, alpha, gamma, epochs, workers) -> None:
     for item in stream:
         volumes[item[0]] = volumes.get(item[0], 0) + 1
     order = sorted(volumes, key=lambda c: (-volumes[c], c))
-    workers = min(workers, len(order))
-    if workers == 1:
-        # One cluster: a pool would only add a fork and a pickle round trip.
-        _train_serial(bank.tables, stream, alpha, gamma, epochs)
-        return
     bins: list[list[int]] = [[] for _ in range(workers)]
     load = [0] * workers
     for cid in order:
@@ -299,21 +263,23 @@ def train(
     """Run ``cfg.epochs`` update passes over the transition stream.
 
     ``session_clusters`` maps ``Transition.session_ref`` to a cluster id
-    (any indexable: list, array, or dict).  With ``deterministic`` set, a
-    single thread or a stream of one cluster, updates apply in input order in
-    this process; otherwise whole clusters are sharded across up to
-    ``cfg.threads`` worker processes, each applying its clusters' updates in
-    input order.  Clusters never share a cell, so both drivers produce
+    (any indexable: list, array, or dict).  Whole clusters are sharded across
+    ``cfg.threads`` worker processes, but no more than the stream has
+    clusters, each applying its clusters' updates in input order.  With
+    ``deterministic`` set, or when that leaves one worker, updates apply in
+    input order in this process: a pool would only add a fork and a pickle
+    round trip.  Clusters never share a cell, so both drivers produce
     bit-identical tables.
     """
     cfg.validate()
     stream = _prepare_stream(bank, transitions, session_clusters)
     if not stream:
         return bank
-    if cfg.deterministic or cfg.threads == 1:
+    workers = 1 if cfg.deterministic else min(cfg.threads, len({item[0] for item in stream}))
+    if workers == 1:
         _train_serial(bank.tables, stream, cfg.alpha, cfg.gamma, cfg.epochs)
     else:
-        _train_processes(bank, stream, cfg.alpha, cfg.gamma, cfg.epochs, cfg.threads)
+        _train_processes(bank, stream, cfg.alpha, cfg.gamma, cfg.epochs, workers)
     return bank
 
 

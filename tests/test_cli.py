@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qslate.cli import main
 from qslate.ingest import parse_items, parse_sessions
 
@@ -152,27 +154,12 @@ class TestTrain:
         assert code == 2
         assert "none.txt" in capsys.readouterr().err
 
-    def test_report_speedup_records_both_timings(self, tmp_path):
+    def test_report_speedup_flag_is_usage_error(self, tmp_path, capsys):
         data = generate_corpus(tmp_path)
-        models = tmp_path / "models"
-        code = run(
-            "train", "--items", data / "items.txt", "--sessions", data / "sessions.txt",
-            "--model-dir", models, "--k-features", 6, "--k", 4, "--min-support", 50,
-            "--epochs", 5, "--seed", 1, "--threads", 2, "--report-speedup",
-        )
-        assert code == 0
-        summary = json.loads((models / "summary.json").read_text())
-        assert summary["epochs"] == 5
-        speedup = summary["speedup"]
-        assert speedup["threads"] == 2
-        assert speedup["serial_wall_seconds"] > 0
-        assert speedup["parallel_wall_seconds"] > 0
-
-    def test_report_speedup_skipped_when_deterministic(self, tmp_path):
-        data = generate_corpus(tmp_path)
-        models = train_models(tmp_path, data, **{"--threads": 2, "--report-speedup": None})
-        summary = json.loads((models / "summary.json").read_text())
-        assert "speedup" not in summary
+        code = run("train", "--items", data / "items.txt", "--sessions", data / "sessions.txt",
+                   "--model-dir", tmp_path / "m", "--report-speedup")
+        assert code == 1
+        assert "--report-speedup" in capsys.readouterr().err
 
     def test_backend_flag_is_usage_error(self, tmp_path, capsys):
         data = generate_corpus(tmp_path)
@@ -225,6 +212,24 @@ class TestEvaluate:
                    data / "sessions.txt", "--model-dir", models, "--report-dir", tmp_path / "r")
         assert code == 2
         assert "qtables.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, field", [
+        ("components.json", "loadings"),
+        ("clusters.json", "centroids"),
+        ("qtables.json", "tables"),
+        ("manifest.json", "seed"),
+    ])
+    def test_model_file_missing_field_names_it(self, tmp_path, capsys, name, field):
+        data = generate_corpus(tmp_path)
+        models = train_models(tmp_path, data)
+        payload = json.loads((models / name).read_text())
+        del payload[field]
+        (models / name).write_text(json.dumps(payload, sort_keys=True) + "\n")
+        code = run("evaluate", "--items", data / "items.txt", "--sessions",
+                   data / "sessions.txt", "--model-dir", models, "--report-dir", tmp_path / "r")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert name in err and field in err
 
     def test_stamp_mismatch_detected(self, tmp_path, capsys):
         data = generate_corpus(tmp_path)
@@ -310,6 +315,21 @@ class TestTune:
         assert code == 2
         err = capsys.readouterr().err
         assert "grid.json" in err and "line 1" in err
+
+    @pytest.mark.parametrize("grid, key, value", [
+        ({"cluster": ["kmeans"]}, "cluster", "'kmeans'"),
+        ({"cluster": [{"method": "kmeans"}]}, "cluster", "{'method': 'kmeans'}"),
+        ({"k_features": ["8"]}, "k_features", "'8'"),
+    ])
+    def test_malformed_grid_values_are_data_errors(self, tmp_path, capsys, grid, key, value):
+        data = generate_corpus(tmp_path, sessions=60)
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps(grid))
+        code = run("tune", "--items", data / "items.txt", "--sessions", data / "sessions.txt",
+                   "--grid", grid_file, "--report-dir", tmp_path / "r")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"grid key {key!r}" in err and value in err
 
     def test_failed_cells_recorded_in_csv(self, tmp_path):
         data = generate_corpus(tmp_path, sessions=300)

@@ -278,11 +278,6 @@ class TestFitSparsePca:
         assert all(comps.converged)
         assert all(0 < n < 200 for n in comps.n_iter)
 
-    def test_sparsity_floor_enforced(self):
-        X, _ = planted_sparse_data(seed=5, p=60, n=120)
-        with pytest.raises(FitError, match="sparsity floor"):
-            fit_sparse_pca(X, k=2, l1_penalty=0.01, seed=0, sparsity_floor=0.99)
-
     def test_constant_columns_get_unit_scale(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(30, 4))

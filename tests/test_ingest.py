@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -350,10 +351,19 @@ class TestGenerator:
 
     def test_ground_truth_round_trip(self):
         corpus = generate_synthetic(
-            SyntheticConfig(num_items=9, num_users=20, num_sessions=10, seed=6)
+            SyntheticConfig(num_items=9, num_users=20, num_sessions=10, seed=6, latent_dim=3,
+                            purchase_temperature=0.7, click_bias=0.3, num_groups=3)
         )
-        text = corpus.truth.serialize()
-        back = GroundTruth.parse(text)
-        assert back.user_groups == corpus.truth.user_groups
-        assert back.user_preferences == corpus.truth.user_preferences
-        assert back.price_penalty == corpus.truth.price_penalty
+        back = GroundTruth.parse(corpus.truth.serialize())
+        assert dataclasses.asdict(back) == dataclasses.asdict(corpus.truth)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty"),
+        ("\n\n", "empty"),
+        ('{"record": "user", "user_id": 1, "group": 0, "preference": [1.0]}\n', "model record"),
+        ("{not json\n", "line 1"),
+        ('{"record": "model"}\n{"record": "user", "user_id": 1,\n', "line 2"),
+    ])
+    def test_ground_truth_parse_errors(self, text, message):
+        with pytest.raises(DataError, match=message):
+            GroundTruth.parse(text)

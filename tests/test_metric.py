@@ -83,13 +83,6 @@ class TestScore:
         expected = sum(weights[t.step - 1] * t.reward for t in transitions) / len(corpus.sessions)
         assert report.score == expected
 
-    def test_breakdown_sums_to_score(self, catalog9):
-        sessions = [make_session([1] * 9), make_session([0] * 9)]
-        recs = [s.exposed_slate for s in sessions]
-        report = score(recs, sessions, catalog9, keep_breakdown=True)
-        assert len(report.per_session) == 2
-        assert sum(report.per_session) / 2 == report.score
-
     def test_errors(self, catalog9):
         session = make_session([1] * 9)
         with pytest.raises(DataError, match="zero sessions"):
@@ -185,6 +178,33 @@ class TestGrid:
             expand_grid({})
         with pytest.raises(DataError, match="nonempty list"):
             expand_grid({"alpha": []})
+
+    @pytest.mark.parametrize("grid", [
+        {"cluster": ["kmeans"]},
+        {"cluster": [{"method": "kmeans"}]},
+        {"cluster": [{"method": "kmeans", "k": 0}]},
+        {"cluster": [{"method": "kmeans", "k": 2.0}]},
+        {"cluster": [{"method": "dbscan", "eps": 0.5}]},
+        {"cluster": [{"method": "dbscan", "eps": "0.5", "min_pts": 5}]},
+        {"cluster": [{"method": "ward", "k": 2}]},
+        {"k_features": ["8"]},
+        {"k_features": [8.0]},
+        {"epochs": [True]},
+        {"alpha": [0.1, None]},
+    ])
+    def test_rejects_malformed_values(self, grid):
+        (key,) = grid
+        with pytest.raises(DataError, match=f"grid key '{key}': bad value"):
+            expand_grid(grid)
+
+    def test_accepts_well_formed_values(self):
+        grid = {
+            "k_features": [4],
+            "l1_penalty": [0, 0.5],
+            "cluster": [{"method": "kmeans", "k": 3}, {"method": "dbscan", "eps": 1, "min_pts": 5}],
+            "gamma": [0.9],
+        }
+        assert len(expand_grid(grid)) == 4
 
     def test_select_best_tie_breaks(self):
         def cell(i, sc, k_features, n_clusters):

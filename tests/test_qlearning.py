@@ -11,13 +11,11 @@ from qslate.errors import DataError, TrainError
 from qslate.ingest import SyntheticConfig, Transition, generate_synthetic, sessions_to_transitions
 from qslate.pipeline import PipelineParams, fit_pipeline, recommend_for_sessions
 from qslate.qlearning import (
-    ClusterState,
     QTableBank,
     TrainConfig,
     export_policies,
     greedy_policy,
     make_slate,
-    q_value,
     train,
 )
 
@@ -61,12 +59,6 @@ class TestSlates:
     def test_location_step_mismatch(self, catalog9):
         with pytest.raises(DataError, match="expected step 2"):
             make_slate([1, 2, 3], catalog=catalog9, step=2)
-
-    def test_cluster_state_validation(self):
-        with pytest.raises(DataError):
-            ClusterState(cluster_id=0, step=4)
-        with pytest.raises(DataError):
-            ClusterState(cluster_id=-1, step=1)
 
 
 class TestTrainConfig:
@@ -347,13 +339,11 @@ class TestPolicies:
             for step, slate in enumerate(greedy_policy(bank, cid, corpus.catalog, 3), 1):
                 assert ((cid, step, slate) in observed) or ((step, slate) in observed_any)
 
-    def test_q_value_reads(self, catalog9):
+    def test_q_value_reads(self):
         bank = QTableBank(1)
         bank.tables[(0, 1)][(1, 2, 3)] = [2.5, 4]
-        assert q_value(bank, ClusterState(0, 1), (3, 2, 1)) == 2.5
-        assert q_value(bank, ClusterState(0, 2), (4, 5, 6)) == 0.0
-        with pytest.raises(DataError, match="expected step 2"):
-            q_value(bank, ClusterState(0, 2), (1, 2, 3), catalog=catalog9)
+        assert bank.q_value(0, 1, (1, 2, 3)) == 2.5
+        assert bank.q_value(0, 2, (4, 5, 6)) == 0.0
 
 
 @pytest.fixture(scope="module")
