@@ -105,6 +105,10 @@ class KMeansModel:
     def n_clusters(self) -> int:
         return len(set(self.merge_map))
 
+    def cluster_ids(self) -> set[int]:
+        """The ids that ``assign_many`` can return."""
+        return set(self.merge_map)
+
     @property
     def dim(self) -> int:
         return self.centroids.shape[1]
@@ -136,6 +140,10 @@ class DbscanModel:
     @property
     def dim(self) -> int:
         return self.core_points.shape[1]
+
+    def cluster_ids(self) -> set[int]:
+        """The ids that ``assign_many`` can return."""
+        return set(self.core_labels.tolist())
 
     def assign_many(self, Z: np.ndarray) -> np.ndarray:
         Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))

@@ -416,32 +416,49 @@ class GroundTruth:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise DataError("empty ground-truth file")
-        try:
-            head = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
-            raise DataError(f"ground truth line 1: {exc}") from None
+        head = _truth_record(lines[0], 1)
         if head.get("record") != "model":
             raise DataError("ground truth must start with a model record")
         groups: dict[int, int] = {}
         prefs: dict[int, tuple[float, ...]] = {}
         for line_no, ln in enumerate(lines[1:], 2):
-            try:
-                rec = json.loads(ln)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"ground truth line {line_no}: {exc}") from None
+            rec = _truth_record(ln, line_no)
             if rec.get("record") != "user":
                 raise DataError(f"ground truth line {line_no}: expected user record")
-            groups[rec["user_id"]] = rec["group"]
-            prefs[rec["user_id"]] = tuple(rec["preference"])
+            uid, group, pref = _truth_fields(rec, ("user_id", "group", "preference"), line_no)
+            groups[uid] = group
+            prefs[uid] = tuple(pref)
+        penalty, temperature, bias, latent_dim, num_groups = _truth_fields(
+            head,
+            ("price_penalty", "purchase_temperature", "click_bias", "latent_dim", "num_groups"),
+            1,
+        )
         return cls(
-            price_penalty=head["price_penalty"],
-            purchase_temperature=head["purchase_temperature"],
-            click_bias=head["click_bias"],
-            latent_dim=head["latent_dim"],
-            num_groups=head["num_groups"],
+            price_penalty=penalty,
+            purchase_temperature=temperature,
+            click_bias=bias,
+            latent_dim=latent_dim,
+            num_groups=num_groups,
             user_groups=groups,
             user_preferences=prefs,
         )
+
+
+def _truth_record(line: str, line_no: int) -> dict:
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"ground truth line {line_no}: {exc}") from None
+    if not isinstance(rec, dict):
+        raise DataError(f"ground truth line {line_no}: expected a JSON object")
+    return rec
+
+
+def _truth_fields(rec: dict, names, line_no: int) -> list:
+    missing = [name for name in names if name not in rec]
+    if missing:
+        raise DataError(f"ground truth line {line_no}: lacks field {missing[0]!r}")
+    return [rec[name] for name in names]
 
 
 @dataclass

@@ -258,7 +258,9 @@ def save_models(model: PipelineModel, model_dir: str | Path, stamp: str) -> None
 
 
 def load_models(model_dir: str | Path, min_visits: int) -> tuple[PipelineModel, str]:
-    """Load the three model files, requiring a common version stamp."""
+    """Load the three model files, requiring a common version stamp and
+    one cluster id space: the cluster model assigns exactly the ids that
+    the Q-table bank holds."""
     model_dir = Path(model_dir)
     components, stamp_a = SparseComponents.load(model_dir / COMPONENTS_FILE)
     cluster_model, stamp_b = load_cluster_model(model_dir / CLUSTERS_FILE)
@@ -267,6 +269,13 @@ def load_models(model_dir: str | Path, min_visits: int) -> tuple[PipelineModel, 
         raise ModelFileError(
             model_dir,
             f"model files carry mismatched stamps ({stamp_a!r}, {stamp_b!r}, {stamp_c!r})",
+        )
+    ids = cluster_model.cluster_ids()
+    if ids != set(range(bank.n_clusters)):
+        raise ModelFileError(
+            model_dir,
+            f"the cluster model assigns ids {sorted(ids)} but the Q-tables "
+            f"hold {bank.n_clusters} clusters",
         )
     return (
         PipelineModel(

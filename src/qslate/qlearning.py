@@ -10,23 +10,35 @@ stays out of memory.  Each update applies
 where the inner max ranges over the stored next-step actions of the same
 cluster and transitions into the terminal state use the target ``r`` alone.
 
-One update loop, ``_train_serial``, has two drivers:
+A table's maximum is read only by the non-terminal transitions of the step
+before in the same cluster.  A table that some transition reads is *read*;
+every other table (every step-1 table among them) is a *leaf*.  The trainer,
+``_train_serial``, runs in two phases, epoch by epoch:
 
-* in process, in input order (used when ``deterministic``, or when the
-  threads or the stream's clusters number one);
-* a process pool sharded by cluster.  Clusters never share cells, so each
-  worker runs the same loop over its clusters' transitions in input order
-  and the merged result is bit-identical to a serial run.
+1. the updates of read tables, in stream order, through one loop that keeps
+   each table's running maximum incrementally (rescanning only when the
+   maximal cell decreases) and records it after every update;
+2. the leaf updates: a non-terminal leaf target reads the recorded maximum
+   of the next step's table at its last update before the leaf update, and
+   each leaf cell folds its targets in order, vectorised across cells.
 
-Each table's running maximum is maintained incrementally (rescanning only
-when the maximal cell decreases); a full scan per update would make training
-quadratic in table size.
+A leaf table's updates read nothing that phase 2 lacks and are read by
+nothing, so the two phases give the tables, bit for bit and in insertion
+order, that one loop over every update in stream order gives.  The trainer
+has two drivers:
+
+* in process (used when ``deterministic``, or when the threads or the
+  stream's clusters number one);
+* a process pool sharded by cluster.  Clusters never share cells and read
+  only their own tables, so each worker trains its clusters' transitions
+  in input order and the merged result is bit-identical to a serial run.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -145,8 +157,12 @@ class QTableBank:
 # ---------------------------------------------------------------------------
 # Training drivers
 
-# A prepared stream item: (cluster_id, step, slate, reward, terminal).
-_StreamItem = tuple[int, int, Slate, float, bool]
+# Table (cluster, step) has id cluster * _WIDTH + step, so the table that a
+# non-terminal transition reads is its own table's id + 1.
+_WIDTH = STEPS[-1] + 1
+
+# A prepared stream item: (table id, slate, reward, terminal).
+_StreamItem = tuple[int, Slate, float, bool]
 
 
 def _prepare_stream(
@@ -162,28 +178,133 @@ def _prepare_stream(
             raise TrainError(f"transition references unknown cluster {cid}")
         if not math.isfinite(t.reward):
             raise TrainError(f"non-finite reward in session {t.session_ref}")
-        stream.append((cid, t.step, t.action, t.reward, t.next_step is None))
+        if t.step not in STEPS:
+            raise TrainError(f"transition at unknown step {t.step} in session {t.session_ref}")
+        if t.next_step is not None and t.step == STEPS[-1]:
+            raise TrainError(f"transition continues past step {t.step} in session {t.session_ref}")
+        stream.append((cid * _WIDTH + t.step, t.action, t.reward, t.next_step is None))
     return stream
 
 
-def _init_maxes(tables) -> dict[tuple[int, int], float]:
-    return {
-        key: (max(cell[0] for cell in tab.values()) if tab else 0.0)
-        for key, tab in tables.items()
-    }
+class _LeafFold:
+    """Phase 2: the updates of every table that no transition reads.
+
+    A leaf item's target reads at most the next step's table, which is read
+    and so trained in phase 1; phase 1 records that table's maximum after
+    each of its updates.  What does not depend on those maxima (the cells,
+    the fold order, the record each lookup lands on) is fixed here once, so
+    an epoch costs one gather and one vector step per occurrence rank.
+    """
+
+    def __init__(self, tabs, stream, read: set[int], alpha: float, gamma: float):
+        self.alpha, self.gamma = alpha, gamma
+        n = len(stream)
+        tid = np.fromiter((item[0] for item in stream), np.int64, n)
+        is_read = np.isin(tid, list(read))
+        leaf_at, inner_at = np.flatnonzero(~is_read), np.flatnonzero(is_read)
+        leaves = [stream[i] for i in leaf_at.tolist()]
+        # Cells number table by table, each table's in first-appearance order.
+        self.ids: list[dict[Slate, int]] = [{} for _ in tabs]
+        local = np.fromiter(
+            (self.ids[t].setdefault(a, len(self.ids[t])) for t, a, _, _ in leaves),
+            np.int64, len(leaves),
+        )
+        offset = np.cumsum([0] + [len(d) for d in self.ids])
+        cell = offset[tid[leaf_at]] + local
+        n_cells = int(offset[-1])
+        counts = np.bincount(cell, minlength=n_cells)
+        self.counts = counts.tolist()
+        # Label cells by falling count, so that the cells with a k-th
+        # occurrence in an epoch are labels 0 .. widths[k]-1.
+        self.label = np.empty(n_cells, np.int64)
+        self.label[np.argsort(-counts, kind="stable")] = np.arange(n_cells)
+        rank = np.empty(len(cell), np.int64)
+        rank[np.argsort(cell, kind="stable")] = np.arange(len(cell)) - np.repeat(
+            np.cumsum(counts) - counts, counts
+        )
+        self.widths = np.bincount(rank).tolist()
+        fold = np.lexsort((self.label[cell], rank))
+
+        reward = np.fromiter((it[2] for it in leaves), np.float64, len(leaves))[fold]
+        terminal = np.fromiter((it[3] for it in leaves), np.bool_, len(leaves))[fold]
+        self.targets = reward  # terminal targets; the others are set each epoch
+        self.nt_pos = np.flatnonzero(~terminal)
+        self.nt_reward = reward[self.nt_pos]
+        nt_at = leaf_at[fold[self.nt_pos]]
+        self.nt_read = tid[nt_at] + 1
+        # Each lookup's record: the read table's last update before the item
+        # in the same epoch, if it has one.
+        inner_key = tid[inner_at] * n + inner_at
+        perm = np.argsort(inner_key, kind="stable")
+        before = np.searchsorted(inner_key[perm], self.nt_read * n + nt_at) - 1
+        self.found = before >= 0
+        self.found[self.found] = inner_key[perm[before[self.found]]] >= self.nt_read[self.found] * n
+        self.src = perm[before[self.found]]
+
+        self.q = np.zeros(n_cells)
+        self.fresh = np.ones(n_cells, np.bool_)
+        self.first = True
+        for tab, ids, base in zip(tabs, self.ids, offset.tolist()):
+            for a, k in ids.items():
+                old = tab.get(a)
+                if old is not None:
+                    self.q[self.label[base + k]] = old[0]
+                    self.fresh[self.label[base + k]] = False
+
+    def epoch(self, start: list[float], seen: array) -> None:
+        """Fold one epoch: ``start`` holds every table's maximum before the
+        epoch, ``seen`` the maxima that phase 1 recorded during it."""
+        alpha, q, t = self.alpha, self.q, self.targets
+        if len(self.nt_pos):
+            nm = np.array(start)[self.nt_read]
+            nm[self.found] = np.asarray(seen)[self.src]
+            t[self.nt_pos] = np.where(nm > 0.0, self.nt_reward + self.gamma * nm, self.nt_reward)
+        lo = 0
+        for w in self.widths:
+            qw, tw = q[:w], t[lo : lo + w]
+            if self.first:
+                # A new cell's first update is alpha * target, which keeps -0.0.
+                qw[:] = np.where(self.fresh, alpha * tw, qw + alpha * (tw - qw))
+                self.first = False
+            else:
+                qw += alpha * (tw - qw)
+            lo += w
+
+    def store(self, tabs, epochs: int) -> None:
+        """Write the folded cells back; new cells go in first-appearance order."""
+        q = self.q[self.label].tolist()
+        k = 0
+        for tab, ids in zip(tabs, self.ids):
+            for a in ids:
+                old = tab.get(a)
+                tab[a] = [q[k], self.counts[k] * epochs + (old[1] if old is not None else 0)]
+                k += 1
 
 
 def _train_serial(tables, stream, alpha: float, gamma: float, epochs: int) -> None:
-    tmax = _init_maxes(tables)
+    """Apply ``epochs`` passes over ``stream`` to ``tables``, in two phases.
+
+    Phase 1 runs every update of the tables that some transition reads, in
+    stream order, keeping each table's running maximum and recording it after
+    every update; phase 2 folds every other cell from those records.
+    """
+    n_ids = _WIDTH * (1 + max(c for c, _ in tables))
+    tabs = [tables.get(divmod(t, _WIDTH)) for t in range(n_ids)]
+    read = {t + 1 for t, _, _, terminal in stream if not terminal}
+    leaves = _LeafFold(tabs, stream, read, alpha, gamma)
+    inner = [item for item in stream if item[0] in read]
+    tmax = [max((cell[0] for cell in tab.values()), default=0.0) if tab else 0.0 for tab in tabs]
     for _ in range(epochs):
-        for cid, step, action, reward, terminal in stream:
+        start = tmax.copy()
+        seen = array("d")
+        record = seen.append
+        for tid, action, reward, terminal in inner:
             if terminal:
                 target = reward
             else:
-                nm = tmax[(cid, step + 1)]
+                nm = tmax[tid + 1]
                 target = reward + gamma * nm if nm > 0.0 else reward
-            key = (cid, step)
-            tab = tables[key]
+            tab = tabs[tid]
             cell = tab.get(action)
             if cell is None:
                 q_old = 0.0
@@ -194,27 +315,30 @@ def _train_serial(tables, stream, alpha: float, gamma: float, epochs: int) -> No
                 q_new = q_old + alpha * (target - q_old)
                 cell[0] = q_new
                 cell[1] += 1
-            cur = tmax[key]
+            cur = tmax[tid]
             if q_new >= cur:
-                tmax[key] = q_new
+                cur = tmax[tid] = q_new
             elif q_old >= cur:
-                tmax[key] = max(c[0] for c in tab.values())
+                cur = tmax[tid] = max(c[0] for c in tab.values())
+            record(cur)
+        leaves.epoch(start, seen)
+    leaves.store(tabs, epochs)
 
 
 def _process_worker(args):
     tables, packed, alpha, gamma, epochs = args
-    cids, steps, a1, a2, a3, rewards, terminals = (col.tolist() for col in packed)
-    stream = list(zip(cids, steps, zip(a1, a2, a3), rewards, terminals))
+    tids, a1, a2, a3, rewards, terminals = (col.tolist() for col in packed)
+    stream = list(zip(tids, zip(a1, a2, a3), rewards, terminals))
     _train_serial(tables, stream, alpha, gamma, epochs)
     return tables
 
 
 def _train_processes(bank, stream, alpha, gamma, epochs, workers) -> None:
+    tid_of = np.fromiter((it[0] for it in stream), np.int64, len(stream))
+    cid_of = tid_of // _WIDTH
     # Shard whole clusters across workers, largest stream volume first.
-    volumes: dict[int, int] = {}
-    for item in stream:
-        volumes[item[0]] = volumes.get(item[0], 0) + 1
-    order = sorted(volumes, key=lambda c: (-volumes[c], c))
+    volumes = np.bincount(cid_of).tolist()
+    order = sorted((c for c, v in enumerate(volumes) if v), key=lambda c: (-volumes[c], c))
     bins: list[list[int]] = [[] for _ in range(workers)]
     load = [0] * workers
     for cid in order:
@@ -222,11 +346,9 @@ def _train_processes(bank, stream, alpha, gamma, epochs, workers) -> None:
         bins[slot].append(cid)
         load[slot] += volumes[cid]
 
-    cid_of = np.fromiter((it[0] for it in stream), np.int64, len(stream))
-    step_of = np.fromiter((it[1] for it in stream), np.int64, len(stream))
-    a_of = np.array([it[2] for it in stream], dtype=np.int64).reshape(len(stream), 3)
-    r_of = np.fromiter((it[3] for it in stream), np.float64, len(stream))
-    t_of = np.fromiter((it[4] for it in stream), np.bool_, len(stream))
+    a_of = np.array([it[1] for it in stream], dtype=np.int64).reshape(len(stream), 3)
+    r_of = np.fromiter((it[2] for it in stream), np.float64, len(stream))
+    t_of = np.fromiter((it[3] for it in stream), np.bool_, len(stream))
 
     jobs = []
     for members in bins:
@@ -235,8 +357,7 @@ def _train_processes(bank, stream, alpha, gamma, epochs, workers) -> None:
         # and workers expand them to lists locally.
         tables = {(cid, s): bank.tables[(cid, s)] for cid in members for s in STEPS}
         packed = (
-            cid_of[mask],
-            step_of[mask],
+            tid_of[mask],
             a_of[mask, 0],
             a_of[mask, 1],
             a_of[mask, 2],
@@ -275,7 +396,8 @@ def train(
     stream = _prepare_stream(bank, transitions, session_clusters)
     if not stream:
         return bank
-    workers = 1 if cfg.deterministic else min(cfg.threads, len({item[0] for item in stream}))
+    clusters = len({item[0] // _WIDTH for item in stream})
+    workers = 1 if cfg.deterministic else min(cfg.threads, clusters)
     if workers == 1:
         _train_serial(bank.tables, stream, cfg.alpha, cfg.gamma, cfg.epochs)
     else:

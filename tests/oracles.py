@@ -83,6 +83,44 @@ def exponentially_weighted_value(rewards, alpha: float) -> float:
     return q
 
 
+def single_phase_q_learning(tables, stream, alpha: float, gamma: float, epochs: int) -> None:
+    """Bit-exact reference trainer: every update of every table in one loop.
+
+    ``tables`` maps (cluster, step) to {slate: [q, visits]} and is updated in
+    place; ``stream`` holds (cluster, step, slate, reward, terminal) items,
+    replayed in order each epoch.  Each table's running maximum is kept
+    incrementally, rescanning only when the maximal cell decreases.
+    """
+    tmax = {
+        key: (max(cell[0] for cell in tab.values()) if tab else 0.0)
+        for key, tab in tables.items()
+    }
+    for _ in range(epochs):
+        for cid, step, action, reward, terminal in stream:
+            if terminal:
+                target = reward
+            else:
+                nm = tmax[(cid, step + 1)]
+                target = reward + gamma * nm if nm > 0.0 else reward
+            key = (cid, step)
+            tab = tables[key]
+            cell = tab.get(action)
+            if cell is None:
+                q_old = 0.0
+                q_new = alpha * target
+                tab[action] = [q_new, 1]
+            else:
+                q_old = cell[0]
+                q_new = q_old + alpha * (target - q_old)
+                cell[0] = q_new
+                cell[1] += 1
+            cur = tmax[key]
+            if q_new >= cur:
+                tmax[key] = q_new
+            elif q_old >= cur:
+                tmax[key] = max(c[0] for c in tab.values())
+
+
 # ---------------------------------------------------------------------------
 # Ground-truth-model scoring (synthetic corpora only)
 

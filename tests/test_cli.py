@@ -242,6 +242,22 @@ class TestEvaluate:
         assert code == 2
         assert "stamp" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["clusters.json", "qtables.json"])
+    def test_cluster_ids_must_match_qtables(self, tmp_path, capsys, name):
+        data = generate_corpus(tmp_path)
+        models = train_models(tmp_path, data)
+        payload = json.loads((models / name).read_text())
+        if name == "clusters.json":
+            payload["merge_map"][-1] = 99  # an id the Q-tables lack
+        else:
+            payload["n_clusters"] = 12  # clusters the model never assigns
+        (models / name).write_text(json.dumps(payload, sort_keys=True) + "\n")
+        code = run("evaluate", "--items", data / "items.txt", "--sessions",
+                   data / "sessions.txt", "--model-dir", models, "--report-dir", tmp_path / "r")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(models) in err and "Q-tables hold" in err
+
     def test_catalog_size_mismatch_detected(self, tmp_path, capsys):
         data = generate_corpus(tmp_path)
         models = train_models(tmp_path, data)

@@ -363,6 +363,11 @@ class TestGenerator:
         ('{"record": "user", "user_id": 1, "group": 0, "preference": [1.0]}\n', "model record"),
         ("{not json\n", "line 1"),
         ('{"record": "model"}\n{"record": "user", "user_id": 1,\n', "line 2"),
+        ('{"record":"model"}\n', "line 1: lacks field 'price_penalty'"),
+        ('[1]\n', "line 1: expected a JSON object"),
+        ('{"record": "model"}\n{"record": "user", "user_id": 1, "preference": [1.0]}\n',
+         "line 2: lacks field 'group'"),
+        ('{"record": "model"}\n7\n', "line 2: expected a JSON object"),
     ])
     def test_ground_truth_parse_errors(self, text, message):
         with pytest.raises(DataError, match=message):

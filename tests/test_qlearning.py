@@ -3,12 +3,23 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from oracles import exponentially_weighted_value, toy_mdp, value_iteration
+from oracles import (
+    exponentially_weighted_value,
+    single_phase_q_learning,
+    toy_mdp,
+    value_iteration,
+)
 from qslate import qlearning
 from qslate.errors import DataError, TrainError
-from qslate.ingest import SyntheticConfig, Transition, generate_synthetic, sessions_to_transitions
+from qslate.ingest import (
+    STEPS,
+    SyntheticConfig,
+    Transition,
+    generate_synthetic,
+    sessions_to_transitions,
+)
 from qslate.pipeline import PipelineParams, fit_pipeline, recommend_for_sessions
 from qslate.qlearning import (
     QTableBank,
@@ -37,6 +48,53 @@ def reference_trainer(n_clusters, transitions, clusters, alpha, gamma, epochs):
             cell[0] += alpha * (target - cell[0])
             cell[1] += 1
     return tables
+
+
+SLATES = {1: [(1, 2, 3), (1, 2, 4), (2, 3, 4)], 2: [(5, 6, 7), (5, 6, 8)], 3: [(9, 10, 11)]}
+VALUES = st.one_of(
+    st.sampled_from([-0.0, 0.0, -2.5, -5e-324, 1.0, 7.0]),
+    st.floats(min_value=-20.0, max_value=20.0, allow_nan=False),
+)
+
+
+@st.composite
+def training_cases(draw):
+    """A bank, a transition stream and a config that reach every case of
+    the two-phase trainer: leaf and read tables, reads of tables that are
+    never updated, negative and signed-zero targets, pre-trained cells."""
+    n_clusters = draw(st.integers(1, 3))
+    # Each cluster logs some steps only, so a non-terminal item's next step
+    # may never follow, and a table may be read in some clusters only.
+    logged = [sorted(draw(st.sets(st.sampled_from(STEPS), min_size=1)))
+              for _ in range(n_clusters)]
+    picks = st.tuples(st.integers(0, n_clusters - 1), st.integers(0, 2), st.integers(0, 2),
+                      VALUES, st.booleans())
+    transitions, clusters = [], []
+    for c, step_pick, slate_pick, reward, terminal in draw(st.lists(picks, max_size=60)):
+        step = logged[c][step_pick % len(logged[c])]
+        slate = SLATES[step][slate_pick % len(SLATES[step])]
+        terminal = terminal or step == STEPS[-1]
+        transitions.append(Transition(len(transitions), step, slate, reward,
+                                      None if terminal else step + 1))
+        clusters.append(c)
+    bank = QTableBank(n_clusters)
+    pretrained = st.tuples(st.integers(0, n_clusters - 1), st.sampled_from(STEPS),
+                           st.integers(0, 2), VALUES, st.integers(1, 5))
+    for c, step, slate_pick, q, visits in draw(st.lists(pretrained, max_size=6)):
+        bank.tables[(c, step)][SLATES[step][slate_pick % len(SLATES[step])]] = [q, visits]
+    cfg = TrainConfig(
+        alpha=draw(st.sampled_from([0.1, 0.3, 1.0])),
+        gamma=draw(st.sampled_from([0.0, 0.5, 0.9])),
+        epochs=draw(st.integers(1, 6)),
+        **draw(st.sampled_from([{"deterministic": True}, {"threads": 2}])),
+    )
+    return bank, transitions, clusters, cfg
+
+
+def exact_cells(tables):
+    """Every table's cells in insertion order, with each q as its repr."""
+    return {key: [(slate, repr(q), visits) for slate, (q, visits) in tab.items()]
+            for key, tab in tables.items()}
 
 
 class TestSlates:
@@ -226,6 +284,45 @@ class TestTrain:
         t = Transition(0, 1, (1, 2, 3), math.nan, None)
         with pytest.raises(TrainError, match="finite"):
             train(bank, [t], [0], TrainConfig(deterministic=True))
+
+    @pytest.mark.parametrize(
+        "step, next_step, match",
+        [(4, None, "unknown step 4"), (0, 1, "unknown step 0"), (3, 4, "past step 3")],
+    )
+    def test_transition_without_table_rejected(self, step, next_step, match):
+        t = Transition(0, step, (7, 8, 9), 1.0, next_step)
+        with pytest.raises(TrainError, match=match):
+            train(QTableBank(1), [t], [0], TrainConfig(deterministic=True))
+
+    def test_leaf_reads_only_its_own_clusters_next_table(self):
+        # In each epoch cluster 1's step-1 item comes before any update of
+        # its step-2 table, right after an update of cluster 0's.
+        transitions = [
+            Transition(0, 2, (5, 6, 7), 9.0, None),
+            Transition(1, 1, (1, 2, 3), 1.0, 2),
+            Transition(2, 2, (5, 6, 8), 4.0, None),
+            Transition(3, 1, (1, 2, 4), 0.0, 2),
+        ]
+        clusters = [0, 1, 1, 0]
+        bank = QTableBank(2)
+        train(bank, transitions, clusters, TrainConfig(alpha=0.5, epochs=3, deterministic=True))
+        expected = QTableBank(2).tables
+        single_phase_q_learning(
+            expected, [(c, t.step, t.action, t.reward, t.next_step is None)
+                       for t, c in zip(transitions, clusters)], 0.5, 0.9, 3,
+        )
+        assert exact_cells(bank.tables) == exact_cells(expected)
+
+    @settings(max_examples=150)
+    @given(case=training_cases())
+    def test_matches_single_phase_oracle_bit_for_bit(self, case):
+        bank, transitions, clusters, cfg = case
+        expected = copy.deepcopy(bank.tables)
+        stream = [(clusters[t.session_ref], t.step, t.action, t.reward, t.next_step is None)
+                  for t in transitions]
+        single_phase_q_learning(expected, stream, cfg.alpha, cfg.gamma, cfg.epochs)
+        train(bank, transitions, clusters, cfg)
+        assert exact_cells(bank.tables) == exact_cells(expected)
 
 
 class TestParallelTraining:
