@@ -254,8 +254,8 @@ def fit_sparse_pca(
         raise FitError("max_iter must be >= 1")
     if tol <= 0:
         raise FitError("tol must be positive")
-    if l1_penalty < 0:
-        raise FitError("l1_penalty must be nonnegative")
+    if not l1_penalty >= 0:  # also rejects NaN
+        raise FitError(f"l1_penalty must be nonnegative, got {l1_penalty}")
 
     means, scales = _column_stats(values, weights, zscore_mask)
     standardized = values - means

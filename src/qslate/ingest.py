@@ -122,9 +122,12 @@ def _parse_float_list(text: str, expect: int, what: str, line_no: int) -> tuple[
     if len(parts) != expect:
         raise DataError(f"line {line_no}: expected {expect} {what}, got {len(parts)}")
     try:
-        return tuple(float(p) for p in parts)
+        values = tuple(float(p) for p in parts)
     except ValueError as exc:
         raise DataError(f"line {line_no}: bad {what} value: {exc}") from None
+    if not all(map(math.isfinite, values)):
+        raise DataError(f"line {line_no}: non-finite {what} value in {text!r}")
+    return values
 
 
 def _parse_int_list(text: str, what: str, line_no: int) -> tuple[int, ...]:

@@ -40,8 +40,8 @@ class MetricConfig:
     def validate(self) -> None:
         if len(self.step_weights) != 3:
             raise DataError("step_weights must have exactly 3 entries")
-        if any(w < 0 for w in self.step_weights):
-            raise DataError("step weights must be nonnegative")
+        if not (np.isfinite(self.step_weights).all() and min(self.step_weights) >= 0):
+            raise DataError("step weights must be finite and nonnegative")
         if not any(w > 0 for w in self.step_weights):
             raise DataError("at least one step weight must be positive")
 

@@ -24,23 +24,25 @@ every other table (every step-1 table among them) is a *leaf*.  The trainer,
 
 A leaf table's updates read nothing that phase 2 lacks and are read by
 nothing, so the two phases give the tables, bit for bit and in insertion
-order, that one loop over every update in stream order gives.  The trainer
-has two drivers:
+order, that one loop over every update in stream order gives.  ``train``
+prepares the transitions once into one columnar stream, which both of its
+drivers read as it is:
 
 * in process (used when ``deterministic``, or when the threads or the
   stream's clusters number one);
-* a process pool sharded by cluster.  Clusters never share cells and read
-  only their own tables, so each worker trains its clusters' transitions
-  in input order and the merged result is bit-identical to a serial run.
+* a process pool with one job per cluster, largest stream volume first.
+  Clusters never share cells and read only their own tables, so each job
+  trains its cluster's transitions in input order and the merged result is
+  bit-identical to a serial run.
 """
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 from array import array
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -161,29 +163,49 @@ class QTableBank:
 # non-terminal transition reads is its own table's id + 1.
 _WIDTH = STEPS[-1] + 1
 
-# A prepared stream item: (table id, slate, reward, terminal).
-_StreamItem = tuple[int, Slate, float, bool]
+
+@dataclass(frozen=True)
+class _Stream:
+    """The prepared transitions as columns, one row per transition."""
+
+    tid: np.ndarray  # int64 table id
+    action: np.ndarray  # object: each transition's own slate tuple
+    reward: np.ndarray  # float64
+    terminal: np.ndarray  # bool
+
+    def take(self, rows) -> "_Stream":
+        """The rows that a mask or an index array selects, in that order."""
+        return _Stream(self.tid[rows], self.action[rows], self.reward[rows], self.terminal[rows])
 
 
 def _prepare_stream(
     bank: QTableBank, transitions: list[Transition], session_clusters
-) -> list[_StreamItem]:
-    stream: list[_StreamItem] = []
-    for t in transitions:
-        try:
-            cid = int(session_clusters[t.session_ref])
-        except (KeyError, IndexError):
-            raise TrainError(f"no cluster assignment for session {t.session_ref}") from None
-        if not 0 <= cid < bank.n_clusters:
-            raise TrainError(f"transition references unknown cluster {cid}")
-        if not math.isfinite(t.reward):
-            raise TrainError(f"non-finite reward in session {t.session_ref}")
-        if t.step not in STEPS:
-            raise TrainError(f"transition at unknown step {t.step} in session {t.session_ref}")
-        if t.next_step is not None and t.step == STEPS[-1]:
-            raise TrainError(f"transition continues past step {t.step} in session {t.session_ref}")
-        stream.append((cid * _WIDTH + t.step, t.action, t.reward, t.next_step is None))
-    return stream
+) -> _Stream:
+    """The transitions as columns.  Each check in turn raises
+    :class:`TrainError` naming the first transition that fails it."""
+    n = len(transitions)
+    ref = np.fromiter((t.session_ref for t in transitions), np.int64, n)
+    step = np.fromiter((t.step for t in transitions), np.int64, n)
+    reward = np.fromiter((t.reward for t in transitions), np.float64, n)
+    terminal = np.fromiter((t.next_step is None for t in transitions), np.bool_, n)
+    clusters = np.asarray(session_clusters, dtype=np.int64)
+
+    def first(bad: np.ndarray) -> int | None:
+        return int(bad.argmax()) if bad.any() else None
+
+    if (i := first((ref < 0) | (ref >= len(clusters)))) is not None:
+        raise TrainError(f"no cluster assignment for session {ref[i]}")
+    cid = clusters[ref]
+    if (i := first((cid < 0) | (cid >= bank.n_clusters))) is not None:
+        raise TrainError(f"transition references unknown cluster {cid[i]}")
+    if (i := first(~np.isfinite(reward))) is not None:
+        raise TrainError(f"non-finite reward in session {ref[i]}")
+    if (i := first((step < STEPS[0]) | (step > STEPS[-1]))) is not None:
+        raise TrainError(f"transition at unknown step {step[i]} in session {ref[i]}")
+    if (i := first(~terminal & (step == STEPS[-1]))) is not None:
+        raise TrainError(f"transition continues past step {step[i]} in session {ref[i]}")
+    action = np.fromiter((t.action for t in transitions), object, n)
+    return _Stream(cid * _WIDTH + step, action, reward, terminal)
 
 
 class _LeafFold:
@@ -196,21 +218,20 @@ class _LeafFold:
     an epoch costs one gather and one vector step per occurrence rank.
     """
 
-    def __init__(self, tabs, stream, read: set[int], alpha: float, gamma: float):
+    def __init__(self, tabs, stream: _Stream, is_read: np.ndarray, alpha: float, gamma: float):
         self.alpha, self.gamma = alpha, gamma
-        n = len(stream)
-        tid = np.fromiter((item[0] for item in stream), np.int64, n)
-        is_read = np.isin(tid, list(read))
+        n, tid = len(stream.tid), stream.tid
         leaf_at, inner_at = np.flatnonzero(~is_read), np.flatnonzero(is_read)
-        leaves = [stream[i] for i in leaf_at.tolist()]
+        leaves = stream.take(leaf_at)
         # Cells number table by table, each table's in first-appearance order.
         self.ids: list[dict[Slate, int]] = [{} for _ in tabs]
         local = np.fromiter(
-            (self.ids[t].setdefault(a, len(self.ids[t])) for t, a, _, _ in leaves),
-            np.int64, len(leaves),
+            (self.ids[t].setdefault(a, len(self.ids[t]))
+             for t, a in zip(leaves.tid.tolist(), leaves.action.tolist())),
+            np.int64, len(leaf_at),
         )
         offset = np.cumsum([0] + [len(d) for d in self.ids])
-        cell = offset[tid[leaf_at]] + local
+        cell = offset[leaves.tid] + local
         n_cells = int(offset[-1])
         counts = np.bincount(cell, minlength=n_cells)
         self.counts = counts.tolist()
@@ -225,10 +246,9 @@ class _LeafFold:
         self.widths = np.bincount(rank).tolist()
         fold = np.lexsort((self.label[cell], rank))
 
-        reward = np.fromiter((it[2] for it in leaves), np.float64, len(leaves))[fold]
-        terminal = np.fromiter((it[3] for it in leaves), np.bool_, len(leaves))[fold]
+        reward = leaves.reward[fold]
         self.targets = reward  # terminal targets; the others are set each epoch
-        self.nt_pos = np.flatnonzero(~terminal)
+        self.nt_pos = np.flatnonzero(~leaves.terminal[fold])
         self.nt_reward = reward[self.nt_pos]
         nt_at = leaf_at[fold[self.nt_pos]]
         self.nt_read = tid[nt_at] + 1
@@ -281,24 +301,30 @@ class _LeafFold:
                 k += 1
 
 
-def _train_serial(tables, stream, alpha: float, gamma: float, epochs: int) -> None:
-    """Apply ``epochs`` passes over ``stream`` to ``tables``, in two phases.
+def _train_serial(tables, stream: _Stream, alpha: float, gamma: float, epochs: int):
+    """Apply ``epochs`` passes over ``stream`` to ``tables``, in two phases,
+    and return ``tables``: all of a bank's, or one cluster's in a pool job.
 
     Phase 1 runs every update of the tables that some transition reads, in
     stream order, keeping each table's running maximum and recording it after
     every update; phase 2 folds every other cell from those records.
     """
-    n_ids = _WIDTH * (1 + max(c for c, _ in tables))
-    tabs = [tables.get(divmod(t, _WIDTH)) for t in range(n_ids)]
-    read = {t + 1 for t, _, _, terminal in stream if not terminal}
-    leaves = _LeafFold(tabs, stream, read, alpha, gamma)
-    inner = [item for item in stream if item[0] in read]
+    base = min(c for c, _ in tables)  # ids count from the lowest cluster
+    n_ids = _WIDTH * (1 + max(c for c, _ in tables) - base)
+    tabs = [tables.get((base + t // _WIDTH, t % _WIDTH)) for t in range(n_ids)]
+    stream = replace(stream, tid=stream.tid - _WIDTH * base)
+    read = np.zeros(n_ids, np.bool_)
+    read[stream.tid[~stream.terminal] + 1] = True
+    is_read = read[stream.tid]
+    leaves = _LeafFold(tabs, stream, is_read, alpha, gamma)
+    inner = stream.take(is_read)
+    columns = [col.tolist() for col in (inner.tid, inner.action, inner.reward, inner.terminal)]
     tmax = [max((cell[0] for cell in tab.values()), default=0.0) if tab else 0.0 for tab in tabs]
     for _ in range(epochs):
         start = tmax.copy()
         seen = array("d")
         record = seen.append
-        for tid, action, reward, terminal in inner:
+        for tid, action, reward, terminal in zip(*columns):
             if terminal:
                 target = reward
             else:
@@ -323,56 +349,25 @@ def _train_serial(tables, stream, alpha: float, gamma: float, epochs: int) -> No
             record(cur)
         leaves.epoch(start, seen)
     leaves.store(tabs, epochs)
-
-
-def _process_worker(args):
-    tables, packed, alpha, gamma, epochs = args
-    tids, a1, a2, a3, rewards, terminals = (col.tolist() for col in packed)
-    stream = list(zip(tids, zip(a1, a2, a3), rewards, terminals))
-    _train_serial(tables, stream, alpha, gamma, epochs)
     return tables
 
 
-def _train_processes(bank, stream, alpha, gamma, epochs, workers) -> None:
-    tid_of = np.fromiter((it[0] for it in stream), np.int64, len(stream))
-    cid_of = tid_of // _WIDTH
-    # Shard whole clusters across workers, largest stream volume first.
-    volumes = np.bincount(cid_of).tolist()
-    order = sorted((c for c, v in enumerate(volumes) if v), key=lambda c: (-volumes[c], c))
-    bins: list[list[int]] = [[] for _ in range(workers)]
-    load = [0] * workers
-    for cid in order:
-        slot = min(range(workers), key=lambda i: (load[i], i))
-        bins[slot].append(cid)
-        load[slot] += volumes[cid]
-
-    a_of = np.array([it[1] for it in stream], dtype=np.int64).reshape(len(stream), 3)
-    r_of = np.fromiter((it[2] for it in stream), np.float64, len(stream))
-    t_of = np.fromiter((it[3] for it in stream), np.bool_, len(stream))
-
-    jobs = []
-    for members in bins:
-        mask = np.isin(cid_of, np.asarray(members, dtype=np.int64))
-        # Tables pickle with their tuple keys; arrays pickle as raw buffers
-        # and workers expand them to lists locally.
-        tables = {(cid, s): bank.tables[(cid, s)] for cid in members for s in STEPS}
-        packed = (
-            tid_of[mask],
-            a_of[mask, 0],
-            a_of[mask, 1],
-            a_of[mask, 2],
-            r_of[mask],
-            t_of[mask],
-        )
-        jobs.append((tables, packed, alpha, gamma, epochs))
-
+def _train_processes(bank, stream: _Stream, alpha, gamma, epochs, workers) -> None:
+    """Train each cluster as one pool job, largest stream volume first."""
+    cid = stream.tid // _WIDTH
+    volumes = np.bincount(cid).tolist()
+    # A stable sort keeps each cluster's rows in stream order.
+    rows = np.split(np.argsort(cid, kind="stable"), np.cumsum(volumes)[:-1])
+    order = sorted((c for c, v in enumerate(volumes) if v), key=lambda c: -volumes[c])
+    tables = [{(c, s): bank.tables[(c, s)] for s in STEPS} for c in order]
+    job = partial(_train_serial, alpha=alpha, gamma=gamma, epochs=epochs)
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:
         ctx = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-        for tables in pool.map(_process_worker, jobs):
-            bank.tables.update(tables)
+        for trained in pool.map(job, tables, [stream.take(rows[c]) for c in order]):
+            bank.tables.update(trained)
 
 
 def train(
@@ -383,20 +378,21 @@ def train(
 ) -> QTableBank:
     """Run ``cfg.epochs`` update passes over the transition stream.
 
-    ``session_clusters`` maps ``Transition.session_ref`` to a cluster id
-    (any indexable: list, array, or dict).  Whole clusters are sharded across
-    ``cfg.threads`` worker processes, but no more than the stream has
-    clusters, each applying its clusters' updates in input order.  With
-    ``deterministic`` set, or when that leaves one worker, updates apply in
-    input order in this process: a pool would only add a fork and a pickle
-    round trip.  Clusters never share a cell, so both drivers produce
+    ``session_clusters`` is a list or array that maps each
+    ``Transition.session_ref`` to a cluster id.  The transitions are prepared
+    once into one columnar stream.  Each cluster is one job, largest stream
+    volume first, for ``cfg.threads`` worker processes, but no more than the
+    stream has clusters; a job applies its cluster's updates in input order.
+    With ``deterministic`` set, or when that leaves one worker, updates apply
+    in input order in this process: a pool would only add a fork and a
+    pickle round trip.  Clusters never share a cell, so both drivers produce
     bit-identical tables.
     """
     cfg.validate()
     stream = _prepare_stream(bank, transitions, session_clusters)
-    if not stream:
+    if not len(stream.tid):
         return bank
-    clusters = len({item[0] // _WIDTH for item in stream})
+    clusters = len(np.unique(stream.tid // _WIDTH))
     workers = 1 if cfg.deterministic else min(cfg.threads, clusters)
     if workers == 1:
         _train_serial(bank.tables, stream, cfg.alpha, cfg.gamma, cfg.epochs)

@@ -154,6 +154,26 @@ class TestTrain:
         assert code == 2
         assert "none.txt" in capsys.readouterr().err
 
+    def test_non_finite_portrait_is_data_error(self, tmp_path, capsys):
+        data = generate_corpus(tmp_path)
+        lines = (data / "sessions.txt").read_text().splitlines(keepends=True)
+        fields = lines[3].split(" ")
+        fields[2] = "nan," + fields[2].split(",", 1)[1]
+        lines[3] = " ".join(fields)
+        (data / "sessions.txt").write_text("".join(lines))
+        code = run("train", "--items", data / "items.txt", "--sessions", data / "sessions.txt",
+                   "--model-dir", tmp_path / "m")
+        assert code == 2
+        assert "line 4: non-finite portraits value" in capsys.readouterr().err
+
+    def test_nan_l1_penalty_is_fit_error(self, tmp_path, capsys):
+        data = generate_corpus(tmp_path)
+        code = run("train", "--items", data / "items.txt", "--sessions", data / "sessions.txt",
+                   "--model-dir", tmp_path / "m", "--l1", "nan")
+        assert code == 2
+        assert "l1_penalty must be nonnegative, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "m" / "components.json").exists()
+
     def test_report_speedup_flag_is_usage_error(self, tmp_path, capsys):
         data = generate_corpus(tmp_path)
         code = run("train", "--items", data / "items.txt", "--sessions", data / "sessions.txt",
@@ -184,6 +204,16 @@ class TestEvaluate:
         assert records["logged"]["score"] >= records["learned"]["score"] * 0  # finite
         text = (reports / "score_report.txt").read_text()
         assert "learned policy score" in text and "logged policy score" in text
+
+    @pytest.mark.parametrize("weights", ["nan,1,1", "inf,1,1"])
+    def test_non_finite_weights_are_data_errors(self, tmp_path, capsys, weights):
+        data = generate_corpus(tmp_path)
+        models = train_models(tmp_path, data)
+        code = run("evaluate", "--items", data / "items.txt", "--sessions",
+                   data / "sessions.txt", "--model-dir", models,
+                   "--report-dir", tmp_path / "reports", "--weights", weights)
+        assert code == 2
+        assert "step weights must be finite and nonnegative" in capsys.readouterr().err
 
     def test_logged_score_matches_transition_revenue(self, tmp_path):
         from qslate.ingest import sessions_to_transitions
@@ -377,6 +407,16 @@ class TestRecommend:
         catalog = parse_items((data / "items.txt").read_text())
         items = [int(v) for v in fields[1:]]
         assert [catalog.location(i) for i in items] == [1, 1, 1, 2, 2, 2, 3, 3, 3]
+
+    def test_non_finite_portrait_is_data_error(self, tmp_path, capsys):
+        data = generate_corpus(tmp_path)
+        models = train_models(tmp_path, data)
+        users = tmp_path / "users.txt"
+        users.write_text("41 1,4 0.5,0.1,0,0,0,0,0,0,0,0\n42 1,4 nan,0.1,0,0,0,0,0,0,0,0\n")
+        code = run("recommend", "--items", data / "items.txt", "--model-dir", models,
+                   "--users", users, "--out", tmp_path / "recs.txt")
+        assert code == 2
+        assert "line 2: non-finite portraits value" in capsys.readouterr().err
 
     def test_duplicate_users_identical_lines(self, tmp_path):
         data = generate_corpus(tmp_path)

@@ -157,6 +157,12 @@ class TestFitSparsePca:
         with pytest.raises(FitError):
             fit_sparse_pca(X, k=7)
 
+    @pytest.mark.parametrize("l1", [-0.1, float("nan")])
+    def test_negative_or_nan_l1_penalty_rejected(self, l1):
+        X = np.random.default_rng(0).normal(size=(10, 6))
+        with pytest.raises(FitError, match=f"l1_penalty must be nonnegative, got {l1}"):
+            fit_sparse_pca(X, k=2, l1_penalty=l1)
+
     def test_component_collapse_signals_penalty_too_large(self):
         X, _ = planted_sparse_data(seed=5, p=60, n=120)
         with pytest.raises(ComponentCollapseError, match="too large"):

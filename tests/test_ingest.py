@@ -37,6 +37,7 @@ class TestParseItems:
         "line,needle",
         [
             ("1 0.5,1.0,-0.25,2.0 9.5 1", "content features"),
+            ("1 0.5,nan,-0.25,2.0,0.0 9.5 1", "non-finite content features"),
             ("x 0.5,1.0,-0.25,2.0,0.0 9.5 1", "item_id"),
             ("1 0.5,1.0,-0.25,2.0,0.0 -2 1", "price"),
             ("1 0.5,1.0,-0.25,2.0,0.0 9.5 4", "location"),
@@ -98,6 +99,13 @@ class TestParseSessions:
         with pytest.raises(DataError, match="line 1") as err:
             parse_sessions(line + "\n", catalog9)
         assert needle in str(err.value)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_portrait_rejected(self, catalog9, bad):
+        tail = "1,2,3,4,5,6,7,8,9 0,0,0,0,0,0,0,0,0 5"
+        text = f"7 - 0,1,2,3,4,5,6,7,8,9 {tail}\n8 - 0,1,{bad},3,4,5,6,7,8,9 {tail}\n"
+        with pytest.raises(DataError, match="line 2: non-finite portraits value"):
+            parse_sessions(text, catalog9)
 
     def test_file_order_preserved(self, catalog9):
         lines = "".join(
@@ -169,6 +177,12 @@ class TestParseUsers:
     def test_bad_field_count(self, catalog9):
         with pytest.raises(DataError, match="3 fields"):
             parse_users("4 2,3\n", catalog9)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_portrait_rejected(self, catalog9, bad):
+        text = f"4 2,3 0,1,2,3,4,5,6,7,8,9\n5 2,3 {bad},1,2,3,4,5,6,7,8,9\n"
+        with pytest.raises(DataError, match="line 2: non-finite portraits value"):
+            parse_users(text, catalog9)
 
     def test_unknown_clicked_item_rejected(self, catalog9):
         text = "4 2,3 0,1,2,3,4,5,6,7,8,9\n5 2,42 0,1,2,3,4,5,6,7,8,9\n"

@@ -98,6 +98,12 @@ class TestScore:
         with pytest.raises(DataError):
             score([session.exposed_slate], [session], catalog9, MetricConfig((0.0, 0.0, 0.0)))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -1.0])
+    def test_non_finite_or_negative_weight_rejected(self, catalog9, bad):
+        session = make_session([True] * 9)
+        with pytest.raises(DataError, match="step weights must be finite and nonnegative"):
+            score([session.exposed_slate], [session], catalog9, MetricConfig((bad, 1.0, 1.0)))
+
     @given(c=st.sampled_from([0.25, 0.5, 2.0, 4.0, 8.0]))
     def test_scale_linearity(self, c):
         catalog = make_catalog()
@@ -263,6 +269,16 @@ class TestTune:
         )
         good, bad = result.cells
         assert bad.error is not None and "too large" in bad.error
+        assert bad.report is None
+        assert result.best_index == good.index == 0
+
+    def test_nan_l1_penalty_cell_fails_with_fit_message(self, small_corpus):
+        result = tune(
+            {"l1_penalty": [0.1, float("nan")]}, small_corpus.sessions, small_corpus.catalog,
+            base_params=self.base(),
+        )
+        good, bad = result.cells
+        assert bad.error == "l1_penalty must be nonnegative, got nan"
         assert bad.report is None
         assert result.best_index == good.index == 0
 

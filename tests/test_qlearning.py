@@ -273,11 +273,13 @@ class TestTrain:
         with pytest.raises(TrainError, match="cluster"):
             train(bank, [t], [5], TrainConfig(deterministic=True))
 
-    def test_missing_assignment_rejected(self):
-        bank = QTableBank(1)
-        t = Transition(3, 1, (1, 2, 3), 1.0, None)
-        with pytest.raises(TrainError, match="assignment"):
-            train(bank, [t], [0], TrainConfig(deterministic=True))
+    @pytest.mark.parametrize("ref", [2, -1])
+    def test_missing_assignment_rejected(self, ref):
+        bank = QTableBank(2)
+        t = Transition(ref, 1, (1, 2, 3), 1.0, None)
+        with pytest.raises(TrainError, match=f"no cluster assignment for session {ref}$"):
+            train(bank, [t], [0, 1], TrainConfig(deterministic=True))
+        assert bank.n_cells() == 0
 
     def test_non_finite_reward_rejected(self):
         bank = QTableBank(1)
@@ -339,7 +341,28 @@ class TestParallelTraining:
         parallel = QTableBank(4)
         train(parallel, transitions, clusters,
               TrainConfig(alpha=0.1, gamma=0.9, epochs=4, threads=4, backend="process"))
-        assert serial.tables == parallel.tables
+        assert exact_cells(serial.tables) == exact_cells(parallel.tables)
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_unequal_clusters_bit_identical_to_serial(self, threads):
+        corpus = generate_synthetic(
+            SyntheticConfig(num_items=18, num_users=80, num_sessions=1500, seed=58,
+                            preference_scale=2.0, base_appeal=0.4)
+        )
+        transitions = sessions_to_transitions(corpus.sessions, corpus.catalog)
+        # Five clusters of unequal volume, about 6:4:3:2:1 for clusters 2, 0,
+        # 4, 1, 3: jobs outnumber workers and start out of cluster-id order.
+        shares = [2] * 6 + [0] * 4 + [4] * 3 + [1] * 2 + [3]
+        clusters = [shares[s.user_id % len(shares)] for s in corpus.sessions]
+        volumes = np.bincount([clusters[t.session_ref] for t in transitions], minlength=5)
+        assert np.all(np.diff(volumes[[2, 0, 4, 1, 3]]) < 0) and volumes.min() > 0
+        serial = QTableBank(5)
+        train(serial, transitions, clusters,
+              TrainConfig(alpha=0.1, gamma=0.9, epochs=3, deterministic=True))
+        parallel = QTableBank(5)
+        train(parallel, transitions, clusters,
+              TrainConfig(alpha=0.1, gamma=0.9, epochs=3, threads=threads))
+        assert exact_cells(serial.tables) == exact_cells(parallel.tables)
 
     def test_process_workers_continue_trained_tables(self):
         corpus = generate_synthetic(
@@ -358,7 +381,7 @@ class TestParallelTraining:
         train(parallel, transitions, clusters,
               TrainConfig(alpha=0.1, gamma=0.9, epochs=2, threads=8, backend="process"))
         assert bank.n_cells() > 0
-        assert serial.tables == parallel.tables
+        assert exact_cells(serial.tables) == exact_cells(parallel.tables)
 
     def test_single_cluster_trains_in_process(self, monkeypatch):
         corpus = generate_synthetic(
@@ -379,7 +402,7 @@ class TestParallelTraining:
         train(parallel, transitions, clusters,
               TrainConfig(alpha=0.1, gamma=0.9, epochs=3, threads=8))
         assert serial.n_cells() > 0
-        assert serial.tables == parallel.tables
+        assert exact_cells(serial.tables) == exact_cells(parallel.tables)
 
 
 class TestPolicies:
