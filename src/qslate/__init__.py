@@ -29,6 +29,7 @@ from .ingest import (
     SessionRecord,
     SyntheticConfig,
     Transition,
+    TransitionTable,
     UserRecord,
     generate_synthetic,
     parse_items,

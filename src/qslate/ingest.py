@@ -20,6 +20,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -28,6 +31,7 @@ from .errors import DataError
 N_PORTRAITS = 10
 SLATE_SIZE = 9
 STEPS = (1, 2, 3)
+_ITEM_ID_RANGE = np.iinfo(np.int64)  # item ids are held in int64 columns
 
 
 @dataclass(frozen=True)
@@ -174,8 +178,9 @@ def parse_items(text: str) -> ItemCatalog:
     """Parse an item file into a catalog.
 
     Raises :class:`DataError` naming the line number and field for any
-    malformed line, duplicate id, location outside {1,2,3}, or negative
-    price.  An empty file yields an empty catalog.
+    malformed line, id outside the signed 64-bit range, duplicate id,
+    location outside {1,2,3}, or negative price.  An empty file yields an
+    empty catalog.
     """
     records: list[ItemRecord] = []
     for line_no, line in enumerate(text.splitlines(), 1):
@@ -188,6 +193,8 @@ def parse_items(text: str) -> ItemCatalog:
             item_id = int(fields[0])
         except ValueError:
             raise DataError(f"line {line_no}: bad item_id {fields[0]!r}") from None
+        if not _ITEM_ID_RANGE.min <= item_id <= _ITEM_ID_RANGE.max:
+            raise DataError(f"line {line_no}: item_id {item_id} outside the 64-bit range")
         features = _parse_float_list(fields[1], 5, "content features", line_no)
         try:
             price = float(fields[2])
@@ -302,32 +309,114 @@ def parse_users(text: str, catalog: ItemCatalog) -> list[UserRecord]:
     return users
 
 
+@dataclass(frozen=True, eq=False)
+class TransitionTable:
+    """Training transitions as columns, one row per transition.
+
+    Indexing and iteration give the rows as :class:`Transition` objects, for
+    callers that read a transition at a time; training reads the columns.
+    """
+
+    session_ref: np.ndarray  # int64
+    step: np.ndarray  # int64
+    action: np.ndarray  # object: each row's sorted 3-item tuple
+    reward: np.ndarray  # float64
+    terminal: np.ndarray  # bool
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Transition]) -> "TransitionTable":
+        """The columns of a sequence of transitions; ``next_step is None``
+        marks a terminal row."""
+        n = len(rows)
+        return cls(
+            np.fromiter((t.session_ref for t in rows), np.int64, n),
+            np.fromiter((t.step for t in rows), np.int64, n),
+            np.fromiter((t.action for t in rows), object, n),
+            np.fromiter((t.reward for t in rows), np.float64, n),
+            np.fromiter((t.next_step is None for t in rows), np.bool_, n),
+        )
+
+    def __len__(self) -> int:
+        return len(self.step)
+
+    def __getitem__(self, i: int) -> Transition:
+        i = range(len(self))[i]
+        step = int(self.step[i])
+        return Transition(
+            int(self.session_ref[i]),
+            step,
+            self.action[i],
+            float(self.reward[i]),
+            None if self.terminal[i] else step + 1,
+        )
+
+    def __iter__(self) -> Iterator[Transition]:
+        columns = (self.session_ref, self.step, self.action, self.reward, self.terminal)
+        for ref, step, action, reward, terminal in zip(*(c.tolist() for c in columns)):
+            yield Transition(ref, step, action, reward, None if terminal else step + 1)
+
+
 def sessions_to_transitions(
-    sessions: list[SessionRecord], catalog: ItemCatalog
-) -> list[Transition]:
+    sessions: Sequence[SessionRecord], catalog: ItemCatalog
+) -> TransitionTable:
     """Derive training transitions from logged sessions.
 
     A session contributes its step-1 transition always, step 2 only when all
     three step-1 items were purchased, and step 3 only when all six prior
     items were purchased.  The reward is the total price of the purchased
-    items in the step; a transition is terminal when any of its three labels
-    is false or when the step is 3.  Anything logged after the first
-    terminating step is discarded.
+    items in the step, summed in slate order from 0.0; a transition is
+    terminal when any of its three labels is false or when the step is 3.
+    Anything logged after the first terminating step is discarded.  Rows
+    come session by session, each session's in step order.
+
+    Every exposed item must be in the catalog, reached or not: the first
+    unknown one, in session then slate order, raises :class:`DataError`.
     """
-    transitions: list[Transition] = []
-    for ref, s in enumerate(sessions):
-        for step in STEPS:
-            lo = (step - 1) * 3
-            row = s.exposed_slate[lo : lo + 3]
-            labels = s.purchase_labels[lo : lo + 3]
-            action = tuple(sorted(row))
-            reward = sum(catalog.price(it) for it, lab in zip(row, labels) if lab)
-            all_purchased = all(labels)
-            next_step = step + 1 if (all_purchased and step < 3) else None
-            transitions.append(Transition(ref, step, action, float(reward), next_step))
-            if not all_purchased:
-                break
-    return transitions
+    ids = np.array(catalog.item_ids, np.int64)
+    prices = np.array([catalog.price(i) for i in ids.tolist()], np.float64)
+    # At least one block, empty or not, so that every column has its dtype.
+    blocks = [
+        _block_transitions(sessions, lo, ids, prices)
+        for lo in range(0, max(len(sessions), 1), _BLOCK)
+    ]
+    return TransitionTable(*(np.concatenate(column) for column in zip(*blocks)))
+
+
+# Sessions per block of ``sessions_to_transitions``.  Blocks bound its n×9
+# temporaries: built for 48k sessions at once they peak at 13 MiB and raise
+# the process's peak RSS.
+_BLOCK = 4096
+
+
+def _block_transitions(sessions, lo: int, ids: np.ndarray, prices: np.ndarray):
+    """The ``TransitionTable`` columns of sessions ``lo`` to ``lo + _BLOCK``,
+    given the catalog's sorted ids and their prices."""
+    block = sessions[lo : lo + _BLOCK]
+    n = len(block)
+    slates, labels = (
+        np.fromiter(chain.from_iterable(map(attrgetter(name), block)), dtype, n * SLATE_SIZE)
+        .reshape(n, len(STEPS), 3)
+        for name, dtype in (("exposed_slate", np.int64), ("purchase_labels", np.bool_))
+    )
+    at = np.searchsorted(ids, slates)
+    # The appended 0 is read only where ``at`` is past the end, a miss anyway.
+    known = (at < len(ids)) & (np.append(ids, 0)[at] == slates)
+    if not known.all():
+        raise DataError(f"unknown item_id {slates.flat[np.argmin(known)]}")
+    full = labels.all(axis=2)
+    reach = np.ones_like(full)
+    reach[:, 1:] = np.logical_and.accumulate(full[:, :-1], axis=1)
+    ref, at_step = np.nonzero(reach)
+    rows = np.sort(slates[ref, at_step], axis=1)
+    paid = np.where(labels[ref, at_step], prices[at[ref, at_step]], 0.0)
+    return (
+        ref + lo,
+        at_step + STEPS[0],
+        np.fromiter(zip(*rows.T.tolist()), object, len(ref)),
+        # The order of Python's sum over the purchased prices, bit for bit.
+        ((0.0 + paid[:, 0]) + paid[:, 1]) + paid[:, 2],
+        ~full[ref, at_step] | (at_step == len(STEPS) - 1),
+    )
 
 
 # ---------------------------------------------------------------------------

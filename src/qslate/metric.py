@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ComponentCollapseError, DataError, FitError, QslateError
 from .features import FeatureMatrix, SparseComponents, build_raw_features, transform
-from .ingest import ItemCatalog, SessionRecord, Transition, sessions_to_transitions
+from .ingest import ItemCatalog, SessionRecord, TransitionTable, sessions_to_transitions
 from .pipeline import (
     PipelineParams,
     fit_components,
@@ -331,7 +331,7 @@ def _score_model_cells(
     cells: list[GridCellResult],
     params: list[PipelineParams],
     group: _ReducedGroup,
-    transitions: Callable[[], list[Transition]],
+    transitions: Callable[[], TransitionTable],
     validation: list[SessionRecord],
     catalog: ItemCatalog,
     cfg: MetricConfig,
@@ -373,10 +373,11 @@ def tune(
     message and excluded from selection.  Each cell's result equals a
     ``fit_pipeline`` -> ``recommend_for_sessions`` -> ``score`` run of that
     cell on the same split, but work that cells share is done once: the
-    features and transitions, sparse PCA for each ``l1_penalty`` (at the
-    largest ``k_features`` and sliced for smaller ones, which greedy
-    deflation makes exact), and the clusters and Q-tables for cells that
-    differ only in ``min_visits``.  One model is held at a time.
+    features and the transition table, sparse PCA for each
+    ``l1_penalty`` (at the largest ``k_features`` and sliced for smaller
+    ones, which greedy deflation makes exact), and the clusters and
+    Q-tables for cells that differ only in ``min_visits``.  One model is
+    held at a time.
     """
     cfg.validate()
     cells_params = expand_grid(grid)

@@ -38,7 +38,7 @@ from .features import (
     fit_sparse_pca,
     transform,
 )
-from .ingest import ItemCatalog, SessionRecord, Transition, sessions_to_transitions
+from .ingest import ItemCatalog, SessionRecord, TransitionTable, sessions_to_transitions
 from .qlearning import QTableBank, TrainConfig, export_policies, train
 
 DEFAULT_MIN_CLUSTER_SUPPORT = 500
@@ -165,7 +165,7 @@ def fit_on_reduced(
     components: SparseComponents,
     reduced: np.ndarray,
     rows: np.ndarray,
-    make_transitions: Callable[[], list[Transition]],
+    make_transitions: Callable[[], TransitionTable],
     params: PipelineParams,
     timings: list[tuple[str, float]],
 ) -> tuple[PipelineModel, FitStats]:
@@ -175,8 +175,8 @@ def fit_on_reduced(
     ``components`` and ``rows`` each session's state, as in
     :class:`FeatureMatrix`; clusters are fit on the states, each weighted by
     its session count, and their labels scattered back to the sessions.
-    ``make_transitions`` returns the sessions' transitions when that stage
-    runs.  The ``merge`` stage counts each cluster's transitions and folds
+    ``make_transitions`` returns the sessions' transition table when that
+    stage runs.  The ``merge`` stage counts each cluster's transitions and folds
     clusters below ``min_cluster_support`` into their neighbors.  Stage
     timings are appended to ``timings``.
     """
@@ -192,8 +192,7 @@ def fit_on_reduced(
     n_before = cluster_model.n_clusters
 
     def merge() -> tuple[ClusterModel, np.ndarray]:
-        refs = np.fromiter((t.session_ref for t in transitions), np.int64, len(transitions))
-        counts = np.bincount(assignments[refs], minlength=n_before)
+        counts = np.bincount(assignments[transitions.session_ref], minlength=n_before)
         return merge_small_clusters(cluster_model, counts, params.min_cluster_support)
 
     cluster_model, remap = timed(timings, "merge", merge)

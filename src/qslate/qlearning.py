@@ -25,7 +25,7 @@ every other table (every step-1 table among them) is a *leaf*.  The trainer,
 A leaf table's updates read nothing that phase 2 lacks and are read by
 nothing, so the two phases give the tables, bit for bit and in insertion
 order, that one loop over every update in stream order gives.  ``train``
-prepares the transitions once into one columnar stream, which both of its
+takes the columns of a transition table as one stream, which both of its
 drivers read as it is:
 
 * in process (used when ``deterministic``, or when the threads or the
@@ -33,22 +33,25 @@ drivers read as it is:
 * a process pool with one job per cluster, largest stream volume first.
   Clusters never share cells and read only their own tables, so each job
   trains its cluster's transitions in input order and the merged result is
-  bit-identical to a serial run.
+  bit-identical to a serial run.  The cyclic GC is paused while the pool
+  runs: unpickling the trained tables allocates many objects and no cycles.
 """
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError, TrainError, read_model_file, write_model_file
-from .ingest import STEPS, ItemCatalog, Transition
+from .ingest import STEPS, ItemCatalog, Transition, TransitionTable
 
 QTABLES_FORMAT = "qslate-qtables"
 QTABLES_VERSION = 1
@@ -179,15 +182,13 @@ class _Stream:
 
 
 def _prepare_stream(
-    bank: QTableBank, transitions: list[Transition], session_clusters
+    bank: QTableBank, transitions: TransitionTable, session_clusters
 ) -> _Stream:
-    """The transitions as columns.  Each check in turn raises
-    :class:`TrainError` naming the first transition that fails it."""
-    n = len(transitions)
-    ref = np.fromiter((t.session_ref for t in transitions), np.int64, n)
-    step = np.fromiter((t.step for t in transitions), np.int64, n)
-    reward = np.fromiter((t.reward for t in transitions), np.float64, n)
-    terminal = np.fromiter((t.next_step is None for t in transitions), np.bool_, n)
+    """The table's columns as a stream, shared and not copied.  Each check in
+    turn raises :class:`TrainError` naming the first transition that fails it."""
+    ref, step, reward, terminal = (
+        transitions.session_ref, transitions.step, transitions.reward, transitions.terminal
+    )
     clusters = np.asarray(session_clusters, dtype=np.int64)
 
     def first(bad: np.ndarray) -> int | None:
@@ -204,8 +205,7 @@ def _prepare_stream(
         raise TrainError(f"transition at unknown step {step[i]} in session {ref[i]}")
     if (i := first(~terminal & (step == STEPS[-1]))) is not None:
         raise TrainError(f"transition continues past step {step[i]} in session {ref[i]}")
-    action = np.fromiter((t.action for t in transitions), object, n)
-    return _Stream(cid * _WIDTH + step, action, reward, terminal)
+    return _Stream(cid * _WIDTH + step, transitions.action, reward, terminal)
 
 
 class _LeafFold:
@@ -365,30 +365,41 @@ def _train_processes(bank, stream: _Stream, alpha, gamma, epochs, workers) -> No
         ctx = multiprocessing.get_context("fork")
     except ValueError:
         ctx = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-        for trained in pool.map(job, tables, [stream.take(rows[c]) for c in order]):
-            bank.tables.update(trained)
+    # Forked workers inherit the pause.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+            for trained in pool.map(job, tables, [stream.take(rows[c]) for c in order]):
+                bank.tables.update(trained)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def train(
     bank: QTableBank,
-    transitions: list[Transition],
+    transitions: TransitionTable | Sequence[Transition],
     session_clusters,
     cfg: TrainConfig,
 ) -> QTableBank:
     """Run ``cfg.epochs`` update passes over the transition stream.
 
-    ``session_clusters`` is a list or array that maps each
-    ``Transition.session_ref`` to a cluster id.  The transitions are prepared
-    once into one columnar stream.  Each cluster is one job, largest stream
-    volume first, for ``cfg.threads`` worker processes, but no more than the
-    stream has clusters; a job applies its cluster's updates in input order.
-    With ``deterministic`` set, or when that leaves one worker, updates apply
-    in input order in this process: a pool would only add a fork and a
-    pickle round trip.  Clusters never share a cell, so both drivers produce
-    bit-identical tables.
+    ``transitions`` is a :class:`TransitionTable`, whose columns the stream
+    shares, or a sequence of :class:`Transition`, converted once by
+    ``TransitionTable.from_rows``.  ``session_clusters`` is a list or array
+    that maps each session ref to a cluster id.  Each cluster is one job,
+    largest stream volume first, for ``cfg.threads`` worker processes, but
+    no more than the stream has clusters; a job applies its cluster's
+    updates in input order, and the cyclic GC is paused while the pool
+    runs.  With ``deterministic`` set, or when that leaves one worker,
+    updates apply in input order in this process: a pool would only add a
+    fork and a pickle round trip.  Clusters never share a cell, so both
+    drivers produce bit-identical tables.
     """
     cfg.validate()
+    if not isinstance(transitions, TransitionTable):
+        transitions = TransitionTable.from_rows(transitions)
     stream = _prepare_stream(bank, transitions, session_clusters)
     if not len(stream.tid):
         return bank

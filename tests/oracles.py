@@ -55,6 +55,24 @@ def naive_metric_score(recommendations, sessions, catalog: ItemCatalog, weights)
     return total, tuple(per_step)
 
 
+def row_transitions(sessions, catalog: ItemCatalog) -> list[Transition]:
+    """Session-by-session walk: step 1 always, each later step only after a
+    fully purchased one; the reward sums the purchased prices with ``sum``."""
+    transitions = []
+    for ref, s in enumerate(sessions):
+        for step in (1, 2, 3):
+            lo = (step - 1) * 3
+            row = s.exposed_slate[lo : lo + 3]
+            labels = s.purchase_labels[lo : lo + 3]
+            reward = sum(catalog.price(it) for it, lab in zip(row, labels) if lab)
+            all_purchased = all(labels)
+            next_step = step + 1 if (all_purchased and step < 3) else None
+            transitions.append(Transition(ref, step, tuple(sorted(row)), float(reward), next_step))
+            if not all_purchased:
+                break
+    return transitions
+
+
 def adjusted_rand_index(labels_a, labels_b) -> float:
     labels_a = list(labels_a)
     labels_b = list(labels_b)

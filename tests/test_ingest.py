@@ -1,14 +1,19 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import make_catalog, make_session
+from oracles import row_transitions
+from qslate import ingest
 from qslate.errors import DataError
 from qslate.ingest import (
     GroundTruth,
+    ItemCatalog,
+    ItemRecord,
     SyntheticConfig,
     generate_synthetic,
     parse_items,
@@ -18,6 +23,42 @@ from qslate.ingest import (
     serialize_sessions,
     sessions_to_transitions,
 )
+
+# Prices whose sum depends on the order of addition, and a signed zero.
+PRICES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.7, 0.3, 1.0, 1e16, 2.5]),
+    st.floats(min_value=0.0, max_value=100.0),
+)
+
+
+@st.composite
+def labelled_sessions(draw):
+    """A catalog with non-contiguous, zero and negative ids, and sessions on
+    it whose labels stop the episode at each step or never."""
+    ids = draw(st.lists(st.integers(-40, 40), min_size=1, max_size=12, unique=True))
+    catalog = ItemCatalog.from_records(
+        [ItemRecord(i, (0.0,) * 5, draw(PRICES), 1) for i in ids]
+    )
+    sessions = []
+    for _ in range(draw(st.integers(0, 6))):
+        labels = draw(st.lists(st.booleans(), min_size=9, max_size=9))
+        full_steps = draw(st.integers(0, 3))
+        labels[: 3 * full_steps] = [True] * (3 * full_steps)
+        if full_steps < 3:
+            labels[3 * full_steps + draw(st.integers(0, 2))] = False
+        slate = draw(st.lists(st.sampled_from(ids), min_size=9, max_size=9))
+        sessions.append(make_session(labels, slate=slate))
+    return sessions, catalog
+
+
+def priced_case(prices, labels):
+    """One session over items 0, 1, 2, ... priced ``prices``, slate in id order."""
+    catalog = ItemCatalog.from_records(
+        [ItemRecord(i, (0.0,) * 5, p, 1) for i, p in enumerate(prices)]
+    )
+    slate = [i % len(prices) for i in range(9)]
+    return [make_session(labels, slate=slate)], catalog
+
 
 ITEM_LINES = "1 0.5,1.0,-0.25,2.0,0.0 9.5 1\n2 0.1,0.2,0.3,0.4,0.5 3.0 2\n3 1,2,3,4,5 0.0 3\n"
 
@@ -39,6 +80,7 @@ class TestParseItems:
             ("1 0.5,1.0,-0.25,2.0 9.5 1", "content features"),
             ("1 0.5,nan,-0.25,2.0,0.0 9.5 1", "non-finite content features"),
             ("x 0.5,1.0,-0.25,2.0,0.0 9.5 1", "item_id"),
+            ("9223372036854775808 0.5,1.0,-0.25,2.0,0.0 9.5 1", "item_id"),
             ("1 0.5,1.0,-0.25,2.0,0.0 -2 1", "price"),
             ("1 0.5,1.0,-0.25,2.0,0.0 9.5 4", "location"),
             ("1 0.5,1.0,-0.25,2.0,0.0 9.5", "fields"),
@@ -246,6 +288,47 @@ class TestTransitions:
             if lab
         )
         assert sum(t.reward for t in trans) == expected
+
+    @given(case=labelled_sessions(), block=st.sampled_from([1, 2, 4096]))
+    @example(case=priced_case([-0.0], [True] * 9), block=4096)
+    @example(case=priced_case([0.1, 0.2, 0.7], [True] * 9), block=4096)
+    @example(case=priced_case([0.7, 0.2, 0.1], [True] * 4 + [False] + [True] * 4), block=4096)
+    @example(case=([], make_catalog()), block=4096)
+    def test_table_rows_match_row_loop_oracle(self, case, block):
+        sessions, catalog = case
+        with mock.patch.object(ingest, "_BLOCK", block):
+            table = sessions_to_transitions(sessions, catalog)
+        expected = [repr(t) for t in row_transitions(sessions, catalog)]
+        assert [repr(t) for t in table] == expected
+        assert [repr(table[i]) for i in range(len(table))] == expected
+
+    def test_row_view_indexes_like_a_list(self, catalog9):
+        table = sessions_to_transitions([make_session([True] * 9)], catalog9)
+        assert table[-1] == list(table)[2]
+        with pytest.raises(IndexError):
+            table[3]
+
+    @pytest.mark.parametrize(
+        "slate, labels",
+        [
+            ((1, 2, 42, 4, 5, 6, 7, 8, 9), [True] * 9),  # purchased
+            ((1, 2, 42, 4, 5, 6, 7, 8, 9), [True, True, False] + [True] * 6),  # not purchased
+            ((1, 2, 3, 4, 5, 6, 7, 8, 42), [True, True, False] + [True] * 6),  # step not reached
+        ],
+    )
+    def test_unknown_exposed_item_rejected(self, catalog9, slate, labels):
+        with pytest.raises(DataError, match="unknown item_id 42$"):
+            sessions_to_transitions([make_session(labels, slate=slate)], catalog9)
+
+    @pytest.mark.parametrize("block", [1, 4096])
+    def test_first_unknown_item_named_in_session_then_slate_order(self, catalog9, block):
+        sessions = [
+            make_session([False] * 9, slate=(1, 2, 3, 4, 5, 6, 7, 8, 43)),
+            make_session([False] * 9, slate=(42, 2, 3, 4, 5, 6, 7, 8, 9)),
+        ]
+        with mock.patch.object(ingest, "_BLOCK", block), \
+                pytest.raises(DataError, match="unknown item_id 43$"):
+            sessions_to_transitions(sessions, catalog9)
 
     def test_emitted_transitions_satisfy_invariants(self):
         corpus = generate_synthetic(

@@ -1,4 +1,5 @@
 import copy
+import gc
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from qslate.ingest import (
     STEPS,
     SyntheticConfig,
     Transition,
+    TransitionTable,
     generate_synthetic,
     sessions_to_transitions,
 )
@@ -403,6 +405,83 @@ class TestParallelTraining:
               TrainConfig(alpha=0.1, gamma=0.9, epochs=3, threads=8))
         assert serial.n_cells() > 0
         assert exact_cells(serial.tables) == exact_cells(parallel.tables)
+
+
+class TestTrainInput:
+    """A TransitionTable and its rows as Transition objects train alike."""
+
+    @pytest.mark.parametrize("mode", [{"deterministic": True}, {"threads": 2}])
+    def test_table_and_rows_train_identical_tables(self, mode):
+        corpus = generate_synthetic(
+            SyntheticConfig(num_items=18, num_users=80, num_sessions=1200, seed=59,
+                            preference_scale=2.0, base_appeal=0.4)
+        )
+        table = sessions_to_transitions(corpus.sessions, corpus.catalog)
+        clusters = [corpus.truth.user_groups[s.user_id] for s in corpus.sessions]
+        from_table, from_rows = QTableBank(4), QTableBank(4)
+        train(from_table, table, clusters, TrainConfig(epochs=3, **mode))
+        train(from_rows, list(table), clusters, TrainConfig(epochs=3, **mode))
+        assert from_table.n_cells() > 0
+        assert exact_cells(from_table.tables) == exact_cells(from_rows.tables)
+
+    @pytest.mark.parametrize(
+        "ref, step, reward, terminal, clusters, match",
+        [
+            (-1, 1, 1.0, True, [0, 0], "no cluster assignment for session -1"),
+            (1, 1, 1.0, True, [0, 5], "unknown cluster 5"),
+            (1, 1, math.nan, True, [0, 0], "non-finite reward in session 1"),
+            (1, 4, 1.0, True, [0, 0], "unknown step 4 in session 1"),
+            (1, 3, 1.0, False, [0, 0], "continues past step 3 in session 1"),
+        ],
+    )
+    def test_table_and_rows_raise_the_same_error(self, ref, step, reward, terminal,
+                                                  clusters, match):
+        table = TransitionTable(
+            session_ref=np.array([0, ref], np.int64),
+            step=np.array([1, step], np.int64),
+            action=np.fromiter([(1, 2, 3), (7, 8, 9)], object, 2),
+            reward=np.array([2.0, reward]),
+            terminal=np.array([False, terminal]),
+        )
+        messages = []
+        for transitions in (table, list(table)):
+            with pytest.raises(TrainError, match=match) as err:
+                train(QTableBank(2), transitions, clusters, TrainConfig(deterministic=True))
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+
+@pytest.fixture
+def restore_gc():
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+class TestPoolPausesGc:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_train_leaves_gc_as_it_found_it(self, restore_gc, enabled):
+        _, transitions, clusters, _ = toy_mdp(n_clusters=2)
+        (gc.enable if enabled else gc.disable)()
+        bank = QTableBank(2)
+        train(bank, transitions, clusters, TrainConfig(epochs=1, threads=2))
+        assert bank.n_cells() > 0
+        assert gc.isenabled() is enabled
+
+    def test_gc_restored_when_the_pool_raises(self, restore_gc, monkeypatch):
+        _, transitions, clusters, _ = toy_mdp(n_clusters=2)
+        paused = []
+
+        def failing_pool(*args, **kwargs):
+            paused.append(not gc.isenabled())
+            raise RuntimeError("pool failed to start")
+
+        monkeypatch.setattr(qlearning, "ProcessPoolExecutor", failing_pool)
+        gc.enable()
+        with pytest.raises(RuntimeError, match="pool failed to start"):
+            train(QTableBank(2), transitions, clusters, TrainConfig(epochs=1, threads=2))
+        assert paused == [True]
+        assert gc.isenabled()
 
 
 class TestPolicies:
