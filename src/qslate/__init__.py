@@ -28,7 +28,6 @@ from .ingest import (
     ItemRecord,
     SessionRecord,
     SyntheticConfig,
-    Transition,
     TransitionTable,
     UserRecord,
     generate_synthetic,

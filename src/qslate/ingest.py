@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -108,17 +108,6 @@ class UserRecord:
     user_id: int
     clicked_items: frozenset[int]
     portraits: tuple[float, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class Transition:
-    """One training tuple; ``next_step is None`` marks a terminal transition."""
-
-    session_ref: int
-    step: int
-    action: tuple[int, int, int]
-    reward: float
-    next_step: int | None
 
 
 def _parse_float_list(text: str, expect: int, what: str, line_no: int) -> tuple[float, ...]:
@@ -309,51 +298,48 @@ def parse_users(text: str, catalog: ItemCatalog) -> list[UserRecord]:
     return users
 
 
+# Each ``TransitionTable`` column's name, numpy dtype kind and kind in words.
+_TABLE_COLUMNS = (
+    ("session_ref", "i", "a signed integer dtype"),
+    ("step", "i", "a signed integer dtype"),
+    ("action", "O", "object"),
+    ("reward", "f", "a float dtype"),
+    ("terminal", "b", "bool"),
+)
+
+
 @dataclass(frozen=True, eq=False)
 class TransitionTable:
-    """Training transitions as columns, one row per transition.
+    """Training transitions as five 1-D columns of one length, one row per
+    transition.  A terminal row ends its session's episode; any other row
+    leads to the next step of the same session.
 
-    Indexing and iteration give the rows as :class:`Transition` objects, for
-    callers that read a transition at a time; training reads the columns.
+    Construction raises :class:`DataError`, naming the column, when a column
+    is not a 1-D array of its kind or not as long as ``session_ref``.
     """
 
-    session_ref: np.ndarray  # int64
-    step: np.ndarray  # int64
+    session_ref: np.ndarray  # signed integer
+    step: np.ndarray  # signed integer
     action: np.ndarray  # object: each row's sorted 3-item tuple
-    reward: np.ndarray  # float64
+    reward: np.ndarray  # float
     terminal: np.ndarray  # bool
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Transition]) -> "TransitionTable":
-        """The columns of a sequence of transitions; ``next_step is None``
-        marks a terminal row."""
-        n = len(rows)
-        return cls(
-            np.fromiter((t.session_ref for t in rows), np.int64, n),
-            np.fromiter((t.step for t in rows), np.int64, n),
-            np.fromiter((t.action for t in rows), object, n),
-            np.fromiter((t.reward for t in rows), np.float64, n),
-            np.fromiter((t.next_step is None for t in rows), np.bool_, n),
-        )
+    def __post_init__(self) -> None:
+        for name, kind, what in _TABLE_COLUMNS:
+            column = getattr(self, name)
+            if not isinstance(column, np.ndarray) or column.ndim != 1:
+                raise DataError(f"transition column {name} is not a 1-D array")
+            if column.dtype.kind != kind:
+                raise DataError(f"transition column {name} has dtype {column.dtype}, expected {what}")
+            # session_ref, checked first, sets the length.
+            if len(column) != len(self.session_ref):
+                raise DataError(
+                    f"transition column {name} has length {len(column)}, "
+                    f"session_ref has length {len(self.session_ref)}"
+                )
 
     def __len__(self) -> int:
         return len(self.step)
-
-    def __getitem__(self, i: int) -> Transition:
-        i = range(len(self))[i]
-        step = int(self.step[i])
-        return Transition(
-            int(self.session_ref[i]),
-            step,
-            self.action[i],
-            float(self.reward[i]),
-            None if self.terminal[i] else step + 1,
-        )
-
-    def __iter__(self) -> Iterator[Transition]:
-        columns = (self.session_ref, self.step, self.action, self.reward, self.terminal)
-        for ref, step, action, reward, terminal in zip(*(c.tolist() for c in columns)):
-            yield Transition(ref, step, action, reward, None if terminal else step + 1)
 
 
 def sessions_to_transitions(

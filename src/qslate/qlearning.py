@@ -46,12 +46,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError, TrainError, read_model_file, write_model_file
-from .ingest import STEPS, ItemCatalog, Transition, TransitionTable
+from .ingest import STEPS, ItemCatalog, TransitionTable
 
 QTABLES_FORMAT = "qslate-qtables"
 QTABLES_VERSION = 1
@@ -189,7 +188,10 @@ def _prepare_stream(
     ref, step, reward, terminal = (
         transitions.session_ref, transitions.step, transitions.reward, transitions.terminal
     )
-    clusters = np.asarray(session_clusters, dtype=np.int64)
+    clusters = np.asarray(session_clusters)
+    if clusters.size and clusters.dtype.kind not in "iu":
+        raise TrainError(f"cluster ids must be integers, got dtype {clusters.dtype}")
+    clusters = clusters.astype(np.int64, copy=False)
 
     def first(bad: np.ndarray) -> int | None:
         return int(bad.argmax()) if bad.any() else None
@@ -379,27 +381,25 @@ def _train_processes(bank, stream: _Stream, alpha, gamma, epochs, workers) -> No
 
 def train(
     bank: QTableBank,
-    transitions: TransitionTable | Sequence[Transition],
+    transitions: TransitionTable,
     session_clusters,
     cfg: TrainConfig,
 ) -> QTableBank:
     """Run ``cfg.epochs`` update passes over the transition stream.
 
-    ``transitions`` is a :class:`TransitionTable`, whose columns the stream
-    shares, or a sequence of :class:`Transition`, converted once by
-    ``TransitionTable.from_rows``.  ``session_clusters`` is a list or array
-    that maps each session ref to a cluster id.  Each cluster is one job,
-    largest stream volume first, for ``cfg.threads`` worker processes, but
-    no more than the stream has clusters; a job applies its cluster's
-    updates in input order, and the cyclic GC is paused while the pool
-    runs.  With ``deterministic`` set, or when that leaves one worker,
-    updates apply in input order in this process: a pool would only add a
-    fork and a pickle round trip.  Clusters never share a cell, so both
-    drivers produce bit-identical tables.
+    The stream shares the columns of ``transitions`` without copying them.
+    ``session_clusters`` is a list or array of integers that maps each
+    session ref to a cluster id; any other dtype raises :class:`TrainError`.
+    Each cluster is one job, largest stream volume first, for
+    ``cfg.threads`` worker processes, but no more than the stream has
+    clusters; a job applies its cluster's updates in input order, and the
+    cyclic GC is paused while the pool runs.  With ``deterministic`` set,
+    or when that leaves one worker, updates apply in input order in this
+    process: a pool would only add a fork and a pickle round trip.
+    Clusters never share a cell, so both drivers produce bit-identical
+    tables.
     """
     cfg.validate()
-    if not isinstance(transitions, TransitionTable):
-        transitions = TransitionTable.from_rows(transitions)
     stream = _prepare_stream(bank, transitions, session_clusters)
     if not len(stream.tid):
         return bank

@@ -12,7 +12,7 @@ from math import comb
 
 import numpy as np
 
-from qslate.ingest import GroundTruth, ItemCatalog, ItemRecord, SessionRecord, Transition
+from qslate.ingest import GroundTruth, ItemCatalog, ItemRecord, SessionRecord, TransitionTable
 
 
 def value_iteration(outcomes: dict, gamma: float) -> dict:
@@ -55,10 +55,29 @@ def naive_metric_score(recommendations, sessions, catalog: ItemCatalog, weights)
     return total, tuple(per_step)
 
 
-def row_transitions(sessions, catalog: ItemCatalog) -> list[Transition]:
+TRANSITION_COLUMNS = ("session_ref", "step", "action", "reward", "terminal")
+
+
+def transition_table(rows) -> TransitionTable:
+    """The table of ``(session_ref, step, action, reward, terminal)`` tuples."""
+    rows = list(rows)
+    columns = list(zip(*rows)) or [()] * len(TRANSITION_COLUMNS)
+    dtypes = (np.int64, np.int64, object, np.float64, np.bool_)
+    return TransitionTable(
+        *(np.fromiter(col, dtype, len(rows)) for col, dtype in zip(columns, dtypes))
+    )
+
+
+def table_rows(table: TransitionTable) -> list[tuple]:
+    """The table's ``(session_ref, step, action, reward, terminal)`` tuples,
+    each value a Python object."""
+    return list(zip(*(getattr(table, name).tolist() for name in TRANSITION_COLUMNS)))
+
+
+def row_transitions(sessions, catalog: ItemCatalog) -> TransitionTable:
     """Session-by-session walk: step 1 always, each later step only after a
     fully purchased one; the reward sums the purchased prices with ``sum``."""
-    transitions = []
+    rows = []
     for ref, s in enumerate(sessions):
         for step in (1, 2, 3):
             lo = (step - 1) * 3
@@ -66,11 +85,11 @@ def row_transitions(sessions, catalog: ItemCatalog) -> list[Transition]:
             labels = s.purchase_labels[lo : lo + 3]
             reward = sum(catalog.price(it) for it, lab in zip(row, labels) if lab)
             all_purchased = all(labels)
-            next_step = step + 1 if (all_purchased and step < 3) else None
-            transitions.append(Transition(ref, step, tuple(sorted(row)), float(reward), next_step))
+            terminal = not all_purchased or step == 3
+            rows.append((ref, step, tuple(sorted(row)), float(reward), terminal))
             if not all_purchased:
                 break
-    return transitions
+    return transition_table(rows)
 
 
 def adjusted_rand_index(labels_a, labels_b) -> float:
@@ -308,23 +327,25 @@ def toy_mdp(
                 continues = bool(step < 3 and rng.random() < 0.7)
                 outcomes[(c, step, a)] = (reward, continues)
 
-    transitions = []
+    rows = []
     clusters = []
     for _ in range(repeats):
         for (c, step, a), (reward, continues) in outcomes.items():
-            transitions.append(
-                Transition(len(transitions), step, a, reward, step + 1 if continues else None)
-            )
+            rows.append((len(rows), step, a, reward, not continues))
             clusters.append(c)
     if shuffle:
-        order = rng.permutation(len(transitions))
-        transitions = [transitions[i] for i in order]
-        clusters = [clusters[i] for i in order]
-        transitions = [
-            Transition(i, t.step, t.action, t.reward, t.next_step)
-            for i, t in enumerate(transitions)
-        ]
-    return catalog, transitions, clusters, outcomes
+        order = rng.permutation(len(rows))
+        rows = [(i, *rows[j][1:]) for i, j in enumerate(order)]
+        clusters = [clusters[j] for j in order]
+    return catalog, transition_table(rows), clusters, outcomes
+
+
+def backward_ordered(transitions: TransitionTable):
+    """The table's rows by falling step, stable, with session refs
+    renumbered in the new order; returns the table and the order."""
+    rows = table_rows(transitions)
+    order = sorted(range(len(rows)), key=lambda i: -rows[i][1])
+    return transition_table((i, *rows[j][1:]) for i, j in enumerate(order)), order
 
 
 def residual_sparse_pca(values, k, l1_penalty, zscore_mask, seed=0, max_iter=200, tol=1e-7):

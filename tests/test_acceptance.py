@@ -15,6 +15,7 @@ import pytest
 
 from oracles import (
     adjusted_rand_index,
+    backward_ordered,
     expected_policy_score,
     naive_metric_score,
     oracle_score,
@@ -23,12 +24,7 @@ from oracles import (
 )
 from qslate.cli import main
 from qslate.features import fit_sparse_pca
-from qslate.ingest import (
-    SyntheticConfig,
-    Transition,
-    generate_synthetic,
-    sessions_to_transitions,
-)
+from qslate.ingest import SyntheticConfig, generate_synthetic, sessions_to_transitions
 from qslate.metric import MetricConfig, holdout_split, score
 from qslate.pipeline import PipelineParams, fit_pipeline, recommend_for_sessions
 from qslate.qlearning import QTableBank, TrainConfig, export_policies, train
@@ -51,16 +47,6 @@ def criterion(num: int, label: str):
     line = f"[PASS] criterion {num}: {label} ({time.perf_counter() - started:.1f} s)"
     print(line)
     conftest.ACCEPTANCE_VERDICTS.append(line)
-
-
-def backward_ordered(transitions):
-    order = sorted(range(len(transitions)), key=lambda i: -transitions[i].step)
-    reindexed = [
-        Transition(i, transitions[j].step, transitions[j].action,
-                   transitions[j].reward, transitions[j].next_step)
-        for i, j in enumerate(order)
-    ]
-    return reindexed, order
 
 
 def test_criterion_1_bellman_fixpoint():
@@ -106,7 +92,8 @@ def test_criterion_2_metric_exactness():
         logged = [s.exposed_slate for s in corpus.sessions]
         logged_report = score(logged, corpus.sessions, corpus.catalog, MetricConfig(weights))
         transitions = sessions_to_transitions(corpus.sessions, corpus.catalog)
-        revenue = sum(weights[t.step - 1] * t.reward for t in transitions)
+        revenue = sum(weights[step - 1] * reward for step, reward
+                      in zip(transitions.step.tolist(), transitions.reward.tolist()))
         assert logged_report.score == revenue / len(corpus.sessions)
 
 

@@ -231,7 +231,9 @@ class TestEvaluate:
         manifest = json.loads((models / "manifest.json").read_text())
         _, validation = holdout_split(sessions, manifest["train_fraction"], manifest["seed"])
         transitions = sessions_to_transitions(validation, catalog)
-        expected = sum((1.0, 2.0, 3.0)[t.step - 1] * t.reward for t in transitions) / len(validation)
+        revenue = sum((1.0, 2.0, 3.0)[step - 1] * reward for step, reward
+                      in zip(transitions.step.tolist(), transitions.reward.tolist()))
+        expected = revenue / len(validation)
         assert logged["score"] == expected
 
     def test_corrupted_model_file_names_it(self, tmp_path, capsys):

@@ -1,11 +1,14 @@
 """Source checks that no runtime test would catch."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "qslate").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "qslate").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -73,3 +76,35 @@ def test_check_sees_an_unused_private_name():
         "def run(items: list[_Item]) -> int:\n    return _helper(_LIMIT)\n"
     )
     assert unused_private_names(source) == ["line 3: _SPARE", "line 8: _Dead"]
+
+
+# Arguments that ``perfbench/spans.py`` reads from a traced call by name or,
+# when passed positionally, by position: (module, function, name, position).
+BENCH_READ_ARGUMENTS = [
+    ("qlearning", "train", "transitions", 1),
+    ("qlearning", "train", "cfg", 3),
+    ("clustering", "merge_small_clusters", "counts", 1),
+    ("clustering", "fit_dbscan", "Z", 0),
+    ("pipeline", "save_models", "model_dir", 1),
+]
+
+
+@pytest.mark.parametrize(
+    "module, function, name, position", BENCH_READ_ARGUMENTS,
+    ids=[f"{m}.{f}.{n}" for m, f, n, _ in BENCH_READ_ARGUMENTS],
+)
+def test_bench_read_argument_keeps_name_and_position(module, function, name, position):
+    fn = getattr(importlib.import_module(f"qslate.{module}"), function)
+    params = list(inspect.signature(fn).parameters.values())
+    assert len(params) > position
+    assert params[position].name == name
+    assert params[position].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+
+
+def test_bench_read_arguments_list_every_read_in_spans():
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    reads = {
+        (node.args[3].value, node.args[2].value) for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_arg"
+    }
+    assert reads == {(name, position) for _, _, name, position in BENCH_READ_ARGUMENTS}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import make_catalog, make_session
-from oracles import row_transitions
+from oracles import TRANSITION_COLUMNS, row_transitions, table_rows
 from qslate import ingest
 from qslate.errors import DataError
 from qslate.ingest import (
@@ -15,6 +15,7 @@ from qslate.ingest import (
     ItemCatalog,
     ItemRecord,
     SyntheticConfig,
+    TransitionTable,
     generate_synthetic,
     parse_items,
     parse_sessions,
@@ -236,24 +237,24 @@ class TestTransitions:
     def test_full_purchase_session(self, catalog9):
         s = make_session([True] * 9)
         trans = sessions_to_transitions([s], catalog9)
-        assert [t.reward for t in trans] == [6.0, 15.0, 24.0]
-        assert [t.next_step for t in trans] == [2, 3, None]
-        assert [t.step for t in trans] == [1, 2, 3]
-        assert trans[0].action == (1, 2, 3)
+        assert trans.reward.tolist() == [6.0, 15.0, 24.0]
+        assert trans.terminal.tolist() == [False, False, True]
+        assert trans.step.tolist() == [1, 2, 3]
+        assert trans.action[0] == (1, 2, 3)
 
     def test_termination_at_first_step(self, catalog9):
         s = make_session([True, True, False] + [True] * 6)
         trans = sessions_to_transitions([s], catalog9)
         assert len(trans) == 1
-        assert trans[0].reward == 1.0 + 2.0
-        assert trans[0].next_step is None
+        assert trans.reward[0] == 1.0 + 2.0
+        assert trans.terminal[0]
 
     def test_second_step_termination(self, catalog9):
         s = make_session([True] * 3 + [False, True, True] + [True] * 3)
         trans = sessions_to_transitions([s], catalog9)
         assert len(trans) == 2
-        assert trans[1].reward == 5.0 + 6.0
-        assert trans[1].next_step is None
+        assert trans.reward[1] == 5.0 + 6.0
+        assert trans.terminal[1]
 
     def test_corpus_count_matches_brute_force(self):
         corpus = generate_synthetic(
@@ -287,7 +288,7 @@ class TestTransitions:
             for it, lab in zip(s.exposed_slate[:prefix_end], labels[:prefix_end])
             if lab
         )
-        assert sum(t.reward for t in trans) == expected
+        assert sum(trans.reward.tolist()) == expected
 
     @given(case=labelled_sessions(), block=st.sampled_from([1, 2, 4096]))
     @example(case=priced_case([-0.0], [True] * 9), block=4096)
@@ -298,15 +299,12 @@ class TestTransitions:
         sessions, catalog = case
         with mock.patch.object(ingest, "_BLOCK", block):
             table = sessions_to_transitions(sessions, catalog)
-        expected = [repr(t) for t in row_transitions(sessions, catalog)]
-        assert [repr(t) for t in table] == expected
-        assert [repr(table[i]) for i in range(len(table))] == expected
-
-    def test_row_view_indexes_like_a_list(self, catalog9):
-        table = sessions_to_transitions([make_session([True] * 9)], catalog9)
-        assert table[-1] == list(table)[2]
-        with pytest.raises(IndexError):
-            table[3]
+        expected = row_transitions(sessions, catalog)
+        for name in TRANSITION_COLUMNS:
+            column, oracle = getattr(table, name), getattr(expected, name)
+            assert column.dtype == oracle.dtype, name
+            # repr tells -0.0 from 0.0 and any last-bit difference of a sum.
+            assert list(map(repr, column.tolist())) == list(map(repr, oracle.tolist())), name
 
     @pytest.mark.parametrize(
         "slate, labels",
@@ -338,21 +336,62 @@ class TestTransitions:
             )
         )
         trans = sessions_to_transitions(corpus.sessions, corpus.catalog)
-        for t in trans:
-            assert t.action == tuple(sorted(t.action))
-            assert len(set(t.action)) == 3
-            assert {corpus.catalog.location(i) for i in t.action} == {t.step}
-            assert t.reward >= 0
-            sess = corpus.sessions[t.session_ref]
-            lo = (t.step - 1) * 3
+        for ref, step, action, reward, terminal in table_rows(trans):
+            assert action == tuple(sorted(action))
+            assert len(set(action)) == 3
+            assert {corpus.catalog.location(i) for i in action} == {step}
+            assert reward >= 0
+            sess = corpus.sessions[ref]
+            lo = (step - 1) * 3
             row_purchased = sum(
                 corpus.catalog.price(it)
                 for it, lab in zip(sess.exposed_slate[lo : lo + 3], sess.purchase_labels[lo : lo + 3])
                 if lab
             )
-            assert t.reward == row_purchased
+            assert reward == row_purchased
             all_bought = all(sess.purchase_labels[lo : lo + 3])
-            assert t.next_step == (t.step + 1 if all_bought and t.step < 3 else None)
+            assert terminal == (not all_bought or step == 3)
+
+
+def table_columns(**replaced):
+    """The columns of a valid 3-row transition table, some replaced."""
+    columns = dict(
+        session_ref=np.array([0, 0, 1], np.int64),
+        step=np.array([1, 2, 1], np.int64),
+        action=np.fromiter([(1, 2, 3), (4, 5, 6), (1, 2, 3)], object, 3),
+        reward=np.array([6.0, 15.0, 0.0]),
+        terminal=np.array([False, True, True]),
+    )
+    return {**columns, **replaced}
+
+
+class TestTransitionTable:
+    def test_valid_columns_accepted(self):
+        assert len(TransitionTable(**table_columns())) == 3
+
+    def test_short_column_does_not_broadcast(self):
+        # Unchecked, a 1-row step column would train as three step-1 rows.
+        with pytest.raises(DataError, match="column step has length 1, session_ref has length 3$"):
+            TransitionTable(**table_columns(step=np.array([1], np.int64)))
+
+    @pytest.mark.parametrize(
+        "name, column, match",
+        [
+            ("session_ref", [0, 0, 1], "column session_ref is not a 1-D array"),
+            ("reward", np.array([[6.0, 15.0, 0.0]]), "column reward is not a 1-D array"),
+            ("terminal", np.array([False, True]), "column terminal has length 2, session_ref has"),
+            ("session_ref", np.array([0.0, 0.0, 1.0]), "column session_ref has dtype float64"),
+            ("step", np.array([1, 2, 1], np.uint64), "column step has dtype uint64"),
+            ("action", np.array([1, 2, 3]), "column action has dtype int64, expected object"),
+            ("reward", np.array([6, 15, 0]), "column reward has dtype int64"),
+            ("terminal", np.array([0, 1, 1]), "column terminal has dtype int64, expected bool"),
+        ],
+        ids=["list", "2-D", "short", "float-ref", "uint-step", "int-action", "int-reward",
+             "int-terminal"],
+    )
+    def test_bad_column_rejected(self, name, column, match):
+        with pytest.raises(DataError, match=match):
+            TransitionTable(**table_columns(**{name: column}))
 
 
 class TestGenerator:

@@ -80,7 +80,9 @@ class TestScore:
         logged = [s.exposed_slate for s in corpus.sessions]
         report = score(logged, corpus.sessions, corpus.catalog, MetricConfig(weights))
         transitions = sessions_to_transitions(corpus.sessions, corpus.catalog)
-        expected = sum(weights[t.step - 1] * t.reward for t in transitions) / len(corpus.sessions)
+        revenue = sum(weights[step - 1] * reward for step, reward
+                      in zip(transitions.step.tolist(), transitions.reward.tolist()))
+        expected = revenue / len(corpus.sessions)
         assert report.score == expected
 
     def test_errors(self, catalog9):

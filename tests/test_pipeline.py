@@ -46,8 +46,7 @@ def test_merged_clusters_respect_support(corpus):
     transitions = sessions_to_transitions(corpus.sessions, corpus.catalog)
     raw = build_raw_features(corpus.sessions, corpus.catalog)
     assigned = model.cluster_model.assign_many(transform(raw, model.components))[raw.rows]
-    counts = np.bincount([assigned[t.session_ref] for t in transitions],
-                         minlength=stats.n_clusters)
+    counts = np.bincount(assigned[transitions.session_ref], minlength=stats.n_clusters)
     assert stats.n_clusters < 10 or (counts >= 400).all()
     if stats.n_clusters > 1:
         assert (counts >= 400).all()
@@ -59,7 +58,7 @@ def test_merge_stage_counts_transitions(corpus):
     transitions = sessions_to_transitions(corpus.sessions, corpus.catalog)
     raw = build_raw_features(corpus.sessions, corpus.catalog)
     assigned = model.cluster_model.assign_many(transform(raw, model.components))[raw.rows]
-    counts = np.bincount([assigned[t.session_ref] for t in transitions], minlength=4)
+    counts = np.bincount(assigned[transitions.session_ref], minlength=4)
     # Every cluster has fewer sessions than transitions, so a support of the
     # smallest transition count merges nothing only if transitions are counted.
     assert (np.array(stats.cluster_sizes) < counts).all()

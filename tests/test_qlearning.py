@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    backward_ordered,
     exponentially_weighted_value,
     single_phase_q_learning,
+    table_rows,
     toy_mdp,
+    transition_table,
     value_iteration,
 )
 from qslate import qlearning
@@ -17,8 +20,6 @@ from qslate.errors import DataError, TrainError
 from qslate.ingest import (
     STEPS,
     SyntheticConfig,
-    Transition,
-    TransitionTable,
     generate_synthetic,
     sessions_to_transitions,
 )
@@ -37,16 +38,16 @@ def reference_trainer(n_clusters, transitions, clusters, alpha, gamma, epochs):
     """Naive single-threaded trainer with a full max scan per update."""
     tables = {(c, s): {} for c in range(n_clusters) for s in (1, 2, 3)}
     for _ in range(epochs):
-        for t in transitions:
-            cid = clusters[t.session_ref]
-            if t.next_step is None:
+        for ref, step, action, reward, terminal in table_rows(transitions):
+            cid = clusters[ref]
+            if terminal:
                 future = 0.0
             else:
-                nxt = tables[(cid, t.step + 1)]
+                nxt = tables[(cid, step + 1)]
                 future = max([cell[0] for cell in nxt.values()] + [0.0])
-            target = t.reward + gamma * future
-            tab = tables[(cid, t.step)]
-            cell = tab.setdefault(t.action, [0.0, 0])
+            target = reward + gamma * future
+            tab = tables[(cid, step)]
+            cell = tab.setdefault(action, [0.0, 0])
             cell[0] += alpha * (target - cell[0])
             cell[1] += 1
     return tables
@@ -71,13 +72,11 @@ def training_cases(draw):
               for _ in range(n_clusters)]
     picks = st.tuples(st.integers(0, n_clusters - 1), st.integers(0, 2), st.integers(0, 2),
                       VALUES, st.booleans())
-    transitions, clusters = [], []
+    rows, clusters = [], []
     for c, step_pick, slate_pick, reward, terminal in draw(st.lists(picks, max_size=60)):
         step = logged[c][step_pick % len(logged[c])]
         slate = SLATES[step][slate_pick % len(SLATES[step])]
-        terminal = terminal or step == STEPS[-1]
-        transitions.append(Transition(len(transitions), step, slate, reward,
-                                      None if terminal else step + 1))
+        rows.append((len(rows), step, slate, reward, terminal or step == STEPS[-1]))
         clusters.append(c)
     bank = QTableBank(n_clusters)
     pretrained = st.tuples(st.integers(0, n_clusters - 1), st.sampled_from(STEPS),
@@ -90,7 +89,7 @@ def training_cases(draw):
         epochs=draw(st.integers(1, 6)),
         **draw(st.sampled_from([{"deterministic": True}, {"threads": 2}])),
     )
-    return bank, transitions, clusters, cfg
+    return bank, transition_table(rows), clusters, cfg
 
 
 def exact_cells(tables):
@@ -146,8 +145,8 @@ class TestTrainConfig:
 class TestTrain:
     def test_single_terminal_transition(self):
         bank = QTableBank(1)
-        t = Transition(0, 3, (7, 8, 9), 10.0, None)
-        train(bank, [t], [0], TrainConfig(alpha=0.1, gamma=0.9, epochs=1, deterministic=True))
+        t = transition_table([(0, 3, (7, 8, 9), 10.0, True)])
+        train(bank, t, [0], TrainConfig(alpha=0.1, gamma=0.9, epochs=1, deterministic=True))
         assert bank.q_value(0, 3, (7, 8, 9)) == pytest.approx(1.0)
         assert bank.visit_count(0, 3, (7, 8, 9)) == 1
         assert bank.n_cells() == 1
@@ -155,19 +154,14 @@ class TestTrain:
     def test_two_step_chain_bootstraps_from_next_table(self):
         bank = QTableBank(1)
         bank.tables[(0, 2)][(4, 5, 6)] = [5.0, 5]
-        t = Transition(0, 1, (1, 2, 3), 2.0, 2)
-        train(bank, [t], [0], TrainConfig(alpha=1.0, gamma=0.5, epochs=1, deterministic=True))
+        t = transition_table([(0, 1, (1, 2, 3), 2.0, False)])
+        train(bank, t, [0], TrainConfig(alpha=1.0, gamma=0.5, epochs=1, deterministic=True))
         assert bank.q_value(0, 1, (1, 2, 3)) == pytest.approx(2.0 + 0.5 * 5.0)
 
     def test_backward_alpha_one_matches_value_iteration(self):
         catalog, transitions, clusters, outcomes = toy_mdp()
         qstar = value_iteration(outcomes, gamma=0.9)
-        order = sorted(range(len(transitions)), key=lambda i: -transitions[i].step)
-        ordered = [
-            Transition(i, transitions[j].step, transitions[j].action,
-                       transitions[j].reward, transitions[j].next_step)
-            for i, j in enumerate(order)
-        ]
+        ordered, order = backward_ordered(transitions)
         ordered_clusters = [clusters[j] for j in order]
         bank = QTableBank(3)
         train(bank, ordered, ordered_clusters,
@@ -186,12 +180,7 @@ class TestTrain:
 
     def test_second_alpha_one_epoch_is_a_fixpoint(self):
         _, transitions, clusters, _ = toy_mdp()
-        order = sorted(range(len(transitions)), key=lambda i: -transitions[i].step)
-        ordered = [
-            Transition(i, transitions[j].step, transitions[j].action,
-                       transitions[j].reward, transitions[j].next_step)
-            for i, j in enumerate(order)
-        ]
+        ordered, order = backward_ordered(transitions)
         ordered_clusters = [clusters[j] for j in order]
         one = QTableBank(3)
         train(one, ordered, ordered_clusters,
@@ -227,7 +216,8 @@ class TestTrain:
         _, transitions, clusters, _ = toy_mdp(n_clusters=2)
         bank = QTableBank(4)  # two extra clusters never touched
         train(bank, transitions, clusters, TrainConfig(epochs=2, deterministic=True))
-        touched = {(c, t.step, t.action) for t, c in zip(transitions, clusters)}
+        touched = {(clusters[ref], step, action)
+                   for ref, step, action, _, _ in table_rows(transitions)}
         stored = {(c, s, a) for c, s, a, _, _ in bank.cells()}
         assert stored == touched
         for s in (1, 2, 3):
@@ -242,14 +232,13 @@ class TestTrain:
     )
     def test_q_values_bounded(self, rewards, alpha, gamma, epochs):
         rng = np.random.default_rng(len(rewards))
-        transitions = []
+        rows = []
         for i, r in enumerate(rewards):
             step = int(rng.integers(1, 4))
             base = {1: (1, 2, 3), 2: (4, 5, 6), 3: (7, 8, 9)}[step]
             terminal = step == 3 or bool(rng.integers(2))
-            transitions.append(
-                Transition(i, step, base, float(r), None if terminal else step + 1)
-            )
+            rows.append((i, step, base, float(r), terminal))
+        transitions = transition_table(rows)
         bank = QTableBank(1)
         train(bank, transitions, [0] * len(transitions),
               TrainConfig(alpha=alpha, gamma=gamma, epochs=epochs, deterministic=True))
@@ -260,9 +249,9 @@ class TestTrain:
 
     def test_gamma_zero_is_exponentially_weighted_reward_average(self):
         rewards = [3.0, 7.0, 1.0, 9.0, 4.0]
-        transitions = [
-            Transition(i, 1, (1, 2, 3), r, 2) for i, r in enumerate(rewards)
-        ]
+        transitions = transition_table(
+            (i, 1, (1, 2, 3), r, False) for i, r in enumerate(rewards)
+        )
         bank = QTableBank(1)
         train(bank, transitions, [0] * len(rewards),
               TrainConfig(alpha=0.3, gamma=0.0, epochs=1, deterministic=True))
@@ -271,49 +260,78 @@ class TestTrain:
 
     def test_unknown_cluster_rejected(self):
         bank = QTableBank(1)
-        t = Transition(0, 1, (1, 2, 3), 1.0, None)
+        t = transition_table([(0, 1, (1, 2, 3), 1.0, True)])
         with pytest.raises(TrainError, match="cluster"):
-            train(bank, [t], [5], TrainConfig(deterministic=True))
+            train(bank, t, [5], TrainConfig(deterministic=True))
+
+    @pytest.mark.parametrize(
+        "clusters",
+        [[0.9, 1.7], np.array([0.0, 1.0]), np.array([True, False]), ["0", "1"]],
+        ids=["float-list", "float-array", "bool-array", "str-list"],
+    )
+    def test_non_integer_clusters_rejected(self, clusters):
+        bank = QTableBank(2)
+        t = transition_table([(0, 1, (1, 2, 3), 1.0, True), (1, 1, (1, 2, 4), 1.0, True)])
+        with pytest.raises(TrainError, match="cluster ids must be integers, got dtype"):
+            train(bank, t, clusters, TrainConfig(deterministic=True))
+        assert bank.n_cells() == 0
+
+    @pytest.mark.parametrize(
+        "clusters",
+        [[0, 1], np.array([0, 1]), np.array([0, 1], np.int32), np.array([0, 1], np.uint8)],
+        ids=["int-list", "int64-array", "int32-array", "uint8-array"],
+    )
+    def test_integer_clusters_accepted(self, clusters):
+        bank = QTableBank(2)
+        t = transition_table([(0, 1, (1, 2, 3), 1.0, True), (1, 1, (1, 2, 4), 1.0, True)])
+        train(bank, t, clusters, TrainConfig(epochs=1, deterministic=True))
+        assert bank.visit_count(0, 1, (1, 2, 3)) == bank.visit_count(1, 1, (1, 2, 4)) == 1
+
+    def test_empty_stream_takes_an_empty_cluster_list(self):
+        bank = QTableBank(1)
+        train(bank, transition_table([]), [], TrainConfig(deterministic=True))
+        assert bank.n_cells() == 0
 
     @pytest.mark.parametrize("ref", [2, -1])
     def test_missing_assignment_rejected(self, ref):
         bank = QTableBank(2)
-        t = Transition(ref, 1, (1, 2, 3), 1.0, None)
+        t = transition_table([(ref, 1, (1, 2, 3), 1.0, True)])
         with pytest.raises(TrainError, match=f"no cluster assignment for session {ref}$"):
-            train(bank, [t], [0, 1], TrainConfig(deterministic=True))
+            train(bank, t, [0, 1], TrainConfig(deterministic=True))
         assert bank.n_cells() == 0
 
     def test_non_finite_reward_rejected(self):
         bank = QTableBank(1)
-        t = Transition(0, 1, (1, 2, 3), math.nan, None)
+        t = transition_table([(0, 1, (1, 2, 3), math.nan, True)])
         with pytest.raises(TrainError, match="finite"):
-            train(bank, [t], [0], TrainConfig(deterministic=True))
+            train(bank, t, [0], TrainConfig(deterministic=True))
 
+    # ``leads_to`` is the step that the transition leads to, None if terminal.
     @pytest.mark.parametrize(
-        "step, next_step, match",
+        "step, leads_to, match",
         [(4, None, "unknown step 4"), (0, 1, "unknown step 0"), (3, 4, "past step 3")],
     )
-    def test_transition_without_table_rejected(self, step, next_step, match):
-        t = Transition(0, step, (7, 8, 9), 1.0, next_step)
+    def test_transition_without_table_rejected(self, step, leads_to, match):
+        t = transition_table([(0, step, (7, 8, 9), 1.0, leads_to is None)])
         with pytest.raises(TrainError, match=match):
-            train(QTableBank(1), [t], [0], TrainConfig(deterministic=True))
+            train(QTableBank(1), t, [0], TrainConfig(deterministic=True))
 
     def test_leaf_reads_only_its_own_clusters_next_table(self):
         # In each epoch cluster 1's step-1 item comes before any update of
         # its step-2 table, right after an update of cluster 0's.
-        transitions = [
-            Transition(0, 2, (5, 6, 7), 9.0, None),
-            Transition(1, 1, (1, 2, 3), 1.0, 2),
-            Transition(2, 2, (5, 6, 8), 4.0, None),
-            Transition(3, 1, (1, 2, 4), 0.0, 2),
+        rows = [
+            (0, 2, (5, 6, 7), 9.0, True),
+            (1, 1, (1, 2, 3), 1.0, False),
+            (2, 2, (5, 6, 8), 4.0, True),
+            (3, 1, (1, 2, 4), 0.0, False),
         ]
         clusters = [0, 1, 1, 0]
         bank = QTableBank(2)
-        train(bank, transitions, clusters, TrainConfig(alpha=0.5, epochs=3, deterministic=True))
+        train(bank, transition_table(rows), clusters,
+              TrainConfig(alpha=0.5, epochs=3, deterministic=True))
         expected = QTableBank(2).tables
         single_phase_q_learning(
-            expected, [(c, t.step, t.action, t.reward, t.next_step is None)
-                       for t, c in zip(transitions, clusters)], 0.5, 0.9, 3,
+            expected, [(clusters[ref], *row) for ref, *row in rows], 0.5, 0.9, 3,
         )
         assert exact_cells(bank.tables) == exact_cells(expected)
 
@@ -322,8 +340,7 @@ class TestTrain:
     def test_matches_single_phase_oracle_bit_for_bit(self, case):
         bank, transitions, clusters, cfg = case
         expected = copy.deepcopy(bank.tables)
-        stream = [(clusters[t.session_ref], t.step, t.action, t.reward, t.next_step is None)
-                  for t in transitions]
+        stream = [(clusters[ref], *row) for ref, *row in table_rows(transitions)]
         single_phase_q_learning(expected, stream, cfg.alpha, cfg.gamma, cfg.epochs)
         train(bank, transitions, clusters, cfg)
         assert exact_cells(bank.tables) == exact_cells(expected)
@@ -356,7 +373,7 @@ class TestParallelTraining:
         # 4, 1, 3: jobs outnumber workers and start out of cluster-id order.
         shares = [2] * 6 + [0] * 4 + [4] * 3 + [1] * 2 + [3]
         clusters = [shares[s.user_id % len(shares)] for s in corpus.sessions]
-        volumes = np.bincount([clusters[t.session_ref] for t in transitions], minlength=5)
+        volumes = np.bincount(np.array(clusters)[transitions.session_ref], minlength=5)
         assert np.all(np.diff(volumes[[2, 0, 4, 1, 3]]) < 0) and volumes.min() > 0
         serial = QTableBank(5)
         train(serial, transitions, clusters,
@@ -408,21 +425,8 @@ class TestParallelTraining:
 
 
 class TestTrainInput:
-    """A TransitionTable and its rows as Transition objects train alike."""
-
-    @pytest.mark.parametrize("mode", [{"deterministic": True}, {"threads": 2}])
-    def test_table_and_rows_train_identical_tables(self, mode):
-        corpus = generate_synthetic(
-            SyntheticConfig(num_items=18, num_users=80, num_sessions=1200, seed=59,
-                            preference_scale=2.0, base_appeal=0.4)
-        )
-        table = sessions_to_transitions(corpus.sessions, corpus.catalog)
-        clusters = [corpus.truth.user_groups[s.user_id] for s in corpus.sessions]
-        from_table, from_rows = QTableBank(4), QTableBank(4)
-        train(from_table, table, clusters, TrainConfig(epochs=3, **mode))
-        train(from_rows, list(table), clusters, TrainConfig(epochs=3, **mode))
-        assert from_table.n_cells() > 0
-        assert exact_cells(from_table.tables) == exact_cells(from_rows.tables)
+    """A bad transition stream raises one TrainError that names its first bad
+    transition, and trains nothing."""
 
     @pytest.mark.parametrize(
         "ref, step, reward, terminal, clusters, match",
@@ -436,19 +440,12 @@ class TestTrainInput:
     )
     def test_table_and_rows_raise_the_same_error(self, ref, step, reward, terminal,
                                                   clusters, match):
-        table = TransitionTable(
-            session_ref=np.array([0, ref], np.int64),
-            step=np.array([1, step], np.int64),
-            action=np.fromiter([(1, 2, 3), (7, 8, 9)], object, 2),
-            reward=np.array([2.0, reward]),
-            terminal=np.array([False, terminal]),
-        )
-        messages = []
-        for transitions in (table, list(table)):
-            with pytest.raises(TrainError, match=match) as err:
-                train(QTableBank(2), transitions, clusters, TrainConfig(deterministic=True))
-            messages.append(str(err.value))
-        assert messages[0] == messages[1]
+        table = transition_table([(0, 1, (1, 2, 3), 2.0, False),
+                                  (ref, step, (7, 8, 9), reward, terminal)])
+        bank = QTableBank(2)
+        with pytest.raises(TrainError, match=match):
+            train(bank, table, clusters, TrainConfig(deterministic=True))
+        assert bank.n_cells() == 0
 
 
 @pytest.fixture
@@ -532,8 +529,9 @@ class TestPolicies:
         clusters = [corpus.truth.user_groups[s.user_id] for s in corpus.sessions]
         bank = QTableBank(4)
         train(bank, transitions, clusters, TrainConfig(epochs=2, deterministic=True))
-        observed = {(clusters[t.session_ref], t.step, t.action) for t in transitions}
-        observed_any = {(t.step, t.action) for t in transitions}
+        rows = table_rows(transitions)
+        observed = {(clusters[ref], step, action) for ref, step, action, _, _ in rows}
+        observed_any = {(step, action) for _, step, action, _, _ in rows}
         for cid in range(4):
             for step, slate in enumerate(greedy_policy(bank, cid, corpus.catalog, 3), 1):
                 assert ((cid, step, slate) in observed) or ((step, slate) in observed_any)
