@@ -298,37 +298,42 @@ def parse_users(text: str, catalog: ItemCatalog) -> list[UserRecord]:
     return users
 
 
-# Each ``TransitionTable`` column's name, numpy dtype kind and kind in words.
+# Each ``TransitionTable`` column's name, numpy dtype kind, kind in words
+# and row shape.
 _TABLE_COLUMNS = (
-    ("session_ref", "i", "a signed integer dtype"),
-    ("step", "i", "a signed integer dtype"),
-    ("action", "O", "object"),
-    ("reward", "f", "a float dtype"),
-    ("terminal", "b", "bool"),
+    ("session_ref", "i", "a signed integer dtype", ()),
+    ("step", "i", "a signed integer dtype", ()),
+    ("action", "i", "a signed integer dtype", (3,)),
+    ("reward", "f", "a float dtype", ()),
+    ("terminal", "b", "bool", ()),
 )
 
 
 @dataclass(frozen=True, eq=False)
 class TransitionTable:
-    """Training transitions as five 1-D columns of one length, one row per
-    transition.  A terminal row ends its session's episode; any other row
-    leads to the next step of the same session.
+    """Training transitions as five columns of one length, one row per
+    transition: ``action`` is n×3, each row a slate's items in ascending
+    order, and the others are 1-D.  A terminal row ends its session's
+    episode; any other row leads to the next step of the same session.
 
     Construction raises :class:`DataError`, naming the column, when a column
-    is not a 1-D array of its kind or not as long as ``session_ref``.
+    is not an array of its shape and kind or not as long as ``session_ref``,
+    and naming the first bad row when an action's items do not strictly
+    ascend.
     """
 
     session_ref: np.ndarray  # signed integer
     step: np.ndarray  # signed integer
-    action: np.ndarray  # object: each row's sorted 3-item tuple
+    action: np.ndarray  # signed integer, n×3
     reward: np.ndarray  # float
     terminal: np.ndarray  # bool
 
     def __post_init__(self) -> None:
-        for name, kind, what in _TABLE_COLUMNS:
+        for name, kind, what, row in _TABLE_COLUMNS:
             column = getattr(self, name)
-            if not isinstance(column, np.ndarray) or column.ndim != 1:
-                raise DataError(f"transition column {name} is not a 1-D array")
+            if not isinstance(column, np.ndarray) or column.shape[1:] != row or column.ndim == 0:
+                shape = "an n×3" if row else "a 1-D"
+                raise DataError(f"transition column {name} is not {shape} array")
             if column.dtype.kind != kind:
                 raise DataError(f"transition column {name} has dtype {column.dtype}, expected {what}")
             # session_ref, checked first, sets the length.
@@ -337,6 +342,13 @@ class TransitionTable:
                     f"transition column {name} has length {len(column)}, "
                     f"session_ref has length {len(self.session_ref)}"
                 )
+        ascends = (np.diff(self.action, axis=1) > 0).all(axis=1)
+        if not ascends.all():
+            i = int(ascends.argmin())
+            raise DataError(
+                f"transition row {i} has action {tuple(self.action[i].tolist())}, "
+                "not 3 strictly ascending items"
+            )
 
     def __len__(self) -> int:
         return len(self.step)
@@ -393,12 +405,11 @@ def _block_transitions(sessions, lo: int, ids: np.ndarray, prices: np.ndarray):
     reach = np.ones_like(full)
     reach[:, 1:] = np.logical_and.accumulate(full[:, :-1], axis=1)
     ref, at_step = np.nonzero(reach)
-    rows = np.sort(slates[ref, at_step], axis=1)
     paid = np.where(labels[ref, at_step], prices[at[ref, at_step]], 0.0)
     return (
         ref + lo,
         at_step + STEPS[0],
-        np.fromiter(zip(*rows.T.tolist()), object, len(ref)),
+        np.sort(slates[ref, at_step], axis=1),
         # The order of Python's sum over the purchased prices, bit for bit.
         ((0.0 + paid[:, 0]) + paid[:, 1]) + paid[:, 2],
         ~full[ref, at_step] | (at_step == len(STEPS) - 1),

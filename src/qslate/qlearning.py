@@ -11,22 +11,17 @@ where the inner max ranges over the stored next-step actions of the same
 cluster and transitions into the terminal state use the target ``r`` alone.
 
 A table's maximum is read only by the non-terminal transitions of the step
-before in the same cluster.  A table that some transition reads is *read*;
-every other table (every step-1 table among them) is a *leaf*.  The trainer,
-``_train_serial``, runs in two phases, epoch by epoch:
-
-1. the updates of read tables, in stream order, through one loop that keeps
-   each table's running maximum incrementally (rescanning only when the
-   maximal cell decreases) and records it after every update;
-2. the leaf updates: a non-terminal leaf target reads the recorded maximum
-   of the next step's table at its last update before the leaf update, and
-   each leaf cell folds its targets in order, vectorised across cells.
-
-A leaf table's updates read nothing that phase 2 lacks and are read by
-nothing, so the two phases give the tables, bit for bit and in insertion
-order, that one loop over every update in stream order gives.  ``train``
-takes the columns of a transition table as one stream, which both of its
-drivers read as it is:
+before in the same cluster, so the trainer, ``_train_serial``, folds one
+step at a time, from 3 down to 1, epoch by epoch.  Each step's cells fold
+their targets by occurrence rank, vectorised across cells.  A non-terminal
+target reads the next step's table maximum after that table's last update
+before it: an interval-stabbing maximum over the table's cell values, each
+of which holds from its update until the cell's next update or the table's
+end (a stored value holds from the table's start).  A step's updates read
+only the step after it, so the fold gives the tables, bit for bit and in
+insertion order, that one loop over every update in stream order gives.
+``train`` takes the columns of a transition table as one stream, which both
+of its drivers read as it is:
 
 * in process (used when ``deterministic``, or when the threads or the
   stream's clusters number one);
@@ -40,10 +35,10 @@ drivers read as it is:
 from __future__ import annotations
 
 import gc
+import math
 import multiprocessing
-from array import array
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -145,6 +140,9 @@ class QTableBank:
 
     @classmethod
     def load(cls, path: str | Path) -> tuple["QTableBank", str | None]:
+        """Read a saved bank; a cell whose slate is not 3 strictly ascending
+        ints, whose q is not finite or whose visits are below 1 raises
+        :class:`ModelFileError` naming ``path``."""
         def build(payload: dict) -> "QTableBank":
             bank = cls(int(payload["n_clusters"]))
             for c_str, steps in payload["tables"].items():
@@ -152,7 +150,12 @@ class QTableBank:
                     tab = bank.tables[bank._key(int(c_str), int(s_str))]
                     for slate_str, (q, visits) in cells.items():
                         slate = tuple(int(i) for i in slate_str.split("-"))
-                        tab[slate] = [float(q), int(visits)]
+                        q, visits = float(q), int(visits)
+                        if len(slate) != 3 or not slate[0] < slate[1] < slate[2]:
+                            raise DataError(f"cell {slate_str!r} is not 3 ascending items")
+                        if not math.isfinite(q) or visits < 1:
+                            raise DataError(f"cell {slate_str!r} has q {q}, visits {visits}")
+                        tab[slate] = [q, visits]
             return bank
 
         return read_model_file(path, QTABLES_FORMAT, QTABLES_VERSION, build)
@@ -171,7 +174,7 @@ class _Stream:
     """The prepared transitions as columns, one row per transition."""
 
     tid: np.ndarray  # int64 table id
-    action: np.ndarray  # object: each transition's own slate tuple
+    action: np.ndarray  # int64, n×3: each transition's own slate
     reward: np.ndarray  # float64
     terminal: np.ndarray  # bool
 
@@ -210,147 +213,156 @@ def _prepare_stream(
     return _Stream(cid * _WIDTH + step, transitions.action, reward, terminal)
 
 
-class _LeafFold:
-    """Phase 2: the updates of every table that no transition reads.
+class _IntervalMax:
+    """Each of ``size`` points' maximum over 0.0 and the values of the
+    fixed intervals ``[lo, hi)`` that contain it.
 
-    A leaf item's target reads at most the next step's table, which is read
-    and so trained in phase 1; phase 1 records that table's maximum after
-    each of its updates.  What does not depend on those maxima (the cells,
-    the fold order, the record each lookup lands on) is fixed here once, so
-    an epoch costs one gather and one vector step per occurrence rank.
+    The intervals are covered once by the nodes of a bottom-up segment tree
+    (node ``i`` has children ``2i`` and ``2i + 1``; point ``p`` is leaf
+    ``size + p``), so a call with new values costs one gather over the
+    covering nodes and one downward pass per tree level.  A maximum does no
+    arithmetic, so it is exact.
     """
 
-    def __init__(self, tabs, stream: _Stream, is_read: np.ndarray, alpha: float, gamma: float):
-        self.alpha, self.gamma = alpha, gamma
-        n, tid = len(stream.tid), stream.tid
-        leaf_at, inner_at = np.flatnonzero(~is_read), np.flatnonzero(is_read)
-        leaves = stream.take(leaf_at)
-        # Cells number table by table, each table's in first-appearance order.
-        self.ids: list[dict[Slate, int]] = [{} for _ in tabs]
-        local = np.fromiter(
-            (self.ids[t].setdefault(a, len(self.ids[t]))
-             for t, a in zip(leaves.tid.tolist(), leaves.action.tolist())),
-            np.int64, len(leaf_at),
-        )
-        offset = np.cumsum([0] + [len(d) for d in self.ids])
-        cell = offset[leaves.tid] + local
-        n_cells = int(offset[-1])
-        counts = np.bincount(cell, minlength=n_cells)
-        self.counts = counts.tolist()
-        # Label cells by falling count, so that the cells with a k-th
-        # occurrence in an epoch are labels 0 .. widths[k]-1.
-        self.label = np.empty(n_cells, np.int64)
-        self.label[np.argsort(-counts, kind="stable")] = np.arange(n_cells)
-        rank = np.empty(len(cell), np.int64)
-        rank[np.argsort(cell, kind="stable")] = np.arange(len(cell)) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        self.widths = np.bincount(rank).tolist()
-        fold = np.lexsort((self.label[cell], rank))
+    def __init__(self, lo: np.ndarray, hi: np.ndarray, size: int):
+        self.size = size
+        src = np.flatnonzero(lo < hi)
+        lo, hi = lo[src] + size, hi[src] + size
+        nodes, srcs = [src[:0]], [src[:0]]  # empty arrays, for when no interval holds a point
+        while len(src):
+            odd = (lo & 1).astype(np.bool_)
+            nodes.append(lo[odd])
+            srcs.append(src[odd])
+            lo = (lo + odd) >> 1
+            odd = (hi & 1).astype(np.bool_)
+            nodes.append(hi[odd] - 1)
+            srcs.append(src[odd])
+            hi = hi >> 1
+            keep = lo < hi
+            lo, hi, src = lo[keep], hi[keep], src[keep]
+        self.nodes, self.src = np.concatenate(nodes), np.concatenate(srcs)
 
-        reward = leaves.reward[fold]
-        self.targets = reward  # terminal targets; the others are set each epoch
-        self.nt_pos = np.flatnonzero(~leaves.terminal[fold])
-        self.nt_reward = reward[self.nt_pos]
-        nt_at = leaf_at[fold[self.nt_pos]]
-        self.nt_read = tid[nt_at] + 1
-        # Each lookup's record: the read table's last update before the item
-        # in the same epoch, if it has one.
-        inner_key = tid[inner_at] * n + inner_at
-        perm = np.argsort(inner_key, kind="stable")
-        before = np.searchsorted(inner_key[perm], self.nt_read * n + nt_at) - 1
-        self.found = before >= 0
-        self.found[self.found] = inner_key[perm[before[self.found]]] >= self.nt_read[self.found] * n
-        self.src = perm[before[self.found]]
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        tree = np.zeros(2 * self.size)
+        np.maximum.at(tree, self.nodes, values[self.src])
+        level = 2
+        while level < 2 * self.size:
+            child = tree[level : 2 * level].reshape(-1, 2)
+            np.maximum(child, tree[level // 2 : level // 2 + len(child), None], out=child)
+            level *= 2
+        return tree[self.size :]
 
-        self.q = np.zeros(n_cells)
-        self.fresh = np.ones(n_cells, np.bool_)
-        self.first = True
-        for tab, ids, base in zip(tabs, self.ids, offset.tolist()):
-            for a, k in ids.items():
-                old = tab.get(a)
-                if old is not None:
-                    self.q[self.label[base + k]] = old[0]
-                    self.fresh[self.label[base + k]] = False
 
-    def epoch(self, start: list[float], seen: array) -> None:
-        """Fold one epoch: ``start`` holds every table's maximum before the
-        epoch, ``seen`` the maxima that phase 1 recorded during it."""
-        alpha, q, t = self.alpha, self.q, self.targets
-        if len(self.nt_pos):
-            nm = np.array(start)[self.nt_read]
-            nm[self.found] = np.asarray(seen)[self.src]
-            t[self.nt_pos] = np.where(nm > 0.0, self.nt_reward + self.gamma * nm, self.nt_reward)
-        lo = 0
-        for w in self.widths:
-            qw, tw = q[:w], t[lo : lo + w]
-            if self.first:
-                # A new cell's first update is alpha * target, which keeps -0.0.
-                qw[:] = np.where(self.fresh, alpha * tw, qw + alpha * (tw - qw))
-                self.first = False
-            else:
-                qw += alpha * (tw - qw)
-            lo += w
+def _cells(keys: np.ndarray, n: int):
+    """Number the distinct rows of ``keys`` in sorted order.
 
-    def store(self, tabs, epochs: int) -> None:
-        """Write the folded cells back; new cells go in first-appearance order."""
-        q = self.q[self.label].tolist()
-        k = 0
-        for tab, ids in zip(tabs, self.ids):
-            for a in ids:
-                old = tab.get(a)
-                tab[a] = [q[k], self.counts[k] * epochs + (old[1] if old is not None else 0)]
-                k += 1
+    Returns the distinct keys and each row's cell; then, for each of the
+    first ``n`` rows, its occurrence rank within its cell and the cell's
+    next row (n if none among the first ``n``); then each cell's first row
+    (n likewise).  Rows sort stably, so ranks follow row order.
+    """
+    by_cell = np.lexsort(keys.T[::-1])
+    sorted_keys = keys[by_cell]
+    opens = np.ones(len(keys), np.bool_)
+    opens[1:] = (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)
+    cell, rank, nxt = (np.empty(len(keys), np.int64) for _ in range(3))
+    cell[by_cell] = np.cumsum(opens) - 1
+    at = np.arange(len(keys))
+    rank[by_cell] = at - np.maximum.accumulate(np.where(opens, at, 0))
+    nxt[by_cell] = np.minimum(np.where(np.append(opens[1:], True), n, np.roll(by_cell, -1)), n)
+    return sorted_keys[opens], cell, rank[:n], nxt[:n], np.minimum(by_cell[opens], n)
 
 
 def _train_serial(tables, stream: _Stream, alpha: float, gamma: float, epochs: int):
-    """Apply ``epochs`` passes over ``stream`` to ``tables``, in two phases,
-    and return ``tables``: all of a bank's, or one cluster's in a pool job.
+    """Apply ``epochs`` passes over ``stream`` to ``tables`` and return
+    ``tables``: all of a bank's, or one cluster's in a pool job.
 
-    Phase 1 runs every update of the tables that some transition reads, in
-    stream order, keeping each table's running maximum and recording it after
-    every update; phase 2 folds every other cell from those records.
+    Each epoch folds step 3, then 2, then 1: a step's cells fold their
+    targets by occurrence rank, vectorised across cells.  A non-terminal
+    target reads the next step's table maximum after that table's last
+    update before it, an interval-stabbing maximum over the latest values of
+    the table's cells, which the next step's fold of the same epoch records.
     """
     base = min(c for c, _ in tables)  # ids count from the lowest cluster
     n_ids = _WIDTH * (1 + max(c for c, _ in tables) - base)
     tabs = [tables.get((base + t // _WIDTH, t % _WIDTH)) for t in range(n_ids)]
-    stream = replace(stream, tid=stream.tid - _WIDTH * base)
-    read = np.zeros(n_ids, np.bool_)
-    read[stream.tid[~stream.terminal] + 1] = True
-    is_read = read[stream.tid]
-    leaves = _LeafFold(tabs, stream, is_read, alpha, gamma)
-    inner = stream.take(is_read)
-    columns = [col.tolist() for col in (inner.tid, inner.action, inner.reward, inner.terminal)]
-    tmax = [max((cell[0] for cell in tab.values()), default=0.0) if tab else 0.0 for tab in tabs]
-    for _ in range(epochs):
-        start = tmax.copy()
-        seen = array("d")
-        record = seen.append
-        for tid, action, reward, terminal in zip(*columns):
-            if terminal:
-                target = reward
-            else:
-                nm = tmax[tid + 1]
-                target = reward + gamma * nm if nm > 0.0 else reward
-            tab = tabs[tid]
-            cell = tab.get(action)
-            if cell is None:
-                q_old = 0.0
-                q_new = alpha * target
-                tab[action] = [q_new, 1]
-            else:
-                q_old = cell[0]
-                q_new = q_old + alpha * (target - q_old)
-                cell[0] = q_new
-                cell[1] += 1
-            cur = tmax[tid]
-            if q_new >= cur:
-                cur = tmax[tid] = q_new
-            elif q_old >= cur:
-                cur = tmax[tid] = max(c[0] for c in tab.values())
-            record(cur)
-        leaves.epoch(start, seen)
-    leaves.store(tabs, epochs)
+    tid, n = stream.tid - _WIDTH * base, len(stream.tid)
+    # A cell is the (table, action) key of a stream row or of a stored cell.
+    held = [(t, a, cell) for t, tab in enumerate(tabs) if tab for a, cell in tab.items()]
+    cell_key, cell, rank, nxt, first = _cells(np.concatenate([
+        np.column_stack([tid, stream.action]),
+        np.array([(t, *a) for t, a, _ in held], np.int64).reshape(-1, 4),
+    ]), n)
+    n_cells = len(cell_key)
+    counts = np.bincount(cell[:n], minlength=n_cells)
+    q0, visits, fresh = np.zeros(n_cells), counts * epochs, np.ones(n_cells, np.bool_)
+    q0[cell[n:]] = [c[0] for _, _, c in held]
+    visits[cell[n:]] += np.array([c[1] for _, _, c in held], np.int64)
+    fresh[cell[n:]] = False
+
+    # Cells are labelled step by step and by falling count within a step, so
+    # that a step's cells with a k-th occurrence in an epoch are a run of
+    # labels; rows fold by step, then occurrence rank, then label.
+    step, cell_step = tid % _WIDTH, cell_key[:, 0] % _WIDTH
+    labelled = np.lexsort((-counts, cell_step))
+    label = np.empty(n_cells, np.int64)
+    label[labelled] = np.arange(n_cells)
+    fold = np.argsort((step * n + rank[:n]) * n_cells + label[cell[:n]])
+    q, fresh, target = q0[labelled], fresh[labelled], stream.reward[fold]
+    step_f = step[fold]
+    plan = []
+    for s in STEPS[::-1]:
+        j0, j1 = np.searchsorted(step_f, [s, s + 1]).tolist()
+        c0 = int(np.searchsorted(cell_step[labelled], s))
+        plan.append((s, c0, j0, np.bincount(rank[fold[j0:j1]]).tolist()))
+    # Interval i holds values[i], at positions table * n + row, for the
+    # tables that a step reads: steps 2 and 3, which start at label c2 and
+    # fold position j2.  First come their cells, by label: a cell's value at
+    # the epoch's start holds from its table's start to its first update.
+    # Then their updates, by fold position: the value after one holds until
+    # the cell's next update or the table's end.
+    c2 = int(np.searchsorted(cell_step[labelled], STEPS[1]))
+    j2 = int(np.searchsorted(step_f, STEPS[1]))
+    cells, rows = labelled[c2:], fold[j2:]
+    lo = np.concatenate([cell_key[cells, 0] * n, tid[rows] * n + rows])
+    hi = np.concatenate([cell_key[cells, 0] * n + first[cells], tid[rows] * n + nxt[rows]])
+    values, v0 = np.empty(len(lo)), n_cells - c2 - j2
+    reads = {}
+    for s in STEPS[1:]:
+        # Step s - 1's non-terminal rows read step s's tables as points
+        # ordered by (read table, row).
+        nt = np.flatnonzero((step_f == s - 1) & ~stream.terminal[fold])
+        key = (tid[fold[nt]] + 1) * n + fold[nt]
+        order = np.argsort(key)
+        nt, key = nt[order], key[order]
+        stab = _IntervalMax(np.searchsorted(key, lo), np.searchsorted(key, hi), len(key))
+        reads[s] = (nt, target[nt], stab)
+    # The epochs need none of the set-up arrays; freed, they stay off the peak.
+    del cell, rank, nxt, fold, step, step_f, lo, hi, cells, rows
+    for epoch in range(epochs):
+        values[: n_cells - c2] = q[c2:]
+        for s, c0, j, widths in plan:
+            for k, w in enumerate(widths):
+                qw, tw = q[c0 : c0 + w], target[j : j + w]
+                if epoch == 0 and k == 0:
+                    # A new cell's first update is alpha * target, which keeps -0.0.
+                    qw[:] = np.where(fresh[c0 : c0 + w], alpha * tw, qw + alpha * (tw - qw))
+                else:
+                    qw += alpha * (tw - qw)
+                if s in reads:
+                    values[v0 + j : v0 + j + w] = qw
+                j += w
+            if s in reads:
+                nt, reward, stab = reads[s]
+                nm = stab(values)
+                target[nt] = np.where(nm > 0.0, reward + gamma * nm, reward)
+
+    # Write the trained cells back; new cells go in first-appearance order.
+    live = np.flatnonzero(counts)
+    live = live[np.argsort(first[live])]
+    for t, a, qv, v in zip(cell_key[live, 0].tolist(), zip(*cell_key[live, 1:].T.tolist()),
+                           q[label[live]].tolist(), visits[live].tolist()):
+        tabs[t][a] = [qv, v]
     return tables
 
 
@@ -390,14 +402,14 @@ def train(
     The stream shares the columns of ``transitions`` without copying them.
     ``session_clusters`` is a list or array of integers that maps each
     session ref to a cluster id; any other dtype raises :class:`TrainError`.
-    Each cluster is one job, largest stream volume first, for
-    ``cfg.threads`` worker processes, but no more than the stream has
-    clusters; a job applies its cluster's updates in input order, and the
-    cyclic GC is paused while the pool runs.  With ``deterministic`` set,
-    or when that leaves one worker, updates apply in input order in this
-    process: a pool would only add a fork and a pickle round trip.
-    Clusters never share a cell, so both drivers produce bit-identical
-    tables.
+    Both drivers run the step-wise fold of ``_train_serial``, whose tables
+    equal those of applying every update in input order.  Each cluster is
+    one job, largest stream volume first, for ``cfg.threads`` worker
+    processes, but no more than the stream has clusters, and the cyclic GC
+    is paused while the pool runs.  With ``deterministic`` set, or when that
+    leaves one worker, the fold runs in this process: a pool would only add
+    a fork and a pickle round trip.  Clusters never share a cell, so both
+    drivers produce bit-identical tables.
     """
     cfg.validate()
     stream = _prepare_stream(bank, transitions, session_clusters)

@@ -59,19 +59,25 @@ TRANSITION_COLUMNS = ("session_ref", "step", "action", "reward", "terminal")
 
 
 def transition_table(rows) -> TransitionTable:
-    """The table of ``(session_ref, step, action, reward, terminal)`` tuples."""
+    """The table of ``(session_ref, step, action, reward, terminal)`` tuples,
+    each action a 3-tuple that becomes a row of the n×3 action column."""
     rows = list(rows)
-    columns = list(zip(*rows)) or [()] * len(TRANSITION_COLUMNS)
-    dtypes = (np.int64, np.int64, object, np.float64, np.bool_)
+    ref, step, action, reward, terminal = list(zip(*rows)) or [()] * len(TRANSITION_COLUMNS)
     return TransitionTable(
-        *(np.fromiter(col, dtype, len(rows)) for col, dtype in zip(columns, dtypes))
+        np.array(ref, np.int64),
+        np.array(step, np.int64),
+        np.array(action, np.int64).reshape(-1, 3),
+        np.array(reward, np.float64),
+        np.array(terminal, np.bool_),
     )
 
 
 def table_rows(table: TransitionTable) -> list[tuple]:
     """The table's ``(session_ref, step, action, reward, terminal)`` tuples,
-    each value a Python object."""
-    return list(zip(*(getattr(table, name).tolist() for name in TRANSITION_COLUMNS)))
+    each value a Python object and each action a 3-tuple."""
+    columns = [getattr(table, name).tolist() for name in TRANSITION_COLUMNS]
+    columns[2] = map(tuple, columns[2])
+    return list(zip(*columns))
 
 
 def row_transitions(sessions, catalog: ItemCatalog) -> TransitionTable:

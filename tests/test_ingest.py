@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -240,7 +241,7 @@ class TestTransitions:
         assert trans.reward.tolist() == [6.0, 15.0, 24.0]
         assert trans.terminal.tolist() == [False, False, True]
         assert trans.step.tolist() == [1, 2, 3]
-        assert trans.action[0] == (1, 2, 3)
+        assert [row[2] for row in table_rows(trans)] == [(1, 2, 3), (4, 5, 6), (7, 8, 9)]
 
     def test_termination_at_first_step(self, catalog9):
         s = make_session([True, True, False] + [True] * 6)
@@ -291,15 +292,23 @@ class TestTransitions:
         assert sum(trans.reward.tolist()) == expected
 
     @given(case=labelled_sessions(), block=st.sampled_from([1, 2, 4096]))
+    @example(case=priced_case([-0.0] * 3, [True] * 9), block=4096)
     @example(case=priced_case([-0.0], [True] * 9), block=4096)
     @example(case=priced_case([0.1, 0.2, 0.7], [True] * 9), block=4096)
     @example(case=priced_case([0.7, 0.2, 0.1], [True] * 4 + [False] + [True] * 4), block=4096)
     @example(case=([], make_catalog()), block=4096)
     def test_table_rows_match_row_loop_oracle(self, case, block):
         sessions, catalog = case
+        try:
+            expected = row_transitions(sessions, catalog)
+        except DataError as exc:
+            # A slate that repeats an item has no valid action row.
+            with mock.patch.object(ingest, "_BLOCK", block), \
+                    pytest.raises(DataError, match=re.escape(str(exc)) + "$"):
+                sessions_to_transitions(sessions, catalog)
+            return
         with mock.patch.object(ingest, "_BLOCK", block):
             table = sessions_to_transitions(sessions, catalog)
-        expected = row_transitions(sessions, catalog)
         for name in TRANSITION_COLUMNS:
             column, oracle = getattr(table, name), getattr(expected, name)
             assert column.dtype == oracle.dtype, name
@@ -358,7 +367,7 @@ def table_columns(**replaced):
     columns = dict(
         session_ref=np.array([0, 0, 1], np.int64),
         step=np.array([1, 2, 1], np.int64),
-        action=np.fromiter([(1, 2, 3), (4, 5, 6), (1, 2, 3)], object, 3),
+        action=np.array([(1, 2, 3), (4, 5, 6), (1, 2, 3)], np.int64),
         reward=np.array([6.0, 15.0, 0.0]),
         terminal=np.array([False, True, True]),
     )
@@ -382,16 +391,27 @@ class TestTransitionTable:
             ("terminal", np.array([False, True]), "column terminal has length 2, session_ref has"),
             ("session_ref", np.array([0.0, 0.0, 1.0]), "column session_ref has dtype float64"),
             ("step", np.array([1, 2, 1], np.uint64), "column step has dtype uint64"),
-            ("action", np.array([1, 2, 3]), "column action has dtype int64, expected object"),
+            ("action", np.array([1, 2, 3]), "column action is not an n×3 array"),
+            ("action", np.fromiter([(1, 2, 3), (4, 5, 6), (1, 2, 3)], object, 3),
+             "column action is not an n×3 array"),
+            ("action", np.ones((3, 2), np.int64), "column action is not an n×3 array"),
+            ("action", np.array([(1, 2, 3)] * 3, np.uint64), "column action has dtype uint64"),
             ("reward", np.array([6, 15, 0]), "column reward has dtype int64"),
             ("terminal", np.array([0, 1, 1]), "column terminal has dtype int64, expected bool"),
         ],
-        ids=["list", "2-D", "short", "float-ref", "uint-step", "int-action", "int-reward",
-             "int-terminal"],
+        ids=["list", "2-D", "short", "float-ref", "uint-step", "int-action", "tuple-action",
+             "3x2-action", "uint-action", "int-reward", "int-terminal"],
     )
     def test_bad_column_rejected(self, name, column, match):
         with pytest.raises(DataError, match=match):
             TransitionTable(**table_columns(**{name: column}))
+
+    @pytest.mark.parametrize("bad", [(3, 2, 1), (1, 1, 2), (1, 3, 2)])
+    def test_action_rows_must_strictly_ascend(self, bad):
+        action = np.array([(1, 2, 3), bad, bad], np.int64)
+        match = re.escape(f"transition row 1 has action {bad}, not 3 strictly ascending items")
+        with pytest.raises(DataError, match=match + "$"):
+            TransitionTable(**table_columns(action=action))
 
 
 class TestGenerator:

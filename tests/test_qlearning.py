@@ -1,10 +1,12 @@
 import copy
 import gc
+import json
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     backward_ordered,
@@ -16,7 +18,7 @@ from oracles import (
     value_iteration,
 )
 from qslate import qlearning
-from qslate.errors import DataError, TrainError
+from qslate.errors import DataError, ModelFileError, TrainError
 from qslate.ingest import (
     STEPS,
     SyntheticConfig,
@@ -63,8 +65,9 @@ VALUES = st.one_of(
 @st.composite
 def training_cases(draw):
     """A bank, a transition stream and a config that reach every case of
-    the two-phase trainer: leaf and read tables, reads of tables that are
-    never updated, negative and signed-zero targets, pre-trained cells."""
+    the step-wise trainer: tables that some step reads and tables that none
+    reads, reads before a table's first update and of tables never updated,
+    negative and signed-zero targets, pre-trained cells."""
     n_clusters = draw(st.integers(1, 3))
     # Each cluster logs some steps only, so a non-terminal item's next step
     # may never follow, and a table may be read in some clusters only.
@@ -346,6 +349,55 @@ class TestTrain:
         assert exact_cells(bank.tables) == exact_cells(expected)
 
 
+    @pytest.mark.parametrize("flags", [{"deterministic": True}, {"threads": 2}],
+                             ids=["deterministic", "threads-2"])
+    def test_deep_stream_continues_bit_for_bit(self, flags):
+        corpus = generate_synthetic(
+            SyntheticConfig(num_items=18, num_users=90, num_sessions=2000, seed=61,
+                            preference_scale=2.0, base_appeal=0.4)
+        )
+        transitions = sessions_to_transitions(corpus.sessions, corpus.catalog)
+        clusters = [corpus.truth.user_groups[s.user_id] % 3 for s in corpus.sessions]
+        assert (transitions.step == 3).sum() > 50 and len(set(clusters)) == 3
+        bank = QTableBank(3)
+        train(bank, transitions, clusters,
+              TrainConfig(alpha=0.3, gamma=0.9, epochs=1, deterministic=True))
+        expected = copy.deepcopy(bank.tables)
+        stream = [(clusters[ref], *row) for ref, *row in table_rows(transitions)]
+        single_phase_q_learning(expected, stream, 0.3, 0.9, 4)
+        train(bank, transitions, clusters, TrainConfig(alpha=0.3, gamma=0.9, epochs=4, **flags))
+        assert exact_cells(bank.tables) == exact_cells(expected)
+
+
+def stabbed_max(lo, hi, values, size):
+    """Each point's maximum over 0.0 and the values of the intervals that
+    contain it, by a double loop."""
+    return [max([0.0] + [v for a, b, v in zip(lo, hi, values) if a <= p < b])
+            for p in range(size)]
+
+
+class TestIntervalMax:
+    @settings(max_examples=300)
+    @given(
+        size=st.integers(0, 70),
+        intervals=st.lists(st.tuples(st.integers(0, 70), st.integers(0, 70), VALUES),
+                           max_size=40),
+    )
+    @example(size=0, intervals=[(0, 0, 1.0)])
+    @example(size=1, intervals=[(0, 1, 3.0), (1, 1, 9.0)])
+    @example(size=2, intervals=[(0, 2, 2.0), (1, 2, 1.0)])
+    @example(size=37, intervals=[(0, 37, 1.0), (5, 5, 8.0), (3, 36, 2.0), (36, 37, 5.0)])
+    def test_matches_brute_force(self, size, intervals):
+        # Ends past ``size`` are clipped; empty and reversed intervals hold no point.
+        lo = np.array([min(a, size) for a, _, _ in intervals], np.int64)
+        hi = np.array([min(b, size) for _, b, _ in intervals], np.int64)
+        values = np.array([v for _, _, v in intervals])
+        stab = qlearning._IntervalMax(lo, hi, size)
+        assert stab(values).tolist() == stabbed_max(lo, hi, values, size)
+        # The covering nodes are found once; new values reuse them.
+        assert stab(-values).tolist() == stabbed_max(lo, hi, -values, size)
+
+
 class TestParallelTraining:
     def test_process_backend_bit_identical_to_serial(self):
         corpus = generate_synthetic(
@@ -603,9 +655,31 @@ class TestBankSerialization:
         assert loaded.tables == bank.tables
 
     def test_load_rejects_wrong_format(self, tmp_path):
-        from qslate.errors import ModelFileError
-
         path = tmp_path / "qtables.json"
         path.write_text('{"format": "something-else", "version": 1}')
         with pytest.raises(ModelFileError):
             QTableBank.load(path)
+
+    @pytest.mark.parametrize(
+        "slate, cell, reason",
+        [
+            ("1-2-3", [math.nan, 4], "cell '1-2-3' has q nan, visits 4"),
+            ("1-2-3", [-math.inf, 4], "cell '1-2-3' has q -inf, visits 4"),
+            ("1-2-3", [2.5, 0], "cell '1-2-3' has q 2.5, visits 0"),
+            ("8-5-2", [2.5, -4], "cell '8-5-2' is not 3 ascending items"),
+            ("3-6", [2.5, 4], "cell '3-6' is not 3 ascending items"),
+            ("1-1-2", [2.5, 4], "cell '1-1-2' is not 3 ascending items"),
+        ],
+        ids=["nan-q", "inf-q", "zero-visits", "descending", "two-items", "repeated-item"],
+    )
+    def test_load_rejects_malformed_cell(self, tmp_path, slate, cell, reason):
+        path = tmp_path / "qtables.json"
+        bank = QTableBank(1)
+        bank.tables[(0, 1)][(1, 2, 3)] = [2.5, 4]
+        bank.save(path, stamp="zz")
+        payload = json.loads(path.read_text())
+        payload["tables"]["0"]["1"] = {slate: cell}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelFileError, match=re.escape(reason) + "$") as raised:
+            QTableBank.load(path)
+        assert raised.value.path == str(path)
