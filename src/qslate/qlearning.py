@@ -59,7 +59,7 @@ def make_slate(
     """Build a validated action slate: 3 distinct ids, sorted ascending."""
     slate = tuple(sorted(int(i) for i in items))
     if len(slate) != 3:
-        raise DataError(f"a slate holds exactly 3 items, got {len(slate)}")
+        raise DataError(f"a slate holds exactly 3 items, got {slate}")
     if len(set(slate)) != 3:
         raise DataError(f"slate {slate} contains duplicate items")
     if catalog is not None:
@@ -149,10 +149,11 @@ class QTableBank:
                 for s_str, cells in steps.items():
                     tab = bank.tables[bank._key(int(c_str), int(s_str))]
                     for slate_str, (q, visits) in cells.items():
-                        slate = tuple(int(i) for i in slate_str.split("-"))
+                        items = [int(i) for i in slate_str.split("-")]
+                        slate = make_slate(items)
+                        if list(slate) != items:
+                            raise DataError(f"cell {slate_str!r} does not list its items in order")
                         q, visits = float(q), int(visits)
-                        if len(slate) != 3 or not slate[0] < slate[1] < slate[2]:
-                            raise DataError(f"cell {slate_str!r} is not 3 ascending items")
                         if not math.isfinite(q) or visits < 1:
                             raise DataError(f"cell {slate_str!r} has q {q}, visits {visits}")
                         tab[slate] = [q, visits]
@@ -221,13 +222,15 @@ class _IntervalMax:
     (node ``i`` has children ``2i`` and ``2i + 1``; point ``p`` is leaf
     ``size + p``), so a call with new values costs one gather over the
     covering nodes and one downward pass per tree level.  A maximum does no
-    arithmetic, so it is exact.
+    arithmetic, so it is exact.  The nodes, about ``2 log2(size)`` per
+    interval, are int32 when their ids fit, to halve the memory they hold.
     """
 
     def __init__(self, lo: np.ndarray, hi: np.ndarray, size: int):
         self.size = size
-        src = np.flatnonzero(lo < hi)
-        lo, hi = lo[src] + size, hi[src] + size
+        dtype = np.int32 if max(2 * size, len(lo)) < 2**31 else np.int64
+        src = np.flatnonzero(lo < hi).astype(dtype)
+        lo, hi = (lo[src] + size).astype(dtype), (hi[src] + size).astype(dtype)
         nodes, srcs = [src[:0]], [src[:0]]  # empty arrays, for when no interval holds a point
         while len(src):
             odd = (lo & 1).astype(np.bool_)
@@ -265,12 +268,14 @@ def _cells(keys: np.ndarray, n: int):
     sorted_keys = keys[by_cell]
     opens = np.ones(len(keys), np.bool_)
     opens[1:] = (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)
+    distinct = sorted_keys[opens]
+    del sorted_keys  # as large as ``keys``; freed, it stays off the peak
     cell, rank, nxt = (np.empty(len(keys), np.int64) for _ in range(3))
     cell[by_cell] = np.cumsum(opens) - 1
     at = np.arange(len(keys))
     rank[by_cell] = at - np.maximum.accumulate(np.where(opens, at, 0))
     nxt[by_cell] = np.minimum(np.where(np.append(opens[1:], True), n, np.roll(by_cell, -1)), n)
-    return sorted_keys[opens], cell, rank[:n], nxt[:n], np.minimum(by_cell[opens], n)
+    return distinct, cell, rank[:n], nxt[:n], np.minimum(by_cell[opens], n)
 
 
 def _train_serial(tables, stream: _Stream, alpha: float, gamma: float, epochs: int):
@@ -327,6 +332,8 @@ def _train_serial(tables, stream: _Stream, alpha: float, gamma: float, epochs: i
     lo = np.concatenate([cell_key[cells, 0] * n, tid[rows] * n + rows])
     hi = np.concatenate([cell_key[cells, 0] * n + first[cells], tid[rows] * n + nxt[rows]])
     values, v0 = np.empty(len(lo)), n_cells - c2 - j2
+    # The epochs need none of the set-up arrays; freed, they stay off the peak.
+    del cell, rank, nxt, step, cells, rows
     reads = {}
     for s in STEPS[1:]:
         # Step s - 1's non-terminal rows read step s's tables as points
@@ -337,8 +344,7 @@ def _train_serial(tables, stream: _Stream, alpha: float, gamma: float, epochs: i
         nt, key = nt[order], key[order]
         stab = _IntervalMax(np.searchsorted(key, lo), np.searchsorted(key, hi), len(key))
         reads[s] = (nt, target[nt], stab)
-    # The epochs need none of the set-up arrays; freed, they stay off the peak.
-    del cell, rank, nxt, fold, step, step_f, lo, hi, cells, rows
+    del fold, step_f, lo, hi
     for epoch in range(epochs):
         values[: n_cells - c2] = q[c2:]
         for s, c0, j, widths in plan:

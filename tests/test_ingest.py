@@ -36,8 +36,9 @@ PRICES = st.one_of(
 @st.composite
 def labelled_sessions(draw):
     """A catalog with non-contiguous, zero and negative ids, and sessions on
-    it whose labels stop the episode at each step or never."""
-    ids = draw(st.lists(st.integers(-40, 40), min_size=1, max_size=12, unique=True))
+    it whose labels stop the episode at each step or never.  Each step row
+    holds 3 distinct items, as ``parse_sessions`` requires."""
+    ids = draw(st.lists(st.integers(-40, 40), min_size=3, max_size=12, unique=True))
     catalog = ItemCatalog.from_records(
         [ItemRecord(i, (0.0,) * 5, draw(PRICES), 1) for i in ids]
     )
@@ -48,7 +49,8 @@ def labelled_sessions(draw):
         labels[: 3 * full_steps] = [True] * (3 * full_steps)
         if full_steps < 3:
             labels[3 * full_steps + draw(st.integers(0, 2))] = False
-        slate = draw(st.lists(st.sampled_from(ids), min_size=9, max_size=9))
+        row = st.lists(st.sampled_from(ids), min_size=3, max_size=3, unique=True)
+        slate = [item for _ in range(3) for item in draw(row)]
         sessions.append(make_session(labels, slate=slate))
     return sessions, catalog
 
@@ -293,27 +295,36 @@ class TestTransitions:
 
     @given(case=labelled_sessions(), block=st.sampled_from([1, 2, 4096]))
     @example(case=priced_case([-0.0] * 3, [True] * 9), block=4096)
-    @example(case=priced_case([-0.0], [True] * 9), block=4096)
     @example(case=priced_case([0.1, 0.2, 0.7], [True] * 9), block=4096)
     @example(case=priced_case([0.7, 0.2, 0.1], [True] * 4 + [False] + [True] * 4), block=4096)
     @example(case=([], make_catalog()), block=4096)
     def test_table_rows_match_row_loop_oracle(self, case, block):
         sessions, catalog = case
-        try:
-            expected = row_transitions(sessions, catalog)
-        except DataError as exc:
-            # A slate that repeats an item has no valid action row.
-            with mock.patch.object(ingest, "_BLOCK", block), \
-                    pytest.raises(DataError, match=re.escape(str(exc)) + "$"):
-                sessions_to_transitions(sessions, catalog)
-            return
         with mock.patch.object(ingest, "_BLOCK", block):
             table = sessions_to_transitions(sessions, catalog)
+        expected = row_transitions(sessions, catalog)
         for name in TRANSITION_COLUMNS:
             column, oracle = getattr(table, name), getattr(expected, name)
             assert column.dtype == oracle.dtype, name
             # repr tells -0.0 from 0.0 and any last-bit difference of a sum.
             assert list(map(repr, column.tolist())) == list(map(repr, oracle.tolist())), name
+
+    @pytest.mark.parametrize("block", [1, 4096])
+    @pytest.mark.parametrize(
+        "slate, labels, row, action",
+        [
+            ((5, 5, 6, 4, 5, 6, 7, 8, 9), [False] * 9, 3, (5, 5, 6)),  # step 1
+            ((1, 2, 3, 6, 4, 4, 7, 8, 9), [True] * 3 + [False] * 6, 4, (4, 4, 6)),  # step 2
+            ((1, 1, 1, 4, 5, 6, 7, 8, 9), [True] * 9, 3, (1, 1, 1)),  # one item thrice
+        ],
+    )
+    def test_reached_row_repeating_an_item_rejected(self, catalog9, slate, labels, row,
+                                                    action, block):
+        # A full session first, so the bad row is named by its table index.
+        sessions = [make_session([True] * 9), make_session(labels, slate=slate)]
+        match = re.escape(f"transition row {row} has action {action}, not 3 strictly ascending")
+        with mock.patch.object(ingest, "_BLOCK", block), pytest.raises(DataError, match=match):
+            sessions_to_transitions(sessions, catalog9)
 
     @pytest.mark.parametrize(
         "slate, labels",

@@ -666,9 +666,9 @@ class TestBankSerialization:
             ("1-2-3", [math.nan, 4], "cell '1-2-3' has q nan, visits 4"),
             ("1-2-3", [-math.inf, 4], "cell '1-2-3' has q -inf, visits 4"),
             ("1-2-3", [2.5, 0], "cell '1-2-3' has q 2.5, visits 0"),
-            ("8-5-2", [2.5, -4], "cell '8-5-2' is not 3 ascending items"),
-            ("3-6", [2.5, 4], "cell '3-6' is not 3 ascending items"),
-            ("1-1-2", [2.5, 4], "cell '1-1-2' is not 3 ascending items"),
+            ("8-5-2", [2.5, -4], "cell '8-5-2' does not list its items in order"),
+            ("3-6", [2.5, 4], "a slate holds exactly 3 items, got (3, 6)"),
+            ("1-1-2", [2.5, 4], "slate (1, 1, 2) contains duplicate items"),
         ],
         ids=["nan-q", "inf-q", "zero-visits", "descending", "two-items", "repeated-item"],
     )
