@@ -282,7 +282,7 @@ def cmd_evaluate(args) -> int:
 
     cfg = MetricConfig(step_weights=args.weights)
     learned = score(recommend_for_sessions(model, validation, catalog), validation, catalog, cfg)
-    logged = score([s.exposed_slate for s in validation], validation, catalog, cfg)
+    logged = score(validation.slate.tolist(), validation, catalog, cfg)
 
     report_dir = Path(args.report_dir)
     report_dir.mkdir(parents=True, exist_ok=True)

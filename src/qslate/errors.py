@@ -46,7 +46,7 @@ def read_model_file(path, fmt: str, version: int, build):
         return build(payload), payload.get("stamp")
     except KeyError as exc:
         raise ModelFileError(path, f"{fmt} file lacks field {exc}") from None
-    except (TypeError, ValueError, AttributeError, DataError) as exc:
+    except (TypeError, ValueError, OverflowError, AttributeError, DataError) as exc:
         raise ModelFileError(path, f"malformed {fmt} file: {exc}") from None
 
 

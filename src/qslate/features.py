@@ -29,12 +29,21 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ComponentCollapseError, DataError, FitError, read_model_file, write_model_file
-from .ingest import N_PORTRAITS, ItemCatalog, SessionRecord, UserRecord
+from .ingest import (
+    N_PORTRAITS,
+    ItemCatalog,
+    SessionRecord,
+    SessionTable,
+    UserRecord,
+    user_states,
+)
 
 COMPONENTS_FORMAT = "qslate-components"
 COMPONENTS_VERSION = 2
@@ -65,32 +74,30 @@ class FeatureMatrix:
 
 
 def build_raw_features(
-    records: list[SessionRecord] | list[UserRecord], catalog: ItemCatalog
+    records: SessionTable | Sequence[SessionRecord] | Sequence[UserRecord], catalog: ItemCatalog
 ) -> FeatureMatrix:
     """Stack portraits and one-hot click indicators, one row per distinct state.
 
     A state is a record's ``(clicked_items, portraits)``; rows follow the
-    order in which states first appear.
+    order in which states first appear, and a :class:`SessionTable` gives
+    its own state numbers.  A clicked item missing from the catalog raises
+    :class:`DataError`.
     """
     if len(catalog) == 0:
         raise DataError("catalog is empty")
-    item_ids = catalog.item_ids
-    col_of = {item_id: N_PORTRAITS + j for j, item_id in enumerate(item_ids)}
-    row_of: dict[tuple[frozenset[int], tuple[float, ...]], int] = {}
-    rows = np.fromiter(
-        (row_of.setdefault((rec.clicked_items, rec.portraits), len(row_of)) for rec in records),
-        dtype=np.int64,
-        count=len(records),
-    )
-    values = np.zeros((len(row_of), N_PORTRAITS + len(item_ids)))
-    for i, (clicks, portraits) in enumerate(row_of):
-        values[i, :N_PORTRAITS] = portraits
-        for item_id in clicks:
-            values[i, col_of[item_id]] = 1.0
+    rows, clicks, portraits = user_states(records)
+    values = np.zeros((len(clicks), N_PORTRAITS + len(catalog)))
+    values[:, :N_PORTRAITS] = portraits
+    counts = np.fromiter(map(len, clicks), np.int64, len(clicks))
+    items = np.fromiter(chain.from_iterable(clicks), np.int64, counts.sum())
+    at, known = catalog.index(items)
+    if not known.all():
+        raise DataError(f"clicked item {items[known.argmin()]} not in catalog")
+    values[np.repeat(np.arange(len(clicks)), counts), N_PORTRAITS + at] = 1.0
     return FeatureMatrix(
         values=values,
-        item_ids=item_ids,
-        weights=np.bincount(rows, minlength=len(row_of)),
+        item_ids=catalog.item_ids,
+        weights=np.bincount(rows, minlength=len(clicks)),
         rows=rows,
     )
 

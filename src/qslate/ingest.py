@@ -20,9 +20,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import attrgetter
-from typing import Sequence
+from itertools import chain, repeat
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .errors import DataError
 N_PORTRAITS = 10
 SLATE_SIZE = 9
 STEPS = (1, 2, 3)
-_ITEM_ID_RANGE = np.iinfo(np.int64)  # item ids are held in int64 columns
+_INT64 = np.iinfo(np.int64)  # ids and timestamps are held in int64 columns
 
 
 @dataclass(frozen=True)
@@ -46,16 +45,27 @@ class ItemRecord:
 
 @dataclass
 class ItemCatalog:
-    """All items of a dataset, indexed by id and grouped by location."""
+    """All items of a dataset, indexed by id and grouped by location.
+
+    ``ids`` holds the item ids in ascending order as int64, and ``prices``
+    and ``locations`` the prices and locations of those items, so that array
+    code finds items with :meth:`index`.
+    """
 
     items: dict[int, ItemRecord]
     by_location: dict[int, tuple[int, ...]] = field(init=False)
+    ids: np.ndarray = field(init=False, repr=False, compare=False)
+    prices: np.ndarray = field(init=False, repr=False, compare=False)
+    locations: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        groups: dict[int, list[int]] = {1: [], 2: [], 3: []}
-        for rec in self.items.values():
-            groups[rec.location].append(rec.item_id)
-        self.by_location = {loc: tuple(sorted(ids)) for loc, ids in groups.items()}
+        ordered = [self.items[i] for i in sorted(self.items)]
+        self.ids = np.array([rec.item_id for rec in ordered], np.int64)
+        self.prices = np.array([rec.price for rec in ordered], np.float64)
+        self.locations = np.array([rec.location for rec in ordered], np.int64)
+        self.by_location = {
+            loc: tuple(self.ids[self.locations == loc].tolist()) for loc in STEPS
+        }
 
     @classmethod
     def from_records(cls, records: list[ItemRecord]) -> "ItemCatalog":
@@ -74,7 +84,16 @@ class ItemCatalog:
 
     @property
     def item_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.items))
+        return tuple(self.ids.tolist())
+
+    def index(self, item_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Where each of the int64 ``item_ids`` sits in ``ids``, and whether
+        the catalog holds it; the position of an id it does not hold is
+        meaningless."""
+        at = np.searchsorted(self.ids, item_ids)
+        known = at < len(self.ids)
+        known[known] = self.ids[at[known]] == item_ids[known]
+        return at, known
 
     def lookup(self, item_id: int) -> ItemRecord:
         try:
@@ -91,7 +110,11 @@ class ItemCatalog:
 
 @dataclass(frozen=True)
 class SessionRecord:
-    """One logged session: 9 exposed items over 3 steps plus purchase labels."""
+    """One logged session: 9 exposed items over 3 steps plus purchase labels.
+
+    The generator makes these; a :class:`SessionTable` gives its rows as
+    these, and every function that takes sessions takes a list of them.
+    """
 
     user_id: int
     clicked_items: frozenset[int]
@@ -110,6 +133,135 @@ class UserRecord:
     portraits: tuple[float, ...]
 
 
+@dataclass(frozen=True, eq=False)
+class SessionTable:
+    """Logged sessions as numpy columns, one row per session.
+
+    ``user_id``, ``timestamp`` and ``state`` are int64 columns; ``slate`` is
+    n×9 int64 and ``labels`` n×9 bool, both in slate order.  ``state[i]``
+    numbers session ``i``'s user state: its click history is
+    ``clicks[state[i]]`` and its portraits are row ``state[i]`` of the
+    u×10 ``portraits``.  Equal states share one number, every number is
+    used, and numbers follow the order in which states first appear.
+
+    Iterating, or indexing with an int, gives :class:`SessionRecord` rows;
+    indexing with a slice gives a table.
+    """
+
+    user_id: np.ndarray
+    timestamp: np.ndarray
+    state: np.ndarray
+    slate: np.ndarray
+    labels: np.ndarray
+    clicks: tuple[frozenset[int], ...]
+    portraits: np.ndarray
+
+    @classmethod
+    def from_records(cls, sessions: "Sessions") -> "SessionTable":
+        """``sessions`` as a table; a table is returned as it is.  A record
+        whose slate or labels do not hold 9 values raises :class:`DataError`."""
+        if isinstance(sessions, SessionTable):
+            return sessions
+        n = len(sessions)
+        state, clicks, portraits = user_states(sessions)
+        return cls(
+            np.fromiter((s.user_id for s in sessions), np.int64, n),
+            np.fromiter((s.timestamp for s in sessions), np.int64, n),
+            state,
+            _record_rows([s.exposed_slate for s in sessions], "slate items", np.int64),
+            _record_rows([s.purchase_labels for s in sessions], "labels", np.bool_),
+            clicks,
+            portraits,
+        )
+
+    def __len__(self) -> int:
+        return len(self.state)
+
+    def take(self, rows: np.ndarray) -> "SessionTable":
+        """The sessions at index array ``rows``, in that order, with the
+        states they use renumbered by first appearance."""
+        state = self.state[rows]
+        kept, first = np.unique(state, return_index=True)
+        kept = kept[np.argsort(first)]
+        number = np.empty(len(self.clicks), np.int64)
+        number[kept] = np.arange(len(kept))
+        return SessionTable(
+            self.user_id[rows],
+            self.timestamp[rows],
+            number[state],
+            self.slate[rows],
+            self.labels[rows],
+            tuple(self.clicks[s] for s in kept.tolist()),
+            self.portraits[kept],
+        )
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.take(np.arange(len(self))[i])
+        i = range(len(self))[i]
+        return next(self._records(i, i + 1))
+
+    def __iter__(self) -> Iterator[SessionRecord]:
+        for lo in range(0, len(self), _BLOCK):
+            yield from self._records(lo, lo + _BLOCK)
+
+    def _records(self, lo: int, hi: int) -> Iterator[SessionRecord]:
+        """Rows ``lo`` to ``hi`` as records; rows of one state share its
+        click set and portrait tuple."""
+        states = self.state[lo:hi].tolist()
+        portraits = {s: tuple(self.portraits[s].tolist()) for s in dict.fromkeys(states)}
+        for user_id, s, slate, labels, timestamp in zip(
+            self.user_id[lo:hi].tolist(),
+            states,
+            self.slate[lo:hi].tolist(),
+            self.labels[lo:hi].tolist(),
+            self.timestamp[lo:hi].tolist(),
+        ):
+            yield SessionRecord(
+                user_id, self.clicks[s], portraits[s], tuple(slate), tuple(labels), timestamp
+            )
+
+
+#: Sessions as a table or as records; functions that take them read a table.
+Sessions = SessionTable | Sequence[SessionRecord]
+
+
+def _record_rows(rows: list, what: str, dtype) -> np.ndarray:
+    """Records' 9-value fields as one n×9 array."""
+    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+    if (lengths != SLATE_SIZE).any():
+        i = int((lengths != SLATE_SIZE).argmax())
+        raise DataError(f"session {i} holds {lengths[i]} {what}, expected {SLATE_SIZE}")
+    return np.fromiter(chain.from_iterable(rows), dtype, len(rows) * SLATE_SIZE).reshape(
+        -1, SLATE_SIZE
+    )
+
+
+def user_states(
+    records: SessionTable | Sequence[SessionRecord] | Sequence[UserRecord],
+) -> tuple[np.ndarray, tuple[frozenset[int], ...], np.ndarray]:
+    """Each record's state number, and each state's clicks and u×10 portraits.
+
+    A state is a record's ``(clicked_items, portraits)``, and states are
+    numbered in the order they first appear, as in :class:`SessionTable`,
+    whose own columns a table gives.  Portraits of other than 10 values
+    raise :class:`DataError`.
+    """
+    if isinstance(records, SessionTable):
+        return records.state, records.clicks, records.portraits
+    number: dict[tuple[frozenset[int], tuple[float, ...]], int] = {}
+    state = np.fromiter(
+        (number.setdefault((r.clicked_items, r.portraits), len(number)) for r in records),
+        np.int64,
+        len(records),
+    )
+    for _, portraits in number:
+        if len(portraits) != N_PORTRAITS:
+            raise DataError(f"a record holds {len(portraits)} portraits, expected {N_PORTRAITS}")
+    portraits = np.array([p for _, p in number], np.float64).reshape(len(number), N_PORTRAITS)
+    return state, tuple(c for c, _ in number), portraits
+
+
 def _parse_float_list(text: str, expect: int, what: str, line_no: int) -> tuple[float, ...]:
     parts = text.split(",")
     if len(parts) != expect:
@@ -121,46 +273,6 @@ def _parse_float_list(text: str, expect: int, what: str, line_no: int) -> tuple[
     if not all(map(math.isfinite, values)):
         raise DataError(f"line {line_no}: non-finite {what} value in {text!r}")
     return values
-
-
-def _parse_int_list(text: str, what: str, line_no: int) -> tuple[int, ...]:
-    if text == "-":
-        return ()
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise DataError(f"line {line_no}: bad {what} value in {text!r}") from None
-
-
-def _state_parser(catalog: ItemCatalog):
-    """A parser of one file's clicks and portraits fields, cached by raw text.
-
-    Sessions of one user repeat the same two fields, so each distinct text
-    is parsed and checked once per file: on its first line, which is the
-    line an error names.  Every line with equal click text shares one
-    ``frozenset`` and every line with equal portrait text one tuple.
-    """
-    clicks_of: dict[str, frozenset[int]] = {}
-    portraits_of: dict[str, tuple[float, ...]] = {}
-
-    def parse(
-        clicks_text: str, portraits_text: str, line_no: int
-    ) -> tuple[frozenset[int], tuple[float, ...]]:
-        clicks = clicks_of.get(clicks_text)
-        if clicks is None:
-            ids = _parse_int_list(clicks_text, "click history", line_no)
-            for c in ids:
-                if c not in catalog:
-                    raise DataError(f"line {line_no}: clicked item {c} not in catalog")
-            clicks = clicks_of[clicks_text] = frozenset(ids)
-        portraits = portraits_of.get(portraits_text)
-        if portraits is None:
-            portraits = portraits_of[portraits_text] = _parse_float_list(
-                portraits_text, N_PORTRAITS, "portraits", line_no
-            )
-        return clicks, portraits
-
-    return parse
 
 
 def parse_items(text: str) -> ItemCatalog:
@@ -182,7 +294,7 @@ def parse_items(text: str) -> ItemCatalog:
             item_id = int(fields[0])
         except ValueError:
             raise DataError(f"line {line_no}: bad item_id {fields[0]!r}") from None
-        if not _ITEM_ID_RANGE.min <= item_id <= _ITEM_ID_RANGE.max:
+        if not _INT64.min <= item_id <= _INT64.max:
             raise DataError(f"line {line_no}: item_id {item_id} outside the 64-bit range")
         features = _parse_float_list(fields[1], 5, "content features", line_no)
         try:
@@ -210,66 +322,335 @@ def serialize_items(catalog: ItemCatalog) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def parse_sessions(text: str, catalog: ItemCatalog) -> list[SessionRecord]:
+# Session and user files are parsed a block of lines at a time, so that only
+# one block's split fields are live: split all at once, a 5,000-line file's
+# fields peak at 2.6 times the heap of 256-line blocks.
+_PARSE_BLOCK = 256
+# Fields that a line of the wrong field count stands in with, so that the
+# checks after the count run on every line; the count's fault is raised first.
+_STAND_IN = ("0", "-", ",".join(["0"] * N_PORTRAITS), "-", "-", "0")
+# The location that each slate position requires.
+_SLATE_LOCATIONS = np.repeat(STEPS, 3)
+
+
+def _line_blocks(text: str) -> Iterator[tuple[Sequence[int], list[list[str]]]]:
+    """The non-blank lines of ``text`` split at single spaces, up to
+    ``_PARSE_BLOCK`` lines at a time, with their 1-based line numbers."""
+    lines = text.splitlines()
+    for lo in range(0, len(lines), _PARSE_BLOCK):
+        block = lines[lo : lo + _PARSE_BLOCK]
+        numbers = range(lo + 1, lo + 1 + len(block))
+        if "" in block or any(map(str.isspace, block)):
+            kept = [(no, line) for no, line in zip(numbers, block) if line and not line.isspace()]
+            if not kept:
+                continue
+            numbers, block = zip(*kept)
+        yield numbers, [line.split(" ") for line in block]
+
+
+class _Faults:
+    """The checks of one block of lines, added in the order that each line
+    is checked.
+
+    A check is a mask of failing lines and the message of line ``i``.  Only
+    the earliest failing line's first failing check is raised, so a check
+    needs to be right only on the lines that pass every check before it.
+    """
+
+    def __init__(self, line_numbers: Sequence[int]) -> None:
+        self.line_numbers = line_numbers
+        self.checks: list[tuple[np.ndarray, Callable[[int], str]]] = []
+
+    def add(self, bad: np.ndarray, message: Callable[[int], str]) -> None:
+        self.checks.append((bad, message))
+
+    def raise_first(self) -> None:
+        bad = np.array([mask for mask, _ in self.checks])
+        failing = bad.any(axis=0)
+        if failing.any():
+            i = int(failing.argmax())
+            message = self.checks[int(bad[:, i].argmax())][1]
+            raise DataError(f"line {self.line_numbers[i]}: {message(i)}")
+
+
+def _columns(fields: list[list[str]], width: int, faults: _Faults) -> list[tuple[str, ...]]:
+    """A block's split lines as ``width`` columns of field texts, adding the
+    field-count check; a line that fails it holds stand-in fields."""
+    counts = np.fromiter(map(len, fields), np.int64, len(fields))
+    faults.add(counts != width, lambda i: f"expected {width} fields, got {counts[i]}")
+    if (counts != width).any():
+        fields = [f if len(f) == width else _STAND_IN[:width] for f in fields]
+    return list(zip(*fields))
+
+
+def _value_or_error(read: Callable, token: str):
+    try:
+        return read(token)
+    except ValueError as exc:
+        return exc
+
+
+def _ints(tokens: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``tokens`` read by ``int`` into int64, with masks of the tokens that
+    are not integers and of those outside the 64-bit range; both hold 0."""
+    try:
+        values = np.fromiter(map(int, tokens), np.int64, len(tokens))
+        return values, np.zeros(len(tokens), bool), np.zeros(len(tokens), bool)
+    except (ValueError, OverflowError):
+        parsed = [_value_or_error(int, t) for t in tokens]
+    bad = [isinstance(v, ValueError) for v in parsed]
+    wide = [not b and not _INT64.min <= v <= _INT64.max for v, b in zip(parsed, bad)]
+    return (
+        np.array([0 if b or w else v for v, b, w in zip(parsed, bad, wide)], np.int64),
+        np.array(bad, bool),
+        np.array(wide, bool),
+    )
+
+
+def _floats(tokens: Sequence[str]) -> tuple[np.ndarray, list[ValueError | None]]:
+    """``tokens`` read by ``float``, with each token's error or None; a token
+    that is not a float holds 0.0."""
+    try:
+        return np.fromiter(map(float, tokens), np.float64, len(tokens)), [None] * len(tokens)
+    except ValueError:
+        parsed = [_value_or_error(float, t) for t in tokens]
+    errors = [v if isinstance(v, ValueError) else None for v in parsed]
+    return np.array([0.0 if e else v for v, e in zip(parsed, errors)], np.float64), errors
+
+
+def _lists(texts: Sequence[str], empty: str | None) -> tuple[np.ndarray, list[str], np.ndarray]:
+    """Comma-separated lists as their lengths, their items in one list and
+    the index of each item's text; the text ``empty`` lists nothing."""
+    counts = np.fromiter(map(str.count, texts, repeat(",")), np.int64, len(texts)) + 1
+    if empty in texts:
+        counts[[t == empty for t in texts]] = 0
+        texts = [t for t in texts if t != empty]
+    tokens = ",".join(texts).split(",") if texts else []
+    return counts, tokens, np.repeat(np.arange(len(counts)), counts)
+
+
+def _any_of(owner: np.ndarray, bad: np.ndarray, n: int) -> np.ndarray:
+    """Which of ``n`` texts own a bad item."""
+    return np.bincount(owner[bad], minlength=n) > 0
+
+
+def _int_column(texts: Sequence[str], what: str, faults: _Faults) -> np.ndarray:
+    """One integer field as int64, adding the checks that it is an integer
+    and within the 64-bit range."""
+    values, bad, wide = _ints(texts)
+    faults.add(bad, lambda i: f"bad {what} {texts[i]!r}")
+    faults.add(wide, lambda i: f"{what} {int(texts[i])} outside the 64-bit range")
+    return values
+
+
+def _int_rows(
+    texts: Sequence[str], what: str, noun: str, faults: _Faults
+) -> tuple[np.ndarray, np.ndarray]:
+    """9-integer lists as n×9 int64 rows, with a mask of the items outside
+    the 64-bit range, adding the checks that each text lists integers and
+    lists 9 of them (which lists of one-digit items pass); a row that fails
+    them holds zeros."""
+    n = len(texts)
+    if set(map(len, texts)) == {2 * SLATE_SIZE - 1}:
+        joined = ",".join(texts)
+        digits = joined[::2]
+        if joined[1::2] == "," * (n * SLATE_SIZE - 1) and digits.isascii() and digits.isdigit():
+            # Every item is one digit, as in labels: read from the characters.
+            rows = np.frombuffer(digits.encode(), np.uint8).reshape(n, SLATE_SIZE) - ord("0")
+            return rows.astype(np.int64), np.zeros((n, SLATE_SIZE), bool)
+    counts, tokens, owner = _lists(texts, "-")
+    values, bad, wide = _ints(tokens)
+    faults.add(_any_of(owner, bad, n), lambda i: f"bad {what} value in {texts[i]!r}")
+    faults.add(counts != SLATE_SIZE, lambda i: f"expected {SLATE_SIZE} {noun}, got {counts[i]}")
+    full = counts == SLATE_SIZE
+    if full.all():
+        return values.reshape(n, SLATE_SIZE), wide.reshape(n, SLATE_SIZE)
+    rows = np.zeros((n, SLATE_SIZE), np.int64)
+    wide_rows = np.zeros((n, SLATE_SIZE), bool)
+    rows[full] = values[full[owner]].reshape(-1, SLATE_SIZE)
+    wide_rows[full] = wide[full[owner]].reshape(-1, SLATE_SIZE)
+    return rows, wide_rows
+
+
+def _check_slates(
+    slate: np.ndarray, wide: np.ndarray, texts: Sequence[str], catalog: ItemCatalog, faults: _Faults
+) -> None:
+    """Add the checks that each slate position, in order, holds a catalog
+    item of its location, and that no step row repeats an item."""
+    at, known = catalog.index(slate)
+    known &= ~wide
+    location = np.zeros_like(slate)
+    location[known] = catalog.locations[at[known]]
+    misplaced = location != _SLATE_LOCATIONS
+
+    def message(i: int) -> str:
+        pos = int(misplaced[i].argmax())
+        item = int(texts[i].split(",")[pos])
+        if not known[i, pos]:
+            return f"slate item {item} not in catalog"
+        return (
+            f"slate position {pos + 1} holds item {item} "
+            f"with location {location[i, pos]}, expected {_SLATE_LOCATIONS[pos]}"
+        )
+
+    faults.add(misplaced.any(axis=1), message)
+    rows = np.sort(slate.reshape(-1, len(STEPS), 3), axis=2)
+    repeats = (rows[:, :, 1:] == rows[:, :, :-1]).any(axis=2)
+    faults.add(
+        repeats.any(axis=1), lambda i: f"duplicate item within step {repeats[i].argmax() + 1} row"
+    )
+
+
+class _StateIndex:
+    """Numbers the user states of one file as its blocks are parsed.
+
+    Each distinct clicks or portraits text is parsed and checked once, in
+    the block where it first appears, so a bad one is named at its first
+    line.  Texts of equal value share one value object, and lines of equal
+    clicks and portraits values one state; states are numbered in order of
+    first appearance.
+    """
+
+    def __init__(self, catalog: ItemCatalog) -> None:
+        self.catalog = catalog
+        self.click_texts: dict[str, int] = {}
+        self.click_values: dict[frozenset[int], int] = {}
+        self.portrait_texts: dict[str, int] = {}
+        self.portrait_values: dict[tuple[float, ...], int] = {}
+        self.states: dict[tuple[int, int], int] = {}
+        self.text_states: dict[tuple[str, str], int] = {}
+
+    def number(
+        self, clicks: Sequence[str], portraits: Sequence[str], faults: _Faults
+    ) -> np.ndarray:
+        """The state of each line, adding the clicks and portraits checks."""
+        pairs = list(zip(clicks, portraits))
+        new = [pair for pair in dict.fromkeys(pairs) if pair not in self.text_states]
+        click_faults = self._read(
+            [c for c, _ in new], self.click_texts, self.click_values, self._read_clicks
+        )
+        portrait_faults = self._read(
+            [p for _, p in new], self.portrait_texts, self.portrait_values, self._read_portraits
+        )
+        faults.add(_has_fault(clicks, click_faults), lambda i: click_faults[clicks[i]])
+        faults.add(_has_fault(portraits, portrait_faults), lambda i: portrait_faults[portraits[i]])
+        for c, p in new:
+            if c in self.click_texts and p in self.portrait_texts:
+                numbers = (self.click_texts[c], self.portrait_texts[p])
+                self.text_states[c, p] = self.states.setdefault(numbers, len(self.states))
+        return np.fromiter(map(self.text_states.get, pairs, repeat(-1)), np.int64, len(pairs))
+
+    def values(self) -> tuple[tuple[frozenset[int], ...], list[tuple[float, ...]]]:
+        """Each state's clicks and portraits."""
+        clicks, portraits = list(self.click_values), list(self.portrait_values)
+        return (
+            tuple(clicks[c] for c, _ in self.states),
+            [portraits[p] for _, p in self.states],
+        )
+
+    @staticmethod
+    def _read(texts: list[str], by_text: dict, by_value: dict, read) -> dict[str, str]:
+        """Read the texts not read before, numbering their values; returns
+        the fault of each text that fails its checks."""
+        fresh = list(dict.fromkeys(t for t in texts if t not in by_text))
+        if not fresh:
+            return {}
+        values, fault_of = read(fresh)
+        for text, value in values.items():
+            by_text[text] = by_value.setdefault(value, len(by_value))
+        return fault_of
+
+    def _read_clicks(self, texts: list[str]) -> tuple[dict, dict]:
+        counts, tokens, owner = _lists(texts, "-")
+        items, bad, wide = _ints(tokens)
+        known = self.catalog.index(items)[1] & ~wide
+        has_bad = _any_of(owner, bad, len(texts))
+        has_unknown = _any_of(owner, ~known, len(texts))
+        items = items.tolist()
+        values, fault_of = {}, {}
+        for i, (text, hi) in enumerate(zip(texts, np.cumsum(counts).tolist())):
+            lo = hi - int(counts[i])
+            if has_bad[i]:
+                fault_of[text] = f"bad click history value in {text!r}"
+            elif has_unknown[i]:
+                first = lo + int(known[lo:hi].argmin())
+                fault_of[text] = f"clicked item {int(tokens[first])} not in catalog"
+            else:
+                values[text] = frozenset(items[lo:hi])
+        return values, fault_of
+
+    @staticmethod
+    def _read_portraits(texts: list[str]) -> tuple[dict, dict]:
+        counts, tokens, owner = _lists(texts, None)
+        floats, errors = _floats(tokens)
+        non_finite = _any_of(owner, ~np.isfinite(floats), len(texts))
+        floats = floats.tolist()
+        values, fault_of = {}, {}
+        for i, (text, hi) in enumerate(zip(texts, np.cumsum(counts).tolist())):
+            lo = hi - int(counts[i])
+            error = next(filter(None, errors[lo:hi]), None)
+            if counts[i] != N_PORTRAITS:
+                fault_of[text] = f"expected {N_PORTRAITS} portraits, got {counts[i]}"
+            elif error is not None:
+                fault_of[text] = f"bad portraits value: {error}"
+            elif non_finite[i]:
+                fault_of[text] = f"non-finite portraits value in {text!r}"
+            else:
+                values[text] = tuple(floats[lo:hi])
+        return values, fault_of
+
+
+def _has_fault(texts: Sequence[str], fault_of: dict[str, str]) -> np.ndarray:
+    """Which of ``texts`` have a fault in ``fault_of``."""
+    bad = np.zeros(len(texts), bool)
+    if fault_of:
+        bad[:] = [t in fault_of for t in texts]
+    return bad
+
+
+def _session_block(numbers, fields, catalog: ItemCatalog, index: _StateIndex) -> tuple:
+    """One block's ``user_id``, ``timestamp``, ``state``, ``slate`` and
+    ``labels`` columns, after every check of every line."""
+    faults = _Faults(numbers)
+    users, clicks, portraits, slates, labels, times = _columns(fields, 6, faults)
+    user_id = _int_column(users, "user_id", faults)
+    state = index.number(clicks, portraits, faults)
+    slate, wide_items = _int_rows(slates, "exposed slate", "slate items", faults)
+    label, wide_labels = _int_rows(labels, "labels", "labels", faults)
+    faults.add(
+        ((label != 0) & (label != 1) | wide_labels).any(axis=1),
+        lambda i: "labels must be 0 or 1",
+    )
+    timestamp = _int_column(times, "timestamp", faults)
+    _check_slates(slate, wide_items, slates, catalog, faults)
+    faults.raise_first()
+    return user_id, timestamp, state, slate, label.astype(bool)
+
+
+def parse_sessions(text: str, catalog: ItemCatalog) -> SessionTable:
     """Parse a session file, validating every record against the catalog.
 
     Rejected lines raise :class:`DataError` stating the line number and the
     violated constraint; a slate item whose location does not match its row
-    is reported by 1-based slate position.
+    is reported by 1-based slate position.  Of several bad lines the first
+    is named, with the first constraint it violates in the order of the
+    fields.  A user id or timestamp must fit in 64 bits.
     """
-    parse_state = _state_parser(catalog)
-    sessions: list[SessionRecord] = []
-    for line_no, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        fields = line.split(" ")
-        if len(fields) != 6:
-            raise DataError(f"line {line_no}: expected 6 fields, got {len(fields)}")
-        try:
-            user_id = int(fields[0])
-        except ValueError:
-            raise DataError(f"line {line_no}: bad user_id {fields[0]!r}") from None
-        clicks, portraits = parse_state(fields[1], fields[2], line_no)
-        slate = _parse_int_list(fields[3], "exposed slate", line_no)
-        if len(slate) != SLATE_SIZE:
-            raise DataError(f"line {line_no}: expected {SLATE_SIZE} slate items, got {len(slate)}")
-        labels_raw = _parse_int_list(fields[4], "labels", line_no)
-        if len(labels_raw) != SLATE_SIZE:
-            raise DataError(f"line {line_no}: expected {SLATE_SIZE} labels, got {len(labels_raw)}")
-        if any(v not in (0, 1) for v in labels_raw):
-            raise DataError(f"line {line_no}: labels must be 0 or 1")
-        try:
-            timestamp = int(fields[5])
-        except ValueError:
-            raise DataError(f"line {line_no}: bad timestamp {fields[5]!r}") from None
-        for pos, item_id in enumerate(slate, 1):
-            if item_id not in catalog:
-                raise DataError(f"line {line_no}: slate item {item_id} not in catalog")
-            expected_loc = (pos - 1) // 3 + 1
-            actual_loc = catalog.location(item_id)
-            if actual_loc != expected_loc:
-                raise DataError(
-                    f"line {line_no}: slate position {pos} holds item {item_id} "
-                    f"with location {actual_loc}, expected {expected_loc}"
-                )
-        for step in STEPS:
-            row = slate[(step - 1) * 3 : step * 3]
-            if len(set(row)) != 3:
-                raise DataError(f"line {line_no}: duplicate item within step {step} row")
-        sessions.append(
-            SessionRecord(
-                user_id=user_id,
-                clicked_items=clicks,
-                portraits=portraits,
-                exposed_slate=slate,
-                purchase_labels=tuple(bool(v) for v in labels_raw),
-                timestamp=timestamp,
-            )
-        )
-    return sessions
+    index = _StateIndex(catalog)
+    blocks = [
+        _session_block(numbers, fields, catalog, index) for numbers, fields in _line_blocks(text)
+    ]
+    if not blocks:
+        return SessionTable.from_records([])
+    clicks, portraits = index.values()
+    return SessionTable(
+        *(np.concatenate(column) for column in zip(*blocks)),
+        clicks,
+        np.array(portraits, np.float64),
+    )
 
 
-def serialize_sessions(sessions: list[SessionRecord]) -> str:
+def serialize_sessions(sessions: Sessions) -> str:
     lines = []
     for s in sessions:
         clicks = ",".join(str(c) for c in sorted(s.clicked_items)) or "-"
@@ -281,21 +662,26 @@ def serialize_sessions(sessions: list[SessionRecord]) -> str:
 
 
 def parse_users(text: str, catalog: ItemCatalog) -> list[UserRecord]:
-    """Parse a user file: ``<user_id> <clicks or -> <p1,...,p10>`` per line."""
-    parse_state = _state_parser(catalog)
-    users: list[UserRecord] = []
-    for line_no, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        fields = line.split(" ")
-        if len(fields) != 3:
-            raise DataError(f"line {line_no}: expected 3 fields, got {len(fields)}")
-        try:
-            user_id = int(fields[0])
-        except ValueError:
-            raise DataError(f"line {line_no}: bad user_id {fields[0]!r}") from None
-        users.append(UserRecord(user_id, *parse_state(fields[1], fields[2], line_no)))
-    return users
+    """Parse a user file: ``<user_id> <clicks or -> <p1,...,p10>`` per line.
+
+    Checked as the same fields of a session file; users of one state share
+    its click set and portrait tuple.
+    """
+    index = _StateIndex(catalog)
+    blocks = []
+    for numbers, fields in _line_blocks(text):
+        faults = _Faults(numbers)
+        users, clicks, portraits = _columns(fields, 3, faults)
+        blocks.append(
+            (_int_column(users, "user_id", faults), index.number(clicks, portraits, faults))
+        )
+        faults.raise_first()
+    clicks, portraits = index.values()
+    return [
+        UserRecord(user_id, clicks[s], portraits[s])
+        for user_ids, states in blocks
+        for user_id, s in zip(user_ids.tolist(), states.tolist())
+    ]
 
 
 # Each ``TransitionTable`` column's name, numpy dtype kind, kind in words
@@ -354,9 +740,7 @@ class TransitionTable:
         return len(self.step)
 
 
-def sessions_to_transitions(
-    sessions: Sequence[SessionRecord], catalog: ItemCatalog
-) -> TransitionTable:
+def sessions_to_transitions(sessions: Sessions, catalog: ItemCatalog) -> TransitionTable:
     """Derive training transitions from logged sessions.
 
     A session contributes its step-1 transition always, step 2 only when all
@@ -370,42 +754,35 @@ def sessions_to_transitions(
     Every exposed item must be in the catalog, reached or not: the first
     unknown one, in session then slate order, raises :class:`DataError`.
     """
-    ids = np.array(catalog.item_ids, np.int64)
-    prices = np.array([catalog.price(i) for i in ids.tolist()], np.float64)
+    sessions = SessionTable.from_records(sessions)
     # At least one block, empty or not, so that every column has its dtype.
     blocks = [
-        _block_transitions(sessions, lo, ids, prices)
+        _block_transitions(sessions, lo, catalog)
         for lo in range(0, max(len(sessions), 1), _BLOCK)
     ]
     return TransitionTable(*(np.concatenate(column) for column in zip(*blocks)))
 
 
-# Sessions per block of ``sessions_to_transitions``.  Blocks bound its n×9
-# temporaries: built for 48k sessions at once they peak at 13 MiB and raise
-# the process's peak RSS.
+# Sessions per block of ``sessions_to_transitions`` and of iterating a
+# ``SessionTable``.  Blocks bound the n×9 temporaries: built for 48k sessions
+# at once they peak at 13 MiB and raise the process's peak RSS.
 _BLOCK = 4096
 
 
-def _block_transitions(sessions, lo: int, ids: np.ndarray, prices: np.ndarray):
-    """The ``TransitionTable`` columns of sessions ``lo`` to ``lo + _BLOCK``,
-    given the catalog's sorted ids and their prices."""
-    block = sessions[lo : lo + _BLOCK]
-    n = len(block)
+def _block_transitions(sessions: SessionTable, lo: int, catalog: ItemCatalog):
+    """The ``TransitionTable`` columns of sessions ``lo`` to ``lo + _BLOCK``."""
     slates, labels = (
-        np.fromiter(chain.from_iterable(map(attrgetter(name), block)), dtype, n * SLATE_SIZE)
-        .reshape(n, len(STEPS), 3)
-        for name, dtype in (("exposed_slate", np.int64), ("purchase_labels", np.bool_))
+        column[lo : lo + _BLOCK].reshape(-1, len(STEPS), 3)
+        for column in (sessions.slate, sessions.labels)
     )
-    at = np.searchsorted(ids, slates)
-    # The appended 0 is read only where ``at`` is past the end, a miss anyway.
-    known = (at < len(ids)) & (np.append(ids, 0)[at] == slates)
+    at, known = catalog.index(slates)
     if not known.all():
         raise DataError(f"unknown item_id {slates.flat[np.argmin(known)]}")
     full = labels.all(axis=2)
     reach = np.ones_like(full)
     reach[:, 1:] = np.logical_and.accumulate(full[:, :-1], axis=1)
     ref, at_step = np.nonzero(reach)
-    paid = np.where(labels[ref, at_step], prices[at[ref, at_step]], 0.0)
+    paid = np.where(labels[ref, at_step], catalog.prices[at[ref, at_step]], 0.0)
     return (
         ref + lo,
         at_step + STEPS[0],

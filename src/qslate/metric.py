@@ -23,7 +23,13 @@ import numpy as np
 
 from .errors import ComponentCollapseError, DataError, FitError, QslateError
 from .features import FeatureMatrix, SparseComponents, build_raw_features, transform
-from .ingest import ItemCatalog, SessionRecord, TransitionTable, sessions_to_transitions
+from .ingest import (
+    ItemCatalog,
+    Sessions,
+    SessionTable,
+    TransitionTable,
+    sessions_to_transitions,
+)
 from .pipeline import (
     PipelineParams,
     fit_components,
@@ -60,18 +66,46 @@ class ScoreReport:
         }
 
 
-def _per_step_items(rec) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
+def _step_items(rec, i: int) -> tuple[Sequence[int], tuple[int, int, int]]:
+    """Recommendation ``i``'s items in step order, and how many each step holds."""
+    if rec is None:
+        raise DataError(f"missing recommendation for session {i}")
     if len(rec) == 3 and all(isinstance(part, (list, tuple)) for part in rec):
-        return tuple(rec)  # already grouped by step
-    items = tuple(rec)
-    if len(items) != 9:
+        return [*rec[0], *rec[1], *rec[2]], (len(rec[0]), len(rec[1]), len(rec[2]))
+    if len(rec) != 9:
         raise DataError(f"a recommendation holds 9 items or 3 per-step lists, got {rec!r}")
-    return items[0:3], items[3:6], items[6:9]
+    return rec, (3, 3, 3)
+
+
+def _recommended(recommendations: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """Every recommended item as listed, with its group ``3 * session +
+    step index`` (0 for step 1)."""
+    listed = [_step_items(rec, i) for i, rec in enumerate(recommendations)]
+    counts = np.fromiter(
+        itertools.chain.from_iterable(n for _, n in listed), np.int64, 3 * len(listed)
+    )
+    items = np.fromiter(
+        itertools.chain.from_iterable(items for items, _ in listed), np.int64, counts.sum()
+    )
+    return np.repeat(np.arange(len(counts)), counts), items
+
+
+def _purchased(sessions: SessionTable, session: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """Whether session ``session[j]`` bought item ``items[j]`` at any slate
+    position, for each ``j``."""
+    bought = np.nonzero(sessions.labels)
+    # Number the items, so that a session and an item make one int64 key.
+    codes = np.unique(np.concatenate([sessions.slate[bought], items]), return_inverse=True)[1]
+    span = int(codes.max(initial=0)) + 1
+    keys = np.sort(bought[0] * span + codes[: len(bought[0])])
+    wanted = session * span + codes[len(bought[0]) :]
+    # The appended -1 is read only past the last key, a miss anyway.
+    return np.append(keys, -1)[np.searchsorted(keys, wanted)] == wanted
 
 
 def score(
     recommendations: Sequence,
-    sessions: list[SessionRecord],
+    sessions: Sessions,
     catalog: ItemCatalog,
     cfg: MetricConfig = MetricConfig(),
 ) -> ScoreReport:
@@ -80,26 +114,34 @@ def score(
     ``recommendations[i]`` belongs to ``sessions[i]`` and is either a flat
     9-item list in step order or three per-step item lists (the latter may
     have any length, which keeps the metric monotone under adding items).
+    Each step's value sums its credited prices session by session, each
+    session's in ascending item order.
     """
     cfg.validate()
+    sessions = SessionTable.from_records(sessions)
     if len(sessions) == 0:
         raise DataError("cannot score zero sessions")
     if len(recommendations) != len(sessions):
         raise DataError(
             f"{len(sessions)} sessions but {len(recommendations)} recommendations"
         )
-    value = [0.0, 0.0, 0.0]
-    for i, (rec, sess) in enumerate(zip(recommendations, sessions)):
-        if rec is None:
-            raise DataError(f"missing recommendation for session {i}")
-        steps = _per_step_items(rec)
-        purchased = {
-            it for it, lab in zip(sess.exposed_slate, sess.purchase_labels) if lab
-        }
-        for st, items in enumerate(steps, 1):
-            for it in sorted(set(items)):
-                if it in purchased and catalog.location(it) == st:
-                    value[st - 1] += catalog.price(it)
+    group, items = _recommended(recommendations)
+    # The bought items in the order of the sums: session, step, then item.
+    rows = np.flatnonzero(_purchased(sessions, group // 3, items))
+    rows = rows[np.lexsort((items[rows], group[rows]))]
+    group, items = group[rows], items[rows]
+    at, known = catalog.index(items)
+    if not known.all():
+        raise DataError(f"unknown item_id {items[known.argmin()]}")
+    step = group % 3
+    credited = catalog.locations[at] == step + 1
+    # An item listed twice for one step is credited once.
+    credited[1:] &= (group[1:] != group[:-1]) | (items[1:] != items[:-1])
+    value = [
+        # One running total per step from 0.0, added to in order.
+        float(np.cumsum(np.append(0.0, catalog.prices[at[credited & (step == st)]]))[-1])
+        for st in range(3)
+    ]
     n = len(sessions)
     total = sum(w * v for w, v in zip(cfg.step_weights, value)) / n
     return ScoreReport(
@@ -110,19 +152,18 @@ def score(
 
 
 def holdout_split(
-    sessions: list[SessionRecord], train_fraction: float, seed: int
-) -> tuple[list[SessionRecord], list[SessionRecord]]:
+    sessions: Sessions, train_fraction: float, seed: int
+) -> tuple[SessionTable, SessionTable]:
     """Deterministic shuffled split into disjoint train and validation sets."""
     if not 0.0 < train_fraction < 1.0:
         raise DataError("train_fraction must be in (0, 1)")
+    sessions = SessionTable.from_records(sessions)
     n = len(sessions)
     if n < 2:
         raise DataError("need at least 2 sessions to split")
     order = np.random.default_rng(seed).permutation(n)
     n_train = min(max(int(round(train_fraction * n)), 1), n - 1)
-    train = [sessions[i] for i in order[:n_train]]
-    validation = [sessions[i] for i in order[n_train:]]
-    return train, validation
+    return sessions.take(order[:n_train]), sessions.take(order[n_train:])
 
 
 @dataclass
@@ -285,8 +326,8 @@ class _ReducedGroup:
 def _reduce(
     cells: list[GridCellResult],
     params: list[PipelineParams],
-    train_set: list[SessionRecord],
-    validation: list[SessionRecord],
+    train_set: SessionTable,
+    validation: SessionTable,
     catalog: ItemCatalog,
 ) -> list[_ReducedGroup]:
     """Fit sparse PCA once per ``l1_penalty`` and project both splits.
@@ -332,7 +373,7 @@ def _score_model_cells(
     params: list[PipelineParams],
     group: _ReducedGroup,
     transitions: Callable[[], TransitionTable],
-    validation: list[SessionRecord],
+    validation: SessionTable,
     catalog: ItemCatalog,
     cfg: MetricConfig,
 ) -> None:
@@ -359,7 +400,7 @@ def _score_model_cells(
 
 def tune(
     grid: Mapping[str, Sequence],
-    sessions: list[SessionRecord],
+    sessions: Sessions,
     catalog: ItemCatalog,
     cfg: MetricConfig = MetricConfig(),
     *,

@@ -18,7 +18,7 @@ import dataclasses
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping, TypeVar
+from typing import Any, Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -38,7 +38,14 @@ from .features import (
     fit_sparse_pca,
     transform,
 )
-from .ingest import ItemCatalog, SessionRecord, TransitionTable, sessions_to_transitions
+from .ingest import (
+    ItemCatalog,
+    Sessions,
+    SessionTable,
+    TransitionTable,
+    UserRecord,
+    sessions_to_transitions,
+)
 from .qlearning import QTableBank, TrainConfig, export_policies, train
 
 DEFAULT_MIN_CLUSTER_SUPPORT = 500
@@ -124,7 +131,7 @@ def _stage_seeds(seed: int) -> tuple[int, int]:
     return int(seed_pca), int(seed_cluster)
 
 
-def training_features(sessions: list[SessionRecord], catalog: ItemCatalog) -> FeatureMatrix:
+def training_features(sessions: SessionTable, catalog: ItemCatalog) -> FeatureMatrix:
     """Check the fit inputs and build their raw state matrix."""
     if not sessions:
         raise DataError("cannot fit on zero sessions")
@@ -144,9 +151,10 @@ def fit_components(raw: FeatureMatrix, params: PipelineParams) -> SparseComponen
 
 
 def fit_pipeline(
-    sessions: list[SessionRecord], catalog: ItemCatalog, params: PipelineParams
+    sessions: Sessions, catalog: ItemCatalog, params: PipelineParams
 ) -> tuple[PipelineModel, FitStats]:
     """Fit the full pipeline on the given sessions."""
+    sessions = SessionTable.from_records(sessions)
     timings: list[tuple[str, float]] = []
     raw = timed(timings, "build_features", lambda: training_features(sessions, catalog))
     components = timed(timings, "fit_sparse_pca", lambda: fit_components(raw, params))
@@ -226,9 +234,10 @@ def fit_on_reduced(
 
 
 def recommend_for_sessions(
-    model: PipelineModel, sessions: list[SessionRecord], catalog: ItemCatalog
+    model: PipelineModel, sessions: Sessions | Sequence[UserRecord], catalog: ItemCatalog
 ) -> list[list[int]]:
-    """Batch recommendation: one 9-item list per session, in input order."""
+    """Batch recommendation: one 9-item list per session or user, in input
+    order; only their states are read."""
     raw = build_raw_features(sessions, catalog)
     reduced = transform(raw, model.components)
     cluster_ids = model.cluster_model.assign_many(reduced)[raw.rows]

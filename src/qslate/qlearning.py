@@ -141,8 +141,9 @@ class QTableBank:
     @classmethod
     def load(cls, path: str | Path) -> tuple["QTableBank", str | None]:
         """Read a saved bank; a cell whose slate is not 3 strictly ascending
-        ints, whose q is not finite or whose visits are below 1 raises
-        :class:`ModelFileError` naming ``path``."""
+        ints, whose q is not a finite JSON number or whose visits are not a
+        JSON integer of at least 1 raises :class:`ModelFileError` naming
+        ``path``."""
         def build(payload: dict) -> "QTableBank":
             bank = cls(int(payload["n_clusters"]))
             for c_str, steps in payload["tables"].items():
@@ -153,7 +154,13 @@ class QTableBank:
                         slate = make_slate(items)
                         if list(slate) != items:
                             raise DataError(f"cell {slate_str!r} does not list its items in order")
-                        q, visits = float(q), int(visits)
+                        # A JSON true is a bool, which the type tests exclude.
+                        if type(q) not in (int, float) or type(visits) is not int:
+                            raise DataError(
+                                f"cell {slate_str!r} holds q {q!r} and visits {visits!r}, "
+                                "not a number and an integer"
+                            )
+                        q = float(q)
                         if not math.isfinite(q) or visits < 1:
                             raise DataError(f"cell {slate_str!r} has q {q}, visits {visits}")
                         tab[slate] = [q, visits]

@@ -8,11 +8,20 @@ paths under test.
 from __future__ import annotations
 
 import itertools
+import math
 from math import comb
 
 import numpy as np
 
-from qslate.ingest import GroundTruth, ItemCatalog, ItemRecord, SessionRecord, TransitionTable
+from qslate.errors import DataError
+from qslate.ingest import (
+    N_PORTRAITS,
+    GroundTruth,
+    ItemCatalog,
+    ItemRecord,
+    SessionRecord,
+    TransitionTable,
+)
 
 
 def value_iteration(outcomes: dict, gamma: float) -> dict:
@@ -55,6 +64,22 @@ def naive_metric_score(recommendations, sessions, catalog: ItemCatalog, weights)
     return total, tuple(per_step)
 
 
+def row_step_values(recommendations, sessions, catalog: ItemCatalog) -> tuple[float, ...]:
+    """Per-step credited revenue, walked session by session: each step's
+    distinct recommended items in ascending order, each bought one of the
+    step's location added to a running total from 0.0."""
+    value = [0.0, 0.0, 0.0]
+    for rec, sess in zip(recommendations, sessions):
+        grouped = len(rec) == 3 and all(isinstance(part, (list, tuple)) for part in rec)
+        steps = rec if grouped else (rec[0:3], rec[3:6], rec[6:9])
+        purchased = {it for it, lab in zip(sess.exposed_slate, sess.purchase_labels) if lab}
+        for st, items in enumerate(steps, 1):
+            for it in sorted(set(items)):
+                if it in purchased and catalog.location(it) == st:
+                    value[st - 1] += catalog.price(it)
+    return tuple(value)
+
+
 TRANSITION_COLUMNS = ("session_ref", "step", "action", "reward", "terminal")
 
 
@@ -78,6 +103,80 @@ def table_rows(table: TransitionTable) -> list[tuple]:
     columns = [getattr(table, name).tolist() for name in TRANSITION_COLUMNS]
     columns[2] = map(tuple, columns[2])
     return list(zip(*columns))
+
+
+def _row_floats(text: str, line_no: int) -> tuple[float, ...]:
+    parts = text.split(",")
+    if len(parts) != N_PORTRAITS:
+        raise DataError(f"line {line_no}: expected {N_PORTRAITS} portraits, got {len(parts)}")
+    try:
+        values = tuple(float(p) for p in parts)
+    except ValueError as exc:
+        raise DataError(f"line {line_no}: bad portraits value: {exc}") from None
+    if not all(map(math.isfinite, values)):
+        raise DataError(f"line {line_no}: non-finite portraits value in {text!r}")
+    return values
+
+
+def _row_ints(text: str, what: str, line_no: int) -> tuple[int, ...]:
+    if text == "-":
+        return ()
+    try:
+        return tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise DataError(f"line {line_no}: bad {what} value in {text!r}") from None
+
+
+def row_parse_sessions(text: str, catalog: ItemCatalog) -> list[SessionRecord]:
+    """Line-by-line parse of a session file, each line checked field by
+    field and the first failing check raised."""
+    sessions = []
+    for line_no, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        fields = line.split(" ")
+        if len(fields) != 6:
+            raise DataError(f"line {line_no}: expected 6 fields, got {len(fields)}")
+        try:
+            user_id = int(fields[0])
+        except ValueError:
+            raise DataError(f"line {line_no}: bad user_id {fields[0]!r}") from None
+        clicks = _row_ints(fields[1], "click history", line_no)
+        for c in clicks:
+            if c not in catalog:
+                raise DataError(f"line {line_no}: clicked item {c} not in catalog")
+        portraits = _row_floats(fields[2], line_no)
+        slate = _row_ints(fields[3], "exposed slate", line_no)
+        if len(slate) != 9:
+            raise DataError(f"line {line_no}: expected 9 slate items, got {len(slate)}")
+        labels = _row_ints(fields[4], "labels", line_no)
+        if len(labels) != 9:
+            raise DataError(f"line {line_no}: expected 9 labels, got {len(labels)}")
+        if any(v not in (0, 1) for v in labels):
+            raise DataError(f"line {line_no}: labels must be 0 or 1")
+        try:
+            timestamp = int(fields[5])
+        except ValueError:
+            raise DataError(f"line {line_no}: bad timestamp {fields[5]!r}") from None
+        for pos, item_id in enumerate(slate, 1):
+            if item_id not in catalog:
+                raise DataError(f"line {line_no}: slate item {item_id} not in catalog")
+            expected = (pos - 1) // 3 + 1
+            actual = catalog.location(item_id)
+            if actual != expected:
+                raise DataError(
+                    f"line {line_no}: slate position {pos} holds item {item_id} "
+                    f"with location {actual}, expected {expected}"
+                )
+        for step in (1, 2, 3):
+            if len(set(slate[(step - 1) * 3 : step * 3])) != 3:
+                raise DataError(f"line {line_no}: duplicate item within step {step} row")
+        sessions.append(
+            SessionRecord(
+                user_id, frozenset(clicks), portraits, slate, tuple(map(bool, labels)), timestamp
+            )
+        )
+    return sessions
 
 
 def row_transitions(sessions, catalog: ItemCatalog) -> TransitionTable:

@@ -262,6 +262,23 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "qtables.json" in err and "has q nan" in err
 
+    @pytest.mark.parametrize("command", ["evaluate", "recommend"])
+    def test_mistyped_cell_in_model_file_names_it(self, tmp_path, capsys, command):
+        data = generate_corpus(tmp_path)
+        models = train_models(tmp_path, data)
+        payload = json.loads((models / "qtables.json").read_text())
+        cells = payload["tables"]["0"]["1"]
+        cells[next(iter(cells))] = [True, 2.7]
+        (models / "qtables.json").write_text(json.dumps(payload, sort_keys=True) + "\n")
+        users = tmp_path / "users.txt"
+        users.write_text("1 - 0,0,0,0,0,0,0,0,0,0\n")
+        inputs = {"evaluate": ["--sessions", data / "sessions.txt", "--report-dir", tmp_path / "r"],
+                  "recommend": ["--users", users, "--out", tmp_path / "recs.txt"]}[command]
+        code = run(command, "--items", data / "items.txt", "--model-dir", models, *inputs)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "qtables.json" in err and "holds q True and visits 2.7" in err
+
     @pytest.mark.parametrize("name, field", [
         ("components.json", "loadings"),
         ("clusters.json", "centroids"),

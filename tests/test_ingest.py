@@ -1,14 +1,16 @@
 import dataclasses
+import itertools
 import math
+import random
 import re
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from conftest import make_catalog, make_session
-from oracles import TRANSITION_COLUMNS, row_transitions, table_rows
+from oracles import TRANSITION_COLUMNS, row_parse_sessions, row_transitions, table_rows
 from qslate import ingest
 from qslate.errors import DataError
 from qslate.ingest import (
@@ -171,7 +173,7 @@ class TestParseSessions:
         assert text.count("\n") == 250_000
         reparsed = parse_sessions(text, corpus.catalog)
         assert len(reparsed) == 250_000
-        assert reparsed == corpus.sessions
+        assert list(reparsed) == corpus.sessions
 
 
 class TestStateCache:
@@ -183,10 +185,13 @@ class TestStateCache:
             f"8 2 0,1,2,3,4,5,6,7,8,9 {self.TAIL}\n"
             f"9 1,5 0,1,2,3,4,5,6,7,8,9 {self.TAIL}\n"
         )
-        first, other, again = parse_sessions(text, catalog9)
+        table = parse_sessions(text, catalog9)
+        assert table.state.tolist() == [0, 1, 0]
+        first, other, again = table
         assert again.clicked_items is first.clicked_items
+        assert again.portraits is first.portraits
         assert other.clicked_items == {2}
-        assert other.portraits is first.portraits
+        assert other.portraits == first.portraits
         users = parse_users("4 2,3 0,1,2,3,4,5,6,7,8,9\n5 2,3 0,1,2,3,4,5,6,7,8,9\n", catalog9)
         assert users[1].clicked_items is users[0].clicked_items
         assert users[1].portraits is users[0].portraits
@@ -207,11 +212,120 @@ class TestStateCache:
             SyntheticConfig(num_items=30, num_users=40, num_sessions=2000, seed=12)
         )
         reparsed = parse_sessions(serialize_sessions(corpus.sessions), corpus.catalog)
-        assert reparsed == corpus.sessions
+        assert list(reparsed) == corpus.sessions
         by_user = {}
-        for s in reparsed:
-            by_user.setdefault(s.user_id, set()).add((id(s.clicked_items), id(s.portraits)))
-        assert all(len(ids) == 1 for ids in by_user.values())
+        for user_id, state in zip(reparsed.user_id.tolist(), reparsed.state.tolist()):
+            by_user.setdefault(user_id, set()).add(state)
+        assert all(len(states) == 1 for states in by_user.values())
+        assert len(reparsed.clicks) == len(by_user)
+
+
+def corrupt(line: str, kind: str, rnd) -> str:
+    """``line`` of a session file with one more corruption of ``kind``.
+
+    "respelled" keeps a valid line valid but writes its integers as ``int``
+    reads them, with a sign or leading zeros.  Apply "field count" last, as
+    the other kinds expect 6 fields.
+    """
+    if kind == "field count":
+        return line.rsplit(" ", 1)[0] if rnd.random() < 0.5 else line + " 7"
+    user, clicks, portraits, slate, labels, timestamp = line.split(" ")
+    items, flags, values = slate.split(","), labels.split(","), portraits.split(",")
+    if kind == "bad user_id":
+        user = rnd.choice(["x", "1.5", ""])
+    elif kind == "bad slate int":
+        items[rnd.randrange(len(items))] = "x"
+    elif kind == "bad label int":
+        flags[rnd.randrange(len(flags))] = "0x1"
+    elif kind == "bad timestamp":
+        timestamp = "1e3"
+    elif kind == "non-finite portrait":
+        values[rnd.randrange(len(values))] = rnd.choice(["nan", "inf", "-inf"])
+    elif kind == "unknown click":
+        clicks = "999" if clicks == "-" else clicks + ",999"
+    elif kind == "unknown slate item":
+        items[rnd.randrange(len(items))] = "999"
+    elif kind == "8 slate items":
+        del items[rnd.randrange(len(items))]
+    elif kind == "label 2":
+        flags[rnd.randrange(len(flags))] = "2"
+    elif kind == "location mismatch":
+        i, j = rnd.sample(range(len(items)), 2)
+        items[i], items[j] = items[j], items[i]
+    elif kind == "duplicate in a step row":
+        row = 3 * rnd.randrange(len(items) // 3)
+        items[row + rnd.randrange(1, 3)] = items[row]
+    elif kind == "respelled":
+        user, timestamp = "+" + user, "00" + timestamp
+        items, flags = ["0" + i for i in items], ["+" + f for f in flags]
+    return " ".join(
+        [user, clicks, ",".join(values), ",".join(items), ",".join(flags), timestamp]
+    )
+
+
+CORRUPTIONS = (
+    "field count", "bad user_id", "bad slate int", "bad label int", "bad timestamp",
+    "non-finite portrait", "unknown click", "unknown slate item", "8 slate items", "label 2",
+    "location mismatch", "duplicate in a step row", "respelled",
+)
+
+
+def assert_parses_like_oracle(text: str, catalog) -> None:
+    """``parse_sessions`` gives the oracle's rows or raises its message."""
+    try:
+        expected = row_parse_sessions(text, catalog)
+    except DataError as exc:
+        with pytest.raises(DataError) as raised:
+            parse_sessions(text, catalog)
+        assert str(raised.value) == str(exc)
+    else:
+        assert list(parse_sessions(text, catalog)) == expected
+
+
+class TestParseOracle:
+    # Shrinking a failing corpus of a few hundred lines takes minutes; the
+    # oracle's message already names the line and the check.
+    @settings(phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @given(
+        items=st.sampled_from([9, 12, 30]),
+        users=st.integers(4, 400),
+        extra=st.integers(6, 40),
+        seed=st.integers(0, 2**16),
+        blanks=st.lists(st.tuples(st.integers(0, 600), st.sampled_from(["", "  ", "\t"])), max_size=3),
+        corruptions=st.lists(
+            st.tuples(st.integers(-4, 3), st.sampled_from(CORRUPTIONS)), max_size=3
+        ),
+        rnd=st.randoms(use_true_random=False),
+    )
+    def test_matches_row_parse_oracle(self, items, users, extra, seed, blanks, corruptions, rnd):
+        """Generated corpora, with blank lines and up to 3 corruptions on
+        lines both sides of a block boundary, some on one line, parse to the
+        oracle's rows or raise its message."""
+        block = ingest._PARSE_BLOCK
+        corpus = generate_synthetic(
+            SyntheticConfig(num_items=items, num_users=users, num_sessions=block + extra, seed=seed)
+        )
+        lines = serialize_sessions(corpus.sessions).splitlines()
+        for offset, kind in sorted(corruptions, key=lambda c: c[1] == "field count"):
+            lines[block + offset] = corrupt(lines[block + offset], kind, rnd)
+        for at, blank in blanks:
+            lines.insert(min(at, len(lines)), blank)
+        assert_parses_like_oracle("\n".join(lines) + "\n", corpus.catalog)
+
+    def test_first_failing_check_of_a_line_matches_oracle(self):
+        """Each corruption, alone and with each other one on the same line,
+        raises the oracle's message: the line's first failing check."""
+        corpus = generate_synthetic(
+            SyntheticConfig(num_items=30, num_users=4, num_sessions=3, seed=1)
+        )
+        first, line, last = serialize_sessions(corpus.sessions).splitlines()
+        cases = [(kind,) for kind in CORRUPTIONS] + list(itertools.permutations(CORRUPTIONS, 2))
+        for kinds in cases:
+            for seed in range(20 if len(kinds) == 1 else 3):
+                rnd, bad = random.Random(seed), line
+                for kind in sorted(kinds, key=lambda k: k == "field count"):
+                    bad = corrupt(bad, kind, rnd)
+                assert_parses_like_oracle(f"{first}\n{bad}\n{last}\n", corpus.catalog)
 
 
 class TestParseUsers:

@@ -2,10 +2,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import make_catalog, make_session
-from oracles import naive_metric_score
+from oracles import naive_metric_score, row_step_values
 from qslate import pipeline
 from qslate.errors import ComponentCollapseError, DataError, FitError, QslateError
-from qslate.ingest import SyntheticConfig, generate_synthetic, sessions_to_transitions
+from qslate.ingest import (
+    ItemCatalog,
+    ItemRecord,
+    SyntheticConfig,
+    generate_synthetic,
+    sessions_to_transitions,
+)
 from qslate.metric import (
     GridCellResult,
     MetricConfig,
@@ -19,7 +25,47 @@ from qslate.metric import (
 from qslate.pipeline import PipelineParams, fit_pipeline, recommend_for_sessions
 
 
+# Prices whose sum depends on the order of addition.
+FRACTIONAL_PRICES = st.one_of(
+    st.sampled_from([0.1, 0.2, 0.3, 0.7, 1e16, 2.5]), st.floats(min_value=0.0, max_value=100.0)
+)
+
+
+@st.composite
+def scored_sessions(draw):
+    """Sessions on a catalog of fractional prices, and recommendations for
+    them, flat or per step, that repeat items and name items of other
+    locations."""
+    ids = draw(st.lists(st.integers(-30, 30), min_size=1, max_size=12, unique=True))
+    catalog = ItemCatalog.from_records(
+        [ItemRecord(i, (0.0,) * 5, draw(FRACTIONAL_PRICES), draw(st.integers(1, 3))) for i in ids]
+    )
+    item = st.sampled_from(ids)
+    sessions, recs = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        labels = draw(st.lists(st.booleans(), min_size=9, max_size=9))
+        sessions.append(make_session(labels, slate=draw(st.lists(item, min_size=9, max_size=9))))
+        if draw(st.booleans()):
+            recs.append(draw(st.lists(item, min_size=9, max_size=9)))
+        else:
+            recs.append(tuple(draw(st.lists(item, max_size=5)) for _ in range(3)))
+    return recs, sessions, catalog
+
+
 class TestScore:
+    @given(scored_sessions())
+    def test_matches_row_walk_bit_for_bit(self, case):
+        recs, sessions, catalog = case
+        report = score(recs, sessions, catalog, MetricConfig((1.0, 1.0, 1.0)))
+        assert report.per_step_value == row_step_values(recs, sessions, catalog)
+
+    def test_bought_item_missing_from_catalog_rejected(self, catalog9):
+        session = make_session([1] * 9, slate=(1, 2, 3, 4, 5, 6, 7, 8, 99))
+        rec = ((1,), (4,), (99, 7))
+        with pytest.raises(DataError, match="unknown item_id 99"):
+            score([rec], [session], catalog9)
+        assert score([((1,), (4,), (7,))], [session], catalog9).per_step_value == (1.0, 4.0, 7.0)
+
     def test_direct_substitution_example(self):
         # One session: purchases worth 5 at step 1 and 4 at step 2 among our
         # recommendations, nothing at step 3 -> (1*5 + 2*4) / 1 = 13.
@@ -145,17 +191,17 @@ class TestHoldoutSplit:
         a1 = holdout_split(sessions, 0.8, seed=3)
         a2 = holdout_split(sessions, 0.8, seed=3)
         b = holdout_split(sessions, 0.8, seed=4)
-        assert a1 == a2
+        assert [list(part) for part in a1] == [list(part) for part in a2]
         assert [s.user_id for s in a1[0]] != [s.user_id for s in b[0]]
         assert len(b[0]) == len(a1[0])
 
     @given(n=st.integers(min_value=2, max_value=60), seed=st.integers(0, 100))
     def test_union_is_the_input_multiset(self, n, seed):
-        sessions = [make_session([0] * 9, user_id=u % 7) for u in range(n)]
+        sessions = [make_session([0] * 9, user_id=u % 7, timestamp=u) for u in range(n)]
         train, val = holdout_split(sessions, 0.8, seed=seed)
         assert len(train) + len(val) == n
         assert len(train) >= 1 and len(val) >= 1
-        assert sorted(id(s) for s in train + val) == sorted(id(s) for s in sessions)
+        assert sorted([*train, *val], key=lambda s: s.timestamp) == sessions
 
     def test_too_few_sessions(self):
         with pytest.raises(DataError, match="2 sessions"):

@@ -669,8 +669,18 @@ class TestBankSerialization:
             ("8-5-2", [2.5, -4], "cell '8-5-2' does not list its items in order"),
             ("3-6", [2.5, 4], "a slate holds exactly 3 items, got (3, 6)"),
             ("1-1-2", [2.5, 4], "slate (1, 1, 2) contains duplicate items"),
+            ("1-2-3", [True, 2.7], "cell '1-2-3' holds q True and visits 2.7, "
+             "not a number and an integer"),
+            ("1-2-3", ["1e3", "5"], "cell '1-2-3' holds q '1e3' and visits '5', "
+             "not a number and an integer"),
+            ("1-2-3", [1.0, 2.7], "cell '1-2-3' holds q 1.0 and visits 2.7, "
+             "not a number and an integer"),
+            ("1-2-3", [1.0, True], "cell '1-2-3' holds q 1.0 and visits True, "
+             "not a number and an integer"),
+            ("1-2-3", [10**400, 4], "int too large to convert to float"),
         ],
-        ids=["nan-q", "inf-q", "zero-visits", "descending", "two-items", "repeated-item"],
+        ids=["nan-q", "inf-q", "zero-visits", "descending", "two-items", "repeated-item",
+             "bool-q", "string-cell", "fractional-visits", "bool-visits", "huge-int-q"],
     )
     def test_load_rejects_malformed_cell(self, tmp_path, slate, cell, reason):
         path = tmp_path / "qtables.json"
