@@ -275,6 +275,25 @@ def _parse_float_list(text: str, expect: int, what: str, line_no: int) -> tuple[
     return values
 
 
+def _parse_int(text: str, what: str, line_no: int) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise DataError(f"line {line_no}: bad {what} {text!r}") from None
+    if not _INT64.min <= value <= _INT64.max:
+        raise DataError(f"line {line_no}: {what} {value} outside the 64-bit range")
+    return value
+
+
+def _parse_int_list(text: str, what: str, line_no: int) -> tuple[int, ...]:
+    if text == "-":
+        return ()
+    try:
+        return tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise DataError(f"line {line_no}: bad {what} value in {text!r}") from None
+
+
 def parse_items(text: str) -> ItemCatalog:
     """Parse an item file into a catalog.
 
@@ -290,12 +309,7 @@ def parse_items(text: str) -> ItemCatalog:
         fields = line.split(" ")
         if len(fields) != 4:
             raise DataError(f"line {line_no}: expected 4 fields, got {len(fields)}")
-        try:
-            item_id = int(fields[0])
-        except ValueError:
-            raise DataError(f"line {line_no}: bad item_id {fields[0]!r}") from None
-        if not _INT64.min <= item_id <= _INT64.max:
-            raise DataError(f"line {line_no}: item_id {item_id} outside the 64-bit range")
+        item_id = _parse_int(fields[0], "item_id", line_no)
         features = _parse_float_list(fields[1], 5, "content features", line_no)
         try:
             price = float(fields[2])
@@ -326,9 +340,6 @@ def serialize_items(catalog: ItemCatalog) -> str:
 # one block's split fields are live: split all at once, a 5,000-line file's
 # fields peak at 2.6 times the heap of 256-line blocks.
 _PARSE_BLOCK = 256
-# Fields that a line of the wrong field count stands in with, so that the
-# checks after the count run on every line; the count's fault is raised first.
-_STAND_IN = ("0", "-", ",".join(["0"] * N_PORTRAITS), "-", "-", "0")
 # The location that each slate position requires.
 _SLATE_LOCATIONS = np.repeat(STEPS, 3)
 
@@ -348,283 +359,159 @@ def _line_blocks(text: str) -> Iterator[tuple[Sequence[int], list[list[str]]]]:
         yield numbers, [line.split(" ") for line in block]
 
 
-class _Faults:
-    """The checks of one block of lines, added in the order that each line
-    is checked.
-
-    A check is a mask of failing lines and the message of line ``i``.  Only
-    the earliest failing line's first failing check is raised, so a check
-    needs to be right only on the lines that pass every check before it.
-    """
-
-    def __init__(self, line_numbers: Sequence[int]) -> None:
-        self.line_numbers = line_numbers
-        self.checks: list[tuple[np.ndarray, Callable[[int], str]]] = []
-
-    def add(self, bad: np.ndarray, message: Callable[[int], str]) -> None:
-        self.checks.append((bad, message))
-
-    def raise_first(self) -> None:
-        bad = np.array([mask for mask, _ in self.checks])
-        failing = bad.any(axis=0)
-        if failing.any():
-            i = int(failing.argmax())
-            message = self.checks[int(bad[:, i].argmax())][1]
-            raise DataError(f"line {self.line_numbers[i]}: {message(i)}")
-
-
-def _columns(fields: list[list[str]], width: int, faults: _Faults) -> list[tuple[str, ...]]:
-    """A block's split lines as ``width`` columns of field texts, adding the
-    field-count check; a line that fails it holds stand-in fields."""
-    counts = np.fromiter(map(len, fields), np.int64, len(fields))
-    faults.add(counts != width, lambda i: f"expected {width} fields, got {counts[i]}")
-    if (counts != width).any():
-        fields = [f if len(f) == width else _STAND_IN[:width] for f in fields]
-    return list(zip(*fields))
-
-
-def _value_or_error(read: Callable, token: str):
-    try:
-        return read(token)
-    except ValueError as exc:
-        return exc
-
-
-def _ints(tokens: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``tokens`` read by ``int`` into int64, with masks of the tokens that
-    are not integers and of those outside the 64-bit range; both hold 0."""
-    try:
-        values = np.fromiter(map(int, tokens), np.int64, len(tokens))
-        return values, np.zeros(len(tokens), bool), np.zeros(len(tokens), bool)
-    except (ValueError, OverflowError):
-        parsed = [_value_or_error(int, t) for t in tokens]
-    bad = [isinstance(v, ValueError) for v in parsed]
-    wide = [not b and not _INT64.min <= v <= _INT64.max for v, b in zip(parsed, bad)]
-    return (
-        np.array([0 if b or w else v for v, b, w in zip(parsed, bad, wide)], np.int64),
-        np.array(bad, bool),
-        np.array(wide, bool),
-    )
-
-
-def _floats(tokens: Sequence[str]) -> tuple[np.ndarray, list[ValueError | None]]:
-    """``tokens`` read by ``float``, with each token's error or None; a token
-    that is not a float holds 0.0."""
-    try:
-        return np.fromiter(map(float, tokens), np.float64, len(tokens)), [None] * len(tokens)
-    except ValueError:
-        parsed = [_value_or_error(float, t) for t in tokens]
-    errors = [v if isinstance(v, ValueError) else None for v in parsed]
-    return np.array([0.0 if e else v for v, e in zip(parsed, errors)], np.float64), errors
-
-
-def _lists(texts: Sequence[str], empty: str | None) -> tuple[np.ndarray, list[str], np.ndarray]:
-    """Comma-separated lists as their lengths, their items in one list and
-    the index of each item's text; the text ``empty`` lists nothing."""
-    counts = np.fromiter(map(str.count, texts, repeat(",")), np.int64, len(texts)) + 1
-    if empty in texts:
-        counts[[t == empty for t in texts]] = 0
-        texts = [t for t in texts if t != empty]
-    tokens = ",".join(texts).split(",") if texts else []
-    return counts, tokens, np.repeat(np.arange(len(counts)), counts)
-
-
-def _any_of(owner: np.ndarray, bad: np.ndarray, n: int) -> np.ndarray:
-    """Which of ``n`` texts own a bad item."""
-    return np.bincount(owner[bad], minlength=n) > 0
-
-
-def _int_column(texts: Sequence[str], what: str, faults: _Faults) -> np.ndarray:
-    """One integer field as int64, adding the checks that it is an integer
-    and within the 64-bit range."""
-    values, bad, wide = _ints(texts)
-    faults.add(bad, lambda i: f"bad {what} {texts[i]!r}")
-    faults.add(wide, lambda i: f"{what} {int(texts[i])} outside the 64-bit range")
-    return values
-
-
-def _int_rows(
-    texts: Sequence[str], what: str, noun: str, faults: _Faults
-) -> tuple[np.ndarray, np.ndarray]:
-    """9-integer lists as n×9 int64 rows, with a mask of the items outside
-    the 64-bit range, adding the checks that each text lists integers and
-    lists 9 of them (which lists of one-digit items pass); a row that fails
-    them holds zeros."""
-    n = len(texts)
-    if set(map(len, texts)) == {2 * SLATE_SIZE - 1}:
-        joined = ",".join(texts)
-        digits = joined[::2]
-        if joined[1::2] == "," * (n * SLATE_SIZE - 1) and digits.isascii() and digits.isdigit():
-            # Every item is one digit, as in labels: read from the characters.
-            rows = np.frombuffer(digits.encode(), np.uint8).reshape(n, SLATE_SIZE) - ord("0")
-            return rows.astype(np.int64), np.zeros((n, SLATE_SIZE), bool)
-    counts, tokens, owner = _lists(texts, "-")
-    values, bad, wide = _ints(tokens)
-    faults.add(_any_of(owner, bad, n), lambda i: f"bad {what} value in {texts[i]!r}")
-    faults.add(counts != SLATE_SIZE, lambda i: f"expected {SLATE_SIZE} {noun}, got {counts[i]}")
-    full = counts == SLATE_SIZE
-    if full.all():
-        return values.reshape(n, SLATE_SIZE), wide.reshape(n, SLATE_SIZE)
-    rows = np.zeros((n, SLATE_SIZE), np.int64)
-    wide_rows = np.zeros((n, SLATE_SIZE), bool)
-    rows[full] = values[full[owner]].reshape(-1, SLATE_SIZE)
-    wide_rows[full] = wide[full[owner]].reshape(-1, SLATE_SIZE)
-    return rows, wide_rows
-
-
-def _check_slates(
-    slate: np.ndarray, wide: np.ndarray, texts: Sequence[str], catalog: ItemCatalog, faults: _Faults
+def _check_user_line(
+    line_no: int, fields: list[str], catalog: ItemCatalog, width: int = 3
 ) -> None:
-    """Add the checks that each slate position, in order, holds a catalog
-    item of its location, and that no step row repeats an item."""
-    at, known = catalog.index(slate)
-    known &= ~wide
-    location = np.zeros_like(slate)
-    location[known] = catalog.locations[at[known]]
-    misplaced = location != _SLATE_LOCATIONS
+    """Raise the first fault of a line's field count, user id, click history
+    and portraits, checked in that order."""
+    if len(fields) != width:
+        raise DataError(f"line {line_no}: expected {width} fields, got {len(fields)}")
+    _parse_int(fields[0], "user_id", line_no)
+    for c in _parse_int_list(fields[1], "click history", line_no):
+        if c not in catalog:
+            raise DataError(f"line {line_no}: clicked item {c} not in catalog")
+    _parse_float_list(fields[2], N_PORTRAITS, "portraits", line_no)
 
-    def message(i: int) -> str:
-        pos = int(misplaced[i].argmax())
-        item = int(texts[i].split(",")[pos])
-        if not known[i, pos]:
-            return f"slate item {item} not in catalog"
-        return (
-            f"slate position {pos + 1} holds item {item} "
-            f"with location {location[i, pos]}, expected {_SLATE_LOCATIONS[pos]}"
-        )
 
-    faults.add(misplaced.any(axis=1), message)
-    rows = np.sort(slate.reshape(-1, len(STEPS), 3), axis=2)
-    repeats = (rows[:, :, 1:] == rows[:, :, :-1]).any(axis=2)
-    faults.add(
-        repeats.any(axis=1), lambda i: f"duplicate item within step {repeats[i].argmax() + 1} row"
-    )
+def _check_session_line(line_no: int, fields: list[str], catalog: ItemCatalog) -> None:
+    """Raise the first fault of a session line, its fields checked in order."""
+    _check_user_line(line_no, fields, catalog, width=6)
+    slate = _parse_int_list(fields[3], "exposed slate", line_no)
+    if len(slate) != SLATE_SIZE:
+        raise DataError(f"line {line_no}: expected {SLATE_SIZE} slate items, got {len(slate)}")
+    labels = _parse_int_list(fields[4], "labels", line_no)
+    if len(labels) != SLATE_SIZE:
+        raise DataError(f"line {line_no}: expected {SLATE_SIZE} labels, got {len(labels)}")
+    if any(v not in (0, 1) for v in labels):
+        raise DataError(f"line {line_no}: labels must be 0 or 1")
+    _parse_int(fields[5], "timestamp", line_no)
+    for pos, item_id in enumerate(slate, 1):
+        if item_id not in catalog:
+            raise DataError(f"line {line_no}: slate item {item_id} not in catalog")
+        expected_loc = (pos - 1) // 3 + 1
+        actual_loc = catalog.location(item_id)
+        if actual_loc != expected_loc:
+            raise DataError(
+                f"line {line_no}: slate position {pos} holds item {item_id} "
+                f"with location {actual_loc}, expected {expected_loc}"
+            )
+    for step in STEPS:
+        row = slate[(step - 1) * 3 : step * 3]
+        if len(set(row)) != 3:
+            raise DataError(f"line {line_no}: duplicate item within step {step} row")
+
+
+class _BadBlock(Exception):
+    """A block of lines fails a check; checking its lines one at a time
+    names the line and the check."""
+
+
+def _require(ok) -> None:
+    if not ok:
+        raise _BadBlock
+
+
+def _ints(tokens: Sequence[str]) -> np.ndarray:
+    """``tokens`` read by ``int`` into int64."""
+    try:
+        return np.fromiter(map(int, tokens), np.int64, len(tokens))
+    except (ValueError, OverflowError):
+        raise _BadBlock from None
+
+
+def _row_items(texts: Sequence[str], width: int) -> list[str]:
+    """The items of comma-separated lists of ``width`` items each, in order."""
+    _require(set(map(str.count, texts, repeat(","))) == {width - 1})
+    return ",".join(texts).split(",")
 
 
 class _StateIndex:
-    """Numbers the user states of one file as its blocks are parsed.
+    """Numbers the user states of one file as its blocks are read.
 
-    Each distinct clicks or portraits text is parsed and checked once, in
-    the block where it first appears, so a bad one is named at its first
-    line.  Texts of equal value share one value object, and lines of equal
-    clicks and portraits values one state; states are numbered in order of
-    first appearance.
+    Each distinct clicks or portraits text is read once, in the block where
+    it first appears.  Lines of equal clicks and portraits values share one
+    state, and states are numbered in order of first appearance.
     """
 
     def __init__(self, catalog: ItemCatalog) -> None:
         self.catalog = catalog
-        self.click_texts: dict[str, int] = {}
-        self.click_values: dict[frozenset[int], int] = {}
-        self.portrait_texts: dict[str, int] = {}
-        self.portrait_values: dict[tuple[float, ...], int] = {}
-        self.states: dict[tuple[int, int], int] = {}
+        self.clicks: dict[str, frozenset[int]] = {}
+        self.portraits: dict[str, tuple[float, ...]] = {}
+        self.states: dict[tuple[frozenset[int], tuple[float, ...]], int] = {}
         self.text_states: dict[tuple[str, str], int] = {}
 
-    def number(
-        self, clicks: Sequence[str], portraits: Sequence[str], faults: _Faults
-    ) -> np.ndarray:
-        """The state of each line, adding the clicks and portraits checks."""
+    def number(self, clicks: Sequence[str], portraits: Sequence[str]) -> np.ndarray:
+        """The state of each line."""
         pairs = list(zip(clicks, portraits))
         new = [pair for pair in dict.fromkeys(pairs) if pair not in self.text_states]
-        click_faults = self._read(
-            [c for c, _ in new], self.click_texts, self.click_values, self._read_clicks
-        )
-        portrait_faults = self._read(
-            [p for _, p in new], self.portrait_texts, self.portrait_values, self._read_portraits
-        )
-        faults.add(_has_fault(clicks, click_faults), lambda i: click_faults[clicks[i]])
-        faults.add(_has_fault(portraits, portrait_faults), lambda i: portrait_faults[portraits[i]])
-        for c, p in new:
-            if c in self.click_texts and p in self.portrait_texts:
-                numbers = (self.click_texts[c], self.portrait_texts[p])
-                self.text_states[c, p] = self.states.setdefault(numbers, len(self.states))
-        return np.fromiter(map(self.text_states.get, pairs, repeat(-1)), np.int64, len(pairs))
+        if new:
+            self._read_clicks(list(dict.fromkeys(c for c, _ in new if c not in self.clicks)))
+            self._read_portraits(
+                list(dict.fromkeys(p for _, p in new if p not in self.portraits))
+            )
+            for c, p in new:
+                value = (self.clicks[c], self.portraits[p])
+                self.text_states[c, p] = self.states.setdefault(value, len(self.states))
+        return np.fromiter(map(self.text_states.__getitem__, pairs), np.int64, len(pairs))
 
-    def values(self) -> tuple[tuple[frozenset[int], ...], list[tuple[float, ...]]]:
-        """Each state's clicks and portraits."""
-        clicks, portraits = list(self.click_values), list(self.portrait_values)
-        return (
-            tuple(clicks[c] for c, _ in self.states),
-            [portraits[p] for _, p in self.states],
-        )
+    def values(self) -> tuple[tuple[frozenset[int], ...], np.ndarray]:
+        """Each state's clicks, and its portraits as a u×10 array."""
+        portraits = np.array([p for _, p in self.states], np.float64)
+        return tuple(c for c, _ in self.states), portraits.reshape(-1, N_PORTRAITS)
 
-    @staticmethod
-    def _read(texts: list[str], by_text: dict, by_value: dict, read) -> dict[str, str]:
-        """Read the texts not read before, numbering their values; returns
-        the fault of each text that fails its checks."""
-        fresh = list(dict.fromkeys(t for t in texts if t not in by_text))
-        if not fresh:
-            return {}
-        values, fault_of = read(fresh)
-        for text, value in values.items():
-            by_text[text] = by_value.setdefault(value, len(by_value))
-        return fault_of
-
-    def _read_clicks(self, texts: list[str]) -> tuple[dict, dict]:
-        counts, tokens, owner = _lists(texts, "-")
-        items, bad, wide = _ints(tokens)
-        known = self.catalog.index(items)[1] & ~wide
-        has_bad = _any_of(owner, bad, len(texts))
-        has_unknown = _any_of(owner, ~known, len(texts))
+    def _read_clicks(self, texts: list[str]) -> None:
+        listed = [t for t in texts if t != "-"]
+        items = _ints(",".join(listed).split(",") if listed else [])
+        _require(self.catalog.index(items)[1].all())
+        ends = np.cumsum([0 if t == "-" else t.count(",") + 1 for t in texts]).tolist()
         items = items.tolist()
-        values, fault_of = {}, {}
-        for i, (text, hi) in enumerate(zip(texts, np.cumsum(counts).tolist())):
-            lo = hi - int(counts[i])
-            if has_bad[i]:
-                fault_of[text] = f"bad click history value in {text!r}"
-            elif has_unknown[i]:
-                first = lo + int(known[lo:hi].argmin())
-                fault_of[text] = f"clicked item {int(tokens[first])} not in catalog"
-            else:
-                values[text] = frozenset(items[lo:hi])
-        return values, fault_of
+        for text, lo, hi in zip(texts, [0, *ends], ends):
+            self.clicks[text] = frozenset(items[lo:hi])
 
-    @staticmethod
-    def _read_portraits(texts: list[str]) -> tuple[dict, dict]:
-        counts, tokens, owner = _lists(texts, None)
-        floats, errors = _floats(tokens)
-        non_finite = _any_of(owner, ~np.isfinite(floats), len(texts))
-        floats = floats.tolist()
-        values, fault_of = {}, {}
-        for i, (text, hi) in enumerate(zip(texts, np.cumsum(counts).tolist())):
-            lo = hi - int(counts[i])
-            error = next(filter(None, errors[lo:hi]), None)
-            if counts[i] != N_PORTRAITS:
-                fault_of[text] = f"expected {N_PORTRAITS} portraits, got {counts[i]}"
-            elif error is not None:
-                fault_of[text] = f"bad portraits value: {error}"
-            elif non_finite[i]:
-                fault_of[text] = f"non-finite portraits value in {text!r}"
-            else:
-                values[text] = tuple(floats[lo:hi])
-        return values, fault_of
+    def _read_portraits(self, texts: list[str]) -> None:
+        if not texts:
+            return
+        try:
+            values = np.fromiter(map(float, _row_items(texts, N_PORTRAITS)), np.float64)
+        except ValueError:
+            raise _BadBlock from None
+        _require(np.isfinite(values).all())
+        self.portraits.update(zip(texts, map(tuple, values.reshape(-1, N_PORTRAITS).tolist())))
 
 
-def _has_fault(texts: Sequence[str], fault_of: dict[str, str]) -> np.ndarray:
-    """Which of ``texts`` have a fault in ``fault_of``."""
-    bad = np.zeros(len(texts), bool)
-    if fault_of:
-        bad[:] = [t in fault_of for t in texts]
-    return bad
+def _read_blocks(text: str, catalog: ItemCatalog, read: Callable, check: Callable):
+    """Each block of ``text``'s lines read by ``read``, and the file's states.
+
+    ``read`` raises :class:`_BadBlock` when any line fails a check; then
+    ``check`` checks the block's lines one at a time and raises the first
+    bad line's first fault.
+    """
+    index = _StateIndex(catalog)
+    blocks = []
+    for numbers, fields in _line_blocks(text):
+        try:
+            blocks.append(read(fields, catalog, index))
+        except _BadBlock:
+            for line_no, line in zip(numbers, fields):
+                check(line_no, line, catalog)
+            raise AssertionError("a block fails its checks but each of its lines passes") from None
+    return blocks, index
 
 
-def _session_block(numbers, fields, catalog: ItemCatalog, index: _StateIndex) -> tuple:
+def _session_block(fields: list[list[str]], catalog: ItemCatalog, index: _StateIndex) -> tuple:
     """One block's ``user_id``, ``timestamp``, ``state``, ``slate`` and
-    ``labels`` columns, after every check of every line."""
-    faults = _Faults(numbers)
-    users, clicks, portraits, slates, labels, times = _columns(fields, 6, faults)
-    user_id = _int_column(users, "user_id", faults)
-    state = index.number(clicks, portraits, faults)
-    slate, wide_items = _int_rows(slates, "exposed slate", "slate items", faults)
-    label, wide_labels = _int_rows(labels, "labels", "labels", faults)
-    faults.add(
-        ((label != 0) & (label != 1) | wide_labels).any(axis=1),
-        lambda i: "labels must be 0 or 1",
-    )
-    timestamp = _int_column(times, "timestamp", faults)
-    _check_slates(slate, wide_items, slates, catalog, faults)
-    faults.raise_first()
-    return user_id, timestamp, state, slate, label.astype(bool)
+    ``labels`` columns."""
+    _require(set(map(len, fields)) == {6})
+    users, clicks, portraits, slates, labels, times = zip(*fields)
+    state = index.number(clicks, portraits)
+    slate = _ints(_row_items(slates, SLATE_SIZE)).reshape(-1, SLATE_SIZE)
+    label = _ints(_row_items(labels, SLATE_SIZE)).reshape(-1, SLATE_SIZE)
+    _require(((label == 0) | (label == 1)).all())
+    at, known = catalog.index(slate)
+    _require(known.all() and (catalog.locations[at] == _SLATE_LOCATIONS).all())
+    rows = np.sort(slate.reshape(-1, len(STEPS), 3), axis=2)
+    _require(not (rows[:, :, 1:] == rows[:, :, :-1]).any())
+    return _ints(users), _ints(times), state, slate, label == 1
 
 
 def parse_sessions(text: str, catalog: ItemCatalog) -> SessionTable:
@@ -636,17 +523,11 @@ def parse_sessions(text: str, catalog: ItemCatalog) -> SessionTable:
     is named, with the first constraint it violates in the order of the
     fields.  A user id or timestamp must fit in 64 bits.
     """
-    index = _StateIndex(catalog)
-    blocks = [
-        _session_block(numbers, fields, catalog, index) for numbers, fields in _line_blocks(text)
-    ]
+    blocks, index = _read_blocks(text, catalog, _session_block, _check_session_line)
     if not blocks:
         return SessionTable.from_records([])
-    clicks, portraits = index.values()
     return SessionTable(
-        *(np.concatenate(column) for column in zip(*blocks)),
-        clicks,
-        np.array(portraits, np.float64),
+        *(np.concatenate(column) for column in zip(*blocks)), *index.values()
     )
 
 
@@ -661,22 +542,22 @@ def serialize_sessions(sessions: Sessions) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _user_block(fields: list[list[str]], catalog: ItemCatalog, index: _StateIndex) -> tuple:
+    """One block's user ids and states."""
+    _require(set(map(len, fields)) == {3})
+    users, clicks, portraits = zip(*fields)
+    return _ints(users), index.number(clicks, portraits)
+
+
 def parse_users(text: str, catalog: ItemCatalog) -> list[UserRecord]:
     """Parse a user file: ``<user_id> <clicks or -> <p1,...,p10>`` per line.
 
     Checked as the same fields of a session file; users of one state share
     its click set and portrait tuple.
     """
-    index = _StateIndex(catalog)
-    blocks = []
-    for numbers, fields in _line_blocks(text):
-        faults = _Faults(numbers)
-        users, clicks, portraits = _columns(fields, 3, faults)
-        blocks.append(
-            (_int_column(users, "user_id", faults), index.number(clicks, portraits, faults))
-        )
-        faults.raise_first()
+    blocks, index = _read_blocks(text, catalog, _user_block, _check_user_line)
     clicks, portraits = index.values()
+    portraits = [tuple(p) for p in portraits.tolist()]
     return [
         UserRecord(user_id, clicks[s], portraits[s])
         for user_ids, states in blocks

@@ -93,14 +93,7 @@ def _recommended(recommendations: Sequence) -> tuple[np.ndarray, np.ndarray]:
 def _purchased(sessions: SessionTable, session: np.ndarray, items: np.ndarray) -> np.ndarray:
     """Whether session ``session[j]`` bought item ``items[j]`` at any slate
     position, for each ``j``."""
-    bought = np.nonzero(sessions.labels)
-    # Number the items, so that a session and an item make one int64 key.
-    codes = np.unique(np.concatenate([sessions.slate[bought], items]), return_inverse=True)[1]
-    span = int(codes.max(initial=0)) + 1
-    keys = np.sort(bought[0] * span + codes[: len(bought[0])])
-    wanted = session * span + codes[len(bought[0]) :]
-    # The appended -1 is read only past the last key, a miss anyway.
-    return np.append(keys, -1)[np.searchsorted(keys, wanted)] == wanted
+    return ((sessions.slate[session] == items[:, None]) & sessions.labels[session]).any(axis=1)
 
 
 def score(

@@ -141,6 +141,26 @@ class TestParseSessions:
             ("7 - 0,1,2,3,4,5,6,7,8,9 1,2,3,4,5,6,7,8,9 0,0,2,0,0,0,0,0,0 5", "labels"),
             ("7 99 0,1,2,3,4,5,6,7,8,9 1,2,3,4,5,6,7,8,9 0,0,0,0,0,0,0,0,0 5", "clicked"),
             ("7 - 0,1,2,3,4,5,6,7,8,9 1,1,3,4,5,6,7,8,9 0,0,0,0,0,0,0,0,0 5", "duplicate"),
+            (
+                f"{2**63} - 0,1,2,3,4,5,6,7,8,9 1,2,3,4,5,6,7,8,9 0,0,0,0,0,0,0,0,0 5",
+                "user_id 9223372036854775808 outside the 64-bit range",
+            ),
+            (
+                f"7 - 0,1,2,3,4,5,6,7,8,9 1,2,3,4,5,6,7,8,9 0,0,0,0,0,0,0,0,0 {-(2**63) - 1}",
+                "timestamp -9223372036854775809 outside the 64-bit range",
+            ),
+            (
+                f"7 {2**64} 0,1,2,3,4,5,6,7,8,9 1,2,3,4,5,6,7,8,9 0,0,0,0,0,0,0,0,0 5",
+                "clicked item 18446744073709551616 not in catalog",
+            ),
+            (
+                f"7 - 0,1,2,3,4,5,6,7,8,9 {2**64},2,3,4,5,6,7,8,9 0,0,0,0,0,0,0,0,0 5",
+                "slate item 18446744073709551616 not in catalog",
+            ),
+            (
+                f"7 - 0,1,2,3,4,5,6,7,8,9 1,2,3,4,5,6,7,8,9 0,{2**64},0,0,0,0,0,0,0 5",
+                "labels must be 0 or 1",
+            ),
         ],
     )
     def test_constraint_violations_rejected(self, catalog9, line, needle):
@@ -342,6 +362,11 @@ class TestParseUsers:
     def test_non_finite_portrait_rejected(self, catalog9, bad):
         text = f"4 2,3 0,1,2,3,4,5,6,7,8,9\n5 2,3 {bad},1,2,3,4,5,6,7,8,9\n"
         with pytest.raises(DataError, match="line 2: non-finite portraits value"):
+            parse_users(text, catalog9)
+
+    def test_user_id_outside_64_bits_rejected(self, catalog9):
+        text = f"4 2,3 0,1,2,3,4,5,6,7,8,9\n{2**63} 2,3 0,1,2,3,4,5,6,7,8,9\n"
+        with pytest.raises(DataError, match="^line 2: user_id 9223372036854775808 outside"):
             parse_users(text, catalog9)
 
     def test_unknown_clicked_item_rejected(self, catalog9):
