@@ -17,6 +17,7 @@ from pathlib import Path
 from .errors import DataError, QslateError, read_model_file, write_model_file
 from .ingest import (
     N_PORTRAITS,
+    STEPS,
     ItemCatalog,
     SyntheticConfig,
     generate_synthetic,
@@ -212,6 +213,10 @@ def cmd_train(args) -> int:
 
     for name, secs in stats.timings:
         print(f"stage {name:<16} {secs:8.3f} s")
+    for step in STEPS:
+        if not any(model.bank.tables[(c, step)] for c in range(model.bank.n_clusters)):
+            print(f"warning: no training session reached step {step}; every policy takes "
+                  f"the 3 smallest item ids at location {step}", file=sys.stderr)
     components = model.components
     unconverged = [j for j, ok in enumerate(components.converged) if not ok]
     if unconverged:

@@ -10,24 +10,25 @@ indicators are centered but not variance-scaled (scaling would blow up
 rare-click columns), and components are extracted one at a time by power
 iteration with soft-thresholded loadings.
 
-The fit works in covariance form.  The standardized data ``R`` (``u``
-distinct rows with weights ``w`` summing to ``n``, ``p`` columns) is reduced
-once to ``C = R^T diag(w) R / n``, which equals ``R^T R / n`` over the ``n``
-session rows; each power step is then one ``p x p`` product ``C v`` instead
-of two passes over the rows.
-Deflating ``R`` by projection, ``R <- R - (R v) v^T``, has the closed form
-
-    C <- C - (C v) v^T - v (C v)^T + (v^T C v) v v^T
-
-on ``C``, so the rows are never revisited.  Because deflation is greedy,
-the first ``j`` components of a fit do not depend on how many more follow:
-a ``k = 8`` fit equals the first 8 rows of a ``k = 16`` fit with the same
-seed.
+The fit iterates on whichever exact form of the covariance is smaller.  The
+standardized data ``R`` has ``u`` distinct rows with weights ``w`` summing to
+``n``, and ``p`` columns, and ``C = R^T diag(w) R / n = F^T F`` for the
+weighted rows ``F = sqrt(w / n) R``.  With fewer rows than columns
+(``u < p``, as on a corpus of few users with many sessions each) the fit
+keeps ``F``: a power step ``(F v) F`` costs ``2up``, and deflation projects
+the rows, ``F <- F - (F v) v^T``.  Otherwise it reduces ``F`` once to ``C``:
+a step ``C v`` costs ``p^2``, and deflation is the closed form
+``C <- C - b v^T - v b^T`` with ``b = C v - (v^T C v) v / 2``, so the rows
+are never revisited.  Both give the same components up to rounding.
+Because deflation is greedy, the first ``j`` components of a fit do not
+depend on how many more follow: a ``k = 8`` fit equals the first 8 rows of
+a ``k = 16`` fit with the same seed.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -199,10 +200,6 @@ def _column_stats(
     return means, scales
 
 
-def _soft_threshold(w: np.ndarray, level: float) -> np.ndarray:
-    return np.sign(w) * np.maximum(np.abs(w) - level, 0.0)
-
-
 def fit_sparse_pca(
     X: FeatureMatrix | np.ndarray,
     k: int,
@@ -217,31 +214,28 @@ def fit_sparse_pca(
     ``l1_penalty`` is relative: at each iteration, loading entries whose
     magnitude is at most ``l1_penalty`` times the largest magnitude are
     soft-thresholded away, so 0 recovers ordinary PCA and values approaching
-    1 keep almost nothing.  Components are extracted in sequence on the
-    covariance ``C`` of the standardized data, deflating ``C`` in closed
-    form after each one; a component's explained variance is ``v^T C v``.
-    Each component runs until its step ``||v_new - v||`` falls below ``tol``
-    (``converged``) or for ``max_iter`` steps.  Deterministic for a fixed
-    seed.
+    1 keep almost nothing.  Components are extracted in sequence from the
+    covariance ``C`` of the standardized data, deflating it after each one;
+    a component's explained variance is ``v^T C v``.  Each component runs
+    until its step ``||v_new - v||`` falls below ``tol`` (``converged``) or
+    for ``max_iter`` steps.  Deterministic for a fixed seed.
 
     The column statistics and ``C`` weight each row of a
     :class:`FeatureMatrix` by its session count, so the fit is that of the
     one-row-per-session matrix ``X.values[X.rows]``, and the range of ``k``
     counts those session rows; a plain array has unit weights.
 
-    Once the deflated ``trace(C)`` is at most ``1e-10`` times its starting
-    value, what remains is rounding (about ``eps * trace(C)``, possibly
-    negative): the requested k exceeds the data rank, and the remaining
-    components are zero and flagged degenerate.
+    Power steps run on the weighted rows ``F``, with ``C = F^T F``, when
+    there are fewer distinct rows than columns, and on ``C`` otherwise (see
+    the module docstring).  Once the deflated ``trace(C)`` (``||F||_F^2``
+    in row form) is at most ``1e-10`` times its starting value, what
+    remains is rounding (about ``eps * trace(C)``, possibly negative): the
+    requested k exceeds the data rank, and the remaining components are
+    zero and flagged degenerate.
 
     When ``X`` is a :class:`FeatureMatrix` only the portrait columns are
     z-scored; a plain array has all columns z-scored unless ``zscore_mask``
     says otherwise.
-
-    The covariance form pays off when there are at least as many distinct
-    rows as columns (``u >= p``).  With ``p > u``, as on a corpus of few
-    users with many sessions each, ``C`` is larger than the data and each
-    power step costs ``p^2`` against the ``2up`` of iterating on the rows.
     """
     if isinstance(X, FeatureMatrix):
         values = X.values
@@ -265,35 +259,48 @@ def fit_sparse_pca(
         raise FitError(f"l1_penalty must be nonnegative, got {l1_penalty}")
 
     means, scales = _column_stats(values, weights, zscore_mask)
-    standardized = values - means
-    standardized /= scales
-    # Rows scaled by sqrt(w) keep the product in the A^T A form, which BLAS
-    # computes as an exactly symmetric rank-k update.
-    standardized *= np.sqrt(weights)[:, None]
-    cov = standardized.T @ standardized / n
-    del standardized
+    rows = values - means
+    rows /= scales
+    rows *= np.sqrt(weights / n)[:, None]
+    row_form = len(rows) < p
+    # BLAS computes F^T F as an exactly symmetric rank-k update.
+    op = rows if row_form else rows.T @ rows
+    del rows
+
+    def trace() -> float:
+        return float(np.vdot(op, op) if row_form else np.trace(op))
+
     rng = np.random.default_rng(seed)
-    rank_floor = 1e-10 * float(np.trace(cov))
+    rank_floor = 1e-10 * trace()
 
     loadings = np.zeros((k, p))
     explained = np.zeros(k)
     degenerate: list[bool] = []
     n_iter: list[int] = []
     converged: list[bool] = []
+    w, scratch = np.empty(p), np.empty(p)
     for j in range(k):
-        if float(np.trace(cov)) <= rank_floor:
+        if trace() <= rank_floor:
             degenerate.append(True)
             n_iter.append(0)
             converged.append(True)
             continue
         v = rng.normal(size=p)
-        v /= np.linalg.norm(v)
+        v /= math.sqrt(v @ v)
         done = False
         for step in range(1, max_iter + 1):
-            w = cov @ v
+            if row_form:
+                np.matmul(op @ v, op, out=w)
+            else:
+                np.matmul(op, v, out=w)
             if l1_penalty > 0.0:
-                w = _soft_threshold(w, l1_penalty * np.abs(w).max(initial=0.0))
-            norm = np.linalg.norm(w)
+                # Soft threshold: w <- sign(w) * max(|w| - level, 0).
+                np.abs(w, out=scratch)
+                level = l1_penalty * scratch.max(initial=0.0)
+                np.subtract(scratch, level, out=scratch)
+                np.maximum(scratch, 0.0, out=scratch)
+                np.copysign(scratch, w, out=w)
+            norm = math.sqrt(w @ w)
             if norm == 0.0:
                 if l1_penalty > 0.0:
                     raise ComponentCollapseError(
@@ -303,9 +310,10 @@ def fit_sparse_pca(
                 v = np.zeros(p)
                 done = True
                 break
-            v_new = w / norm
-            delta = float(np.linalg.norm(v_new - v))
-            v = v_new
+            w /= norm
+            np.subtract(w, v, out=scratch)
+            delta = math.sqrt(scratch @ scratch)
+            v, w = w, v
             if delta < tol:
                 done = True
                 break
@@ -315,13 +323,17 @@ def fit_sparse_pca(
             pivot = int(np.argmax(np.abs(v)))
             if v[pivot] < 0:
                 v = -v
-        cv = cov @ v
-        explained[j] = float(v @ cv)
+        # Deflate: F <- F - (F v) v^T, or C <- C - b v^T - v b^T.
+        y = op @ v
+        explained[j] = float(y @ y if row_form else v @ y)
+        if not row_form:
+            y -= 0.5 * explained[j] * v  # b
+            op -= np.outer(v, y)
+        op -= np.outer(y, v)
         loadings[j] = v
         degenerate.append(is_zero)
         n_iter.append(step)
         converged.append(done)
-        cov = cov - np.outer(cv, v) - np.outer(v, cv) + explained[j] * np.outer(v, v)
 
     return SparseComponents(
         loadings=loadings,

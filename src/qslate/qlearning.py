@@ -150,9 +150,9 @@ class QTableBank:
                 for s_str, cells in steps.items():
                     tab = bank.tables[bank._key(int(c_str), int(s_str))]
                     for slate_str, (q, visits) in cells.items():
-                        items = [int(i) for i in slate_str.split("-")]
-                        slate = make_slate(items)
-                        if list(slate) != items:
+                        slate = tuple(int(i) for i in slate_str.split("-"))
+                        if not (len(slate) == 3 and slate[0] < slate[1] < slate[2]):
+                            make_slate(slate)  # names a wrong count or a repeated item
                             raise DataError(f"cell {slate_str!r} does not list its items in order")
                         # A JSON true is a bool, which the type tests exclude.
                         if type(q) not in (int, float) or type(visits) is not int:
@@ -453,8 +453,10 @@ def greedy_policy(
     Eligibility falls back in layers so the policy is total: the cluster's
     own cells with at least ``min_visits`` visits, then the union of every
     cluster's qualifying cells for that step, then any stored cell at all.
-    Raises :class:`TrainError` only when no action was ever trained for a
-    step.
+    A step with no stored cell reads 0 everywhere, as a dense zero table
+    would, so it takes the smallest slate: the 3 smallest item ids at its
+    location.  Raises :class:`TrainError` for such a step without a
+    ``catalog`` or when the location holds fewer than 3 items.
     """
     if not 0 <= cluster_id < bank.n_clusters:
         raise DataError(f"unknown cluster {cluster_id}")
@@ -476,7 +478,9 @@ def greedy_policy(
                 for slate, cell in bank.tables[(c, step)].items()
             ]
         if not entries:
-            raise TrainError(f"no trained action exists for step {step}")
+            if catalog is None or len(catalog.by_location[step]) < 3:
+                raise TrainError(f"no trained action exists for step {step}")
+            entries = [(catalog.by_location[step][:3], 0.0)]
         best = _best(entries)
         if catalog is not None:
             make_slate(best, catalog=catalog, step=step)

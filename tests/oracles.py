@@ -456,9 +456,9 @@ def backward_ordered(transitions: TransitionTable):
 def residual_sparse_pca(values, k, l1_penalty, zscore_mask, seed=0, max_iter=200, tol=1e-7):
     """Thresholded power iteration on the deflated standardized data itself.
 
-    The reference for the covariance form in ``qslate.features``: every
-    power step makes two passes over the ``n`` rows, and each component is
-    removed from the rows by projection.  The rank floor is the same
+    The reference for both forms of ``qslate.features.fit_sparse_pca``:
+    every power step makes two passes over the ``n`` unweighted session
+    rows, and each component is removed from the rows by projection.  The rank floor is the same
     ``1e-10`` of the starting ``trace(R^T R / n)``.  Returns loadings,
     explained variances, degenerate flags, iteration counts and convergence
     flags.

@@ -104,6 +104,25 @@ class TestTrain:
         named = warnings[0].split("components ")[1].split(" did")[0]
         assert named == ", ".join(map(str, unconverged))
 
+    def test_corpus_with_no_step_3_training_session_trains_and_evaluates(self, tmp_path, capsys):
+        # 400 sessions of 100 users over 381 items, seed 5: none of the 320
+        # training sessions reaches step 3, so no step-3 cell is ever stored.
+        data = tmp_path / "data"
+        assert run("generate", "--items", 381, "--users", 100, "--sessions", 400,
+                   "--seed", 5, "--out", data) == 0
+        files = ["--items", data / "items.txt", "--sessions", data / "sessions.txt",
+                 "--model-dir", tmp_path / "models"]
+        capsys.readouterr()
+        assert run("train", *files, "--cluster", "kmeans", "--k", 8, "--seed", 5,
+                   "--deterministic") == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines() if "step" in line]
+        assert len(warnings) == 1 and "reached step 3;" in warnings[0]
+        catalog = parse_items((data / "items.txt").read_text())
+        zero_table_slate = [str(i) for i in catalog.by_location[3][:3]]
+        for line in (tmp_path / "models" / "policy.txt").read_text().splitlines():
+            assert line.split()[7:] == zero_table_slate
+        assert run("evaluate", *files, "--report-dir", tmp_path / "report") == 0
+
     def test_deterministic_reruns_byte_identical(self, tmp_path):
         data = generate_corpus(tmp_path)
         m1 = train_models(tmp_path / "r1", data)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,15 @@ def readme_shaped_features():
         SyntheticConfig(num_items=381, num_users=300, num_sessions=1500, seed=7)
     )
     return build_raw_features(corpus.sessions, corpus.catalog)
+
+
+def few_states_features(states, seed=21):
+    """README-shaped columns (10 portraits, 381 clicks) over a few states,
+    each the state of 2 to 9 sessions."""
+    rng = np.random.default_rng(seed)
+    values = np.hstack([rng.normal(size=(states, 10)), rng.random((states, 381)) < 0.1])
+    rows = rng.permutation(np.repeat(np.arange(states), rng.integers(2, 10, size=states)))
+    return FeatureMatrix(values.astype(np.float64), tuple(range(1, 382)), np.bincount(rows), rows)
 
 
 class TestBuildRawFeatures:
@@ -197,22 +207,30 @@ class TestFitSparsePca:
 
     @pytest.mark.parametrize(
         "data, k, l1",
-        [("planted", 4, 0.0), ("planted", 4, 0.25), ("readme", 16, 0.0), ("readme", 16, 0.1)],
+        [("planted", 4, 0.0), ("planted", 4, 0.25), ("readme", 16, 0.0), ("readme", 16, 0.1),
+         ("few-states", 8, 0.0), ("few-states", 8, 0.1)],
     )
     def test_matches_residual_form_oracle(self, data, k, l1):
         if data == "planted":
             values, _ = planted_sparse_data()
+            X = values
             mask = center_only(values.shape[1])
         else:
-            fm = readme_shaped_features()
+            fm = readme_shaped_features() if data == "readme" else few_states_features(states=6)
             values = fm.values[fm.rows]
             mask = np.arange(fm.n_cols) < fm.n_portraits
-        comps = fit_sparse_pca(values, k=k, l1_penalty=l1, seed=3, zscore_mask=mask)
-        loadings, explained, degenerate, _, _ = residual_sparse_pca(
+            # Six weighted states in 391 columns run the row form; without a
+            # penalty their deflated rows reach rank 5 before the 8th component.
+            X = fm if data == "few-states" else values
+        comps = fit_sparse_pca(X, k=k, l1_penalty=l1, seed=3, zscore_mask=mask)
+        loadings, explained, degenerate, n_iter, converged = residual_sparse_pca(
             values, k, l1, mask, seed=3
         )
+        if data == "few-states" and l1 == 0.0:
+            assert degenerate == (False,) * 5 + (True,) * 3
         assert ((comps.loadings == 0.0) == (loadings == 0.0)).all()
         assert comps.degenerate == degenerate
+        assert (comps.n_iter, comps.converged) == (n_iter, converged)
         assert np.abs(comps.loadings - loadings).max() <= 1e-10
         assert np.abs(comps.explained_variance - explained).max() <= 1e-10
 
@@ -233,6 +251,8 @@ class TestFitSparsePca:
             fm.values[fm.rows], fm.item_ids, np.ones(len(fm.rows), dtype=np.int64),
             np.arange(len(fm.rows)),
         )
+        # The weighted fit runs in row form and the expanded one on the covariance.
+        assert fm.n_rows < fm.n_cols <= expanded.n_rows
         weighted = fit_sparse_pca(fm, k=k, l1_penalty=l1, seed=3)
         reference = fit_sparse_pca(expanded, k=k, l1_penalty=l1, seed=3)
         assert ((weighted.loadings == 0.0) == (reference.loadings == 0.0)).all()
@@ -241,6 +261,18 @@ class TestFitSparsePca:
         assert np.abs(weighted.explained_variance - reference.explained_variance).max() <= 1e-10
         assert np.abs(weighted.column_means - reference.column_means).max() <= 1e-12
         assert np.abs(weighted.column_scales - reference.column_scales).max() <= 1e-12
+
+    def test_row_form_never_holds_a_covariance(self):
+        # With fewer distinct states than columns no p x p matrix is built:
+        # the fit's heap peak stays below one.
+        fm = few_states_features(states=100)
+        tracemalloc.start()
+        try:
+            fit_sparse_pca(fm, k=16, l1_penalty=0.1, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < fm.n_cols * fm.n_cols * 8
 
     def test_rank_and_k_range_count_sessions(self):
         # Three distinct states in eight columns, each state the state of

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import make_catalog
 from oracles import (
     backward_ordered,
     exponentially_weighted_value,
@@ -21,6 +22,7 @@ from qslate import qlearning
 from qslate.errors import DataError, ModelFileError, TrainError
 from qslate.ingest import (
     STEPS,
+    ItemCatalog,
     SyntheticConfig,
     generate_synthetic,
     sessions_to_transitions,
@@ -567,6 +569,28 @@ class TestPolicies:
         bank.tables[(0, 1)] = {(1, 2, 3): [1.0, 1]}
         with pytest.raises(TrainError, match="step 2"):
             greedy_policy(bank, 0, catalog=None, min_visits=1)
+
+    def test_untrained_step_with_catalog_reads_as_zero_table(self):
+        # Without a stored cell every slate of the step reads 0, and the
+        # smallest slate wins the tie: the three smallest ids at its location.
+        catalog = make_catalog()
+        bank = QTableBank(2)
+        bank.tables[(0, 1)] = {(1, 2, 3): [-1.0, 5]}
+        bank.tables[(1, 2)] = {(5, 6, 4): [2.0, 5]}
+        assert greedy_policy(bank, 0, catalog, min_visits=3) == [(1, 2, 3), (5, 6, 4), (7, 8, 9)]
+        assert export_policies(bank, catalog, 3) == {
+            0: (1, 2, 3, 5, 6, 4, 7, 8, 9), 1: (1, 2, 3, 5, 6, 4, 7, 8, 9)
+        }
+
+    def test_untrained_step_at_a_location_of_two_items_is_an_error(self):
+        catalog = ItemCatalog.from_records(
+            [rec for i, rec in make_catalog().items.items() if i != 9]
+        )
+        bank = QTableBank(1)
+        bank.tables[(0, 1)] = {(1, 2, 3): [1.0, 5]}
+        bank.tables[(0, 2)] = {(4, 5, 6): [1.0, 5]}
+        with pytest.raises(TrainError, match="step 3"):
+            greedy_policy(bank, 0, catalog, min_visits=1)
 
     def test_unknown_cluster(self):
         with pytest.raises(DataError, match="cluster"):
