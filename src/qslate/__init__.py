@@ -27,9 +27,10 @@ from .ingest import (
     ItemCatalog,
     ItemRecord,
     SessionRecord,
+    SessionTable,
     SyntheticConfig,
     TransitionTable,
-    UserRecord,
+    UserTable,
     generate_synthetic,
     parse_items,
     parse_sessions,

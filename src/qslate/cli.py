@@ -144,7 +144,7 @@ def cmd_generate(args) -> int:
     (out / "items.txt").write_text(serialize_items(corpus.catalog))
     (out / "sessions.txt").write_text(serialize_sessions(corpus.sessions))
     (out / "ground_truth.jsonl").write_text(corpus.truth.serialize())
-    purchased = sum(sum(s.purchase_labels) for s in corpus.sessions)
+    purchased = int(corpus.sessions.labels.sum())
     print(
         f"wrote {len(corpus.catalog)} items, {len(corpus.sessions)} sessions "
         f"({purchased} purchases) to {out}"
@@ -394,12 +394,10 @@ def _write_grid_csv(path: Path, result: TuneResult, grid_keys: list[str]) -> Non
 def cmd_recommend(args) -> int:
     model, _, catalog = _load_model(Path(args.model_dir), args.items)
     users = parse_users(_read_text(args.users), catalog)
-    if not users:
+    if not len(users):
         raise DataError(f"{args.users}: no users to recommend for")
     recs = recommend_for_sessions(model, users, catalog)
-    lines = [
-        f"{user.user_id} " + " ".join(str(i) for i in rec) for user, rec in zip(users, recs)
-    ]
+    lines = [f"{u} " + " ".join(map(str, rec)) for u, rec in zip(users.user_id.tolist(), recs)]
     output = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(output)

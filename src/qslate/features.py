@@ -32,19 +32,11 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ComponentCollapseError, DataError, FitError, read_model_file, write_model_file
-from .ingest import (
-    N_PORTRAITS,
-    ItemCatalog,
-    SessionRecord,
-    SessionTable,
-    UserRecord,
-    user_states,
-)
+from .ingest import N_PORTRAITS, ItemCatalog, SessionTable, UserTable
 
 COMPONENTS_FORMAT = "qslate-components"
 COMPONENTS_VERSION = 2
@@ -74,19 +66,16 @@ class FeatureMatrix:
         return self.values.shape[1]
 
 
-def build_raw_features(
-    records: SessionTable | Sequence[SessionRecord] | Sequence[UserRecord], catalog: ItemCatalog
-) -> FeatureMatrix:
+def build_raw_features(table: SessionTable | UserTable, catalog: ItemCatalog) -> FeatureMatrix:
     """Stack portraits and one-hot click indicators, one row per distinct state.
 
-    A state is a record's ``(clicked_items, portraits)``; rows follow the
-    order in which states first appear, and a :class:`SessionTable` gives
-    its own state numbers.  A clicked item missing from the catalog raises
+    The rows are the table's numbered states, so ``rows`` is its ``state``
+    column.  A clicked item missing from the catalog raises
     :class:`DataError`.
     """
     if len(catalog) == 0:
         raise DataError("catalog is empty")
-    rows, clicks, portraits = user_states(records)
+    rows, clicks, portraits = table.state, table.clicks, table.portraits
     values = np.zeros((len(clicks), N_PORTRAITS + len(catalog)))
     values[:, :N_PORTRAITS] = portraits
     counts = np.fromiter(map(len, clicks), np.int64, len(clicks))

@@ -20,8 +20,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from typing import Callable, Iterator, Sequence
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -112,8 +112,8 @@ class ItemCatalog:
 class SessionRecord:
     """One logged session: 9 exposed items over 3 steps plus purchase labels.
 
-    The generator makes these; a :class:`SessionTable` gives its rows as
-    these, and every function that takes sessions takes a list of them.
+    A :class:`SessionTable` gives its rows as these, and
+    :meth:`SessionTable.from_records` makes a table of them.
     """
 
     user_id: int
@@ -124,13 +124,49 @@ class SessionRecord:
     timestamp: int
 
 
-@dataclass(frozen=True)
-class UserRecord:
-    """A user to recommend for: click history and portraits, no slate."""
+# Each dtype kind that a table column may have, in words.
+_KINDS = {"i": "a signed integer dtype", "f": "a float dtype", "b": "bool"}
 
-    user_id: int
-    clicked_items: frozenset[int]
-    portraits: tuple[float, ...]
+
+def _check_columns(noun: str, table, columns, first: str) -> None:
+    """Raise :class:`DataError` naming the first of ``table``'s ``columns``,
+    each a ``(name, dtype kind, row shape)``, that is not an array of that
+    row shape and kind or not as long as ``table``'s field ``first``."""
+    for name, kind, row in columns:
+        column = getattr(table, name)
+        if not isinstance(column, np.ndarray) or column.shape[1:] != row or column.ndim == 0:
+            shape = f"an n×{row[0]}" if row else "a 1-D"
+            raise DataError(f"{noun} column {name} is not {shape} array")
+        if column.dtype.kind != kind:
+            raise DataError(
+                f"{noun} column {name} has dtype {column.dtype}, expected {_KINDS[kind]}"
+            )
+        n = len(getattr(table, first))
+        if len(column) != n:
+            raise DataError(
+                f"{noun} column {name} has length {len(column)}, {first} has length {n}"
+            )
+
+
+def _check_table(noun: str, table, columns) -> None:
+    """Raise :class:`DataError` naming the column unless ``table``'s
+    ``columns`` are as long as its ``state`` column, its ``portraits`` hold
+    a float row of 10 per click set, and ``state`` numbers click sets."""
+    _check_columns(noun, table, columns, "state")
+    _check_columns(noun, table, (("portraits", "f", (N_PORTRAITS,)),), "clicks")
+    u = len(table.clicks)
+    if len(table.state) and not 0 <= table.state.min() <= table.state.max() < u:
+        raise DataError(f"{noun} column state holds a number outside [0, {u})")
+
+
+# Each table column's name, numpy dtype kind and row shape.
+_SESSION_COLUMNS = (
+    ("state", "i", ()),
+    ("user_id", "i", ()),
+    ("timestamp", "i", ()),
+    ("slate", "i", (SLATE_SIZE,)),
+    ("labels", "b", (SLATE_SIZE,)),
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,6 +180,10 @@ class SessionTable:
     u×10 ``portraits``.  Equal states share one number, every number is
     used, and numbers follow the order in which states first appear.
 
+    Construction raises :class:`DataError`, naming the column, when a column
+    is not an array of its shape and kind or length, or a state number is
+    outside ``[0, u)``.
+
     Iterating, or indexing with an int, gives :class:`SessionRecord` rows;
     indexing with a slice gives a table.
     """
@@ -156,14 +196,16 @@ class SessionTable:
     clicks: tuple[frozenset[int], ...]
     portraits: np.ndarray
 
+    def __post_init__(self) -> None:
+        _check_table("session", self, _SESSION_COLUMNS)
+
     @classmethod
-    def from_records(cls, sessions: "Sessions") -> "SessionTable":
-        """``sessions`` as a table; a table is returned as it is.  A record
-        whose slate or labels do not hold 9 values raises :class:`DataError`."""
-        if isinstance(sessions, SessionTable):
-            return sessions
+    def from_records(cls, sessions: Sequence[SessionRecord]) -> "SessionTable":
+        """``sessions`` as a table, each state numbered where it first
+        appears.  A record whose slate or labels do not hold 9 values, or
+        whose portraits do not hold 10, raises :class:`DataError`."""
         n = len(sessions)
-        state, clicks, portraits = user_states(sessions)
+        state, clicks, portraits = _number_states((s.clicked_items, s.portraits) for s in sessions)
         return cls(
             np.fromiter((s.user_id for s in sessions), np.int64, n),
             np.fromiter((s.timestamp for s in sessions), np.int64, n),
@@ -222,44 +264,50 @@ class SessionTable:
             )
 
 
-#: Sessions as a table or as records; functions that take them read a table.
-Sessions = SessionTable | Sequence[SessionRecord]
+def _number_states(
+    states: Iterable[tuple[frozenset[int], tuple[float, ...]]],
+) -> tuple[np.ndarray, tuple[frozenset[int], ...], np.ndarray]:
+    """The number of each ``(clicks, portraits)`` state, equal states sharing
+    one, in order of first appearance; and each number's clicks and u×10
+    portraits.  Portraits of other than 10 values raise :class:`DataError`."""
+    number: dict[tuple[frozenset[int], tuple[float, ...]], int] = {}
+    state = np.fromiter((number.setdefault(key, len(number)) for key in states), np.int64)
+    for _, portraits in number:
+        if len(portraits) != N_PORTRAITS:
+            raise DataError(f"a record holds {len(portraits)} portraits, expected {N_PORTRAITS}")
+    return state, *_state_values(number)
+
+
+def _state_values(number: dict) -> tuple[tuple[frozenset[int], ...], np.ndarray]:
+    """Each numbered ``(clicks, portraits)`` state's clicks, and all portraits as u×10."""
+    portraits = np.array([p for _, p in number], np.float64).reshape(-1, N_PORTRAITS)
+    return tuple(c for c, _ in number), portraits
 
 
 def _record_rows(rows: list, what: str, dtype) -> np.ndarray:
     """Records' 9-value fields as one n×9 array."""
-    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
-    if (lengths != SLATE_SIZE).any():
-        i = int((lengths != SLATE_SIZE).argmax())
-        raise DataError(f"session {i} holds {lengths[i]} {what}, expected {SLATE_SIZE}")
-    return np.fromiter(chain.from_iterable(rows), dtype, len(rows) * SLATE_SIZE).reshape(
-        -1, SLATE_SIZE
-    )
+    for i, row in enumerate(rows):
+        if len(row) != SLATE_SIZE:
+            raise DataError(f"session {i} holds {len(row)} {what}, expected {SLATE_SIZE}")
+    return np.array(rows, dtype).reshape(-1, SLATE_SIZE)
 
 
-def user_states(
-    records: SessionTable | Sequence[SessionRecord] | Sequence[UserRecord],
-) -> tuple[np.ndarray, tuple[frozenset[int], ...], np.ndarray]:
-    """Each record's state number, and each state's clicks and u×10 portraits.
+@dataclass(frozen=True, eq=False)
+class UserTable:
+    """Users to recommend for as numpy columns, one row per user: an int64
+    ``user_id`` column and each user's ``state``, numbered into ``clicks``
+    and the u×10 ``portraits`` and checked as in :class:`SessionTable`."""
 
-    A state is a record's ``(clicked_items, portraits)``, and states are
-    numbered in the order they first appear, as in :class:`SessionTable`,
-    whose own columns a table gives.  Portraits of other than 10 values
-    raise :class:`DataError`.
-    """
-    if isinstance(records, SessionTable):
-        return records.state, records.clicks, records.portraits
-    number: dict[tuple[frozenset[int], tuple[float, ...]], int] = {}
-    state = np.fromiter(
-        (number.setdefault((r.clicked_items, r.portraits), len(number)) for r in records),
-        np.int64,
-        len(records),
-    )
-    for _, portraits in number:
-        if len(portraits) != N_PORTRAITS:
-            raise DataError(f"a record holds {len(portraits)} portraits, expected {N_PORTRAITS}")
-    portraits = np.array([p for _, p in number], np.float64).reshape(len(number), N_PORTRAITS)
-    return state, tuple(c for c, _ in number), portraits
+    user_id: np.ndarray
+    state: np.ndarray
+    clicks: tuple[frozenset[int], ...]
+    portraits: np.ndarray
+
+    def __post_init__(self) -> None:
+        _check_table("user", self, _SESSION_COLUMNS[:2])  # state and user_id
+
+    def __len__(self) -> int:
+        return len(self.state)
 
 
 def _parse_float_list(text: str, expect: int, what: str, line_no: int) -> tuple[float, ...]:
@@ -454,11 +502,6 @@ class _StateIndex:
                 self.text_states[c, p] = self.states.setdefault(value, len(self.states))
         return np.fromiter(map(self.text_states.__getitem__, pairs), np.int64, len(pairs))
 
-    def values(self) -> tuple[tuple[frozenset[int], ...], np.ndarray]:
-        """Each state's clicks, and its portraits as a u×10 array."""
-        portraits = np.array([p for _, p in self.states], np.float64)
-        return tuple(c for c, _ in self.states), portraits.reshape(-1, N_PORTRAITS)
-
     def _read_clicks(self, texts: list[str]) -> None:
         listed = [t for t in texts if t != "-"]
         items = _ints(",".join(listed).split(",") if listed else [])
@@ -479,8 +522,10 @@ class _StateIndex:
         self.portraits.update(zip(texts, map(tuple, values.reshape(-1, N_PORTRAITS).tolist())))
 
 
-def _read_blocks(text: str, catalog: ItemCatalog, read: Callable, check: Callable):
-    """Each block of ``text``'s lines read by ``read``, and the file's states.
+def _read_columns(text: str, catalog: ItemCatalog, read: Callable, check: Callable):
+    """The columns that ``read`` reads from each block of ``text``'s lines,
+    joined, or none for a file of no lines; and the file's states' clicks
+    and portraits.
 
     ``read`` raises :class:`_BadBlock` when any line fails a check; then
     ``check`` checks the block's lines one at a time and raises the first
@@ -495,7 +540,7 @@ def _read_blocks(text: str, catalog: ItemCatalog, read: Callable, check: Callabl
             for line_no, line in zip(numbers, fields):
                 check(line_no, line, catalog)
             raise AssertionError("a block fails its checks but each of its lines passes") from None
-    return blocks, index
+    return [np.concatenate(column) for column in zip(*blocks)], _state_values(index.states)
 
 
 def _session_block(fields: list[list[str]], catalog: ItemCatalog, index: _StateIndex) -> tuple:
@@ -523,15 +568,13 @@ def parse_sessions(text: str, catalog: ItemCatalog) -> SessionTable:
     is named, with the first constraint it violates in the order of the
     fields.  A user id or timestamp must fit in 64 bits.
     """
-    blocks, index = _read_blocks(text, catalog, _session_block, _check_session_line)
-    if not blocks:
+    columns, states = _read_columns(text, catalog, _session_block, _check_session_line)
+    if not columns:
         return SessionTable.from_records([])
-    return SessionTable(
-        *(np.concatenate(column) for column in zip(*blocks)), *index.values()
-    )
+    return SessionTable(*columns, *states)
 
 
-def serialize_sessions(sessions: Sessions) -> str:
+def serialize_sessions(sessions: SessionTable) -> str:
     lines = []
     for s in sessions:
         clicks = ",".join(str(c) for c in sorted(s.clicked_items)) or "-"
@@ -549,30 +592,22 @@ def _user_block(fields: list[list[str]], catalog: ItemCatalog, index: _StateInde
     return _ints(users), index.number(clicks, portraits)
 
 
-def parse_users(text: str, catalog: ItemCatalog) -> list[UserRecord]:
+def parse_users(text: str, catalog: ItemCatalog) -> UserTable:
     """Parse a user file: ``<user_id> <clicks or -> <p1,...,p10>`` per line.
 
-    Checked as the same fields of a session file; users of one state share
-    its click set and portrait tuple.
+    Checked as the same fields of a session file; users of equal click
+    history and portraits share one state.
     """
-    blocks, index = _read_blocks(text, catalog, _user_block, _check_user_line)
-    clicks, portraits = index.values()
-    portraits = [tuple(p) for p in portraits.tolist()]
-    return [
-        UserRecord(user_id, clicks[s], portraits[s])
-        for user_ids, states in blocks
-        for user_id, s in zip(user_ids.tolist(), states.tolist())
-    ]
+    columns, states = _read_columns(text, catalog, _user_block, _check_user_line)
+    return UserTable(*(columns or [np.empty(0, np.int64)] * 2), *states)
 
 
-# Each ``TransitionTable`` column's name, numpy dtype kind, kind in words
-# and row shape.
-_TABLE_COLUMNS = (
-    ("session_ref", "i", "a signed integer dtype", ()),
-    ("step", "i", "a signed integer dtype", ()),
-    ("action", "i", "a signed integer dtype", (3,)),
-    ("reward", "f", "a float dtype", ()),
-    ("terminal", "b", "bool", ()),
+_TRANSITION_COLUMNS = (
+    ("session_ref", "i", ()),
+    ("step", "i", ()),
+    ("action", "i", (3,)),
+    ("reward", "f", ()),
+    ("terminal", "b", ()),
 )
 
 
@@ -596,19 +631,7 @@ class TransitionTable:
     terminal: np.ndarray  # bool
 
     def __post_init__(self) -> None:
-        for name, kind, what, row in _TABLE_COLUMNS:
-            column = getattr(self, name)
-            if not isinstance(column, np.ndarray) or column.shape[1:] != row or column.ndim == 0:
-                shape = "an n×3" if row else "a 1-D"
-                raise DataError(f"transition column {name} is not {shape} array")
-            if column.dtype.kind != kind:
-                raise DataError(f"transition column {name} has dtype {column.dtype}, expected {what}")
-            # session_ref, checked first, sets the length.
-            if len(column) != len(self.session_ref):
-                raise DataError(
-                    f"transition column {name} has length {len(column)}, "
-                    f"session_ref has length {len(self.session_ref)}"
-                )
+        _check_columns("transition", self, _TRANSITION_COLUMNS, "session_ref")
         ascends = (np.diff(self.action, axis=1) > 0).all(axis=1)
         if not ascends.all():
             i = int(ascends.argmin())
@@ -621,7 +644,7 @@ class TransitionTable:
         return len(self.step)
 
 
-def sessions_to_transitions(sessions: Sessions, catalog: ItemCatalog) -> TransitionTable:
+def sessions_to_transitions(sessions: SessionTable, catalog: ItemCatalog) -> TransitionTable:
     """Derive training transitions from logged sessions.
 
     A session contributes its step-1 transition always, step 2 only when all
@@ -635,7 +658,6 @@ def sessions_to_transitions(sessions: Sessions, catalog: ItemCatalog) -> Transit
     Every exposed item must be in the catalog, reached or not: the first
     unknown one, in session then slate order, raises :class:`DataError`.
     """
-    sessions = SessionTable.from_records(sessions)
     # At least one block, empty or not, so that every column has its dtype.
     blocks = [
         _block_transitions(sessions, lo, catalog)
@@ -811,7 +833,7 @@ def _truth_fields(rec: dict, names, line_no: int) -> list:
 @dataclass
 class SyntheticCorpus:
     catalog: ItemCatalog
-    sessions: list[SessionRecord]
+    sessions: SessionTable
     truth: GroundTruth
 
 
@@ -892,9 +914,10 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticCorpus:
 
     click_prob = _sigmoid(prefs @ features.T - config.click_bias)
     clicks_mask = rng.random(size=(config.num_users, n_items)) < click_prob
-    user_clicks = [
-        frozenset(int(i) for i in item_ids[clicks_mask[u]]) for u in range(config.num_users)
-    ]
+    user_clicks = [frozenset(item_ids[row].tolist()) for row in clicks_mask]
+    user_state, state_clicks, state_portraits = _number_states(
+        zip(user_clicks, map(tuple, portraits.tolist()))
+    )
 
     popularity = 1.0 + rng.exponential(0.5, size=n_items)  # the mild popularity bias
     loc_members = [np.flatnonzero(locations == loc) for loc in STEPS]
@@ -904,7 +927,7 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticCorpus:
     gaps = rng.integers(1, 3600, size=config.num_sessions)
     timestamps = _TIMESTAMP_BASE + np.cumsum(gaps)
 
-    sessions: list[SessionRecord] = []
+    slate_chunks, label_chunks = [], []
     beta = config.price_penalty
     temp = config.purchase_temperature
     for start in range(0, config.num_sessions, _SESSION_CHUNK):
@@ -931,19 +954,15 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticCorpus:
         labels[:, 3:6] &= ok1[:, None]
         ok2 = ok1 & sampled[:, 3:6].all(axis=1)
         labels[:, 6:9] &= ok2[:, None]
+        slate_chunks.append(slates)
+        label_chunks.append(labels)
 
-        for i in range(n):
-            uid = int(users[i]) + 1
-            sessions.append(
-                SessionRecord(
-                    user_id=uid,
-                    clicked_items=user_clicks[users[i]],
-                    portraits=tuple(float(v) for v in portraits[users[i]]),
-                    exposed_slate=tuple(int(v) for v in slates[i]),
-                    purchase_labels=tuple(bool(v) for v in labels[i]),
-                    timestamp=int(timestamps[start + i]),
-                )
-            )
+    # States are numbered by user; taking every session renumbers them by
+    # first appearance and drops those of users who have no session.
+    sessions = SessionTable(
+        user_of_session + 1, timestamps, user_state[user_of_session],
+        np.concatenate(slate_chunks), np.concatenate(label_chunks), state_clicks, state_portraits,
+    ).take(np.arange(config.num_sessions))
 
     truth = GroundTruth(
         price_penalty=beta,

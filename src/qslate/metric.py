@@ -23,13 +23,7 @@ import numpy as np
 
 from .errors import ComponentCollapseError, DataError, FitError, QslateError
 from .features import FeatureMatrix, SparseComponents, build_raw_features, transform
-from .ingest import (
-    ItemCatalog,
-    Sessions,
-    SessionTable,
-    TransitionTable,
-    sessions_to_transitions,
-)
+from .ingest import ItemCatalog, SessionTable, TransitionTable, sessions_to_transitions
 from .pipeline import (
     PipelineParams,
     fit_components,
@@ -98,7 +92,7 @@ def _purchased(sessions: SessionTable, session: np.ndarray, items: np.ndarray) -
 
 def score(
     recommendations: Sequence,
-    sessions: Sessions,
+    sessions: SessionTable,
     catalog: ItemCatalog,
     cfg: MetricConfig = MetricConfig(),
 ) -> ScoreReport:
@@ -111,7 +105,6 @@ def score(
     session's in ascending item order.
     """
     cfg.validate()
-    sessions = SessionTable.from_records(sessions)
     if len(sessions) == 0:
         raise DataError("cannot score zero sessions")
     if len(recommendations) != len(sessions):
@@ -145,12 +138,11 @@ def score(
 
 
 def holdout_split(
-    sessions: Sessions, train_fraction: float, seed: int
+    sessions: SessionTable, train_fraction: float, seed: int
 ) -> tuple[SessionTable, SessionTable]:
     """Deterministic shuffled split into disjoint train and validation sets."""
     if not 0.0 < train_fraction < 1.0:
         raise DataError("train_fraction must be in (0, 1)")
-    sessions = SessionTable.from_records(sessions)
     n = len(sessions)
     if n < 2:
         raise DataError("need at least 2 sessions to split")
@@ -393,7 +385,7 @@ def _score_model_cells(
 
 def tune(
     grid: Mapping[str, Sequence],
-    sessions: Sessions,
+    sessions: SessionTable,
     catalog: ItemCatalog,
     cfg: MetricConfig = MetricConfig(),
     *,

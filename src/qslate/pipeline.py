@@ -18,7 +18,7 @@ import dataclasses
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence, TypeVar
+from typing import Any, Callable, Mapping, TypeVar
 
 import numpy as np
 
@@ -40,10 +40,9 @@ from .features import (
 )
 from .ingest import (
     ItemCatalog,
-    Sessions,
     SessionTable,
     TransitionTable,
-    UserRecord,
+    UserTable,
     sessions_to_transitions,
 )
 from .qlearning import QTableBank, TrainConfig, export_policies, train
@@ -151,10 +150,9 @@ def fit_components(raw: FeatureMatrix, params: PipelineParams) -> SparseComponen
 
 
 def fit_pipeline(
-    sessions: Sessions, catalog: ItemCatalog, params: PipelineParams
+    sessions: SessionTable, catalog: ItemCatalog, params: PipelineParams
 ) -> tuple[PipelineModel, FitStats]:
     """Fit the full pipeline on the given sessions."""
-    sessions = SessionTable.from_records(sessions)
     timings: list[tuple[str, float]] = []
     raw = timed(timings, "build_features", lambda: training_features(sessions, catalog))
     components = timed(timings, "fit_sparse_pca", lambda: fit_components(raw, params))
@@ -234,7 +232,7 @@ def fit_on_reduced(
 
 
 def recommend_for_sessions(
-    model: PipelineModel, sessions: Sessions | Sequence[UserRecord], catalog: ItemCatalog
+    model: PipelineModel, sessions: SessionTable | UserTable, catalog: ItemCatalog
 ) -> list[list[int]]:
     """Batch recommendation: one 9-item list per session or user, in input
     order; only their states are read."""

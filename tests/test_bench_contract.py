@@ -1,10 +1,11 @@
 """The benchmark's workloads run in-process with no failed check.
 
-perfbench passes record lists into the library, iterates the tables it gets
-back and pickles its corpora between processes; these tests run each
-workload's set-up, operation and output checks the same way, on a smaller
-train-stream corpus, so that a change to those entry points fails here and
-not only in a benchmark run.  Nothing under ``perfbench/`` is changed.
+perfbench hands the library the session tables that the generator and
+``holdout_split`` make, iterates them and pickles its corpora between
+processes; these tests run each workload's set-up, operation and output
+checks the same way, on a smaller train-stream corpus, so that a change to
+those entry points fails here and not only in a benchmark run.  Nothing
+under ``perfbench/`` is changed.
 """
 
 import io
@@ -16,6 +17,14 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
+from qslate.ingest import SessionTable  # noqa: E402
+
+# The sessions that each workload's set-up keeps for its operation and checks.
+SESSION_KEYS = {
+    "fit-repeat-users": ("validation",),
+    "tune-unique-users": ("sessions",),
+    "train-stream": ("train", "validation"),
+}
 
 
 class SmallStream(workloads.TrainStream):
@@ -41,6 +50,8 @@ def pickled(corpus):
 def test_workload_runs_without_failure(workload, tmp_path):
     tally = workloads.Tally()
     corpus = pickled(workload.setup(3, tmp_path))
+    for key in SESSION_KEYS[workload.name]:
+        assert isinstance(corpus.data[key], SessionTable), key
     out = workload.run(corpus)
     score = workload.check(corpus, out, tally)
     assert tally.failures == []

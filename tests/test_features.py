@@ -14,7 +14,7 @@ from qslate.features import (
     fit_sparse_pca,
     transform,
 )
-from qslate.ingest import SyntheticConfig, generate_synthetic
+from qslate.ingest import SessionTable, SyntheticConfig, generate_synthetic
 
 
 def planted_sparse_data(seed=123, p=391, k=4, nnz=10, n=800, noise=0.05):
@@ -55,19 +55,19 @@ def few_states_features(states, seed=21):
 class TestBuildRawFeatures:
     def test_empty_click_history(self, catalog9):
         s = make_session([False] * 9, clicks=())
-        fm = build_raw_features([s], catalog9)
+        fm = build_raw_features(SessionTable.from_records([s]), catalog9)
         assert fm.n_cols == 9 + 10
         assert tuple(fm.values[0, :10]) == s.portraits
         assert not fm.values[0, 10:].any()
 
     def test_full_click_history(self, catalog9):
         s = make_session([False] * 9, clicks=tuple(range(1, 10)))
-        fm = build_raw_features([s], catalog9)
+        fm = build_raw_features(SessionTable.from_records([s]), catalog9)
         assert (fm.values[0, 10:] == 1.0).all()
 
     def test_click_columns_are_binary_and_ordered(self, catalog9):
         s = make_session([False] * 9, clicks=(3, 7))
-        fm = build_raw_features([s], catalog9)
+        fm = build_raw_features(SessionTable.from_records([s]), catalog9)
         cols = {fm.item_ids[j]: fm.values[0, 10 + j] for j in range(9)}
         assert cols[3] == 1.0 and cols[7] == 1.0
         assert sum(cols.values()) == 2.0
@@ -85,7 +85,7 @@ class TestBuildRawFeatures:
         from qslate.ingest import ItemCatalog
 
         with pytest.raises(DataError):
-            build_raw_features([], ItemCatalog.from_records([]))
+            build_raw_features(SessionTable.from_records([]), ItemCatalog.from_records([]))
 
     def test_one_row_per_distinct_state(self):
         corpus = generate_synthetic(
@@ -98,7 +98,10 @@ class TestBuildRawFeatures:
         assert fm.rows.tolist() == [states.index((s.clicked_items, s.portraits)) for s in sessions]
         assert fm.weights.tolist() == np.bincount(fm.rows).tolist()
         per_session = np.concatenate(
-            [build_raw_features([s], corpus.catalog).values for s in sessions]
+            [
+                build_raw_features(SessionTable.from_records([s]), corpus.catalog).values
+                for s in sessions
+            ]
         )
         assert (fm.values[fm.rows] == per_session).all()
 
@@ -332,7 +335,7 @@ class TestFitSparsePca:
             )
             for u in range(1, 21)
         ]
-        fm = build_raw_features(sessions, catalog9)
+        fm = build_raw_features(SessionTable.from_records(sessions), catalog9)
         comps = fit_sparse_pca(fm, k=2, seed=0)
         assert comps.column_scales[0] > 1.0  # z-scored portrait
         assert (comps.column_scales[10:] == 1.0).all()  # clicks centered only

@@ -50,6 +50,26 @@ def unused_private_names(source: str) -> list[str]:
     ]
 
 
+def record_uses(source: str) -> list[str]:
+    """Calls of a ``from_records`` method, and every name, attribute or
+    import of ``SessionRecord``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "from_records"
+        ):
+            found.append((node.lineno, "from_records"))
+        elif (
+            isinstance(node, ast.Name) and node.id == "SessionRecord"
+            or isinstance(node, ast.Attribute) and node.attr == "SessionRecord"
+            or isinstance(node, ast.alias) and node.name == "SessionRecord"
+        ):
+            found.append((node.lineno, "SessionRecord"))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
@@ -61,6 +81,15 @@ def test_no_unused_module_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_private_names(path):
     assert unused_private_names(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "ingest.py"], ids=lambda p: p.name
+)
+def test_records_only_in_ingest(path):
+    """Sessions reach every module but ``ingest`` as tables: only ``ingest``
+    makes tables of records or records of tables."""
+    assert record_uses(path.read_text()) == []
 
 
 def test_check_sees_an_unused_import():
@@ -76,6 +105,18 @@ def test_check_sees_an_unused_private_name():
         "def run(items: list[_Item]) -> int:\n    return _helper(_LIMIT)\n"
     )
     assert unused_private_names(source) == ["line 3: _SPARE", "line 8: _Dead"]
+
+
+def test_check_sees_record_uses():
+    source = (
+        "from .ingest import SessionRecord, SessionTable\nfrom . import ingest\n\n"
+        "def f(rows: list[ingest.SessionRecord]):\n"
+        "    return SessionTable.from_records(rows)\n\n"
+        "def g(table: SessionTable):\n    return table.from_records\n"
+    )
+    assert record_uses(source) == [
+        "line 1: SessionRecord", "line 4: SessionRecord", "line 5: from_records",
+    ]
 
 
 # Arguments that ``perfbench/spans.py`` reads from a traced call by name or,

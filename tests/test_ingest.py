@@ -17,8 +17,10 @@ from qslate.ingest import (
     GroundTruth,
     ItemCatalog,
     ItemRecord,
+    SessionTable,
     SyntheticConfig,
     TransitionTable,
+    UserTable,
     generate_synthetic,
     parse_items,
     parse_sessions,
@@ -193,7 +195,7 @@ class TestParseSessions:
         assert text.count("\n") == 250_000
         reparsed = parse_sessions(text, corpus.catalog)
         assert len(reparsed) == 250_000
-        assert list(reparsed) == corpus.sessions
+        assert list(reparsed) == list(corpus.sessions)
 
 
 class TestStateCache:
@@ -213,8 +215,9 @@ class TestStateCache:
         assert other.clicked_items == {2}
         assert other.portraits == first.portraits
         users = parse_users("4 2,3 0,1,2,3,4,5,6,7,8,9\n5 2,3 0,1,2,3,4,5,6,7,8,9\n", catalog9)
-        assert users[1].clicked_items is users[0].clicked_items
-        assert users[1].portraits is users[0].portraits
+        assert users.state.tolist() == [0, 0]
+        assert users.clicks == (frozenset({2, 3}),)
+        assert users.portraits.shape == (1, 10)
 
     def test_bad_click_named_at_first_line_it_appears(self, catalog9):
         text = (
@@ -232,7 +235,7 @@ class TestStateCache:
             SyntheticConfig(num_items=30, num_users=40, num_sessions=2000, seed=12)
         )
         reparsed = parse_sessions(serialize_sessions(corpus.sessions), corpus.catalog)
-        assert list(reparsed) == corpus.sessions
+        assert list(reparsed) == list(corpus.sessions)
         by_user = {}
         for user_id, state in zip(reparsed.user_id.tolist(), reparsed.state.tolist()):
             by_user.setdefault(user_id, set()).add(state)
@@ -351,8 +354,8 @@ class TestParseOracle:
 class TestParseUsers:
     def test_user_line(self, catalog9):
         users = parse_users("4 2,3 0,1,2,3,4,5,6,7,8,9\n", catalog9)
-        assert users[0].user_id == 4
-        assert users[0].clicked_items == {2, 3}
+        assert users.user_id.tolist() == [4]
+        assert users.clicks[users.state[0]] == {2, 3}
 
     def test_bad_field_count(self, catalog9):
         with pytest.raises(DataError, match="3 fields"):
@@ -378,7 +381,7 @@ class TestParseUsers:
 class TestTransitions:
     def test_full_purchase_session(self, catalog9):
         s = make_session([True] * 9)
-        trans = sessions_to_transitions([s], catalog9)
+        trans = sessions_to_transitions(SessionTable.from_records([s]), catalog9)
         assert trans.reward.tolist() == [6.0, 15.0, 24.0]
         assert trans.terminal.tolist() == [False, False, True]
         assert trans.step.tolist() == [1, 2, 3]
@@ -386,14 +389,14 @@ class TestTransitions:
 
     def test_termination_at_first_step(self, catalog9):
         s = make_session([True, True, False] + [True] * 6)
-        trans = sessions_to_transitions([s], catalog9)
+        trans = sessions_to_transitions(SessionTable.from_records([s]), catalog9)
         assert len(trans) == 1
         assert trans.reward[0] == 1.0 + 2.0
         assert trans.terminal[0]
 
     def test_second_step_termination(self, catalog9):
         s = make_session([True] * 3 + [False, True, True] + [True] * 3)
-        trans = sessions_to_transitions([s], catalog9)
+        trans = sessions_to_transitions(SessionTable.from_records([s]), catalog9)
         assert len(trans) == 2
         assert trans.reward[1] == 5.0 + 6.0
         assert trans.terminal[1]
@@ -419,7 +422,7 @@ class TestTransitions:
     def test_reward_conservation(self, labels):
         catalog = make_catalog()
         s = make_session(labels)
-        trans = sessions_to_transitions([s], catalog)
+        trans = sessions_to_transitions(SessionTable.from_records([s]), catalog)
         prefix_end = 0
         for step in (1, 2, 3):
             prefix_end = step * 3
@@ -440,7 +443,7 @@ class TestTransitions:
     def test_table_rows_match_row_loop_oracle(self, case, block):
         sessions, catalog = case
         with mock.patch.object(ingest, "_BLOCK", block):
-            table = sessions_to_transitions(sessions, catalog)
+            table = sessions_to_transitions(SessionTable.from_records(sessions), catalog)
         expected = row_transitions(sessions, catalog)
         for name in TRANSITION_COLUMNS:
             column, oracle = getattr(table, name), getattr(expected, name)
@@ -463,7 +466,7 @@ class TestTransitions:
         sessions = [make_session([True] * 9), make_session(labels, slate=slate)]
         match = re.escape(f"transition row {row} has action {action}, not 3 strictly ascending")
         with mock.patch.object(ingest, "_BLOCK", block), pytest.raises(DataError, match=match):
-            sessions_to_transitions(sessions, catalog9)
+            sessions_to_transitions(SessionTable.from_records(sessions), catalog9)
 
     @pytest.mark.parametrize(
         "slate, labels",
@@ -475,7 +478,9 @@ class TestTransitions:
     )
     def test_unknown_exposed_item_rejected(self, catalog9, slate, labels):
         with pytest.raises(DataError, match="unknown item_id 42$"):
-            sessions_to_transitions([make_session(labels, slate=slate)], catalog9)
+            sessions_to_transitions(
+                SessionTable.from_records([make_session(labels, slate=slate)]), catalog9
+            )
 
     @pytest.mark.parametrize("block", [1, 4096])
     def test_first_unknown_item_named_in_session_then_slate_order(self, catalog9, block):
@@ -485,7 +490,7 @@ class TestTransitions:
         ]
         with mock.patch.object(ingest, "_BLOCK", block), \
                 pytest.raises(DataError, match="unknown item_id 43$"):
-            sessions_to_transitions(sessions, catalog9)
+            sessions_to_transitions(SessionTable.from_records(sessions), catalog9)
 
     def test_emitted_transitions_satisfy_invariants(self):
         corpus = generate_synthetic(
@@ -564,6 +569,130 @@ class TestTransitionTable:
             TransitionTable(**table_columns(action=action))
 
 
+
+def session_columns(**replaced):
+    """The columns of a valid 3-session table over 2 states, some replaced."""
+    columns = dict(
+        user_id=np.array([7, 8, 7], np.int64),
+        timestamp=np.array([5, 6, 7], np.int64),
+        state=np.array([0, 1, 0], np.int64),
+        slate=np.tile(np.arange(1, 10, dtype=np.int64), (3, 1)),
+        labels=np.zeros((3, 9), np.bool_),
+        clicks=(frozenset({1, 5}), frozenset()),
+        portraits=np.arange(20, dtype=np.float64).reshape(2, 10),
+    )
+    return {**columns, **replaced}
+
+
+def assert_same_table(table, expected):
+    """``table`` equals ``expected`` column for column, dtypes included."""
+    for f in dataclasses.fields(expected):
+        column, other = getattr(table, f.name), getattr(expected, f.name)
+        if isinstance(other, np.ndarray):
+            assert column.dtype == other.dtype, f.name
+            assert np.array_equal(column, other), f.name
+        else:
+            assert column == other, f.name
+
+
+class TestSessionTable:
+    def test_valid_columns_accepted(self):
+        assert len(SessionTable(**session_columns())) == 3
+
+    @pytest.mark.parametrize(
+        "name, column, match",
+        [
+            ("user_id", [7, 8, 7], "session column user_id is not a 1-D array"),
+            ("state", np.array([[0, 1, 0]]), "session column state is not a 1-D array"),
+            ("timestamp", np.array([5.0, 6.0, 7.0]), "column timestamp has dtype float64"),
+            ("state", np.array([0, 1, 0], np.uint64), "column state has dtype uint64"),
+            ("slate", np.ones((3, 8), np.int64), "column slate is not an n×9 array"),
+            ("slate", np.arange(1, 10), "column slate is not an n×9 array"),
+            ("slate", np.ones((3, 9)), "column slate has dtype float64"),
+            ("labels", np.zeros((3, 9), np.int64), "column labels has dtype int64, expected bool"),
+            ("labels", np.zeros((2, 9), np.bool_), "labels has length 2, state has length 3$"),
+            ("user_id", np.array([7, 8], np.int64), "user_id has length 2, state has length 3$"),
+            ("portraits", np.zeros((2, 9)), "column portraits is not an n×10 array"),
+            ("portraits", np.zeros((3, 10)), "column portraits has length 3, clicks has length 2$"),
+            ("portraits", [[0.0] * 10] * 2, "column portraits is not an n×10 array"),
+            ("portraits", np.zeros((2, 10), np.int64), "column portraits has dtype int64"),
+            ("state", np.array([0, 2, 0], np.int64),
+             re.escape("session column state holds a number outside [0, 2)") + "$"),
+            ("state", np.array([0, 1, -1], np.int64),
+             re.escape("session column state holds a number outside [0, 2)") + "$"),
+        ],
+        ids=["list-user", "2-D-state", "float-time", "uint-state", "9x8-slate", "1-D-slate",
+             "float-slate", "int-labels", "short-labels", "short-user", "2x9-portraits",
+             "3x10-portraits", "list-portraits", "int-portraits", "state-too-high",
+             "state-negative"],
+    )
+    def test_bad_column_rejected(self, name, column, match):
+        with pytest.raises(DataError, match=match):
+            SessionTable(**session_columns(**{name: column}))
+
+    def test_short_labels_column_rejected(self):
+        # Unchecked, sessions_to_transitions would give the transitions of
+        # the first 100 sessions only.
+        table = generate_synthetic(
+            SyntheticConfig(num_items=30, num_users=40, num_sessions=200, seed=4)
+        ).sessions
+        with pytest.raises(DataError, match="column labels has length 100, state has length 200$"):
+            dataclasses.replace(table, labels=table.labels[:100])
+
+    def test_shifted_state_column_rejected(self):
+        # Unchecked, build_raw_features would weigh 21 states for 20 rows.
+        table = generate_synthetic(
+            SyntheticConfig(num_items=30, num_users=20, num_sessions=200, seed=4)
+        ).sessions
+        assert len(table.clicks) == 20
+        with pytest.raises(DataError, match=re.escape("outside [0, 20)") + "$"):
+            dataclasses.replace(table, state=table.state + 1)
+
+
+def user_columns(**replaced):
+    """The columns of a valid 2-user table over 1 state, some replaced."""
+    columns = dict(
+        user_id=np.array([4, 5], np.int64),
+        state=np.array([0, 0], np.int64),
+        clicks=(frozenset({2, 3}),),
+        portraits=np.arange(10, dtype=np.float64).reshape(1, 10),
+    )
+    return {**columns, **replaced}
+
+
+class TestUserTable:
+    def test_valid_columns_accepted(self):
+        assert len(UserTable(**user_columns())) == 2
+
+    def test_parsed_table_equals_built_one(self, catalog9):
+        users = parse_users("4 2,3 0,1,2,3,4,5,6,7,8,9\n5 2,3 0,1,2,3,4,5,6,7,8,9\n", catalog9)
+        assert_same_table(users, UserTable(**user_columns()))
+
+    def test_empty_file_is_empty_table(self, catalog9):
+        users = parse_users("\n", catalog9)
+        assert len(users) == 0
+        assert users.user_id.dtype == np.int64
+        assert users.portraits.shape == (0, 10)
+
+    @pytest.mark.parametrize(
+        "name, column, match",
+        [
+            ("user_id", np.array([4], np.int64), "user column user_id has length 1, state has"),
+            ("user_id", np.array([4.0, 5.0]), "user column user_id has dtype float64"),
+            ("state", (0, 0), "user column state is not a 1-D array"),
+            ("state", np.array([0, 1], np.int64),
+             re.escape("user column state holds a number outside [0, 1)") + "$"),
+            ("portraits", np.zeros((2, 10)), "user column portraits has length 2, clicks has"),
+            ("portraits", np.ones((1, 10), np.bool_), "user column portraits has dtype bool"),
+        ],
+        ids=["short-user", "float-user", "tuple-state", "state-too-high", "2x10-portraits",
+             "bool-portraits"],
+    )
+    def test_bad_column_rejected(self, name, column, match):
+        with pytest.raises(DataError, match=match):
+            UserTable(**user_columns(**{name: column}))
+
+
 class TestGenerator:
     def test_same_seed_byte_identical(self):
         cfg = SyntheticConfig(num_items=30, num_users=50, num_sessions=500, seed=99)
@@ -572,6 +701,22 @@ class TestGenerator:
         assert serialize_items(a.catalog) == serialize_items(b.catalog)
         assert serialize_sessions(a.sessions) == serialize_sessions(b.sessions)
         assert a.truth.serialize() == b.truth.serialize()
+
+    @pytest.mark.parametrize(
+        "users, sessions, seed", [(40, 700, 3), (400, 300, 12), (4000, 2000, 99)]
+    )
+    def test_table_equals_table_of_its_records(self, users, sessions, seed):
+        """Numbered as ``from_records`` numbers, one state per user; with
+        more users than sessions, states of users without a session go."""
+        table = generate_synthetic(
+            SyntheticConfig(num_items=30, num_users=users, num_sessions=sessions, seed=seed)
+        ).sessions
+        assert_same_table(table, SessionTable.from_records(list(table)))
+        by_user = {}
+        for user_id, state in zip(table.user_id.tolist(), table.state.tolist()):
+            by_user.setdefault(user_id, set()).add(state)
+        assert all(len(states) == 1 for states in by_user.values())
+        assert len(table.clicks) == len(by_user)
 
     def test_locations_balanced(self):
         corpus = generate_synthetic(

@@ -8,6 +8,7 @@ from qslate.errors import ComponentCollapseError, DataError, FitError, QslateErr
 from qslate.ingest import (
     ItemCatalog,
     ItemRecord,
+    SessionTable,
     SyntheticConfig,
     generate_synthetic,
     sessions_to_transitions,
@@ -56,15 +57,17 @@ class TestScore:
     @given(scored_sessions())
     def test_matches_row_walk_bit_for_bit(self, case):
         recs, sessions, catalog = case
-        report = score(recs, sessions, catalog, MetricConfig((1.0, 1.0, 1.0)))
+        table = SessionTable.from_records(sessions)
+        report = score(recs, table, catalog, MetricConfig((1.0, 1.0, 1.0)))
         assert report.per_step_value == row_step_values(recs, sessions, catalog)
 
     def test_bought_item_missing_from_catalog_rejected(self, catalog9):
         session = make_session([1] * 9, slate=(1, 2, 3, 4, 5, 6, 7, 8, 99))
+        sessions = SessionTable.from_records([session])
         rec = ((1,), (4,), (99, 7))
         with pytest.raises(DataError, match="unknown item_id 99"):
-            score([rec], [session], catalog9)
-        assert score([((1,), (4,), (7,))], [session], catalog9).per_step_value == (1.0, 4.0, 7.0)
+            score([rec], sessions, catalog9)
+        assert score([((1,), (4,), (7,))], sessions, catalog9).per_step_value == (1.0, 4.0, 7.0)
 
     def test_direct_substitution_example(self):
         # One session: purchases worth 5 at step 1 and 4 at step 2 among our
@@ -72,9 +75,10 @@ class TestScore:
         catalog = make_catalog(prices={1: 5.0, 2: 1.0, 3: 1.0, 4: 4.0, 5: 1.0,
                                        6: 1.0, 7: 2.0, 8: 2.0, 9: 2.0})
         session = make_session([1, 0, 0, 1, 0, 0, 0, 0, 0])
+        sessions = SessionTable.from_records([session])
         rec = [1, 2, 3, 4, 5, 6, 7, 8, 9]
         # exclude the step-3 purchased region: labels above purchase nothing at 3
-        report = score([rec], [session], catalog, MetricConfig((1.0, 2.0, 3.0)))
+        report = score([rec], sessions, catalog, MetricConfig((1.0, 2.0, 3.0)))
         assert report.score == 13.0
         assert report.per_step_value == (5.0, 4.0, 0.0)
         assert report.n_sessions == 1
@@ -82,25 +86,28 @@ class TestScore:
     def test_disjoint_recommendations_score_zero(self, catalog9):
         session = make_session([1] * 9, slate=(1, 2, 3, 4, 5, 6, 7, 8, 9))
         rec = [3, 2, 1, 6, 5, 4, 9, 8, 7]  # same items, so instead use none purchased
-        session_none = make_session([0] * 9)
-        assert score([rec], [session_none], catalog9).score == 0.0
+        session_none = SessionTable.from_records([make_session([0] * 9)])
+        assert score([rec], session_none, catalog9).score == 0.0
 
     def test_misplaced_location_scores_zero(self, catalog9):
         session = make_session([1] * 9)
+        sessions = SessionTable.from_records([session])
         # item 1 (location 1) claimed at step 2: must contribute nothing there
         rec = ((2, 3), (1, 4), (7, 8, 9))
-        report = score([rec], [session], catalog9, MetricConfig((1.0, 1.0, 1.0)))
+        report = score([rec], sessions, catalog9, MetricConfig((1.0, 1.0, 1.0)))
         assert report.per_step_value[1] == 4.0  # item 1 ignored, item 4 counted
 
     def test_identity_matching_ignores_position_within_row(self, catalog9):
         session = make_session([1, 0, 0, 0, 0, 0, 0, 0, 0])
+        sessions = SessionTable.from_records([session])
         rec = [3, 2, 1, 4, 5, 6, 7, 8, 9]  # purchased item 1 in a different slot
-        assert score([rec], [session], catalog9, MetricConfig((1.0, 0.1, 0.1))).score == 1.0
+        assert score([rec], sessions, catalog9, MetricConfig((1.0, 0.1, 0.1))).score == 1.0
 
     def test_duplicate_recommended_items_count_once(self, catalog9):
         session = make_session([1] * 9)
+        sessions = SessionTable.from_records([session])
         rec = ((1, 1, 1), (), ())
-        report = score([rec], [session], catalog9, MetricConfig((1.0, 1.0, 1.0)))
+        report = score([rec], sessions, catalog9, MetricConfig((1.0, 1.0, 1.0)))
         assert report.per_step_value[0] == 1.0
 
     def test_matches_naive_oracle_exactly_on_synthetic_corpus(self):
@@ -133,29 +140,33 @@ class TestScore:
 
     def test_errors(self, catalog9):
         session = make_session([1] * 9)
+        sessions = SessionTable.from_records([session])
         with pytest.raises(DataError, match="zero sessions"):
-            score([], [], catalog9)
+            score([], SessionTable.from_records([]), catalog9)
         with pytest.raises(DataError, match="recommendations"):
-            score([], [session], catalog9)
+            score([], sessions, catalog9)
         with pytest.raises(DataError, match="missing recommendation"):
-            score([None], [session], catalog9)
+            score([None], sessions, catalog9)
         with pytest.raises(DataError, match="9 items"):
-            score([[1, 2, 3]], [session], catalog9)
+            score([[1, 2, 3]], sessions, catalog9)
         with pytest.raises(DataError):
-            score([session.exposed_slate], [session], catalog9, MetricConfig((1.0, 1.0)))
+            score([session.exposed_slate], sessions, catalog9, MetricConfig((1.0, 1.0)))
         with pytest.raises(DataError):
-            score([session.exposed_slate], [session], catalog9, MetricConfig((0.0, 0.0, 0.0)))
+            score([session.exposed_slate], sessions, catalog9, MetricConfig((0.0, 0.0, 0.0)))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -1.0])
     def test_non_finite_or_negative_weight_rejected(self, catalog9, bad):
         session = make_session([True] * 9)
+        sessions = SessionTable.from_records([session])
         with pytest.raises(DataError, match="step weights must be finite and nonnegative"):
-            score([session.exposed_slate], [session], catalog9, MetricConfig((bad, 1.0, 1.0)))
+            score([session.exposed_slate], sessions, catalog9, MetricConfig((bad, 1.0, 1.0)))
 
     @given(c=st.sampled_from([0.25, 0.5, 2.0, 4.0, 8.0]))
     def test_scale_linearity(self, c):
         catalog = make_catalog()
-        sessions = [make_session([1, 0, 1, 1, 1, 1, 0, 1, 1]), make_session([1] * 9)]
+        sessions = SessionTable.from_records(
+            [make_session([1, 0, 1, 1, 1, 1, 0, 1, 1]), make_session([1] * 9)]
+        )
         recs = [s.exposed_slate for s in sessions]
         base = score(recs, sessions, catalog, MetricConfig((1.0, 2.0, 3.0)))
         scaled = score(recs, sessions, catalog, MetricConfig((c, 2.0 * c, 3.0 * c)))
@@ -168,6 +179,7 @@ class TestScore:
     def test_adding_purchased_valid_item_never_decreases(self, labels, extra):
         catalog = make_catalog()
         session = make_session(labels)
+        sessions = SessionTable.from_records([session])
         base_rec = ((1, 2), (4, 6), (8,))
         loc = catalog.location(extra)
         enlarged = tuple(
@@ -175,19 +187,19 @@ class TestScore:
             for st_i, part in enumerate(base_rec, 1)
         )
         cfg = MetricConfig((1.0, 2.0, 3.0))
-        before = score([base_rec], [session], catalog, cfg).score
-        after = score([enlarged], [session], catalog, cfg).score
+        before = score([base_rec], sessions, catalog, cfg).score
+        after = score([enlarged], sessions, catalog, cfg).score
         assert after >= before
 
 
 class TestHoldoutSplit:
     def test_sizes(self):
-        sessions = [make_session([0] * 9, user_id=u) for u in range(10)]
+        sessions = SessionTable.from_records([make_session([0] * 9, user_id=u) for u in range(10)])
         train, val = holdout_split(sessions, 0.8, seed=0)
         assert len(train) == 8 and len(val) == 2
 
     def test_deterministic_and_seed_sensitive(self):
-        sessions = [make_session([0] * 9, user_id=u) for u in range(40)]
+        sessions = SessionTable.from_records([make_session([0] * 9, user_id=u) for u in range(40)])
         a1 = holdout_split(sessions, 0.8, seed=3)
         a2 = holdout_split(sessions, 0.8, seed=3)
         b = holdout_split(sessions, 0.8, seed=4)
@@ -198,17 +210,17 @@ class TestHoldoutSplit:
     @given(n=st.integers(min_value=2, max_value=60), seed=st.integers(0, 100))
     def test_union_is_the_input_multiset(self, n, seed):
         sessions = [make_session([0] * 9, user_id=u % 7, timestamp=u) for u in range(n)]
-        train, val = holdout_split(sessions, 0.8, seed=seed)
+        train, val = holdout_split(SessionTable.from_records(sessions), 0.8, seed=seed)
         assert len(train) + len(val) == n
         assert len(train) >= 1 and len(val) >= 1
         assert sorted([*train, *val], key=lambda s: s.timestamp) == sessions
 
     def test_too_few_sessions(self):
         with pytest.raises(DataError, match="2 sessions"):
-            holdout_split([make_session([0] * 9)], 0.5, seed=0)
+            holdout_split(SessionTable.from_records([make_session([0] * 9)]), 0.5, seed=0)
 
     def test_bad_fraction(self):
-        sessions = [make_session([0] * 9) for _ in range(4)]
+        sessions = SessionTable.from_records([make_session([0] * 9) for _ in range(4)])
         for frac in (0.0, 1.0, -0.2, 1.4):
             with pytest.raises(DataError):
                 holdout_split(sessions, frac, seed=0)

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from qslate.errors import FitError, ModelFileError
-from qslate.ingest import SyntheticConfig, generate_synthetic, sessions_to_transitions
+from qslate.ingest import (
+    SessionTable,
+    SyntheticConfig,
+    generate_synthetic,
+    sessions_to_transitions,
+)
 from qslate.features import build_raw_features, transform
 from qslate.pipeline import (
     PipelineParams,
@@ -86,7 +91,8 @@ def test_recommendations_equal_per_session_pipeline(corpus, cluster):
     assert sum(stats.cluster_sizes) == len(corpus.sessions)
     expected = []
     for s in sessions:
-        z = transform(build_raw_features([s], corpus.catalog), model.components)
+        raw = build_raw_features(SessionTable.from_records([s]), corpus.catalog)
+        z = transform(raw, model.components)
         expected.append(recommend_for_clusters(model, model.cluster_model.assign_many(z),
                                                corpus.catalog)[0])
     assert recommend_for_sessions(model, sessions, corpus.catalog) == expected

@@ -23,6 +23,7 @@ from qslate.errors import DataError, ModelFileError, TrainError
 from qslate.ingest import (
     STEPS,
     ItemCatalog,
+    SessionTable,
     SyntheticConfig,
     generate_synthetic,
     sessions_to_transitions,
@@ -635,7 +636,7 @@ def fitted():
 
 def recommend_one(model, record, catalog):
     """The batch inference path called on a single session."""
-    (items,) = recommend_for_sessions(model, [record], catalog)
+    (items,) = recommend_for_sessions(model, SessionTable.from_records([record]), catalog)
     return items
 
 
