@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Sequence
@@ -392,9 +393,9 @@ _PARSE_BLOCK = 256
 _SLATE_LOCATIONS = np.repeat(STEPS, 3)
 
 
-def _line_blocks(text: str) -> Iterator[tuple[Sequence[int], list[list[str]]]]:
-    """The non-blank lines of ``text`` split at single spaces, up to
-    ``_PARSE_BLOCK`` lines at a time, with their 1-based line numbers."""
+def _line_blocks(text: str) -> Iterator[tuple[Sequence[int], Sequence[str]]]:
+    """The non-blank lines of ``text``, up to ``_PARSE_BLOCK`` lines at a
+    time, with their 1-based line numbers."""
     lines = text.splitlines()
     for lo in range(0, len(lines), _PARSE_BLOCK):
         block = lines[lo : lo + _PARSE_BLOCK]
@@ -404,7 +405,7 @@ def _line_blocks(text: str) -> Iterator[tuple[Sequence[int], list[list[str]]]]:
             if not kept:
                 continue
             numbers, block = zip(*kept)
-        yield numbers, [line.split(" ") for line in block]
+        yield numbers, block
 
 
 def _check_user_line(
@@ -459,18 +460,63 @@ def _require(ok) -> None:
         raise _BadBlock
 
 
-def _ints(tokens: Sequence[str]) -> np.ndarray:
-    """``tokens`` read by ``int`` into int64."""
+def _fields(lines: Sequence[str], width: int) -> list[list[str]]:
+    """The ``width`` fields of each of ``lines``, split at single spaces, as
+    ``width`` columns."""
+    _require(set(map(str.count, lines, repeat(" "))) == {width - 1})
+    fields = " ".join(lines).split(" ")
+    return [fields[i::width] for i in range(width)]
+
+
+def _joined(texts: Sequence[str], width: int) -> str:
+    """``texts``, comma-separated lists of ``width`` items each, joined by
+    commas."""
+    _require(set(map(str.count, texts, repeat(","))) == {width - 1})
+    return ",".join(texts)
+
+
+def _c_ints(raw: str, count: int) -> np.ndarray | None:
+    """The ``count`` comma-separated integers of ``raw``, read in C; or None
+    where that read could differ from ``int``'s.
+
+    ``np.fromstring`` reads only ASCII digits and commas here, so signs,
+    ``_``, whitespace and non-ASCII digits are left to ``int``.  Text of
+    another number of commas than ``count`` tokens need is refused, since
+    the read drops a trailing comma.  A read that stops short (a
+    ``ValueError``, or a ``DeprecationWarning`` on older numpy) or gives
+    another count, and a value saturated at the int64 maximum, are refused
+    too.
+    """
+    if not raw.isascii():
+        return None
+    data = raw.encode("ascii")
+    if data.translate(None, b"0123456789,") or data.count(b",") != max(count - 1, 0):
+        return None
     try:
-        return np.fromiter(map(int, tokens), np.int64, len(tokens))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            values = np.fromstring(data, np.int64, sep=",")
+    except (ValueError, DeprecationWarning):
+        return None
+    if len(values) != count or (values == _INT64.max).any():
+        return None
+    return values
+
+
+def _ints(raw: str, count: int) -> np.ndarray:
+    """The ``count`` comma-separated integers of ``raw``, read as ``int``
+    reads them, into int64: in C where :func:`_c_ints` can, else token by
+    token.  Another count, or a token that ``int`` refuses or that does not
+    fit in 64 bits, raises :class:`_BadBlock`."""
+    values = _c_ints(raw, count)
+    if values is not None:
+        return values
+    tokens = raw.split(",")
+    _require(len(tokens) == count)
+    try:
+        return np.fromiter(map(int, tokens), np.int64, count)
     except (ValueError, OverflowError):
         raise _BadBlock from None
-
-
-def _row_items(texts: Sequence[str], width: int) -> list[str]:
-    """The items of comma-separated lists of ``width`` items each, in order."""
-    _require(set(map(str.count, texts, repeat(","))) == {width - 1})
-    return ",".join(texts).split(",")
 
 
 class _StateIndex:
@@ -503,19 +549,18 @@ class _StateIndex:
         return np.fromiter(map(self.text_states.__getitem__, pairs), np.int64, len(pairs))
 
     def _read_clicks(self, texts: list[str]) -> None:
-        listed = [t for t in texts if t != "-"]
-        items = _ints(",".join(listed).split(",") if listed else [])
+        ends = np.cumsum([0] + [0 if t == "-" else t.count(",") + 1 for t in texts]).tolist()
+        items = _ints(",".join(t for t in texts if t != "-"), ends[-1])
         _require(self.catalog.index(items)[1].all())
-        ends = np.cumsum([0 if t == "-" else t.count(",") + 1 for t in texts]).tolist()
         items = items.tolist()
-        for text, lo, hi in zip(texts, [0, *ends], ends):
+        for text, lo, hi in zip(texts, ends, ends[1:]):
             self.clicks[text] = frozenset(items[lo:hi])
 
     def _read_portraits(self, texts: list[str]) -> None:
         if not texts:
             return
         try:
-            values = np.fromiter(map(float, _row_items(texts, N_PORTRAITS)), np.float64)
+            values = np.fromiter(map(float, _joined(texts, N_PORTRAITS).split(",")), np.float64)
         except ValueError:
             raise _BadBlock from None
         _require(np.isfinite(values).all())
@@ -533,30 +578,32 @@ def _read_columns(text: str, catalog: ItemCatalog, read: Callable, check: Callab
     """
     index = _StateIndex(catalog)
     blocks = []
-    for numbers, fields in _line_blocks(text):
+    for numbers, lines in _line_blocks(text):
         try:
-            blocks.append(read(fields, catalog, index))
+            blocks.append(read(lines, catalog, index))
         except _BadBlock:
-            for line_no, line in zip(numbers, fields):
-                check(line_no, line, catalog)
+            for line_no, line in zip(numbers, lines):
+                check(line_no, line.split(" "), catalog)
             raise AssertionError("a block fails its checks but each of its lines passes") from None
     return [np.concatenate(column) for column in zip(*blocks)], _state_values(index.states)
 
 
-def _session_block(fields: list[list[str]], catalog: ItemCatalog, index: _StateIndex) -> tuple:
+def _session_block(lines: Sequence[str], catalog: ItemCatalog, index: _StateIndex) -> tuple:
     """One block's ``user_id``, ``timestamp``, ``state``, ``slate`` and
     ``labels`` columns."""
-    _require(set(map(len, fields)) == {6})
-    users, clicks, portraits, slates, labels, times = zip(*fields)
+    n = len(lines)
+    users, clicks, portraits, slates, labels, times = _fields(lines, 6)
     state = index.number(clicks, portraits)
-    slate = _ints(_row_items(slates, SLATE_SIZE)).reshape(-1, SLATE_SIZE)
-    label = _ints(_row_items(labels, SLATE_SIZE)).reshape(-1, SLATE_SIZE)
+    slate, label = (
+        _ints(_joined(texts, SLATE_SIZE), n * SLATE_SIZE).reshape(-1, SLATE_SIZE)
+        for texts in (slates, labels)
+    )
     _require(((label == 0) | (label == 1)).all())
     at, known = catalog.index(slate)
     _require(known.all() and (catalog.locations[at] == _SLATE_LOCATIONS).all())
     rows = np.sort(slate.reshape(-1, len(STEPS), 3), axis=2)
     _require(not (rows[:, :, 1:] == rows[:, :, :-1]).any())
-    return _ints(users), _ints(times), state, slate, label == 1
+    return _ints(",".join(users), n), _ints(",".join(times), n), state, slate, label == 1
 
 
 def parse_sessions(text: str, catalog: ItemCatalog) -> SessionTable:
@@ -575,21 +622,40 @@ def parse_sessions(text: str, catalog: ItemCatalog) -> SessionTable:
 
 
 def serialize_sessions(sessions: SessionTable) -> str:
+    """The session file of ``sessions``, as :func:`parse_sessions` reads it.
+
+    Each state's clicks and portraits text is rendered once, and so is each
+    of the 2**9 rows of labels; a line joins them with its other columns.
+    """
+    states = [
+        f"{','.join(map(str, sorted(clicks))) or '-'} {','.join(map(repr, portraits))}"
+        for clicks, portraits in zip(sessions.clicks, sessions.portraits.tolist())
+    ]
+    labels = [
+        ",".join("1" if bits >> j & 1 else "0" for j in range(SLATE_SIZE))
+        for bits in range(1 << SLATE_SIZE)
+    ]
+    patterns = sessions.labels @ (1 << np.arange(SLATE_SIZE))
     lines = []
-    for s in sessions:
-        clicks = ",".join(str(c) for c in sorted(s.clicked_items)) or "-"
-        portraits = ",".join(repr(float(p)) for p in s.portraits)
-        slate = ",".join(str(i) for i in s.exposed_slate)
-        labels = ",".join("1" if b else "0" for b in s.purchase_labels)
-        lines.append(f"{s.user_id} {clicks} {portraits} {slate} {labels} {s.timestamp}")
+    for lo in range(0, len(sessions), _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        lines += [
+            f"{user_id} {states[s]} {','.join(map(str, slate))} {labels[k]} {timestamp}"
+            for user_id, s, slate, k, timestamp in zip(
+                sessions.user_id[rows].tolist(),
+                sessions.state[rows].tolist(),
+                sessions.slate[rows].tolist(),
+                patterns[rows].tolist(),
+                sessions.timestamp[rows].tolist(),
+            )
+        ]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _user_block(fields: list[list[str]], catalog: ItemCatalog, index: _StateIndex) -> tuple:
+def _user_block(lines: Sequence[str], catalog: ItemCatalog, index: _StateIndex) -> tuple:
     """One block's user ids and states."""
-    _require(set(map(len, fields)) == {3})
-    users, clicks, portraits = zip(*fields)
-    return _ints(users), index.number(clicks, portraits)
+    users, clicks, portraits = _fields(lines, 3)
+    return _ints(",".join(users), len(lines)), index.number(clicks, portraits)
 
 
 def parse_users(text: str, catalog: ItemCatalog) -> UserTable:
@@ -666,8 +732,8 @@ def sessions_to_transitions(sessions: SessionTable, catalog: ItemCatalog) -> Tra
     return TransitionTable(*(np.concatenate(column) for column in zip(*blocks)))
 
 
-# Sessions per block of ``sessions_to_transitions`` and of iterating a
-# ``SessionTable``.  Blocks bound the n×9 temporaries: built for 48k sessions
+# Sessions per block of ``sessions_to_transitions``, ``serialize_sessions``
+# and iterating a ``SessionTable``.  Blocks bound the n×9 temporaries: built for 48k sessions
 # at once they peak at 13 MiB and raise the process's peak RSS.
 _BLOCK = 4096
 

@@ -127,6 +127,16 @@ def _row_ints(text: str, what: str, line_no: int) -> tuple[int, ...]:
         raise DataError(f"line {line_no}: bad {what} value in {text!r}") from None
 
 
+def _row_int64(text: str, what: str, line_no: int) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise DataError(f"line {line_no}: bad {what} {text!r}") from None
+    if not -(2**63) <= value < 2**63:
+        raise DataError(f"line {line_no}: {what} {value} outside the 64-bit range")
+    return value
+
+
 def row_parse_sessions(text: str, catalog: ItemCatalog) -> list[SessionRecord]:
     """Line-by-line parse of a session file, each line checked field by
     field and the first failing check raised."""
@@ -137,10 +147,7 @@ def row_parse_sessions(text: str, catalog: ItemCatalog) -> list[SessionRecord]:
         fields = line.split(" ")
         if len(fields) != 6:
             raise DataError(f"line {line_no}: expected 6 fields, got {len(fields)}")
-        try:
-            user_id = int(fields[0])
-        except ValueError:
-            raise DataError(f"line {line_no}: bad user_id {fields[0]!r}") from None
+        user_id = _row_int64(fields[0], "user_id", line_no)
         clicks = _row_ints(fields[1], "click history", line_no)
         for c in clicks:
             if c not in catalog:
@@ -154,10 +161,7 @@ def row_parse_sessions(text: str, catalog: ItemCatalog) -> list[SessionRecord]:
             raise DataError(f"line {line_no}: expected 9 labels, got {len(labels)}")
         if any(v not in (0, 1) for v in labels):
             raise DataError(f"line {line_no}: labels must be 0 or 1")
-        try:
-            timestamp = int(fields[5])
-        except ValueError:
-            raise DataError(f"line {line_no}: bad timestamp {fields[5]!r}") from None
+        timestamp = _row_int64(fields[5], "timestamp", line_no)
         for pos, item_id in enumerate(slate, 1):
             if item_id not in catalog:
                 raise DataError(f"line {line_no}: slate item {item_id} not in catalog")
@@ -177,6 +181,19 @@ def row_parse_sessions(text: str, catalog: ItemCatalog) -> list[SessionRecord]:
             )
         )
     return sessions
+
+
+def row_serialize_sessions(sessions) -> str:
+    """Record-by-record rendering of a session file: each row's clicks,
+    portraits, slate and labels joined afresh."""
+    lines = []
+    for s in sessions:
+        clicks = ",".join(str(c) for c in sorted(s.clicked_items)) or "-"
+        portraits = ",".join(repr(float(p)) for p in s.portraits)
+        slate = ",".join(str(i) for i in s.exposed_slate)
+        labels = ",".join("1" if b else "0" for b in s.purchase_labels)
+        lines.append(f"{s.user_id} {clicks} {portraits} {slate} {labels} {s.timestamp}")
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def row_transitions(sessions, catalog: ItemCatalog) -> TransitionTable:

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,13 @@ import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
 from conftest import make_catalog, make_session
-from oracles import TRANSITION_COLUMNS, row_parse_sessions, row_transitions, table_rows
+from oracles import (
+    TRANSITION_COLUMNS,
+    row_parse_sessions,
+    row_serialize_sessions,
+    row_transitions,
+    table_rows,
+)
 from qslate import ingest
 from qslate.errors import DataError
 from qslate.ingest import (
@@ -243,6 +250,44 @@ class TestStateCache:
         assert len(reparsed.clicks) == len(by_user)
 
 
+class TestSerializeSessions:
+    @given(
+        items=st.sampled_from([9, 12, 30, 381]),
+        users=st.integers(4, 300),
+        sessions=st.integers(1, 600),
+        seed=st.integers(0, 2**16),
+    )
+    @example(items=30, users=50, sessions=2 * ingest._BLOCK + 1, seed=3)
+    def test_matches_row_serializer(self, items, users, sessions, seed):
+        """Byte for byte the text of the record-by-record serializer."""
+        table = generate_synthetic(
+            SyntheticConfig(num_items=items, num_users=users, num_sessions=sessions, seed=seed)
+        ).sessions
+        assert serialize_sessions(table) == row_serialize_sessions(table)
+
+    def test_hand_built_tables_match_row_serializer(self, catalog9):
+        """An empty table, a state without clicks, extreme and signed-zero
+        portraits, all-0 and all-1 label rows, and negative and extreme user
+        ids and timestamps: the oracle's text, which parses back to the rows."""
+        extreme = (-0.0, 5e-324, 1e300, -1e300, 0.1, -2.5, 0.0, 1.0, 1e-300, 3.0)
+        records = [
+            make_session([0] * 9, user_id=-5, timestamp=-(2**63)),
+            make_session([1] * 9, user_id=-(2**63), clicks=(9, 1, 3), timestamp=2**63 - 1),
+            dataclasses.replace(
+                make_session([1, 0, 1, 0, 0, 0, 0, 0, 1], user_id=0, clicks=(2,), timestamp=0),
+                portraits=extreme,
+            ),
+            make_session([0] * 9, user_id=-5, timestamp=-1),
+        ]
+        assert serialize_sessions(SessionTable.from_records([])) == ""
+        for rows in (records[:1], records):
+            text = serialize_sessions(SessionTable.from_records(rows))
+            assert text == row_serialize_sessions(rows)
+            assert list(parse_sessions(text, catalog9)) == rows
+        assert " - " in text and "-0.0,5e-324,1e+300," in text
+        assert " 0,0,0,0,0,0,0,0,0 " in text and " 1,1,1,1,1,1,1,1,1 " in text
+
+
 def corrupt(line: str, kind: str, rnd) -> str:
     """``line`` of a session file with one more corruption of ``kind``.
 
@@ -278,6 +323,17 @@ def corrupt(line: str, kind: str, rnd) -> str:
     elif kind == "duplicate in a step row":
         row = 3 * rnd.randrange(len(items) // 3)
         items[row + rnd.randrange(1, 3)] = items[row]
+    elif kind == "int64 overflow":
+        big = str(rnd.choice([2**63, -(2**63) - 1, 2**64]))
+        where = rnd.randrange(4)
+        if where == 0:
+            user = big
+        elif where == 1:
+            timestamp = big
+        elif where == 2:
+            items[rnd.randrange(len(items))] = big
+        else:
+            clicks = big if clicks == "-" else f"{clicks},{big}"
     elif kind == "respelled":
         user, timestamp = "+" + user, "00" + timestamp
         items, flags = ["0" + i for i in items], ["+" + f for f in flags]
@@ -289,7 +345,7 @@ def corrupt(line: str, kind: str, rnd) -> str:
 CORRUPTIONS = (
     "field count", "bad user_id", "bad slate int", "bad label int", "bad timestamp",
     "non-finite portrait", "unknown click", "unknown slate item", "8 slate items", "label 2",
-    "location mismatch", "duplicate in a step row", "respelled",
+    "location mismatch", "duplicate in a step row", "int64 overflow", "respelled",
 )
 
 
@@ -349,6 +405,147 @@ class TestParseOracle:
                 for kind in sorted(kinds, key=lambda k: k == "field count"):
                     bad = corrupt(bad, kind, rnd)
                 assert_parses_like_oracle(f"{first}\n{bad}\n{last}\n", corpus.catalog)
+
+
+# Items 1-9 as in ``catalog9``, and -2 and 2**63 - 1, which a respelled
+# slate or click history may hold.
+GUARD_CATALOG = ItemCatalog.from_records(
+    [ItemRecord(i, (0.0,) * 5, 1.0, (i - 1) // 3 + 1) for i in range(1, 10)]
+    + [ItemRecord(-2, (0.0,) * 5, 1.0, 1), ItemRecord(2**63 - 1, (0.0,) * 5, 1.0, 3)]
+)
+GUARD_PORTRAITS = "0.5,1.0,-0.25,2.0,0.0,1.5,3.0,-1.0,0.125,4.0"
+# (field, text) respellings of a line's field that ``int`` reads but the C
+# read must leave to it; then forms that ``int`` refuses or that leave 64 bits.
+VALID_RESPELLINGS = {
+    "1_000 user id": (0, "1_000"),
+    "tab-padded timestamp": (5, "\t1700000000\t"),
+    "non-ASCII digit": (3, "1,2,\u0663,4,5,6,7,8,9"),
+    "-0 label": (4, "-0,1,0,0,0,0,0,0,1"),
+    "negative user id": (0, "-7"),
+    "negative timestamp": (5, "-1700000000"),
+    "negative slate item": (3, "1,-2,3,4,5,6,7,8,9"),
+    "negative click": (1, "4,-2"),
+    "slate item 2**63-1": (3, f"1,2,3,4,5,6,7,8,{2**63 - 1}"),
+    "click 2**63-1": (1, f"{2**63 - 1}"),
+    "tab-padded click": (1, "4,\t5"),
+}
+INVALID_RESPELLINGS = {
+    "trailing comma": (3, "1,2,3,4,5,6,7,8,9,"),
+    "trailing comma user id": (0, "7,"),
+    "trailing comma timestamp": (5, "1700000000,"),
+    "empty token": (4, "0,,0,0,0,0,0,0,1"),
+    "1-2 user id": (0, "1-2"),
+    "2**63 user id": (0, str(2**63)),
+    "2**63 timestamp": (5, str(2**63)),
+    "2**63 slate item": (3, f"1,2,3,4,5,6,7,8,{2**63}"),
+    "trailing comma click": (1, "4,"),
+    "empty click token": (1, "4,,5"),
+    "1-2 click": (1, "1-2"),
+    "2**63 click": (1, str(2**63)),
+}
+
+
+def guard_lines() -> list[str]:
+    """Two blocks and two lines of valid session lines on ``GUARD_CATALOG``."""
+    return [
+        f"{100 + i} 4,5 {GUARD_PORTRAITS} 1,2,3,4,5,6,7,8,9 1,0,1,1,1,1,0,0,1 {1700000000 + i}"
+        for i in range(2 * ingest._PARSE_BLOCK + 2)
+    ]
+
+
+def user_text(lines) -> str:
+    """A user file of the first three fields of each session line."""
+    return "".join(" ".join(line.split(" ")[:3]) + "\n" for line in lines)
+
+
+def assert_users_parse_like_oracle(users: str, sessions: str, catalog) -> None:
+    """``parse_users`` of ``users``, the first three fields of the lines of
+    ``sessions``, gives the oracle's user ids, clicks and portraits of those
+    lines, or raises its message."""
+    try:
+        expected = row_parse_sessions(sessions, catalog)
+    except DataError as exc:
+        with pytest.raises(DataError) as raised:
+            parse_users(users, catalog)
+        assert str(raised.value) == str(exc)
+    else:
+        table = parse_users(users, catalog)
+        assert table.user_id.tolist() == [s.user_id for s in expected]
+        assert [table.clicks[k] for k in table.state.tolist()] == [
+            s.clicked_items for s in expected
+        ]
+        assert list(map(tuple, table.portraits[table.state].tolist())) == [
+            s.portraits for s in expected
+        ]
+
+
+class TestIntegerGuard:
+    @pytest.mark.parametrize("name", [*VALID_RESPELLINGS, *INVALID_RESPELLINGS])
+    @pytest.mark.parametrize("at", [-1, 0, 1])
+    def test_respelled_field_parses_like_oracle(self, name, at):
+        """A respelled field on the last line of a block, or the first or
+        second of the next, parses like the oracle: as ``int`` reads it, or
+        with its message.  ``parse_users`` reads the first three fields of
+        the same lines as the oracle reads them."""
+        field, respelled = {**VALID_RESPELLINGS, **INVALID_RESPELLINGS}[name]
+        lines = guard_lines()
+        fields = lines[ingest._PARSE_BLOCK + at].split(" ")
+        fields[field] = respelled
+        lines[ingest._PARSE_BLOCK + at] = " ".join(fields)
+        text = "\n".join(lines) + "\n"
+        if name in VALID_RESPELLINGS:
+            row_parse_sessions(text, GUARD_CATALOG)
+        assert_parses_like_oracle(text, GUARD_CATALOG)
+        if field < 3:
+            assert_users_parse_like_oracle(user_text(lines), text, GUARD_CATALOG)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            "1_000", "\t7", "7 ", "\u0663", "-0", "-7", "+1", "1-2", "0x1",
+            "1,", ",1", "1,,2", "", f"{2**63 - 1}", f"{2**63}", f"1,{2**70}",
+        ],
+    )
+    def test_c_read_refuses_what_it_could_misread(self, raw):
+        assert ingest._c_ints(raw, raw.count(",") + 1) is None
+
+    def test_c_read_takes_digits_and_commas(self):
+        assert ingest._c_ints("0,7,007,123", 4).tolist() == [0, 7, 7, 123]
+        assert ingest._c_ints(f"{2**63 - 2}", 1).tolist() == [2**63 - 2]
+        assert ingest._c_ints("1,2", 3) is None
+        assert ingest._c_ints("1,", 1) is None
+        assert ingest._c_ints(",1", 1) is None
+        assert ingest._c_ints("", 0).tolist() == []
+
+    def test_partial_read_warning_is_a_miss(self, monkeypatch):
+        """Older numpy warns rather than raises when it stops short."""
+        def warn_partial(data, dtype, sep):
+            warnings.warn("string or file could not be read to its end", DeprecationWarning)
+            return np.array([1], np.int64)
+
+        monkeypatch.setattr(ingest.np, "fromstring", warn_partial)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ingest._c_ints("1,2", 2) is None
+            assert ingest._ints("1,2", 2).tolist() == [1, 2]
+
+
+def test_text_layer_builds_no_records(monkeypatch):
+    """Serializing and parsing sessions, and parsing users, never make a
+    ``SessionRecord``."""
+    corpus = generate_synthetic(
+        SyntheticConfig(num_items=30, num_users=40, num_sessions=600, seed=4)
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a SessionRecord was built")
+
+    monkeypatch.setattr(SessionTable, "_records", refuse)
+    monkeypatch.setattr(ingest, "SessionRecord", refuse)
+    text = serialize_sessions(corpus.sessions)
+    assert len(parse_sessions(text, corpus.catalog)) == 600
+    assert len(parse_sessions("", corpus.catalog)) == 0
+    assert len(parse_users(user_text(text.splitlines()), corpus.catalog)) == 600
 
 
 class TestParseUsers:
