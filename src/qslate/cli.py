@@ -25,7 +25,7 @@ from .ingest import (
     parse_sessions,
     parse_users,
     serialize_items,
-    serialize_sessions,
+    session_text_blocks,
 )
 from .metric import MetricConfig, TuneResult, holdout_split, score, tune
 from .pipeline import (
@@ -142,7 +142,8 @@ def cmd_generate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "items.txt").write_text(serialize_items(corpus.catalog))
-    (out / "sessions.txt").write_text(serialize_sessions(corpus.sessions))
+    with (out / "sessions.txt").open("w") as sessions_file:
+        sessions_file.writelines(session_text_blocks(corpus.sessions))
     (out / "ground_truth.jsonl").write_text(corpus.truth.serialize())
     purchased = int(corpus.sessions.labels.sum())
     print(
@@ -193,7 +194,8 @@ def cmd_train(args) -> int:
         "sha256": digests,
     })
 
-    policies = export_policies(model.bank, catalog, params.min_visits)
+    policies, layers = export_policies(model.bank, catalog, params.min_visits,
+                                       return_layers=True)
     policy_lines = [
         f"{cid} " + " ".join(str(i) for i in items) for cid, items in sorted(policies.items())
     ]
@@ -208,13 +210,17 @@ def cmd_train(args) -> int:
         "wall_seconds": wall,
         **stats.to_dict(),
         "pca": model.components.report(),
+        "qtables": [
+            {**table, "layer": layers[table["cluster"]][table["step"] - 1]}
+            for table in model.bank.report(params.epochs)
+        ],
     }
     (model_dir / "summary.json").write_text(json.dumps(summary, sort_keys=True) + "\n")
 
     for name, secs in stats.timings:
         print(f"stage {name:<16} {secs:8.3f} s")
-    for step in STEPS:
-        if not any(model.bank.tables[(c, step)] for c in range(model.bank.n_clusters)):
+    for step, layer in zip(STEPS, layers[0]):
+        if layer == "zero":
             print(f"warning: no training session reached step {step}; every policy takes "
                   f"the 3 smallest item ids at location {step}", file=sys.stderr)
     components = model.components

@@ -621,8 +621,10 @@ def parse_sessions(text: str, catalog: ItemCatalog) -> SessionTable:
     return SessionTable(*columns, *states)
 
 
-def serialize_sessions(sessions: SessionTable) -> str:
-    """The session file of ``sessions``, as :func:`parse_sessions` reads it.
+def session_text_blocks(sessions: SessionTable) -> Iterator[str]:
+    """The session file of ``sessions``, as :func:`parse_sessions` reads it,
+    in pieces of up to ``_BLOCK`` lines each, so that a writer need not hold
+    the whole text.
 
     Each state's clicks and portraits text is rendered once, and so is each
     of the 2**9 rows of labels; a line joins them with its other columns.
@@ -636,11 +638,10 @@ def serialize_sessions(sessions: SessionTable) -> str:
         for bits in range(1 << SLATE_SIZE)
     ]
     patterns = sessions.labels @ (1 << np.arange(SLATE_SIZE))
-    lines = []
     for lo in range(0, len(sessions), _BLOCK):
         rows = slice(lo, lo + _BLOCK)
-        lines += [
-            f"{user_id} {states[s]} {','.join(map(str, slate))} {labels[k]} {timestamp}"
+        yield "".join(
+            f"{user_id} {states[s]} {','.join(map(str, slate))} {labels[k]} {timestamp}\n"
             for user_id, s, slate, k, timestamp in zip(
                 sessions.user_id[rows].tolist(),
                 sessions.state[rows].tolist(),
@@ -648,8 +649,12 @@ def serialize_sessions(sessions: SessionTable) -> str:
                 patterns[rows].tolist(),
                 sessions.timestamp[rows].tolist(),
             )
-        ]
-    return "\n".join(lines) + ("\n" if lines else "")
+        )
+
+
+def serialize_sessions(sessions: SessionTable) -> str:
+    """The session file of ``sessions``: the join of :func:`session_text_blocks`."""
+    return "".join(session_text_blocks(sessions))
 
 
 def _user_block(lines: Sequence[str], catalog: ItemCatalog, index: _StateIndex) -> tuple:
@@ -732,7 +737,7 @@ def sessions_to_transitions(sessions: SessionTable, catalog: ItemCatalog) -> Tra
     return TransitionTable(*(np.concatenate(column) for column in zip(*blocks)))
 
 
-# Sessions per block of ``sessions_to_transitions``, ``serialize_sessions``
+# Sessions per block of ``sessions_to_transitions``, ``session_text_blocks``
 # and iterating a ``SessionTable``.  Blocks bound the n×9 temporaries: built for 48k sessions
 # at once they peak at 13 MiB and raise the process's peak RSS.
 _BLOCK = 4096

@@ -3,7 +3,8 @@
 One sparse table per (cluster, step); an absent cell reads as 0, which makes
 the sparse map equivalent to a dense all-zero-initialized table while the
 step-wise action space (~9.2 million slates per location at catalog scale)
-stays out of memory.  Each update applies
+stays out of memory.  A :class:`QTableBank` holds the stored cells of every
+table as columns sorted by table and then slate.  Each update applies
 
     Q(s,a) += alpha * (r + gamma * max(0, max_a' Q(s',a')) - Q(s,a))
 
@@ -18,18 +19,23 @@ target reads the next step's table maximum after that table's last update
 before it: an interval-stabbing maximum over the table's cell values, each
 of which holds from its update until the cell's next update or the table's
 end (a stored value holds from the table's start).  A step's updates read
-only the step after it, so the fold gives the tables, bit for bit and in
-insertion order, that one loop over every update in stream order gives.
-``train`` takes the columns of a transition table as one stream, which both
-of its drivers read as it is:
+only the step after it, so the fold gives the tables, bit for bit, that one
+loop over every update in stream order gives.  ``train`` takes the columns
+of a transition table as one stream and the bank's columns as the held
+cells; the fold returns the trained cells as columns, which the bank then
+holds.  It runs:
 
-* in process (used when ``deterministic``, or when the threads or the
-  stream's clusters number one);
-* a process pool with one job per cluster, largest stream volume first.
-  Clusters never share cells and read only their own tables, so each job
-  trains its cluster's transitions in input order and the merged result is
-  bit-identical to a serial run.  The cyclic GC is paused while the pool
-  runs: unpickling the trained tables allocates many objects and no cycles.
+* in process (used when ``deterministic``, when the threads or the stream's
+  clusters number one, or where ``fork`` is unavailable);
+* across workers: this process and a pool of processes forked from it.
+  The stream and the held cells sit in a module global that the forked
+  workers inherit, so no part of them is pickled.  The clusters are dealt,
+  largest stream volume first, to the least-loaded worker, and each worker
+  runs one fold over its clusters' rows and cells; the forked ones return
+  their trained columns.  Clusters never share cells and read only their
+  own tables, so the merged columns are bit-identical to the serial
+  fold's.  The cyclic GC is paused while the pool runs, and the forked
+  workers inherit the pause.
 """
 
 from __future__ import annotations
@@ -40,7 +46,9 @@ import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -48,9 +56,16 @@ from .errors import DataError, TrainError, read_model_file, write_model_file
 from .ingest import STEPS, ItemCatalog, TransitionTable
 
 QTABLES_FORMAT = "qslate-qtables"
-QTABLES_VERSION = 1
+QTABLES_VERSION = 2
+
+#: The fallback layers of a greedy policy, in the order they are tried.
+POLICY_LAYERS = ("own", "union", "any", "zero")
 
 Slate = tuple[int, int, int]
+
+# Table (cluster, step) has id cluster * _WIDTH + step, so the table that a
+# non-terminal transition reads is its own table's id + 1.
+_WIDTH = STEPS[-1] + 1
 
 
 def make_slate(
@@ -94,46 +109,100 @@ class TrainConfig:
 
 
 class QTableBank:
-    """Sparse action-value tables: (cluster, step) -> {slate: [q, visits]}."""
+    """Sparse action-value tables, one per (cluster, step), as columns.
+
+    Each stored cell is one row of ``tid`` (its table's id,
+    ``cluster * _WIDTH + step``), ``slate`` (n×3 item ids), ``q`` and
+    ``visits``.  The rows are sorted by table and then slate, and the
+    columns are read-only; ``train`` replaces them.
+    """
 
     def __init__(self, n_clusters: int):
         if n_clusters < 1:
             raise DataError("bank needs at least one cluster")
         self.n_clusters = n_clusters
-        self.tables: dict[tuple[int, int], dict[Slate, list]] = {
-            (c, s): {} for c in range(n_clusters) for s in STEPS
-        }
+        self._hold(np.empty(0, np.int64), np.empty((0, 3), np.int64), np.empty(0),
+                   np.empty(0, np.int64))
 
-    def q_value(self, cluster_id: int, step: int, action: Slate) -> float:
-        cell = self.tables[self._key(cluster_id, step)].get(tuple(action))
-        return float(cell[0]) if cell is not None else 0.0
+    @classmethod
+    def from_columns(cls, n_clusters: int, cluster, step, slate, q, visits) -> "QTableBank":
+        """A bank of the cells given as columns, in any order: each cell's
+        cluster and step, its n×3 slate, q and visits.  A cell outside the
+        bank's tables, or a slate stored twice in one table, raises
+        :class:`DataError`."""
+        bank = cls(n_clusters)
+        cluster, step = np.asarray(cluster, np.int64), np.asarray(step, np.int64)
+        tid, slate = cluster * _WIDTH + step, np.asarray(slate, np.int64).reshape(-1, 3)
+        q, visits = np.asarray(q, np.float64), np.asarray(visits, np.int64)
+        if not len(tid) == len(slate) == len(q) == len(visits):
+            raise DataError("bank columns differ in length")
+        bad = (cluster < 0) | (cluster >= n_clusters) | (step < STEPS[0]) | (step > STEPS[-1])
+        if bad.any():
+            bank._check_table(int(cluster[bad.argmax()]), int(step[bad.argmax()]))
+        order = np.lexsort((slate[:, 2], slate[:, 1], slate[:, 0], tid))
+        tid, slate, q, visits = tid[order], slate[order], q[order], visits[order]
+        repeats = (tid[1:] == tid[:-1]) & (slate[1:] == slate[:-1]).all(axis=1)
+        if repeats.any():
+            i = int(repeats.argmax())
+            c, s = divmod(int(tid[i]), _WIDTH)
+            raise DataError(f"slate {tuple(slate[i].tolist())} is stored twice in the table "
+                            f"of cluster {c}, step {s}")
+        bank._hold(tid, slate, q, visits)
+        return bank
 
-    def visit_count(self, cluster_id: int, step: int, action: Slate) -> int:
-        cell = self.tables[self._key(cluster_id, step)].get(tuple(action))
-        return int(cell[1]) if cell is not None else 0
+    def _hold(self, tid, slate, q, visits) -> None:
+        for column in (tid, slate, q, visits):
+            column.flags.writeable = False
+        self.tid, self.slate, self.q, self.visits = tid, slate, q, visits
+
+    def _check_table(self, cluster_id: int, step: int) -> tuple[int, int]:
+        if not (0 <= cluster_id < self.n_clusters and step in STEPS):
+            raise DataError(f"no table for cluster {cluster_id}, step {step}")
+        return cluster_id, step
+
+    @property
+    def tables(self):
+        """A read-only view, built on each access: (cluster, step) ->
+        {slate: (q, visits)} for every table, stored cells or none."""
+        tables = {(c, s): {} for c in range(self.n_clusters) for s in STEPS}
+        for c, s, slate, q, visits in self.cells():
+            tables[(c, s)][slate] = (q, visits)
+        return MappingProxyType({key: MappingProxyType(tab) for key, tab in tables.items()})
 
     def n_cells(self) -> int:
-        return sum(len(t) for t in self.tables.values())
+        return len(self.tid)
 
     def cells(self):
-        """Yield (cluster_id, step, slate, q, visits) over every stored cell."""
-        for (c, s), tab in self.tables.items():
-            for slate, (q, visits) in tab.items():
-                yield c, s, slate, q, visits
+        """Iterate (cluster_id, step, slate, q, visits) over every stored
+        cell, by table and then slate."""
+        cluster, step = np.divmod(self.tid, _WIDTH)
+        return zip(cluster.tolist(), step.tolist(), map(tuple, self.slate.tolist()),
+                   self.q.tolist(), self.visits.tolist())
 
-    def _key(self, cluster_id: int, step: int) -> tuple[int, int]:
-        key = (cluster_id, step)
-        if key not in self.tables:
-            raise DataError(f"no table for cluster {cluster_id}, step {step}")
-        return key
+    def report(self, epochs: int) -> list[dict]:
+        """For each (cluster, step): its stored cells, and how many of them
+        were observed once (or never), 2–4 times and 5 or more times, where
+        a cell's observations are its visits // ``epochs``."""
+        bins = np.searchsorted([2, 5], self.visits // epochs, side="right")
+        counts = np.bincount(self.tid * 3 + bins, minlength=self.n_clusters * _WIDTH * 3)
+        counts = counts.reshape(-1, 3).tolist()
+        return [
+            {"cluster": c, "step": s, "cells": sum(counts[c * _WIDTH + s]),
+             "observations": dict(zip(("1", "2-4", "5+"), counts[c * _WIDTH + s]))}
+            for c in range(self.n_clusters) for s in STEPS
+        ]
 
     def save(self, path: str | Path, stamp: str | None = None) -> None:
+        """Write ``qtables.json`` version 2: for each table that stores
+        cells, its ``slates``, ``q`` and ``visits`` as column lists."""
         tables = {}
-        for (c, s), tab in sorted(self.tables.items()):
-            step_map = tables.setdefault(str(c), {})
-            step_map[str(s)] = {
-                "-".join(str(i) for i in slate): [cell[0], cell[1]]
-                for slate, cell in sorted(tab.items())
+        starts = np.flatnonzero(np.diff(self.tid, prepend=-1)).tolist()
+        for lo, hi in zip(starts, starts[1:] + [len(self.tid)]):
+            c, s = divmod(int(self.tid[lo]), _WIDTH)
+            tables.setdefault(str(c), {})[str(s)] = {
+                "slates": self.slate[lo:hi].tolist(),
+                "q": self.q[lo:hi].tolist(),
+                "visits": self.visits[lo:hi].tolist(),
             }
         body = {"n_clusters": self.n_clusters, "tables": tables}
         write_model_file(path, QTABLES_FORMAT, QTABLES_VERSION, stamp, body)
@@ -143,38 +212,82 @@ class QTableBank:
         """Read a saved bank; a cell whose slate is not 3 strictly ascending
         ints, whose q is not a finite JSON number or whose visits are not a
         JSON integer of at least 1 raises :class:`ModelFileError` naming
-        ``path``."""
+        ``path``.  Version-1 files are refused as unsupported."""
         def build(payload: dict) -> "QTableBank":
-            bank = cls(int(payload["n_clusters"]))
-            for c_str, steps in payload["tables"].items():
-                for s_str, cells in steps.items():
-                    tab = bank.tables[bank._key(int(c_str), int(s_str))]
-                    for slate_str, (q, visits) in cells.items():
-                        slate = tuple(int(i) for i in slate_str.split("-"))
-                        if not (len(slate) == 3 and slate[0] < slate[1] < slate[2]):
-                            make_slate(slate)  # names a wrong count or a repeated item
-                            raise DataError(f"cell {slate_str!r} does not list its items in order")
-                        # A JSON true is a bool, which the type tests exclude.
-                        if type(q) not in (int, float) or type(visits) is not int:
-                            raise DataError(
-                                f"cell {slate_str!r} holds q {q!r} and visits {visits!r}, "
-                                "not a number and an integer"
-                            )
-                        q = float(q)
-                        if not math.isfinite(q) or visits < 1:
-                            raise DataError(f"cell {slate_str!r} has q {q}, visits {visits}")
-                        tab[slate] = [q, visits]
-            return bank
+            n_clusters = int(payload["n_clusters"])
+            bank = cls(n_clusters)
+            tables = [
+                (bank._check_table(int(c_str), int(s_str)), table)
+                for c_str, steps in payload["tables"].items()
+                for s_str, table in steps.items()
+            ]
+            try:
+                columns = _read_tables(tables)
+            except (TypeError, ValueError, OverflowError):
+                _recheck_tables(tables)
+                raise
+            return cls.from_columns(n_clusters, *columns)
 
         return read_model_file(path, QTABLES_FORMAT, QTABLES_VERSION, build)
 
 
+def _read_tables(tables: list[tuple[tuple[int, int], dict]]) -> tuple:
+    """The cells of the file's ``((cluster, step), table)`` pairs as the
+    columns of :meth:`QTableBank.from_columns`, checked with array masks; a
+    failed check raises ``ValueError``."""
+    slates = [table["slates"] for _, table in tables]
+    qs = [table["q"] for _, table in tables]
+    visits = [table["visits"] for _, table in tables]
+    lengths = list(map(len, slates))
+    if lengths != list(map(len, qs)) or lengths != list(map(len, visits)):
+        raise ValueError("a table's columns differ in length")
+    slates = list(chain.from_iterable(slates))
+    if not set(map(type, slates)) <= {list} or not set(map(len, slates)) <= {3}:
+        raise ValueError("a slate is not a list of 3 items")
+    items = list(chain.from_iterable(slates))
+    qs, visits = list(chain.from_iterable(qs)), list(chain.from_iterable(visits))
+    # A JSON true is a bool, which these type tests exclude.
+    if (not set(map(type, items)) <= {int} or not set(map(type, qs)) <= {int, float}
+            or not set(map(type, visits)) <= {int}):
+        raise ValueError("a cell holds a value of another type")
+    cluster, step = np.repeat(np.array([key for key, _ in tables], np.int64).reshape(-1, 2),
+                              lengths, axis=0).T
+    slate = np.array(items, np.int64).reshape(-1, 3)
+    q, visits = np.array(qs, np.float64), np.array(visits, np.int64)
+    ok = (np.isfinite(q) & (visits >= 1) & (slate[:, 0] < slate[:, 1])
+          & (slate[:, 1] < slate[:, 2]))
+    if not ok.all():
+        raise ValueError("a cell fails a check")
+    return cluster, step, slate, q, visits
+
+
+def _recheck_tables(tables: list[tuple[tuple[int, int], dict]]) -> None:
+    """Check the file's tables cell by cell, raising :class:`DataError`
+    with the first failure's message."""
+    for (c, s), table in tables:
+        slates, qs, visits = table["slates"], table["q"], table["visits"]
+        if not len(slates) == len(qs) == len(visits):
+            raise DataError(f"table of cluster {c}, step {s} lists {len(slates)} slates, "
+                            f"{len(qs)} q values and {len(visits)} visit counts")
+        for slate, q, v in zip(slates, qs, visits):
+            if type(slate) is not list or any(type(i) is not int for i in slate):
+                raise DataError(f"slate {slate!r} is not a list of integer item ids")
+            name = "-".join(map(str, slate))
+            if not (len(slate) == 3 and slate[0] < slate[1] < slate[2]):
+                make_slate(slate)  # names a wrong count or a repeated item
+                raise DataError(f"cell {name!r} does not list its items in order")
+            if type(q) not in (int, float) or type(v) is not int:
+                raise DataError(
+                    f"cell {name!r} holds q {q!r} and visits {v!r}, "
+                    "not a number and an integer"
+                )
+            q = float(q)
+            if not math.isfinite(q) or v < 1:
+                raise DataError(f"cell {name!r} has q {q}, visits {v}")
+
+
 # ---------------------------------------------------------------------------
 # Training drivers
-
-# Table (cluster, step) has id cluster * _WIDTH + step, so the table that a
-# non-terminal transition reads is its own table's id + 1.
-_WIDTH = STEPS[-1] + 1
 
 
 @dataclass(frozen=True)
@@ -285,9 +398,11 @@ def _cells(keys: np.ndarray, n: int):
     return distinct, cell, rank[:n], nxt[:n], np.minimum(by_cell[opens], n)
 
 
-def _train_serial(tables, stream: _Stream, alpha: float, gamma: float, epochs: int):
-    """Apply ``epochs`` passes over ``stream`` to ``tables`` and return
-    ``tables``: all of a bank's, or one cluster's in a pool job.
+def _train_serial(held: tuple, stream: _Stream, alpha: float, gamma: float, epochs: int):
+    """Apply ``epochs`` passes over ``stream`` to the ``held`` cells, columns
+    of table id, slate, q and visits, and return the trained cells as the
+    same columns, sorted by table and then slate: the held cells and the
+    stream's new ones.
 
     Each epoch folds step 3, then 2, then 1: a step's cells fold their
     targets by occurrence rank, vectorised across cells.  A non-terminal
@@ -295,21 +410,17 @@ def _train_serial(tables, stream: _Stream, alpha: float, gamma: float, epochs: i
     update before it, an interval-stabbing maximum over the latest values of
     the table's cells, which the next step's fold of the same epoch records.
     """
-    base = min(c for c, _ in tables)  # ids count from the lowest cluster
-    n_ids = _WIDTH * (1 + max(c for c, _ in tables) - base)
-    tabs = [tables.get((base + t // _WIDTH, t % _WIDTH)) for t in range(n_ids)]
-    tid, n = stream.tid - _WIDTH * base, len(stream.tid)
-    # A cell is the (table, action) key of a stream row or of a stored cell.
-    held = [(t, a, cell) for t, tab in enumerate(tabs) if tab for a, cell in tab.items()]
+    held_tid, held_slate, held_q, held_visits = held
+    tid, n = stream.tid, len(stream.tid)
+    # A cell is the (table, action) key of a stream row or of a held cell.
     cell_key, cell, rank, nxt, first = _cells(np.concatenate([
-        np.column_stack([tid, stream.action]),
-        np.array([(t, *a) for t, a, _ in held], np.int64).reshape(-1, 4),
+        np.column_stack([tid, stream.action]), np.column_stack([held_tid, held_slate]),
     ]), n)
     n_cells = len(cell_key)
     counts = np.bincount(cell[:n], minlength=n_cells)
     q0, visits, fresh = np.zeros(n_cells), counts * epochs, np.ones(n_cells, np.bool_)
-    q0[cell[n:]] = [c[0] for _, _, c in held]
-    visits[cell[n:]] += np.array([c[1] for _, _, c in held], np.int64)
+    q0[cell[n:]] = held_q
+    visits[cell[n:]] += held_visits
     fresh[cell[n:]] = False
 
     # Cells are labelled step by step and by falling count within a step, so
@@ -369,39 +480,63 @@ def _train_serial(tables, stream: _Stream, alpha: float, gamma: float, epochs: i
                 nt, reward, stab = reads[s]
                 nm = stab(values)
                 target[nt] = np.where(nm > 0.0, reward + gamma * nm, reward)
-
-    # Write the trained cells back; new cells go in first-appearance order.
-    live = np.flatnonzero(counts)
-    live = live[np.argsort(first[live])]
-    for t, a, qv, v in zip(cell_key[live, 0].tolist(), zip(*cell_key[live, 1:].T.tolist()),
-                           q[label[live]].tolist(), visits[live].tolist()):
-        tabs[t][a] = [qv, v]
-    return tables
+    return cell_key[:, 0].copy(), cell_key[:, 1:].copy(), q[label], visits
 
 
-def _train_processes(bank, stream: _Stream, alpha, gamma, epochs, workers) -> None:
-    """Train each cluster as one pool job, largest stream volume first."""
-    cid = stream.tid // _WIDTH
-    volumes = np.bincount(cid).tolist()
-    # A stable sort keeps each cluster's rows in stream order.
-    rows = np.split(np.argsort(cid, kind="stable"), np.cumsum(volumes)[:-1])
-    order = sorted((c for c, v in enumerate(volumes) if v), key=lambda c: -volumes[c])
-    tables = [{(c, s): bank.tables[(c, s)] for s in STEPS} for c in order]
-    job = partial(_train_serial, alpha=alpha, gamma=gamma, epochs=epochs)
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        ctx = multiprocessing.get_context("spawn")
+# The held cells and the stream of a pool run, which forked workers inherit.
+_FORKED: tuple | None = None
+
+
+def _deal(volumes: np.ndarray, workers: int) -> list[list[int]]:
+    """The clusters of nonzero stream volume, dealt largest first (the lower
+    id on a tie) to the least-loaded worker (the lower-numbered on a tie)."""
+    jobs, loads = [[] for _ in range(workers)], [0] * workers
+    for c in sorted(np.flatnonzero(volumes).tolist(), key=lambda c: -volumes[c]):
+        w = loads.index(min(loads))
+        jobs[w].append(c)
+        loads[w] += int(volumes[c])
+    return jobs
+
+
+def _train_job(clusters: list[int], alpha: float, gamma: float, epochs: int) -> tuple:
+    """One worker's fold over the inherited stream rows and held cells of
+    ``clusters``; returns their trained columns."""
+    held, stream = _FORKED
+    mine = np.isin(held[0] // _WIDTH, clusters)
+    rows = np.isin(stream.tid // _WIDTH, clusters)
+    return _train_serial(tuple(col[mine] for col in held), stream.take(rows),
+                         alpha, gamma, epochs)
+
+
+def _train_processes(held: tuple, stream: _Stream, alpha, gamma, epochs, workers) -> tuple:
+    """Fold the dealt clusters in ``workers`` jobs, the first in this process
+    and the others in forked ones, and merge their columns with the held
+    cells of the clusters that the stream does not reach."""
+    global _FORKED
+    jobs = _deal(np.bincount(stream.tid // _WIDTH), workers)
+    job = partial(_train_job, alpha=alpha, gamma=gamma, epochs=epochs)
+    _FORKED = held, stream
     # Forked workers inherit the pause.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            for trained in pool.map(job, tables, [stream.take(rows[c]) for c in order]):
-                bank.tables.update(trained)
+        with ProcessPoolExecutor(max_workers=workers - 1,
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
+            forked = [pool.submit(job, clusters) for clusters in jobs[1:]]
+            parts = [job(jobs[0])] + [future.result() for future in forked]
     finally:
+        _FORKED = None
         if gc_was_enabled:
             gc.enable()
+    untrained = ~np.isin(held[0] // _WIDTH, list(chain.from_iterable(jobs)))
+    parts.append(tuple(col[untrained] for col in held))
+    tid, slate, q, visits = (np.concatenate(cols) for cols in zip(*parts))
+    # Each part is sorted and holds whole tables, so a stable sort by table suffices.
+    order = np.argsort(tid, kind="stable")
+    return tid[order], slate[order], q[order], visits[order]
+
+
+_CAN_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 def train(
@@ -416,84 +551,112 @@ def train(
     ``session_clusters`` is a list or array of integers that maps each
     session ref to a cluster id; any other dtype raises :class:`TrainError`.
     Both drivers run the step-wise fold of ``_train_serial``, whose tables
-    equal those of applying every update in input order.  Each cluster is
-    one job, largest stream volume first, for ``cfg.threads`` worker
-    processes, but no more than the stream has clusters, and the cyclic GC
-    is paused while the pool runs.  With ``deterministic`` set, or when that
-    leaves one worker, the fold runs in this process: a pool would only add
-    a fork and a pickle round trip.  Clusters never share a cell, so both
-    drivers produce bit-identical tables.
+    equal those of applying every update in input order.  The clusters are
+    dealt, largest stream volume first, to ``cfg.threads`` workers, but no
+    more than the stream has clusters: this process and forked ones.  The
+    cyclic GC is paused while the pool runs.  With ``deterministic`` set,
+    when that leaves one worker, or where ``fork`` is unavailable, the fold
+    runs in this process.  Clusters never share a cell, so both drivers
+    produce bit-identical tables.
     """
     cfg.validate()
     stream = _prepare_stream(bank, transitions, session_clusters)
     if not len(stream.tid):
         return bank
     clusters = len(np.unique(stream.tid // _WIDTH))
-    workers = 1 if cfg.deterministic else min(cfg.threads, clusters)
+    workers = 1 if cfg.deterministic or not _CAN_FORK else min(cfg.threads, clusters)
+    held = bank.tid, bank.slate, bank.q, bank.visits
     if workers == 1:
-        _train_serial(bank.tables, stream, cfg.alpha, cfg.gamma, cfg.epochs)
+        trained = _train_serial(held, stream, cfg.alpha, cfg.gamma, cfg.epochs)
     else:
-        _train_processes(bank, stream, cfg.alpha, cfg.gamma, cfg.epochs, workers)
+        trained = _train_processes(held, stream, cfg.alpha, cfg.gamma, cfg.epochs, workers)
+    bank._hold(*trained)
     return bank
 
 
 # ---------------------------------------------------------------------------
 # Policies
 
-def _best(entries) -> Slate:
-    """Highest q wins; ties go to the lexicographically smallest slate."""
-    return min(entries, key=lambda e: (-e[1], e[0]))[0]
+def _greedy(bank: QTableBank, catalog: ItemCatalog | None, min_visits: int):
+    """Every cluster's greedy slate and fallback layer at each step, not yet
+    checked: an n×3×3 array of slates and an n×3 array of indices into
+    :data:`POLICY_LAYERS`.  A step with no stored cell takes the zero
+    table's slate where the catalog has one."""
+    cluster, step = np.divmod(bank.tid, _WIDTH)
+    # One order serves every layer: by step, then highest q, then smallest slate.
+    order = np.lexsort((bank.slate[:, 2], bank.slate[:, 1], bank.slate[:, 0], -bank.q, step))
+    bounds = np.searchsorted(step[order], [*STEPS, STEPS[-1] + 1]).tolist()
+    slates = np.empty((bank.n_clusters, len(STEPS), 3), np.int64)
+    layers = np.empty((bank.n_clusters, len(STEPS)), np.int64)
+    for k, s in enumerate(STEPS):
+        ranked = order[bounds[k] : bounds[k + 1]]
+        if not len(ranked):
+            layers[:, k] = POLICY_LAYERS.index("zero")
+            if catalog is not None and len(catalog.by_location[s]) >= 3:
+                slates[:, k] = catalog.by_location[s][:3]
+            continue
+        # Each layer overrides the one after it wherever it has a cell.
+        layers[:, k], slates[:, k] = POLICY_LAYERS.index("any"), bank.slate[ranked[0]]
+        eligible = ranked[bank.visits[ranked] >= min_visits]
+        if len(eligible):
+            layers[:, k], slates[:, k] = POLICY_LAYERS.index("union"), bank.slate[eligible[0]]
+            own, best = np.unique(cluster[eligible], return_index=True)
+            layers[own, k], slates[own, k] = POLICY_LAYERS.index("own"), bank.slate[eligible[best]]
+    return slates, layers
+
+
+def _policies(bank: QTableBank, catalog: ItemCatalog | None, min_visits: int, clusters):
+    """``{cluster: (slates, layer names)}`` for ``clusters``, each step's
+    slate checked in cluster and step order."""
+    slates, layers = _greedy(bank, catalog, min_visits)
+    out = {}
+    for c in clusters:
+        chosen = []
+        for k, step in enumerate(STEPS):
+            if POLICY_LAYERS[layers[c, k]] == "zero" and (
+                catalog is None or len(catalog.by_location[step]) < 3
+            ):
+                raise TrainError(f"no trained action exists for step {step}")
+            slate = tuple(slates[c, k].tolist())
+            if catalog is not None:
+                make_slate(slate, catalog=catalog, step=step)
+            chosen.append(slate)
+        out[c] = chosen, tuple(POLICY_LAYERS[i] for i in layers[c].tolist())
+    return out
 
 
 def greedy_policy(
-    bank: QTableBank, cluster_id: int, catalog: ItemCatalog, min_visits: int = 3
-) -> list[Slate]:
+    bank: QTableBank, cluster_id: int, catalog: ItemCatalog, min_visits: int = 3,
+    *, return_layers: bool = False,
+):
     """Greedy slate per step, restricted to sufficiently visited actions.
 
     Eligibility falls back in layers so the policy is total: the cluster's
     own cells with at least ``min_visits`` visits, then the union of every
     cluster's qualifying cells for that step, then any stored cell at all.
-    A step with no stored cell reads 0 everywhere, as a dense zero table
-    would, so it takes the smallest slate: the 3 smallest item ids at its
-    location.  Raises :class:`TrainError` for such a step without a
-    ``catalog`` or when the location holds fewer than 3 items.
+    Within a layer the highest q wins, and ties go to the lexicographically
+    smallest slate.  A step with no stored cell reads 0 everywhere, as a
+    dense zero table would, so it takes the smallest slate: the 3 smallest
+    item ids at its location.  Raises :class:`TrainError` for such a step
+    without a ``catalog`` or when the location holds fewer than 3 items.
+    With ``return_layers``, returns the slates and, per step, the name of
+    the layer that chose it (see :data:`POLICY_LAYERS`).
     """
     if not 0 <= cluster_id < bank.n_clusters:
         raise DataError(f"unknown cluster {cluster_id}")
-    slates: list[Slate] = []
-    for step in STEPS:
-        own = bank.tables[(cluster_id, step)]
-        entries = [(slate, cell[0]) for slate, cell in own.items() if cell[1] >= min_visits]
-        if not entries:
-            entries = [
-                (slate, cell[0])
-                for c in range(bank.n_clusters)
-                for slate, cell in bank.tables[(c, step)].items()
-                if cell[1] >= min_visits
-            ]
-        if not entries:
-            entries = [
-                (slate, cell[0])
-                for c in range(bank.n_clusters)
-                for slate, cell in bank.tables[(c, step)].items()
-            ]
-        if not entries:
-            if catalog is None or len(catalog.by_location[step]) < 3:
-                raise TrainError(f"no trained action exists for step {step}")
-            entries = [(catalog.by_location[step][:3], 0.0)]
-        best = _best(entries)
-        if catalog is not None:
-            make_slate(best, catalog=catalog, step=step)
-        slates.append(best)
-    return slates
+    slates, layers = _policies(bank, catalog, min_visits, [cluster_id])[cluster_id]
+    return (slates, layers) if return_layers else slates
 
 
 def export_policies(
-    bank: QTableBank, catalog: ItemCatalog, min_visits: int = 3
-) -> dict[int, tuple[int, ...]]:
-    """Flattened 9-item recommendation per cluster, in step order."""
-    out = {}
-    for c in range(bank.n_clusters):
-        steps = greedy_policy(bank, c, catalog, min_visits)
-        out[c] = tuple(i for slate in steps for i in slate)
-    return out
+    bank: QTableBank, catalog: ItemCatalog, min_visits: int = 3,
+    *, return_layers: bool = False,
+):
+    """Flattened 9-item recommendation per cluster, in step order: every
+    cluster's :func:`greedy_policy`, from one ranking of the bank's cells.
+    With ``return_layers``, also each cluster's layer names per step."""
+    policies = _policies(bank, catalog, min_visits, range(bank.n_clusters))
+    flat = {c: tuple(i for slate in slates for i in slate) for c, (slates, _) in policies.items()}
+    if return_layers:
+        return flat, {c: layers for c, (_, layers) in policies.items()}
+    return flat

@@ -13,15 +13,17 @@ from math import comb
 
 import numpy as np
 
-from qslate.errors import DataError
+from qslate.errors import DataError, TrainError
 from qslate.ingest import (
     N_PORTRAITS,
+    STEPS,
     GroundTruth,
     ItemCatalog,
     ItemRecord,
     SessionRecord,
     TransitionTable,
 )
+from qslate.qlearning import QTableBank
 
 
 def value_iteration(outcomes: dict, gamma: float) -> dict:
@@ -278,6 +280,61 @@ def single_phase_q_learning(tables, stream, alpha: float, gamma: float, epochs: 
                 tmax[key] = q_new
             elif q_old >= cur:
                 tmax[key] = max(c[0] for c in tab.values())
+
+
+def bank_of(n_clusters: int, cells) -> QTableBank:
+    """A bank of ``(cluster, step, slate, q, visits)`` cells, built through
+    the bank's column constructor."""
+    cells = list(cells)
+    columns = [list(col) for col in zip(*cells)] or [[]] * 5
+    return QTableBank.from_columns(n_clusters, *columns)
+
+
+def dict_tables(bank: QTableBank) -> dict:
+    """The bank as mutable dict tables, (cluster, step) -> {slate: [q, visits]},
+    for every table, as ``single_phase_q_learning`` and
+    ``dict_greedy_policy`` read them."""
+    return {key: {slate: list(cell) for slate, cell in tab.items()}
+            for key, tab in bank.tables.items()}
+
+
+def q_value(bank: QTableBank, cluster: int, step: int, slate) -> float:
+    """A cell's q; an absent cell reads 0."""
+    return bank.tables[(cluster, step)].get(tuple(slate), (0.0, 0))[0]
+
+
+def visit_count(bank: QTableBank, cluster: int, step: int, slate) -> int:
+    """A cell's visits; an absent cell has none."""
+    return bank.tables[(cluster, step)].get(tuple(slate), (0.0, 0))[1]
+
+
+def dict_greedy_policy(tables: dict, n_clusters: int, cluster_id: int,
+                       catalog: ItemCatalog | None, min_visits: int):
+    """The greedy policy by a scan of every table per layer: the slates and,
+    per step, the layer that chose each (own, union, any or zero).  Highest
+    q wins; ties go to the lexicographically smallest slate."""
+    def best(entries):
+        return min(entries, key=lambda e: (-e[1], e[0]))[0]
+
+    slates, layers = [], []
+    for step in STEPS:
+        own = [(slate, cell[0]) for slate, cell in tables[(cluster_id, step)].items()
+               if cell[1] >= min_visits]
+        union = [(slate, cell[0]) for c in range(n_clusters)
+                 for slate, cell in tables[(c, step)].items() if cell[1] >= min_visits]
+        stored = [(slate, cell[0]) for c in range(n_clusters)
+                  for slate, cell in tables[(c, step)].items()]
+        for layer, entries in (("own", own), ("union", union), ("any", stored)):
+            if entries:
+                slates.append(tuple(best(entries)))
+                layers.append(layer)
+                break
+        else:
+            if catalog is None or len(catalog.by_location[step]) < 3:
+                raise TrainError(f"no trained action exists for step {step}")
+            slates.append(tuple(catalog.by_location[step][:3]))
+            layers.append("zero")
+    return slates, tuple(layers)
 
 
 # ---------------------------------------------------------------------------

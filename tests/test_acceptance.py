@@ -19,6 +19,7 @@ from oracles import (
     expected_policy_score,
     naive_metric_score,
     oracle_score,
+    q_value,
     toy_mdp,
     value_iteration,
 )
@@ -62,13 +63,13 @@ def test_criterion_1_bellman_fixpoint():
         bank = QTableBank(4)
         train(bank, ordered, ordered_clusters,
               TrainConfig(alpha=1.0, gamma=0.9, epochs=1, deterministic=True))
-        worst = max(abs(bank.q_value(c, s, a) - q) for (c, s, a), q in qstar.items())
+        worst = max(abs(q_value(bank, c, s, a) - q) for (c, s, a), q in qstar.items())
         assert worst <= 1e-9, f"alpha=1 backward pass off by {worst}"
 
         bank_fwd = QTableBank(4)
         train(bank_fwd, transitions, clusters,
               TrainConfig(alpha=0.1, gamma=0.9, epochs=50, deterministic=True))
-        worst_fwd = max(abs(bank_fwd.q_value(c, s, a) - q) for (c, s, a), q in qstar.items())
+        worst_fwd = max(abs(q_value(bank_fwd, c, s, a) - q) for (c, s, a), q in qstar.items())
         assert worst_fwd <= 1e-4, f"alpha=0.1 x50 epochs off by {worst_fwd}"
 
         assert time.perf_counter() - started < 5.0
@@ -164,9 +165,10 @@ def test_criterion_5_parallel_correctness():
             bank = QTableBank(3)
             train(bank, transitions, clusters,
                   TrainConfig(alpha=0.3, gamma=0.9, epochs=60, threads=8))
-            for key in reference.tables:
-                for action, cell in reference.tables[key].items():
-                    assert abs(bank.tables[key][action][0] - cell[0]) <= 1e-6
+            tables = bank.tables
+            for key, tab in reference.tables.items():
+                for action, cell in tab.items():
+                    assert abs(tables[key][action][0] - cell[0]) <= 1e-6
 
         # Process backend: cluster-sharded, therefore bit-identical even on
         # stochastic rewards.

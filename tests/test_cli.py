@@ -92,6 +92,28 @@ class TestTrain:
             items = [int(v) for v in fields[1:]]
             assert [catalog.location(i) for i in items] == [1, 1, 1, 2, 2, 2, 3, 3, 3]
 
+    def test_summary_reports_each_table_and_its_policy_layer(self, tmp_path):
+        data = generate_corpus(tmp_path)
+        model_dir = train_models(tmp_path, data)
+        summary = json.loads((model_dir / "summary.json").read_text())
+        qtables = summary["qtables"]
+        assert [(t["cluster"], t["step"]) for t in qtables] == [
+            (c, s) for c in range(summary["n_clusters"]) for s in (1, 2, 3)]
+        assert sum(t["cells"] for t in qtables) == summary["table_cells"]
+        for t in qtables:
+            assert set(t["observations"]) == {"1", "2-4", "5+"}
+            assert sum(t["observations"].values()) == t["cells"]
+            assert t["layer"] in ("own", "union", "any", "zero")
+        assert any(t["layer"] == "own" for t in qtables)
+
+    def test_one_cluster_above_every_visit_count_falls_back(self, tmp_path):
+        data = generate_corpus(tmp_path)
+        model_dir = train_models(tmp_path, data, **{"--k": 1, "--min-visits": 10**6})
+        summary = json.loads((model_dir / "summary.json").read_text())
+        assert summary["n_clusters"] == 1
+        layers = [t["layer"] for t in summary["qtables"]]
+        assert len(layers) == 3 and set(layers) <= {"union", "any"}
+
     def test_unconverged_components_named_on_stderr(self, tmp_path, capsys):
         data = generate_corpus(tmp_path)
         capsys.readouterr()
@@ -269,8 +291,7 @@ class TestEvaluate:
         data = generate_corpus(tmp_path)
         models = train_models(tmp_path, data)
         payload = json.loads((models / "qtables.json").read_text())
-        cells = payload["tables"]["0"]["1"]
-        cells[next(iter(cells))][0] = float("nan")
+        payload["tables"]["0"]["1"]["q"][0] = float("nan")
         (models / "qtables.json").write_text(json.dumps(payload, sort_keys=True) + "\n")
         users = tmp_path / "users.txt"
         users.write_text("1 - 0,0,0,0,0,0,0,0,0,0\n")
@@ -286,8 +307,8 @@ class TestEvaluate:
         data = generate_corpus(tmp_path)
         models = train_models(tmp_path, data)
         payload = json.loads((models / "qtables.json").read_text())
-        cells = payload["tables"]["0"]["1"]
-        cells[next(iter(cells))] = [True, 2.7]
+        table = payload["tables"]["0"]["1"]
+        table["q"][0], table["visits"][0] = True, 2.7
         (models / "qtables.json").write_text(json.dumps(payload, sort_keys=True) + "\n")
         users = tmp_path / "users.txt"
         users.write_text("1 - 0,0,0,0,0,0,0,0,0,0\n")

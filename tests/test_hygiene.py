@@ -149,3 +149,41 @@ def test_bench_read_arguments_list_every_read_in_spans():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_arg"
     }
     assert reads == {(name, position) for _, _, name, position in BENCH_READ_ARGUMENTS}
+
+
+def bench_methods() -> tuple:
+    """``METHODS`` of ``perfbench/spans.py``: the (layer, class, method)
+    triples that the traced run wraps on their classes."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "METHODS":
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/spans.py defines no METHODS")
+
+
+@pytest.mark.parametrize("layer, cls, method", bench_methods(),
+                         ids=lambda v: v if isinstance(v, str) else None)
+def test_bench_method_is_defined_on_its_class(layer, cls, method):
+    """The traced run looks each method up in ``vars(cls)``, which an
+    inherited or renamed method would fail, and only untraced runs are tested."""
+    assert method in vars(getattr(importlib.import_module(f"qslate.{layer}"), cls))
+
+
+# What ``perfbench/workloads.py`` and ``perfbench/spans.py`` read of a trained
+# ``QTableBank``: the ``tables`` view that two banks compare by, and the cells.
+BENCH_READ_BANK = ("tables", "cells", "n_cells")
+
+
+def test_bench_reads_of_the_bank_are_listed():
+    text = "".join((ROOT / "perfbench" / name).read_text() for name in ("workloads.py", "spans.py"))
+    assert {name for name in BENCH_READ_BANK if f".{name}" in text} == set(BENCH_READ_BANK)
+
+
+def test_bank_offers_what_the_bench_reads():
+    from qslate.qlearning import QTableBank
+
+    for name in BENCH_READ_BANK:
+        assert name in vars(QTableBank), name
+    a, b = QTableBank(2), QTableBank(2)
+    assert a.tables == b.tables and len(a.tables) == 6
+    assert list(a.cells()) == [] and a.n_cells() == 0

@@ -34,6 +34,7 @@ from qslate.ingest import (
     parse_users,
     serialize_items,
     serialize_sessions,
+    session_text_blocks,
     sessions_to_transitions,
 )
 
@@ -264,6 +265,16 @@ class TestSerializeSessions:
             SyntheticConfig(num_items=items, num_users=users, num_sessions=sessions, seed=seed)
         ).sessions
         assert serialize_sessions(table) == row_serialize_sessions(table)
+
+    def test_text_comes_in_blocks_of_whole_lines(self):
+        table = generate_synthetic(
+            SyntheticConfig(num_items=30, num_users=50, num_sessions=2 * ingest._BLOCK + 1, seed=3)
+        ).sessions
+        blocks = list(session_text_blocks(table))
+        assert [block.count("\n") for block in blocks] == [ingest._BLOCK, ingest._BLOCK, 1]
+        assert all(block.endswith("\n") for block in blocks)
+        assert "".join(blocks) == serialize_sessions(table)
+        assert list(session_text_blocks(SessionTable.from_records([]))) == []
 
     def test_hand_built_tables_match_row_serializer(self, catalog9):
         """An empty table, a state without clicks, extreme and signed-zero

@@ -1,5 +1,6 @@
 import copy
 import gc
+import itertools
 import json
 import math
 import re
@@ -11,18 +12,24 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import make_catalog
 from oracles import (
     backward_ordered,
+    bank_of,
+    dict_greedy_policy,
+    dict_tables,
     exponentially_weighted_value,
+    q_value,
     single_phase_q_learning,
     table_rows,
     toy_mdp,
     transition_table,
     value_iteration,
+    visit_count,
 )
 from qslate import qlearning
 from qslate.errors import DataError, ModelFileError, TrainError
 from qslate.ingest import (
     STEPS,
     ItemCatalog,
+    ItemRecord,
     SessionTable,
     SyntheticConfig,
     generate_synthetic,
@@ -84,11 +91,12 @@ def training_cases(draw):
         slate = SLATES[step][slate_pick % len(SLATES[step])]
         rows.append((len(rows), step, slate, reward, terminal or step == STEPS[-1]))
         clusters.append(c)
-    bank = QTableBank(n_clusters)
     pretrained = st.tuples(st.integers(0, n_clusters - 1), st.sampled_from(STEPS),
                            st.integers(0, 2), VALUES, st.integers(1, 5))
+    held = {}
     for c, step, slate_pick, q, visits in draw(st.lists(pretrained, max_size=6)):
-        bank.tables[(c, step)][SLATES[step][slate_pick % len(SLATES[step])]] = [q, visits]
+        held[(c, step, SLATES[step][slate_pick % len(SLATES[step])])] = (q, visits)
+    bank = bank_of(n_clusters, [(*key, *cell) for key, cell in held.items()])
     cfg = TrainConfig(
         alpha=draw(st.sampled_from([0.1, 0.3, 1.0])),
         gamma=draw(st.sampled_from([0.0, 0.5, 0.9])),
@@ -99,8 +107,8 @@ def training_cases(draw):
 
 
 def exact_cells(tables):
-    """Every table's cells in insertion order, with each q as its repr."""
-    return {key: [(slate, repr(q), visits) for slate, (q, visits) in tab.items()]
+    """Every table's cells by slate, with each q as its repr."""
+    return {key: sorted((slate, repr(q), visits) for slate, (q, visits) in tab.items())
             for key, tab in tables.items()}
 
 
@@ -153,16 +161,15 @@ class TestTrain:
         bank = QTableBank(1)
         t = transition_table([(0, 3, (7, 8, 9), 10.0, True)])
         train(bank, t, [0], TrainConfig(alpha=0.1, gamma=0.9, epochs=1, deterministic=True))
-        assert bank.q_value(0, 3, (7, 8, 9)) == pytest.approx(1.0)
-        assert bank.visit_count(0, 3, (7, 8, 9)) == 1
+        assert q_value(bank, 0, 3, (7, 8, 9)) == pytest.approx(1.0)
+        assert visit_count(bank, 0, 3, (7, 8, 9)) == 1
         assert bank.n_cells() == 1
 
     def test_two_step_chain_bootstraps_from_next_table(self):
-        bank = QTableBank(1)
-        bank.tables[(0, 2)][(4, 5, 6)] = [5.0, 5]
+        bank = bank_of(1, [(0, 2, (4, 5, 6), 5.0, 5)])
         t = transition_table([(0, 1, (1, 2, 3), 2.0, False)])
         train(bank, t, [0], TrainConfig(alpha=1.0, gamma=0.5, epochs=1, deterministic=True))
-        assert bank.q_value(0, 1, (1, 2, 3)) == pytest.approx(2.0 + 0.5 * 5.0)
+        assert q_value(bank, 0, 1, (1, 2, 3)) == pytest.approx(2.0 + 0.5 * 5.0)
 
     def test_backward_alpha_one_matches_value_iteration(self):
         catalog, transitions, clusters, outcomes = toy_mdp()
@@ -173,7 +180,7 @@ class TestTrain:
         train(bank, ordered, ordered_clusters,
               TrainConfig(alpha=1.0, gamma=0.9, epochs=1, deterministic=True))
         for (c, s, a), expected in qstar.items():
-            assert bank.q_value(c, s, a) == pytest.approx(expected, abs=1e-9)
+            assert q_value(bank, c, s, a) == pytest.approx(expected, abs=1e-9)
 
     def test_forward_low_alpha_converges(self):
         catalog, transitions, clusters, outcomes = toy_mdp()
@@ -182,7 +189,7 @@ class TestTrain:
         train(bank, transitions, clusters,
               TrainConfig(alpha=0.1, gamma=0.9, epochs=50, deterministic=True))
         for (c, s, a), expected in qstar.items():
-            assert bank.q_value(c, s, a) == pytest.approx(expected, abs=1e-4)
+            assert q_value(bank, c, s, a) == pytest.approx(expected, abs=1e-4)
 
     def test_second_alpha_one_epoch_is_a_fixpoint(self):
         _, transitions, clusters, _ = toy_mdp()
@@ -194,9 +201,10 @@ class TestTrain:
         two = QTableBank(3)
         train(two, ordered, ordered_clusters,
               TrainConfig(alpha=1.0, gamma=0.9, epochs=2, deterministic=True))
-        for key in one.tables:
-            for action, cell in one.tables[key].items():
-                assert two.tables[key][action][0] == cell[0]
+        two_tables = two.tables
+        for key, tab in one.tables.items():
+            for action, cell in tab.items():
+                assert two_tables[key][action][0] == cell[0]
 
     def test_matches_reference_trainer_on_random_cells(self):
         corpus = generate_synthetic(
@@ -210,13 +218,14 @@ class TestTrain:
               TrainConfig(alpha=0.2, gamma=0.8, epochs=3, deterministic=True))
         reference = reference_trainer(4, transitions, clusters, 0.2, 0.8, 3)
         rng = np.random.default_rng(0)
-        cells = [(key, action) for key, tab in bank.tables.items() for action in tab]
+        tables = bank.tables
+        cells = [(key, action) for key, tab in tables.items() for action in tab]
         for idx in rng.choice(len(cells), size=min(100, len(cells)), replace=False):
             key, action = cells[idx]
-            assert bank.tables[key][action][0] == pytest.approx(
+            assert tables[key][action][0] == pytest.approx(
                 reference[key][action][0], abs=1e-12
             )
-            assert bank.tables[key][action][1] == reference[key][action][1]
+            assert tables[key][action][1] == reference[key][action][1]
 
     def test_update_locality(self):
         _, transitions, clusters, _ = toy_mdp(n_clusters=2)
@@ -226,9 +235,10 @@ class TestTrain:
                    for ref, step, action, _, _ in table_rows(transitions)}
         stored = {(c, s, a) for c, s, a, _, _ in bank.cells()}
         assert stored == touched
+        tables = bank.tables
         for s in (1, 2, 3):
-            assert not bank.tables[(2, s)]
-            assert not bank.tables[(3, s)]
+            assert not tables[(2, s)]
+            assert not tables[(3, s)]
 
     @given(
         rewards=st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=40),
@@ -262,7 +272,7 @@ class TestTrain:
         train(bank, transitions, [0] * len(rewards),
               TrainConfig(alpha=0.3, gamma=0.0, epochs=1, deterministic=True))
         expected = exponentially_weighted_value(rewards, 0.3)
-        assert bank.q_value(0, 1, (1, 2, 3)) == pytest.approx(expected, abs=1e-12)
+        assert q_value(bank, 0, 1, (1, 2, 3)) == pytest.approx(expected, abs=1e-12)
 
     def test_unknown_cluster_rejected(self):
         bank = QTableBank(1)
@@ -291,7 +301,7 @@ class TestTrain:
         bank = QTableBank(2)
         t = transition_table([(0, 1, (1, 2, 3), 1.0, True), (1, 1, (1, 2, 4), 1.0, True)])
         train(bank, t, clusters, TrainConfig(epochs=1, deterministic=True))
-        assert bank.visit_count(0, 1, (1, 2, 3)) == bank.visit_count(1, 1, (1, 2, 4)) == 1
+        assert visit_count(bank, 0, 1, (1, 2, 3)) == visit_count(bank, 1, 1, (1, 2, 4)) == 1
 
     def test_empty_stream_takes_an_empty_cluster_list(self):
         bank = QTableBank(1)
@@ -335,7 +345,7 @@ class TestTrain:
         bank = QTableBank(2)
         train(bank, transition_table(rows), clusters,
               TrainConfig(alpha=0.5, epochs=3, deterministic=True))
-        expected = QTableBank(2).tables
+        expected = dict_tables(QTableBank(2))
         single_phase_q_learning(
             expected, [(clusters[ref], *row) for ref, *row in rows], 0.5, 0.9, 3,
         )
@@ -345,7 +355,7 @@ class TestTrain:
     @given(case=training_cases())
     def test_matches_single_phase_oracle_bit_for_bit(self, case):
         bank, transitions, clusters, cfg = case
-        expected = copy.deepcopy(bank.tables)
+        expected = dict_tables(bank)
         stream = [(clusters[ref], *row) for ref, *row in table_rows(transitions)]
         single_phase_q_learning(expected, stream, cfg.alpha, cfg.gamma, cfg.epochs)
         train(bank, transitions, clusters, cfg)
@@ -365,7 +375,7 @@ class TestTrain:
         bank = QTableBank(3)
         train(bank, transitions, clusters,
               TrainConfig(alpha=0.3, gamma=0.9, epochs=1, deterministic=True))
-        expected = copy.deepcopy(bank.tables)
+        expected = dict_tables(bank)
         stream = [(clusters[ref], *row) for ref, *row in table_rows(transitions)]
         single_phase_q_learning(expected, stream, 0.3, 0.9, 4)
         train(bank, transitions, clusters, TrainConfig(alpha=0.3, gamma=0.9, epochs=4, **flags))
@@ -479,6 +489,88 @@ class TestParallelTraining:
         assert exact_cells(serial.tables) == exact_cells(parallel.tables)
 
 
+@st.composite
+def pool_cases(draw):
+    """A stream over 1-12 clusters, some of which log nothing, a cluster map
+    for an earlier training of the same stream, epochs and workers."""
+    n_clusters = draw(st.integers(1, 12))
+    used = sorted(draw(st.sets(st.integers(0, n_clusters - 1), min_size=min(2, n_clusters))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for i in range(draw(st.integers(1, 300))):
+        step = int(rng.integers(1, 4))
+        slate = tuple(np.sort(rng.choice(6, 3, replace=False) + 10 * step).tolist())
+        rows.append((i, step, slate, float(rng.integers(-2, 5)), step == 3 or bool(rng.integers(2))))
+    clusters = rng.choice(used, size=len(rows)).tolist()
+    earlier = rng.integers(0, n_clusters, size=len(rows)).tolist()
+    return (n_clusters, transition_table(rows), clusters, earlier,
+            draw(st.integers(1, 4)), draw(st.sampled_from([2, 3])))
+
+
+def same_columns(a: QTableBank, b: QTableBank) -> bool:
+    return all(
+        getattr(a, col).dtype == getattr(b, col).dtype
+        and getattr(a, col).tobytes() == getattr(b, col).tobytes()
+        for col in ("tid", "slate", "q", "visits")
+    )
+
+
+class TestPool:
+    @settings(max_examples=25)
+    @given(case=pool_cases())
+    def test_pool_columns_bit_identical_to_serial_fold(self, case):
+        n_clusters, transitions, clusters, earlier, epochs, workers = case
+        held = QTableBank(n_clusters)
+        train(held, transitions, earlier, TrainConfig(alpha=0.3, epochs=1, deterministic=True))
+        serial, pooled = copy.deepcopy(held), copy.deepcopy(held)
+        train(serial, transitions, clusters,
+              TrainConfig(alpha=0.3, gamma=0.9, epochs=epochs, deterministic=True))
+        train(pooled, transitions, clusters,
+              TrainConfig(alpha=0.3, gamma=0.9, epochs=epochs, threads=workers))
+        assert same_columns(serial, pooled)
+
+    def test_pool_pickles_no_stream(self, monkeypatch):
+        _, transitions, clusters, _ = toy_mdp(n_clusters=3)
+        serial = QTableBank(3)
+        train(serial, transitions, clusters, TrainConfig(epochs=3, deterministic=True))
+
+        def refuse(self):
+            raise AssertionError("a transition stream was pickled")
+
+        monkeypatch.setattr(qlearning._Stream, "__reduce__", refuse)
+        pooled = QTableBank(3)
+        train(pooled, transitions, clusters, TrainConfig(epochs=3, threads=3))
+        assert serial.n_cells() > 0 and same_columns(serial, pooled)
+
+    def test_without_fork_trains_in_process(self, monkeypatch):
+        _, transitions, clusters, _ = toy_mdp(n_clusters=3)
+        serial = QTableBank(3)
+        train(serial, transitions, clusters, TrainConfig(epochs=2, deterministic=True))
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started without fork")
+
+        monkeypatch.setattr(qlearning, "_CAN_FORK", False)
+        monkeypatch.setattr(qlearning, "ProcessPoolExecutor", no_pool)
+        unforked = QTableBank(3)
+        train(unforked, transitions, clusters, TrainConfig(epochs=2, threads=3))
+        assert serial.n_cells() > 0 and same_columns(serial, unforked)
+
+    def test_pool_leaves_no_inherited_state(self):
+        _, transitions, clusters, _ = toy_mdp(n_clusters=2)
+        train(QTableBank(2), transitions, clusters, TrainConfig(epochs=1, threads=2))
+        assert qlearning._FORKED is None
+
+    @pytest.mark.parametrize("volumes, workers, jobs", [
+        ([5, 0, 9, 1, 9, 3], 2, [[2, 0], [4, 5, 3]]),
+        ([4, 4, 4], 3, [[0], [1], [2]]),
+        ([0, 7, 0, 2], 3, [[1], [3], []]),
+    ])
+    def test_deal_gives_the_largest_cluster_to_the_least_loaded_worker(
+            self, volumes, workers, jobs):
+        assert qlearning._deal(np.array(volumes), workers) == jobs
+
+
 class TestTrainInput:
     """A bad transition stream raises one TrainError that names its first bad
     transition, and trains nothing."""
@@ -538,12 +630,12 @@ class TestPoolPausesGc:
 
 class TestPolicies:
     def build_bank(self):
-        bank = QTableBank(2)
-        bank.tables[(0, 1)] = {(1, 2, 3): [1.0, 5], (1, 2, 4): [3.0, 5]}
-        bank.tables[(0, 2)] = {(5, 6, 7): [2.0, 5], (5, 6, 8): [2.0, 5]}
-        bank.tables[(0, 3)] = {(9, 10, 11): [4.0, 1]}
-        bank.tables[(1, 3)] = {(9, 10, 12): [1.5, 6]}
-        return bank
+        return bank_of(2, [
+            (0, 1, (1, 2, 3), 1.0, 5), (0, 1, (1, 2, 4), 3.0, 5),
+            (0, 2, (5, 6, 7), 2.0, 5), (0, 2, (5, 6, 8), 2.0, 5),
+            (0, 3, (9, 10, 11), 4.0, 1),
+            (1, 3, (9, 10, 12), 1.5, 6),
+        ])
 
     def test_argmax_and_lexicographic_tie_break(self):
         bank = self.build_bank()
@@ -558,16 +650,13 @@ class TestPolicies:
         assert slates[2] == (9, 10, 12)
 
     def test_last_resort_ignores_visit_filter(self):
-        bank = QTableBank(1)
-        bank.tables[(0, 1)] = {(1, 2, 3): [1.0, 1]}
-        bank.tables[(0, 2)] = {(4, 5, 6): [1.0, 1]}
-        bank.tables[(0, 3)] = {(7, 8, 9): [1.0, 1]}
+        bank = bank_of(1, [(0, 1, (1, 2, 3), 1.0, 1), (0, 2, (4, 5, 6), 1.0, 1),
+                           (0, 3, (7, 8, 9), 1.0, 1)])
         slates = greedy_policy(bank, 0, catalog=None, min_visits=99)
         assert slates == [(1, 2, 3), (4, 5, 6), (7, 8, 9)]
 
     def test_untrained_step_is_an_error(self):
-        bank = QTableBank(1)
-        bank.tables[(0, 1)] = {(1, 2, 3): [1.0, 1]}
+        bank = bank_of(1, [(0, 1, (1, 2, 3), 1.0, 1)])
         with pytest.raises(TrainError, match="step 2"):
             greedy_policy(bank, 0, catalog=None, min_visits=1)
 
@@ -575,9 +664,7 @@ class TestPolicies:
         # Without a stored cell every slate of the step reads 0, and the
         # smallest slate wins the tie: the three smallest ids at its location.
         catalog = make_catalog()
-        bank = QTableBank(2)
-        bank.tables[(0, 1)] = {(1, 2, 3): [-1.0, 5]}
-        bank.tables[(1, 2)] = {(5, 6, 4): [2.0, 5]}
+        bank = bank_of(2, [(0, 1, (1, 2, 3), -1.0, 5), (1, 2, (5, 6, 4), 2.0, 5)])
         assert greedy_policy(bank, 0, catalog, min_visits=3) == [(1, 2, 3), (5, 6, 4), (7, 8, 9)]
         assert export_policies(bank, catalog, 3) == {
             0: (1, 2, 3, 5, 6, 4, 7, 8, 9), 1: (1, 2, 3, 5, 6, 4, 7, 8, 9)
@@ -587,9 +674,7 @@ class TestPolicies:
         catalog = ItemCatalog.from_records(
             [rec for i, rec in make_catalog().items.items() if i != 9]
         )
-        bank = QTableBank(1)
-        bank.tables[(0, 1)] = {(1, 2, 3): [1.0, 5]}
-        bank.tables[(0, 2)] = {(4, 5, 6): [1.0, 5]}
+        bank = bank_of(1, [(0, 1, (1, 2, 3), 1.0, 5), (0, 2, (4, 5, 6), 1.0, 5)])
         with pytest.raises(TrainError, match="step 3"):
             greedy_policy(bank, 0, catalog, min_visits=1)
 
@@ -613,11 +698,84 @@ class TestPolicies:
             for step, slate in enumerate(greedy_policy(bank, cid, corpus.catalog, 3), 1):
                 assert ((cid, step, slate) in observed) or ((step, slate) in observed_any)
 
-    def test_q_value_reads(self):
-        bank = QTableBank(1)
-        bank.tables[(0, 1)][(1, 2, 3)] = [2.5, 4]
-        assert bank.q_value(0, 1, (1, 2, 3)) == 2.5
-        assert bank.q_value(0, 2, (4, 5, 6)) == 0.0
+    def test_tables_view_reads_cells_and_refuses_writes(self):
+        bank = bank_of(1, [(0, 1, (1, 2, 3), 2.5, 4)])
+        tables = bank.tables
+        assert tables[(0, 1)] == {(1, 2, 3): (2.5, 4)}
+        assert not tables[(0, 2)]
+        with pytest.raises(TypeError):
+            tables[(0, 1)][(1, 2, 4)] = (1.0, 1)
+        with pytest.raises(TypeError):
+            tables[(0, 2)] = {}
+        with pytest.raises(ValueError):
+            bank.q[0] = 1.0
+        assert q_value(bank, 0, 1, (1, 2, 3)) == 2.5
+        assert q_value(bank, 0, 2, (4, 5, 6)) == 0.0
+
+
+def wide_catalog() -> ItemCatalog:
+    """Fifteen items, five per location: 1-5 at 1, 6-10 at 2, 11-15 at 3."""
+    return ItemCatalog.from_records([
+        ItemRecord(i, (0.1 * i, 0.2, 0.3, 0.4, 0.5), float(i), (i - 1) // 5 + 1)
+        for i in range(1, 16)
+    ])
+
+
+@st.composite
+def policy_banks(draw):
+    """A bank over 1-4 clusters whose q values tie often and whose steps may
+    store no cell, and a ``min_visits`` from below to above every count."""
+    n_clusters = draw(st.integers(1, 4))
+    slates = st.sampled_from(list(itertools.combinations(range(1, 6), 3)))
+    cell = st.tuples(st.integers(0, n_clusters - 1), st.sampled_from(STEPS), slates,
+                     st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]), st.integers(1, 6))
+    cells = {}
+    for c, step, slate, q, visits in draw(st.lists(cell, max_size=25)):
+        cells[(c, step, tuple(i + 5 * (step - 1) for i in slate))] = (q, visits)
+    bank = bank_of(n_clusters, [(*key, *value) for key, value in cells.items()])
+    return bank, draw(st.integers(1, 7))
+
+
+class TestGreedyAgainstDictOracle:
+    @settings(max_examples=200)
+    @given(case=policy_banks())
+    @example(case=(bank_of(2, [(0, 1, (1, 2, 3), 1.0, 5), (1, 1, (1, 2, 4), 1.0, 1),
+                               (0, 2, (6, 7, 8), 0.0, 1), (1, 2, (6, 7, 9), -0.0, 2)]), 3))
+    def test_columnar_policy_equals_dict_scan(self, case):
+        bank, min_visits = case
+        catalog, tables = wide_catalog(), dict_tables(bank)
+        expected = [dict_greedy_policy(tables, bank.n_clusters, c, catalog, min_visits)
+                    for c in range(bank.n_clusters)]
+        for c, (slates, layers) in enumerate(expected):
+            assert greedy_policy(bank, c, catalog, min_visits) == slates
+            assert greedy_policy(bank, c, catalog, min_visits, return_layers=True) == (
+                slates, layers)
+        policies, layers = export_policies(bank, catalog, min_visits, return_layers=True)
+        assert policies == {c: tuple(i for slate in slates for i in slate)
+                            for c, (slates, _) in enumerate(expected)}
+        assert layers == {c: layers for c, (_, layers) in enumerate(expected)}
+        assert export_policies(bank, catalog, min_visits) == policies
+
+    def test_example_reaches_every_layer(self):
+        bank = bank_of(2, [(0, 1, (1, 2, 3), 1.0, 5), (1, 1, (1, 2, 4), 1.0, 1),
+                           (0, 2, (6, 7, 8), 0.0, 1), (1, 2, (6, 7, 9), -0.0, 2)])
+        _, layers = export_policies(bank, wide_catalog(), 3, return_layers=True)
+        assert layers == {0: ("own", "any", "zero"), 1: ("union", "any", "zero")}
+
+
+class TestReport:
+    def test_counts_cells_and_observation_bins(self):
+        bank = bank_of(2, [(0, 1, (1, 2, 3), 1.0, 10), (0, 1, (1, 2, 4), 1.0, 29),
+                           (0, 1, (1, 3, 4), 1.0, 40), (0, 1, (2, 3, 4), 1.0, 50),
+                           (1, 3, (7, 8, 9), 0.0, 99)])
+        report = bank.report(epochs=10)
+        assert [(r["cluster"], r["step"]) for r in report] == [
+            (c, s) for c in range(2) for s in STEPS]
+        assert report[0] == {"cluster": 0, "step": 1, "cells": 4,
+                             "observations": {"1": 1, "2-4": 2, "5+": 1}}
+        assert report[5] == {"cluster": 1, "step": 3, "cells": 1,
+                             "observations": {"1": 0, "2-4": 0, "5+": 1}}
+        assert all(r["cells"] == 0 for r in report[1:5])
 
 
 @pytest.fixture(scope="module")
@@ -679,42 +837,96 @@ class TestBankSerialization:
         assert loaded.n_clusters == 3
         assert loaded.tables == bank.tables
 
+    @given(cells=st.dictionaries(
+        st.tuples(st.integers(0, 2), st.sampled_from(STEPS),
+                  st.sampled_from([(1, 2, 3), (1, 2, 4), (-7, 0, 2**62)])),
+        st.tuples(st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300]),
+                            st.floats(allow_nan=False, allow_infinity=False)),
+                  st.integers(1, 2**63 - 1)),
+        max_size=12,
+    ))
+    @example(cells={(0, 1, (1, 2, 3)): (-0.0, 1), (1, 3, (1, 2, 4)): (5e-324, 2**63 - 1),
+                    (2, 2, (1, 2, 3)): (1e300, 3)})
+    def test_round_trip_is_exact(self, tmp_path_factory, cells):
+        bank = bank_of(3, [(*key, *cell) for key, cell in cells.items()])
+        path = tmp_path_factory.mktemp("bank") / "qtables.json"
+        bank.save(path, stamp="zz")
+        loaded, _ = QTableBank.load(path)
+        for column in ("tid", "slate", "q", "visits"):
+            a, b = getattr(loaded, column), getattr(bank, column)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), column
+
     def test_load_rejects_wrong_format(self, tmp_path):
         path = tmp_path / "qtables.json"
-        path.write_text('{"format": "something-else", "version": 1}')
+        path.write_text('{"format": "something-else", "version": 2}')
         with pytest.raises(ModelFileError):
+            QTableBank.load(path)
+
+    def test_load_refuses_version_1(self, tmp_path):
+        path = tmp_path / "qtables.json"
+        path.write_text(json.dumps({
+            "format": "qslate-qtables", "version": 1, "stamp": "zz", "n_clusters": 1,
+            "tables": {"0": {"1": {"1-2-3": [2.5, 4]}, "2": {}, "3": {}}},
+        }))
+        with pytest.raises(ModelFileError, match="unsupported version 1$"):
             QTableBank.load(path)
 
     @pytest.mark.parametrize(
         "slate, cell, reason",
         [
-            ("1-2-3", [math.nan, 4], "cell '1-2-3' has q nan, visits 4"),
-            ("1-2-3", [-math.inf, 4], "cell '1-2-3' has q -inf, visits 4"),
-            ("1-2-3", [2.5, 0], "cell '1-2-3' has q 2.5, visits 0"),
-            ("8-5-2", [2.5, -4], "cell '8-5-2' does not list its items in order"),
-            ("3-6", [2.5, 4], "a slate holds exactly 3 items, got (3, 6)"),
-            ("1-1-2", [2.5, 4], "slate (1, 1, 2) contains duplicate items"),
-            ("1-2-3", [True, 2.7], "cell '1-2-3' holds q True and visits 2.7, "
+            ([1, 2, 3], [math.nan, 4], "cell '1-2-3' has q nan, visits 4"),
+            ([1, 2, 3], [-math.inf, 4], "cell '1-2-3' has q -inf, visits 4"),
+            ([1, 2, 3], [2.5, 0], "cell '1-2-3' has q 2.5, visits 0"),
+            ([8, 5, 2], [2.5, -4], "cell '8-5-2' does not list its items in order"),
+            ([3, 6], [2.5, 4], "a slate holds exactly 3 items, got (3, 6)"),
+            ([1, 1, 2], [2.5, 4], "slate (1, 1, 2) contains duplicate items"),
+            ([1, 2, 3], [True, 2.7], "cell '1-2-3' holds q True and visits 2.7, "
              "not a number and an integer"),
-            ("1-2-3", ["1e3", "5"], "cell '1-2-3' holds q '1e3' and visits '5', "
+            ([1, 2, 3], ["1e3", "5"], "cell '1-2-3' holds q '1e3' and visits '5', "
              "not a number and an integer"),
-            ("1-2-3", [1.0, 2.7], "cell '1-2-3' holds q 1.0 and visits 2.7, "
+            ([1, 2, 3], [1.0, 2.7], "cell '1-2-3' holds q 1.0 and visits 2.7, "
              "not a number and an integer"),
-            ("1-2-3", [1.0, True], "cell '1-2-3' holds q 1.0 and visits True, "
+            ([1, 2, 3], [1.0, True], "cell '1-2-3' holds q 1.0 and visits True, "
              "not a number and an integer"),
-            ("1-2-3", [10**400, 4], "int too large to convert to float"),
+            ([1, 2, 3], [10**400, 4], "int too large to convert to float"),
+            ([True, 2, 3], [2.5, 4], "slate [True, 2, 3] is not a list of integer item ids"),
+            ("1-2-3", [2.5, 4], "slate '1-2-3' is not a list of integer item ids"),
         ],
         ids=["nan-q", "inf-q", "zero-visits", "descending", "two-items", "repeated-item",
-             "bool-q", "string-cell", "fractional-visits", "bool-visits", "huge-int-q"],
+             "bool-q", "string-cell", "fractional-visits", "bool-visits", "huge-int-q",
+             "bool-item", "string-slate"],
     )
     def test_load_rejects_malformed_cell(self, tmp_path, slate, cell, reason):
         path = tmp_path / "qtables.json"
-        bank = QTableBank(1)
-        bank.tables[(0, 1)][(1, 2, 3)] = [2.5, 4]
-        bank.save(path, stamp="zz")
+        bank_of(1, [(0, 1, (1, 2, 3), 2.5, 4), (0, 2, (4, 5, 6), 1.0, 2)]).save(path, stamp="zz")
         payload = json.loads(path.read_text())
-        payload["tables"]["0"]["1"] = {slate: cell}
+        payload["tables"]["0"]["1"] = {"slates": [[1, 2, 4], slate], "q": [1.0, cell[0]],
+                                       "visits": [3, cell[1]]}
         path.write_text(json.dumps(payload))
         with pytest.raises(ModelFileError, match=re.escape(reason) + "$") as raised:
             QTableBank.load(path)
         assert raised.value.path == str(path)
+
+    @pytest.mark.parametrize(
+        "key, table, reason",
+        [
+            ("1", {"slates": [[1, 2, 3]], "q": [2.5, 1.0], "visits": [4]},
+             "table of cluster 0, step 1 lists 1 slates, 2 q values and 1 visit counts"),
+            ("1", {"slates": [[1, 2, 3], [1, 2, 3]], "q": [2.5, 1.0], "visits": [4, 4]},
+             "slate (1, 2, 3) is stored twice in the table of cluster 0, step 1"),
+            ("1", {"slates": [[1, 2, 3]], "q": [2.5], "visits": [2**70]},
+             "Python int too large to convert to C long"),
+            ("1", {"slates": [[1, 2, 3]], "visits": [4]}, "lacks field 'q'"),
+            ("4", {"slates": [[1, 2, 3]], "q": [2.5], "visits": [4]},
+             "no table for cluster 0, step 4"),
+        ],
+        ids=["ragged-columns", "repeated-slate", "huge-visits", "missing-q", "unknown-step"],
+    )
+    def test_load_rejects_malformed_table(self, tmp_path, key, table, reason):
+        path = tmp_path / "qtables.json"
+        bank_of(1, [(0, 2, (4, 5, 6), 1.0, 2)]).save(path, stamp="zz")
+        payload = json.loads(path.read_text())
+        payload["tables"]["0"][key] = table
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelFileError, match=re.escape(reason) + "$"):
+            QTableBank.load(path)
