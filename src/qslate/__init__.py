@@ -37,7 +37,6 @@ from .ingest import (
     parse_users,
     serialize_items,
     serialize_sessions,
-    session_text_blocks,
     sessions_to_transitions,
 )
 from .metric import MetricConfig, ScoreReport, holdout_split, score, tune

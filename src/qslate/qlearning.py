@@ -627,8 +627,7 @@ def _policies(bank: QTableBank, catalog: ItemCatalog | None, min_visits: int, cl
 
 def greedy_policy(
     bank: QTableBank, cluster_id: int, catalog: ItemCatalog, min_visits: int = 3,
-    *, return_layers: bool = False,
-):
+) -> list[Slate]:
     """Greedy slate per step, restricted to sufficiently visited actions.
 
     Eligibility falls back in layers so the policy is total: the cluster's
@@ -639,13 +638,10 @@ def greedy_policy(
     dense zero table would, so it takes the smallest slate: the 3 smallest
     item ids at its location.  Raises :class:`TrainError` for such a step
     without a ``catalog`` or when the location holds fewer than 3 items.
-    With ``return_layers``, returns the slates and, per step, the name of
-    the layer that chose it (see :data:`POLICY_LAYERS`).
     """
     if not 0 <= cluster_id < bank.n_clusters:
         raise DataError(f"unknown cluster {cluster_id}")
-    slates, layers = _policies(bank, catalog, min_visits, [cluster_id])[cluster_id]
-    return (slates, layers) if return_layers else slates
+    return _policies(bank, catalog, min_visits, [cluster_id])[cluster_id][0]
 
 
 def export_policies(
