@@ -23,7 +23,7 @@ only the step after it, so the fold gives the tables, bit for bit, that one
 loop over every update in stream order gives.  ``train`` takes the columns
 of a transition table as one stream and the bank's columns as the held
 cells; the fold returns the trained cells as columns, which the bank then
-holds.  It runs:
+holds.  The fold runs:
 
 * in process (used when ``deterministic``, when the threads or the stream's
   clusters number one, or where ``fork`` is unavailable);
@@ -36,6 +36,11 @@ holds.  It runs:
   own tables, so the merged columns are bit-identical to the serial
   fold's.  The cyclic GC is paused while the pool runs, and the forked
   workers inherit the pause.
+
+Every integer sort of training goes through ``_order``: where the key
+columns' spans allow, it packs each key row and its row number into one
+unique int64 and runs one ``np.sort``; keys too wide for that, such as item
+ids that span millions, take ``np.lexsort``.
 """
 
 from __future__ import annotations
@@ -139,11 +144,10 @@ class QTableBank:
         bad = (cluster < 0) | (cluster >= n_clusters) | (step < STEPS[0]) | (step > STEPS[-1])
         if bad.any():
             bank._check_table(int(cluster[bad.argmax()]), int(step[bad.argmax()]))
-        order = np.lexsort((slate[:, 2], slate[:, 1], slate[:, 0], tid))
+        order, opens = _order(np.column_stack([tid, slate]))
         tid, slate, q, visits = tid[order], slate[order], q[order], visits[order]
-        repeats = (tid[1:] == tid[:-1]) & (slate[1:] == slate[:-1]).all(axis=1)
-        if repeats.any():
-            i = int(repeats.argmax())
+        if not opens.all():
+            i = int(opens.argmin()) - 1
             c, s = divmod(int(tid[i]), _WIDTH)
             raise DataError(f"slate {tuple(slate[i].tolist())} is stored twice in the table "
                             f"of cluster {c}, step {s}")
@@ -376,6 +380,40 @@ class _IntervalMax:
         return tree[self.size :]
 
 
+def _order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable order of the rows of the int64 matrix ``keys``, first
+    column most significant, and whether each sorted row opens a run of
+    equal rows.
+
+    Where the product of the columns' spans times the row count fits in
+    int64, each row and its row number pack into one unique key, so one
+    ``np.sort`` gives the order whatever algorithm it runs; wider keys take
+    ``np.lexsort``.
+    """
+    n = len(keys)
+    if n == 0:
+        return np.empty(0, np.int64), np.empty(0, np.bool_)
+    # Per column: a reduction over axis 0 of a narrow matrix is far slower.
+    low = [int(column.min()) for column in keys.T]
+    spans = [int(column.max()) - lo + 1 for column, lo in zip(keys.T, low)]
+    if math.prod(spans) * n < 2**63:
+        # Every partial key is at most the full one, so none overflows.
+        packed = keys[:, 0] - low[0]
+        for column, lo, span in zip(keys.T[1:], low[1:], spans[1:]):
+            packed *= span
+            packed += column - lo
+        packed *= n
+        packed += np.arange(n)
+        packed.sort()
+        packed, order = np.divmod(packed, n)
+        differs = packed[1:] != packed[:-1]
+    else:
+        order = np.lexsort(keys.T[::-1])
+        ordered = keys[order]
+        differs = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return order, np.append(True, differs)
+
+
 def _cells(keys: np.ndarray, n: int):
     """Number the distinct rows of ``keys`` in sorted order.
 
@@ -384,12 +422,8 @@ def _cells(keys: np.ndarray, n: int):
     next row (n if none among the first ``n``); then each cell's first row
     (n likewise).  Rows sort stably, so ranks follow row order.
     """
-    by_cell = np.lexsort(keys.T[::-1])
-    sorted_keys = keys[by_cell]
-    opens = np.ones(len(keys), np.bool_)
-    opens[1:] = (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)
-    distinct = sorted_keys[opens]
-    del sorted_keys  # as large as ``keys``; freed, it stays off the peak
+    by_cell, opens = _order(keys)
+    distinct = keys[by_cell[opens]]
     cell, rank, nxt = (np.empty(len(keys), np.int64) for _ in range(3))
     cell[by_cell] = np.cumsum(opens) - 1
     at = np.arange(len(keys))
@@ -427,10 +461,10 @@ def _train_serial(held: tuple, stream: _Stream, alpha: float, gamma: float, epoc
     # that a step's cells with a k-th occurrence in an epoch are a run of
     # labels; rows fold by step, then occurrence rank, then label.
     step, cell_step = tid % _WIDTH, cell_key[:, 0] % _WIDTH
-    labelled = np.lexsort((-counts, cell_step))
+    labelled = _order(np.column_stack([cell_step, -counts]))[0]
     label = np.empty(n_cells, np.int64)
     label[labelled] = np.arange(n_cells)
-    fold = np.argsort((step * n + rank[:n]) * n_cells + label[cell[:n]])
+    fold = _order(np.column_stack([step, rank, label[cell[:n]]]))[0]
     q, fresh, target = q0[labelled], fresh[labelled], stream.reward[fold]
     step_f = step[fold]
     plan = []
@@ -458,7 +492,7 @@ def _train_serial(held: tuple, stream: _Stream, alpha: float, gamma: float, epoc
         # ordered by (read table, row).
         nt = np.flatnonzero((step_f == s - 1) & ~stream.terminal[fold])
         key = (tid[fold[nt]] + 1) * n + fold[nt]
-        order = np.argsort(key)
+        order = _order(key[:, None])[0]
         nt, key = nt[order], key[order]
         stab = _IntervalMax(np.searchsorted(key, lo), np.searchsorted(key, hi), len(key))
         reads[s] = (nt, target[nt], stab)
@@ -532,7 +566,7 @@ def _train_processes(held: tuple, stream: _Stream, alpha, gamma, epochs, workers
     parts.append(tuple(col[untrained] for col in held))
     tid, slate, q, visits = (np.concatenate(cols) for cols in zip(*parts))
     # Each part is sorted and holds whole tables, so a stable sort by table suffices.
-    order = np.argsort(tid, kind="stable")
+    order = _order(tid[:, None])[0]
     return tid[order], slate[order], q[order], visits[order]
 
 

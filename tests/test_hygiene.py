@@ -70,6 +70,44 @@ def record_uses(source: str) -> list[str]:
     return [f"line {line}: {name}" for line, name in sorted(found)]
 
 
+def calls_by_scope(source: str, wanted) -> list[str]:
+    """The enclosing class and function names, dotted, of each call that
+    ``wanted`` accepts, in source order."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and wanted(child):
+                found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def called_name(call: ast.Call) -> str | None:
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+# numpy calls that look ids up in an array.
+ID_SEARCHES = {"searchsorted", "isin", "in1d", "intersect1d", "setdiff1d", "union1d"}
+
+
+def searches_catalog_ids(call: ast.Call) -> bool:
+    """A search of an ``.ids`` array, the sorted ids of an ``ItemCatalog``."""
+    return called_name(call) in ID_SEARCHES and any(
+        isinstance(arg, ast.Attribute) and arg.attr == "ids" for arg in call.args
+    )
+
+
+def is_lexsort(call: ast.Call) -> bool:
+    return called_name(call) == "lexsort"
+
+
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
@@ -90,6 +128,32 @@ def test_records_only_in_ingest(path):
     """Sessions reach every module but ``ingest`` as tables: only ``ingest``
     makes tables of records or records of tables."""
     assert record_uses(path.read_text()) == []
+
+
+def test_catalog_ids_are_searched_only_by_index():
+    """Array code finds items through ``ItemCatalog.index``, whose position
+    table or search is the one lookup path."""
+    found = [(path.name, scope) for path in MODULES
+             for scope in calls_by_scope(path.read_text(), searches_catalog_ids)]
+    assert found == [("ingest.py", "ItemCatalog.index")]
+
+
+def test_qlearning_lexsorts_only_in_order_and_greedy():
+    """Integer keys sort through ``_order``; only ``_greedy``'s key holds the
+    float q, which ``_order`` cannot pack."""
+    source = (ROOT / "src" / "qslate" / "qlearning.py").read_text()
+    assert sorted(set(calls_by_scope(source, is_lexsort))) == ["_greedy", "_order"]
+
+
+def test_check_sees_calls_by_scope():
+    source = (
+        "import numpy as np\nnp.lexsort([1])\n\n"
+        "class Catalog:\n    def index(self, x):\n        return np.searchsorted(self.ids, x)\n\n"
+        "def find(catalog, x):\n    def inner():\n        return np.isin(x, catalog.ids)\n"
+        "    return inner(), np.searchsorted(catalog.prices, x), lexsort(x)\n"
+    )
+    assert calls_by_scope(source, searches_catalog_ids) == ["Catalog.index", "find.inner"]
+    assert calls_by_scope(source, is_lexsort) == ["", "find"]
 
 
 def test_check_sees_an_unused_import():

@@ -121,6 +121,76 @@ class TestParseItems:
         assert serialize_items(reparsed) == text
 
 
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+def catalog_of(ids) -> ItemCatalog:
+    return ItemCatalog.from_records([ItemRecord(i, (0.0,) * 5, 1.0, 1) for i in ids])
+
+
+@st.composite
+def catalog_ids(draw):
+    """The item ids of a catalog: dense (or nearly) around 0, sparse over
+    int64, at either edge of int64, or none."""
+    kind = draw(st.sampled_from(["dense", "sparse", "edge", "empty"]))
+    if kind == "empty":
+        return []
+    if kind == "sparse":
+        return draw(st.lists(st.integers(INT64_MIN, INT64_MAX), min_size=1, max_size=12,
+                             unique=True))
+    offsets = draw(st.lists(st.integers(0, 30), min_size=1, max_size=16, unique=True))
+    base = draw(st.integers(-100, 100) if kind == "dense"
+                else st.sampled_from([INT64_MIN, -INT64_MAX, INT64_MAX - 30]))
+    return [base + offset for offset in offsets]
+
+
+@st.composite
+def catalog_queries(draw):
+    """A catalog's ids and int64 queries: its ids, and unknown ids below its
+    range, above it, in its holes and at the edges of int64."""
+    ids = draw(catalog_ids())
+    lo, hi = (min(ids), max(ids)) if ids else (0, 0)
+    unknown = [lo - 1, lo - 2**62, hi + 1, hi + 2**62, INT64_MIN, -INT64_MAX, INT64_MAX]
+    unknown += [i for i in range(lo, min(hi, lo + 40)) if i not in ids]
+    candidates = ids + [i for i in unknown if INT64_MIN <= i <= INT64_MAX]
+    pick = st.one_of(st.sampled_from(candidates), st.integers(INT64_MIN, INT64_MAX))
+    return ids, draw(st.lists(pick, max_size=30))
+
+
+class TestCatalogIndex:
+    @settings(max_examples=300)
+    @given(case=catalog_queries())
+    def test_matches_searchsorted(self, case):
+        ids, queries = case
+        catalog, items = catalog_of(ids), np.array(queries, np.int64)
+        at, known = catalog.index(items)
+        expected = np.searchsorted(np.array(sorted(ids), np.int64), items)
+        assert known.tolist() == [i in set(ids) for i in queries]
+        assert at[known].tolist() == expected[known].tolist()
+
+    def test_dense_ids_get_a_position_table(self):
+        dense = ingest._DENSE_SPAN * 2
+        assert catalog_of([0, dense - 1]).positions.tolist() == [0] + [-1] * (dense - 2) + [1]
+        assert catalog_of([0, dense]).positions is None
+        assert catalog_of([0, 2**40]).positions is None
+        assert catalog_of([]).positions is None
+
+    def test_keeps_the_query_shape(self, catalog9):
+        at, known = catalog9.index(np.array([[1, 9, 0], [5, 10, 2]], np.int64))
+        assert at.shape == known.shape == (2, 3)
+        assert at[known].tolist() == [0, 8, 4, 1]
+        assert known.tolist() == [[True, True, False], [True, False, True]]
+
+    def test_wrapped_offsets_never_alias_an_id(self):
+        # INT64_MIN minus the first id wraps to 2, just past the span's end.
+        top = catalog_of([INT64_MAX - 1, INT64_MAX])
+        at, known = top.index(np.array([INT64_MIN, INT64_MIN + 1, INT64_MAX], np.int64))
+        assert known.tolist() == [False, False, True] and at[2] == 1
+        bottom = catalog_of([INT64_MIN, INT64_MIN + 1])
+        at, known = bottom.index(np.array([INT64_MAX, INT64_MIN], np.int64))
+        assert known.tolist() == [False, True] and at[1] == 0
+
+
 class TestParseSessions:
     def test_minimal_valid_line(self, catalog9):
         line = "7 1,5 0,1,2,3,4,5,6,7,8,9 1,2,3,4,5,6,7,8,9 1,0,1,1,1,1,0,0,1 1700000000\n"

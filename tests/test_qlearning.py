@@ -79,6 +79,14 @@ def training_cases(draw):
     reads, reads before a table's first update and of tables never updated,
     negative and signed-zero targets, pre-trained cells."""
     n_clusters = draw(st.integers(1, 3))
+    # Item ids above a drawn cut move up by about 2**40, in order.  A cut
+    # among the ids spreads some key columns over about 2**40, which sends
+    # most such cases past int64 to np.lexsort in ``_order``; the others
+    # keep the packed sort, some of them with keys near 2**40.
+    cut = draw(st.integers(0, 12))
+    shift = draw(st.sampled_from([0, 2**40 + 3]))
+    slates = {step: [tuple(i + shift * (i > cut) for i in slate) for slate in step_slates]
+              for step, step_slates in SLATES.items()}
     # Each cluster logs some steps only, so a non-terminal item's next step
     # may never follow, and a table may be read in some clusters only.
     logged = [sorted(draw(st.sets(st.sampled_from(STEPS), min_size=1)))
@@ -88,14 +96,14 @@ def training_cases(draw):
     rows, clusters = [], []
     for c, step_pick, slate_pick, reward, terminal in draw(st.lists(picks, max_size=60)):
         step = logged[c][step_pick % len(logged[c])]
-        slate = SLATES[step][slate_pick % len(SLATES[step])]
+        slate = slates[step][slate_pick % len(slates[step])]
         rows.append((len(rows), step, slate, reward, terminal or step == STEPS[-1]))
         clusters.append(c)
     pretrained = st.tuples(st.integers(0, n_clusters - 1), st.sampled_from(STEPS),
                            st.integers(0, 2), VALUES, st.integers(1, 5))
     held = {}
     for c, step, slate_pick, q, visits in draw(st.lists(pretrained, max_size=6)):
-        held[(c, step, SLATES[step][slate_pick % len(SLATES[step])])] = (q, visits)
+        held[(c, step, slates[step][slate_pick % len(slates[step])])] = (q, visits)
     bank = bank_of(n_clusters, [(*key, *cell) for key, cell in held.items()])
     cfg = TrainConfig(
         alpha=draw(st.sampled_from([0.1, 0.3, 1.0])),
@@ -380,6 +388,65 @@ class TestTrain:
         single_phase_q_learning(expected, stream, 0.3, 0.9, 4)
         train(bank, transitions, clusters, TrainConfig(alpha=0.3, gamma=0.9, epochs=4, **flags))
         assert exact_cells(bank.tables) == exact_cells(expected)
+
+
+def lexsorted(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable order of ``keys``' rows, first column most significant,
+    and whether each sorted row differs from the one before, by lexsort."""
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order].tolist()
+    return order, np.array([i == 0 or ordered[i] != ordered[i - 1] for i in range(len(keys))],
+                           np.bool_)
+
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@st.composite
+def order_keys(draw):
+    """An int64 matrix of 0 to 40 rows and 1 to 4 columns, whose entries
+    repeat so that rows tie, over spans from 1 to all of int64."""
+    rows, width = draw(st.integers(0, 40)), draw(st.integers(1, 4))
+    pool = draw(st.sampled_from([
+        st.integers(-3, 3), st.integers(2**40 - 3, 2**40 + 3), st.integers(0, 2**62), INT64,
+    ]))
+    values = draw(st.lists(pool, min_size=1, max_size=4, unique=True))
+    return np.array(draw(st.lists(st.lists(st.sampled_from(values), min_size=width,
+                                           max_size=width),
+                                  min_size=rows, max_size=rows)),
+                    np.int64).reshape(rows, width)
+
+
+class TestOrder:
+    @settings(max_examples=300)
+    @given(keys=order_keys())
+    @example(keys=np.empty((0, 3), np.int64))
+    @example(keys=np.array([[-(2**63)], [2**63 - 1], [-(2**63)]], np.int64))
+    # A span of 2**62 over 2 rows packs to exactly 2**63: the first that lexsorts.
+    @example(keys=np.array([[2**62 - 1], [0]], np.int64))
+    @example(keys=np.array([[2**62 - 2], [0]], np.int64))
+    # Its span fits in int64, but not times the 3 rows.
+    @example(keys=np.array([[2**62], [0], [1]], np.int64))
+    def test_equals_lexsort(self, keys):
+        order, opens = qlearning._order(keys)
+        expected_order, expected_opens = lexsorted(keys)
+        assert order.tolist() == expected_order.tolist()
+        assert opens.tolist() == expected_opens.tolist()
+
+    @pytest.mark.parametrize("keys, lexsorts", [
+        (np.zeros((0, 2), np.int64), False),
+        (np.array([[5]], np.int64), False),
+        (np.array([[2**62 - 2], [0]], np.int64), False),
+        (np.array([[2**62 - 1], [0]], np.int64), True),
+        (np.array([[0, 0], [2**30, 2**30], [0, 1]], np.int64), False),
+        (np.array([[0, 0], [2**32, 2**32], [0, 1]], np.int64), True),
+    ])
+    def test_packs_keys_whose_spans_fit_and_lexsorts_the_others(self, keys, lexsorts,
+                                                                monkeypatch):
+        calls = []
+        monkeypatch.setattr(np, "lexsort", lambda k, _sort=np.lexsort: calls.append(1) or _sort(k))
+        qlearning._order(keys)
+        assert bool(calls) is lexsorts
 
 
 def stabbed_max(lo, hi, values, size):
