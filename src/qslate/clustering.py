@@ -1,11 +1,12 @@
 """User clustering over the reduced state space.
 
 Two interchangeable models: k-means (k-means++ seeding, Lloyd iterations)
-and DBSCAN.  Both expose a total ``assign``: k-means maps to the nearest
-centroid with ties broken toward the lowest cluster id; DBSCAN maps to the
-cluster of the nearest core point regardless of ``eps``, because every user
-must receive some policy even if they would be noise under the training-time
-rule.  Fitting is single-threaded and deterministic for a fixed seed.
+and DBSCAN.  Both assign rows with a total ``assign_many``: k-means maps
+each row to the nearest centroid with ties broken toward the lowest cluster
+id; DBSCAN maps it to the cluster of the nearest core point regardless of
+``eps``, because every user must receive some policy even if they would be
+noise under the training-time rule.  Fitting is single-threaded and
+deterministic for a fixed seed.
 
 Both fits take an optional ``rows`` index for training points that repeat
 (the sessions of one user state): the training points are ``Z[rows]``, but
@@ -39,6 +40,8 @@ CLUSTERS_VERSION = 1
 
 # Rows per distance block: DBSCAN holds block x n distances at a time.
 _BLOCK = 256
+# Lloyd iterations at most, in case the assignment never stabilizes.
+_MAX_ITER = 100
 
 
 def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -121,9 +124,6 @@ class KMeansModel:
         mapper = np.asarray(self.merge_map)
         return mapper[raw]
 
-    def assign(self, z: np.ndarray) -> int:
-        return int(self.assign_many(np.asarray(z)[None, :])[0])
-
 
 @dataclass
 class DbscanModel:
@@ -154,9 +154,6 @@ class DbscanModel:
             block = slice(start, min(start + _BLOCK, len(Z)))
             out[block] = self.core_labels[_nearest(Z[block], self.core_points)[0]]
         return out
-
-    def assign(self, z: np.ndarray) -> int:
-        return int(self.assign_many(np.asarray(z)[None, :])[0])
 
 
 ClusterModel = Union[KMeansModel, DbscanModel]
@@ -199,12 +196,11 @@ def fit_kmeans(
     Z: np.ndarray,
     k: int,
     seed: int = 0,
-    max_iter: int = 100,
     rows: np.ndarray | None = None,
 ) -> KMeansModel:
     """Lloyd's algorithm from a k-means++ seeding.
 
-    Iterates until the assignment stabilizes or ``max_iter`` is reached;
+    Iterates until the assignment stabilizes or for ``_MAX_ITER`` steps;
     clusters that empty out are re-seeded at the point farthest from its
     assigned centroid.  ``inertia_history`` records the within-cluster sum
     of squares at every assignment step (non-increasing by construction).
@@ -216,8 +212,6 @@ def fit_kmeans(
         raise FitError("Z must be a nonempty 2-d array")
     if k < 1:
         raise FitError("k must be >= 1")
-    if max_iter < 1:
-        raise FitError("max_iter must be >= 1")
     rows, weights = _training_rows(Z, rows)
     n = len(Z)
     rng = np.random.default_rng(seed)
@@ -225,7 +219,7 @@ def fit_kmeans(
 
     history: list[float] = []
     labels: np.ndarray | None = None
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         d2 = _sq_dists(Z, centroids)
         new_labels = d2.argmin(axis=1)
         history.append(float((weights * d2[np.arange(n), new_labels]).sum()))

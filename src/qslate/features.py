@@ -41,25 +41,26 @@ from .ingest import N_PORTRAITS, ItemCatalog, SessionTable, UserTable
 COMPONENTS_FORMAT = "qslate-components"
 COMPONENTS_VERSION = 2
 
+# Power steps per component at most, and the step length that ends them.
+_MAX_ITER = 200
+_TOL = 1e-7
+
 
 @dataclass
 class FeatureMatrix:
-    """Raw states, one row per distinct state, plus the meaning of its columns.
+    """Raw states, one row per distinct state.
 
-    ``values`` is ``u x p``; ``weights[j]`` counts the records whose state
-    is row ``j``, and ``rows[i]`` is the row of record ``i``, so
-    ``values[rows]`` is the one-row-per-record matrix.
+    ``values`` is ``u x p``: ``n_portraits`` portrait columns, then one
+    click column per catalog item in the order of the catalog's ``ids``.
+    ``weights[j]`` counts the records whose state is row ``j``, and
+    ``rows[i]`` is the row of record ``i``, so ``values[rows]`` is the
+    one-row-per-record matrix.
     """
 
     values: np.ndarray
-    item_ids: tuple[int, ...]
     weights: np.ndarray
     rows: np.ndarray
     n_portraits: int = N_PORTRAITS
-
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
 
     @property
     def n_cols(self) -> int:
@@ -86,7 +87,6 @@ def build_raw_features(table: SessionTable | UserTable, catalog: ItemCatalog) ->
     values[np.repeat(np.arange(len(clicks)), counts), N_PORTRAITS + at] = 1.0
     return FeatureMatrix(
         values=values,
-        item_ids=catalog.item_ids,
         weights=np.bincount(rows, minlength=len(clicks)),
         rows=rows,
     )
@@ -100,8 +100,8 @@ class SparseComponents:
     ``degenerate`` (requested k exceeded the numeric rank of the data).
     A component zeroed by soft-thresholding itself raises instead.
     ``n_iter[j]`` counts the power steps component ``j`` took, and
-    ``converged[j]`` is False when it stopped at ``max_iter`` before its
-    step fell below ``tol``; a degenerate component takes no step and
+    ``converged[j]`` is False when it stopped at ``_MAX_ITER`` steps before
+    its step fell below ``_TOL``; a degenerate component takes no step and
     counts as converged.
     """
 
@@ -193,8 +193,6 @@ def fit_sparse_pca(
     X: FeatureMatrix | np.ndarray,
     k: int,
     l1_penalty: float = 0.0,
-    max_iter: int = 200,
-    tol: float = 1e-7,
     seed: int = 0,
     zscore_mask: np.ndarray | None = None,
 ) -> SparseComponents:
@@ -206,8 +204,8 @@ def fit_sparse_pca(
     1 keep almost nothing.  Components are extracted in sequence from the
     covariance ``C`` of the standardized data, deflating it after each one;
     a component's explained variance is ``v^T C v``.  Each component runs
-    until its step ``||v_new - v||`` falls below ``tol`` (``converged``) or
-    for ``max_iter`` steps.  Deterministic for a fixed seed.
+    until its step ``||v_new - v||`` falls below ``_TOL`` (``converged``) or
+    for ``_MAX_ITER`` steps.  Deterministic for a fixed seed.
 
     The column statistics and ``C`` weight each row of a
     :class:`FeatureMatrix` by its session count, so the fit is that of the
@@ -240,10 +238,6 @@ def fit_sparse_pca(
     n, p = int(weights.sum()), values.shape[1]
     if k < 1 or k > min(n, p):
         raise FitError(f"k={k} out of range [1, {min(n, p)}]")
-    if max_iter < 1:
-        raise FitError("max_iter must be >= 1")
-    if tol <= 0:
-        raise FitError("tol must be positive")
     if not l1_penalty >= 0:  # also rejects NaN
         raise FitError(f"l1_penalty must be nonnegative, got {l1_penalty}")
 
@@ -277,7 +271,7 @@ def fit_sparse_pca(
         v = rng.normal(size=p)
         v /= math.sqrt(v @ v)
         done = False
-        for step in range(1, max_iter + 1):
+        for step in range(1, _MAX_ITER + 1):
             if row_form:
                 np.matmul(op @ v, op, out=w)
             else:
@@ -303,7 +297,7 @@ def fit_sparse_pca(
             np.subtract(w, v, out=scratch)
             delta = math.sqrt(scratch @ scratch)
             v, w = w, v
-            if delta < tol:
+            if delta < _TOL:
                 done = True
                 break
         is_zero = not v.any()

@@ -96,10 +96,6 @@ class ItemCatalog:
     def __contains__(self, item_id: int) -> bool:
         return item_id in self.items
 
-    @property
-    def item_ids(self) -> tuple[int, ...]:
-        return tuple(self.ids.tolist())
-
     def index(self, item_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Where each of the int64 ``item_ids`` sits in ``ids``, and whether
         the catalog holds it; the position of an id it does not hold is
@@ -117,17 +113,11 @@ class ItemCatalog:
         at = self.positions.take(offset, mode="clip")
         return at, inside & (at >= 0)
 
-    def lookup(self, item_id: int) -> ItemRecord:
+    def location(self, item_id: int) -> int:
         try:
-            return self.items[item_id]
+            return self.items[item_id].location
         except KeyError:
             raise DataError(f"unknown item_id {item_id}") from None
-
-    def price(self, item_id: int) -> float:
-        return self.lookup(item_id).price
-
-    def location(self, item_id: int) -> int:
-        return self.lookup(item_id).location
 
 
 @dataclass(frozen=True)
@@ -372,7 +362,7 @@ def parse_items(text: str) -> ItemCatalog:
     location outside {1,2,3}, or negative price.  An empty file yields an
     empty catalog.
     """
-    records: list[ItemRecord] = []
+    items: dict[int, ItemRecord] = {}
     for line_no, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
@@ -393,13 +383,15 @@ def parse_items(text: str) -> ItemCatalog:
             raise DataError(f"line {line_no}: bad location {fields[3]!r}") from None
         if location not in (1, 2, 3):
             raise DataError(f"line {line_no}: location {location} outside {{1,2,3}}")
-        records.append(ItemRecord(item_id, features, price, location))
-    return ItemCatalog.from_records(records)
+        if item_id in items:
+            raise DataError(f"line {line_no}: duplicate item_id {item_id}")
+        items[item_id] = ItemRecord(item_id, features, price, location)
+    return ItemCatalog(items=items)
 
 
 def serialize_items(catalog: ItemCatalog) -> str:
     lines = []
-    for item_id in catalog.item_ids:
+    for item_id in catalog.ids.tolist():
         rec = catalog.items[item_id]
         feats = ",".join(repr(float(f)) for f in rec.content_features)
         lines.append(f"{rec.item_id} {feats} {float(rec.price)!r} {rec.location}")
@@ -724,7 +716,9 @@ class TransitionTable:
 
     def __post_init__(self) -> None:
         _check_columns("transition", self, _TRANSITION_COLUMNS, "session_ref")
-        ascends = (np.diff(self.action, axis=1) > 0).all(axis=1)
+        a = self.action
+        # Column compares: a reduction over an axis of length 3 is far slower.
+        ascends = (a[:, 0] < a[:, 1]) & (a[:, 1] < a[:, 2])
         if not ascends.all():
             i = int(ascends.argmin())
             raise DataError(
@@ -773,7 +767,7 @@ def _block_transitions(sessions: SessionTable, lo: int, catalog: ItemCatalog):
     at, known = catalog.index(slates)
     if not known.all():
         raise DataError(f"unknown item_id {slates.flat[np.argmin(known)]}")
-    full = labels.all(axis=2)
+    full = labels[..., 0] & labels[..., 1] & labels[..., 2]
     reach = np.ones_like(full)
     reach[:, 1:] = np.logical_and.accumulate(full[:, :-1], axis=1)
     ref, at_step = np.nonzero(reach)
@@ -817,9 +811,7 @@ class SyntheticConfig:
     purchase_temperature: float = 1.0
     seed: int = 0
     num_groups: int = 4
-    price_penalty: float = 0.01
     preference_scale: float = 1.0
-    click_bias: float = 1.0
     base_appeal: float = 0.0
 
     def validate(self) -> None:
@@ -950,6 +942,10 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 _SESSION_CHUNK = 32768
 _TIMESTAMP_BASE = 1_600_000_000
+# Utility lost per currency unit of price, and the logit offset that makes
+# clicks rarer than an even chance; ``GroundTruth`` records both.
+_PRICE_PENALTY = 0.01
+_CLICK_BIAS = 1.0
 
 
 def generate_synthetic(config: SyntheticConfig) -> SyntheticCorpus:
@@ -957,7 +953,7 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticCorpus:
 
     Users belong to ``num_groups`` preference archetypes; purchase labels for
     a slate item are Bernoulli with probability
-    ``sigmoid((preference . features - price_penalty * price) / temperature)``
+    ``sigmoid((preference . features - _PRICE_PENALTY * price) / temperature)``
     and later steps are gated: once a step is not fully purchased, every
     subsequent label is 0.  Logged slates come from a behavior policy that is
     uniform over location-valid items with a mild popularity bias.
@@ -1012,7 +1008,7 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticCorpus:
         size=(config.num_users, N_PORTRAITS)
     )
 
-    click_prob = _sigmoid(prefs @ features.T - config.click_bias)
+    click_prob = _sigmoid(prefs @ features.T - _CLICK_BIAS)
     clicks_mask = rng.random(size=(config.num_users, n_items)) < click_prob
     user_clicks = [frozenset(item_ids[row].tolist()) for row in clicks_mask]
     user_state, state_clicks, state_portraits = _number_states(
@@ -1028,7 +1024,7 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticCorpus:
     timestamps = _TIMESTAMP_BASE + np.cumsum(gaps)
 
     slate_chunks, label_chunks = [], []
-    beta = config.price_penalty
+    beta = _PRICE_PENALTY
     temp = config.purchase_temperature
     for start in range(0, config.num_sessions, _SESSION_CHUNK):
         stop = min(start + _SESSION_CHUNK, config.num_sessions)
@@ -1067,7 +1063,7 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticCorpus:
     truth = GroundTruth(
         price_penalty=beta,
         purchase_temperature=temp,
-        click_bias=config.click_bias,
+        click_bias=_CLICK_BIAS,
         latent_dim=config.latent_dim,
         num_groups=config.num_groups,
         user_groups={u + 1: int(groups[u]) for u in range(config.num_users)},

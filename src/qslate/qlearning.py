@@ -611,7 +611,7 @@ def train(
 # ---------------------------------------------------------------------------
 # Policies
 
-def _greedy(bank: QTableBank, catalog: ItemCatalog | None, min_visits: int):
+def _greedy(bank: QTableBank, catalog: ItemCatalog, min_visits: int):
     """Every cluster's greedy slate and fallback layer at each step, not yet
     checked: an n×3×3 array of slates and an n×3 array of indices into
     :data:`POLICY_LAYERS`.  A step with no stored cell takes the zero
@@ -626,7 +626,7 @@ def _greedy(bank: QTableBank, catalog: ItemCatalog | None, min_visits: int):
         ranked = order[bounds[k] : bounds[k + 1]]
         if not len(ranked):
             layers[:, k] = POLICY_LAYERS.index("zero")
-            if catalog is not None and len(catalog.by_location[s]) >= 3:
+            if len(catalog.by_location[s]) >= 3:
                 slates[:, k] = catalog.by_location[s][:3]
             continue
         # Each layer overrides the one after it wherever it has a cell.
@@ -639,54 +639,34 @@ def _greedy(bank: QTableBank, catalog: ItemCatalog | None, min_visits: int):
     return slates, layers
 
 
-def _policies(bank: QTableBank, catalog: ItemCatalog | None, min_visits: int, clusters):
-    """``{cluster: (slates, layer names)}`` for ``clusters``, each step's
-    slate checked in cluster and step order."""
-    slates, layers = _greedy(bank, catalog, min_visits)
-    out = {}
-    for c in clusters:
-        chosen = []
-        for k, step in enumerate(STEPS):
-            if POLICY_LAYERS[layers[c, k]] == "zero" and (
-                catalog is None or len(catalog.by_location[step]) < 3
-            ):
-                raise TrainError(f"no trained action exists for step {step}")
-            slate = tuple(slates[c, k].tolist())
-            if catalog is not None:
-                make_slate(slate, catalog=catalog, step=step)
-            chosen.append(slate)
-        out[c] = chosen, tuple(POLICY_LAYERS[i] for i in layers[c].tolist())
-    return out
-
-
-def greedy_policy(
-    bank: QTableBank, cluster_id: int, catalog: ItemCatalog, min_visits: int = 3,
-) -> list[Slate]:
-    """Greedy slate per step, restricted to sufficiently visited actions.
-
-    Eligibility falls back in layers so the policy is total: the cluster's
-    own cells with at least ``min_visits`` visits, then the union of every
-    cluster's qualifying cells for that step, then any stored cell at all.
-    Within a layer the highest q wins, and ties go to the lexicographically
-    smallest slate.  A step with no stored cell reads 0 everywhere, as a
-    dense zero table would, so it takes the smallest slate: the 3 smallest
-    item ids at its location.  Raises :class:`TrainError` for such a step
-    without a ``catalog`` or when the location holds fewer than 3 items.
-    """
-    if not 0 <= cluster_id < bank.n_clusters:
-        raise DataError(f"unknown cluster {cluster_id}")
-    return _policies(bank, catalog, min_visits, [cluster_id])[cluster_id][0]
-
-
 def export_policies(
     bank: QTableBank, catalog: ItemCatalog, min_visits: int = 3,
     *, return_layers: bool = False,
 ):
-    """Flattened 9-item recommendation per cluster, in step order: every
-    cluster's :func:`greedy_policy`, from one ranking of the bank's cells.
-    With ``return_layers``, also each cluster's layer names per step."""
-    policies = _policies(bank, catalog, min_visits, range(bank.n_clusters))
-    flat = {c: tuple(i for slate in slates for i in slate) for c, (slates, _) in policies.items()}
+    """Flattened 9-item recommendation per cluster: its greedy slate at each
+    step, in step order, from one ranking of the bank's cells.
+
+    Eligibility falls back in layers, :data:`POLICY_LAYERS`, so the policy
+    is total: the cluster's own cells with at least ``min_visits`` visits,
+    then the union of every cluster's qualifying cells for that step, then
+    any stored cell at all.  Within a layer the highest q wins, and ties go
+    to the lexicographically smallest slate.  A step with no stored cell
+    reads 0 everywhere, as a dense zero table would, so it takes the
+    smallest slate: the 3 smallest item ids at its location.  Raises
+    :class:`TrainError` for such a step when the location holds fewer than
+    3 items, and :class:`DataError` for a slate that does not fit its step's
+    location, checking cluster by cluster and step by step.  With
+    ``return_layers``, also each cluster's layer names per step.
+    """
+    slates, layers = _greedy(bank, catalog, min_visits)
+    flat, names = {}, {}
+    for c in range(bank.n_clusters):
+        for k, step in enumerate(STEPS):
+            if POLICY_LAYERS[layers[c, k]] == "zero" and len(catalog.by_location[step]) < 3:
+                raise TrainError(f"no trained action exists for step {step}")
+            make_slate(slates[c, k].tolist(), catalog=catalog, step=step)
+        flat[c] = tuple(slates[c].ravel().tolist())
+        names[c] = tuple(POLICY_LAYERS[i] for i in layers[c].tolist())
     if return_layers:
-        return flat, {c: layers for c, (_, layers) in policies.items()}
+        return flat, names
     return flat

@@ -78,7 +78,7 @@ def row_step_values(recommendations, sessions, catalog: ItemCatalog) -> tuple[fl
         for st, items in enumerate(steps, 1):
             for it in sorted(set(items)):
                 if it in purchased and catalog.location(it) == st:
-                    value[st - 1] += catalog.price(it)
+                    value[st - 1] += catalog.items[it].price
     return tuple(value)
 
 
@@ -207,7 +207,7 @@ def row_transitions(sessions, catalog: ItemCatalog) -> TransitionTable:
             lo = (step - 1) * 3
             row = s.exposed_slate[lo : lo + 3]
             labels = s.purchase_labels[lo : lo + 3]
-            reward = sum(catalog.price(it) for it, lab in zip(row, labels) if lab)
+            reward = sum(catalog.items[it].price for it, lab in zip(row, labels) if lab)
             all_purchased = all(labels)
             terminal = not all_purchased or step == 3
             rows.append((ref, step, tuple(sorted(row)), float(reward), terminal))
@@ -309,7 +309,7 @@ def visit_count(bank: QTableBank, cluster: int, step: int, slate) -> int:
 
 
 def dict_greedy_policy(tables: dict, n_clusters: int, cluster_id: int,
-                       catalog: ItemCatalog | None, min_visits: int):
+                       catalog: ItemCatalog, min_visits: int):
     """The greedy policy by a scan of every table per layer: the slates and,
     per step, the layer that chose each (own, union, any or zero).  Highest
     q wins; ties go to the lexicographically smallest slate."""
@@ -330,7 +330,7 @@ def dict_greedy_policy(tables: dict, n_clusters: int, cluster_id: int,
                 layers.append(layer)
                 break
         else:
-            if catalog is None or len(catalog.by_location[step]) < 3:
+            if len(catalog.by_location[step]) < 3:
                 raise TrainError(f"no trained action exists for step {step}")
             slates.append(tuple(catalog.by_location[step][:3]))
             layers.append("zero")
@@ -378,7 +378,7 @@ def best_group_slates(
     full per-session objective, iterating each step's full slate enumeration
     until no single-step swap improves the expected score.
     """
-    item_ids = np.array(catalog.item_ids)
+    item_ids = catalog.ids
     prices = np.array([catalog.items[int(i)].price for i in item_ids])
     by_loc = [np.array(catalog.by_location[loc]) for loc in (1, 2, 3)]
     id_to_col = {int(i): j for j, i in enumerate(item_ids)}

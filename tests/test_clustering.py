@@ -305,11 +305,11 @@ class TestAssign:
         Z, _ = three_blobs(seed=4)
         model = fit_kmeans(Z, k=3, seed=0)
         for cid, centroid in enumerate(model.centroids):
-            assert model.assign(centroid) == cid
+            assert model.assign_many(centroid).tolist() == [cid]
 
     def test_equidistant_tie_breaks_to_lowest_id(self):
         model = KMeansModel(centroids=np.array([[-1.0, 0.0], [5.0, 5.0], [1.0, 0.0]]))
-        assert model.assign(np.array([0.0, 0.0])) == 0
+        assert model.assign_many(np.array([0.0, 0.0])).tolist() == [0]
 
     def test_matches_brute_force_nearest_centroid(self):
         rng = np.random.default_rng(5)
@@ -318,7 +318,7 @@ class TestAssign:
             brute = min(
                 range(7), key=lambda c: float(((z - model.centroids[c]) ** 2).sum())
             )
-            assert model.assign(z) == brute
+            assert model.assign_many(z).tolist() == [brute]
 
     def test_dbscan_assign_ignores_eps(self):
         rng = np.random.default_rng(6)
@@ -326,14 +326,15 @@ class TestAssign:
         blob_b = rng.normal(size=(30, 2)) * 0.2 + np.array([5.0, 0.0])
         model = fit_dbscan(np.concatenate([blob_a, blob_b]), eps=1.0, min_pts=3)
         far_point = np.array([1000.0, 990.0])
-        assert model.assign(far_point) in range(model.n_clusters)
+        [label] = model.assign_many(far_point).tolist()
+        assert label in range(model.n_clusters)
 
     def test_dimension_mismatch(self):
         model = KMeansModel(centroids=np.zeros((2, 3)))
         with pytest.raises(DataError, match="dim"):
-            model.assign(np.zeros(4))
+            model.assign_many(np.zeros(4))
         with pytest.raises(DataError, match="dim"):
-            model.assign(np.zeros(2))
+            model.assign_many(np.zeros(2))
 
 
 class TestMergeSmallClusters:
@@ -347,7 +348,7 @@ class TestMergeSmallClusters:
         assert remap[2] == remap[3]
         assert remap[0] != remap[2]
         # region of the folded centroid now reports the survivor's id
-        assert merged.assign(np.array([1.0, 0.01])) == remap[1]
+        assert merged.assign_many(np.array([1.0, 0.01])).tolist() == [remap[1]]
 
     def test_merging_stops_at_single_cluster(self):
         model = KMeansModel(centroids=np.array([[0.0], [1.0], [2.0]]))

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import make_session
 from oracles import residual_sparse_pca
+from qslate import features
 from qslate.errors import ComponentCollapseError, DataError, FitError
 from qslate.features import (
     FeatureMatrix,
@@ -49,7 +50,7 @@ def few_states_features(states, seed=21):
     rng = np.random.default_rng(seed)
     values = np.hstack([rng.normal(size=(states, 10)), rng.random((states, 381)) < 0.1])
     rows = rng.permutation(np.repeat(np.arange(states), rng.integers(2, 10, size=states)))
-    return FeatureMatrix(values.astype(np.float64), tuple(range(1, 382)), np.bincount(rows), rows)
+    return FeatureMatrix(values.astype(np.float64), np.bincount(rows), rows)
 
 
 class TestBuildRawFeatures:
@@ -68,7 +69,7 @@ class TestBuildRawFeatures:
     def test_click_columns_are_binary_and_ordered(self, catalog9):
         s = make_session([False] * 9, clicks=(3, 7))
         fm = build_raw_features(SessionTable.from_records([s]), catalog9)
-        cols = {fm.item_ids[j]: fm.values[0, 10 + j] for j in range(9)}
+        cols = dict(zip(catalog9.ids.tolist(), fm.values[0, 10:].tolist()))
         assert cols[3] == 1.0 and cols[7] == 1.0
         assert sum(cols.values()) == 2.0
 
@@ -77,7 +78,7 @@ class TestBuildRawFeatures:
             SyntheticConfig(num_items=30, num_users=50, num_sessions=400, seed=31)
         )
         fm = build_raw_features(corpus.sessions, corpus.catalog)
-        for j, item_id in enumerate(fm.item_ids):
+        for j, item_id in enumerate(corpus.catalog.ids.tolist()):
             count = sum(1 for s in corpus.sessions if item_id in s.clicked_items)
             assert fm.values[fm.rows, 10 + j].sum() == count
 
@@ -94,7 +95,7 @@ class TestBuildRawFeatures:
         sessions = corpus.sessions
         fm = build_raw_features(sessions, corpus.catalog)
         states = list(dict.fromkeys((s.clicked_items, s.portraits) for s in sessions))
-        assert fm.n_rows == len(states) < len(sessions)
+        assert len(fm.values) == len(states) < len(sessions)
         assert fm.rows.tolist() == [states.index((s.clicked_items, s.portraits)) for s in sessions]
         assert fm.weights.tolist() == np.bincount(fm.rows).tolist()
         per_session = np.concatenate(
@@ -246,16 +247,16 @@ class TestFitSparsePca:
             values, _ = planted_sparse_data(n=300)
             rng = np.random.default_rng(17)
             rows = rng.permutation(np.repeat(np.arange(300), rng.integers(1, 5, size=300)))
-            fm = FeatureMatrix(values, tuple(range(1, 382)), np.bincount(rows), rows)
+            fm = FeatureMatrix(values, np.bincount(rows), rows)
         else:
             fm = readme_shaped_features()
         assert fm.weights.max() > 1
         expanded = FeatureMatrix(
-            fm.values[fm.rows], fm.item_ids, np.ones(len(fm.rows), dtype=np.int64),
+            fm.values[fm.rows], np.ones(len(fm.rows), dtype=np.int64),
             np.arange(len(fm.rows)),
         )
         # The weighted fit runs in row form and the expanded one on the covariance.
-        assert fm.n_rows < fm.n_cols <= expanded.n_rows
+        assert len(fm.values) < fm.n_cols <= len(expanded.values)
         weighted = fit_sparse_pca(fm, k=k, l1_penalty=l1, seed=3)
         reference = fit_sparse_pca(expanded, k=k, l1_penalty=l1, seed=3)
         assert ((weighted.loadings == 0.0) == (reference.loadings == 0.0)).all()
@@ -283,8 +284,8 @@ class TestFitSparsePca:
         # past the rank are flagged as on the expanded rows.
         values = np.random.default_rng(8).normal(size=(3, 8))
         rows = np.repeat(np.arange(3), 3)
-        fm = FeatureMatrix(values, tuple(range(1, 9)), np.bincount(rows), rows, n_portraits=8)
-        expanded = FeatureMatrix(values[rows], fm.item_ids, np.ones(9, dtype=np.int64),
+        fm = FeatureMatrix(values, np.bincount(rows), rows, n_portraits=8)
+        expanded = FeatureMatrix(values[rows], np.ones(9, dtype=np.int64),
                                  np.arange(9), n_portraits=8)
         weighted = fit_sparse_pca(fm, k=8, seed=0)
         reference = fit_sparse_pca(expanded, k=8, seed=0)
@@ -307,9 +308,10 @@ class TestFitSparsePca:
         )
         assert (transform(fm, small) == transform(fm, large)[:, :8]).all()
 
-    def test_iteration_cap_reports_unconverged(self):
+    def test_iteration_cap_reports_unconverged(self, monkeypatch):
+        monkeypatch.setattr(features, "_MAX_ITER", 1)
         X, _ = planted_sparse_data(seed=5, p=60, n=120)
-        comps = fit_sparse_pca(X, k=3, l1_penalty=0.2, seed=1, max_iter=1)
+        comps = fit_sparse_pca(X, k=3, l1_penalty=0.2, seed=1)
         assert comps.n_iter == (1, 1, 1)
         assert comps.converged == (False, False, False)
 
@@ -387,9 +389,10 @@ class TestTransform:
 
 
 class TestSerialization:
-    def test_save_load_round_trip(self, tmp_path):
+    def test_save_load_round_trip(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(features, "_MAX_ITER", 6)
         X, _ = planted_sparse_data(seed=14, p=40, n=90)
-        comps = fit_sparse_pca(X, k=3, l1_penalty=0.2, seed=2, max_iter=6)
+        comps = fit_sparse_pca(X, k=3, l1_penalty=0.2, seed=2)
         assert comps.converged == (True, True, False)
         path = tmp_path / "components.json"
         comps.save(path, stamp="abc123")

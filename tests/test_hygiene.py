@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -26,20 +27,22 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def bound_names(node: ast.stmt) -> list[str]:
+    """The names that a def, class or assignment statement binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [name.id for target in targets for name in ast.walk(target)
+                if isinstance(name, ast.Name)]
+    return []
+
+
 def unused_private_names(source: str) -> list[str]:
     """Private names that a module-level def, class or assignment binds and
     the module never reads."""
     tree = ast.parse(source)
-    bound: dict[str, int] = {}
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            bound[node.name] = node.lineno
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                for name in ast.walk(target):
-                    if isinstance(name, ast.Name):
-                        bound[name.id] = node.lineno
+    bound = {name: node.lineno for node in tree.body for name in bound_names(node)}
     read = {
         node.id for node in ast.walk(tree)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
@@ -48,6 +51,59 @@ def unused_private_names(source: str) -> list[str]:
         f"line {line}: {name}" for name, line in bound.items()
         if name.startswith("_") and not name.endswith("__") and name not in read
     ]
+
+
+def uses(node: ast.AST) -> Counter:
+    """How often each name is used under ``node``: ``("name", id)`` for a
+    loaded name, ``("attr", attr)`` for a loaded attribute and
+    ``("keyword", arg)`` for a keyword argument."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            found["name", sub.id] += 1
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            found["attr", sub.attr] += 1
+        elif isinstance(sub, ast.keyword) and sub.arg:
+            found["keyword", sub.arg] += 1
+    return found
+
+
+def public_definitions(tree: ast.Module):
+    """Each public module-level def, class or assignment, and each public
+    method, property or field of a public class, with the kinds of use
+    that read it: (qualified name, statement, kinds)."""
+    for node in tree.body:
+        for name in bound_names(node):
+            if not name.startswith("_"):
+                yield name, node, ("name", "attr")
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for member in node.body:
+                is_def = isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                for name in bound_names(member):
+                    if not name.startswith("_"):
+                        yield f"{node.name}.{name}", member, ("attr",) if is_def else (
+                            "attr", "keyword")
+
+
+def unread_public_names(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """The public names that ``modules`` (file name -> source) define and
+    that neither ``modules`` outside the name's own definition nor
+    ``readers`` read, as ``"file line N: name"``.
+
+    Names are matched, not resolved: a module-level name is read by name or
+    as an attribute, a method or property as an attribute, and a field also
+    where a call sets it by keyword, since a field that the program fills
+    is a result it hands out.
+    """
+    trees = {file: ast.parse(source) for file, source in modules.items()}
+    total = sum((uses(tree) for tree in [*trees.values(), *map(ast.parse, readers)]), Counter())
+    unread = []
+    for file, tree in trees.items():
+        for qualified, node, kinds in public_definitions(tree):
+            name, inside = qualified.rsplit(".", 1)[-1], uses(node)
+            if not any(total[kind, name] > inside[kind, name] for kind in kinds):
+                unread.append(f"{file} line {node.lineno}: {qualified}")
+    return unread
 
 
 def record_uses(source: str) -> list[str]:
@@ -130,6 +186,21 @@ def test_records_only_in_ingest(path):
     assert record_uses(path.read_text()) == []
 
 
+# Public names that only tests read: the reader of the ground-truth sidecar
+# format, and the purchase model that the test oracles take as reference.
+UNREAD_BY_DESIGN = ["GroundTruth.purchase_probability", "GroundTruth.parse"]
+
+
+def test_every_public_name_is_read():
+    """Each job has one way in: a public name that neither the library nor
+    the benchmark reads is a second entry point that only tests use."""
+    unread = unread_public_names(
+        {path.name: path.read_text() for path in SOURCES},
+        [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))],
+    )
+    assert [entry.split(": ")[1] for entry in unread] == UNREAD_BY_DESIGN
+
+
 def test_catalog_ids_are_searched_only_by_index():
     """Array code finds items through ``ItemCatalog.index``, whose position
     table or search is the one lookup path."""
@@ -169,6 +240,23 @@ def test_check_sees_an_unused_private_name():
         "def run(items: list[_Item]) -> int:\n    return _helper(_LIMIT)\n"
     )
     assert unused_private_names(source) == ["line 3: _SPARE", "line 8: _Dead"]
+
+
+def test_check_sees_unread_public_names():
+    module = (
+        "LIMIT, SPARE = 3, 4\n\n"
+        "def used(x):\n    return helper(x) + LIMIT\n\n"
+        "def helper(x):\n    return x\n\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n"
+        "class Model:\n    weight: float = 1.0\n    labels: list = None\n    unset: int = 0\n\n"
+        "    def predict(self):\n        return self.weight\n\n"
+        "    def wrapper(self):\n        return self.predict()\n\n"
+        "    def _private(self):\n        return 1\n"
+    )
+    reader = "import mod\nmodel = mod.Model(labels=[1])\nmod.used(model.wrapper())\n"
+    assert unread_public_names({"mod.py": module}, [reader]) == [
+        "mod.py line 1: SPARE", "mod.py line 9: recursive", "mod.py line 15: Model.unset",
+    ]
 
 
 def test_check_sees_record_uses():

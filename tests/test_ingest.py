@@ -84,7 +84,7 @@ class TestParseItems:
         catalog = parse_items(ITEM_LINES)
         assert len(catalog) == 3
         assert all(len(catalog.by_location[loc]) == 1 for loc in (1, 2, 3))
-        assert catalog.lookup(1).price == 9.5
+        assert catalog.items[1].price == 9.5
         assert catalog.location(3) == 3
 
     def test_empty_file_is_empty_catalog(self):
@@ -108,7 +108,7 @@ class TestParseItems:
         assert needle in str(err.value)
 
     def test_duplicate_item_id(self):
-        with pytest.raises(DataError, match="duplicate item_id 1"):
+        with pytest.raises(DataError, match="line 2: duplicate item_id 1"):
             parse_items("1 0,0,0,0,0 1.0 1\n1 0,0,0,0,0 2.0 2\n")
 
     def test_full_scale_catalog_round_trip(self):
@@ -707,7 +707,7 @@ class TestTransitions:
             if not all(labels[(step - 1) * 3 : step * 3]):
                 break
         expected = sum(
-            catalog.price(it)
+            catalog.items[it].price
             for it, lab in zip(s.exposed_slate[:prefix_end], labels[:prefix_end])
             if lab
         )
@@ -786,7 +786,7 @@ class TestTransitions:
             sess = corpus.sessions[ref]
             lo = (step - 1) * 3
             row_purchased = sum(
-                corpus.catalog.price(it)
+                corpus.catalog.items[it].price
                 for it, lab in zip(sess.exposed_slate[lo : lo + 3], sess.purchase_labels[lo : lo + 3])
                 if lab
             )
@@ -1030,9 +1030,9 @@ class TestGenerator:
             preference_scale=2.0, price_range=(1, 20), base_appeal=0.4,
         )
         corpus = generate_synthetic(cfg)
-        expected = dict.fromkeys(corpus.catalog.item_ids, 0.0)
-        variance = dict.fromkeys(corpus.catalog.item_ids, 0.0)
-        observed = dict.fromkeys(corpus.catalog.item_ids, 0)
+        expected = dict.fromkeys(corpus.catalog.ids.tolist(), 0.0)
+        variance = dict.fromkeys(corpus.catalog.ids.tolist(), 0.0)
+        observed = dict.fromkeys(corpus.catalog.ids.tolist(), 0)
         for s in corpus.sessions:
             labels = s.purchase_labels
             reached = [True, all(labels[0:3]), all(labels[0:3]) and all(labels[3:6])]
@@ -1045,7 +1045,7 @@ class TestGenerator:
                     expected[it] += p
                     variance[it] += p * (1 - p)
                     observed[it] += labels[pos]
-        for it in corpus.catalog.item_ids:
+        for it in corpus.catalog.ids.tolist():
             assert variance[it] > 0
             z = (observed[it] - expected[it]) / math.sqrt(variance[it])
             assert abs(z) <= 3.0
@@ -1081,10 +1081,11 @@ class TestGenerator:
     def test_ground_truth_round_trip(self):
         corpus = generate_synthetic(
             SyntheticConfig(num_items=9, num_users=20, num_sessions=10, seed=6, latent_dim=3,
-                            purchase_temperature=0.7, click_bias=0.3, num_groups=3)
+                            purchase_temperature=0.7, num_groups=3)
         )
         back = GroundTruth.parse(corpus.truth.serialize())
         assert dataclasses.asdict(back) == dataclasses.asdict(corpus.truth)
+        assert back.click_bias == ingest._CLICK_BIAS
 
     @pytest.mark.parametrize("text, message", [
         ("", "empty"),

@@ -40,7 +40,6 @@ from qslate.qlearning import (
     QTableBank,
     TrainConfig,
     export_policies,
-    greedy_policy,
     make_slate,
     train,
 )
@@ -695,7 +694,25 @@ class TestPoolPausesGc:
         assert gc.isenabled()
 
 
+def catalog_at(*locations) -> ItemCatalog:
+    """A catalog with the ids of ``locations[s - 1]`` at location s, each
+    priced at its id."""
+    return ItemCatalog.from_records([
+        ItemRecord(i, (0.1 * i, 0.2, 0.3, 0.4, 0.5), float(i), s)
+        for s, ids in enumerate(locations, 1) for i in ids
+    ])
+
+
+def policy_slates(bank, cluster_id, catalog, min_visits):
+    """One cluster's ``export_policies`` recommendation as its three step slates."""
+    flat = export_policies(bank, catalog, min_visits)[cluster_id]
+    return [flat[0:3], flat[3:6], flat[6:9]]
+
+
 class TestPolicies:
+    # Items 1-4 are at location 1, 5-8 at 2 and 9-12 at 3.
+    CATALOG = catalog_at(range(1, 5), range(5, 9), range(9, 13))
+
     def build_bank(self):
         return bank_of(2, [
             (0, 1, (1, 2, 3), 1.0, 5), (0, 1, (1, 2, 4), 3.0, 5),
@@ -706,33 +723,35 @@ class TestPolicies:
 
     def test_argmax_and_lexicographic_tie_break(self):
         bank = self.build_bank()
-        slates = greedy_policy(bank, 0, catalog=None, min_visits=3)
+        slates = policy_slates(bank, 0, self.CATALOG, min_visits=3)
         assert slates[0] == (1, 2, 4)  # argmax
         assert slates[1] == (5, 6, 7)  # tie -> lexicographically smaller
 
     def test_min_visits_forces_global_fallback(self):
         bank = self.build_bank()
-        slates = greedy_policy(bank, 0, catalog=None, min_visits=3)
+        slates = policy_slates(bank, 0, self.CATALOG, min_visits=3)
         # own step-3 cell has 1 visit; cluster 1's cell qualifies globally
         assert slates[2] == (9, 10, 12)
 
     def test_last_resort_ignores_visit_filter(self):
         bank = bank_of(1, [(0, 1, (1, 2, 3), 1.0, 1), (0, 2, (4, 5, 6), 1.0, 1),
                            (0, 3, (7, 8, 9), 1.0, 1)])
-        slates = greedy_policy(bank, 0, catalog=None, min_visits=99)
+        slates = policy_slates(bank, 0, make_catalog(), min_visits=99)
         assert slates == [(1, 2, 3), (4, 5, 6), (7, 8, 9)]
 
     def test_untrained_step_is_an_error(self):
+        # Location 2 holds two items, too few for the zero table's slate.
+        catalog = catalog_at((1, 2, 3), (4, 5), (6, 7, 8))
         bank = bank_of(1, [(0, 1, (1, 2, 3), 1.0, 1)])
         with pytest.raises(TrainError, match="step 2"):
-            greedy_policy(bank, 0, catalog=None, min_visits=1)
+            export_policies(bank, catalog, min_visits=1)
 
     def test_untrained_step_with_catalog_reads_as_zero_table(self):
         # Without a stored cell every slate of the step reads 0, and the
         # smallest slate wins the tie: the three smallest ids at its location.
         catalog = make_catalog()
         bank = bank_of(2, [(0, 1, (1, 2, 3), -1.0, 5), (1, 2, (5, 6, 4), 2.0, 5)])
-        assert greedy_policy(bank, 0, catalog, min_visits=3) == [(1, 2, 3), (5, 6, 4), (7, 8, 9)]
+        assert policy_slates(bank, 0, catalog, min_visits=3) == [(1, 2, 3), (5, 6, 4), (7, 8, 9)]
         assert export_policies(bank, catalog, 3) == {
             0: (1, 2, 3, 5, 6, 4, 7, 8, 9), 1: (1, 2, 3, 5, 6, 4, 7, 8, 9)
         }
@@ -743,11 +762,7 @@ class TestPolicies:
         )
         bank = bank_of(1, [(0, 1, (1, 2, 3), 1.0, 5), (0, 2, (4, 5, 6), 1.0, 5)])
         with pytest.raises(TrainError, match="step 3"):
-            greedy_policy(bank, 0, catalog, min_visits=1)
-
-    def test_unknown_cluster(self):
-        with pytest.raises(DataError, match="cluster"):
-            greedy_policy(QTableBank(1), 7, catalog=None)
+            export_policies(bank, catalog, min_visits=1)
 
     def test_policy_slates_come_from_observed_actions(self):
         corpus = generate_synthetic(
@@ -762,7 +777,7 @@ class TestPolicies:
         observed = {(clusters[ref], step, action) for ref, step, action, _, _ in rows}
         observed_any = {(step, action) for _, step, action, _, _ in rows}
         for cid in range(4):
-            for step, slate in enumerate(greedy_policy(bank, cid, corpus.catalog, 3), 1):
+            for step, slate in enumerate(policy_slates(bank, cid, corpus.catalog, 3), 1):
                 assert ((cid, step, slate) in observed) or ((step, slate) in observed_any)
 
     def test_tables_view_reads_cells_and_refuses_writes(self):
@@ -782,10 +797,7 @@ class TestPolicies:
 
 def wide_catalog() -> ItemCatalog:
     """Fifteen items, five per location: 1-5 at 1, 6-10 at 2, 11-15 at 3."""
-    return ItemCatalog.from_records([
-        ItemRecord(i, (0.1 * i, 0.2, 0.3, 0.4, 0.5), float(i), (i - 1) // 5 + 1)
-        for i in range(1, 16)
-    ])
+    return catalog_at(range(1, 6), range(6, 11), range(11, 16))
 
 
 @st.composite
@@ -814,7 +826,7 @@ class TestGreedyAgainstDictOracle:
         expected = [dict_greedy_policy(tables, bank.n_clusters, c, catalog, min_visits)
                     for c in range(bank.n_clusters)]
         for c, (slates, _) in enumerate(expected):
-            assert greedy_policy(bank, c, catalog, min_visits) == slates
+            assert policy_slates(bank, c, catalog, min_visits) == slates
         policies, layers = export_policies(bank, catalog, min_visits, return_layers=True)
         assert policies == {c: tuple(i for slate in slates for i in slate)
                             for c, (slates, _) in enumerate(expected)}
