@@ -25,7 +25,6 @@ from .features import (
 )
 from .ingest import (
     ItemCatalog,
-    ItemRecord,
     SessionRecord,
     SessionTable,
     SyntheticConfig,

@@ -65,6 +65,16 @@ def _weights(text: str) -> tuple[float, float, float]:
         raise argparse.ArgumentTypeError(f"bad weights {text!r}") from None
 
 
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed {seed} is negative")
+    return seed
+
+
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text()
@@ -103,7 +113,7 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--train-frac", type=float, default=0.8)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--deterministic", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
 
 def _params_from_args(args) -> PipelineParams:
@@ -421,7 +431,7 @@ def build_parser() -> _Parser:
     p.add_argument("--items", type=int, required=True, help="catalog size (multiple of 3)")
     p.add_argument("--users", type=int, default=1000)
     p.add_argument("--sessions", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--latent-dim", type=int, default=5)
     p.add_argument("--groups", type=int, default=4, help="planted user groups")
     p.add_argument("--price-min", type=float, default=1.0)

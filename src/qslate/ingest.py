@@ -29,6 +29,7 @@ import numpy as np
 from .errors import DataError
 
 N_PORTRAITS = 10
+N_CONTENT = 5  # content features per item
 SLATE_SIZE = 9
 STEPS = (1, 2, 3)
 _INT64 = np.iinfo(np.int64)  # ids and timestamps are held in int64 columns
@@ -37,43 +38,39 @@ _INT64 = np.iinfo(np.int64)  # ids and timestamps are held in int64 columns
 _DENSE_SPAN = 4
 
 
-@dataclass(frozen=True)
-class ItemRecord:
-    """One catalog item: identity, 5 content features, price, slate row."""
-
-    item_id: int
-    content_features: tuple[float, ...]
-    price: float
-    location: int
-
-
-@dataclass
+@dataclass(eq=False)
 class ItemCatalog:
-    """All items of a dataset, indexed by id and grouped by location.
+    """All items of a dataset as columns sorted by id: int64 ``ids``, n×5
+    float64 content ``features``, float64 ``prices`` and int64 ``locations``.
 
-    ``ids`` holds the item ids in ascending order as int64, and ``prices``
-    and ``locations`` the prices and locations of those items, so that array
-    code finds items with :meth:`index`.  Where the ids are dense (they span
-    at most ``_DENSE_SPAN`` times their count), ``positions`` maps each id
-    in ``[ids[0], ids[-1]]`` to its position, and a hole to -1; otherwise it
-    is None.
+    Construction raises :class:`DataError` for a repeated id or, naming the
+    column, for a column not of its shape, kind or length.  Array code finds
+    items with :meth:`index`, through ``positions`` where the ids span at
+    most ``_DENSE_SPAN`` times their count (each id's position in
+    ``[ids[0], ids[-1]]``, -1 for a hole; otherwise None) or a search.
+    Scalar ``in`` and :meth:`location` read a dict from id to location.
     """
 
-    items: dict[int, ItemRecord]
+    ids: np.ndarray
+    features: np.ndarray
+    prices: np.ndarray
+    locations: np.ndarray
     by_location: dict[int, tuple[int, ...]] = field(init=False)
-    ids: np.ndarray = field(init=False, repr=False, compare=False)
-    prices: np.ndarray = field(init=False, repr=False, compare=False)
-    locations: np.ndarray = field(init=False, repr=False, compare=False)
-    positions: np.ndarray | None = field(init=False, repr=False, compare=False)
+    positions: np.ndarray | None = field(init=False, repr=False)
+    _location: dict[int, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        ordered = [self.items[i] for i in sorted(self.items)]
-        self.ids = np.array([rec.item_id for rec in ordered], np.int64)
-        self.prices = np.array([rec.price for rec in ordered], np.float64)
-        self.locations = np.array([rec.location for rec in ordered], np.int64)
+        _check_columns("item", self, _ITEM_COLUMNS, "ids")
+        order = np.argsort(self.ids, kind="stable")
+        for name, kind, _ in _ITEM_COLUMNS:
+            setattr(self, name, getattr(self, name)[order].astype(f"{kind}8"))  # int64, float64
+        repeated = self.ids[1:][self.ids[1:] == self.ids[:-1]]
+        if len(repeated):
+            raise DataError(f"duplicate item_id {repeated[0]}")
         self.by_location = {
             loc: tuple(self.ids[self.locations == loc].tolist()) for loc in STEPS
         }
+        self._location = dict(zip(self.ids.tolist(), self.locations.tolist()))
         self.positions = None
         if len(self.ids):
             span = int(self.ids[-1]) - int(self.ids[0]) + 1
@@ -81,20 +78,11 @@ class ItemCatalog:
                 self.positions = np.full(span, -1, np.int64)
                 self.positions[self.ids - self.ids[0]] = np.arange(len(self.ids))
 
-    @classmethod
-    def from_records(cls, records: list[ItemRecord]) -> "ItemCatalog":
-        items: dict[int, ItemRecord] = {}
-        for rec in records:
-            if rec.item_id in items:
-                raise DataError(f"duplicate item_id {rec.item_id}")
-            items[rec.item_id] = rec
-        return cls(items=items)
-
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.ids)
 
     def __contains__(self, item_id: int) -> bool:
-        return item_id in self.items
+        return item_id in self._location
 
     def index(self, item_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Where each of the int64 ``item_ids`` sits in ``ids``, and whether
@@ -115,7 +103,7 @@ class ItemCatalog:
 
     def location(self, item_id: int) -> int:
         try:
-            return self.items[item_id].location
+            return self._location[item_id]
         except KeyError:
             raise DataError(f"unknown item_id {item_id}") from None
 
@@ -171,13 +159,16 @@ def _check_table(noun: str, table, columns) -> None:
         raise DataError(f"{noun} column state holds a number outside [0, {u})")
 
 
-# Each table column's name, numpy dtype kind and row shape.
+# Each table and catalog column's name, numpy dtype kind and row shape.
 _SESSION_COLUMNS = (
     ("state", "i", ()),
     ("user_id", "i", ()),
     ("timestamp", "i", ()),
     ("slate", "i", (SLATE_SIZE,)),
     ("labels", "b", (SLATE_SIZE,)),
+)
+_ITEM_COLUMNS = (
+    ("ids", "i", ()), ("features", "f", (N_CONTENT,)), ("prices", "f", ()), ("locations", "i", ())
 )
 
 
@@ -362,7 +353,7 @@ def parse_items(text: str) -> ItemCatalog:
     location outside {1,2,3}, or negative price.  An empty file yields an
     empty catalog.
     """
-    items: dict[int, ItemRecord] = {}
+    rows: dict[int, tuple] = {}
     for line_no, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
@@ -370,7 +361,7 @@ def parse_items(text: str) -> ItemCatalog:
         if len(fields) != 4:
             raise DataError(f"line {line_no}: expected 4 fields, got {len(fields)}")
         item_id = _parse_int(fields[0], "item_id", line_no)
-        features = _parse_float_list(fields[1], 5, "content features", line_no)
+        features = _parse_float_list(fields[1], N_CONTENT, "content features", line_no)
         try:
             price = float(fields[2])
         except ValueError:
@@ -383,18 +374,18 @@ def parse_items(text: str) -> ItemCatalog:
             raise DataError(f"line {line_no}: bad location {fields[3]!r}") from None
         if location not in (1, 2, 3):
             raise DataError(f"line {line_no}: location {location} outside {{1,2,3}}")
-        if item_id in items:
+        if item_id in rows:
             raise DataError(f"line {line_no}: duplicate item_id {item_id}")
-        items[item_id] = ItemRecord(item_id, features, price, location)
-    return ItemCatalog(items=items)
+        rows[item_id] = (features, price, location)
+    features, prices, locations = zip(*rows.values()) if rows else ((), (), ())
+    return ItemCatalog(np.array(list(rows), np.int64), np.reshape(features, (-1, N_CONTENT)),
+                       np.array(prices, np.float64), np.array(locations, np.int64))
 
 
 def serialize_items(catalog: ItemCatalog) -> str:
-    lines = []
-    for item_id in catalog.ids.tolist():
-        rec = catalog.items[item_id]
-        feats = ",".join(repr(float(f)) for f in rec.content_features)
-        lines.append(f"{rec.item_id} {feats} {float(rec.price)!r} {rec.location}")
+    columns = (catalog.ids, catalog.features, catalog.prices, catalog.locations)
+    rows = zip(*(column.tolist() for column in columns))
+    lines = [f"{i} {','.join(map(repr, feats))} {price!r} {loc}" for i, feats, price, loc in rows]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -823,6 +814,11 @@ class SyntheticConfig:
             raise DataError("num_sessions must be positive")
         if self.latent_dim < 1:
             raise DataError("latent_dim must be positive")
+        if self.seed < 0:
+            raise DataError("seed must be non-negative")
+        for name in ("price_range", "purchase_temperature", "preference_scale", "base_appeal"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise DataError(f"{name} must be finite")
         if self.price_range[0] > self.price_range[1] or self.price_range[0] < 0:
             raise DataError("price_range must satisfy 0 <= min <= max")
         if self.purchase_temperature <= 0:
@@ -843,9 +839,13 @@ class GroundTruth:
     user_groups: dict[int, int]
     user_preferences: dict[int, tuple[float, ...]]
 
-    def purchase_probability(self, user_id: int, item: ItemRecord) -> float:
+    def purchase_probability(self, user_id: int, catalog: ItemCatalog, item_id: int) -> float:
+        """The chance that ``user_id`` buys ``item_id`` of ``catalog`` when shown it."""
+        (at,), (known,) = catalog.index(np.array([item_id], np.int64))
+        if not known:
+            raise DataError(f"unknown item_id {item_id}")
         pref = np.asarray(self.user_preferences[user_id])
-        utility = float(pref @ np.asarray(item.content_features)) - self.price_penalty * item.price
+        utility = float(pref @ catalog.features[at]) - self.price_penalty * catalog.prices[at]
         return float(_sigmoid(np.asarray(utility / self.purchase_temperature)))
 
     def serialize(self) -> str:
@@ -973,16 +973,7 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticCorpus:
         raise DataError("price_range contains no whole currency unit")
     prices = rng.integers(lo, hi + 1, size=n_items).astype(np.float64)
 
-    records = [
-        ItemRecord(
-            item_id=int(item_ids[i]),
-            content_features=tuple(float(v) for v in features[i]),
-            price=float(prices[i]),
-            location=int(locations[i]),
-        )
-        for i in range(n_items)
-    ]
-    catalog = ItemCatalog.from_records(records)
+    catalog = ItemCatalog(item_ids, features, prices, locations)
 
     if config.latent_dim == 5:
         mix = np.eye(5)

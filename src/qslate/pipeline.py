@@ -134,8 +134,6 @@ def training_features(sessions: SessionTable, catalog: ItemCatalog) -> FeatureMa
     """Check the fit inputs and build their raw state matrix."""
     if not sessions:
         raise DataError("cannot fit on zero sessions")
-    if len(catalog) == 0:
-        raise DataError("cannot fit with an empty catalog")
     return build_raw_features(sessions, catalog)
 
 

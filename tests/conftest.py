@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from qslate.ingest import ItemCatalog, ItemRecord, SessionRecord
+from qslate.ingest import ItemCatalog, SessionRecord
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -20,14 +20,23 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+def catalog_rows(rows) -> ItemCatalog:
+    """The catalog of ``(item_id, features, price, location)`` rows."""
+    ids, features, prices, locations = zip(*rows) if rows else ((), (), (), ())
+    return ItemCatalog(
+        np.array(ids, np.int64),
+        np.array(features, np.float64).reshape(-1, 5),
+        np.array(prices, np.float64),
+        np.array(locations, np.int64),
+    )
+
+
 def make_catalog(prices=None) -> ItemCatalog:
     """Nine items: 1-3 on location 1, 4-6 on 2, 7-9 on 3; price = id by default."""
     prices = prices or {i: float(i) for i in range(1, 10)}
-    records = [
-        ItemRecord(i, (0.1 * i, 0.2, 0.3, 0.4, 0.5), prices[i], (i - 1) // 3 + 1)
-        for i in range(1, 10)
-    ]
-    return ItemCatalog.from_records(records)
+    return catalog_rows([
+        (i, (0.1 * i, 0.2, 0.3, 0.4, 0.5), prices[i], (i - 1) // 3 + 1) for i in range(1, 10)
+    ])
 
 
 def make_session(labels, user_id=1, slate=None, clicks=(), timestamp=1_700_000_000):

@@ -19,7 +19,6 @@ from qslate.ingest import (
     STEPS,
     GroundTruth,
     ItemCatalog,
-    ItemRecord,
     SessionRecord,
     TransitionTable,
 )
@@ -48,8 +47,14 @@ def value_iteration(outcomes: dict, gamma: float) -> dict:
     return q
 
 
+def by_id(catalog: ItemCatalog, column: str) -> dict:
+    """The catalog's ``column`` as a dict from item id to value."""
+    return dict(zip(catalog.ids.tolist(), getattr(catalog, column).tolist()))
+
+
 def naive_metric_score(recommendations, sessions, catalog: ItemCatalog, weights):
     """Double-loop recomputation of the weighted revenue score."""
+    price, location = by_id(catalog, "prices"), by_id(catalog, "locations")
     per_step = [0.0, 0.0, 0.0]
     for rec, sess in zip(recommendations, sessions):
         purchased = []
@@ -60,8 +65,8 @@ def naive_metric_score(recommendations, sessions, catalog: ItemCatalog, weights)
         step_items = [flat[0:3], flat[3:6], flat[6:9]]
         for st in (1, 2, 3):
             for it in step_items[st - 1]:
-                if it in purchased and catalog.items[it].location == st:
-                    per_step[st - 1] += catalog.items[it].price
+                if it in purchased and location[it] == st:
+                    per_step[st - 1] += price[it]
     total = sum(w * v for w, v in zip(weights, per_step)) / len(sessions)
     return total, tuple(per_step)
 
@@ -70,6 +75,7 @@ def row_step_values(recommendations, sessions, catalog: ItemCatalog) -> tuple[fl
     """Per-step credited revenue, walked session by session: each step's
     distinct recommended items in ascending order, each bought one of the
     step's location added to a running total from 0.0."""
+    price = by_id(catalog, "prices")
     value = [0.0, 0.0, 0.0]
     for rec, sess in zip(recommendations, sessions):
         grouped = len(rec) == 3 and all(isinstance(part, (list, tuple)) for part in rec)
@@ -78,7 +84,7 @@ def row_step_values(recommendations, sessions, catalog: ItemCatalog) -> tuple[fl
         for st, items in enumerate(steps, 1):
             for it in sorted(set(items)):
                 if it in purchased and catalog.location(it) == st:
-                    value[st - 1] += catalog.items[it].price
+                    value[st - 1] += price[it]
     return tuple(value)
 
 
@@ -201,13 +207,14 @@ def row_serialize_sessions(sessions) -> str:
 def row_transitions(sessions, catalog: ItemCatalog) -> TransitionTable:
     """Session-by-session walk: step 1 always, each later step only after a
     fully purchased one; the reward sums the purchased prices with ``sum``."""
+    price = by_id(catalog, "prices")
     rows = []
     for ref, s in enumerate(sessions):
         for step in (1, 2, 3):
             lo = (step - 1) * 3
             row = s.exposed_slate[lo : lo + 3]
             labels = s.purchase_labels[lo : lo + 3]
-            reward = sum(catalog.items[it].price for it, lab in zip(row, labels) if lab)
+            reward = sum(price[it] for it, lab in zip(row, labels) if lab)
             all_purchased = all(labels)
             terminal = not all_purchased or step == 3
             rows.append((ref, step, tuple(sorted(row)), float(reward), terminal))
@@ -342,7 +349,7 @@ def dict_greedy_policy(tables: dict, n_clusters: int, cluster_id: int,
 
 
 def _session_probs(truth: GroundTruth, catalog: ItemCatalog, user_id: int, items):
-    return [truth.purchase_probability(user_id, catalog.items[i]) for i in items]
+    return [truth.purchase_probability(user_id, catalog, i) for i in items]
 
 
 def expected_session_value(
@@ -352,8 +359,9 @@ def expected_session_value(
     generator's model, honoring the purchase-gated step progression."""
     slates = [flat_items[0:3], flat_items[3:6], flat_items[6:9]]
     probs = [_session_probs(truth, catalog, user_id, slate) for slate in slates]
+    price = by_id(catalog, "prices")
     values = [
-        sum(catalog.items[i].price * p for i, p in zip(slate, ps))
+        sum(price[i] * p for i, p in zip(slate, ps))
         for slate, ps in zip(slates, probs)
     ]
     reach2 = probs[0][0] * probs[0][1] * probs[0][2]
@@ -379,7 +387,7 @@ def best_group_slates(
     until no single-step swap improves the expected score.
     """
     item_ids = catalog.ids
-    prices = np.array([catalog.items[int(i)].price for i in item_ids])
+    prices = catalog.prices
     by_loc = [np.array(catalog.by_location[loc]) for loc in (1, 2, 3)]
     id_to_col = {int(i): j for j, i in enumerate(item_ids)}
 
@@ -387,7 +395,7 @@ def best_group_slates(
     user_row = {u: r for r, u in enumerate(users)}
     probs = np.array(
         [
-            [truth.purchase_probability(u, catalog.items[int(i)]) for i in item_ids]
+            [truth.purchase_probability(u, catalog, i) for i in item_ids.tolist()]
             for u in users
         ]
     )
@@ -486,11 +494,10 @@ def toy_mdp(
     """
     rng = np.random.default_rng(seed)
     n_items = 3 * actions_per_step  # actions_per_step items per location
-    records = [
-        ItemRecord(i, (0.0, 0.0, 0.0, 0.0, 0.0), float(i), (i - 1) % 3 + 1)
-        for i in range(1, n_items + 1)
-    ]
-    catalog = ItemCatalog.from_records(records)
+    item_ids = np.arange(1, n_items + 1)
+    catalog = ItemCatalog(
+        item_ids, np.zeros((n_items, 5)), item_ids.astype(np.float64), (item_ids - 1) % 3 + 1
+    )
     action_sets = {}
     for step in (1, 2, 3):
         members = sorted(catalog.by_location[step])

@@ -59,6 +59,22 @@ class TestGenerate:
         assert code == 2
         assert "num_items" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--price-max", "inf", "price_range"),
+        ("--price-max", "nan", "price_range"),
+        ("--price-min", "-inf", "price_range"),
+        ("--temperature", "nan", "purchase_temperature"),
+        ("--temperature", "inf", "purchase_temperature"),
+        ("--preference-scale", "nan", "preference_scale"),
+        ("--preference-scale", "-inf", "preference_scale"),
+    ])
+    def test_non_finite_parameter_is_data_error(self, tmp_path, capsys, flag, value, name):
+        out = tmp_path / "x"
+        code = run("generate", "--items", 9, "--sessions", 5, f"{flag}={value}", "--out", out)
+        assert code == 2
+        assert f"{name} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tiny_corpus_trains(self, tmp_path):
         out = generate_corpus(tmp_path, sessions=40, items=9)
         train_models(tmp_path, out)
@@ -563,6 +579,21 @@ class TestUsage:
                    "--report-dir", "r", "--weights", "1,2")
         assert code == 1
         assert "weights" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, required", [
+        ("generate", ["--items", 9, "--sessions", 5, "--out", "data"]),
+        ("train", ["--items", "items.txt", "--sessions", "sessions.txt", "--model-dir", "m"]),
+        ("tune", ["--items", "items.txt", "--sessions", "sessions.txt", "--report-dir", "r"]),
+    ])
+    @pytest.mark.parametrize("seed, message", [("-1", "seed -1 is negative"),
+                                               ("x", "invalid int value: 'x'")])
+    def test_bad_seed_is_usage_error(self, tmp_path, monkeypatch, capsys, command, required,
+                                     seed, message):
+        monkeypatch.chdir(tmp_path)
+        assert run(command, *required, "--seed", seed) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and message in err
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_full_composition_smoke(tmp_path):

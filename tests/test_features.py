@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_session
+from conftest import catalog_rows, make_session
 from oracles import residual_sparse_pca
 from qslate import features
 from qslate.errors import ComponentCollapseError, DataError, FitError
@@ -83,10 +83,8 @@ class TestBuildRawFeatures:
             assert fm.values[fm.rows, 10 + j].sum() == count
 
     def test_empty_catalog_rejected(self):
-        from qslate.ingest import ItemCatalog
-
         with pytest.raises(DataError):
-            build_raw_features(SessionTable.from_records([]), ItemCatalog.from_records([]))
+            build_raw_features(SessionTable.from_records([]), catalog_rows([]))
 
     def test_one_row_per_distinct_state(self):
         corpus = generate_synthetic(

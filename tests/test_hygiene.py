@@ -106,9 +106,14 @@ def unread_public_names(modules: dict[str, str], readers: list[str]) -> list[str
     return unread
 
 
+RECORDS = ("SessionRecord", "ItemRecord")
+# The field that holds the name that each kind of node reads or binds.
+NAMED_NODES = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name", ast.ClassDef: "name"}
+
+
 def record_uses(source: str) -> list[str]:
-    """Calls of a ``from_records`` method, and every name, attribute or
-    import of ``SessionRecord``."""
+    """Calls of a ``from_records`` method, and every name, attribute, import
+    or class definition of a record class in ``RECORDS``."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if (
@@ -117,12 +122,8 @@ def record_uses(source: str) -> list[str]:
             and node.func.attr == "from_records"
         ):
             found.append((node.lineno, "from_records"))
-        elif (
-            isinstance(node, ast.Name) and node.id == "SessionRecord"
-            or isinstance(node, ast.Attribute) and node.attr == "SessionRecord"
-            or isinstance(node, ast.alias) and node.name == "SessionRecord"
-        ):
-            found.append((node.lineno, "SessionRecord"))
+        elif type(node) in NAMED_NODES and getattr(node, NAMED_NODES[type(node)]) in RECORDS:
+            found.append((node.lineno, getattr(node, NAMED_NODES[type(node)])))
     return [f"line {line}: {name}" for line, name in sorted(found)]
 
 
@@ -177,13 +178,16 @@ def test_no_unused_private_names(path):
     assert unused_private_names(path.read_text()) == []
 
 
-@pytest.mark.parametrize(
-    "path", [p for p in MODULES if p.name != "ingest.py"], ids=lambda p: p.name
-)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_records_only_in_ingest(path):
     """Sessions reach every module but ``ingest`` as tables: only ``ingest``
-    makes tables of records or records of tables."""
-    assert record_uses(path.read_text()) == []
+    makes tables of records or records of tables (and ``__init__`` exports
+    ``SessionRecord``).  Items are columns everywhere: no module names
+    ``ItemRecord``."""
+    found = record_uses(path.read_text())
+    if path.name in ("ingest.py", "__init__.py"):
+        found = [use for use in found if use.endswith("ItemRecord")]
+    assert found == []
 
 
 # Public names that only tests read: the reader of the ground-truth sidecar
@@ -264,10 +268,14 @@ def test_check_sees_record_uses():
         "from .ingest import SessionRecord, SessionTable\nfrom . import ingest\n\n"
         "def f(rows: list[ingest.SessionRecord]):\n"
         "    return SessionTable.from_records(rows)\n\n"
-        "def g(table: SessionTable):\n    return table.from_records\n"
+        "def g(table: SessionTable):\n    return table.from_records\n\n"
+        "class ItemRecord:\n    pass\n\n"
+        "def h(item: ItemRecord, catalog):\n"
+        "    return catalog.ItemRecord(item), ingest.Record\n"
     )
     assert record_uses(source) == [
         "line 1: SessionRecord", "line 4: SessionRecord", "line 5: from_records",
+        "line 10: ItemRecord", "line 13: ItemRecord", "line 14: ItemRecord",
     ]
 
 

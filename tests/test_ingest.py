@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
-from conftest import make_catalog, make_session
+from conftest import catalog_rows, make_catalog, make_session
 from oracles import (
     TRANSITION_COLUMNS,
+    by_id,
     row_parse_sessions,
     row_serialize_sessions,
     row_transitions,
@@ -23,7 +24,6 @@ from qslate.errors import DataError
 from qslate.ingest import (
     GroundTruth,
     ItemCatalog,
-    ItemRecord,
     SessionTable,
     SyntheticConfig,
     TransitionTable,
@@ -51,9 +51,7 @@ def labelled_sessions(draw):
     it whose labels stop the episode at each step or never.  Each step row
     holds 3 distinct items, as ``parse_sessions`` requires."""
     ids = draw(st.lists(st.integers(-40, 40), min_size=3, max_size=12, unique=True))
-    catalog = ItemCatalog.from_records(
-        [ItemRecord(i, (0.0,) * 5, draw(PRICES), 1) for i in ids]
-    )
+    catalog = catalog_rows([(i, (0.0,) * 5, draw(PRICES), 1) for i in ids])
     sessions = []
     for _ in range(draw(st.integers(0, 6))):
         labels = draw(st.lists(st.booleans(), min_size=9, max_size=9))
@@ -69,9 +67,7 @@ def labelled_sessions(draw):
 
 def priced_case(prices, labels):
     """One session over items 0, 1, 2, ... priced ``prices``, slate in id order."""
-    catalog = ItemCatalog.from_records(
-        [ItemRecord(i, (0.0,) * 5, p, 1) for i, p in enumerate(prices)]
-    )
+    catalog = catalog_rows([(i, (0.0,) * 5, p, 1) for i, p in enumerate(prices)])
     slate = [i % len(prices) for i in range(9)]
     return [make_session(labels, slate=slate)], catalog
 
@@ -84,7 +80,7 @@ class TestParseItems:
         catalog = parse_items(ITEM_LINES)
         assert len(catalog) == 3
         assert all(len(catalog.by_location[loc]) == 1 for loc in (1, 2, 3))
-        assert catalog.items[1].price == 9.5
+        assert catalog.ids.tolist() == [1, 2, 3] and catalog.prices[0] == 9.5
         assert catalog.location(3) == 3
 
     def test_empty_file_is_empty_catalog(self):
@@ -117,7 +113,8 @@ class TestParseItems:
         )
         text = serialize_items(corpus.catalog)
         reparsed = parse_items(text)
-        assert reparsed.items == corpus.catalog.items
+        for name in ("ids", "features", "prices", "locations"):
+            assert np.array_equal(getattr(reparsed, name), getattr(corpus.catalog, name)), name
         assert serialize_items(reparsed) == text
 
 
@@ -125,7 +122,8 @@ INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
 def catalog_of(ids) -> ItemCatalog:
-    return ItemCatalog.from_records([ItemRecord(i, (0.0,) * 5, 1.0, 1) for i in ids])
+    """A catalog of ``ids``, each at location ``id % 3 + 1``."""
+    return catalog_rows([(i, (0.0,) * 5, 1.0, i % 3 + 1) for i in ids])
 
 
 @st.composite
@@ -167,6 +165,55 @@ class TestCatalogIndex:
         expected = np.searchsorted(np.array(sorted(ids), np.int64), items)
         assert known.tolist() == [i in set(ids) for i in queries]
         assert at[known].tolist() == expected[known].tolist()
+
+    @settings(max_examples=300)
+    @given(case=catalog_queries())
+    def test_scalar_lookups_agree_with_index(self, case):
+        ids, queries = case
+        catalog = catalog_of(ids)
+        at, known = catalog.index(np.array(ids + queries, np.int64))
+        for item_id, i, held in zip(ids + queries, at.tolist(), known.tolist()):
+            assert (item_id in catalog) == held
+            if held:
+                assert catalog.location(item_id) == catalog.locations[i] == item_id % 3 + 1
+            else:
+                with pytest.raises(DataError, match=f"unknown item_id {item_id}$"):
+                    catalog.location(item_id)
+
+    @given(ids=catalog_ids(), data=st.data())
+    def test_columns_out_of_order_build_sorted_columns(self, ids, data):
+        shuffled = data.draw(st.permutations(ids))
+        rows = {i: ((i % 7, 0.5, -1.0, 2.0, i / 3), abs(i) % 101 / 4, i % 3 + 1) for i in ids}
+        given_order = catalog_rows([(i, *rows[i]) for i in shuffled])
+        sorted_order = catalog_rows([(i, *rows[i]) for i in sorted(ids)])
+        for name in ("ids", "features", "prices", "locations", "positions"):
+            assert np.array_equal(getattr(given_order, name), getattr(sorted_order, name)), name
+        assert given_order.ids.tolist() == sorted(ids)
+        assert given_order.by_location == sorted_order.by_location
+
+    @given(ids=catalog_ids().filter(bool), data=st.data())
+    def test_repeated_id_rejected(self, ids, data):
+        repeated = data.draw(st.sampled_from(ids))
+        order = data.draw(st.permutations(ids + [repeated]))
+        with pytest.raises(DataError, match=f"duplicate item_id {repeated}$"):
+            catalog_rows([(i, (0.0,) * 5, 1.0, 1) for i in order])
+
+    @pytest.mark.parametrize("name, column, message", [
+        ("features", np.zeros((2, 5)), "item column features has length 2, ids has length 3"),
+        ("prices", np.ones(2), "item column prices has length 2, ids has length 3"),
+        ("locations", np.ones(4, np.int64), "item column locations has length 4, ids has length 3"),
+        ("features", np.zeros(15), "item column features is not an n×5 array"),
+        ("prices", np.ones((3, 1)), "item column prices is not a 1-D array"),
+        ("ids", np.ones(3), "item column ids has dtype float64, expected a signed integer dtype"),
+        ("prices", np.ones(3, np.int64), "item column prices has dtype int64, expected a float"),
+        ("locations", [1, 2, 3], "item column locations is not a 1-D array"),
+    ])
+    def test_bad_column_rejected(self, name, column, message):
+        columns = dict(ids=np.array([3, 1, 2]), features=np.zeros((3, 5)), prices=np.ones(3),
+                       locations=np.array([1, 2, 3]))
+        columns[name] = column
+        with pytest.raises(DataError, match=re.escape(message)):
+            ItemCatalog(**columns)
 
     def test_dense_ids_get_a_position_table(self):
         dense = ingest._DENSE_SPAN * 2
@@ -490,9 +537,9 @@ class TestParseOracle:
 
 # Items 1-9 as in ``catalog9``, and -2 and 2**63 - 1, which a respelled
 # slate or click history may hold.
-GUARD_CATALOG = ItemCatalog.from_records(
-    [ItemRecord(i, (0.0,) * 5, 1.0, (i - 1) // 3 + 1) for i in range(1, 10)]
-    + [ItemRecord(-2, (0.0,) * 5, 1.0, 1), ItemRecord(2**63 - 1, (0.0,) * 5, 1.0, 3)]
+GUARD_CATALOG = catalog_rows(
+    [(i, (0.0,) * 5, 1.0, (i - 1) // 3 + 1) for i in range(1, 10)]
+    + [(-2, (0.0,) * 5, 1.0, 1), (2**63 - 1, (0.0,) * 5, 1.0, 3)]
 )
 GUARD_PORTRAITS = "0.5,1.0,-0.25,2.0,0.0,1.5,3.0,-1.0,0.125,4.0"
 # (field, text) respellings of a line's field that ``int`` reads but the C
@@ -701,13 +748,14 @@ class TestTransitions:
         catalog = make_catalog()
         s = make_session(labels)
         trans = sessions_to_transitions(SessionTable.from_records([s]), catalog)
+        price = by_id(catalog, "prices")
         prefix_end = 0
         for step in (1, 2, 3):
             prefix_end = step * 3
             if not all(labels[(step - 1) * 3 : step * 3]):
                 break
         expected = sum(
-            catalog.items[it].price
+            price[it]
             for it, lab in zip(s.exposed_slate[:prefix_end], labels[:prefix_end])
             if lab
         )
@@ -778,6 +826,7 @@ class TestTransitions:
             )
         )
         trans = sessions_to_transitions(corpus.sessions, corpus.catalog)
+        price = by_id(corpus.catalog, "prices")
         for ref, step, action, reward, terminal in table_rows(trans):
             assert action == tuple(sorted(action))
             assert len(set(action)) == 3
@@ -786,7 +835,7 @@ class TestTransitions:
             sess = corpus.sessions[ref]
             lo = (step - 1) * 3
             row_purchased = sum(
-                corpus.catalog.items[it].price
+                price[it]
                 for it, lab in zip(sess.exposed_slate[lo : lo + 3], sess.purchase_labels[lo : lo + 3])
                 if lab
             )
@@ -1009,6 +1058,7 @@ class TestGenerator:
         )
         corpus = generate_synthetic(cfg)
         beta = corpus.truth.price_penalty
+        row_of = {it: j for j, it in enumerate(corpus.catalog.ids.tolist())}
         for s in corpus.sessions[:200]:
             pref = np.asarray(corpus.truth.user_preferences[s.user_id])
             reached = True
@@ -1019,8 +1069,10 @@ class TestGenerator:
                     assert not any(labels)
                     continue
                 for it, lab in zip(row, labels):
-                    rec = corpus.catalog.items[it]
-                    utility = float(pref @ np.asarray(rec.content_features)) - beta * rec.price
+                    j = row_of[it]
+                    utility = (
+                        float(pref @ corpus.catalog.features[j]) - beta * corpus.catalog.prices[j]
+                    )
                     assert lab == (utility > 0)
                 reached = all(labels)
 
@@ -1041,7 +1093,7 @@ class TestGenerator:
                     break
                 for pos in range((step - 1) * 3, step * 3):
                     it = s.exposed_slate[pos]
-                    p = corpus.truth.purchase_probability(s.user_id, corpus.catalog.items[it])
+                    p = corpus.truth.purchase_probability(s.user_id, corpus.catalog, it)
                     expected[it] += p
                     variance[it] += p * (1 - p)
                     observed[it] += labels[pos]
@@ -1055,9 +1107,9 @@ class TestGenerator:
             SyntheticConfig(num_items=30, num_users=10, num_sessions=10, seed=2,
                             price_range=(1.0, 100.0))
         )
-        for rec in corpus.catalog.items.values():
-            assert rec.price == int(rec.price)
-            assert 1 <= rec.price <= 100
+        for price in corpus.catalog.prices.tolist():
+            assert price == int(price)
+            assert 1 <= price <= 100
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -1070,6 +1122,15 @@ class TestGenerator:
             {"price_range": (5.0, 1.0)},
             {"purchase_temperature": 0.0},
             {"num_groups": 0},
+            {"seed": -1},
+            {"price_range": (1.0, math.inf)},
+            {"price_range": (math.nan, 5.0)},
+            {"purchase_temperature": math.nan},
+            {"purchase_temperature": math.inf},
+            {"preference_scale": math.nan},
+            {"preference_scale": -math.inf},
+            {"base_appeal": math.nan},
+            {"base_appeal": math.inf},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):

@@ -1,13 +1,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import make_catalog, make_session
+from conftest import catalog_rows, make_catalog, make_session
 from oracles import naive_metric_score, row_step_values
 from qslate import pipeline
 from qslate.errors import ComponentCollapseError, DataError, FitError, QslateError
 from qslate.ingest import (
-    ItemCatalog,
-    ItemRecord,
     SessionTable,
     SyntheticConfig,
     generate_synthetic,
@@ -38,8 +36,8 @@ def scored_sessions(draw):
     them, flat or per step, that repeat items and name items of other
     locations."""
     ids = draw(st.lists(st.integers(-30, 30), min_size=1, max_size=12, unique=True))
-    catalog = ItemCatalog.from_records(
-        [ItemRecord(i, (0.0,) * 5, draw(FRACTIONAL_PRICES), draw(st.integers(1, 3))) for i in ids]
+    catalog = catalog_rows(
+        [(i, (0.0,) * 5, draw(FRACTIONAL_PRICES), draw(st.integers(1, 3))) for i in ids]
     )
     item = st.sampled_from(ids)
     sessions, recs = [], []

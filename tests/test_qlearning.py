@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import make_catalog
+from conftest import catalog_rows, make_catalog
 from oracles import (
     backward_ordered,
     bank_of,
@@ -29,7 +29,6 @@ from qslate.errors import DataError, ModelFileError, TrainError
 from qslate.ingest import (
     STEPS,
     ItemCatalog,
-    ItemRecord,
     SessionTable,
     SyntheticConfig,
     generate_synthetic,
@@ -697,8 +696,8 @@ class TestPoolPausesGc:
 def catalog_at(*locations) -> ItemCatalog:
     """A catalog with the ids of ``locations[s - 1]`` at location s, each
     priced at its id."""
-    return ItemCatalog.from_records([
-        ItemRecord(i, (0.1 * i, 0.2, 0.3, 0.4, 0.5), float(i), s)
+    return catalog_rows([
+        (i, (0.1 * i, 0.2, 0.3, 0.4, 0.5), float(i), s)
         for s, ids in enumerate(locations, 1) for i in ids
     ])
 
@@ -757,9 +756,7 @@ class TestPolicies:
         }
 
     def test_untrained_step_at_a_location_of_two_items_is_an_error(self):
-        catalog = ItemCatalog.from_records(
-            [rec for i, rec in make_catalog().items.items() if i != 9]
-        )
+        catalog = catalog_at((1, 2, 3), (4, 5, 6), (7, 8))
         bank = bank_of(1, [(0, 1, (1, 2, 3), 1.0, 5), (0, 2, (4, 5, 6), 1.0, 5)])
         with pytest.raises(TrainError, match="step 3"):
             export_policies(bank, catalog, min_visits=1)
