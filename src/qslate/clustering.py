@@ -16,13 +16,16 @@ training points from the same random stream, and Lloyd's means, the inertia
 and DBSCAN's eps-ball counts are weighted sums over the distinct rows.
 
 Every distance goes through ``_sq_dists``, and DBSCAN computes its distances
-in ``_BLOCK``-row blocks.  Its clusters are the connected components of the
-core graph (core points within eps of each other), found with a vectorised
-union-find over each block's edges.  The support merge reduces the blocked
-distances between the points of its clusters (DBSCAN core points, or
-k-means centroids) to a single-linkage matrix between clusters and then
-merges with the Lance-Williams update ``d(a+b, x) = min(d(a, x), d(b, x))``,
-so each merge costs O(k) for k clusters.
+in blocks of at most ``_CELLS`` distances (at least one row each), so its
+working memory does not grow with the number of points; the squared norms
+of the points measured against are computed once per pass, not per block.
+Its clusters are the connected components of the core graph (core points
+within eps of each other), found with a vectorised union-find over each
+block's edges.  The support merge reduces the blocked distances between the
+points of its clusters (DBSCAN core points, or k-means centroids) to a
+single-linkage matrix between clusters and then merges with the
+Lance-Williams update ``d(a+b, x) = min(d(a, x), d(b, x))``, so each merge
+costs O(k) for k clusters.
 """
 
 from __future__ import annotations
@@ -38,18 +41,32 @@ from .errors import DataError, FitError, read_model_file, write_model_file
 CLUSTERS_FORMAT = "qslate-clusters"
 CLUSTERS_VERSION = 1
 
-# Rows per distance block: DBSCAN holds block x n distances at a time.
-_BLOCK = 256
+# Distances per block: a float64 block of _sq_dists holds 1 MiB.
+_CELLS = 2**17
 # Lloyd iterations at most, in case the assignment never stabilizes.
 _MAX_ITER = 100
 
 
-def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    aa = (A * A).sum(axis=1)[:, None]
-    bb = (B * B).sum(axis=1)[None, :]
-    d2 = aa + bb - 2.0 * (A @ B.T)
+def _sq_norms(B: np.ndarray) -> np.ndarray:
+    return (B * B).sum(axis=1)
+
+
+def _sq_dists(A: np.ndarray, B: np.ndarray, bb: np.ndarray | None = None) -> np.ndarray:
+    """Squared distances from each row of ``A`` to each row of ``B``.
+
+    ``bb`` is ``_sq_norms(B)``, passed by callers that measure many blocks
+    against one ``B``.
+    """
+    if bb is None:
+        bb = _sq_norms(B)
+    d2 = _sq_norms(A)[:, None] + bb - 2.0 * (A @ B.T)
     np.maximum(d2, 0.0, out=d2)
     return d2
+
+
+def _block_rows(width: int) -> int:
+    """Rows per block of distances to ``width`` points, within ``_CELLS``."""
+    return max(1, _CELLS // max(width, 1))
 
 
 def _runs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -58,9 +75,10 @@ def _runs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, labels[starts]
 
 
-def _nearest(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row of ``A``'s nearest row of ``B`` (lowest index on ties) and its ``d^2``."""
-    d2 = _sq_dists(A, B)
+def _nearest(A: np.ndarray, B: np.ndarray, bb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``A``'s nearest row of ``B`` (lowest index on ties) and its ``d^2``;
+    ``bb`` is ``_sq_norms(B)``."""
+    d2 = _sq_dists(A, B, bb)
     nearest = d2.argmin(axis=1)
     return nearest, d2[np.arange(len(A)), nearest]
 
@@ -150,9 +168,10 @@ class DbscanModel:
         if Z.shape[1] != self.dim:
             raise DataError(f"vector dim {Z.shape[1]} != model dim {self.dim}")
         out = np.empty(len(Z), dtype=np.int64)
-        for start in range(0, len(Z), _BLOCK):
-            block = slice(start, min(start + _BLOCK, len(Z)))
-            out[block] = self.core_labels[_nearest(Z[block], self.core_points)[0]]
+        step, bb = _block_rows(len(self.core_points)), _sq_norms(self.core_points)
+        for start in range(0, len(Z), step):
+            block = slice(start, start + step)
+            out[block] = self.core_labels[_nearest(Z[block], self.core_points, bb)[0]]
         return out
 
 
@@ -262,17 +281,17 @@ def fit_dbscan(
     A point is core when its eps-ball (itself included) holds at least
     ``min_pts`` training points.  The clusters are the connected components
     of the core graph, whose edges join core points within eps of each
-    other.  The eps-balls are counted in ``_BLOCK``-row blocks, and once a
-    block's rows are counted, its core rows' edges to earlier core rows go
-    into a union-find whose roots are the smallest index of their
-    component; clusters are numbered in the order of their roots, which is
-    the order of their first core point.  Every other point takes the
-    cluster of its nearest core point when one lies within eps, otherwise it
-    is noise.  The nearest-core rule (rather than expansion order) keeps the
-    partition invariant under row permutation.  With ``rows`` the training
-    points are ``Z[rows]`` (see the module docstring): eps-balls and
-    ``n_noise`` count training points, while core points and ``labels_``
-    stay one per row of ``Z``.
+    other.  The eps-balls are counted in blocks of rows with ``_CELLS``
+    distances at most, and once a block's rows are counted, its core rows'
+    edges to earlier core rows go into a union-find whose roots are the
+    smallest index of their component; clusters are numbered in the order
+    of their roots, which is the order of their first core point.  Every
+    other point takes the cluster of its nearest core point when one lies
+    within eps, otherwise it is noise.  The nearest-core rule (rather than
+    expansion order) keeps the partition invariant under row permutation.
+    With ``rows`` the training points are ``Z[rows]`` (see the module
+    docstring): eps-balls and ``n_noise`` count training points, while core
+    points and ``labels_`` stay one per row of ``Z``.
     """
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2 or len(Z) == 0:
@@ -287,9 +306,10 @@ def fit_dbscan(
 
     counts = np.zeros(n, dtype=np.int64)
     parent = np.arange(n)
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        near = _sq_dists(Z[start:stop], Z) <= eps2
+    step, bb = _block_rows(n), _sq_norms(Z)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        near = _sq_dists(Z[start:stop], Z, bb) <= eps2
         counts[start:stop] = near @ weights
         # The block's rows and every earlier row now know whether they are
         # core, so the core graph gains its edges (i, j) with j < i here.
@@ -304,9 +324,10 @@ def fit_dbscan(
     core_labels = np.searchsorted(root_rows, parent[core_rows])
 
     labels = np.full(n, -1, dtype=np.int64)
-    for start in range(0, n, _BLOCK):
-        block = slice(start, min(start + _BLOCK, n))
-        nearest, d2 = _nearest(Z[block], core_Z)
+    step, bb = _block_rows(len(core_Z)), _sq_norms(core_Z)
+    for start in range(0, n, step):
+        block = slice(start, start + step)
+        nearest, d2 = _nearest(Z[block], core_Z, bb)
         labels[block] = np.where(d2 <= eps2, core_labels[nearest], -1)
 
     return DbscanModel(
@@ -323,21 +344,23 @@ def fit_dbscan(
 def _core_linkage(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """Single-linkage distances between the ``k`` groups of labelled points.
 
-    The points are sorted by label.  Each ``_BLOCK``-row block is measured
-    against the points whose label exceeds the block's first label (the
-    pairs within one group cannot matter), and the distances are reduced
-    with ``np.minimum.reduceat`` over runs of equal column labels, then of
-    equal row labels.  Every pair of labels ``a < b`` is measured from the
-    rows of ``a``, so the upper triangle is complete; it is mirrored.
+    The points are sorted by label.  Each block of rows (at most ``_CELLS``
+    distances to all points) is measured against the points whose label
+    exceeds the block's first label (the pairs within one group cannot
+    matter), and the distances are reduced with ``np.minimum.reduceat`` over
+    runs of equal column labels, then of equal row labels.  Every pair of
+    labels ``a < b`` is measured from the rows of ``a``, so the upper
+    triangle is complete; it is mirrored.
     """
     order = np.argsort(labels, kind="stable")
     points, labels = points[order], labels[order]
     link = np.full((k, k), np.inf)
-    for start in range(0, len(points), _BLOCK):
+    step, bb = _block_rows(len(points)), _sq_norms(points)
+    for start in range(0, len(points), step):
         later = int(np.searchsorted(labels, labels[start], side="right"))
         if later == len(points):
             break
-        d2 = _sq_dists(points[start : start + _BLOCK], points[later:])
+        d2 = _sq_dists(points[start : start + step], points[later:], bb[later:])
         row_starts, row_labels = _runs(labels[start : start + len(d2)])
         col_starts, col_labels = _runs(labels[later:])
         block = np.minimum.reduceat(d2, col_starts, axis=1)

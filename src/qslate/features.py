@@ -16,13 +16,20 @@ standardized data ``R`` has ``u`` distinct rows with weights ``w`` summing to
 weighted rows ``F = sqrt(w / n) R``.  With fewer rows than columns
 (``u < p``, as on a corpus of few users with many sessions each) the fit
 keeps ``F``: a power step ``(F v) F`` costs ``2up``, and deflation projects
-the rows, ``F <- F - (F v) v^T``.  Otherwise it reduces ``F`` once to ``C``:
-a step ``C v`` costs ``p^2``, and deflation is the closed form
-``C <- C - b v^T - v b^T`` with ``b = C v - (v^T C v) v / 2``, so the rows
-are never revisited.  Both give the same components up to rounding.
-Because deflation is greedy, the first ``j`` components of a fit do not
-depend on how many more follow: a ``k = 8`` fit equals the first 8 rows of
-a ``k = 16`` fit with the same seed.
+the rows, ``F <- F - (F v) v^T``.  Otherwise it reduces ``F`` once to ``C``,
+summing ``B^T B`` over blocks ``B`` of ``_BLOCK`` rows of ``F``, each built
+from the raw states: a step ``C v`` costs ``p^2``, and deflation is the
+closed form ``C <- C - b v^T - v b^T`` with ``b = C v - (v^T C v) v / 2``,
+so the rows are never revisited.  Both give the same components up to
+rounding.  Because deflation is greedy, the first ``j`` components of a fit
+do not depend on how many more follow: a ``k = 8`` fit equals the first 8
+rows of a ``k = 16`` fit with the same seed.
+
+The raw state matrix ``FeatureMatrix.values`` is the only ``u x p`` array:
+the click scatter, the covariance and ``transform`` work in blocks of
+states or one column at a time, so every other working array is bounded by
+a block, by ``p^2`` (the covariance, or ``F`` when ``u < p``) or by the
+``k x p`` loadings.
 """
 
 from __future__ import annotations
@@ -44,6 +51,9 @@ COMPONENTS_VERSION = 2
 # Power steps per component at most, and the step length that ends them.
 _MAX_ITER = 200
 _TOL = 1e-7
+# States per block where a pass over the raw matrix needs working arrays:
+# the click scatter and the covariance's rank-k updates.
+_BLOCK = 256
 
 
 @dataclass
@@ -71,20 +81,24 @@ def build_raw_features(table: SessionTable | UserTable, catalog: ItemCatalog) ->
     """Stack portraits and one-hot click indicators, one row per distinct state.
 
     The rows are the table's numbered states, so ``rows`` is its ``state``
-    column.  A clicked item missing from the catalog raises
-    :class:`DataError`.
+    column.  The clicks are scattered ``_BLOCK`` states at a time, so the
+    index arrays stay a block's size whatever the total click count.  A
+    clicked item missing from the catalog raises :class:`DataError` naming
+    the first such click.
     """
     if len(catalog) == 0:
         raise DataError("catalog is empty")
-    rows, clicks, portraits = table.state, table.clicks, table.portraits
+    rows, clicks = table.state, table.clicks
     values = np.zeros((len(clicks), N_PORTRAITS + len(catalog)))
-    values[:, :N_PORTRAITS] = portraits
-    counts = np.fromiter(map(len, clicks), np.int64, len(clicks))
-    items = np.fromiter(chain.from_iterable(clicks), np.int64, counts.sum())
-    at, known = catalog.index(items)
-    if not known.all():
-        raise DataError(f"clicked item {items[known.argmin()]} not in catalog")
-    values[np.repeat(np.arange(len(clicks)), counts), N_PORTRAITS + at] = 1.0
+    values[:, :N_PORTRAITS] = table.portraits
+    for start in range(0, len(clicks), _BLOCK):
+        block = clicks[start : start + _BLOCK]
+        counts = np.fromiter(map(len, block), np.int64, len(block))
+        items = np.fromiter(chain.from_iterable(block), np.int64, counts.sum())
+        at, known = catalog.index(items)
+        if not known.all():
+            raise DataError(f"clicked item {items[known.argmin()]} not in catalog")
+        values[np.repeat(np.arange(start, start + len(block)), counts), N_PORTRAITS + at] = 1.0
     return FeatureMatrix(
         values=values,
         weights=np.bincount(rows, minlength=len(clicks)),
@@ -189,6 +203,33 @@ def _column_stats(
     return means, scales
 
 
+def _weighted_rows(
+    values: np.ndarray, means: np.ndarray, scales: np.ndarray, root_w: np.ndarray
+) -> np.ndarray:
+    """Rows of ``F``: ``values`` standardized, each row scaled by ``root_w``."""
+    rows = values - means
+    rows /= scales
+    rows *= root_w[:, None]
+    return rows
+
+
+def _covariance(
+    values: np.ndarray, means: np.ndarray, scales: np.ndarray, root_w: np.ndarray
+) -> np.ndarray:
+    """``C = F^T F``, summed over blocks of ``_BLOCK`` rows of ``F``."""
+    p = values.shape[1]
+    cov, update = np.zeros((p, p)), np.empty((p, p))
+    for start in range(0, len(values), _BLOCK):
+        stop = start + _BLOCK
+        block = _weighted_rows(values[start:stop], means, scales, root_w[start:stop])
+        # BLAS computes B^T B as an exactly symmetric rank-k update, so the
+        # sum stays exactly symmetric.
+        np.matmul(block.T, block, out=update)
+        cov += update
+        del block  # before the next block is built
+    return cov
+
+
 def fit_sparse_pca(
     X: FeatureMatrix | np.ndarray,
     k: int,
@@ -213,12 +254,13 @@ def fit_sparse_pca(
     counts those session rows; a plain array has unit weights.
 
     Power steps run on the weighted rows ``F``, with ``C = F^T F``, when
-    there are fewer distinct rows than columns, and on ``C`` otherwise (see
-    the module docstring).  Once the deflated ``trace(C)`` (``||F||_F^2``
-    in row form) is at most ``1e-10`` times its starting value, what
-    remains is rounding (about ``eps * trace(C)``, possibly negative): the
-    requested k exceeds the data rank, and the remaining components are
-    zero and flagged degenerate.
+    there are fewer distinct rows than columns, and on ``C`` otherwise,
+    accumulated over ``_BLOCK``-row blocks of ``F`` so that no ``u x p`` copy
+    of the data is made (see the module docstring).  Once the deflated
+    ``trace(C)`` (``||F||_F^2`` in row form) is at most ``1e-10`` times its
+    starting value, what remains is rounding (about ``eps * trace(C)``,
+    possibly negative): the requested k exceeds the data rank, and the
+    remaining components are zero and flagged degenerate.
 
     When ``X`` is a :class:`FeatureMatrix` only the portrait columns are
     z-scored; a plain array has all columns z-scored unless ``zscore_mask``
@@ -242,13 +284,13 @@ def fit_sparse_pca(
         raise FitError(f"l1_penalty must be nonnegative, got {l1_penalty}")
 
     means, scales = _column_stats(values, weights, zscore_mask)
-    rows = values - means
-    rows /= scales
-    rows *= np.sqrt(weights / n)[:, None]
-    row_form = len(rows) < p
-    # BLAS computes F^T F as an exactly symmetric rank-k update.
-    op = rows if row_form else rows.T @ rows
-    del rows
+    root_w = np.sqrt(weights / n)
+    row_form = len(values) < p
+    op = (
+        _weighted_rows(values, means, scales, root_w)
+        if row_form
+        else _covariance(values, means, scales, root_w)
+    )
 
     def trace() -> float:
         return float(np.vdot(op, op) if row_form else np.trace(op))
@@ -337,7 +379,8 @@ def transform(X: FeatureMatrix | np.ndarray, components: SparseComponents) -> np
     The projection accumulates column by column in a fixed order so a row
     transforms to bit-identical values whether passed alone or inside any
     batch (a plain matmul would let BLAS blocking change the summation
-    order).
+    order).  Each column is standardized as it is added, so the working
+    arrays are one column and one ``n x k`` term.
     """
     values = X.values if isinstance(X, FeatureMatrix) else np.asarray(X, dtype=np.float64)
     if values.ndim == 1:
@@ -346,11 +389,11 @@ def transform(X: FeatureMatrix | np.ndarray, components: SparseComponents) -> np
         raise DataError(
             f"feature matrix has {values.shape[1]} columns, components expect {components.n_cols}"
         )
-    # Allocated before the n x p temporary, which is then freed from the top
-    # of the heap instead of leaving a hole under this longer-lived result.
     out = np.zeros((values.shape[0], components.k))
-    standardized = (values - components.column_means) / components.column_scales
+    term = np.empty_like(out)
     loadings_t = components.loadings.T  # (p, k)
-    for col in range(components.n_cols):
-        out += standardized[:, col : col + 1] * loadings_t[col]
+    for col, (mean, scale) in enumerate(zip(components.column_means, components.column_scales)):
+        standardized = (values[:, col] - mean) / scale
+        np.multiply(standardized[:, None], loadings_t[col], out=term)
+        out += term
     return out

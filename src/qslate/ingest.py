@@ -821,6 +821,10 @@ class SyntheticConfig:
                 raise DataError(f"{name} must be finite")
         if self.price_range[0] > self.price_range[1] or self.price_range[0] < 0:
             raise DataError("price_range must satisfy 0 <= min <= max")
+        # Prices are drawn by rng.integers(ceil(min), floor(max) + 1), whose
+        # exclusive bound may reach 2**63.
+        if math.floor(self.price_range[1]) + 1 > 2**63:
+            raise DataError("price_range max must be below 2**63 whole currency units")
         if self.purchase_temperature <= 0:
             raise DataError("purchase_temperature must be positive")
         if self.num_groups < 1 or self.num_groups > self.num_users:

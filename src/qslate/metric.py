@@ -317,10 +317,11 @@ def _reduce(
 ) -> list[_ReducedGroup]:
     """Fit sparse PCA once per ``l1_penalty`` and project both splits.
 
-    The fits keep only their ``k x p`` loadings, so the training matrix is
-    the one raw matrix live while they run; it is released before the
-    validation matrix is built.  A failure to build either matrix fails
-    every cell it would reach.
+    The fits and transforms keep no ``u x p`` array of their own (see
+    :mod:`qslate.features`), so the training matrix is the one raw matrix
+    live while they run; it is released before the validation matrix is
+    built.  A failure to build either matrix fails every cell it would
+    reach.
     """
     try:
         raw = training_features(train_set, catalog)

@@ -1,8 +1,12 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from qslate.ingest import ItemCatalog, SessionRecord
+from qslate.features import build_raw_features
+from qslate.ingest import ItemCatalog, SessionRecord, SyntheticConfig, generate_synthetic
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -49,6 +53,29 @@ def make_session(labels, user_id=1, slate=None, clicks=(), timestamp=1_700_000_0
         purchase_labels=tuple(bool(b) for b in labels),
         timestamp=timestamp,
     )
+
+
+def heap_added(call):
+    """``call()``, and the heap it held at its peak beyond what is live once it
+    returns (its inputs, its result and anything it kept), in bytes."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - current
+
+
+@pytest.fixture(scope="session")
+def wide_states():
+    """Raw features of a tune-shaped corpus, nearly one user per session:
+    381 items, so 391 columns, and 3,539 distinct states."""
+    corpus = generate_synthetic(
+        SyntheticConfig(num_items=381, num_users=16_000, num_sessions=4_000, seed=5)
+    )
+    return corpus, build_raw_features(corpus.sessions, corpus.catalog)
 
 
 @pytest.fixture

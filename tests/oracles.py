@@ -14,6 +14,7 @@ from math import comb
 import numpy as np
 
 from qslate.errors import DataError, TrainError
+from qslate.features import FeatureMatrix
 from qslate.ingest import (
     N_PORTRAITS,
     STEPS,
@@ -595,6 +596,39 @@ def residual_sparse_pca(values, k, l1_penalty, zscore_mask, seed=0, max_iter=200
         converged.append(done)
         residual = residual - np.outer(scores, v)
     return loadings, explained, tuple(degenerate), tuple(n_iter), tuple(converged)
+
+
+def one_shot_covariance(values, means, scales, root_w):
+    """``C = F^T F`` from the whole weighted matrix ``F`` at once.
+
+    The reference for ``qslate.features._covariance``, which sums the same
+    product over row blocks: ``F`` is ``values`` standardized by ``means``
+    and ``scales``, each row scaled by ``root_w``, built as one ``u x p``
+    array, and BLAS reduces it in one exactly symmetric rank-k update.
+    """
+    rows = values - means
+    rows /= scales
+    rows *= root_w[:, None]
+    return rows.T @ rows
+
+
+def whole_matrix_transform(X, components):
+    """Projection through one standardized copy of the whole matrix.
+
+    The reference for ``qslate.features.transform``, which standardizes one
+    column at a time: this builds the ``n x p`` standardized matrix first and
+    then accumulates its columns in the same order, so the two agree bit for
+    bit.
+    """
+    values = X.values if isinstance(X, FeatureMatrix) else np.asarray(X, dtype=np.float64)
+    if values.ndim == 1:
+        values = values[None, :]
+    out = np.zeros((values.shape[0], components.k))
+    standardized = (values - components.column_means) / components.column_scales
+    loadings_t = components.loadings.T
+    for col in range(components.n_cols):
+        out += standardized[:, col : col + 1] * loadings_t[col]
+    return out
 
 
 def unweighted_kmeans(Z, k, seed=0, max_iter=100):

@@ -75,6 +75,14 @@ class TestGenerate:
         assert f"{name} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_price_range_beyond_int64_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = run("generate", "--items", 9, "--users", 5, "--sessions", 5,
+                   "--price-max", "1e300", "--out", out)
+        assert code == 2
+        assert "price_range max must be below 2**63" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tiny_corpus_trains(self, tmp_path):
         out = generate_corpus(tmp_path, sessions=40, items=9)
         train_models(tmp_path, out)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import heap_added
 from oracles import adjusted_rand_index, expansion_dbscan, pairwise_merge, unweighted_kmeans
 from qslate import clustering
 from qslate.clustering import (
@@ -16,6 +17,7 @@ from qslate.clustering import (
     save_cluster_model,
 )
 from qslate.errors import DataError, FitError
+from qslate.features import fit_sparse_pca, transform
 
 
 def three_blobs(seed=0, n_per=120, spread=0.1, sep=10.0):
@@ -261,7 +263,8 @@ class TestDbscan:
         probe = np.random.default_rng(16).normal(size=(650, 2)) * 6.0
         default = fit_dbscan(Z, eps=0.35, min_pts=6)
         default_assigned = default.assign_many(probe)
-        monkeypatch.setattr(clustering, "_BLOCK", 7)
+        # 7-row blocks against all of Z, and at least that against the core points.
+        monkeypatch.setattr(clustering, "_CELLS", 7 * len(Z))
         small = fit_dbscan(Z, eps=0.35, min_pts=6)
         assert len(Z) >= 600 and default.n_noise > 0 and default.n_clusters > 1
         assert (small.labels_ == default.labels_).all()
@@ -269,6 +272,20 @@ class TestDbscan:
         assert (small.core_labels == default.core_labels).all()
         assert small.n_noise == default.n_noise
         assert (small.assign_many(probe) == default_assigned).all()
+
+    def test_fit_and_assign_add_at_most_4_mib(self, wide_states):
+        # Distances are held a bounded block at a time, however many states.
+        _, fm = wide_states
+        Z = transform(fm, fit_sparse_pca(fm, k=16, l1_penalty=0.1, seed=0))
+        assert len(Z) >= 3000
+
+        def fit_and_assign():
+            model = fit_dbscan(Z, 2.0, 5, rows=fm.rows)
+            return model, model.assign_many(Z)
+
+        (model, assigned), added = heap_added(fit_and_assign)
+        assert model.n_clusters >= 1 and len(assigned) == len(Z)
+        assert added <= 4 * 2**20
 
 
 class TestDbscanMatchesExpansionOracle:
@@ -282,13 +299,13 @@ class TestDbscanMatchesExpansionOracle:
     @given(grid_fits())
     def test_grid_points_in_blocks_of_7(self, fit):
         Z, rows, eps, min_pts = fit
-        with mock.patch.object(clustering, "_BLOCK", 7):
+        with mock.patch.object(clustering, "_CELLS", 7 * len(Z)):
             assert_matches_expansion(Z, eps, min_pts, rows)
 
     @settings(max_examples=150)
     @given(shuffled_chains(), st.integers(1, 3))
     def test_chains_across_blocks_of_7(self, Z, min_pts):
-        with mock.patch.object(clustering, "_BLOCK", 7):
+        with mock.patch.object(clustering, "_CELLS", 7 * len(Z)):
             assert_matches_expansion(Z, 1.0, min_pts)
 
     # Off the grid the two distance forms differ in the last bits; on these

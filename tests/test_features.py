@@ -1,11 +1,12 @@
 import dataclasses
 import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
 
-from conftest import catalog_rows, make_session
-from oracles import residual_sparse_pca
+from conftest import catalog_rows, heap_added, make_session
+from oracles import one_shot_covariance, residual_sparse_pca, whole_matrix_transform
 from qslate import features
 from qslate.errors import ComponentCollapseError, DataError, FitError
 from qslate.features import (
@@ -15,7 +16,7 @@ from qslate.features import (
     fit_sparse_pca,
     transform,
 )
-from qslate.ingest import SessionTable, SyntheticConfig, generate_synthetic
+from qslate.ingest import ItemCatalog, SessionTable, SyntheticConfig, generate_synthetic
 
 
 def planted_sparse_data(seed=123, p=391, k=4, nnz=10, n=800, noise=0.05):
@@ -103,6 +104,39 @@ class TestBuildRawFeatures:
             ]
         )
         assert (fm.values[fm.rows] == per_session).all()
+
+    def test_blocked_build_equals_one_block(self, monkeypatch):
+        corpus = generate_synthetic(
+            SyntheticConfig(num_items=30, num_users=50, num_sessions=400, seed=31)
+        )
+        monkeypatch.setattr(features, "_BLOCK", 10**9)
+        whole = build_raw_features(corpus.sessions, corpus.catalog)
+        monkeypatch.setattr(features, "_BLOCK", 7)
+        blocked = build_raw_features(corpus.sessions, corpus.catalog)
+        assert len(whole.values) > 7 and len(whole.values) % 7  # a partial last block
+        assert np.array_equal(blocked.values, whole.values)
+        assert np.array_equal(blocked.weights, whole.weights)
+        assert np.array_equal(blocked.rows, whole.rows)
+
+    @pytest.mark.parametrize("block", [10**9, 7])
+    def test_blocked_build_names_the_first_unknown_click(self, monkeypatch, block):
+        corpus = generate_synthetic(
+            SyntheticConfig(num_items=90, num_users=50, num_sessions=400, seed=31)
+        )
+        clicks = corpus.sessions.clicks
+        # A catalog of the items clicked in the first ten states, so the
+        # first unknown click lies past the first block of seven.
+        known = set(chain.from_iterable(clicks[:10]))
+        first_bad_state = next(i for i, c in enumerate(clicks) if not c <= known)
+        first_bad = next(i for i in chain.from_iterable(clicks) if i not in known)
+        assert first_bad_state >= 10
+        assert len(set(chain.from_iterable(clicks)) - known) > 1
+        keep = np.isin(corpus.catalog.ids, sorted(known))
+        catalog = ItemCatalog(*(getattr(corpus.catalog, name)[keep]
+                                for name in ("ids", "features", "prices", "locations")))
+        monkeypatch.setattr(features, "_BLOCK", block)
+        with pytest.raises(DataError, match=f"^clicked item {first_bad} not in catalog$"):
+            build_raw_features(corpus.sessions, catalog)
 
 
 class TestFitSparsePca:
@@ -264,6 +298,33 @@ class TestFitSparsePca:
         assert np.abs(weighted.column_means - reference.column_means).max() <= 1e-12
         assert np.abs(weighted.column_scales - reference.column_scales).max() <= 1e-12
 
+    @pytest.mark.parametrize(
+        "data, k, l1",
+        [("planted", 4, 0.0), ("planted", 4, 0.25), ("readme", 16, 0.0), ("readme", 16, 0.1)],
+    )
+    def test_blocked_covariance_matches_one_shot_oracle(self, monkeypatch, data, k, l1):
+        if data == "planted":
+            X, _ = planted_sparse_data()
+            rows = len(X)
+        else:
+            fm = readme_shaped_features()
+            rows = len(fm.rows)
+            X = FeatureMatrix(fm.values[fm.rows], np.ones(rows, dtype=np.int64), np.arange(rows))
+        # 97-row blocks: several full ones and a partial last one, and the
+        # fit runs on the covariance.
+        monkeypatch.setattr(features, "_BLOCK", 97)
+        assert rows >= 391 and rows > 2 * 97 and rows % 97
+        blocked = fit_sparse_pca(X, k=k, l1_penalty=l1, seed=3)
+        monkeypatch.setattr(features, "_covariance", one_shot_covariance)
+        reference = fit_sparse_pca(X, k=k, l1_penalty=l1, seed=3)
+        assert ((blocked.loadings == 0.0) == (reference.loadings == 0.0)).all()
+        assert (blocked.degenerate, blocked.n_iter, blocked.converged) == (
+            reference.degenerate, reference.n_iter, reference.converged
+        )
+        assert np.abs(blocked.loadings - reference.loadings).max() <= 1e-12
+        assert (np.abs(blocked.explained_variance - reference.explained_variance).max()
+                <= 1e-12 * reference.explained_variance.max())
+
     def test_row_form_never_holds_a_covariance(self):
         # With fewer distinct states than columns no p x p matrix is built:
         # the fit's heap peak stays below one.
@@ -374,6 +435,16 @@ class TestTransform:
         separate = 0.5 * transform(A, comps) + 2.0 * transform(B, comps)
         assert np.abs(combined - separate).max() < 1e-9
 
+    def test_matches_whole_matrix_oracle(self):
+        fm = readme_shaped_features()
+        comps = fit_sparse_pca(fm, k=16, l1_penalty=0.1, seed=0)
+        X = np.random.default_rng(7).normal(size=(40, 12))
+        plain = fit_sparse_pca(X, k=4, l1_penalty=0.1, seed=0)
+        for data, c in [(fm, comps), (fm.values[fm.rows], comps), (fm.values[5], comps),
+                        (X, plain), (X[17], plain)]:
+            expected = whole_matrix_transform(data, c)
+            assert transform(data, c).tobytes() == expected.tobytes()
+
     def test_dimension_mismatch(self):
         X = np.random.default_rng(1).normal(size=(10, 5))
         comps = fit_sparse_pca(X, k=2, seed=0)
@@ -384,6 +455,30 @@ class TestTransform:
         X = np.random.default_rng(11).normal(size=(20, 5))
         comps = fit_sparse_pca(X, k=2, seed=0)
         assert (transform(X, comps) == transform(X, comps)).all()
+
+
+class TestWorkingMemory:
+    """The raw matrix is the only u x p array: each stage's other working
+    arrays are bounded by a block, by p^2 or by the k x p loadings."""
+
+    def test_build_adds_at_most_half_the_raw_matrix(self, wide_states):
+        corpus, _ = wide_states
+        fm, added = heap_added(lambda: build_raw_features(corpus.sessions, corpus.catalog))
+        assert len(fm.values) >= 3000
+        assert added <= fm.values.nbytes / 2
+
+    def test_covariance_fit_adds_at_most_a_quarter_and_three_covariances(self, wide_states):
+        _, fm = wide_states
+        p = fm.n_cols
+        assert len(fm.values) >= p  # the covariance form
+        _, added = heap_added(lambda: fit_sparse_pca(fm, k=16, l1_penalty=0.1, seed=0))
+        assert added <= fm.values.nbytes / 4 + 3 * p * p * 8
+
+    def test_transform_adds_at_most_a_quarter_of_the_raw_matrix(self, wide_states):
+        _, fm = wide_states
+        comps = fit_sparse_pca(fm, k=16, l1_penalty=0.1, seed=0)
+        _, added = heap_added(lambda: transform(fm, comps))
+        assert added <= fm.values.nbytes / 4
 
 
 class TestSerialization:

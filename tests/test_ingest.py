@@ -1112,6 +1112,25 @@ class TestGenerator:
             assert 1 <= price <= 100
 
     @pytest.mark.parametrize(
+        "price_max, valid",
+        [
+            (2**63 - 1, True),  # the exclusive bound 2**63 is the highest rng.integers takes
+            (2**63, False),
+            (float(2**63 - 1024), True),  # the largest float below 2**63
+            (float(2**63), False),
+        ],
+    )
+    def test_price_range_at_the_int64_edge(self, price_max, valid):
+        config = SyntheticConfig(num_items=9, num_users=5, num_sessions=5, seed=0,
+                                 price_range=(price_max - 4096, price_max))
+        if valid:
+            prices = generate_synthetic(config).catalog.prices
+            assert (prices >= price_max - 4096).all() and (prices <= price_max).all()
+        else:
+            with pytest.raises(DataError, match="2\\*\\*63"):
+                generate_synthetic(config)
+
+    @pytest.mark.parametrize(
         "kwargs",
         [
             {"num_items": 0},
