@@ -65,14 +65,25 @@ def _weights(text: str) -> tuple[float, float, float]:
         raise argparse.ArgumentTypeError(f"bad weights {text!r}") from None
 
 
-def _seed(text: str) -> int:
+def _int(text: str) -> int:
     try:
-        seed = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _seed(text: str) -> int:
+    seed = _int(text)
     if seed < 0:
         raise argparse.ArgumentTypeError(f"seed {seed} is negative")
     return seed
+
+
+def _threads(text: str) -> int:
+    threads = _int(text)
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"threads must be >= 1, got {threads}")
+    return threads
 
 
 def _read_text(path: str) -> str:
@@ -111,7 +122,9 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--min-visits", type=int, default=3, help="policy eligibility threshold")
     p.add_argument("--min-support", type=int, default=500, help="min transitions per cluster")
     p.add_argument("--train-frac", type=float, default=0.8)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_threads, default=1,
+                   help="training workers, capped at the usable cores; a stream too "
+                        "small for a pool to win trains in process")
     p.add_argument("--deterministic", action="store_true")
     p.add_argument("--seed", type=_seed, default=0)
 

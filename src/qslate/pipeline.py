@@ -101,6 +101,8 @@ class FitStats:
     cluster_sizes: list[int]
     n_transitions: int
     table_cells: int
+    workers_requested: int
+    workers_used: int
 
     def to_dict(self) -> dict:
         return {
@@ -110,6 +112,8 @@ class FitStats:
             "cluster_sizes": self.cluster_sizes,
             "n_transitions": self.n_transitions,
             "table_cells": self.table_cells,
+            "workers_requested": self.workers_requested,
+            "workers_used": self.workers_used,
         }
 
 
@@ -182,7 +186,8 @@ def fit_on_reduced(
     ``make_transitions`` returns the sessions' transition table when that
     stage runs.  The ``merge`` stage counts each cluster's transitions and folds
     clusters below ``min_cluster_support`` into their neighbors.  Stage
-    timings are appended to ``timings``.
+    timings are appended to ``timings``.  The stats report the training
+    workers asked for (``threads``) and used (:meth:`TrainConfig.workers`).
     """
     seed_cluster = _stage_seeds(params.seed)[1]
     cluster_model = timed(
@@ -220,6 +225,8 @@ def fit_on_reduced(
         cluster_sizes=[int(v) for v in sizes],
         n_transitions=len(transitions),
         table_cells=bank.n_cells(),
+        workers_requested=params.threads,
+        workers_used=cfg.workers(assignments[transitions.session_ref], transitions.terminal),
     )
     return PipelineModel(
         components=components,

@@ -25,8 +25,11 @@ of a transition table as one stream and the bank's columns as the held
 cells; the fold returns the trained cells as columns, which the bank then
 holds.  The fold runs:
 
-* in process (used when ``deterministic``, when the threads or the stream's
-  clusters number one, or where ``fork`` is unavailable);
+* in process (used when ``deterministic``, where ``fork`` is unavailable,
+  when the threads, the stream's clusters or the usable cores number one,
+  or when the stream is too small for a pool to beat the fold: its
+  non-terminal transitions times the epochs, each an update that reads
+  the next step's table, fall below ``_POOL_MIN_READS``);
 * across workers: this process and a pool of processes forked from it.
   The stream and the held cells sit in a module global that the forked
   workers inherit, so no part of them is pickled.  The clusters are dealt,
@@ -48,6 +51,7 @@ from __future__ import annotations
 import gc
 import math
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -71,6 +75,21 @@ Slate = tuple[int, int, int]
 # Table (cluster, step) has id cluster * _WIDTH + step, so the table that a
 # non-terminal transition reads is its own table's id + 1.
 _WIDTH = STEPS[-1] + 1
+
+_CAN_FORK = "fork" in multiprocessing.get_all_start_methods()
+
+# Below this many next-step reads (non-terminal transitions times epochs)
+# the fold runs in process: a 2-worker pool on 2 cores broke even near it
+# for shallow and deep streams alike at 8 to 16 epochs.  The sweep is
+# recorded in CHANGES.md.
+_POOL_MIN_READS = 250_000
+
+
+def _usable_cores() -> int:
+    """The cores that this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def make_slate(
@@ -111,6 +130,18 @@ class TrainConfig:
             raise DataError("threads must be >= 1")
         if self.backend != "process":
             raise DataError(f"unknown backend {self.backend!r}")
+
+    def workers(self, clusters: np.ndarray, terminal: np.ndarray) -> int:
+        """The workers that train a stream whose transitions have these
+        cluster ids and terminal flags: ``threads``, capped at the clusters
+        that the stream reaches and at the usable cores, or 1 (in process)
+        when ``deterministic``, where ``fork`` is unavailable, or when the
+        stream's next-step reads (its non-terminal transitions times
+        ``epochs``) fall below the pool's break-even."""
+        if (self.deterministic or not _CAN_FORK
+                or np.count_nonzero(~terminal) * self.epochs < _POOL_MIN_READS):
+            return 1
+        return int(min(self.threads, np.count_nonzero(np.bincount(clusters)), _usable_cores()))
 
 
 class QTableBank:
@@ -570,9 +601,6 @@ def _train_processes(held: tuple, stream: _Stream, alpha, gamma, epochs, workers
     return tid[order], slate[order], q[order], visits[order]
 
 
-_CAN_FORK = "fork" in multiprocessing.get_all_start_methods()
-
-
 def train(
     bank: QTableBank,
     transitions: TransitionTable,
@@ -586,19 +614,20 @@ def train(
     session ref to a cluster id; any other dtype raises :class:`TrainError`.
     Both drivers run the step-wise fold of ``_train_serial``, whose tables
     equal those of applying every update in input order.  The clusters are
-    dealt, largest stream volume first, to ``cfg.threads`` workers, but no
-    more than the stream has clusters: this process and forked ones.  The
-    cyclic GC is paused while the pool runs.  With ``deterministic`` set,
-    when that leaves one worker, or where ``fork`` is unavailable, the fold
-    runs in this process.  Clusters never share a cell, so both drivers
-    produce bit-identical tables.
+    dealt, largest stream volume first, to the workers of
+    :meth:`TrainConfig.workers`: ``cfg.threads``, but no more than the
+    stream has clusters or the process has usable cores, this process and
+    forked ones.  The cyclic GC is paused while the pool runs.  With
+    ``deterministic`` set, where ``fork`` is unavailable, when that leaves
+    one worker, or when the stream's next-step reads fall below the pool's
+    break-even, the fold runs in this process.  Clusters never share a
+    cell, so both drivers produce bit-identical tables.
     """
     cfg.validate()
     stream = _prepare_stream(bank, transitions, session_clusters)
     if not len(stream.tid):
         return bank
-    clusters = len(np.unique(stream.tid // _WIDTH))
-    workers = 1 if cfg.deterministic or not _CAN_FORK else min(cfg.threads, clusters)
+    workers = cfg.workers(stream.tid // _WIDTH, stream.terminal)
     held = bank.tid, bank.slate, bank.q, bank.visits
     if workers == 1:
         trained = _train_serial(held, stream, cfg.alpha, cfg.gamma, cfg.epochs)

@@ -1,10 +1,13 @@
+import contextlib
 import gc
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from qslate import qlearning
 from qslate.features import build_raw_features
 from qslate.ingest import ItemCatalog, SessionRecord, SyntheticConfig, generate_synthetic
 
@@ -53,6 +56,24 @@ def make_session(labels, user_id=1, slate=None, clicks=(), timestamp=1_700_000_0
         purchase_labels=tuple(bool(b) for b in labels),
         timestamp=timestamp,
     )
+
+
+@contextlib.contextmanager
+def forced_pool(pool=None):
+    """Train with the forked pool whatever a stream's size, as if 8 cores
+    were usable, through ``pool`` (the real executor by default).
+    Yields the ``max_workers`` of each pool started."""
+    pool = pool or qlearning.ProcessPoolExecutor
+    started = []
+
+    def spy(*args, **kwargs):
+        started.append(kwargs["max_workers"])
+        return pool(*args, **kwargs)
+
+    with mock.patch.object(qlearning, "_POOL_MIN_READS", 0), \
+            mock.patch.object(qlearning, "_usable_cores", lambda: 8), \
+            mock.patch.object(qlearning, "ProcessPoolExecutor", spy):
+        yield started
 
 
 def heap_added(call):

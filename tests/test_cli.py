@@ -1,7 +1,9 @@
+import contextlib
 import json
 
 import pytest
 
+from conftest import forced_pool
 from qslate.cli import main
 from qslate.ingest import parse_items, parse_sessions
 
@@ -109,12 +111,29 @@ class TestTrain:
             assert {"n_iter", "converged", "explained_variance", "nnz"} <= set(c)
         assert summary["n_clusters"] >= 1
         assert summary["wall_seconds"] > 0
+        assert (summary["workers_requested"], summary["workers_used"]) == (1, 1)
         catalog = parse_items((data / "items.txt").read_text())
         for line in (model_dir / "policy.txt").read_text().splitlines():
             fields = line.split()
             assert len(fields) == 10
             items = [int(v) for v in fields[1:]]
             assert [catalog.location(i) for i in items] == [1, 1, 1, 2, 2, 2, 3, 3, 3]
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["below-break-even", "pool"])
+    def test_summary_reports_the_workers_requested_and_used(self, tmp_path, forced):
+        data = generate_corpus(tmp_path)
+        model_dir = tmp_path / "models"
+        with forced_pool() if forced else contextlib.nullcontext([]) as started:
+            assert run(
+                "train", "--items", data / "items.txt", "--sessions", data / "sessions.txt",
+                "--model-dir", model_dir, "--k-features", 6, "--cluster", "kmeans",
+                "--k", 4, "--epochs", 5, "--min-support", 50, "--seed", 1, "--threads", 3,
+            ) == 0
+        summary = json.loads((model_dir / "summary.json").read_text())
+        assert summary["n_clusters"] >= 2
+        used = min(3, summary["n_clusters"]) if forced else 1
+        assert (summary["workers_requested"], summary["workers_used"]) == (3, used)
+        assert started == ([used - 1] if forced else [])
 
     def test_summary_reports_each_table_and_its_policy_layer(self, tmp_path):
         data = generate_corpus(tmp_path)
@@ -181,13 +200,16 @@ class TestTrain:
         data = generate_corpus(tmp_path)
         serial = train_models(tmp_path / "serial", data)
         parallel_dir = tmp_path / "parallel" / "models"
-        code = run(
-            "train", "--items", data / "items.txt", "--sessions", data / "sessions.txt",
-            "--model-dir", parallel_dir, "--k-features", 6, "--l1", 0.1,
-            "--cluster", "kmeans", "--k", 4, "--epochs", 5, "--min-support", 50,
-            "--seed", 1, "--threads", 8,
-        )
+        with forced_pool() as started:
+            code = run(
+                "train", "--items", data / "items.txt", "--sessions", data / "sessions.txt",
+                "--model-dir", parallel_dir, "--k-features", 6, "--l1", 0.1,
+                "--cluster", "kmeans", "--k", 4, "--epochs", 5, "--min-support", 50,
+                "--seed", 1, "--threads", 8,
+            )
         assert code == 0
+        workers = json.loads((parallel_dir / "summary.json").read_text())["workers_used"]
+        assert workers > 1 and started == [workers - 1]
         assert (serial / "policy.txt").read_bytes() == (parallel_dir / "policy.txt").read_bytes()
         serial_tables = json.loads((serial / "qtables.json").read_text())["tables"]
         parallel_tables = json.loads((parallel_dir / "qtables.json").read_text())["tables"]
@@ -602,6 +624,25 @@ class TestUsage:
         err = capsys.readouterr().err
         assert "usage error" in err and message in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, required", [
+        ("train", ["--model-dir", "m"]),
+        ("tune", ["--report-dir", "r"]),
+    ])
+    @pytest.mark.parametrize("threads, message", [("0", "threads must be >= 1, got 0"),
+                                                  ("-2", "threads must be >= 1, got -2"),
+                                                  ("x", "invalid int value: 'x'")])
+    def test_bad_threads_is_usage_error_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                         command, required, threads, message):
+        # The inputs exist and parse, so only the flag can stop the command.
+        data = generate_corpus(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        assert run(command, "--items", data / "items.txt", "--sessions",
+                   data / "sessions.txt", *required, "--threads", threads) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and message in err
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_full_composition_smoke(tmp_path):

@@ -3,13 +3,15 @@ import gc
 import itertools
 import json
 import math
+import multiprocessing
+import os
 import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import catalog_rows, make_catalog
+from conftest import catalog_rows, forced_pool, make_catalog
 from oracles import (
     backward_ordered,
     bank_of,
@@ -384,7 +386,10 @@ class TestTrain:
         expected = dict_tables(bank)
         stream = [(clusters[ref], *row) for ref, *row in table_rows(transitions)]
         single_phase_q_learning(expected, stream, 0.3, 0.9, 4)
-        train(bank, transitions, clusters, TrainConfig(alpha=0.3, gamma=0.9, epochs=4, **flags))
+        with forced_pool() as started:
+            train(bank, transitions, clusters,
+                  TrainConfig(alpha=0.3, gamma=0.9, epochs=4, **flags))
+        assert started == ([] if flags.get("deterministic") else [1])
         assert exact_cells(bank.tables) == exact_cells(expected)
 
 
@@ -488,8 +493,10 @@ class TestParallelTraining:
         train(serial, transitions, clusters,
               TrainConfig(alpha=0.1, gamma=0.9, epochs=4, deterministic=True))
         parallel = QTableBank(4)
-        train(parallel, transitions, clusters,
-              TrainConfig(alpha=0.1, gamma=0.9, epochs=4, threads=4, backend="process"))
+        with forced_pool() as started:
+            train(parallel, transitions, clusters,
+                  TrainConfig(alpha=0.1, gamma=0.9, epochs=4, threads=4, backend="process"))
+        assert started == [3]
         assert exact_cells(serial.tables) == exact_cells(parallel.tables)
 
     @pytest.mark.parametrize("threads", [2, 3])
@@ -509,8 +516,10 @@ class TestParallelTraining:
         train(serial, transitions, clusters,
               TrainConfig(alpha=0.1, gamma=0.9, epochs=3, deterministic=True))
         parallel = QTableBank(5)
-        train(parallel, transitions, clusters,
-              TrainConfig(alpha=0.1, gamma=0.9, epochs=3, threads=threads))
+        with forced_pool() as started:
+            train(parallel, transitions, clusters,
+                  TrainConfig(alpha=0.1, gamma=0.9, epochs=3, threads=threads))
+        assert started == [threads - 1]
         assert exact_cells(serial.tables) == exact_cells(parallel.tables)
 
     def test_process_workers_continue_trained_tables(self):
@@ -527,12 +536,14 @@ class TestParallelTraining:
         train(serial, transitions, clusters,
               TrainConfig(alpha=0.1, gamma=0.9, epochs=2, deterministic=True))
         # 8 workers for 4 clusters: each worker receives one cluster's trained tables.
-        train(parallel, transitions, clusters,
-              TrainConfig(alpha=0.1, gamma=0.9, epochs=2, threads=8, backend="process"))
+        with forced_pool() as started:
+            train(parallel, transitions, clusters,
+                  TrainConfig(alpha=0.1, gamma=0.9, epochs=2, threads=8, backend="process"))
+        assert started == [3]
         assert bank.n_cells() > 0
         assert exact_cells(serial.tables) == exact_cells(parallel.tables)
 
-    def test_single_cluster_trains_in_process(self, monkeypatch):
+    def test_single_cluster_trains_in_process(self):
         corpus = generate_synthetic(
             SyntheticConfig(num_items=18, num_users=40, num_sessions=300, seed=57,
                             base_appeal=0.4)
@@ -546,10 +557,10 @@ class TestParallelTraining:
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started for one cluster")
 
-        monkeypatch.setattr(qlearning, "ProcessPoolExecutor", no_pool)
         parallel = QTableBank(2)
-        train(parallel, transitions, clusters,
-              TrainConfig(alpha=0.1, gamma=0.9, epochs=3, threads=8))
+        with forced_pool(no_pool):
+            train(parallel, transitions, clusters,
+                  TrainConfig(alpha=0.1, gamma=0.9, epochs=3, threads=8))
         assert serial.n_cells() > 0
         assert exact_cells(serial.tables) == exact_cells(parallel.tables)
 
@@ -590,8 +601,11 @@ class TestPool:
         serial, pooled = copy.deepcopy(held), copy.deepcopy(held)
         train(serial, transitions, clusters,
               TrainConfig(alpha=0.3, gamma=0.9, epochs=epochs, deterministic=True))
-        train(pooled, transitions, clusters,
-              TrainConfig(alpha=0.3, gamma=0.9, epochs=epochs, threads=workers))
+        with forced_pool() as started:
+            train(pooled, transitions, clusters,
+                  TrainConfig(alpha=0.3, gamma=0.9, epochs=epochs, threads=workers))
+        used = min(workers, len(set(clusters)))
+        assert started == ([used - 1] if used > 1 else [])
         assert same_columns(serial, pooled)
 
     def test_pool_pickles_no_stream(self, monkeypatch):
@@ -604,7 +618,9 @@ class TestPool:
 
         monkeypatch.setattr(qlearning._Stream, "__reduce__", refuse)
         pooled = QTableBank(3)
-        train(pooled, transitions, clusters, TrainConfig(epochs=3, threads=3))
+        with forced_pool() as started:
+            train(pooled, transitions, clusters, TrainConfig(epochs=3, threads=3))
+        assert started == [2]
         assert serial.n_cells() > 0 and same_columns(serial, pooled)
 
     def test_without_fork_trains_in_process(self, monkeypatch):
@@ -616,15 +632,24 @@ class TestPool:
             raise AssertionError("a process pool was started without fork")
 
         monkeypatch.setattr(qlearning, "_CAN_FORK", False)
-        monkeypatch.setattr(qlearning, "ProcessPoolExecutor", no_pool)
         unforked = QTableBank(3)
-        train(unforked, transitions, clusters, TrainConfig(epochs=2, threads=3))
+        with forced_pool(no_pool):
+            train(unforked, transitions, clusters, TrainConfig(epochs=2, threads=3))
         assert serial.n_cells() > 0 and same_columns(serial, unforked)
 
     def test_pool_leaves_no_inherited_state(self):
         _, transitions, clusters, _ = toy_mdp(n_clusters=2)
-        train(QTableBank(2), transitions, clusters, TrainConfig(epochs=1, threads=2))
+        with forced_pool() as started:
+            train(QTableBank(2), transitions, clusters, TrainConfig(epochs=1, threads=2))
+        assert started == [1]
         assert qlearning._FORKED is None
+
+    def test_pool_leaves_no_child_process(self):
+        _, transitions, clusters, _ = toy_mdp(n_clusters=3)
+        with forced_pool() as started:
+            train(QTableBank(3), transitions, clusters, TrainConfig(epochs=1, threads=3))
+        assert started == [2]
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("volumes, workers, jobs", [
         ([5, 0, 9, 1, 9, 3], 2, [[2, 0], [4, 5, 3]]),
@@ -634,6 +659,77 @@ class TestPool:
     def test_deal_gives_the_largest_cluster_to_the_least_loaded_worker(
             self, volumes, workers, jobs):
         assert qlearning._deal(np.array(volumes), workers) == jobs
+
+
+def refuse_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
+def usable_cores(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+class TestPoolSelection:
+    """A stream trains on the pool only where the pool can win: with more
+    than one worker after the caps, and at or above the break-even."""
+
+    def test_small_stream_folds_in_process(self, monkeypatch):
+        _, transitions, clusters, _ = toy_mdp(n_clusters=3)
+        assert np.count_nonzero(~transitions.terminal) * 2 < qlearning._POOL_MIN_READS
+        serial = QTableBank(3)
+        train(serial, transitions, clusters, TrainConfig(epochs=2, deterministic=True))
+        usable_cores(monkeypatch, 2)
+        monkeypatch.setattr(qlearning, "ProcessPoolExecutor", refuse_pool)
+        small = QTableBank(3)
+        train(small, transitions, clusters, TrainConfig(epochs=2, threads=2))
+        assert serial.n_cells() > 0 and same_columns(serial, small)
+
+    def test_one_usable_core_folds_in_process(self, monkeypatch):
+        _, transitions, clusters, _ = toy_mdp(n_clusters=3)
+        serial = QTableBank(3)
+        train(serial, transitions, clusters, TrainConfig(epochs=2, deterministic=True))
+        monkeypatch.setattr(qlearning, "_POOL_MIN_READS", 0)
+        usable_cores(monkeypatch, 1)
+        monkeypatch.setattr(qlearning, "ProcessPoolExecutor", refuse_pool)
+        capped = QTableBank(3)
+        train(capped, transitions, clusters, TrainConfig(epochs=2, threads=8))
+        assert serial.n_cells() > 0 and same_columns(serial, capped)
+
+    def test_workers_capped_at_the_usable_cores(self, monkeypatch):
+        _, transitions, clusters, _ = toy_mdp(n_clusters=4)
+        serial = QTableBank(4)
+        train(serial, transitions, clusters, TrainConfig(epochs=2, deterministic=True))
+        monkeypatch.setattr(qlearning, "_POOL_MIN_READS", 0)
+        usable_cores(monkeypatch, 2)
+        dealt = []
+        monkeypatch.setattr(qlearning, "_deal", lambda volumes, workers, _deal=qlearning._deal:
+                            dealt.append(workers) or _deal(volumes, workers))
+        pooled = QTableBank(4)
+        train(pooled, transitions, clusters, TrainConfig(epochs=2, threads=8))
+        assert dealt == [2]
+        assert same_columns(serial, pooled)
+
+    @pytest.mark.parametrize("flags, clusters, below, workers", [
+        ({"threads": 8}, 5, False, 2),
+        ({"threads": 8}, 1, False, 1),
+        ({"threads": 2}, 5, True, 1),
+        ({"threads": 8, "deterministic": True}, 5, False, 1),
+        ({"threads": 1}, 5, False, 1),
+    ])
+    def test_workers_on_two_cores(self, monkeypatch, flags, clusters, below, workers):
+        usable_cores(monkeypatch, 2)
+        # Two epochs over non-terminal transitions that read exactly the
+        # break-even, or one transition fewer.
+        n = qlearning._POOL_MIN_READS // 2 - below
+        cfg = TrainConfig(epochs=2, **flags)
+        assert cfg.workers(np.arange(n) % clusters, np.zeros(n, np.bool_)) == workers
+
+    def test_usable_cores_fall_back_to_the_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert qlearning._usable_cores() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert qlearning._usable_cores() == 1
 
 
 class TestTrainInput:
@@ -673,11 +769,13 @@ class TestPoolPausesGc:
         _, transitions, clusters, _ = toy_mdp(n_clusters=2)
         (gc.enable if enabled else gc.disable)()
         bank = QTableBank(2)
-        train(bank, transitions, clusters, TrainConfig(epochs=1, threads=2))
+        with forced_pool() as started:
+            train(bank, transitions, clusters, TrainConfig(epochs=1, threads=2))
+        assert started == [1]
         assert bank.n_cells() > 0
         assert gc.isenabled() is enabled
 
-    def test_gc_restored_when_the_pool_raises(self, restore_gc, monkeypatch):
+    def test_gc_restored_when_the_pool_raises(self, restore_gc):
         _, transitions, clusters, _ = toy_mdp(n_clusters=2)
         paused = []
 
@@ -685,10 +783,11 @@ class TestPoolPausesGc:
             paused.append(not gc.isenabled())
             raise RuntimeError("pool failed to start")
 
-        monkeypatch.setattr(qlearning, "ProcessPoolExecutor", failing_pool)
         gc.enable()
-        with pytest.raises(RuntimeError, match="pool failed to start"):
+        with forced_pool(failing_pool) as started, \
+                pytest.raises(RuntimeError, match="pool failed to start"):
             train(QTableBank(2), transitions, clusters, TrainConfig(epochs=1, threads=2))
+        assert started == [1]
         assert paused == [True]
         assert gc.isenabled()
 
