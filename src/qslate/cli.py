@@ -37,7 +37,7 @@ from .pipeline import (
     save_models,
     timed,
 )
-from .qlearning import export_policies
+from .qlearning import POLICY_LAYERS, export_policies
 
 MANIFEST_FILE = "manifest.json"
 MANIFEST_FORMAT = "qslate-manifest"
@@ -219,10 +219,7 @@ def cmd_train(args) -> int:
 
     policies, layers = export_policies(model.bank, catalog, params.min_visits,
                                        return_layers=True)
-    policy_lines = [
-        f"{cid} " + " ".join(str(i) for i in items) for cid, items in sorted(policies.items())
-    ]
-    (model_dir / "policy.txt").write_text("\n".join(policy_lines) + "\n")
+    (model_dir / "policy.txt").write_text(_rows_text(range(len(policies)), policies))
 
     stats.timings[:0] = timings
     summary = {
@@ -234,7 +231,7 @@ def cmd_train(args) -> int:
         **stats.to_dict(),
         "pca": model.components.report(),
         "qtables": [
-            {**table, "layer": layers[table["cluster"]][table["step"] - 1]}
+            {**table, "layer": POLICY_LAYERS[layers[table["cluster"], table["step"] - 1]]}
             for table in model.bank.report(params.epochs)
         ],
     }
@@ -243,7 +240,7 @@ def cmd_train(args) -> int:
     for name, secs in stats.timings:
         print(f"stage {name:<16} {secs:8.3f} s")
     for step, layer in zip(STEPS, layers[0]):
-        if layer == "zero":
+        if POLICY_LAYERS[layer] == "zero":
             print(f"warning: no training session reached step {step}; every policy takes "
                   f"the 3 smallest item ids at location {step}", file=sys.stderr)
     components = model.components
@@ -316,7 +313,7 @@ def cmd_evaluate(args) -> int:
 
     cfg = MetricConfig(step_weights=args.weights)
     learned = score(recommend_for_sessions(model, validation, catalog), validation, catalog, cfg)
-    logged = score(validation.slate.tolist(), validation, catalog, cfg)
+    logged = score(validation.slate, validation, catalog, cfg)
 
     report_dir = Path(args.report_dir)
     report_dir.mkdir(parents=True, exist_ok=True)
@@ -420,17 +417,20 @@ def _write_grid_csv(path: Path, result: TuneResult, grid_keys: list[str]) -> Non
             writer.writerow(row)
 
 
+def _rows_text(ids, rows) -> str:
+    """One line per row of the 2-D array ``rows``: its id, then its items."""
+    return "".join(f"{i} {' '.join(map(str, row))}\n" for i, row in zip(ids, rows.tolist()))
+
+
 def cmd_recommend(args) -> int:
     model, _, catalog = _load_model(Path(args.model_dir), args.items)
     users = parse_users(_read_text(args.users), catalog)
     if not len(users):
         raise DataError(f"{args.users}: no users to recommend for")
-    recs = recommend_for_sessions(model, users, catalog)
-    lines = [f"{u} " + " ".join(map(str, rec)) for u, rec in zip(users.user_id.tolist(), recs)]
-    output = "\n".join(lines) + "\n"
+    output = _rows_text(users.user_id.tolist(), recommend_for_sessions(model, users, catalog))
     if args.out:
         Path(args.out).write_text(output)
-        print(f"wrote {len(lines)} recommendations to {args.out}")
+        print(f"wrote {len(users)} recommendations to {args.out}")
     else:
         sys.stdout.write(output)
     return 0

@@ -60,7 +60,7 @@ _BLOCK = 256
 class FeatureMatrix:
     """Raw states, one row per distinct state.
 
-    ``values`` is ``u x p``: ``n_portraits`` portrait columns, then one
+    ``values`` is ``u x p``: ``N_PORTRAITS`` portrait columns, then one
     click column per catalog item in the order of the catalog's ``ids``.
     ``weights[j]`` counts the records whose state is row ``j``, and
     ``rows[i]`` is the row of record ``i``, so ``values[rows]`` is the
@@ -70,7 +70,6 @@ class FeatureMatrix:
     values: np.ndarray
     weights: np.ndarray
     rows: np.ndarray
-    n_portraits: int = N_PORTRAITS
 
     @property
     def n_cols(self) -> int:
@@ -271,7 +270,7 @@ def fit_sparse_pca(
         weights = X.weights
         if zscore_mask is None:
             zscore_mask = np.zeros(values.shape[1], dtype=bool)
-            zscore_mask[: X.n_portraits] = True
+            zscore_mask[:N_PORTRAITS] = True
     else:
         values = np.asarray(X, dtype=np.float64)
         weights = np.ones(len(values))

@@ -8,12 +8,12 @@ items contribute their price.  Per-step revenue totals are combined as
     score = (1/N) * sum_st weight[st] * value[st]
 
 with weights rising by step, because later steps mean the player kept
-buying.
+buying.  Recommendations are n×9 int64 arrays, as ``recommend_for_sessions``
+returns them: row ``i`` holds session ``i``'s 3 items per step, in step order.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 from dataclasses import dataclass
@@ -28,9 +28,9 @@ from .pipeline import (
     PipelineParams,
     fit_components,
     fit_on_reduced,
-    recommend_for_clusters,
     training_features,
 )
+from .qlearning import export_policies
 
 
 @dataclass(frozen=True)
@@ -60,62 +60,49 @@ class ScoreReport:
         }
 
 
-def _step_items(rec, i: int) -> tuple[Sequence[int], tuple[int, int, int]]:
-    """Recommendation ``i``'s items in step order, and how many each step holds."""
-    if rec is None:
-        raise DataError(f"missing recommendation for session {i}")
-    if len(rec) == 3 and all(isinstance(part, (list, tuple)) for part in rec):
-        return [*rec[0], *rec[1], *rec[2]], (len(rec[0]), len(rec[1]), len(rec[2]))
-    if len(rec) != 9:
-        raise DataError(f"a recommendation holds 9 items or 3 per-step lists, got {rec!r}")
-    return rec, (3, 3, 3)
-
-
-def _recommended(recommendations: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    """Every recommended item as listed, with its group ``3 * session +
-    step index`` (0 for step 1)."""
-    listed = [_step_items(rec, i) for i, rec in enumerate(recommendations)]
-    counts = np.fromiter(
-        itertools.chain.from_iterable(n for _, n in listed), np.int64, 3 * len(listed)
-    )
-    items = np.fromiter(
-        itertools.chain.from_iterable(items for items, _ in listed), np.int64, counts.sum()
-    )
-    return np.repeat(np.arange(len(counts)), counts), items
-
-
-def _purchased(sessions: SessionTable, session: np.ndarray, items: np.ndarray) -> np.ndarray:
-    """Whether session ``session[j]`` bought item ``items[j]`` at any slate
-    position, for each ``j``."""
-    return ((sessions.slate[session] == items[:, None]) & sessions.labels[session]).any(axis=1)
+def _recommendations(recommendations, n: int) -> np.ndarray:
+    """``recommendations`` as an n×9 int64 array, or :class:`DataError`."""
+    try:
+        recs = np.asarray(recommendations)
+    except ValueError as exc:  # ragged rows
+        raise DataError(f"recommendations must be an n×9 integer array: {exc}") from None
+    if recs.ndim != 2 or recs.shape[1] != 9 or not np.issubdtype(recs.dtype, np.integer):
+        raise DataError(
+            f"recommendations must be an n×9 integer array, got shape {recs.shape} "
+            f"of {recs.dtype}"
+        )
+    if len(recs) != n:
+        raise DataError(f"{n} sessions but {len(recs)} recommendations")
+    return recs.astype(np.int64, copy=False)
 
 
 def score(
-    recommendations: Sequence,
+    recommendations,
     sessions: SessionTable,
     catalog: ItemCatalog,
     cfg: MetricConfig = MetricConfig(),
 ) -> ScoreReport:
     """Score recommendations against logged purchases.
 
-    ``recommendations[i]`` belongs to ``sessions[i]`` and is either a flat
-    9-item list in step order or three per-step item lists (the latter may
-    have any length, which keeps the metric monotone under adding items).
-    Each step's value sums its credited prices session by session, each
+    ``recommendations`` is an n×9 int64 array, or anything that
+    ``np.asarray`` makes into an n×9 integer array, such as a list of 9-item
+    rows.  Row ``i`` belongs to ``sessions`` row ``i`` and lists 3 items per
+    step, in step order; any other input raises :class:`DataError`.  Each
+    step's value sums its credited prices session by session, each
     session's in ascending item order.
     """
     cfg.validate()
-    if len(sessions) == 0:
+    n = len(sessions)
+    if n == 0:
         raise DataError("cannot score zero sessions")
-    if len(recommendations) != len(sessions):
-        raise DataError(
-            f"{len(sessions)} sessions but {len(recommendations)} recommendations"
-        )
-    group, items = _recommended(recommendations)
+    recs = _recommendations(recommendations, n)
+    # Whether session i bought its recommended item j at any slate position.
+    bought = (sessions.slate[:, None, :] == recs[:, :, None]) & sessions.labels[:, None, :]
+    session, slot = np.nonzero(bought.any(axis=2))
     # The bought items in the order of the sums: session, step, then item.
-    rows = np.flatnonzero(_purchased(sessions, group // 3, items))
-    rows = rows[np.lexsort((items[rows], group[rows]))]
-    group, items = group[rows], items[rows]
+    group, items = 3 * session + slot // 3, recs[session, slot]
+    order = np.lexsort((items, group))
+    group, items = group[order], items[order]
     at, known = catalog.index(items)
     if not known.all():
         raise DataError(f"unknown item_id {items[known.argmin()]}")
@@ -128,7 +115,6 @@ def score(
         float(np.cumsum(np.append(0.0, catalog.prices[at[credited & (step == st)]]))[-1])
         for st in range(3)
     ]
-    n = len(sessions)
     total = sum(w * v for w, v in zip(cfg.step_weights, value)) / n
     return ScoreReport(
         score=total,
@@ -375,10 +361,9 @@ def _score_model_cells(
         _fail(cells, exc)
         return
     for cell in cells:
-        policy_model = dataclasses.replace(model, min_visits=params[cell.index].min_visits)
         try:
-            recs = recommend_for_clusters(policy_model, cluster_ids, catalog)
-            cell.report = score(recs, validation, catalog, cfg)
+            policies = export_policies(model.bank, catalog, params[cell.index].min_visits)
+            cell.report = score(policies[cluster_ids], validation, catalog, cfg)
             cell.n_clusters = stats.n_clusters
         except QslateError as exc:
             cell.error = str(exc)

@@ -238,21 +238,13 @@ def fit_on_reduced(
 
 def recommend_for_sessions(
     model: PipelineModel, sessions: SessionTable | UserTable, catalog: ItemCatalog
-) -> list[list[int]]:
-    """Batch recommendation: one 9-item list per session or user, in input
-    order; only their states are read."""
+) -> np.ndarray:
+    """Batch recommendation: an n×9 int64 array, row ``i`` the policy of
+    session or user ``i``'s cluster; only their states are read."""
     raw = build_raw_features(sessions, catalog)
     reduced = transform(raw, model.components)
     cluster_ids = model.cluster_model.assign_many(reduced)[raw.rows]
-    return recommend_for_clusters(model, cluster_ids, catalog)
-
-
-def recommend_for_clusters(
-    model: PipelineModel, cluster_ids: np.ndarray, catalog: ItemCatalog
-) -> list[list[int]]:
-    """The policy step of ``recommend_for_sessions``: one 9-item list per cluster id."""
-    policies = export_policies(model.bank, catalog, model.min_visits)
-    return [list(policies[int(c)]) for c in cluster_ids]
+    return export_policies(model.bank, catalog, model.min_visits)[cluster_ids]
 
 
 COMPONENTS_FILE = "components.json"

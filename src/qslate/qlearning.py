@@ -672,8 +672,9 @@ def export_policies(
     bank: QTableBank, catalog: ItemCatalog, min_visits: int = 3,
     *, return_layers: bool = False,
 ):
-    """Flattened 9-item recommendation per cluster: its greedy slate at each
-    step, in step order, from one ranking of the bank's cells.
+    """Every cluster's 9-item recommendation, as an ``n_clusters × 9`` int64
+    array: row ``c`` holds cluster ``c``'s greedy slate at each step, in step
+    order, from one ranking of the bank's cells.
 
     Eligibility falls back in layers, :data:`POLICY_LAYERS`, so the policy
     is total: the cluster's own cells with at least ``min_visits`` visits,
@@ -685,17 +686,14 @@ def export_policies(
     :class:`TrainError` for such a step when the location holds fewer than
     3 items, and :class:`DataError` for a slate that does not fit its step's
     location, checking cluster by cluster and step by step.  With
-    ``return_layers``, also each cluster's layer names per step.
+    ``return_layers``, also the ``n_clusters × 3`` array of each cluster's
+    layer per step, as indices into :data:`POLICY_LAYERS`.
     """
     slates, layers = _greedy(bank, catalog, min_visits)
-    flat, names = {}, {}
     for c in range(bank.n_clusters):
         for k, step in enumerate(STEPS):
             if POLICY_LAYERS[layers[c, k]] == "zero" and len(catalog.by_location[step]) < 3:
                 raise TrainError(f"no trained action exists for step {step}")
             make_slate(slates[c, k].tolist(), catalog=catalog, step=step)
-        flat[c] = tuple(slates[c].ravel().tolist())
-        names[c] = tuple(POLICY_LAYERS[i] for i in layers[c].tolist())
-    if return_layers:
-        return flat, names
-    return flat
+    policies = slates.reshape(bank.n_clusters, 3 * len(STEPS))
+    return (policies, layers) if return_layers else policies

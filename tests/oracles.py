@@ -79,8 +79,7 @@ def row_step_values(recommendations, sessions, catalog: ItemCatalog) -> tuple[fl
     price = by_id(catalog, "prices")
     value = [0.0, 0.0, 0.0]
     for rec, sess in zip(recommendations, sessions):
-        grouped = len(rec) == 3 and all(isinstance(part, (list, tuple)) for part in rec)
-        steps = rec if grouped else (rec[0:3], rec[3:6], rec[6:9])
+        steps = (rec[0:3], rec[3:6], rec[6:9])
         purchased = {it for it, lab in zip(sess.exposed_slate, sess.purchase_labels) if lab}
         for st, items in enumerate(steps, 1):
             for it in sorted(set(items)):

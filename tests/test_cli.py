@@ -443,6 +443,40 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "manifest.json" in err and "no items digest" in err
 
+    def test_sessions_missing_their_last_line_rejected(self, tmp_path, capsys):
+        data = generate_corpus(tmp_path)
+        models = train_models(tmp_path, data)
+        sessions = data / "sessions.txt"
+        lines = sessions.read_text().splitlines(keepends=True)
+        sessions.write_text("".join(lines[:-1]))
+        code = run("evaluate", "--items", data / "items.txt", "--sessions", sessions,
+                   "--model-dir", models, "--report-dir", tmp_path / "r")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {sessions}: not the sessions file the model was trained on "
+            "(sha256 differs)\n"
+        )
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "recommend"])
+    def test_items_changed_in_one_price_rejected(self, tmp_path, capsys, command):
+        data = generate_corpus(tmp_path)
+        models = train_models(tmp_path, data)
+        items = data / "items.txt"
+        first, rest = items.read_text().split("\n", 1)
+        item_id, item_features, price, location = first.split()
+        items.write_text(f"{item_id} {item_features} {float(price) + 1} {location}\n{rest}")
+        users = tmp_path / "users.txt"
+        users.write_text("1 - 0,0,0,0,0,0,0,0,0,0\n")
+        inputs = {"evaluate": ["--sessions", data / "sessions.txt", "--report-dir", tmp_path / "r"],
+                  "recommend": ["--users", users, "--out", tmp_path / "r"]}[command]
+        code = run(command, "--items", items, "--model-dir", models, *inputs)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {items}: not the items file the model was trained on (sha256 differs)\n"
+        )
+        assert not (tmp_path / "r").exists()
+
 
 class TestTune:
     def test_singleton_grid(self, tmp_path):

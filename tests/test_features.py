@@ -16,7 +16,13 @@ from qslate.features import (
     fit_sparse_pca,
     transform,
 )
-from qslate.ingest import ItemCatalog, SessionTable, SyntheticConfig, generate_synthetic
+from qslate.ingest import (
+    N_PORTRAITS,
+    ItemCatalog,
+    SessionTable,
+    SyntheticConfig,
+    generate_synthetic,
+)
 
 
 def planted_sparse_data(seed=123, p=391, k=4, nnz=10, n=800, noise=0.05):
@@ -254,7 +260,7 @@ class TestFitSparsePca:
         else:
             fm = readme_shaped_features() if data == "readme" else few_states_features(states=6)
             values = fm.values[fm.rows]
-            mask = np.arange(fm.n_cols) < fm.n_portraits
+            mask = np.arange(fm.n_cols) < N_PORTRAITS
             # Six weighted states in 391 columns run the row form; without a
             # penalty their deflated rows reach rank 5 before the 8th component.
             X = fm if data == "few-states" else values
@@ -343,11 +349,11 @@ class TestFitSparsePca:
         # past the rank are flagged as on the expanded rows.
         values = np.random.default_rng(8).normal(size=(3, 8))
         rows = np.repeat(np.arange(3), 3)
-        fm = FeatureMatrix(values, np.bincount(rows), rows, n_portraits=8)
-        expanded = FeatureMatrix(values[rows], np.ones(9, dtype=np.int64),
-                                 np.arange(9), n_portraits=8)
-        weighted = fit_sparse_pca(fm, k=8, seed=0)
-        reference = fit_sparse_pca(expanded, k=8, seed=0)
+        fm = FeatureMatrix(values, np.bincount(rows), rows)
+        expanded = FeatureMatrix(values[rows], np.ones(9, dtype=np.int64), np.arange(9))
+        every_column = np.ones(8, bool)
+        weighted = fit_sparse_pca(fm, k=8, seed=0, zscore_mask=every_column)
+        reference = fit_sparse_pca(expanded, k=8, seed=0, zscore_mask=every_column)
         assert weighted.degenerate == reference.degenerate == (False,) * 2 + (True,) * 6
         with pytest.raises(FitError, match=r"\[1, 8\]"):
             fit_sparse_pca(fm, k=9)

@@ -1,5 +1,6 @@
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from conftest import catalog_rows, make_catalog, make_session
 from oracles import naive_metric_score, row_step_values
@@ -32,8 +33,8 @@ FRACTIONAL_PRICES = st.one_of(
 
 @st.composite
 def scored_sessions(draw):
-    """Sessions on a catalog of fractional prices, and recommendations for
-    them, flat or per step, that repeat items and name items of other
+    """Sessions on a catalog of fractional prices, and 9-item
+    recommendations for them that repeat items and name items of other
     locations."""
     ids = draw(st.lists(st.integers(-30, 30), min_size=1, max_size=12, unique=True))
     catalog = catalog_rows(
@@ -44,10 +45,7 @@ def scored_sessions(draw):
     for _ in range(draw(st.integers(1, 8))):
         labels = draw(st.lists(st.booleans(), min_size=9, max_size=9))
         sessions.append(make_session(labels, slate=draw(st.lists(item, min_size=9, max_size=9))))
-        if draw(st.booleans()):
-            recs.append(draw(st.lists(item, min_size=9, max_size=9)))
-        else:
-            recs.append(tuple(draw(st.lists(item, max_size=5)) for _ in range(3)))
+        recs.append(draw(st.lists(item, min_size=9, max_size=9)))
     return recs, sessions, catalog
 
 
@@ -62,10 +60,11 @@ class TestScore:
     def test_bought_item_missing_from_catalog_rejected(self, catalog9):
         session = make_session([1] * 9, slate=(1, 2, 3, 4, 5, 6, 7, 8, 99))
         sessions = SessionTable.from_records([session])
-        rec = ((1,), (4,), (99, 7))
+        rec = [1, 1, 1, 4, 4, 4, 99, 7, 7]
         with pytest.raises(DataError, match="unknown item_id 99"):
             score([rec], sessions, catalog9)
-        assert score([((1,), (4,), (7,))], sessions, catalog9).per_step_value == (1.0, 4.0, 7.0)
+        rec = [1, 1, 1, 4, 4, 4, 7, 7, 7]
+        assert score([rec], sessions, catalog9).per_step_value == (1.0, 4.0, 7.0)
 
     def test_direct_substitution_example(self):
         # One session: purchases worth 5 at step 1 and 4 at step 2 among our
@@ -91,7 +90,7 @@ class TestScore:
         session = make_session([1] * 9)
         sessions = SessionTable.from_records([session])
         # item 1 (location 1) claimed at step 2: must contribute nothing there
-        rec = ((2, 3), (1, 4), (7, 8, 9))
+        rec = [2, 3, 3, 1, 4, 4, 7, 8, 9]
         report = score([rec], sessions, catalog9, MetricConfig((1.0, 1.0, 1.0)))
         assert report.per_step_value[1] == 4.0  # item 1 ignored, item 4 counted
 
@@ -104,9 +103,28 @@ class TestScore:
     def test_duplicate_recommended_items_count_once(self, catalog9):
         session = make_session([1] * 9)
         sessions = SessionTable.from_records([session])
-        rec = ((1, 1, 1), (), ())
+        rec = [1] * 9  # and at steps 2 and 3, where its location 1 earns nothing
         report = score([rec], sessions, catalog9, MetricConfig((1.0, 1.0, 1.0)))
-        assert report.per_step_value[0] == 1.0
+        assert report.per_step_value == (1.0, 0.0, 0.0)
+
+    def test_rows_tuples_and_array_score_alike(self):
+        corpus = generate_synthetic(
+            SyntheticConfig(num_items=30, num_users=120, num_sessions=1000, seed=63,
+                            preference_scale=2.0, base_appeal=0.4)
+        )
+        # A policy per planted group, as the train-stream benchmark scores it.
+        policies = corpus.sessions.slate[:4]
+        groups = [corpus.truth.user_groups[s.user_id] for s in corpus.sessions]
+        array = policies[groups]
+        assert array.shape == (1000, 9) and array.dtype == np.int64
+        reports = [
+            score(recs, corpus.sessions, corpus.catalog)
+            for recs in ([tuple(row) for row in array.tolist()],
+                         [policies[g] for g in groups],
+                         array)
+        ]
+        assert reports[0].score > 0
+        assert reports[0] == reports[1] == reports[2]
 
     def test_matches_naive_oracle_exactly_on_synthetic_corpus(self):
         corpus = generate_synthetic(
@@ -141,16 +159,25 @@ class TestScore:
         sessions = SessionTable.from_records([session])
         with pytest.raises(DataError, match="zero sessions"):
             score([], SessionTable.from_records([]), catalog9)
-        with pytest.raises(DataError, match="recommendations"):
-            score([], sessions, catalog9)
-        with pytest.raises(DataError, match="missing recommendation"):
-            score([None], sessions, catalog9)
-        with pytest.raises(DataError, match="9 items"):
-            score([[1, 2, 3]], sessions, catalog9)
         with pytest.raises(DataError):
             score([session.exposed_slate], sessions, catalog9, MetricConfig((1.0, 1.0)))
         with pytest.raises(DataError):
             score([session.exposed_slate], sessions, catalog9, MetricConfig((0.0, 0.0, 0.0)))
+
+    @pytest.mark.parametrize("recs, message", [
+        (None, r"n×9 integer array, got shape \(\) of object"),
+        ([None], r"n×9 integer array, got shape \(1,\) of object"),
+        ([list(range(1, 9))], r"n×9 integer array, got shape \(1, 8\) of int64"),
+        ([list(range(1, 10)), list(range(1, 9))], "n×9 integer array: setting an array"),
+        (np.arange(1.0, 10.0).reshape(1, 9), r"n×9 integer array, got shape \(1, 9\) of float64"),
+        ([[True] * 9], r"n×9 integer array, got shape \(1, 9\) of bool"),
+        (np.empty((0, 9), np.int64), "1 sessions but 0 recommendations"),
+        ([list(range(1, 10))] * 2, "1 sessions but 2 recommendations"),
+    ])
+    def test_anything_but_one_nine_item_row_per_session_rejected(self, catalog9, recs, message):
+        sessions = SessionTable.from_records([make_session([1] * 9)])
+        with pytest.raises(DataError, match=message):
+            score(recs, sessions, catalog9)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -1.0])
     def test_non_finite_or_negative_weight_rejected(self, catalog9, bad):
@@ -172,21 +199,22 @@ class TestScore:
 
     @given(
         labels=st.tuples(*[st.booleans()] * 9),
-        extra=st.integers(min_value=1, max_value=9),
+        rec=st.lists(st.integers(1, 9), min_size=9, max_size=9),
+        slot=st.integers(0, 8),
+        pick=st.integers(0, 2),
     )
-    def test_adding_purchased_valid_item_never_decreases(self, labels, extra):
+    def test_swapping_in_a_bought_valid_item_never_decreases(self, labels, rec, slot, pick):
+        # The session's slate is items 1-9, so it bought item i when labels[i - 1].
         catalog = make_catalog()
-        session = make_session(labels)
-        sessions = SessionTable.from_records([session])
-        base_rec = ((1, 2), (4, 6), (8,))
-        loc = catalog.location(extra)
-        enlarged = tuple(
-            tuple(part) + ((extra,) if loc == st_i else ())
-            for st_i, part in enumerate(base_rec, 1)
-        )
+        sessions = SessionTable.from_records([make_session(labels)])
+        step = slot // 3 + 1
+        bought = [i for i in range(1, 10) if labels[i - 1] and catalog.location(i) == step]
+        assume(bought and not labels[rec[slot] - 1])
+        swapped = list(rec)
+        swapped[slot] = bought[pick % len(bought)]
         cfg = MetricConfig((1.0, 2.0, 3.0))
-        before = score([base_rec], sessions, catalog, cfg).score
-        after = score([enlarged], sessions, catalog, cfg).score
+        before = score([rec], sessions, catalog, cfg).score
+        after = score([swapped], sessions, catalog, cfg).score
         assert after >= before
 
 

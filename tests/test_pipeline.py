@@ -13,10 +13,10 @@ from qslate.pipeline import (
     PipelineParams,
     fit_pipeline,
     load_models,
-    recommend_for_clusters,
     recommend_for_sessions,
     save_models,
 )
+from qslate.qlearning import export_policies
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +76,7 @@ def test_merge_stage_counts_transitions(corpus):
 def test_recommendations_align_with_sessions(corpus):
     model, _ = fit(corpus)
     recs = recommend_for_sessions(model, corpus.sessions[:25], corpus.catalog)
-    assert len(recs) == 25
+    assert recs.shape == (25, 9) and recs.dtype == np.int64
     for rec in recs:
         assert [corpus.catalog.location(i) for i in rec] == [1, 1, 1, 2, 2, 2, 3, 3, 3]
 
@@ -89,13 +89,13 @@ def test_recommendations_equal_per_session_pipeline(corpus, cluster):
     model, stats = fit(corpus, cluster=cluster, min_cluster_support=1)
     sessions = corpus.sessions[:400]
     assert sum(stats.cluster_sizes) == len(corpus.sessions)
+    policies = export_policies(model.bank, corpus.catalog, model.min_visits)
     expected = []
     for s in sessions:
         raw = build_raw_features(SessionTable.from_records([s]), corpus.catalog)
         z = transform(raw, model.components)
-        expected.append(recommend_for_clusters(model, model.cluster_model.assign_many(z),
-                                               corpus.catalog)[0])
-    assert recommend_for_sessions(model, sessions, corpus.catalog) == expected
+        expected.append(policies[model.cluster_model.assign_many(z)[0]])
+    assert np.array_equal(recommend_for_sessions(model, sessions, corpus.catalog), expected)
 
 
 def test_dbscan_variant_fits(corpus):
@@ -118,7 +118,7 @@ def test_save_load_round_trip(tmp_path, corpus):
     assert stamp == "deadbeef"
     before = recommend_for_sessions(model, corpus.sessions[:10], corpus.catalog)
     after = recommend_for_sessions(loaded, corpus.sessions[:10], corpus.catalog)
-    assert before == after
+    assert np.array_equal(before, after)
 
 
 def test_load_models_rejects_mixed_stamps(tmp_path, corpus):

@@ -38,6 +38,7 @@ from qslate.ingest import (
 )
 from qslate.pipeline import PipelineParams, fit_pipeline, recommend_for_sessions
 from qslate.qlearning import (
+    POLICY_LAYERS,
     QTableBank,
     TrainConfig,
     export_policies,
@@ -802,9 +803,14 @@ def catalog_at(*locations) -> ItemCatalog:
 
 
 def policy_slates(bank, cluster_id, catalog, min_visits):
-    """One cluster's ``export_policies`` recommendation as its three step slates."""
-    flat = export_policies(bank, catalog, min_visits)[cluster_id]
-    return [flat[0:3], flat[3:6], flat[6:9]]
+    """One cluster's ``export_policies`` row as its three step slates."""
+    row = export_policies(bank, catalog, min_visits)[cluster_id].tolist()
+    return [tuple(row[0:3]), tuple(row[3:6]), tuple(row[6:9])]
+
+
+def layer_names(layers):
+    """``export_policies``' layer indices as a tuple of names per cluster."""
+    return [tuple(POLICY_LAYERS[i] for i in row) for row in layers.tolist()]
 
 
 class TestPolicies:
@@ -850,9 +856,9 @@ class TestPolicies:
         catalog = make_catalog()
         bank = bank_of(2, [(0, 1, (1, 2, 3), -1.0, 5), (1, 2, (5, 6, 4), 2.0, 5)])
         assert policy_slates(bank, 0, catalog, min_visits=3) == [(1, 2, 3), (5, 6, 4), (7, 8, 9)]
-        assert export_policies(bank, catalog, 3) == {
-            0: (1, 2, 3, 5, 6, 4, 7, 8, 9), 1: (1, 2, 3, 5, 6, 4, 7, 8, 9)
-        }
+        assert export_policies(bank, catalog, 3).tolist() == [
+            [1, 2, 3, 5, 6, 4, 7, 8, 9], [1, 2, 3, 5, 6, 4, 7, 8, 9]
+        ]
 
     def test_untrained_step_at_a_location_of_two_items_is_an_error(self):
         catalog = catalog_at((1, 2, 3), (4, 5, 6), (7, 8))
@@ -924,16 +930,18 @@ class TestGreedyAgainstDictOracle:
         for c, (slates, _) in enumerate(expected):
             assert policy_slates(bank, c, catalog, min_visits) == slates
         policies, layers = export_policies(bank, catalog, min_visits, return_layers=True)
-        assert policies == {c: tuple(i for slate in slates for i in slate)
-                            for c, (slates, _) in enumerate(expected)}
-        assert layers == {c: layers for c, (_, layers) in enumerate(expected)}
-        assert export_policies(bank, catalog, min_visits) == policies
+        assert policies.dtype == layers.dtype == np.int64
+        assert policies.shape == (bank.n_clusters, 9) and layers.shape == (bank.n_clusters, 3)
+        assert policies.tolist() == [[i for slate in slates for i in slate]
+                                     for slates, _ in expected]
+        assert layer_names(layers) == [layers for _, layers in expected]
+        assert np.array_equal(export_policies(bank, catalog, min_visits), policies)
 
     def test_example_reaches_every_layer(self):
         bank = bank_of(2, [(0, 1, (1, 2, 3), 1.0, 5), (1, 1, (1, 2, 4), 1.0, 1),
                            (0, 2, (6, 7, 8), 0.0, 1), (1, 2, (6, 7, 9), -0.0, 2)])
         _, layers = export_policies(bank, wide_catalog(), 3, return_layers=True)
-        assert layers == {0: ("own", "any", "zero"), 1: ("union", "any", "zero")}
+        assert layer_names(layers) == [("own", "any", "zero"), ("union", "any", "zero")]
 
 
 class TestReport:
