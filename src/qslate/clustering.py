@@ -111,7 +111,11 @@ def _join(parent: np.ndarray, start: int, adjacent: np.ndarray) -> None:
 
 @dataclass
 class KMeansModel:
-    """Fitted k-means: centroids plus an optional small-cluster merge map."""
+    """Fitted k-means: centroids plus an optional small-cluster merge map.
+
+    Construction raises :class:`DataError` unless the merge map holds one
+    cluster id per centroid.
+    """
 
     centroids: np.ndarray
     merge_map: tuple[int, ...] = field(default=())
@@ -121,6 +125,9 @@ class KMeansModel:
     def __post_init__(self) -> None:
         if not self.merge_map:
             self.merge_map = tuple(range(len(self.centroids)))
+        if len(self.merge_map) != len(self.centroids):
+            raise DataError(f"merge_map lists {len(self.merge_map)} cluster ids "
+                            f"for {len(self.centroids)} centroids")
 
     @property
     def n_clusters(self) -> int:
@@ -145,7 +152,11 @@ class KMeansModel:
 
 @dataclass
 class DbscanModel:
-    """Fitted DBSCAN: core points with their cluster labels."""
+    """Fitted DBSCAN: core points with their cluster labels.
+
+    Construction raises :class:`DataError` unless there is one label per
+    core point and ``n_clusters`` counts the distinct labels.
+    """
 
     eps: float
     min_pts: int
@@ -154,6 +165,15 @@ class DbscanModel:
     n_clusters: int
     n_noise: int = 0
     labels_: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        if len(self.core_labels) != len(self.core_points):
+            raise DataError(f"core_labels lists {len(self.core_labels)} labels "
+                            f"for {len(self.core_points)} core points")
+        distinct = len(self.cluster_ids())
+        if self.n_clusters != distinct:
+            raise DataError(f"n_clusters is {self.n_clusters}, "
+                            f"but the core points carry {distinct} distinct labels")
 
     @property
     def dim(self) -> int:

@@ -116,6 +116,10 @@ class SparseComponents:
     ``converged[j]`` is False when it stopped at ``_MAX_ITER`` steps before
     its step fell below ``_TOL``; a degenerate component takes no step and
     counts as converged.
+
+    Construction raises :class:`DataError` unless the loadings are 2-D with
+    ``k`` rows, the means and scales hold one finite value per column with
+    every scale positive, and each per-component field lists ``k`` values.
     """
 
     loadings: np.ndarray
@@ -127,6 +131,20 @@ class SparseComponents:
     degenerate: tuple[bool, ...]
     n_iter: tuple[int, ...]
     converged: tuple[bool, ...]
+
+    def __post_init__(self) -> None:
+        if self.loadings.ndim != 2 or len(self.loadings) != self.k:
+            raise DataError(f"k is {self.k}, but the loadings have shape {self.loadings.shape}")
+        k, p = self.loadings.shape
+        for name in ("column_means", "column_scales"):
+            column = getattr(self, name)
+            if column.shape != (p,) or not np.isfinite(column).all():
+                raise DataError(f"{name} must hold {p} finite values, one per loading column")
+        if not (self.column_scales > 0.0).all():
+            raise DataError("column_scales must be positive")
+        for name in ("explained_variance", "degenerate", "n_iter", "converged"):
+            if (n := len(getattr(self, name))) != k:
+                raise DataError(f"{name} lists {n} values for {k} components")
 
     @property
     def n_cols(self) -> int:

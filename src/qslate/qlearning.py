@@ -18,12 +18,12 @@ their targets by occurrence rank, vectorised across cells.  A non-terminal
 target reads the next step's table maximum after that table's last update
 before it: an interval-stabbing maximum over the table's cell values, each
 of which holds from its update until the cell's next update or the table's
-end (a stored value holds from the table's start).  A step's updates read
-only the step after it, so the fold gives the tables, bit for bit, that one
-loop over every update in stream order gives.  ``train`` takes the columns
-of a transition table as one stream and the bank's columns as the held
-cells; the fold returns the trained cells as columns, which the bank then
-holds.  The fold runs:
+end (a value from the epoch before holds from the table's start).  A
+step's updates read only the step after it, so the fold gives the tables,
+bit for bit, that one loop over every update in stream order gives.
+``train`` fills an empty bank: it takes the columns of a transition table
+as one stream, and the fold returns the trained cells as columns, which the
+bank then holds.  The fold runs:
 
 * in process (used when ``deterministic``, where ``fork`` is unavailable,
   when the threads, the stream's clusters or the usable cores number one,
@@ -31,14 +31,13 @@ holds.  The fold runs:
   non-terminal transitions times the epochs, each an update that reads
   the next step's table, fall below ``_POOL_MIN_READS``);
 * across workers: this process and a pool of processes forked from it.
-  The stream and the held cells sit in a module global that the forked
-  workers inherit, so no part of them is pickled.  The clusters are dealt,
-  largest stream volume first, to the least-loaded worker, and each worker
-  runs one fold over its clusters' rows and cells; the forked ones return
-  their trained columns.  Clusters never share cells and read only their
-  own tables, so the merged columns are bit-identical to the serial
-  fold's.  The cyclic GC is paused while the pool runs, and the forked
-  workers inherit the pause.
+  The stream sits in a module global that the forked workers inherit, so
+  no part of it is pickled.  The clusters are dealt, largest stream volume
+  first, to the least-loaded worker, and each worker runs one fold over its
+  clusters' rows; the forked ones return their trained columns.  Clusters
+  never share cells and read only their own tables, so the merged columns
+  are bit-identical to the serial fold's.  The cyclic GC is paused while
+  the pool runs, and the forked workers inherit the pause.
 
 Every integer sort of training goes through ``_order``: where the key
 columns' spans allow, it packs each key row and its row number into one
@@ -217,7 +216,8 @@ class QTableBank:
     def report(self, epochs: int) -> list[dict]:
         """For each (cluster, step): its stored cells, and how many of them
         were observed once (or never), 2–4 times and 5 or more times, where
-        a cell's observations are its visits // ``epochs``."""
+        a cell's observations are its visits // ``epochs``: exactly its
+        transitions in the stream, for a bank that ``train`` filled."""
         bins = np.searchsorted([2, 5], self.visits // epochs, side="right")
         counts = np.bincount(self.tid * 3 + bins, minlength=self.n_clusters * _WIDTH * 3)
         counts = counts.reshape(-1, 3).tolist()
@@ -445,29 +445,28 @@ def _order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, np.append(True, differs)
 
 
-def _cells(keys: np.ndarray, n: int):
+def _cells(keys: np.ndarray):
     """Number the distinct rows of ``keys`` in sorted order.
 
-    Returns the distinct keys and each row's cell; then, for each of the
-    first ``n`` rows, its occurrence rank within its cell and the cell's
-    next row (n if none among the first ``n``); then each cell's first row
-    (n likewise).  Rows sort stably, so ranks follow row order.
+    Returns the distinct keys; then, for each row, its cell, its occurrence
+    rank within its cell and the cell's next row (the row count if none);
+    then each cell's first row.  Rows sort stably, so ranks follow row order.
     """
+    n = len(keys)
     by_cell, opens = _order(keys)
-    distinct = keys[by_cell[opens]]
-    cell, rank, nxt = (np.empty(len(keys), np.int64) for _ in range(3))
+    first = by_cell[opens]
+    cell, rank, nxt = (np.empty(n, np.int64) for _ in range(3))
     cell[by_cell] = np.cumsum(opens) - 1
-    at = np.arange(len(keys))
+    at = np.arange(n)
     rank[by_cell] = at - np.maximum.accumulate(np.where(opens, at, 0))
-    nxt[by_cell] = np.minimum(np.where(np.append(opens[1:], True), n, np.roll(by_cell, -1)), n)
-    return distinct, cell, rank[:n], nxt[:n], np.minimum(by_cell[opens], n)
+    nxt[by_cell] = np.where(np.append(opens[1:], True), n, np.roll(by_cell, -1))
+    return keys[first], cell, rank, nxt, first
 
 
-def _train_serial(held: tuple, stream: _Stream, alpha: float, gamma: float, epochs: int):
-    """Apply ``epochs`` passes over ``stream`` to the ``held`` cells, columns
-    of table id, slate, q and visits, and return the trained cells as the
-    same columns, sorted by table and then slate: the held cells and the
-    stream's new ones.
+def _train_serial(stream: _Stream, alpha: float, gamma: float, epochs: int):
+    """Apply ``epochs`` passes over ``stream`` to tables that start empty,
+    and return the trained cells as columns of table id, slate, q and
+    visits, sorted by table and then slate.
 
     Each epoch folds step 3, then 2, then 1: a step's cells fold their
     targets by occurrence rank, vectorised across cells.  A non-terminal
@@ -475,18 +474,11 @@ def _train_serial(held: tuple, stream: _Stream, alpha: float, gamma: float, epoc
     update before it, an interval-stabbing maximum over the latest values of
     the table's cells, which the next step's fold of the same epoch records.
     """
-    held_tid, held_slate, held_q, held_visits = held
     tid, n = stream.tid, len(stream.tid)
-    # A cell is the (table, action) key of a stream row or of a held cell.
-    cell_key, cell, rank, nxt, first = _cells(np.concatenate([
-        np.column_stack([tid, stream.action]), np.column_stack([held_tid, held_slate]),
-    ]), n)
+    # A cell is the (table, action) key of a stream row.
+    cell_key, cell, rank, nxt, first = _cells(np.column_stack([tid, stream.action]))
     n_cells = len(cell_key)
-    counts = np.bincount(cell[:n], minlength=n_cells)
-    q0, visits, fresh = np.zeros(n_cells), counts * epochs, np.ones(n_cells, np.bool_)
-    q0[cell[n:]] = held_q
-    visits[cell[n:]] += held_visits
-    fresh[cell[n:]] = False
+    counts = np.bincount(cell, minlength=n_cells)
 
     # Cells are labelled step by step and by falling count within a step, so
     # that a step's cells with a k-th occurrence in an epoch are a run of
@@ -495,8 +487,8 @@ def _train_serial(held: tuple, stream: _Stream, alpha: float, gamma: float, epoc
     labelled = _order(np.column_stack([cell_step, -counts]))[0]
     label = np.empty(n_cells, np.int64)
     label[labelled] = np.arange(n_cells)
-    fold = _order(np.column_stack([step, rank, label[cell[:n]]]))[0]
-    q, fresh, target = q0[labelled], fresh[labelled], stream.reward[fold]
+    fold = _order(np.column_stack([step, rank, label[cell]]))[0]
+    q, target = np.zeros(n_cells), stream.reward[fold]
     step_f = step[fold]
     plan = []
     for s in STEPS[::-1]:
@@ -534,8 +526,8 @@ def _train_serial(held: tuple, stream: _Stream, alpha: float, gamma: float, epoc
             for k, w in enumerate(widths):
                 qw, tw = q[c0 : c0 + w], target[j : j + w]
                 if epoch == 0 and k == 0:
-                    # A new cell's first update is alpha * target, which keeps -0.0.
-                    qw[:] = np.where(fresh[c0 : c0 + w], alpha * tw, qw + alpha * (tw - qw))
+                    # A cell's first update is alpha * target, which keeps -0.0.
+                    qw[:] = alpha * tw
                 else:
                     qw += alpha * (tw - qw)
                 if s in reads:
@@ -545,11 +537,11 @@ def _train_serial(held: tuple, stream: _Stream, alpha: float, gamma: float, epoc
                 nt, reward, stab = reads[s]
                 nm = stab(values)
                 target[nt] = np.where(nm > 0.0, reward + gamma * nm, reward)
-    return cell_key[:, 0].copy(), cell_key[:, 1:].copy(), q[label], visits
+    return cell_key[:, 0].copy(), cell_key[:, 1:].copy(), q[label], counts * epochs
 
 
-# The held cells and the stream of a pool run, which forked workers inherit.
-_FORKED: tuple | None = None
+# The stream of a pool run, which forked workers inherit.
+_FORKED: _Stream | None = None
 
 
 def _deal(volumes: np.ndarray, workers: int) -> list[list[int]]:
@@ -564,23 +556,19 @@ def _deal(volumes: np.ndarray, workers: int) -> list[list[int]]:
 
 
 def _train_job(clusters: list[int], alpha: float, gamma: float, epochs: int) -> tuple:
-    """One worker's fold over the inherited stream rows and held cells of
-    ``clusters``; returns their trained columns."""
-    held, stream = _FORKED
-    mine = np.isin(held[0] // _WIDTH, clusters)
-    rows = np.isin(stream.tid // _WIDTH, clusters)
-    return _train_serial(tuple(col[mine] for col in held), stream.take(rows),
-                         alpha, gamma, epochs)
+    """One worker's fold over the inherited stream rows of ``clusters``;
+    returns their trained columns."""
+    rows = np.isin(_FORKED.tid // _WIDTH, clusters)
+    return _train_serial(_FORKED.take(rows), alpha, gamma, epochs)
 
 
-def _train_processes(held: tuple, stream: _Stream, alpha, gamma, epochs, workers) -> tuple:
+def _train_processes(stream: _Stream, alpha, gamma, epochs, workers) -> tuple:
     """Fold the dealt clusters in ``workers`` jobs, the first in this process
-    and the others in forked ones, and merge their columns with the held
-    cells of the clusters that the stream does not reach."""
+    and the others in forked ones, and merge their columns."""
     global _FORKED
     jobs = _deal(np.bincount(stream.tid // _WIDTH), workers)
     job = partial(_train_job, alpha=alpha, gamma=gamma, epochs=epochs)
-    _FORKED = held, stream
+    _FORKED = stream
     # Forked workers inherit the pause.
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -593,8 +581,6 @@ def _train_processes(held: tuple, stream: _Stream, alpha, gamma, epochs, workers
         _FORKED = None
         if gc_was_enabled:
             gc.enable()
-    untrained = ~np.isin(held[0] // _WIDTH, list(chain.from_iterable(jobs)))
-    parts.append(tuple(col[untrained] for col in held))
     tid, slate, q, visits = (np.concatenate(cols) for cols in zip(*parts))
     # Each part is sorted and holds whole tables, so a stable sort by table suffices.
     order = _order(tid[:, None])[0]
@@ -607,7 +593,9 @@ def train(
     session_clusters,
     cfg: TrainConfig,
 ) -> QTableBank:
-    """Run ``cfg.epochs`` update passes over the transition stream.
+    """Fill the empty ``bank`` with ``cfg.epochs`` update passes over the
+    transition stream; a bank that holds cells raises :class:`TrainError`
+    and is left as it is.
 
     The stream shares the columns of ``transitions`` without copying them.
     ``session_clusters`` is a list or array of integers that maps each
@@ -624,15 +612,16 @@ def train(
     cell, so both drivers produce bit-identical tables.
     """
     cfg.validate()
+    if bank.n_cells():
+        raise TrainError(f"train fills an empty bank; this one holds {bank.n_cells()} cells")
     stream = _prepare_stream(bank, transitions, session_clusters)
     if not len(stream.tid):
         return bank
     workers = cfg.workers(stream.tid // _WIDTH, stream.terminal)
-    held = bank.tid, bank.slate, bank.q, bank.visits
     if workers == 1:
-        trained = _train_serial(held, stream, cfg.alpha, cfg.gamma, cfg.epochs)
+        trained = _train_serial(stream, cfg.alpha, cfg.gamma, cfg.epochs)
     else:
-        trained = _train_processes(held, stream, cfg.alpha, cfg.gamma, cfg.epochs, workers)
+        trained = _train_processes(stream, cfg.alpha, cfg.gamma, cfg.epochs, workers)
     bank._hold(*trained)
     return bank
 

@@ -383,6 +383,41 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert name in err and field in err
 
+    @pytest.mark.parametrize("command", ["evaluate", "recommend"])
+    @pytest.mark.parametrize("flags, name, corrupt, message", [
+        ({}, "clusters.json", lambda p: p["merge_map"].pop(),
+         "merge_map lists 3 cluster ids for 4 centroids"),
+        ({"--cluster": "dbscan", "--eps": 3, "--min-pts": 3, "--min-support": 1},
+         "clusters.json", lambda p: p["core_labels"].pop(), "labels for"),
+        ({"--cluster": "dbscan", "--eps": 3, "--min-pts": 3, "--min-support": 1},
+         "clusters.json", lambda p: p.update(n_clusters=p["n_clusters"] + 1),
+         "distinct labels"),
+        ({}, "components.json",
+         lambda p: p.update(column_means=p["column_means"][:10],
+                            column_scales=p["column_scales"][:10]),
+         "column_means must hold"),
+        ({}, "components.json", lambda p: p.update(k=3),
+         "k is 3, but the loadings have shape (6, "),
+        ({}, "components.json", lambda p: p["column_scales"].__setitem__(0, 0),
+         "column_scales must be positive"),
+    ], ids=["merge-map-short", "core-labels-short", "n-clusters-off", "means-short",
+            "k-off", "scale-zero"])
+    def test_model_file_arrays_that_disagree_name_it(self, tmp_path, capsys, command, flags,
+                                                      name, corrupt, message):
+        data = generate_corpus(tmp_path)
+        models = train_models(tmp_path, data, **flags)
+        payload = json.loads((models / name).read_text())
+        corrupt(payload)
+        (models / name).write_text(json.dumps(payload, sort_keys=True) + "\n")
+        users = tmp_path / "users.txt"
+        users.write_text("1 - 0,0,0,0,0,0,0,0,0,0\n")
+        inputs = {"evaluate": ["--sessions", data / "sessions.txt", "--report-dir", tmp_path / "r"],
+                  "recommend": ["--users", users, "--out", tmp_path / "recs.txt"]}[command]
+        code = run(command, "--items", data / "items.txt", "--model-dir", models, *inputs)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert name in err and message in err
+
     def test_stamp_mismatch_detected(self, tmp_path, capsys):
         data = generate_corpus(tmp_path)
         models = train_models(tmp_path, data)

@@ -106,6 +106,69 @@ def unread_public_names(modules: dict[str, str], readers: list[str]) -> list[str
     return unread
 
 
+def defaulted_parameters(tree: ast.Module):
+    """Each def with defaulted parameters, methods and nested defs too:
+    (dotted name, def, the name its callers call, the parameters a call
+    fills by position, the defaulted parameters).  A method's callers skip
+    its first parameter, and an ``__init__`` is called by its class name."""
+    def visit(node, scope, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, scope + [child.name], True)
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, scope, in_class)
+                continue
+            args = child.args
+            positional = [arg.arg for arg in args.posonlyargs + args.args]
+            defaulted = positional[len(positional) - len(args.defaults):] + [
+                arg.arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None]
+            static = any(getattr(d, "id", None) == "staticmethod" for d in child.decorator_list)
+            callee = scope[-1] if in_class and child.name == "__init__" else child.name
+            if defaulted:
+                yield (".".join(scope + [child.name]), child, callee,
+                       positional[in_class and not static:], defaulted)
+            yield from visit(child, scope + [child.name], False)
+
+    yield from visit(tree, [], False)
+
+
+def set_parameters(node: ast.AST, callee: str, positional: list[str]) -> Counter:
+    """How often calls of ``callee`` under ``node`` set each parameter: by
+    keyword, or by position into ``positional``.  A call that unpacks
+    ``*args`` or ``**kwargs`` counts as setting every parameter."""
+    found = Counter()
+    for call in ast.walk(node):
+        if not isinstance(call, ast.Call) or called_name(call) != callee:
+            continue
+        if any(isinstance(arg, ast.Starred) for arg in call.args) or any(
+                keyword.arg is None for keyword in call.keywords):
+            found["*"] += 1
+        found.update(keyword.arg for keyword in call.keywords if keyword.arg)
+        found.update(positional[:len(call.args)])
+    return found
+
+
+def unset_defaulted_parameters(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """The defaulted parameters of the defs in ``modules`` (file name ->
+    source) that no call in ``modules`` outside the def's own body or in
+    ``readers`` sets, as ``"file line N: def.parameter"``.  Calls are
+    matched by the name they call, not resolved, as in
+    :func:`unread_public_names`."""
+    trees = {file: ast.parse(source) for file, source in modules.items()}
+    everything = [*trees.values(), *map(ast.parse, readers)]
+    unset = []
+    for file, tree in trees.items():
+        for qualified, node, callee, positional, defaulted in defaulted_parameters(tree):
+            total = sum((set_parameters(t, callee, positional) for t in everything), Counter())
+            inside = set_parameters(node, callee, positional)
+            for name in defaulted:
+                if total[name] + total["*"] <= inside[name] + inside["*"]:
+                    unset.append(f"{file} line {node.lineno}: {qualified}.{name}")
+    return unset
+
+
 RECORDS = ("SessionRecord", "ItemRecord")
 # The field that holds the name that each kind of node reads or binds.
 NAMED_NODES = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name", ast.ClassDef: "name"}
@@ -205,6 +268,21 @@ def test_every_public_name_is_read():
     assert [entry.split(": ")[1] for entry in unread] == UNREAD_BY_DESIGN
 
 
+# Options that only tests set: ``zscore_mask`` is set by the feature tests
+# and acceptance criterion 3, while every fit z-scores the portrait columns.
+UNSET_BY_DESIGN = ["fit_sparse_pca.zscore_mask"]
+
+
+def test_every_option_is_set_by_the_program():
+    """A defaulted parameter that neither the library nor the benchmark sets
+    is an option that only tests use."""
+    unset = unset_defaulted_parameters(
+        {path.name: path.read_text() for path in SOURCES},
+        [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))],
+    )
+    assert [entry.split(": ")[1] for entry in unset] == UNSET_BY_DESIGN
+
+
 def test_catalog_ids_are_searched_only_by_index():
     """Array code finds items through ``ItemCatalog.index``, whose position
     table or search is the one lookup path."""
@@ -260,6 +338,23 @@ def test_check_sees_unread_public_names():
     reader = "import mod\nmodel = mod.Model(labels=[1])\nmod.used(model.wrapper())\n"
     assert unread_public_names({"mod.py": module}, [reader]) == [
         "mod.py line 1: SPARE", "mod.py line 9: recursive", "mod.py line 15: Model.unset",
+    ]
+
+
+def test_check_sees_unset_defaulted_parameters():
+    module = (
+        "def fit(x, scale=1.0, *, mask=None, seed=0):\n    return fit(x, 2.0, mask=1)\n\n"
+        "def run(x, fast=False):\n    def inner(y, depth=1):\n        return y\n"
+        "    return inner(fit(x, seed=3))\n\n"
+        "class Bank:\n    def __init__(self, n, size=4):\n        self.n = n\n\n"
+        "    def save(self, path, stamp=None, *, indent=2):\n        return path\n\n"
+        "    @staticmethod\n    def make(n, size=4):\n        return Bank(n)\n\n"
+        "def wrap(*args, **kwargs):\n    return run(*args, **kwargs)\n"
+    )
+    reader = "import mod\nmod.Bank(1, 8).save('p', 'zz')\nmod.Bank.make(1, 2)\n"
+    assert unset_defaulted_parameters({"mod.py": module}, [reader]) == [
+        "mod.py line 1: fit.scale", "mod.py line 1: fit.mask", "mod.py line 5: run.inner.depth",
+        "mod.py line 13: Bank.save.indent",
     ]
 
 

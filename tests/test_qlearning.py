@@ -1,4 +1,3 @@
-import copy
 import gc
 import itertools
 import json
@@ -75,10 +74,10 @@ VALUES = st.one_of(
 
 @st.composite
 def training_cases(draw):
-    """A bank, a transition stream and a config that reach every case of
-    the step-wise trainer: tables that some step reads and tables that none
-    reads, reads before a table's first update and of tables never updated,
-    negative and signed-zero targets, pre-trained cells."""
+    """An empty bank, a transition stream and a config that reach every
+    case of the step-wise trainer: tables that some step reads and tables
+    that none reads, reads before a table's first update and of tables never
+    updated, negative and signed-zero targets."""
     n_clusters = draw(st.integers(1, 3))
     # Item ids above a drawn cut move up by about 2**40, in order.  A cut
     # among the ids spreads some key columns over about 2**40, which sends
@@ -100,19 +99,13 @@ def training_cases(draw):
         slate = slates[step][slate_pick % len(slates[step])]
         rows.append((len(rows), step, slate, reward, terminal or step == STEPS[-1]))
         clusters.append(c)
-    pretrained = st.tuples(st.integers(0, n_clusters - 1), st.sampled_from(STEPS),
-                           st.integers(0, 2), VALUES, st.integers(1, 5))
-    held = {}
-    for c, step, slate_pick, q, visits in draw(st.lists(pretrained, max_size=6)):
-        held[(c, step, slates[step][slate_pick % len(slates[step])])] = (q, visits)
-    bank = bank_of(n_clusters, [(*key, *cell) for key, cell in held.items()])
     cfg = TrainConfig(
         alpha=draw(st.sampled_from([0.1, 0.3, 1.0])),
         gamma=draw(st.sampled_from([0.0, 0.5, 0.9])),
         epochs=draw(st.integers(1, 6)),
         **draw(st.sampled_from([{"deterministic": True}, {"threads": 2}])),
     )
-    return bank, transition_table(rows), clusters, cfg
+    return QTableBank(n_clusters), transition_table(rows), clusters, cfg
 
 
 def exact_cells(tables):
@@ -175,10 +168,18 @@ class TestTrain:
         assert bank.n_cells() == 1
 
     def test_two_step_chain_bootstraps_from_next_table(self):
-        bank = bank_of(1, [(0, 2, (4, 5, 6), 5.0, 5)])
-        t = transition_table([(0, 1, (1, 2, 3), 2.0, False)])
-        train(bank, t, [0], TrainConfig(alpha=1.0, gamma=0.5, epochs=1, deterministic=True))
+        bank = QTableBank(1)
+        t = transition_table([(0, 2, (4, 5, 6), 5.0, True), (1, 1, (1, 2, 3), 2.0, False)])
+        train(bank, t, [0, 0], TrainConfig(alpha=1.0, gamma=0.5, epochs=1, deterministic=True))
         assert q_value(bank, 0, 1, (1, 2, 3)) == pytest.approx(2.0 + 0.5 * 5.0)
+
+    def test_bank_that_holds_cells_rejected_and_unchanged(self):
+        bank = bank_of(1, [(0, 1, (1, 2, 3), 2.5, 4), (0, 2, (4, 5, 6), -1.0, 2)])
+        before = {col: getattr(bank, col).tobytes() for col in ("tid", "slate", "q", "visits")}
+        t = transition_table([(0, 1, (1, 2, 3), 1.0, False), (0, 2, (4, 5, 7), 3.0, True)])
+        with pytest.raises(TrainError, match="train fills an empty bank; this one holds 2 cells"):
+            train(bank, t, [0], TrainConfig(deterministic=True))
+        assert {col: getattr(bank, col).tobytes() for col in before} == before
 
     def test_backward_alpha_one_matches_value_iteration(self):
         catalog, transitions, clusters, outcomes = toy_mdp()
@@ -373,7 +374,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("flags", [{"deterministic": True}, {"threads": 2}],
                              ids=["deterministic", "threads-2"])
-    def test_deep_stream_continues_bit_for_bit(self, flags):
+    def test_deep_stream_bit_for_bit(self, flags):
         corpus = generate_synthetic(
             SyntheticConfig(num_items=18, num_users=90, num_sessions=2000, seed=61,
                             preference_scale=2.0, base_appeal=0.4)
@@ -382,14 +383,12 @@ class TestTrain:
         clusters = [corpus.truth.user_groups[s.user_id] % 3 for s in corpus.sessions]
         assert (transitions.step == 3).sum() > 50 and len(set(clusters)) == 3
         bank = QTableBank(3)
-        train(bank, transitions, clusters,
-              TrainConfig(alpha=0.3, gamma=0.9, epochs=1, deterministic=True))
         expected = dict_tables(bank)
         stream = [(clusters[ref], *row) for ref, *row in table_rows(transitions)]
-        single_phase_q_learning(expected, stream, 0.3, 0.9, 4)
+        single_phase_q_learning(expected, stream, 0.3, 0.9, 5)
         with forced_pool() as started:
             train(bank, transitions, clusters,
-                  TrainConfig(alpha=0.3, gamma=0.9, epochs=4, **flags))
+                  TrainConfig(alpha=0.3, gamma=0.9, epochs=5, **flags))
         assert started == ([] if flags.get("deterministic") else [1])
         assert exact_cells(bank.tables) == exact_cells(expected)
 
@@ -523,27 +522,6 @@ class TestParallelTraining:
         assert started == [threads - 1]
         assert exact_cells(serial.tables) == exact_cells(parallel.tables)
 
-    def test_process_workers_continue_trained_tables(self):
-        corpus = generate_synthetic(
-            SyntheticConfig(num_items=18, num_users=80, num_sessions=1500, seed=56,
-                            preference_scale=2.0, base_appeal=0.4)
-        )
-        transitions = sessions_to_transitions(corpus.sessions, corpus.catalog)
-        clusters = [corpus.truth.user_groups[s.user_id] for s in corpus.sessions]
-        bank = QTableBank(4)
-        train(bank, transitions, clusters,
-              TrainConfig(alpha=0.1, gamma=0.9, epochs=1, deterministic=True))
-        serial, parallel = copy.deepcopy(bank), copy.deepcopy(bank)
-        train(serial, transitions, clusters,
-              TrainConfig(alpha=0.1, gamma=0.9, epochs=2, deterministic=True))
-        # 8 workers for 4 clusters: each worker receives one cluster's trained tables.
-        with forced_pool() as started:
-            train(parallel, transitions, clusters,
-                  TrainConfig(alpha=0.1, gamma=0.9, epochs=2, threads=8, backend="process"))
-        assert started == [3]
-        assert bank.n_cells() > 0
-        assert exact_cells(serial.tables) == exact_cells(parallel.tables)
-
     def test_single_cluster_trains_in_process(self):
         corpus = generate_synthetic(
             SyntheticConfig(num_items=18, num_users=40, num_sessions=300, seed=57,
@@ -568,8 +546,8 @@ class TestParallelTraining:
 
 @st.composite
 def pool_cases(draw):
-    """A stream over 1-12 clusters, some of which log nothing, a cluster map
-    for an earlier training of the same stream, epochs and workers."""
+    """A stream over 1-12 clusters, some of which log nothing, epochs and
+    workers."""
     n_clusters = draw(st.integers(1, 12))
     used = sorted(draw(st.sets(st.integers(0, n_clusters - 1), min_size=min(2, n_clusters))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -579,8 +557,7 @@ def pool_cases(draw):
         slate = tuple(np.sort(rng.choice(6, 3, replace=False) + 10 * step).tolist())
         rows.append((i, step, slate, float(rng.integers(-2, 5)), step == 3 or bool(rng.integers(2))))
     clusters = rng.choice(used, size=len(rows)).tolist()
-    earlier = rng.integers(0, n_clusters, size=len(rows)).tolist()
-    return (n_clusters, transition_table(rows), clusters, earlier,
+    return (n_clusters, transition_table(rows), clusters,
             draw(st.integers(1, 4)), draw(st.sampled_from([2, 3])))
 
 
@@ -596,10 +573,8 @@ class TestPool:
     @settings(max_examples=25)
     @given(case=pool_cases())
     def test_pool_columns_bit_identical_to_serial_fold(self, case):
-        n_clusters, transitions, clusters, earlier, epochs, workers = case
-        held = QTableBank(n_clusters)
-        train(held, transitions, earlier, TrainConfig(alpha=0.3, epochs=1, deterministic=True))
-        serial, pooled = copy.deepcopy(held), copy.deepcopy(held)
+        n_clusters, transitions, clusters, epochs, workers = case
+        serial, pooled = QTableBank(n_clusters), QTableBank(n_clusters)
         train(serial, transitions, clusters,
               TrainConfig(alpha=0.3, gamma=0.9, epochs=epochs, deterministic=True))
         with forced_pool() as started:
