@@ -21,11 +21,11 @@ working memory does not grow with the number of points; the squared norms
 of the points measured against are computed once per pass, not per block.
 Its clusters are the connected components of the core graph (core points
 within eps of each other), found with a vectorised union-find over each
-block's edges.  The support merge reduces the blocked distances between the
-points of its clusters (DBSCAN core points, or k-means centroids) to a
-single-linkage matrix between clusters and then merges with the
-Lance-Williams update ``d(a+b, x) = min(d(a, x), d(b, x))``, so each merge
-costs O(k) for k clusters.
+block's edges.  The support merge measures single linkage on demand: each
+merge takes the blocked distances from the small cluster's base points
+(DBSCAN core points, or k-means centroids) to all base points and reduces
+each column to its current cluster, so a merge costs the small cluster's
+points times all base points, and no distance outlives its merge.
 """
 
 from __future__ import annotations
@@ -67,12 +67,6 @@ def _sq_dists(A: np.ndarray, B: np.ndarray, bb: np.ndarray | None = None) -> np.
 def _block_rows(width: int) -> int:
     """Rows per block of distances to ``width`` points, within ``_CELLS``."""
     return max(1, _CELLS // max(width, 1))
-
-
-def _runs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start index and value of each run of equal values in ``labels``."""
-    starts = np.flatnonzero(np.r_[True, labels[1:] != labels[:-1]])
-    return starts, labels[starts]
 
 
 def _nearest(A: np.ndarray, B: np.ndarray, bb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -361,36 +355,6 @@ def fit_dbscan(
     )
 
 
-def _core_linkage(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """Single-linkage distances between the ``k`` groups of labelled points.
-
-    The points are sorted by label.  Each block of rows (at most ``_CELLS``
-    distances to all points) is measured against the points whose label
-    exceeds the block's first label (the pairs within one group cannot
-    matter), and the distances are reduced with ``np.minimum.reduceat`` over
-    runs of equal column labels, then of equal row labels.  Every pair of
-    labels ``a < b`` is measured from the rows of ``a``, so the upper
-    triangle is complete; it is mirrored.
-    """
-    order = np.argsort(labels, kind="stable")
-    points, labels = points[order], labels[order]
-    link = np.full((k, k), np.inf)
-    step, bb = _block_rows(len(points)), _sq_norms(points)
-    for start in range(0, len(points), step):
-        later = int(np.searchsorted(labels, labels[start], side="right"))
-        if later == len(points):
-            break
-        d2 = _sq_dists(points[start : start + step], points[later:], bb[later:])
-        row_starts, row_labels = _runs(labels[start : start + len(d2)])
-        col_starts, col_labels = _runs(labels[later:])
-        block = np.minimum.reduceat(d2, col_starts, axis=1)
-        block = np.minimum.reduceat(block, row_starts, axis=0)
-        cells = np.ix_(row_labels, col_labels)
-        link[cells] = np.minimum(link[cells], block)
-    link = np.triu(link, 1)
-    return np.sqrt(link + link.T)
-
-
 def merge_small_clusters(
     model: ClusterModel, counts: np.ndarray, min_support: int
 ) -> tuple[ClusterModel, np.ndarray]:
@@ -400,11 +364,12 @@ def merge_small_clusters(
     remains, the cluster with the fewest transitions (then the lowest id) is
     folded into its nearest neighbor (then the lowest id) under single
     linkage over base points (k-means centroids or DBSCAN core points), and
-    the pair keeps the lower id.  The distances start as one matrix between
-    clusters, reduced from blocked base-point distances, and each merge
-    updates it by Lance-Williams, ``d(a+b, x) = min(d(a, x), d(b, x))``, so
-    the merges cost O(k^2) in all for k clusters.  Returns the updated model
-    and the old-id -> new-id relabeling.
+    the pair keeps the lower id.  Each merge measures only the small
+    cluster's base points against all base points, in blocks of at most
+    ``_CELLS`` distances, and reduces each column to the minimum per current
+    cluster, so it costs the small cluster's points times all base points
+    and holds no distances between merges.  Returns the updated model and
+    the old-id -> new-id relabeling.
     """
     counts = np.asarray(counts, dtype=np.int64)
     # Each base point (centroid or core point) and the cluster it belongs to.
@@ -418,31 +383,33 @@ def merge_small_clusters(
     if min_support < 1 or n_groups == 1:
         return model, np.arange(n_groups)
 
-    dist = _core_linkage(points, base_to_group, n_groups)
-    np.fill_diagonal(dist, np.inf)
+    # Each base point's surviving id: the lowest id of the groups merged with its own.
+    group_of = base_to_group.copy()
+    step, bb = _block_rows(len(points)), _sq_norms(points)
     support = counts.copy()
     alive = np.ones(n_groups, dtype=bool)
-    # Each group's surviving id: the lowest id of the groups merged with it.
-    key_of = np.arange(n_groups)
     for _ in range(n_groups - 1):
         lacking = np.flatnonzero(alive & (support < min_support))
         if len(lacking) == 0:
             break
         small = int(lacking[np.argmin(support[lacking])])
-        best = int(np.argmin(dist[small]))
+        members = np.flatnonzero(group_of == small)
+        d2 = np.full(n_groups, np.inf)
+        for start in range(0, len(members), step):
+            block = _sq_dists(points[members[start : start + step]], points, bb)
+            np.minimum.at(d2, group_of, block.min(axis=0))
+        d2[small] = np.inf
+        # Ties are on distances: distinct squares can share a root, and the lowest id wins.
+        best = int(np.argmin(np.sqrt(d2)))
         key, gone = min(small, best), max(small, best)
-        np.minimum(dist[key], dist[gone], out=dist[key])
-        np.minimum(dist[:, key], dist[:, gone], out=dist[:, key])
-        dist[key, key] = np.inf
-        dist[gone] = np.inf
-        dist[:, gone] = np.inf
+        group_of[group_of == gone] = key
         support[key] += support[gone]
         alive[gone] = False
-        key_of[key_of == gone] = key
 
     survivors = np.flatnonzero(alive)
-    old_to_new = np.searchsorted(survivors, key_of)
-    base_final = old_to_new[base_to_group]
+    base_final = np.searchsorted(survivors, group_of)
+    old_to_new = np.empty(n_groups, dtype=np.int64)
+    old_to_new[base_to_group] = base_final
 
     if isinstance(model, KMeansModel):
         merged = replace(model, merge_map=tuple(int(v) for v in base_final), labels_=None)

@@ -261,9 +261,10 @@ def save_models(model: PipelineModel, model_dir: str | Path, stamp: str) -> None
 
 
 def load_models(model_dir: str | Path, min_visits: int) -> tuple[PipelineModel, str]:
-    """Load the three model files, requiring a common version stamp and
-    one cluster id space: the cluster model assigns exactly the ids that
-    the Q-table bank holds."""
+    """Load the three model files, requiring a common version stamp, one
+    state dimension (the cluster model clusters vectors of the components'
+    ``k``) and one cluster id space: the cluster model assigns exactly the
+    ids that the Q-table bank holds."""
     model_dir = Path(model_dir)
     components, stamp_a = SparseComponents.load(model_dir / COMPONENTS_FILE)
     cluster_model, stamp_b = load_cluster_model(model_dir / CLUSTERS_FILE)
@@ -272,6 +273,12 @@ def load_models(model_dir: str | Path, min_visits: int) -> tuple[PipelineModel, 
         raise ModelFileError(
             model_dir,
             f"model files carry mismatched stamps ({stamp_a!r}, {stamp_b!r}, {stamp_c!r})",
+        )
+    if components.k != cluster_model.dim:
+        raise ModelFileError(
+            model_dir,
+            f"{COMPONENTS_FILE} holds {components.k} components, but {CLUSTERS_FILE} "
+            f"clusters vectors of dim {cluster_model.dim}",
         )
     ids = cluster_model.cluster_ids()
     if ids != set(range(bank.n_clusters)):

@@ -747,7 +747,7 @@ def expansion_dbscan(Z, eps, min_pts, rows=None):
 def pairwise_merge(model, counts, min_support):
     """Support merge that rescans member pairs of every group pair per merge.
 
-    The reference for the Lance-Williams merge in
+    The reference for the on-demand merge in
     ``qslate.clustering.merge_small_clusters``: base-cluster distances are
     single linkage computed one pair of clusters at a time, and each merge
     takes the group with the fewest transitions (then the lowest id) into

@@ -400,8 +400,12 @@ class TestEvaluate:
          "k is 3, but the loadings have shape (6, "),
         ({}, "components.json", lambda p: p["column_scales"].__setitem__(0, 0),
          "column_scales must be positive"),
+        ({}, "components.json",
+         lambda p: p.update({key: p[key][:5] for key in (
+             "loadings", "explained_variance", "degenerate", "n_iter", "converged")}, k=5),
+         "components.json holds 5 components, but clusters.json clusters vectors of dim 6"),
     ], ids=["merge-map-short", "core-labels-short", "n-clusters-off", "means-short",
-            "k-off", "scale-zero"])
+            "k-off", "scale-zero", "fewer-components"])
     def test_model_file_arrays_that_disagree_name_it(self, tmp_path, capsys, command, flags,
                                                       name, corrupt, message):
         data = generate_corpus(tmp_path)

@@ -396,6 +396,16 @@ class TestMergeSmallClusters:
         with pytest.raises(DataError):
             merge_small_clusters(model, np.array([1, 2]), min_support=10)
 
+    def test_working_memory_does_not_grow_with_clusters_squared(self):
+        # 2,000 single-point clusters: one float64 matrix between them is 30.5 MiB.
+        rng = np.random.default_rng(21)
+        model = DbscanModel(eps=1.0, min_pts=1, core_points=rng.normal(size=(2000, 16)),
+                            core_labels=np.arange(2000), n_clusters=2000)
+        counts = rng.integers(1, 60, size=2000)
+        (merged, _), added = heap_added(lambda: merge_small_clusters(model, counts, 500))
+        assert 1 < merged.n_clusters < 2000
+        assert added <= 8 * 2**20
+
 
 class TestMergeMatchesPairwiseOracle:
     @settings(max_examples=100)
