@@ -40,7 +40,7 @@ from .ingest import (
 )
 from .metric import MetricConfig, ScoreReport, holdout_split, score, tune
 from .pipeline import PipelineParams, fit_pipeline, recommend_for_sessions
-from .qlearning import QTableBank, TrainConfig, make_slate, train
+from .qlearning import QTableBank, TrainConfig, train
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

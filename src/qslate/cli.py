@@ -42,8 +42,6 @@ from .qlearning import POLICY_LAYERS, export_policies
 MANIFEST_FILE = "manifest.json"
 MANIFEST_FORMAT = "qslate-manifest"
 MANIFEST_VERSION = 1
-# Characters hashed per piece: small enough that no piece is a large allocation.
-_DIGEST_PIECE = 1 << 16
 
 
 class UsageError(Exception):
@@ -86,19 +84,16 @@ def _threads(text: str) -> int:
     return threads
 
 
-def _read_text(path: str) -> str:
+def _read_text(path: str) -> tuple[str, str]:
+    """The file's text, decoded as UTF-8, and the sha256 of its bytes."""
     try:
-        return Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-
-
-def _digest(text: str) -> str:
-    """sha256 of ``text`` in UTF-8, encoded a piece at a time (no full copy)."""
-    digest = hashlib.sha256()
-    for start in range(0, len(text), _DIGEST_PIECE):
-        digest.update(text[start : start + _DIGEST_PIECE].encode())
-    return digest.hexdigest()
+    try:
+        return data.decode(), hashlib.sha256(data).hexdigest()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def _stamp(*parts: str) -> str:
@@ -182,8 +177,8 @@ def _parse_corpus(items_text: str, sessions_text: str):
 
 
 def cmd_train(args) -> int:
-    items_text = _read_text(args.items)
-    sessions_text = _read_text(args.sessions)
+    items_text, items_digest = _read_text(args.items)
+    sessions_text, sessions_digest = _read_text(args.sessions)
     timings: list[tuple[str, float]] = []
     catalog, sessions = timed(
         timings, "parse", lambda: _parse_corpus(items_text, sessions_text)
@@ -203,7 +198,7 @@ def cmd_train(args) -> int:
         if key not in ("threads", "deterministic")
     }
     params_json = json.dumps(model_params, sort_keys=True)
-    digests = {"items": _digest(items_text), "sessions": _digest(sessions_text)}
+    digests = {"items": items_digest, "sessions": sessions_digest}
     stamp = _stamp(digests["items"], digests["sessions"], params_json, str(args.train_frac))
     model_dir = Path(args.model_dir)
     model_dir.mkdir(parents=True, exist_ok=True)
@@ -271,13 +266,14 @@ def _manifest(payload: dict) -> dict:
     return payload
 
 
-def _check_digest(manifest: dict, model_dir: Path, name: str, path: str, text: str) -> None:
-    """Require ``text``, read from ``path``, to be the ``name`` input of training."""
+def _check_digest(manifest: dict, model_dir: Path, name: str, path: str, digest: str) -> None:
+    """Require the file at ``path``, whose sha256 is ``digest``, to be the
+    ``name`` input of training."""
     digests = manifest.get("sha256")
     recorded = digests.get(name) if isinstance(digests, dict) else None
     if recorded is None:
         raise DataError(f"{model_dir / MANIFEST_FILE}: manifest records no {name} digest")
-    if _digest(text) != recorded:
+    if digest != recorded:
         raise DataError(
             f"{path}: not the {name} file the model was trained on (sha256 differs)"
         )
@@ -285,7 +281,7 @@ def _check_digest(manifest: dict, model_dir: Path, name: str, path: str, text: s
 
 def _load_model(model_dir: Path, items_path: str) -> tuple[PipelineModel, dict, ItemCatalog]:
     """Load a model directory and its catalog, checked against its manifest."""
-    items_text = _read_text(items_path)
+    items_text, items_digest = _read_text(items_path)
     catalog = parse_items(items_text)
     manifest, _ = read_model_file(
         model_dir / MANIFEST_FILE, MANIFEST_FORMAT, MANIFEST_VERSION, _manifest
@@ -299,15 +295,15 @@ def _load_model(model_dir: Path, items_path: str) -> tuple[PipelineModel, dict, 
     n_items = model.components.n_cols - N_PORTRAITS
     if n_items != len(catalog):
         raise DataError(f"model expects {n_items} catalog items, data has {len(catalog)}")
-    _check_digest(manifest, model_dir, "items", items_path, items_text)
+    _check_digest(manifest, model_dir, "items", items_path, items_digest)
     return model, manifest, catalog
 
 
 def cmd_evaluate(args) -> int:
     model_dir = Path(args.model_dir)
     model, manifest, catalog = _load_model(model_dir, args.items)
-    sessions_text = _read_text(args.sessions)
-    _check_digest(manifest, model_dir, "sessions", args.sessions, sessions_text)
+    sessions_text, digest = _read_text(args.sessions)
+    _check_digest(manifest, model_dir, "sessions", args.sessions, digest)
     sessions = parse_sessions(sessions_text, catalog)
     _, validation = holdout_split(sessions, manifest["train_fraction"], manifest["seed"])
 
@@ -341,7 +337,7 @@ def cmd_evaluate(args) -> int:
 
 
 def _parse_grid_file(path: str) -> dict:
-    text = _read_text(path)
+    text = _read_text(path)[0]
     try:
         grid = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -352,9 +348,9 @@ def _parse_grid_file(path: str) -> dict:
 
 
 def cmd_tune(args) -> int:
-    items_text = _read_text(args.items)
+    items_text = _read_text(args.items)[0]
     catalog = parse_items(items_text)
-    sessions = parse_sessions(_read_text(args.sessions), catalog)
+    sessions = parse_sessions(_read_text(args.sessions)[0], catalog)
     if args.grid:
         grid = _parse_grid_file(args.grid)
     else:
@@ -424,7 +420,7 @@ def _rows_text(ids, rows) -> str:
 
 def cmd_recommend(args) -> int:
     model, _, catalog = _load_model(Path(args.model_dir), args.items)
-    users = parse_users(_read_text(args.users), catalog)
+    users = parse_users(_read_text(args.users)[0], catalog)
     if not len(users):
         raise DataError(f"{args.users}: no users to recommend for")
     output = _rows_text(users.user_id.tolist(), recommend_for_sessions(model, users, catalog))

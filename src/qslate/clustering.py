@@ -15,24 +15,27 @@ each distinct row of ``Z`` is measured once and weighted by its count in
 training points from the same random stream, and Lloyd's means, the inertia
 and DBSCAN's eps-ball counts are weighted sums over the distinct rows.
 
-Every distance goes through ``_sq_dists``, and DBSCAN computes its distances
-in blocks of at most ``_CELLS`` distances (at least one row each), so its
-working memory does not grow with the number of points; the squared norms
-of the points measured against are computed once per pass, not per block.
-Its clusters are the connected components of the core graph (core points
-within eps of each other), found with a vectorised union-find over each
-block's edges.  The support merge measures single linkage on demand: each
-merge takes the blocked distances from the small cluster's base points
-(DBSCAN core points, or k-means centroids) to all base points and reduces
-each column to its current cluster, so a merge costs the small cluster's
-points times all base points, and no distance outlives its merge.
+Every distance goes through ``_blocks``, which measures a set of rows
+against a set of points a block of rows at a time, at most ``_CELLS``
+distances (at least one row) per block, with the points' squared norms
+computed once per pass.  ``_nearest`` reads each row's nearest point from
+those blocks; both models' ``assign_many``, Lloyd's assignment step,
+k-means++ seeding and DBSCAN's noise labels use it.  So no pass holds more
+than a block of distances, however many rows it measures.  DBSCAN's clusters
+are the connected components of the core graph (core points within eps of
+each other), found with a vectorised union-find over each block's edges.
+The support merge measures single linkage on demand: each merge takes the
+blocked distances from the small cluster's base points (DBSCAN core points,
+or k-means centroids) to all base points and reduces each column to its
+current cluster, so a merge costs the small cluster's points times all base
+points, and no distance outlives its merge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -51,30 +54,34 @@ def _sq_norms(B: np.ndarray) -> np.ndarray:
     return (B * B).sum(axis=1)
 
 
-def _sq_dists(A: np.ndarray, B: np.ndarray, bb: np.ndarray | None = None) -> np.ndarray:
-    """Squared distances from each row of ``A`` to each row of ``B``.
-
-    ``bb`` is ``_sq_norms(B)``, passed by callers that measure many blocks
-    against one ``B``.
-    """
-    if bb is None:
-        bb = _sq_norms(B)
+def _sq_dists(A: np.ndarray, B: np.ndarray, bb: np.ndarray) -> np.ndarray:
+    """Squared distances from each row of ``A`` to each row of ``B``, whose
+    squared norms are ``bb``."""
     d2 = _sq_norms(A)[:, None] + bb - 2.0 * (A @ B.T)
     np.maximum(d2, 0.0, out=d2)
     return d2
 
 
-def _block_rows(width: int) -> int:
-    """Rows per block of distances to ``width`` points, within ``_CELLS``."""
-    return max(1, _CELLS // max(width, 1))
-
-
-def _nearest(A: np.ndarray, B: np.ndarray, bb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row of ``A``'s nearest row of ``B`` (lowest index on ties) and its ``d^2``;
+def _blocks(
+    A: np.ndarray, B: np.ndarray, bb: np.ndarray
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Each block of ``A``'s rows, as a slice, with its squared distances to
+    ``B``: at most ``_CELLS`` distances and at least one row per block.
     ``bb`` is ``_sq_norms(B)``."""
-    d2 = _sq_dists(A, B, bb)
-    nearest = d2.argmin(axis=1)
-    return nearest, d2[np.arange(len(A)), nearest]
+    step = max(1, _CELLS // max(len(B), 1))
+    for start in range(0, len(A), step):
+        rows = slice(start, start + step)
+        yield rows, _sq_dists(A[rows], B, bb)
+
+
+def _nearest(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``A``'s nearest row of ``B`` (lowest index on ties) and its ``d^2``."""
+    nearest = np.empty(len(A), dtype=np.int64)
+    d2 = np.empty(len(A))
+    for rows, block in _blocks(A, B, _sq_norms(B)):
+        nearest[rows] = block.argmin(axis=1)
+        d2[rows] = block[np.arange(len(block)), nearest[rows]]
+    return nearest, d2
 
 
 def _join(parent: np.ndarray, start: int, adjacent: np.ndarray) -> None:
@@ -107,8 +114,8 @@ def _join(parent: np.ndarray, start: int, adjacent: np.ndarray) -> None:
 class KMeansModel:
     """Fitted k-means: centroids plus an optional small-cluster merge map.
 
-    Construction raises :class:`DataError` unless the merge map holds one
-    cluster id per centroid.
+    Construction raises :class:`DataError` unless the centroids are finite
+    and the merge map holds one cluster id per centroid.
     """
 
     centroids: np.ndarray
@@ -117,6 +124,8 @@ class KMeansModel:
     labels_: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
+        if not np.isfinite(self.centroids).all():
+            raise DataError("centroids must be finite")
         if not self.merge_map:
             self.merge_map = tuple(range(len(self.centroids)))
         if len(self.merge_map) != len(self.centroids):
@@ -139,17 +148,16 @@ class KMeansModel:
         Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
         if Z.shape[1] != self.dim:
             raise DataError(f"vector dim {Z.shape[1]} != model dim {self.dim}")
-        raw = _sq_dists(Z, self.centroids).argmin(axis=1)
-        mapper = np.asarray(self.merge_map)
-        return mapper[raw]
+        return np.asarray(self.merge_map)[_nearest(Z, self.centroids)[0]]
 
 
 @dataclass
 class DbscanModel:
     """Fitted DBSCAN: core points with their cluster labels.
 
-    Construction raises :class:`DataError` unless there is one label per
-    core point and ``n_clusters`` counts the distinct labels.
+    Construction raises :class:`DataError` unless the core points are
+    finite, there is one label per core point and ``n_clusters`` counts the
+    distinct labels.
     """
 
     eps: float
@@ -161,6 +169,8 @@ class DbscanModel:
     labels_: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
+        if not np.isfinite(self.core_points).all():
+            raise DataError("core_points must be finite")
         if len(self.core_labels) != len(self.core_points):
             raise DataError(f"core_labels lists {len(self.core_labels)} labels "
                             f"for {len(self.core_points)} core points")
@@ -181,12 +191,7 @@ class DbscanModel:
         Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
         if Z.shape[1] != self.dim:
             raise DataError(f"vector dim {Z.shape[1]} != model dim {self.dim}")
-        out = np.empty(len(Z), dtype=np.int64)
-        step, bb = _block_rows(len(self.core_points)), _sq_norms(self.core_points)
-        for start in range(0, len(Z), step):
-            block = slice(start, start + step)
-            out[block] = self.core_labels[_nearest(Z[block], self.core_points, bb)[0]]
-        return out
+        return self.core_labels[_nearest(Z, self.core_points)[0]]
 
 
 ClusterModel = Union[KMeansModel, DbscanModel]
@@ -212,7 +217,7 @@ def _kmeanspp_init(
     """
     first = rows[int(rng.integers(len(rows)))]
     centroids = [Z[first]]
-    d2 = _sq_dists(Z, Z[first][None, :])[:, 0]
+    d2 = _nearest(Z, Z[first][None, :])[1]
     while len(centroids) < k:
         point_d2 = d2[rows]
         total = float(point_d2.sum())
@@ -221,7 +226,7 @@ def _kmeanspp_init(
             raise FitError(f"k={k} exceeds the {distinct} distinct rows available")
         nxt = rows[int(rng.choice(len(rows), p=point_d2 / total))]
         centroids.append(Z[nxt])
-        d2 = np.minimum(d2, _sq_dists(Z, Z[nxt][None, :])[:, 0])
+        d2 = np.minimum(d2, _nearest(Z, Z[nxt][None, :])[1])
     return np.array(centroids)
 
 
@@ -246,16 +251,14 @@ def fit_kmeans(
     if k < 1:
         raise FitError("k must be >= 1")
     rows, weights = _training_rows(Z, rows)
-    n = len(Z)
     rng = np.random.default_rng(seed)
     centroids = _kmeanspp_init(Z, rows, k, rng)
 
     history: list[float] = []
     labels: np.ndarray | None = None
     for _ in range(_MAX_ITER):
-        d2 = _sq_dists(Z, centroids)
-        new_labels = d2.argmin(axis=1)
-        history.append(float((weights * d2[np.arange(n), new_labels]).sum()))
+        new_labels, d2 = _nearest(Z, centroids)
+        history.append(float((weights * d2).sum()))
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -269,16 +272,15 @@ def fit_kmeans(
             else:
                 empties.append(c)
         if empties:
-            dist = d2[np.arange(n), labels].copy()
+            dist = d2.copy()
             for c in empties:
                 far = int(dist.argmax())
                 updated[c] = Z[far]
                 dist[far] = -1.0
         centroids = updated
     else:
-        d2 = _sq_dists(Z, centroids)
-        labels = d2.argmin(axis=1)
-        history.append(float((weights * d2[np.arange(n), labels]).sum()))
+        labels, d2 = _nearest(Z, centroids)
+        history.append(float((weights * d2).sum()))
 
     return KMeansModel(
         centroids=centroids,
@@ -310,7 +312,7 @@ def fit_dbscan(
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2 or len(Z) == 0:
         raise FitError("Z must be a nonempty 2-d array")
-    if eps <= 0:
+    if not eps > 0:
         raise FitError("eps must be positive")
     if min_pts < 1:
         raise FitError("min_pts must be >= 1")
@@ -320,10 +322,9 @@ def fit_dbscan(
 
     counts = np.zeros(n, dtype=np.int64)
     parent = np.arange(n)
-    step, bb = _block_rows(n), _sq_norms(Z)
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        near = _sq_dists(Z[start:stop], Z, bb) <= eps2
+    for rows, d2 in _blocks(Z, Z, _sq_norms(Z)):
+        start, stop = rows.start, rows.start + len(d2)
+        near = d2 <= eps2
         counts[start:stop] = near @ weights
         # The block's rows and every earlier row now know whether they are
         # core, so the core graph gains its edges (i, j) with j < i here.
@@ -337,12 +338,8 @@ def fit_dbscan(
     root_rows = core_rows[parent[core_rows] == core_rows]
     core_labels = np.searchsorted(root_rows, parent[core_rows])
 
-    labels = np.full(n, -1, dtype=np.int64)
-    step, bb = _block_rows(len(core_Z)), _sq_norms(core_Z)
-    for start in range(0, n, step):
-        block = slice(start, start + step)
-        nearest, d2 = _nearest(Z[block], core_Z, bb)
-        labels[block] = np.where(d2 <= eps2, core_labels[nearest], -1)
+    nearest, d2 = _nearest(Z, core_Z)
+    labels = np.where(d2 <= eps2, core_labels[nearest], -1)
 
     return DbscanModel(
         eps=eps,
@@ -385,7 +382,7 @@ def merge_small_clusters(
 
     # Each base point's surviving id: the lowest id of the groups merged with its own.
     group_of = base_to_group.copy()
-    step, bb = _block_rows(len(points)), _sq_norms(points)
+    bb = _sq_norms(points)
     support = counts.copy()
     alive = np.ones(n_groups, dtype=bool)
     for _ in range(n_groups - 1):
@@ -395,8 +392,7 @@ def merge_small_clusters(
         small = int(lacking[np.argmin(support[lacking])])
         members = np.flatnonzero(group_of == small)
         d2 = np.full(n_groups, np.inf)
-        for start in range(0, len(members), step):
-            block = _sq_dists(points[members[start : start + step]], points, bb)
+        for _, block in _blocks(points[members], points, bb):
             np.minimum.at(d2, group_of, block.min(axis=0))
         d2[small] = np.inf
         # Ties are on distances: distinct squares can share a root, and the lowest id wins.

@@ -117,9 +117,10 @@ class SparseComponents:
     its step fell below ``_TOL``; a degenerate component takes no step and
     counts as converged.
 
-    Construction raises :class:`DataError` unless the loadings are 2-D with
-    ``k`` rows, the means and scales hold one finite value per column with
-    every scale positive, and each per-component field lists ``k`` values.
+    Construction raises :class:`DataError` unless the loadings are finite
+    and 2-D with ``k`` rows, the means and scales hold one finite value per
+    column with every scale positive, and each per-component field lists
+    ``k`` values, the explained variances finite.
     """
 
     loadings: np.ndarray
@@ -145,6 +146,9 @@ class SparseComponents:
         for name in ("explained_variance", "degenerate", "n_iter", "converged"):
             if (n := len(getattr(self, name))) != k:
                 raise DataError(f"{name} lists {n} values for {k} components")
+        for name in ("loadings", "explained_variance"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise DataError(f"{name} must be finite")
 
     @property
     def n_cols(self) -> int:

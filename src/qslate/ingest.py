@@ -397,6 +397,19 @@ _PARSE_BLOCK = 256
 _SLATE_LOCATIONS = np.repeat(STEPS, 3)
 
 
+def slate_faults(slates: np.ndarray, catalog: ItemCatalog) -> np.ndarray:
+    """Which steps of each 9-item slate break the slate rule, as an n×3 bool
+    mask: 1-based position ``p`` of an int64 row of ``slates`` (n×9) must
+    hold a catalog item of location ⌈p/3⌉, and no item may repeat within a
+    step's 3 positions."""
+    at, known = catalog.index(slates)
+    # An unknown item reads location 0, which no position requires.
+    located = np.append(catalog.locations, 0)[np.where(known, at, -1)] == _SLATE_LOCATIONS
+    ok = located.reshape(-1, len(STEPS), 3)
+    a, b, c = slates.reshape(-1, len(STEPS), 3).transpose(2, 0, 1)
+    return ~(ok[:, :, 0] & ok[:, :, 1] & ok[:, :, 2]) | (a == b) | (b == c) | (a == c)
+
+
 def _line_blocks(text: str) -> Iterator[tuple[Sequence[int], Sequence[str]]]:
     """The non-blank lines of ``text``, up to ``_PARSE_BLOCK`` lines at a
     time, with their 1-based line numbers."""
@@ -603,10 +616,7 @@ def _session_block(lines: Sequence[str], catalog: ItemCatalog, index: _StateInde
         for texts in (slates, labels)
     )
     _require(((label == 0) | (label == 1)).all())
-    at, known = catalog.index(slate)
-    _require(known.all() and (catalog.locations[at] == _SLATE_LOCATIONS).all())
-    rows = np.sort(slate.reshape(-1, len(STEPS), 3), axis=2)
-    _require(not (rows[:, :, 1:] == rows[:, :, :-1]).any())
+    _require(not slate_faults(slate, catalog).any())
     return _ints(",".join(users), n), _ints(",".join(times), n), state, slate, label == 1
 
 

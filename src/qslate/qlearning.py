@@ -61,15 +61,13 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DataError, TrainError, read_model_file, write_model_file
-from .ingest import STEPS, ItemCatalog, TransitionTable
+from .ingest import STEPS, ItemCatalog, TransitionTable, slate_faults
 
 QTABLES_FORMAT = "qslate-qtables"
 QTABLES_VERSION = 2
 
 #: The fallback layers of a greedy policy, in the order they are tried.
 POLICY_LAYERS = ("own", "union", "any", "zero")
-
-Slate = tuple[int, int, int]
 
 # Table (cluster, step) has id cluster * _WIDTH + step, so the table that a
 # non-terminal transition reads is its own table's id + 1.
@@ -89,24 +87,6 @@ def _usable_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def make_slate(
-    items, catalog: ItemCatalog | None = None, step: int | None = None
-) -> Slate:
-    """Build a validated action slate: 3 distinct ids, sorted ascending."""
-    slate = tuple(sorted(int(i) for i in items))
-    if len(slate) != 3:
-        raise DataError(f"a slate holds exactly 3 items, got {slate}")
-    if len(set(slate)) != 3:
-        raise DataError(f"slate {slate} contains duplicate items")
-    if catalog is not None:
-        locs = {catalog.location(i) for i in slate}
-        if len(locs) != 1:
-            raise DataError(f"slate {slate} mixes locations {sorted(locs)}")
-        if step is not None and locs != {step}:
-            raise DataError(f"slate {slate} has location {locs.pop()}, expected step {step}")
-    return slate
 
 
 @dataclass(frozen=True)
@@ -309,7 +289,11 @@ def _recheck_tables(tables: list[tuple[tuple[int, int], dict]]) -> None:
                 raise DataError(f"slate {slate!r} is not a list of integer item ids")
             name = "-".join(map(str, slate))
             if not (len(slate) == 3 and slate[0] < slate[1] < slate[2]):
-                make_slate(slate)  # names a wrong count or a repeated item
+                items = tuple(sorted(slate))
+                if len(items) != 3:
+                    raise DataError(f"a slate holds exactly 3 items, got {items}")
+                if len(set(items)) != 3:
+                    raise DataError(f"slate {items} contains duplicate items")
                 raise DataError(f"cell {name!r} does not list its items in order")
             if type(q) not in (int, float) or type(v) is not int:
                 raise DataError(
@@ -673,16 +657,20 @@ def export_policies(
     reads 0 everywhere, as a dense zero table would, so it takes the
     smallest slate: the 3 smallest item ids at its location.  Raises
     :class:`TrainError` for such a step when the location holds fewer than
-    3 items, and :class:`DataError` for a slate that does not fit its step's
-    location, checking cluster by cluster and step by step.  With
+    3 items, and :class:`DataError` naming the first cluster and step whose
+    slate breaks :func:`~qslate.ingest.slate_faults`' rule.  With
     ``return_layers``, also the ``n_clusters × 3`` array of each cluster's
     layer per step, as indices into :data:`POLICY_LAYERS`.
     """
     slates, layers = _greedy(bank, catalog, min_visits)
-    for c in range(bank.n_clusters):
-        for k, step in enumerate(STEPS):
-            if POLICY_LAYERS[layers[c, k]] == "zero" and len(catalog.by_location[step]) < 3:
-                raise TrainError(f"no trained action exists for step {step}")
-            make_slate(slates[c, k].tolist(), catalog=catalog, step=step)
+    zero = (layers == POLICY_LAYERS.index("zero")).any(axis=0)
+    for step in np.asarray(STEPS)[zero].tolist():
+        if len(catalog.by_location[step]) < 3:
+            raise TrainError(f"no trained action exists for step {step}")
     policies = slates.reshape(bank.n_clusters, 3 * len(STEPS))
+    faults = np.argwhere(slate_faults(policies, catalog))
+    if len(faults):
+        c, k = faults[0].tolist()
+        raise DataError(f"cluster {c}'s slate {tuple(slates[c, k].tolist())} at step {STEPS[k]} "
+                        "holds an unknown item, an item of another location or a repeated item")
     return (policies, layers) if return_layers else policies

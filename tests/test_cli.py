@@ -241,6 +241,28 @@ class TestTrain:
         assert code == 2
         assert "none.txt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "evaluate", "recommend"])
+    def test_non_utf8_items_file_is_data_error(self, tmp_path, capsys, command):
+        data = generate_corpus(tmp_path)
+        items = data / "items.txt"
+        models = tmp_path / "m" if command == "train" else train_models(tmp_path, data)
+        text = items.read_bytes()
+        items.write_bytes(text[:7] + b"\xff" + text[8:])
+        users = tmp_path / "users.txt"
+        users.write_text("1 - 0,0,0,0,0,0,0,0,0,0\n")
+        inputs = {
+            "train": ["--sessions", data / "sessions.txt", "--model-dir", models],
+            "evaluate": ["--sessions", data / "sessions.txt", "--model-dir", models,
+                         "--report-dir", tmp_path / "r"],
+            "recommend": ["--users", users, "--model-dir", models, "--out", tmp_path / "r"],
+        }[command]
+        code = run(command, "--items", items, *inputs)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {items}: not UTF-8 text: invalid start byte at byte 7\n"
+        )
+        assert not (tmp_path / "m").exists() and not (tmp_path / "r").exists()
+
     def test_non_finite_portrait_is_data_error(self, tmp_path, capsys):
         data = generate_corpus(tmp_path)
         lines = (data / "sessions.txt").read_text().splitlines(keepends=True)
@@ -404,8 +426,19 @@ class TestEvaluate:
          lambda p: p.update({key: p[key][:5] for key in (
              "loadings", "explained_variance", "degenerate", "n_iter", "converged")}, k=5),
          "components.json holds 5 components, but clusters.json clusters vectors of dim 6"),
+        ({}, "clusters.json", lambda p: p["centroids"][1].__setitem__(0, float("nan")),
+         "centroids must be finite"),
+        ({"--cluster": "dbscan", "--eps": 3, "--min-pts": 3, "--min-support": 1},
+         "clusters.json", lambda p: p["core_points"][0].__setitem__(2, float("inf")),
+         "core_points must be finite"),
+        ({}, "components.json", lambda p: p["loadings"][0].__setitem__(3, float("nan")),
+         "loadings must be finite"),
+        ({}, "components.json",
+         lambda p: p["explained_variance"].__setitem__(1, float("-inf")),
+         "explained_variance must be finite"),
     ], ids=["merge-map-short", "core-labels-short", "n-clusters-off", "means-short",
-            "k-off", "scale-zero", "fewer-components"])
+            "k-off", "scale-zero", "fewer-components", "nan-centroid", "inf-core-point",
+            "nan-loading", "inf-explained-variance"])
     def test_model_file_arrays_that_disagree_name_it(self, tmp_path, capsys, command, flags,
                                                       name, corrupt, message):
         data = generate_corpus(tmp_path)

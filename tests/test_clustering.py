@@ -240,6 +240,10 @@ class TestDbscan:
         with pytest.raises(FitError):
             fit_dbscan(Z, eps=1.0, min_pts=0)
 
+    def test_nan_eps_is_rejected_as_not_positive(self):
+        with pytest.raises(FitError, match="eps must be positive"):
+            fit_dbscan(np.zeros((5, 2)), eps=float("nan"), min_pts=1)
+
     def test_repeated_rows_fit_equals_expanded_fit(self):
         rng = np.random.default_rng(21)
         Z = np.concatenate([
@@ -286,6 +290,15 @@ class TestDbscan:
         (model, assigned), added = heap_added(fit_and_assign)
         assert model.n_clusters >= 1 and len(assigned) == len(Z)
         assert added <= 4 * 2**20
+
+    def test_kmeans_assign_many_adds_at_most_8_mib(self):
+        # Assignment measures a bounded block at a time, not all rows at once.
+        rng = np.random.default_rng(17)
+        model = KMeansModel(centroids=rng.normal(size=(64, 16)))
+        Z = rng.normal(size=(50_000, 16))
+        assigned, added = heap_added(lambda: model.assign_many(Z))
+        assert len(assigned) == len(Z)
+        assert added <= 8 * 2**20
 
 
 class TestDbscanMatchesExpansionOracle:

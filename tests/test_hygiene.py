@@ -291,6 +291,15 @@ def test_catalog_ids_are_searched_only_by_index():
     assert found == [("ingest.py", "ItemCatalog.index")]
 
 
+def test_distances_are_measured_only_in_blocks():
+    """Every distance goes through ``clustering._blocks``, so no pass holds
+    more than a block of distances."""
+    found = [(path.name, scope) for path in MODULES
+             for scope in calls_by_scope(path.read_text(),
+                                         lambda call: called_name(call) == "_sq_dists")]
+    assert found == [("clustering.py", "_blocks")]
+
+
 def test_qlearning_lexsorts_only_in_order_and_greedy():
     """Integer keys sort through ``_order``; only ``_greedy``'s key holds the
     float q, which ``_order`` cannot pack."""

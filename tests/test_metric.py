@@ -368,6 +368,17 @@ class TestTune:
         assert bad.report is None
         assert result.best_index == good.index == 0
 
+    def test_nan_eps_cell_fails_as_not_positive(self, small_corpus):
+        result = tune(
+            {"cluster": [{"method": "kmeans", "k": 2},
+                         {"method": "dbscan", "eps": float("nan"), "min_pts": 5}]},
+            small_corpus.sessions, small_corpus.catalog, base_params=self.base(),
+        )
+        good, bad = result.cells
+        assert bad.error == "eps must be positive"
+        assert bad.report is None
+        assert result.best_index == good.index == 0
+
     def assert_cells_match_independent_runs(self, result, corpus, base):
         train_set, validation = holdout_split(corpus.sessions, 0.8, 0)
         for cell in result.cells:

@@ -41,7 +41,6 @@ from qslate.qlearning import (
     QTableBank,
     TrainConfig,
     export_policies,
-    make_slate,
     train,
 )
 
@@ -112,28 +111,6 @@ def exact_cells(tables):
     """Every table's cells by slate, with each q as its repr."""
     return {key: sorted((slate, repr(q), visits) for slate, (q, visits) in tab.items())
             for key, tab in tables.items()}
-
-
-class TestSlates:
-    def test_sorted_and_validated(self, catalog9):
-        assert make_slate([3, 1, 2]) == (1, 2, 3)
-        assert make_slate((9, 7, 8), catalog=catalog9, step=3) == (7, 8, 9)
-
-    def test_duplicates_rejected(self):
-        with pytest.raises(DataError, match="duplicate"):
-            make_slate([1, 1, 2])
-
-    def test_wrong_arity(self):
-        with pytest.raises(DataError, match="3 items"):
-            make_slate([1, 2])
-
-    def test_mixed_locations_rejected(self, catalog9):
-        with pytest.raises(DataError, match="mixes locations"):
-            make_slate([1, 2, 4], catalog=catalog9)
-
-    def test_location_step_mismatch(self, catalog9):
-        with pytest.raises(DataError, match="expected step 2"):
-            make_slate([1, 2, 3], catalog=catalog9, step=2)
 
 
 class TestTrainConfig:
@@ -840,6 +817,15 @@ class TestPolicies:
         bank = bank_of(1, [(0, 1, (1, 2, 3), 1.0, 5), (0, 2, (4, 5, 6), 1.0, 5)])
         with pytest.raises(TrainError, match="step 3"):
             export_policies(bank, catalog, min_visits=1)
+
+    @pytest.mark.parametrize("slate", [(4, 5, 99), (4, 5, 7), (4, 4, 5)],
+                             ids=["unknown-item", "other-location", "repeated-item"])
+    def test_slate_that_breaks_the_slate_rule_is_named(self, slate):
+        # Cluster 1's own step-2 cell wins its step and breaks the rule.
+        bank = bank_of(2, [(0, 1, (1, 2, 3), 1.0, 5), (0, 2, (4, 5, 6), 1.0, 5),
+                           (0, 3, (7, 8, 9), 1.0, 5), (1, 2, slate, 9.0, 5)])
+        with pytest.raises(DataError, match=re.escape(f"cluster 1's slate {slate} at step 2 ")):
+            export_policies(bank, make_catalog(), min_visits=3)
 
     def test_policy_slates_come_from_observed_actions(self):
         corpus = generate_synthetic(
