@@ -14,7 +14,7 @@ import sys
 import time
 from pathlib import Path
 
-from .errors import DataError, QslateError, read_model_file, write_model_file
+from .errors import DataError, ModelFileError, QslateError, read_model_file, write_model_file
 from .ingest import (
     N_PORTRAITS,
     STEPS,
@@ -29,6 +29,7 @@ from .ingest import (
 )
 from .metric import MetricConfig, TuneResult, holdout_split, score, tune
 from .pipeline import (
+    CLUSTERS_FILE,
     PipelineModel,
     PipelineParams,
     fit_pipeline,
@@ -37,7 +38,7 @@ from .pipeline import (
     save_models,
     timed,
 )
-from .qlearning import POLICY_LAYERS, export_policies
+from .qlearning import POLICY_LAYERS, check_policies
 
 MANIFEST_FILE = "manifest.json"
 MANIFEST_FORMAT = "qslate-manifest"
@@ -96,9 +97,15 @@ def _read_text(path: str) -> tuple[str, str]:
         raise DataError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
-def _stamp(*parts: str) -> str:
+def _stamp(digests: dict, params: dict, train_fraction: float) -> str:
+    """A model's stamp: its input digests, params and split.  ``threads`` and
+    ``deterministic`` choose how training runs, not what it learns, so they
+    stay out (the manifest still records them)."""
+    learned = {key: value for key, value in params.items()
+               if key not in ("threads", "deterministic")}
     digest = hashlib.sha256()
-    for part in parts:
+    for part in (digests["items"], digests["sessions"], json.dumps(learned, sort_keys=True),
+                 str(train_fraction)):
         digest.update(part.encode())
         digest.update(b"\x00")
     return digest.hexdigest()[:16]
@@ -190,31 +197,19 @@ def cmd_train(args) -> int:
     model, stats = fit_pipeline(train_sessions, catalog, params)
     wall = time.perf_counter() - started
 
-    # threads and deterministic choose how training runs, not what it learns,
-    # so they stay out of the stamp (the manifest still records them).
-    model_params = {
-        key: value
-        for key, value in params.resolved().items()
-        if key not in ("threads", "deterministic")
-    }
-    params_json = json.dumps(model_params, sort_keys=True)
     digests = {"items": items_digest, "sessions": sessions_digest}
-    stamp = _stamp(digests["items"], digests["sessions"], params_json, str(args.train_frac))
+    stamp = _stamp(digests, params.resolved(), args.train_frac)
     model_dir = Path(args.model_dir)
-    model_dir.mkdir(parents=True, exist_ok=True)
-    save_models(model, model_dir, stamp)
+    save_models(model, model_dir, stamp, stats.bank)
 
     write_model_file(model_dir / MANIFEST_FILE, MANIFEST_FORMAT, MANIFEST_VERSION, stamp, {
         "seed": args.seed,
         "train_fraction": args.train_frac,
         "params": params.resolved(),
-        "n_catalog_items": len(catalog),
         "sha256": digests,
     })
 
-    policies, layers = export_policies(model.bank, catalog, params.min_visits,
-                                       return_layers=True)
-    (model_dir / "policy.txt").write_text(_rows_text(range(len(policies)), policies))
+    (model_dir / "policy.txt").write_text(_rows_text(range(len(model.policies)), model.policies))
 
     stats.timings[:0] = timings
     summary = {
@@ -226,15 +221,15 @@ def cmd_train(args) -> int:
         **stats.to_dict(),
         "pca": model.components.report(),
         "qtables": [
-            {**table, "layer": POLICY_LAYERS[layers[table["cluster"], table["step"] - 1]]}
-            for table in model.bank.report(params.epochs)
+            {**table, "layer": POLICY_LAYERS[stats.layers[table["cluster"], table["step"] - 1]]}
+            for table in stats.bank.report(params.epochs)
         ],
     }
     (model_dir / "summary.json").write_text(json.dumps(summary, sort_keys=True) + "\n")
 
     for name, secs in stats.timings:
         print(f"stage {name:<16} {secs:8.3f} s")
-    for step, layer in zip(STEPS, layers[0]):
+    for step, layer in zip(STEPS, stats.layers[0]):
         if POLICY_LAYERS[layer] == "zero":
             print(f"warning: no training session reached step {step}; every policy takes "
                   f"the 3 smallest item ids at location {step}", file=sys.stderr)
@@ -250,30 +245,29 @@ def cmd_train(args) -> int:
     print(
         f"trained {stats.n_clusters} clusters "
         f"({stats.n_clusters_before_merge} before support merge), "
-        f"{stats.n_transitions} transitions, {stats.table_cells} q-cells, "
+        f"{stats.n_transitions} transitions, {stats.bank.n_cells()} q-cells, "
         f"{params.epochs} epochs, {wall:.3f} s total -> {model_dir}"
     )
     return 0
 
 
 def _manifest(payload: dict) -> dict:
-    """The manifest, with the fields that loading and evaluation read checked."""
-    if not isinstance(payload["stamp"], str):
-        raise TypeError(f"stamp {payload['stamp']!r} is not a string")
-    payload["seed"] = int(payload["seed"])
-    payload["train_fraction"] = float(payload["train_fraction"])
-    payload["params"]["min_visits"] = int(payload["params"]["min_visits"])
+    """The manifest, whose fields must be those that ``train`` wrote: its
+    digests, params and split hash to its stamp, and its seed is the
+    params' seed."""
+    params, fraction = payload["params"], payload["train_fraction"]
+    if (type(fraction) is not float or type(payload["seed"]) is not int
+            or payload["seed"] != params["seed"]
+            or _stamp(payload["sha256"], params, fraction) != payload["stamp"]):
+        raise DataError("its fields are not those that train wrote: they must hash to its "
+                        "stamp, and seed must equal params.seed")
     return payload
 
 
-def _check_digest(manifest: dict, model_dir: Path, name: str, path: str, digest: str) -> None:
+def _check_digest(manifest: dict, name: str, path: str, digest: str) -> None:
     """Require the file at ``path``, whose sha256 is ``digest``, to be the
     ``name`` input of training."""
-    digests = manifest.get("sha256")
-    recorded = digests.get(name) if isinstance(digests, dict) else None
-    if recorded is None:
-        raise DataError(f"{model_dir / MANIFEST_FILE}: manifest records no {name} digest")
-    if digest != recorded:
+    if digest != manifest["sha256"][name]:
         raise DataError(
             f"{path}: not the {name} file the model was trained on (sha256 differs)"
         )
@@ -295,7 +289,11 @@ def _load_model(model_dir: Path, items_path: str) -> tuple[PipelineModel, dict, 
     n_items = model.components.n_cols - N_PORTRAITS
     if n_items != len(catalog):
         raise DataError(f"model expects {n_items} catalog items, data has {len(catalog)}")
-    _check_digest(manifest, model_dir, "items", items_path, items_digest)
+    _check_digest(manifest, "items", items_path, items_digest)
+    try:
+        check_policies(model.policies, catalog)
+    except DataError as exc:
+        raise ModelFileError(model_dir / CLUSTERS_FILE, str(exc)) from None
     return model, manifest, catalog
 
 
@@ -303,7 +301,7 @@ def cmd_evaluate(args) -> int:
     model_dir = Path(args.model_dir)
     model, manifest, catalog = _load_model(model_dir, args.items)
     sessions_text, digest = _read_text(args.sessions)
-    _check_digest(manifest, model_dir, "sessions", args.sessions, digest)
+    _check_digest(manifest, "sessions", args.sessions, digest)
     sessions = parse_sessions(sessions_text, catalog)
     _, validation = holdout_split(sessions, manifest["train_fraction"], manifest["seed"])
 
@@ -492,6 +490,9 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except QslateError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # every read raises DataError, so this is a write
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

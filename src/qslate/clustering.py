@@ -34,15 +34,11 @@ points, and no distance outlives its merge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Iterator, Union
 
 import numpy as np
 
-from .errors import DataError, FitError, read_model_file, write_model_file
-
-CLUSTERS_FORMAT = "qslate-clusters"
-CLUSTERS_VERSION = 1
+from .errors import DataError, FitError
 
 # Distances per block: a float64 block of _sq_dists holds 1 MiB.
 _CELLS = 2**17
@@ -414,27 +410,27 @@ def merge_small_clusters(
     return merged, old_to_new
 
 
-def save_cluster_model(model: ClusterModel, path: str | Path, stamp: str | None = None) -> None:
+def cluster_model_fields(model: ClusterModel) -> dict:
+    """The fields of ``clusters.json`` that hold ``model``."""
     if isinstance(model, KMeansModel):
-        body = {
+        return {
             "method": "kmeans",
             "centroids": model.centroids.tolist(),
             "merge_map": list(model.merge_map),
         }
-    else:
-        body = {
-            "method": "dbscan",
-            "eps": model.eps,
-            "min_pts": model.min_pts,
-            "core_points": model.core_points.tolist(),
-            "core_labels": model.core_labels.tolist(),
-            "n_clusters": model.n_clusters,
-            "n_noise": model.n_noise,
-        }
-    write_model_file(path, CLUSTERS_FORMAT, CLUSTERS_VERSION, stamp, body)
+    return {
+        "method": "dbscan",
+        "eps": model.eps,
+        "min_pts": model.min_pts,
+        "core_points": model.core_points.tolist(),
+        "core_labels": model.core_labels.tolist(),
+        "n_clusters": model.n_clusters,
+        "n_noise": model.n_noise,
+    }
 
 
-def _cluster_model(payload: dict) -> ClusterModel:
+def cluster_model_from(payload: dict) -> ClusterModel:
+    """The model that the fields of :func:`cluster_model_fields` hold."""
     method = payload.get("method")
     if method == "kmeans":
         return KMeansModel(
@@ -451,7 +447,3 @@ def _cluster_model(payload: dict) -> ClusterModel:
             n_noise=int(payload["n_noise"]),
         )
     raise DataError(f"unknown cluster method {method!r}")
-
-
-def load_cluster_model(path: str | Path) -> tuple[ClusterModel, str | None]:
-    return read_model_file(path, CLUSTERS_FORMAT, CLUSTERS_VERSION, _cluster_model)

@@ -1,7 +1,10 @@
-"""Exception hierarchy shared across the package, and the model-file envelope."""
+"""Exception hierarchy shared across the package, the model-file envelope and
+its strict reader of JSON columns."""
 
 import json
 from pathlib import Path
+
+import numpy as np
 
 
 class QslateError(Exception):
@@ -48,6 +51,23 @@ def read_model_file(path, fmt: str, version: int, build):
         raise ModelFileError(path, f"{fmt} file lacks field {exc}") from None
     except (TypeError, ValueError, OverflowError, AttributeError, DataError) as exc:
         raise ModelFileError(path, f"malformed {fmt} file: {exc}") from None
+
+
+_KINDS = {np.int64: ({int}, "an integer"), np.float64: ({int, float}, "a number")}
+
+
+def json_column(values, dtype, label: str, width: int = 1) -> np.ndarray:
+    """``values`` (a list, nested or flat, or an array) as a flat ``dtype``
+    array.  A value of another JSON kind (a bool, a string, a list, or a
+    float where integers belong) is refused rather than cast: the
+    :class:`DataError` names it and its cell, ``label`` formatted with the
+    value's position // ``width``."""
+    flat = np.asarray(values, dtype=object).ravel()
+    types, kind = _KINDS[dtype]
+    if not set(map(type, flat)) <= types:
+        i = next(i for i, value in enumerate(flat) if type(value) not in types)
+        raise DataError(f"{label.format(i // width)} is {flat[i]!r}, not {kind}")
+    return flat.astype(dtype)
 
 
 class FitError(QslateError):

@@ -354,7 +354,7 @@ def _score_model_cells(
     components, Z, Z_validation = group.leading(cell_params.k_features)
     try:
         model, stats = fit_on_reduced(
-            components, Z, group.rows, transitions, cell_params, []
+            components, Z, group.rows, transitions, catalog, cell_params, []
         )
         cluster_ids = model.cluster_model.assign_many(Z_validation)[group.validation_rows]
     except QslateError as exc:
@@ -362,7 +362,7 @@ def _score_model_cells(
         return
     for cell in cells:
         try:
-            policies = export_policies(model.bank, catalog, params[cell.index].min_visits)
+            policies = export_policies(stats.bank, catalog, params[cell.index].min_visits)
             cell.report = score(policies[cluster_ids], validation, catalog, cfg)
             cell.n_clusters = stats.n_clusters
         except QslateError as exc:

@@ -24,13 +24,13 @@ import numpy as np
 
 from .clustering import (
     ClusterModel,
+    cluster_model_fields,
+    cluster_model_from,
     fit_dbscan,
     fit_kmeans,
-    load_cluster_model,
     merge_small_clusters,
-    save_cluster_model,
 )
-from .errors import DataError, ModelFileError
+from .errors import DataError, ModelFileError, json_column, read_model_file, write_model_file
 from .features import (
     FeatureMatrix,
     SparseComponents,
@@ -87,22 +87,31 @@ class PipelineParams:
 
 @dataclass
 class PipelineModel:
+    """What serving reads: the components and the cluster model that map a
+    state to a cluster id, and each cluster's policy row (``n_clusters × 9``
+    int64, as :func:`export_policies` gave it at ``min_visits``)."""
+
     components: SparseComponents
     cluster_model: ClusterModel
-    bank: QTableBank
+    policies: np.ndarray
     min_visits: int
 
 
 @dataclass
 class FitStats:
+    """A fit's report, with the trained Q-tables (``bank``) and each policy
+    row's fallback layer per step (``layers``, indices into
+    :data:`~qslate.qlearning.POLICY_LAYERS`)."""
+
     timings: list[tuple[str, float]]
     n_clusters: int
     n_clusters_before_merge: int
     cluster_sizes: list[int]
     n_transitions: int
-    table_cells: int
     workers_requested: int
     workers_used: int
+    bank: QTableBank
+    layers: np.ndarray
 
     def to_dict(self) -> dict:
         return {
@@ -111,7 +120,7 @@ class FitStats:
             "n_clusters_before_merge": self.n_clusters_before_merge,
             "cluster_sizes": self.cluster_sizes,
             "n_transitions": self.n_transitions,
-            "table_cells": self.table_cells,
+            "table_cells": self.bank.n_cells(),
             "workers_requested": self.workers_requested,
             "workers_used": self.workers_used,
         }
@@ -164,6 +173,7 @@ def fit_pipeline(
         reduced,
         raw.rows,
         lambda: sessions_to_transitions(sessions, catalog),
+        catalog,
         params,
         timings,
     )
@@ -174,10 +184,13 @@ def fit_on_reduced(
     reduced: np.ndarray,
     rows: np.ndarray,
     make_transitions: Callable[[], TransitionTable],
+    catalog: ItemCatalog,
     params: PipelineParams,
     timings: list[tuple[str, float]],
 ) -> tuple[PipelineModel, FitStats]:
-    """The stages after ``transform``: cluster, assign, merge and train.
+    """The stages after ``transform``: cluster, assign, merge and train;
+    then the policy rows of ``catalog``'s items, exported from the trained
+    bank at ``params.min_visits``.
 
     ``reduced`` holds the distinct training states projected on
     ``components`` and ``rows`` each session's state, as in
@@ -216,6 +229,7 @@ def fit_on_reduced(
         deterministic=params.deterministic,
     )
     timed(timings, "train", lambda: train(bank, transitions, assignments, cfg))
+    policies, layers = export_policies(bank, catalog, params.min_visits, return_layers=True)
 
     sizes = np.bincount(assignments, minlength=cluster_model.n_clusters)
     stats = FitStats(
@@ -224,14 +238,15 @@ def fit_on_reduced(
         n_clusters_before_merge=n_before,
         cluster_sizes=[int(v) for v in sizes],
         n_transitions=len(transitions),
-        table_cells=bank.n_cells(),
         workers_requested=params.threads,
         workers_used=cfg.workers(assignments[transitions.session_ref], transitions.terminal),
+        bank=bank,
+        layers=layers,
     )
     return PipelineModel(
         components=components,
         cluster_model=cluster_model,
-        bank=bank,
+        policies=policies,
         min_visits=params.min_visits,
     ), stats
 
@@ -244,36 +259,52 @@ def recommend_for_sessions(
     raw = build_raw_features(sessions, catalog)
     reduced = transform(raw, model.components)
     cluster_ids = model.cluster_model.assign_many(reduced)[raw.rows]
-    return export_policies(model.bank, catalog, model.min_visits)[cluster_ids]
+    return model.policies[cluster_ids]
 
 
 COMPONENTS_FILE = "components.json"
 CLUSTERS_FILE = "clusters.json"
 QTABLES_FILE = "qtables.json"
+CLUSTERS_FORMAT = "qslate-clusters"
+CLUSTERS_VERSION = 2
 
 
-def save_models(model: PipelineModel, model_dir: str | Path, stamp: str) -> None:
+def save_models(model: PipelineModel, model_dir: str | Path, stamp: str,
+                bank: QTableBank) -> None:
+    """Write the model files: ``components.json``; ``clusters.json``, the
+    cluster model with each cluster's policy row and their ``min_visits``;
+    and ``qtables.json``, the ``bank`` they were exported from, as a record
+    that no command reads back."""
     model_dir = Path(model_dir)
     model_dir.mkdir(parents=True, exist_ok=True)
     model.components.save(model_dir / COMPONENTS_FILE, stamp=stamp)
-    save_cluster_model(model.cluster_model, model_dir / CLUSTERS_FILE, stamp=stamp)
-    model.bank.save(model_dir / QTABLES_FILE, stamp=stamp)
+    write_model_file(model_dir / CLUSTERS_FILE, CLUSTERS_FORMAT, CLUSTERS_VERSION, stamp, {
+        **cluster_model_fields(model.cluster_model),
+        "policies": model.policies.tolist(),
+        "min_visits": model.min_visits,
+    })
+    bank.save(model_dir / QTABLES_FILE, stamp=stamp)
+
+
+def _clusters(payload: dict) -> tuple[ClusterModel, np.ndarray, int]:
+    rows = payload["policies"]
+    policies = json_column(rows, np.int64, "an item of cluster {}'s policy row", width=9)
+    return cluster_model_from(payload), policies.reshape(len(rows), 9), payload["min_visits"]
 
 
 def load_models(model_dir: str | Path, min_visits: int) -> tuple[PipelineModel, str]:
-    """Load the three model files, requiring a common version stamp, one
-    state dimension (the cluster model clusters vectors of the components'
-    ``k``) and one cluster id space: the cluster model assigns exactly the
-    ids that the Q-table bank holds."""
+    """Load ``components.json`` and ``clusters.json``, requiring a common
+    version stamp, one state dimension (the cluster model clusters vectors
+    of the components' ``k``), a policy row for exactly the ids that the
+    cluster model assigns, and rows exported at ``min_visits``."""
     model_dir = Path(model_dir)
-    components, stamp_a = SparseComponents.load(model_dir / COMPONENTS_FILE)
-    cluster_model, stamp_b = load_cluster_model(model_dir / CLUSTERS_FILE)
-    bank, stamp_c = QTableBank.load(model_dir / QTABLES_FILE)
-    if not (stamp_a == stamp_b == stamp_c) or stamp_a is None:
-        raise ModelFileError(
-            model_dir,
-            f"model files carry mismatched stamps ({stamp_a!r}, {stamp_b!r}, {stamp_c!r})",
-        )
+    components, stamp = SparseComponents.load(model_dir / COMPONENTS_FILE)
+    (cluster_model, policies, stored), stamp_b = read_model_file(
+        model_dir / CLUSTERS_FILE, CLUSTERS_FORMAT, CLUSTERS_VERSION, _clusters
+    )
+    if stamp != stamp_b or stamp is None:
+        raise ModelFileError(model_dir,
+                             f"model files carry mismatched stamps ({stamp!r}, {stamp_b!r})")
     if components.k != cluster_model.dim:
         raise ModelFileError(
             model_dir,
@@ -281,18 +312,15 @@ def load_models(model_dir: str | Path, min_visits: int) -> tuple[PipelineModel, 
             f"clusters vectors of dim {cluster_model.dim}",
         )
     ids = cluster_model.cluster_ids()
-    if ids != set(range(bank.n_clusters)):
+    if ids != set(range(len(policies))):
         raise ModelFileError(
-            model_dir,
-            f"the cluster model assigns ids {sorted(ids)} but the Q-tables "
-            f"hold {bank.n_clusters} clusters",
+            model_dir / CLUSTERS_FILE,
+            f"the cluster model assigns ids {sorted(ids)} but the file stores "
+            f"{len(policies)} policy rows",
         )
-    return (
-        PipelineModel(
-            components=components,
-            cluster_model=cluster_model,
-            bank=bank,
-            min_visits=min_visits,
-        ),
-        stamp_a,
-    )
+    if stored != min_visits:
+        raise ModelFileError(
+            model_dir / CLUSTERS_FILE,
+            f"the policy rows were exported at min_visits {stored}, not {min_visits}",
+        )
+    return PipelineModel(components, cluster_model, policies, min_visits), stamp

@@ -54,17 +54,16 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DataError, TrainError, read_model_file, write_model_file
+from .errors import DataError, TrainError, json_column, read_model_file, write_model_file
 from .ingest import STEPS, ItemCatalog, TransitionTable, slate_faults
 
 QTABLES_FORMAT = "qslate-qtables"
-QTABLES_VERSION = 2
+QTABLES_VERSION = 3
 
 #: The fallback layers of a greedy policy, in the order they are tried.
 POLICY_LAYERS = ("own", "union", "any", "zero")
@@ -142,18 +141,36 @@ class QTableBank:
     @classmethod
     def from_columns(cls, n_clusters: int, cluster, step, slate, q, visits) -> "QTableBank":
         """A bank of the cells given as columns, in any order: each cell's
-        cluster and step, its n×3 slate, q and visits.  A cell outside the
-        bank's tables, or a slate stored twice in one table, raises
-        :class:`DataError`."""
+        cluster and step, its slate (n×3, or its items flat), q and visits.
+        Raises :class:`DataError` naming the first failing cell when a column
+        holds a value of another kind (a bool, a string, or a float where
+        integers belong, refused rather than cast), when the columns differ
+        in length, or when a cell lies outside the bank's tables, has a
+        non-finite q or visits below 1, has a slate whose items do not
+        strictly ascend, or stores its slate twice in one table."""
         bank = cls(n_clusters)
-        cluster, step = np.asarray(cluster, np.int64), np.asarray(step, np.int64)
-        tid, slate = cluster * _WIDTH + step, np.asarray(slate, np.int64).reshape(-1, 3)
-        q, visits = np.asarray(q, np.float64), np.asarray(visits, np.int64)
-        if not len(tid) == len(slate) == len(q) == len(visits):
-            raise DataError("bank columns differ in length")
+        cluster = json_column(cluster, np.int64, "the cluster of cell {}")
+        step = json_column(step, np.int64, "the step of cell {}")
+        slate = json_column(slate, np.int64, "an item of cell {}'s slate", width=3)
+        q = json_column(q, np.float64, "the q of cell {}")
+        visits = json_column(visits, np.int64, "the visit count of cell {}")
+        if not len(cluster) == len(step) == len(q) == len(visits) == len(slate) / 3:
+            raise DataError(f"bank columns differ in length: {len(cluster)} cluster, "
+                            f"{len(step)} step, {len(q)} q and {len(visits)} visits values, "
+                            f"and {len(slate)} slate items")
+        slate = slate.reshape(-1, 3)
         bad = (cluster < 0) | (cluster >= n_clusters) | (step < STEPS[0]) | (step > STEPS[-1])
         if bad.any():
-            bank._check_table(int(cluster[bad.argmax()]), int(step[bad.argmax()]))
+            i = int(bad.argmax())
+            raise DataError(f"no table for cluster {cluster[i]}, step {step[i]}")
+        ascending = (slate[:, 0] < slate[:, 1]) & (slate[:, 1] < slate[:, 2])
+        for ok, fault in ((np.isfinite(q) & (visits >= 1), "has q {q}, visits {v}"),
+                          (ascending, "does not list its items in strictly ascending order")):
+            if not ok.all():
+                i = int(ok.argmin())
+                raise DataError(f"the cell {tuple(slate[i].tolist())} of cluster {cluster[i]}, "
+                                f"step {step[i]} " + fault.format(q=q[i], v=visits[i]))
+        tid = cluster * _WIDTH + step
         order, opens = _order(np.column_stack([tid, slate]))
         tid, slate, q, visits = tid[order], slate[order], q[order], visits[order]
         if not opens.all():
@@ -168,11 +185,6 @@ class QTableBank:
         for column in (tid, slate, q, visits):
             column.flags.writeable = False
         self.tid, self.slate, self.q, self.visits = tid, slate, q, visits
-
-    def _check_table(self, cluster_id: int, step: int) -> tuple[int, int]:
-        if not (0 <= cluster_id < self.n_clusters and step in STEPS):
-            raise DataError(f"no table for cluster {cluster_id}, step {step}")
-        return cluster_id, step
 
     @property
     def tables(self):
@@ -208,101 +220,33 @@ class QTableBank:
         ]
 
     def save(self, path: str | Path, stamp: str | None = None) -> None:
-        """Write ``qtables.json`` version 2: for each table that stores
-        cells, its ``slates``, ``q`` and ``visits`` as column lists."""
-        tables = {}
-        starts = np.flatnonzero(np.diff(self.tid, prepend=-1)).tolist()
-        for lo, hi in zip(starts, starts[1:] + [len(self.tid)]):
-            c, s = divmod(int(self.tid[lo]), _WIDTH)
-            tables.setdefault(str(c), {})[str(s)] = {
-                "slates": self.slate[lo:hi].tolist(),
-                "q": self.q[lo:hi].tolist(),
-                "visits": self.visits[lo:hi].tolist(),
-            }
-        body = {"n_clusters": self.n_clusters, "tables": tables}
+        """Write ``qtables.json`` version 3, a record of the learned values in
+        the bank's own column order: ``cells`` counts the stored cells of each
+        (cluster, step) table, by cluster and then step, and the flat
+        ``slate`` (3 items a cell), ``q`` and ``visits`` columns hold them."""
+        counts = np.bincount(self.tid, minlength=self.n_clusters * _WIDTH).reshape(-1, _WIDTH)
+        body = {
+            "n_clusters": self.n_clusters,
+            "cells": counts[:, STEPS[0]:].ravel().tolist(),
+            "slate": self.slate.ravel().tolist(),
+            "q": self.q.tolist(),
+            "visits": self.visits.tolist(),
+        }
         write_model_file(path, QTABLES_FORMAT, QTABLES_VERSION, stamp, body)
 
     @classmethod
     def load(cls, path: str | Path) -> tuple["QTableBank", str | None]:
-        """Read a saved bank; a cell whose slate is not 3 strictly ascending
-        ints, whose q is not a finite JSON number or whose visits are not a
-        JSON integer of at least 1 raises :class:`ModelFileError` naming
-        ``path``.  Version-1 files are refused as unsupported."""
+        """Read back a bank that :meth:`save` wrote, for analysis; no command
+        reads it.  Every check of :meth:`from_columns` applies, and a failure
+        raises :class:`ModelFileError` naming ``path``.  Other versions are
+        refused as unsupported."""
         def build(payload: dict) -> "QTableBank":
-            n_clusters = int(payload["n_clusters"])
-            bank = cls(n_clusters)
-            tables = [
-                (bank._check_table(int(c_str), int(s_str)), table)
-                for c_str, steps in payload["tables"].items()
-                for s_str, table in steps.items()
-            ]
-            try:
-                columns = _read_tables(tables)
-            except (TypeError, ValueError, OverflowError):
-                _recheck_tables(tables)
-                raise
-            return cls.from_columns(n_clusters, *columns)
+            counts = json_column(payload["cells"], np.int64, "the cell count of table {}")
+            cluster, step = np.divmod(np.repeat(np.arange(len(counts)), counts), len(STEPS))
+            return cls.from_columns(payload["n_clusters"], cluster, step + STEPS[0],
+                                    payload["slate"], payload["q"], payload["visits"])
 
         return read_model_file(path, QTABLES_FORMAT, QTABLES_VERSION, build)
-
-
-def _read_tables(tables: list[tuple[tuple[int, int], dict]]) -> tuple:
-    """The cells of the file's ``((cluster, step), table)`` pairs as the
-    columns of :meth:`QTableBank.from_columns`, checked with array masks; a
-    failed check raises ``ValueError``."""
-    slates = [table["slates"] for _, table in tables]
-    qs = [table["q"] for _, table in tables]
-    visits = [table["visits"] for _, table in tables]
-    lengths = list(map(len, slates))
-    if lengths != list(map(len, qs)) or lengths != list(map(len, visits)):
-        raise ValueError("a table's columns differ in length")
-    slates = list(chain.from_iterable(slates))
-    if not set(map(type, slates)) <= {list} or not set(map(len, slates)) <= {3}:
-        raise ValueError("a slate is not a list of 3 items")
-    items = list(chain.from_iterable(slates))
-    qs, visits = list(chain.from_iterable(qs)), list(chain.from_iterable(visits))
-    # A JSON true is a bool, which these type tests exclude.
-    if (not set(map(type, items)) <= {int} or not set(map(type, qs)) <= {int, float}
-            or not set(map(type, visits)) <= {int}):
-        raise ValueError("a cell holds a value of another type")
-    cluster, step = np.repeat(np.array([key for key, _ in tables], np.int64).reshape(-1, 2),
-                              lengths, axis=0).T
-    slate = np.array(items, np.int64).reshape(-1, 3)
-    q, visits = np.array(qs, np.float64), np.array(visits, np.int64)
-    ok = (np.isfinite(q) & (visits >= 1) & (slate[:, 0] < slate[:, 1])
-          & (slate[:, 1] < slate[:, 2]))
-    if not ok.all():
-        raise ValueError("a cell fails a check")
-    return cluster, step, slate, q, visits
-
-
-def _recheck_tables(tables: list[tuple[tuple[int, int], dict]]) -> None:
-    """Check the file's tables cell by cell, raising :class:`DataError`
-    with the first failure's message."""
-    for (c, s), table in tables:
-        slates, qs, visits = table["slates"], table["q"], table["visits"]
-        if not len(slates) == len(qs) == len(visits):
-            raise DataError(f"table of cluster {c}, step {s} lists {len(slates)} slates, "
-                            f"{len(qs)} q values and {len(visits)} visit counts")
-        for slate, q, v in zip(slates, qs, visits):
-            if type(slate) is not list or any(type(i) is not int for i in slate):
-                raise DataError(f"slate {slate!r} is not a list of integer item ids")
-            name = "-".join(map(str, slate))
-            if not (len(slate) == 3 and slate[0] < slate[1] < slate[2]):
-                items = tuple(sorted(slate))
-                if len(items) != 3:
-                    raise DataError(f"a slate holds exactly 3 items, got {items}")
-                if len(set(items)) != 3:
-                    raise DataError(f"slate {items} contains duplicate items")
-                raise DataError(f"cell {name!r} does not list its items in order")
-            if type(q) not in (int, float) or type(v) is not int:
-                raise DataError(
-                    f"cell {name!r} holds q {q!r} and visits {v!r}, "
-                    "not a number and an integer"
-                )
-            q = float(q)
-            if not math.isfinite(q) or v < 1:
-                raise DataError(f"cell {name!r} has q {q}, visits {v}")
 
 
 # ---------------------------------------------------------------------------
@@ -668,9 +612,17 @@ def export_policies(
         if len(catalog.by_location[step]) < 3:
             raise TrainError(f"no trained action exists for step {step}")
     policies = slates.reshape(bank.n_clusters, 3 * len(STEPS))
+    check_policies(policies, catalog)
+    return (policies, layers) if return_layers else policies
+
+
+def check_policies(policies: np.ndarray, catalog: ItemCatalog) -> None:
+    """Raise :class:`DataError` naming the first cluster and step whose slate
+    in the ``n_clusters × 9`` int64 ``policies`` breaks
+    :func:`~qslate.ingest.slate_faults`' rule."""
     faults = np.argwhere(slate_faults(policies, catalog))
     if len(faults):
         c, k = faults[0].tolist()
-        raise DataError(f"cluster {c}'s slate {tuple(slates[c, k].tolist())} at step {STEPS[k]} "
-                        "holds an unknown item, an item of another location or a repeated item")
-    return (policies, layers) if return_layers else policies
+        slate = tuple(policies[c].reshape(len(STEPS), 3)[k].tolist())
+        raise DataError(f"cluster {c}'s slate {slate} at step {STEPS[k]} holds an unknown "
+                        "item, an item of another location or a repeated item")

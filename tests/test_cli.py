@@ -25,6 +25,24 @@ def generate_corpus(tmp_path, sessions=400, items=18, seed=5, **extra):
     return out
 
 
+def serve(command, data_dir, model_dir, out_dir):
+    """Run ``evaluate`` (report in ``out_dir / "r"``) or ``recommend`` (one
+    user, to ``out_dir / "recs.txt"``) on a trained model; the exit code."""
+    users = out_dir / "users.txt"
+    users.parent.mkdir(parents=True, exist_ok=True)
+    users.write_text("1 - 0,0,0,0,0,0,0,0,0,0\n")
+    inputs = {"evaluate": ["--sessions", data_dir / "sessions.txt", "--report-dir", out_dir / "r"],
+              "recommend": ["--users", users, "--out", out_dir / "recs.txt"]}[command]
+    return run(command, "--items", data_dir / "items.txt", "--model-dir", model_dir, *inputs)
+
+
+def edit_model_file(path, edit):
+    """Rewrite the JSON file at ``path`` after ``edit`` changes its payload."""
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload, sort_keys=True) + "\n")
+
+
 def train_models(tmp_path, data_dir, **flags):
     model_dir = tmp_path / "models"
     args = [
@@ -211,9 +229,10 @@ class TestTrain:
         workers = json.loads((parallel_dir / "summary.json").read_text())["workers_used"]
         assert workers > 1 and started == [workers - 1]
         assert (serial / "policy.txt").read_bytes() == (parallel_dir / "policy.txt").read_bytes()
-        serial_tables = json.loads((serial / "qtables.json").read_text())["tables"]
-        parallel_tables = json.loads((parallel_dir / "qtables.json").read_text())["tables"]
-        assert serial_tables == parallel_tables
+        columns = ("n_clusters", "cells", "slate", "q", "visits")
+        serial_bank = json.loads((serial / "qtables.json").read_text())
+        parallel_bank = json.loads((parallel_dir / "qtables.json").read_text())
+        assert [serial_bank[key] for key in columns] == [parallel_bank[key] for key in columns]
 
     def test_execution_settings_leave_stamp_and_models_unchanged(self, tmp_path):
         data = generate_corpus(tmp_path)
@@ -348,49 +367,16 @@ class TestEvaluate:
     def test_corrupted_model_file_names_it(self, tmp_path, capsys):
         data = generate_corpus(tmp_path)
         models = train_models(tmp_path, data)
-        (models / "qtables.json").write_text("{broken")
+        (models / "clusters.json").write_text("{broken")
         code = run("evaluate", "--items", data / "items.txt", "--sessions",
                    data / "sessions.txt", "--model-dir", models, "--report-dir", tmp_path / "r")
         assert code == 2
-        assert "qtables.json" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", ["evaluate", "recommend"])
-    def test_non_finite_q_in_model_file_names_it(self, tmp_path, capsys, command):
-        data = generate_corpus(tmp_path)
-        models = train_models(tmp_path, data)
-        payload = json.loads((models / "qtables.json").read_text())
-        payload["tables"]["0"]["1"]["q"][0] = float("nan")
-        (models / "qtables.json").write_text(json.dumps(payload, sort_keys=True) + "\n")
-        users = tmp_path / "users.txt"
-        users.write_text("1 - 0,0,0,0,0,0,0,0,0,0\n")
-        inputs = {"evaluate": ["--sessions", data / "sessions.txt", "--report-dir", tmp_path / "r"],
-                  "recommend": ["--users", users, "--out", tmp_path / "recs.txt"]}[command]
-        code = run(command, "--items", data / "items.txt", "--model-dir", models, *inputs)
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "qtables.json" in err and "has q nan" in err
-
-    @pytest.mark.parametrize("command", ["evaluate", "recommend"])
-    def test_mistyped_cell_in_model_file_names_it(self, tmp_path, capsys, command):
-        data = generate_corpus(tmp_path)
-        models = train_models(tmp_path, data)
-        payload = json.loads((models / "qtables.json").read_text())
-        table = payload["tables"]["0"]["1"]
-        table["q"][0], table["visits"][0] = True, 2.7
-        (models / "qtables.json").write_text(json.dumps(payload, sort_keys=True) + "\n")
-        users = tmp_path / "users.txt"
-        users.write_text("1 - 0,0,0,0,0,0,0,0,0,0\n")
-        inputs = {"evaluate": ["--sessions", data / "sessions.txt", "--report-dir", tmp_path / "r"],
-                  "recommend": ["--users", users, "--out", tmp_path / "recs.txt"]}[command]
-        code = run(command, "--items", data / "items.txt", "--model-dir", models, *inputs)
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "qtables.json" in err and "holds q True and visits 2.7" in err
+        assert "clusters.json" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, field", [
         ("components.json", "loadings"),
         ("clusters.json", "centroids"),
-        ("qtables.json", "tables"),
+        ("clusters.json", "policies"),
         ("manifest.json", "seed"),
     ])
     def test_model_file_missing_field_names_it(self, tmp_path, capsys, name, field):
@@ -466,21 +452,79 @@ class TestEvaluate:
         assert code == 2
         assert "stamp" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["clusters.json", "qtables.json"])
-    def test_cluster_ids_must_match_qtables(self, tmp_path, capsys, name):
+    @pytest.mark.parametrize("command", ["evaluate", "recommend"])
+    @pytest.mark.parametrize("corrupt", [
+        lambda p: p["merge_map"].__setitem__(-1, 99),  # an id without a policy row
+        lambda p: p["policies"].pop(),  # one row too few
+    ], ids=["merge-map", "row-missing"])
+    def test_cluster_ids_must_match_policy_rows(self, tmp_path, capsys, command, corrupt):
+        data = generate_corpus(tmp_path)
+        models = train_models(tmp_path, data, **{"--min-support": 1})
+        edit_model_file(models / "clusters.json", corrupt)
+        assert serve(command, data, models, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert str(models / "clusters.json") in err and "policy rows" in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "recommend"])
+    @pytest.mark.parametrize("position, source, step", [
+        (1, None, 1),  # an unknown item
+        (3, 0, 2),  # an item of location 1 at step 2
+        (7, 6, 3),  # an item repeated within step 3
+    ], ids=["unknown-item", "other-location", "repeated-item"])
+    def test_edited_policy_row_names_its_cluster(self, tmp_path, capsys, command, position,
+                                                 source, step):
+        data = generate_corpus(tmp_path)
+        models = train_models(tmp_path, data, **{"--min-support": 1})
+
+        def corrupt(payload):
+            row = payload["policies"][-1]
+            row[position] = 999 if source is None else row[source]
+
+        edit_model_file(models / "clusters.json", corrupt)
+        last = len(json.loads((models / "clusters.json").read_text())["policies"]) - 1
+        assert serve(command, data, models, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "clusters.json" in err and f"cluster {last}'s slate (" in err
+        assert f") at step {step} holds an unknown item" in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "recommend"])
+    def test_serving_reads_no_qtables(self, tmp_path, command):
         data = generate_corpus(tmp_path)
         models = train_models(tmp_path, data)
-        payload = json.loads((models / name).read_text())
-        if name == "clusters.json":
-            payload["merge_map"][-1] = 99  # an id the Q-tables lack
-        else:
-            payload["n_clusters"] = 12  # clusters the model never assigns
-        (models / name).write_text(json.dumps(payload, sort_keys=True) + "\n")
-        code = run("evaluate", "--items", data / "items.txt", "--sessions",
-                   data / "sessions.txt", "--model-dir", models, "--report-dir", tmp_path / "r")
-        assert code == 2
+        assert serve(command, data, models, tmp_path / "with") == 0
+        (models / "qtables.json").unlink()
+        assert serve(command, data, models, tmp_path / "without") == 0
+        outputs = [path.relative_to(tmp_path / "with")
+                   for path in (tmp_path / "with").rglob("*") if path.is_file()]
+        assert outputs
+        for name in outputs:
+            assert (tmp_path / "with" / name).read_bytes() == (
+                tmp_path / "without" / name).read_bytes()
+
+    def test_clusters_version_1_refused(self, tmp_path, capsys):
+        data = generate_corpus(tmp_path)
+        models = train_models(tmp_path, data)
+        edit_model_file(models / "clusters.json", lambda p: p.update(version=1))
+        assert serve("evaluate", data, models, tmp_path) == 2
         err = capsys.readouterr().err
-        assert str(models) in err and "Q-tables hold" in err
+        assert "clusters.json" in err and "unsupported version 1" in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "recommend"])
+    @pytest.mark.parametrize("edit", [
+        lambda p: p.update(train_fraction=0.5),
+        lambda p: p["params"].update(min_visits=True),
+        lambda p: p.update(seed=-1),
+        lambda p: p.update(train_fraction="0.8"),
+    ], ids=["train-fraction", "min-visits", "seed", "fraction-as-text"])
+    def test_manifest_edited_after_training_refused(self, tmp_path, capsys, command, edit):
+        out = tmp_path / "data"
+        assert run("generate", "--items", 30, "--users", 50, "--sessions", 400, "--seed", 1,
+                   "--out", out) == 0
+        models = train_models(tmp_path, out, **{"--min-support": 1})
+        edit_model_file(models / "manifest.json", edit)
+        assert serve(command, out, models, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and "hash to its stamp" in err
 
     def test_catalog_size_mismatch_detected(self, tmp_path, capsys):
         data = generate_corpus(tmp_path)
@@ -513,7 +557,7 @@ class TestEvaluate:
                    data / "sessions.txt", "--model-dir", models, "--report-dir", tmp_path / "r")
         assert code == 2
         err = capsys.readouterr().err
-        assert "manifest.json" in err and "no items digest" in err
+        assert "manifest.json" in err and "lacks field 'sha256'" in err
 
     def test_sessions_missing_their_last_line_rejected(self, tmp_path, capsys):
         data = generate_corpus(tmp_path)
@@ -703,6 +747,30 @@ class TestRecommend:
         err = capsys.readouterr().err
         assert str(other / "items.txt") in err and "items file" in err
         assert not (tmp_path / "recs.txt").exists()
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("command", ["generate", "train", "evaluate", "tune", "recommend"])
+    def test_unwritable_output_is_data_error(self, tmp_path, capsys, command):
+        data = generate_corpus(tmp_path, sessions=300)
+        models = tmp_path / "models" if command == "train" else train_models(tmp_path, data)
+        blocker = tmp_path / "blocker"
+        blocker.mkdir() if command == "recommend" else blocker.write_text("")
+        users = tmp_path / "users.txt"
+        users.write_text("1 - 0,0,0,0,0,0,0,0,0,0\n")
+        files = ["--items", data / "items.txt", "--sessions", data / "sessions.txt"]
+        argv = {
+            "generate": ["--items", 9, "--sessions", 5, "--out", blocker],
+            "train": [*files, "--model-dir", blocker, "--k", 2, "--min-support", 20],
+            "evaluate": [*files, "--model-dir", models, "--report-dir", blocker],
+            "tune": [*files, "--report-dir", blocker, "--k-features", 6, "--k", 2,
+                     "--min-support", 20, "--epochs", 3],
+            "recommend": ["--items", data / "items.txt", "--model-dir", models,
+                          "--users", users, "--out", blocker],
+        }[command]
+        assert run(command, *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(blocker) in err
 
 
 class TestUsage:

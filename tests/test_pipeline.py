@@ -41,7 +41,8 @@ def test_stats_report_every_stage(corpus):
     assert stages == ["build_features", "fit_sparse_pca", "transform",
                       "fit_clusters", "assign", "transitions", "merge", "train"]
     assert stats.n_transitions > 2000  # every session emits step 1 at least
-    assert stats.table_cells == model.bank.n_cells()
+    assert stats.to_dict()["table_cells"] == stats.bank.n_cells() > 0
+    assert np.array_equal(model.policies, export_policies(stats.bank, corpus.catalog, 3))
     assert len(stats.cluster_sizes) == stats.n_clusters
 
 
@@ -89,7 +90,7 @@ def test_recommendations_equal_per_session_pipeline(corpus, cluster):
     model, stats = fit(corpus, cluster=cluster, min_cluster_support=1)
     sessions = corpus.sessions[:400]
     assert sum(stats.cluster_sizes) == len(corpus.sessions)
-    policies = export_policies(model.bank, corpus.catalog, model.min_visits)
+    policies = export_policies(stats.bank, corpus.catalog, model.min_visits)
     expected = []
     for s in sessions:
         raw = build_raw_features(SessionTable.from_records([s]), corpus.catalog)
@@ -112,18 +113,35 @@ def test_infeasible_k_features_propagates(corpus):
 
 
 def test_save_load_round_trip(tmp_path, corpus):
-    model, _ = fit(corpus)
-    save_models(model, tmp_path, stamp="deadbeef")
+    model, stats = fit(corpus)
+    save_models(model, tmp_path, "deadbeef", stats.bank)
     loaded, stamp = load_models(tmp_path, min_visits=model.min_visits)
     assert stamp == "deadbeef"
+    assert np.array_equal(loaded.policies, model.policies)
     before = recommend_for_sessions(model, corpus.sessions[:10], corpus.catalog)
     after = recommend_for_sessions(loaded, corpus.sessions[:10], corpus.catalog)
     assert np.array_equal(before, after)
 
 
 def test_load_models_rejects_mixed_stamps(tmp_path, corpus):
-    model, _ = fit(corpus)
-    save_models(model, tmp_path, stamp="aaaa")
+    model, stats = fit(corpus)
+    save_models(model, tmp_path, "aaaa", stats.bank)
     model.components.save(tmp_path / "components.json", stamp="bbbb")
     with pytest.raises(ModelFileError, match="stamps"):
         load_models(tmp_path, min_visits=3)
+
+
+def test_load_models_requires_the_stored_min_visits(tmp_path, corpus):
+    model, stats = fit(corpus)
+    save_models(model, tmp_path, "aaaa", stats.bank)
+    with pytest.raises(ModelFileError, match="exported at min_visits 3, not 4$") as raised:
+        load_models(tmp_path, min_visits=4)
+    assert raised.value.path == str(tmp_path / "clusters.json")
+
+
+def test_load_models_reads_no_qtables(tmp_path, corpus):
+    model, stats = fit(corpus)
+    save_models(model, tmp_path, "aaaa", stats.bank)
+    (tmp_path / "qtables.json").unlink()
+    loaded, _ = load_models(tmp_path, min_visits=3)
+    assert np.array_equal(loaded.policies, model.policies)

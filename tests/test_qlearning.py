@@ -40,6 +40,7 @@ from qslate.qlearning import (
     POLICY_LAYERS,
     QTableBank,
     TrainConfig,
+    check_policies,
     export_policies,
     train,
 )
@@ -805,11 +806,11 @@ class TestPolicies:
     def test_untrained_step_with_catalog_reads_as_zero_table(self):
         # Without a stored cell every slate of the step reads 0, and the
         # smallest slate wins the tie: the three smallest ids at its location.
-        catalog = make_catalog()
-        bank = bank_of(2, [(0, 1, (1, 2, 3), -1.0, 5), (1, 2, (5, 6, 4), 2.0, 5)])
-        assert policy_slates(bank, 0, catalog, min_visits=3) == [(1, 2, 3), (5, 6, 4), (7, 8, 9)]
+        catalog = catalog_at((1, 2, 3), (4, 5, 6, 7), (8, 9, 10))
+        bank = bank_of(2, [(0, 1, (1, 2, 3), -1.0, 5), (1, 2, (5, 6, 7), 2.0, 5)])
+        assert policy_slates(bank, 0, catalog, min_visits=3) == [(1, 2, 3), (5, 6, 7), (8, 9, 10)]
         assert export_policies(bank, catalog, 3).tolist() == [
-            [1, 2, 3, 5, 6, 4, 7, 8, 9], [1, 2, 3, 5, 6, 4, 7, 8, 9]
+            [1, 2, 3, 5, 6, 7, 8, 9, 10], [1, 2, 3, 5, 6, 7, 8, 9, 10]
         ]
 
     def test_untrained_step_at_a_location_of_two_items_is_an_error(self):
@@ -818,14 +819,20 @@ class TestPolicies:
         with pytest.raises(TrainError, match="step 3"):
             export_policies(bank, catalog, min_visits=1)
 
-    @pytest.mark.parametrize("slate", [(4, 5, 99), (4, 5, 7), (4, 4, 5)],
-                             ids=["unknown-item", "other-location", "repeated-item"])
+    @pytest.mark.parametrize("slate", [(4, 5, 99), (4, 5, 7)],
+                             ids=["unknown-item", "other-location"])
     def test_slate_that_breaks_the_slate_rule_is_named(self, slate):
         # Cluster 1's own step-2 cell wins its step and breaks the rule.
         bank = bank_of(2, [(0, 1, (1, 2, 3), 1.0, 5), (0, 2, (4, 5, 6), 1.0, 5),
                            (0, 3, (7, 8, 9), 1.0, 5), (1, 2, slate, 9.0, 5)])
         with pytest.raises(DataError, match=re.escape(f"cluster 1's slate {slate} at step 2 ")):
             export_policies(bank, make_catalog(), min_visits=3)
+
+    def test_row_with_a_repeated_item_is_named(self):
+        # A bank refuses such a slate, but a stored policy row can hold one.
+        policies = np.array([[1, 2, 3, 4, 5, 6, 7, 8, 9], [1, 2, 3, 4, 4, 5, 7, 8, 9]])
+        with pytest.raises(DataError, match=re.escape("cluster 1's slate (4, 4, 5) at step 2 ")):
+            check_policies(policies, make_catalog())
 
     def test_policy_slates_come_from_observed_actions(self):
         corpus = generate_synthetic(
@@ -1013,26 +1020,45 @@ class TestBankSerialization:
         with pytest.raises(ModelFileError, match="unsupported version 1$"):
             QTableBank.load(path)
 
+    def test_load_refuses_version_2(self, tmp_path):
+        path = tmp_path / "qtables.json"
+        path.write_text(json.dumps({
+            "format": "qslate-qtables", "version": 2, "stamp": "zz", "n_clusters": 1,
+            "tables": {"0": {"1": {"slates": [[1, 2, 3]], "q": [2.5], "visits": [4]}}},
+        }))
+        with pytest.raises(ModelFileError, match="unsupported version 2$"):
+            QTableBank.load(path)
+
+    def test_save_writes_columns_in_bank_order(self, tmp_path):
+        path = tmp_path / "qtables.json"
+        bank_of(2, [(1, 3, (7, 8, 9), 0.5, 1), (0, 1, (1, 2, 4), 2.5, 4),
+                    (0, 1, (1, 2, 3), 1.0, 2)]).save(path, stamp="zz")
+        payload = json.loads(path.read_text())
+        assert payload["cells"] == [2, 0, 0, 0, 0, 1]
+        assert payload["slate"] == [1, 2, 3, 1, 2, 4, 7, 8, 9]
+        assert (payload["q"], payload["visits"]) == ([1.0, 2.5, 0.5], [2, 4, 1])
+
     @pytest.mark.parametrize(
         "slate, cell, reason",
         [
-            ([1, 2, 3], [math.nan, 4], "cell '1-2-3' has q nan, visits 4"),
-            ([1, 2, 3], [-math.inf, 4], "cell '1-2-3' has q -inf, visits 4"),
-            ([1, 2, 3], [2.5, 0], "cell '1-2-3' has q 2.5, visits 0"),
-            ([8, 5, 2], [2.5, -4], "cell '8-5-2' does not list its items in order"),
-            ([3, 6], [2.5, 4], "a slate holds exactly 3 items, got (3, 6)"),
-            ([1, 1, 2], [2.5, 4], "slate (1, 1, 2) contains duplicate items"),
-            ([1, 2, 3], [True, 2.7], "cell '1-2-3' holds q True and visits 2.7, "
-             "not a number and an integer"),
-            ([1, 2, 3], ["1e3", "5"], "cell '1-2-3' holds q '1e3' and visits '5', "
-             "not a number and an integer"),
-            ([1, 2, 3], [1.0, 2.7], "cell '1-2-3' holds q 1.0 and visits 2.7, "
-             "not a number and an integer"),
-            ([1, 2, 3], [1.0, True], "cell '1-2-3' holds q 1.0 and visits True, "
-             "not a number and an integer"),
+            ([1, 2, 3], [math.nan, 4], "the cell (1, 2, 3) of cluster 0, step 1 has q nan, "
+             "visits 4"),
+            ([1, 2, 3], [-math.inf, 4], "the cell (1, 2, 3) of cluster 0, step 1 has q -inf, "
+             "visits 4"),
+            ([1, 2, 3], [2.5, 0], "the cell (1, 2, 3) of cluster 0, step 1 has q 2.5, visits 0"),
+            ([8, 5, 2], [2.5, 4], "the cell (8, 5, 2) of cluster 0, step 1 does not list its "
+             "items in strictly ascending order"),
+            ([3, 6], [2.5, 4], "bank columns differ in length: 2 cluster, 2 step, 2 q and "
+             "2 visits values, and 5 slate items"),
+            ([1, 1, 2], [2.5, 4], "the cell (1, 1, 2) of cluster 0, step 1 does not list its "
+             "items in strictly ascending order"),
+            ([1, 2, 3], [True, 2.7], "the q of cell 0 is True, not a number"),
+            ([1, 2, 3], ["1e3", "5"], "the q of cell 0 is '1e3', not a number"),
+            ([1, 2, 3], [1.0, 2.7], "the visit count of cell 0 is 2.7, not an integer"),
+            ([1, 2, 3], [1.0, True], "the visit count of cell 0 is True, not an integer"),
             ([1, 2, 3], [10**400, 4], "int too large to convert to float"),
-            ([True, 2, 3], [2.5, 4], "slate [True, 2, 3] is not a list of integer item ids"),
-            ("1-2-3", [2.5, 4], "slate '1-2-3' is not a list of integer item ids"),
+            ([True, 2, 3], [2.5, 4], "an item of cell 0's slate is True, not an integer"),
+            (["1-2-3"], [2.5, 4], "an item of cell 0's slate is '1-2-3', not an integer"),
         ],
         ids=["nan-q", "inf-q", "zero-visits", "descending", "two-items", "repeated-item",
              "bool-q", "string-cell", "fractional-visits", "bool-visits", "huge-int-q",
@@ -1042,33 +1068,35 @@ class TestBankSerialization:
         path = tmp_path / "qtables.json"
         bank_of(1, [(0, 1, (1, 2, 3), 2.5, 4), (0, 2, (4, 5, 6), 1.0, 2)]).save(path, stamp="zz")
         payload = json.loads(path.read_text())
-        payload["tables"]["0"]["1"] = {"slates": [[1, 2, 4], slate], "q": [1.0, cell[0]],
-                                       "visits": [3, cell[1]]}
+        payload["slate"][:3] = slate
+        payload["q"][0], payload["visits"][0] = cell
         path.write_text(json.dumps(payload))
         with pytest.raises(ModelFileError, match=re.escape(reason) + "$") as raised:
             QTableBank.load(path)
         assert raised.value.path == str(path)
 
     @pytest.mark.parametrize(
-        "key, table, reason",
+        "edit, reason",
         [
-            ("1", {"slates": [[1, 2, 3]], "q": [2.5, 1.0], "visits": [4]},
-             "table of cluster 0, step 1 lists 1 slates, 2 q values and 1 visit counts"),
-            ("1", {"slates": [[1, 2, 3], [1, 2, 3]], "q": [2.5, 1.0], "visits": [4, 4]},
-             "slate (1, 2, 3) is stored twice in the table of cluster 0, step 1"),
-            ("1", {"slates": [[1, 2, 3]], "q": [2.5], "visits": [2**70]},
-             "Python int too large to convert to C long"),
-            ("1", {"slates": [[1, 2, 3]], "visits": [4]}, "lacks field 'q'"),
-            ("4", {"slates": [[1, 2, 3]], "q": [2.5], "visits": [4]},
-             "no table for cluster 0, step 4"),
+            (lambda p: p["q"].append(2.5), "bank columns differ in length: 1 cluster, "
+             "1 step, 2 q and 1 visits values, and 3 slate items"),
+            (lambda p: p.update(cells=[0, 2, 0], slate=[4, 5, 6, 4, 5, 6], q=[1.0, 2.5],
+                                visits=[2, 4]),
+             "slate (4, 5, 6) is stored twice in the table of cluster 0, step 2"),
+            (lambda p: p.update(visits=[2**70]), "Python int too large to convert to C long"),
+            (lambda p: p.pop("q"), "lacks field 'q'"),
+            (lambda p: p.update(cells=[0, 0, 0, 1]), "no table for cluster 1, step 1"),
+            (lambda p: p.update(cells=[0, 1.0, 0]),
+             "the cell count of table 1 is 1.0, not an integer"),
         ],
-        ids=["ragged-columns", "repeated-slate", "huge-visits", "missing-q", "unknown-step"],
+        ids=["ragged-columns", "repeated-slate", "huge-visits", "missing-q", "unknown-table",
+             "fractional-count"],
     )
-    def test_load_rejects_malformed_table(self, tmp_path, key, table, reason):
+    def test_load_rejects_malformed_table(self, tmp_path, edit, reason):
         path = tmp_path / "qtables.json"
         bank_of(1, [(0, 2, (4, 5, 6), 1.0, 2)]).save(path, stamp="zz")
         payload = json.loads(path.read_text())
-        payload["tables"]["0"][key] = table
+        edit(payload)
         path.write_text(json.dumps(payload))
         with pytest.raises(ModelFileError, match=re.escape(reason) + "$"):
             QTableBank.load(path)
