@@ -371,7 +371,7 @@ def cmd_tune(args) -> int:
     best = result.best
     best_payload = {
         "index": best.index,
-        "params": _jsonable_params(best.params),
+        "params": best.params,
         "score": best.report.score if best.report else None,
         "n_clusters": best.n_clusters,
         "train_size": result.train_size,
@@ -385,10 +385,6 @@ def cmd_tune(args) -> int:
         f"scored {best.report.score if best.report else 'n/a'} with {best.params}"
     )
     return 0
-
-
-def _jsonable_params(params: dict) -> dict:
-    return {k: (dict(v) if isinstance(v, dict) else v) for k, v in params.items()}
 
 
 def _write_grid_csv(path: Path, result: TuneResult, grid_keys: list[str]) -> None:

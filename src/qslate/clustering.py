@@ -38,7 +38,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .errors import DataError, FitError
+from .errors import DataError, FitError, json_column
 
 # Distances per block: a float64 block of _sq_dists holds 1 MiB.
 _CELLS = 2**17
@@ -80,6 +80,14 @@ def _nearest(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nearest, d2
 
 
+def _check_points(points: np.ndarray, name: str) -> None:
+    """Refuse base points that are not a finite 2-D array."""
+    if points.ndim != 2:
+        raise DataError(f"{name} must be a 2-D array, not of shape {points.shape}")
+    if not np.isfinite(points).all():
+        raise DataError(f"{name} must be finite")
+
+
 def _join(parent: np.ndarray, start: int, adjacent: np.ndarray) -> None:
     """Union the components joined by the true cells of ``adjacent``.
 
@@ -110,8 +118,8 @@ def _join(parent: np.ndarray, start: int, adjacent: np.ndarray) -> None:
 class KMeansModel:
     """Fitted k-means: centroids plus an optional small-cluster merge map.
 
-    Construction raises :class:`DataError` unless the centroids are finite
-    and the merge map holds one cluster id per centroid.
+    Construction raises :class:`DataError` unless the centroids are a finite
+    2-D array and the merge map a flat list of one cluster id per centroid.
     """
 
     centroids: np.ndarray
@@ -120,10 +128,11 @@ class KMeansModel:
     labels_: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.centroids).all():
-            raise DataError("centroids must be finite")
+        _check_points(self.centroids, "centroids")
         if not self.merge_map:
             self.merge_map = tuple(range(len(self.centroids)))
+        if np.ndim(self.merge_map) != 1:
+            raise DataError("merge_map must be a flat list of cluster ids")
         if len(self.merge_map) != len(self.centroids):
             raise DataError(f"merge_map lists {len(self.merge_map)} cluster ids "
                             f"for {len(self.centroids)} centroids")
@@ -151,29 +160,27 @@ class KMeansModel:
 class DbscanModel:
     """Fitted DBSCAN: core points with their cluster labels.
 
-    Construction raises :class:`DataError` unless the core points are
-    finite, there is one label per core point and ``n_clusters`` counts the
-    distinct labels.
+    ``n_clusters`` counts the distinct labels.  Construction raises
+    :class:`DataError` unless the core points are a finite 2-D array and
+    the labels a flat list of one label per core point.
     """
 
-    eps: float
-    min_pts: int
     core_points: np.ndarray
     core_labels: np.ndarray
-    n_clusters: int
     n_noise: int = 0
     labels_: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.core_points).all():
-            raise DataError("core_points must be finite")
+        _check_points(self.core_points, "core_points")
+        if self.core_labels.ndim != 1:
+            raise DataError("core_labels must be a flat list of labels")
         if len(self.core_labels) != len(self.core_points):
             raise DataError(f"core_labels lists {len(self.core_labels)} labels "
                             f"for {len(self.core_points)} core points")
-        distinct = len(self.cluster_ids())
-        if self.n_clusters != distinct:
-            raise DataError(f"n_clusters is {self.n_clusters}, "
-                            f"but the core points carry {distinct} distinct labels")
+
+    @property
+    def n_clusters(self) -> int:
+        return len(self.cluster_ids())
 
     @property
     def dim(self) -> int:
@@ -303,7 +310,8 @@ def fit_dbscan(
     expansion order) keeps the partition invariant under row permutation.
     With ``rows`` the training points are ``Z[rows]`` (see the module
     docstring): eps-balls and ``n_noise`` count training points, while core
-    points and ``labels_`` stay one per row of ``Z``.
+    points and ``labels_`` stay one per row of ``Z``.  The model keeps
+    neither ``eps`` nor ``min_pts``: the manifest's ``params.cluster`` does.
     """
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2 or len(Z) == 0:
@@ -338,11 +346,8 @@ def fit_dbscan(
     labels = np.where(d2 <= eps2, core_labels[nearest], -1)
 
     return DbscanModel(
-        eps=eps,
-        min_pts=min_pts,
         core_points=core_Z,
         core_labels=core_labels,
-        n_clusters=len(root_rows),
         n_noise=int(weights[labels == -1].sum()),
         labels_=labels,
     )
@@ -406,7 +411,7 @@ def merge_small_clusters(
     if isinstance(model, KMeansModel):
         merged = replace(model, merge_map=tuple(int(v) for v in base_final), labels_=None)
     else:
-        merged = replace(model, core_labels=base_final, n_clusters=len(survivors), labels_=None)
+        merged = replace(model, core_labels=base_final, labels_=None)
     return merged, old_to_new
 
 
@@ -420,11 +425,8 @@ def cluster_model_fields(model: ClusterModel) -> dict:
         }
     return {
         "method": "dbscan",
-        "eps": model.eps,
-        "min_pts": model.min_pts,
         "core_points": model.core_points.tolist(),
         "core_labels": model.core_labels.tolist(),
-        "n_clusters": model.n_clusters,
         "n_noise": model.n_noise,
     }
 
@@ -433,17 +435,16 @@ def cluster_model_from(payload: dict) -> ClusterModel:
     """The model that the fields of :func:`cluster_model_fields` hold."""
     method = payload.get("method")
     if method == "kmeans":
+        merge_map = json_column(payload["merge_map"], np.int64, "merge_map entry {}")
         return KMeansModel(
-            centroids=np.asarray(payload["centroids"], dtype=np.float64),
-            merge_map=tuple(int(v) for v in payload["merge_map"]),
+            centroids=json_column(payload["centroids"], np.float64, "an entry of centroids row {}"),
+            merge_map=tuple(merge_map.tolist()),
         )
     if method == "dbscan":
         return DbscanModel(
-            eps=float(payload["eps"]),
-            min_pts=int(payload["min_pts"]),
-            core_points=np.asarray(payload["core_points"], dtype=np.float64),
-            core_labels=np.asarray(payload["core_labels"], dtype=np.int64),
-            n_clusters=int(payload["n_clusters"]),
-            n_noise=int(payload["n_noise"]),
+            core_points=json_column(payload["core_points"], np.float64,
+                                    "an entry of core_points row {}"),
+            core_labels=json_column(payload["core_labels"], np.int64, "core_labels entry {}"),
+            n_noise=json_column(payload["n_noise"], np.int64, "n_noise").item(),
         )
     raise DataError(f"unknown cluster method {method!r}")

@@ -53,21 +53,26 @@ def read_model_file(path, fmt: str, version: int, build):
         raise ModelFileError(path, f"malformed {fmt} file: {exc}") from None
 
 
-_KINDS = {np.int64: ({int}, "an integer"), np.float64: ({int, float}, "a number")}
+_KINDS = {np.int64: ({int}, "an integer"), np.float64: ({int, float}, "a number"),
+          np.bool_: ({bool}, "a boolean")}
 
 
 def json_column(values, dtype, label: str, width: int = 1) -> np.ndarray:
-    """``values`` (a list, nested or flat, or an array) as a flat ``dtype``
-    array.  A value of another JSON kind (a bool, a string, a list, or a
-    float where integers belong) is refused rather than cast: the
+    """``values`` (a JSON value or a list of them, nested or flat) as a
+    ``dtype`` array of the same shape.  A value of another JSON kind (a bool
+    where numbers belong, a string, a list in a ragged list, or a float
+    where integers belong) is refused rather than cast: the
     :class:`DataError` names it and its cell, ``label`` formatted with the
-    value's position // ``width``."""
-    flat = np.asarray(values, dtype=object).ravel()
+    index of the value's row in a nested list, or with its position //
+    ``width`` in a flat one."""
+    column = np.asarray(values, dtype=object)
+    flat = column.ravel()
     types, kind = _KINDS[dtype]
     if not set(map(type, flat)) <= types:
         i = next(i for i, value in enumerate(flat) if type(value) not in types)
-        raise DataError(f"{label.format(i // width)} is {flat[i]!r}, not {kind}")
-    return flat.astype(dtype)
+        cell = i // (flat.size // len(column)) if column.ndim > 1 else i // width
+        raise DataError(f"{label.format(cell)} is {flat[i]!r}, not {kind}")
+    return column.astype(dtype)
 
 
 class FitError(QslateError):

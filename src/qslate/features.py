@@ -42,11 +42,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ComponentCollapseError, DataError, FitError, read_model_file, write_model_file
+from .errors import (ComponentCollapseError, DataError, FitError, json_column, read_model_file,
+                     write_model_file)
 from .ingest import N_PORTRAITS, ItemCatalog, SessionTable, UserTable
 
 COMPONENTS_FORMAT = "qslate-components"
-COMPONENTS_VERSION = 2
+COMPONENTS_VERSION = 3
 
 # Power steps per component at most, and the step length that ends them.
 _MAX_ITER = 200
@@ -109,33 +110,29 @@ def build_raw_features(table: SessionTable | UserTable, catalog: ItemCatalog) ->
 class SparseComponents:
     """Fitted extractor: loadings plus the standardization that fed them.
 
-    Each loading row has unit norm, or is all zero and flagged in
-    ``degenerate`` (requested k exceeded the numeric rank of the data).
-    A component zeroed by soft-thresholding itself raises instead.
-    ``n_iter[j]`` counts the power steps component ``j`` took, and
-    ``converged[j]`` is False when it stopped at ``_MAX_ITER`` steps before
-    its step fell below ``_TOL``; a degenerate component takes no step and
-    counts as converged.
+    Each loading row has unit norm, or is all zero when the requested k
+    exceeded the numeric rank of the data; a component zeroed by
+    soft-thresholding itself raises instead.  ``n_iter[j]`` counts the power
+    steps component ``j`` took, and ``converged[j]`` is False when it
+    stopped at ``_MAX_ITER`` steps before its step fell below ``_TOL``; a
+    zero row takes no step and counts as converged.
 
-    Construction raises :class:`DataError` unless the loadings are finite
-    and 2-D with ``k`` rows, the means and scales hold one finite value per
-    column with every scale positive, and each per-component field lists
-    ``k`` values, the explained variances finite.
+    Construction raises :class:`DataError` unless the loadings are a finite
+    2-D array, the means and scales hold one finite value per column with
+    every scale positive, and each per-component field lists one value per
+    loading row, the explained variances finite.
     """
 
     loadings: np.ndarray
     column_means: np.ndarray
     column_scales: np.ndarray
-    k: int
-    l1_penalty: float
     explained_variance: np.ndarray
-    degenerate: tuple[bool, ...]
     n_iter: tuple[int, ...]
     converged: tuple[bool, ...]
 
     def __post_init__(self) -> None:
-        if self.loadings.ndim != 2 or len(self.loadings) != self.k:
-            raise DataError(f"k is {self.k}, but the loadings have shape {self.loadings.shape}")
+        if self.loadings.ndim != 2:
+            raise DataError(f"loadings must be a 2-D array, not of shape {self.loadings.shape}")
         k, p = self.loadings.shape
         for name in ("column_means", "column_scales"):
             column = getattr(self, name)
@@ -143,12 +140,16 @@ class SparseComponents:
                 raise DataError(f"{name} must hold {p} finite values, one per loading column")
         if not (self.column_scales > 0.0).all():
             raise DataError("column_scales must be positive")
-        for name in ("explained_variance", "degenerate", "n_iter", "converged"):
+        for name in ("explained_variance", "n_iter", "converged"):
             if (n := len(getattr(self, name))) != k:
                 raise DataError(f"{name} lists {n} values for {k} components")
         for name in ("loadings", "explained_variance"):
             if not np.isfinite(getattr(self, name)).all():
                 raise DataError(f"{name} must be finite")
+
+    @property
+    def k(self) -> int:
+        return len(self.loadings)
 
     @property
     def n_cols(self) -> int:
@@ -163,9 +164,7 @@ class SparseComponents:
         return dataclasses.replace(
             self,
             loadings=self.loadings[:k],
-            k=k,
             explained_variance=self.explained_variance[:k],
-            degenerate=self.degenerate[:k],
             n_iter=self.n_iter[:k],
             converged=self.converged[:k],
         )
@@ -185,13 +184,10 @@ class SparseComponents:
 
     def save(self, path: str | Path, stamp: str | None = None) -> None:
         write_model_file(path, COMPONENTS_FORMAT, COMPONENTS_VERSION, stamp, {
-            "k": self.k,
-            "l1_penalty": self.l1_penalty,
             "column_means": self.column_means.tolist(),
             "column_scales": self.column_scales.tolist(),
             "loadings": self.loadings.tolist(),
             "explained_variance": self.explained_variance.tolist(),
-            "degenerate": list(self.degenerate),
             "n_iter": list(self.n_iter),
             "converged": list(self.converged),
         })
@@ -199,15 +195,15 @@ class SparseComponents:
     @classmethod
     def load(cls, path: str | Path) -> tuple["SparseComponents", str | None]:
         return read_model_file(path, COMPONENTS_FORMAT, COMPONENTS_VERSION, lambda payload: cls(
-            loadings=np.asarray(payload["loadings"], dtype=np.float64),
-            column_means=np.asarray(payload["column_means"], dtype=np.float64),
-            column_scales=np.asarray(payload["column_scales"], dtype=np.float64),
-            k=int(payload["k"]),
-            l1_penalty=float(payload["l1_penalty"]),
-            explained_variance=np.asarray(payload["explained_variance"], dtype=np.float64),
-            degenerate=tuple(bool(b) for b in payload["degenerate"]),
-            n_iter=tuple(int(i) for i in payload["n_iter"]),
-            converged=tuple(bool(b) for b in payload["converged"]),
+            loadings=json_column(payload["loadings"], np.float64, "an entry of loadings row {}"),
+            column_means=json_column(payload["column_means"], np.float64, "column_means entry {}"),
+            column_scales=json_column(payload["column_scales"], np.float64,
+                                      "column_scales entry {}"),
+            explained_variance=json_column(payload["explained_variance"], np.float64,
+                                           "explained_variance entry {}"),
+            n_iter=tuple(json_column(payload["n_iter"], np.int64, "n_iter entry {}").tolist()),
+            converged=tuple(
+                json_column(payload["converged"], np.bool_, "converged entry {}").tolist()),
         ))
 
 
@@ -281,7 +277,7 @@ def fit_sparse_pca(
     ``trace(C)`` (``||F||_F^2`` in row form) is at most ``1e-10`` times its
     starting value, what remains is rounding (about ``eps * trace(C)``,
     possibly negative): the requested k exceeds the data rank, and the
-    remaining components are zero and flagged degenerate.
+    remaining components are zero rows.
 
     When ``X`` is a :class:`FeatureMatrix` only the portrait columns are
     z-scored; a plain array has all columns z-scored unless ``zscore_mask``
@@ -321,13 +317,11 @@ def fit_sparse_pca(
 
     loadings = np.zeros((k, p))
     explained = np.zeros(k)
-    degenerate: list[bool] = []
     n_iter: list[int] = []
     converged: list[bool] = []
     w, scratch = np.empty(p), np.empty(p)
     for j in range(k):
         if trace() <= rank_floor:
-            degenerate.append(True)
             n_iter.append(0)
             converged.append(True)
             continue
@@ -363,8 +357,7 @@ def fit_sparse_pca(
             if delta < _TOL:
                 done = True
                 break
-        is_zero = not v.any()
-        if not is_zero:
+        if v.any():
             # Canonical orientation: largest-magnitude entry positive.
             pivot = int(np.argmax(np.abs(v)))
             if v[pivot] < 0:
@@ -377,7 +370,6 @@ def fit_sparse_pca(
             op -= np.outer(v, y)
         op -= np.outer(y, v)
         loadings[j] = v
-        degenerate.append(is_zero)
         n_iter.append(step)
         converged.append(done)
 
@@ -385,10 +377,7 @@ def fit_sparse_pca(
         loadings=loadings,
         column_means=means,
         column_scales=scales,
-        k=k,
-        l1_penalty=l1_penalty,
         explained_variance=explained,
-        degenerate=tuple(degenerate),
         n_iter=tuple(n_iter),
         converged=tuple(converged),
     )

@@ -266,7 +266,7 @@ COMPONENTS_FILE = "components.json"
 CLUSTERS_FILE = "clusters.json"
 QTABLES_FILE = "qtables.json"
 CLUSTERS_FORMAT = "qslate-clusters"
-CLUSTERS_VERSION = 2
+CLUSTERS_VERSION = 3
 
 
 def save_models(model: PipelineModel, model_dir: str | Path, stamp: str,
@@ -288,8 +288,9 @@ def save_models(model: PipelineModel, model_dir: str | Path, stamp: str,
 
 def _clusters(payload: dict) -> tuple[ClusterModel, np.ndarray, int]:
     rows = payload["policies"]
-    policies = json_column(rows, np.int64, "an item of cluster {}'s policy row", width=9)
-    return cluster_model_from(payload), policies.reshape(len(rows), 9), payload["min_visits"]
+    policies = json_column(rows, np.int64, "an item of cluster {}'s policy row")
+    min_visits = json_column(payload["min_visits"], np.int64, "min_visits").item()
+    return cluster_model_from(payload), policies.reshape(len(rows), 9), min_visits
 
 
 def load_models(model_dir: str | Path, min_visits: int) -> tuple[PipelineModel, str]:

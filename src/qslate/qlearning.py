@@ -144,20 +144,21 @@ class QTableBank:
         cluster and step, its slate (n×3, or its items flat), q and visits.
         Raises :class:`DataError` naming the first failing cell when a column
         holds a value of another kind (a bool, a string, or a float where
-        integers belong, refused rather than cast), when the columns differ
-        in length, or when a cell lies outside the bank's tables, has a
-        non-finite q or visits below 1, has a slate whose items do not
-        strictly ascend, or stores its slate twice in one table."""
+        integers belong, refused rather than cast), when a column but the
+        slate is not flat or the columns differ in length, or when a cell
+        lies outside the bank's tables, has a non-finite q or visits below
+        1, has a slate whose items do not strictly ascend, or stores its
+        slate twice in one table."""
         bank = cls(n_clusters)
         cluster = json_column(cluster, np.int64, "the cluster of cell {}")
         step = json_column(step, np.int64, "the step of cell {}")
         slate = json_column(slate, np.int64, "an item of cell {}'s slate", width=3)
         q = json_column(q, np.float64, "the q of cell {}")
         visits = json_column(visits, np.int64, "the visit count of cell {}")
-        if not len(cluster) == len(step) == len(q) == len(visits) == len(slate) / 3:
+        if not cluster.shape == step.shape == q.shape == visits.shape == (slate.size / 3,):
             raise DataError(f"bank columns differ in length: {len(cluster)} cluster, "
                             f"{len(step)} step, {len(q)} q and {len(visits)} visits values, "
-                            f"and {len(slate)} slate items")
+                            f"and {slate.size} slate items")
         slate = slate.reshape(-1, 3)
         bad = (cluster < 0) | (cluster >= n_clusters) | (step < STEPS[0]) | (step > STEPS[-1])
         if bad.any():

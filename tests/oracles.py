@@ -734,11 +734,8 @@ def expansion_dbscan(Z, eps, min_pts, rows=None):
     within = d2[np.arange(n), nearest] <= eps2
     labels = np.where(within, core_labels[nearest], -1)
     return DbscanModel(
-        eps=eps,
-        min_pts=min_pts,
         core_points=core_Z,
         core_labels=core_labels,
-        n_clusters=next_label,
         n_noise=int(weights[labels == -1].sum()),
         labels_=labels,
     )
@@ -813,11 +810,8 @@ def pairwise_merge(model, counts, min_support):
         )
     else:
         merged = DbscanModel(
-            eps=model.eps,
-            min_pts=model.min_pts,
             core_points=model.core_points,
             core_labels=base_final[model.core_labels],
-            n_clusters=len(group_members),
             n_noise=model.n_noise,
         )
     return merged, old_to_new

@@ -397,20 +397,15 @@ class TestEvaluate:
          "merge_map lists 3 cluster ids for 4 centroids"),
         ({"--cluster": "dbscan", "--eps": 3, "--min-pts": 3, "--min-support": 1},
          "clusters.json", lambda p: p["core_labels"].pop(), "labels for"),
-        ({"--cluster": "dbscan", "--eps": 3, "--min-pts": 3, "--min-support": 1},
-         "clusters.json", lambda p: p.update(n_clusters=p["n_clusters"] + 1),
-         "distinct labels"),
         ({}, "components.json",
          lambda p: p.update(column_means=p["column_means"][:10],
                             column_scales=p["column_scales"][:10]),
          "column_means must hold"),
-        ({}, "components.json", lambda p: p.update(k=3),
-         "k is 3, but the loadings have shape (6, "),
         ({}, "components.json", lambda p: p["column_scales"].__setitem__(0, 0),
          "column_scales must be positive"),
         ({}, "components.json",
          lambda p: p.update({key: p[key][:5] for key in (
-             "loadings", "explained_variance", "degenerate", "n_iter", "converged")}, k=5),
+             "loadings", "explained_variance", "n_iter", "converged")}),
          "components.json holds 5 components, but clusters.json clusters vectors of dim 6"),
         ({}, "clusters.json", lambda p: p["centroids"][1].__setitem__(0, float("nan")),
          "centroids must be finite"),
@@ -422,9 +417,21 @@ class TestEvaluate:
         ({}, "components.json",
          lambda p: p["explained_variance"].__setitem__(1, float("-inf")),
          "explained_variance must be finite"),
-    ], ids=["merge-map-short", "core-labels-short", "n-clusters-off", "means-short",
-            "k-off", "scale-zero", "fewer-components", "nan-centroid", "inf-core-point",
-            "nan-loading", "inf-explained-variance"])
+        ({}, "clusters.json", lambda p: p.update(centroids=[row[0] for row in p["centroids"]]),
+         "centroids must be a 2-D array, not of shape (4,)"),
+        ({"--cluster": "dbscan", "--eps": 3, "--min-pts": 3, "--min-support": 1},
+         "clusters.json",
+         lambda p: p.update(core_points=[row[0] for row in p["core_points"]]),
+         "core_points must be a 2-D array, not of shape ("),
+        ({}, "clusters.json", lambda p: p.update(merge_map=[[v] for v in p["merge_map"]]),
+         "merge_map must be a flat list of cluster ids"),
+        ({"--cluster": "dbscan", "--eps": 3, "--min-pts": 3, "--min-support": 1},
+         "clusters.json", lambda p: p.update(core_labels=[[v] for v in p["core_labels"]]),
+         "core_labels must be a flat list of labels"),
+    ], ids=["merge-map-short", "core-labels-short", "means-short", "scale-zero",
+            "fewer-components", "nan-centroid", "inf-core-point", "nan-loading",
+            "inf-explained-variance", "flat-centroids", "flat-core-points",
+            "nested-merge-map", "nested-core-labels"])
     def test_model_file_arrays_that_disagree_name_it(self, tmp_path, capsys, command, flags,
                                                       name, corrupt, message):
         data = generate_corpus(tmp_path)
@@ -500,6 +507,40 @@ class TestEvaluate:
         for name in outputs:
             assert (tmp_path / "with" / name).read_bytes() == (
                 tmp_path / "without" / name).read_bytes()
+
+    @pytest.mark.parametrize("command", ["evaluate", "recommend"])
+    @pytest.mark.parametrize("name, edit, message", [
+        ("components.json", lambda p: p["loadings"][0].__setitem__(0, "0.5"),
+         "an entry of loadings row 0 is '0.5', not a number"),
+        ("components.json", lambda p: p["loadings"][2].__setitem__(1, True),
+         "an entry of loadings row 2 is True, not a number"),
+        ("components.json", lambda p: p["converged"].__setitem__(1, "no"),
+         "converged entry 1 is 'no', not a boolean"),
+        ("clusters.json", lambda p: p["merge_map"].__setitem__(3, 0.9),
+         "merge_map entry 3 is 0.9, not an integer"),
+        ("clusters.json", lambda p: p["centroids"][1].__setitem__(0, "1e3"),
+         "an entry of centroids row 1 is '1e3', not a number"),
+        ("clusters.json", lambda p: p.update(min_visits=3.0),
+         "min_visits is 3.0, not an integer"),
+    ], ids=["string-loading", "bool-loading", "string-converged", "fractional-merge-map",
+            "string-centroid", "fractional-min-visits"])
+    def test_mistyped_model_field_names_it(self, tmp_path, capsys, command, name, edit, message):
+        """The message names the file, and ``message`` names the field."""
+        data = generate_corpus(tmp_path)
+        models = train_models(tmp_path, data)
+        edit_model_file(models / name, edit)
+        assert serve(command, data, models, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert str(models / name) in err and message in err
+
+    @pytest.mark.parametrize("name", ["components.json", "clusters.json"])
+    def test_model_file_version_2_refused(self, tmp_path, capsys, name):
+        data = generate_corpus(tmp_path)
+        models = train_models(tmp_path, data)
+        edit_model_file(models / name, lambda p: p.update(version=2))
+        assert serve("evaluate", data, models, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert name in err and "unsupported version 2" in err
 
     def test_clusters_version_1_refused(self, tmp_path, capsys):
         data = generate_corpus(tmp_path)

@@ -39,6 +39,11 @@ def planted_sparse_data(seed=123, p=391, k=4, nnz=10, n=800, noise=0.05):
     return X, supports
 
 
+def zero_rows(comps):
+    """Whether each loading row is all zero: a component past the data's rank."""
+    return tuple(not row.any() for row in comps.loadings)
+
+
 def center_only(p):
     return np.zeros(p, dtype=bool)
 
@@ -190,9 +195,8 @@ class TestFitSparsePca:
     def test_loading_rows_unit_or_zero(self):
         X, _ = planted_sparse_data(seed=5, p=60, n=120)
         comps = fit_sparse_pca(X, k=3, l1_penalty=0.3, seed=1)
-        for j, row in enumerate(comps.loadings):
+        for row in comps.loadings:
             norm = np.linalg.norm(row)
-            assert comps.degenerate[j] == (norm == 0.0)
             if norm:
                 assert abs(norm - 1.0) < 1e-9
 
@@ -225,10 +229,7 @@ class TestFitSparsePca:
         base = rng.normal(size=(40, 2))
         X = base @ rng.normal(size=(2, 5))  # rank 2 in 5 columns
         comps = fit_sparse_pca(X, k=5, l1_penalty=0.0, seed=0, zscore_mask=center_only(5))
-        assert any(comps.degenerate)
-        for j, row in enumerate(comps.loadings):
-            if comps.degenerate[j]:
-                assert not row.any()
+        assert any(zero_rows(comps))
 
     def test_positive_rounding_past_rank_flags_degenerate(self):
         # On this rank-2 matrix the trace left after two deflations is a
@@ -236,15 +237,12 @@ class TestFitSparsePca:
         rng = np.random.default_rng(1)
         X = rng.normal(size=(40, 2)) @ rng.normal(size=(2, 5))
         comps = fit_sparse_pca(X, k=5, l1_penalty=0.0, seed=0, zscore_mask=center_only(5))
-        assert comps.degenerate == (False, False, True, True, True)
-        for j, row in enumerate(comps.loadings):
-            if comps.degenerate[j]:
-                assert not row.any()
+        assert zero_rows(comps) == (False, False, True, True, True)
 
     def test_full_rank_full_k_flags_nothing_degenerate(self):
         X = np.random.default_rng(12).normal(size=(60, 9))
         comps = fit_sparse_pca(X, k=9, l1_penalty=0.0, seed=0, zscore_mask=center_only(9))
-        assert not any(comps.degenerate)
+        assert not any(zero_rows(comps))
         assert (comps.explained_variance > 0).all()
 
     @pytest.mark.parametrize(
@@ -271,7 +269,7 @@ class TestFitSparsePca:
         if data == "few-states" and l1 == 0.0:
             assert degenerate == (False,) * 5 + (True,) * 3
         assert ((comps.loadings == 0.0) == (loadings == 0.0)).all()
-        assert comps.degenerate == degenerate
+        assert zero_rows(comps) == degenerate
         assert (comps.n_iter, comps.converged) == (n_iter, converged)
         assert np.abs(comps.loadings - loadings).max() <= 1e-10
         assert np.abs(comps.explained_variance - explained).max() <= 1e-10
@@ -298,7 +296,7 @@ class TestFitSparsePca:
         weighted = fit_sparse_pca(fm, k=k, l1_penalty=l1, seed=3)
         reference = fit_sparse_pca(expanded, k=k, l1_penalty=l1, seed=3)
         assert ((weighted.loadings == 0.0) == (reference.loadings == 0.0)).all()
-        assert weighted.degenerate == reference.degenerate
+        assert zero_rows(weighted) == zero_rows(reference)
         assert np.abs(weighted.loadings - reference.loadings).max() <= 1e-10
         assert np.abs(weighted.explained_variance - reference.explained_variance).max() <= 1e-10
         assert np.abs(weighted.column_means - reference.column_means).max() <= 1e-12
@@ -324,8 +322,8 @@ class TestFitSparsePca:
         monkeypatch.setattr(features, "_covariance", one_shot_covariance)
         reference = fit_sparse_pca(X, k=k, l1_penalty=l1, seed=3)
         assert ((blocked.loadings == 0.0) == (reference.loadings == 0.0)).all()
-        assert (blocked.degenerate, blocked.n_iter, blocked.converged) == (
-            reference.degenerate, reference.n_iter, reference.converged
+        assert (zero_rows(blocked), blocked.n_iter, blocked.converged) == (
+            zero_rows(reference), reference.n_iter, reference.converged
         )
         assert np.abs(blocked.loadings - reference.loadings).max() <= 1e-12
         assert (np.abs(blocked.explained_variance - reference.explained_variance).max()
@@ -354,7 +352,7 @@ class TestFitSparsePca:
         every_column = np.ones(8, bool)
         weighted = fit_sparse_pca(fm, k=8, seed=0, zscore_mask=every_column)
         reference = fit_sparse_pca(expanded, k=8, seed=0, zscore_mask=every_column)
-        assert weighted.degenerate == reference.degenerate == (False,) * 2 + (True,) * 6
+        assert zero_rows(weighted) == zero_rows(reference) == (False,) * 2 + (True,) * 6
         with pytest.raises(FitError, match=r"\[1, 8\]"):
             fit_sparse_pca(fm, k=9)
 
@@ -368,8 +366,8 @@ class TestFitSparsePca:
         sliced = large.leading(8)
         assert (sliced.loadings == small.loadings).all()
         assert sliced.k == 8
-        assert (sliced.degenerate, sliced.n_iter, sliced.converged) == (
-            small.degenerate, small.n_iter, small.converged
+        assert (zero_rows(sliced), sliced.n_iter, sliced.converged) == (
+            zero_rows(small), small.n_iter, small.converged
         )
         assert (transform(fm, small) == transform(fm, large)[:, :8]).all()
 
@@ -500,7 +498,7 @@ class TestSerialization:
         assert (loaded.loadings == comps.loadings).all()
         assert (loaded.column_means == comps.column_means).all()
         assert (loaded.column_scales == comps.column_scales).all()
-        assert loaded.degenerate == comps.degenerate
+        assert zero_rows(loaded) == zero_rows(comps)
         assert loaded.k == comps.k
         assert (loaded.explained_variance == comps.explained_variance).all()
         assert loaded.n_iter == comps.n_iter

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -228,6 +229,35 @@ def is_lexsort(call: ast.Call) -> bool:
     return called_name(call) == "lexsort"
 
 
+# Calls that cast a JSON value leniently: ``int(3.9)``, ``float("1e3")`` and
+# ``bool("no")`` all succeed, as do the numpy array constructors on them.
+LENIENT_CASTS = {"int", "float", "bool", "asarray", "array"}
+
+
+def is_payload_field(node: ast.AST) -> bool:
+    """A ``payload[...]`` subscript: a field of a model file's JSON object."""
+    return isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "payload"
+
+
+def lenient_field_reads(source: str) -> list[str]:
+    """Each call in ``LENIENT_CASTS`` that reads a ``payload[...]`` field,
+    directly or as the element of a comprehension over one."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.GeneratorExp, ast.ListComp, ast.SetComp)):
+            elements = {name.id for gen in node.generators if is_payload_field(gen.iter)
+                        for name in ast.walk(gen.target) if isinstance(name, ast.Name)}
+            casts = [call for call in ast.walk(node.elt) if isinstance(call, ast.Call)
+                     and any(getattr(arg, "id", None) in elements for arg in call.args)]
+        elif isinstance(node, ast.Call) and any(map(is_payload_field, node.args)):
+            casts = [node]
+        else:
+            continue
+        found.update((call.lineno, called_name(call)) for call in casts
+                     if called_name(call) in LENIENT_CASTS)
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
@@ -300,6 +330,13 @@ def test_distances_are_measured_only_in_blocks():
     assert found == [("clustering.py", "_blocks")]
 
 
+def test_model_fields_are_read_only_through_json_column():
+    """A model file's numbers go through ``errors.json_column``, which
+    refuses a value of another JSON kind that a cast would accept."""
+    assert [(path.name, read) for path in MODULES
+            for read in lenient_field_reads(path.read_text())] == []
+
+
 def test_qlearning_lexsorts_only_in_order_and_greedy():
     """Integer keys sort through ``_order``; only ``_greedy``'s key holds the
     float q, which ``_order`` cannot pack."""
@@ -316,6 +353,22 @@ def test_check_sees_calls_by_scope():
     )
     assert calls_by_scope(source, searches_catalog_ids) == ["Catalog.index", "find.inner"]
     assert calls_by_scope(source, is_lexsort) == ["", "find"]
+
+
+def test_check_sees_lenient_field_reads():
+    source = (
+        "import numpy as np\n\n"
+        "def build(payload, other):\n"
+        "    k, x = int(payload['k']), np.asarray(payload['x'], dtype=float)\n"
+        "    flags = tuple(bool(b) for b in payload['flags'])\n"
+        "    ids = [int(v) + 1 for _, v in payload['pairs']]\n"
+        "    y = json_column(payload['y'], np.float64, 'y')\n"
+        "    n = len(payload['z']) + int(other['k']) + int(y[0])\n"
+        "    return [float(v) for v in range(n)], k, x, flags, ids\n"
+    )
+    assert lenient_field_reads(source) == [
+        "line 4: asarray", "line 4: int", "line 5: bool", "line 6: int",
+    ]
 
 
 def test_check_sees_an_unused_import():
@@ -451,3 +504,31 @@ def test_bank_offers_what_the_bench_reads():
     a, b = QTableBank(2), QTableBank(2)
     assert a.tables == b.tables and len(a.tables) == 6
     assert list(a.cells()) == [] and a.n_cells() == 0
+
+
+@pytest.mark.parametrize("cluster", [{"method": "kmeans", "k": 4},
+                                     {"method": "dbscan", "eps": 3.0, "min_pts": 3}],
+                         ids=["kmeans", "dbscan"])
+def test_model_files_hold_only_their_version_3_keys(tmp_path, cluster):
+    """Each fact is stored once: nothing that another field of the file or
+    the manifest determines (a component count, zero-row flags, the l1
+    penalty, a cluster count, DBSCAN's eps and min_pts)."""
+    from qslate.ingest import SyntheticConfig, generate_synthetic
+    from qslate.pipeline import PipelineParams, fit_pipeline, save_models
+
+    corpus = generate_synthetic(SyntheticConfig(num_items=12, num_users=60, num_sessions=400,
+                                                seed=3, preference_scale=3.0))
+    params = PipelineParams(k_features=4, cluster=cluster, min_cluster_support=1, epochs=2)
+    model, stats = fit_pipeline(corpus.sessions, corpus.catalog, params)
+    save_models(model, tmp_path, "stamp", stats.bank)
+    header = {"format", "version", "stamp"}
+    model_keys = {"kmeans": {"centroids", "merge_map"},
+                  "dbscan": {"core_points", "core_labels", "n_noise"}}[cluster["method"]]
+    expected = {
+        "components.json": header | {"column_means", "column_scales", "loadings",
+                                     "explained_variance", "n_iter", "converged"},
+        "clusters.json": header | {"method", "policies", "min_visits"} | model_keys,
+    }
+    for name, keys in expected.items():
+        payload = json.loads((tmp_path / name).read_text())
+        assert (set(payload), payload["version"]) == (keys, 3), name

@@ -1088,9 +1088,11 @@ class TestBankSerialization:
             (lambda p: p.update(cells=[0, 0, 0, 1]), "no table for cluster 1, step 1"),
             (lambda p: p.update(cells=[0, 1.0, 0]),
              "the cell count of table 1 is 1.0, not an integer"),
+            (lambda p: p.update(q=[[1.0]]), "bank columns differ in length: 1 cluster, "
+             "1 step, 1 q and 1 visits values, and 3 slate items"),
         ],
         ids=["ragged-columns", "repeated-slate", "huge-visits", "missing-q", "unknown-table",
-             "fractional-count"],
+             "fractional-count", "nested-q"],
     )
     def test_load_rejects_malformed_table(self, tmp_path, edit, reason):
         path = tmp_path / "qtables.json"
