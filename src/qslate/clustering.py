@@ -8,9 +8,9 @@ id; DBSCAN maps it to the cluster of the nearest core point regardless of
 noise under the training-time rule.  Fitting is single-threaded and
 deterministic for a fixed seed.
 
-Both fits take an optional ``rows`` index for training points that repeat
-(the sessions of one user state): the training points are ``Z[rows]``, but
-each distinct row of ``Z`` is measured once and weighted by its count in
+Both fits take a ``rows`` index for training points that repeat (the
+sessions of one user state): the training points are ``Z[rows]``, but each
+distinct row of ``Z`` is measured once and weighted by its count in
 ``rows``.  Such a fit equals the fit of ``Z[rows]``: k-means++ draws the same
 training points from the same random stream, and Lloyd's means, the inertia
 and DBSCAN's eps-ball counts are weighted sums over the distinct rows.
@@ -38,7 +38,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .errors import DataError, FitError, json_column
+from .errors import DataError, FitError, json_column, json_scalar
 
 # Distances per block: a float64 block of _sq_dists holds 1 MiB.
 _CELLS = 2**17
@@ -200,14 +200,12 @@ class DbscanModel:
 ClusterModel = Union[KMeansModel, DbscanModel]
 
 
-def _training_rows(Z: np.ndarray, rows: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """The row of each training point (default: one per row) and each row's count."""
-    if rows is None:
-        return np.arange(len(Z)), np.ones(len(Z), dtype=np.int64)
+def _row_weights(Z: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """How many training points ``Z[rows]`` each row of ``Z`` is."""
     weights = np.bincount(rows, minlength=len(Z))
     if len(weights) != len(Z) or not weights.all():
         raise FitError("rows must index every row of Z, and only rows of Z")
-    return rows, weights
+    return weights
 
 
 def _kmeanspp_init(
@@ -233,27 +231,22 @@ def _kmeanspp_init(
     return np.array(centroids)
 
 
-def fit_kmeans(
-    Z: np.ndarray,
-    k: int,
-    seed: int = 0,
-    rows: np.ndarray | None = None,
-) -> KMeansModel:
+def fit_kmeans(Z: np.ndarray, k: int, rows: np.ndarray, seed: int = 0) -> KMeansModel:
     """Lloyd's algorithm from a k-means++ seeding.
 
     Iterates until the assignment stabilizes or for ``_MAX_ITER`` steps;
     clusters that empty out are re-seeded at the point farthest from its
     assigned centroid.  ``inertia_history`` records the within-cluster sum
     of squares at every assignment step (non-increasing by construction).
-    With ``rows`` the training points are ``Z[rows]`` (see the module
-    docstring); ``labels_`` then labels the rows of ``Z``.
+    The training points are ``Z[rows]`` (see the module docstring), and
+    ``labels_`` labels the rows of ``Z``.
     """
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2 or len(Z) == 0:
         raise FitError("Z must be a nonempty 2-d array")
     if k < 1:
         raise FitError("k must be >= 1")
-    rows, weights = _training_rows(Z, rows)
+    weights = _row_weights(Z, rows)
     rng = np.random.default_rng(seed)
     centroids = _kmeanspp_init(Z, rows, k, rng)
 
@@ -292,9 +285,7 @@ def fit_kmeans(
     )
 
 
-def fit_dbscan(
-    Z: np.ndarray, eps: float, min_pts: int, rows: np.ndarray | None = None
-) -> DbscanModel:
+def fit_dbscan(Z: np.ndarray, eps: float, min_pts: int, rows: np.ndarray) -> DbscanModel:
     """Density clustering; raises :class:`FitError` when every point is noise.
 
     A point is core when its eps-ball (itself included) holds at least
@@ -308,9 +299,9 @@ def fit_dbscan(
     other point takes the cluster of its nearest core point when one lies
     within eps, otherwise it is noise.  The nearest-core rule (rather than
     expansion order) keeps the partition invariant under row permutation.
-    With ``rows`` the training points are ``Z[rows]`` (see the module
-    docstring): eps-balls and ``n_noise`` count training points, while core
-    points and ``labels_`` stay one per row of ``Z``.  The model keeps
+    The training points are ``Z[rows]`` (see the module docstring):
+    eps-balls and ``n_noise`` count training points, while core points and
+    ``labels_`` stay one per row of ``Z``.  The model keeps
     neither ``eps`` nor ``min_pts``: the manifest's ``params.cluster`` does.
     """
     Z = np.asarray(Z, dtype=np.float64)
@@ -320,14 +311,14 @@ def fit_dbscan(
         raise FitError("eps must be positive")
     if min_pts < 1:
         raise FitError("min_pts must be >= 1")
-    weights = _training_rows(Z, rows)[1]
+    weights = _row_weights(Z, rows)
     n = len(Z)
     eps2 = eps * eps
 
     counts = np.zeros(n, dtype=np.int64)
     parent = np.arange(n)
-    for rows, d2 in _blocks(Z, Z, _sq_norms(Z)):
-        start, stop = rows.start, rows.start + len(d2)
+    for block, d2 in _blocks(Z, Z, _sq_norms(Z)):
+        start, stop = block.start, block.start + len(d2)
         near = d2 <= eps2
         counts[start:stop] = near @ weights
         # The block's rows and every earlier row now know whether they are
@@ -445,6 +436,6 @@ def cluster_model_from(payload: dict) -> ClusterModel:
             core_points=json_column(payload["core_points"], np.float64,
                                     "an entry of core_points row {}"),
             core_labels=json_column(payload["core_labels"], np.int64, "core_labels entry {}"),
-            n_noise=json_column(payload["n_noise"], np.int64, "n_noise").item(),
+            n_noise=json_scalar(payload["n_noise"], np.int64, "n_noise"),
         )
     raise DataError(f"unknown cluster method {method!r}")

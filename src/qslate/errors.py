@@ -1,5 +1,5 @@
 """Exception hierarchy shared across the package, the model-file envelope and
-its strict reader of JSON columns."""
+its strict readers of JSON columns and scalars."""
 
 import json
 from pathlib import Path
@@ -73,6 +73,16 @@ def json_column(values, dtype, label: str, width: int = 1) -> np.ndarray:
         cell = i // (flat.size // len(column)) if column.ndim > 1 else i // width
         raise DataError(f"{label.format(cell)} is {flat[i]!r}, not {kind}")
     return column.astype(dtype)
+
+
+def json_scalar(value, dtype, label: str):
+    """``value`` as one ``dtype`` number, by :func:`json_column`'s rules; a
+    list where the single value belongs is refused too, and the
+    :class:`DataError` names ``label``."""
+    column = json_column(value, dtype, label)
+    if column.ndim:
+        raise DataError(f"{label} is {value!r}, not {_KINDS[dtype][1]}")
+    return column.item()
 
 
 class FitError(QslateError):

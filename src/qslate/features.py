@@ -55,6 +55,10 @@ _TOL = 1e-7
 # States per block where a pass over the raw matrix needs working arrays:
 # the click scatter and the covariance's rank-k updates.
 _BLOCK = 256
+# The columns that the fit z-scores, as an index array: a slice would make
+# the difference in ``_column_stats`` row-major, and ``weights @`` would sum
+# it in another order.
+_PORTRAITS = np.arange(N_PORTRAITS)
 
 
 @dataclass
@@ -207,16 +211,13 @@ class SparseComponents:
         ))
 
 
-def _column_stats(
-    values: np.ndarray, weights: np.ndarray, zscore_mask: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _column_stats(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = weights.sum()
     means = weights @ values / n
     scales = np.ones(values.shape[1])
-    if zscore_mask.any():
-        stds = np.sqrt(weights @ (values[:, zscore_mask] - means[zscore_mask]) ** 2 / n)
-        stds[stds == 0.0] = 1.0  # constant columns contribute zero after centering
-        scales[zscore_mask] = stds
+    stds = np.sqrt(weights @ (values[:, _PORTRAITS] - means[_PORTRAITS]) ** 2 / n)
+    stds[stds == 0.0] = 1.0  # constant columns contribute zero after centering
+    scales[_PORTRAITS] = stds
     return means, scales
 
 
@@ -248,11 +249,7 @@ def _covariance(
 
 
 def fit_sparse_pca(
-    X: FeatureMatrix | np.ndarray,
-    k: int,
-    l1_penalty: float = 0.0,
-    seed: int = 0,
-    zscore_mask: np.ndarray | None = None,
+    X: FeatureMatrix, k: int, l1_penalty: float = 0.0, seed: int = 0
 ) -> SparseComponents:
     """Fit ``k`` sparse components by thresholded power iteration.
 
@@ -265,10 +262,11 @@ def fit_sparse_pca(
     until its step ``||v_new - v||`` falls below ``_TOL`` (``converged``) or
     for ``_MAX_ITER`` steps.  Deterministic for a fixed seed.
 
-    The column statistics and ``C`` weight each row of a
-    :class:`FeatureMatrix` by its session count, so the fit is that of the
-    one-row-per-session matrix ``X.values[X.rows]``, and the range of ``k``
-    counts those session rows; a plain array has unit weights.
+    The column statistics and ``C`` weight each row of ``X`` by its session
+    count, so the fit is that of the one-row-per-session matrix
+    ``X.values[X.rows]``, and the range of ``k`` counts those session rows.
+    The ``N_PORTRAITS`` portrait columns are z-scored and the click columns
+    only centered.
 
     Power steps run on the weighted rows ``F``, with ``C = F^T F``, when
     there are fewer distinct rows than columns, and on ``C`` otherwise,
@@ -278,29 +276,15 @@ def fit_sparse_pca(
     starting value, what remains is rounding (about ``eps * trace(C)``,
     possibly negative): the requested k exceeds the data rank, and the
     remaining components are zero rows.
-
-    When ``X`` is a :class:`FeatureMatrix` only the portrait columns are
-    z-scored; a plain array has all columns z-scored unless ``zscore_mask``
-    says otherwise.
     """
-    if isinstance(X, FeatureMatrix):
-        values = X.values
-        weights = X.weights
-        if zscore_mask is None:
-            zscore_mask = np.zeros(values.shape[1], dtype=bool)
-            zscore_mask[:N_PORTRAITS] = True
-    else:
-        values = np.asarray(X, dtype=np.float64)
-        weights = np.ones(len(values))
-        if zscore_mask is None:
-            zscore_mask = np.ones(values.shape[1], dtype=bool)
+    values, weights = X.values, X.weights
     n, p = int(weights.sum()), values.shape[1]
     if k < 1 or k > min(n, p):
         raise FitError(f"k={k} out of range [1, {min(n, p)}]")
     if not l1_penalty >= 0:  # also rejects NaN
         raise FitError(f"l1_penalty must be nonnegative, got {l1_penalty}")
 
-    means, scales = _column_stats(values, weights, zscore_mask)
+    means, scales = _column_stats(values, weights)
     root_w = np.sqrt(weights / n)
     row_form = len(values) < p
     op = (
@@ -383,8 +367,8 @@ def fit_sparse_pca(
     )
 
 
-def transform(X: FeatureMatrix | np.ndarray, components: SparseComponents) -> np.ndarray:
-    """Project rows onto the fitted components.
+def transform(X: FeatureMatrix, components: SparseComponents) -> np.ndarray:
+    """Project the rows of ``X.values`` onto the fitted components.
 
     The projection accumulates column by column in a fixed order so a row
     transforms to bit-identical values whether passed alone or inside any
@@ -392,9 +376,7 @@ def transform(X: FeatureMatrix | np.ndarray, components: SparseComponents) -> np
     order).  Each column is standardized as it is added, so the working
     arrays are one column and one ``n x k`` term.
     """
-    values = X.values if isinstance(X, FeatureMatrix) else np.asarray(X, dtype=np.float64)
-    if values.ndim == 1:
-        values = values[None, :]
+    values = X.values
     if values.shape[1] != components.n_cols:
         raise DataError(
             f"feature matrix has {values.shape[1]} columns, components expect {components.n_cols}"

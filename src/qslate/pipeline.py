@@ -30,7 +30,8 @@ from .clustering import (
     fit_kmeans,
     merge_small_clusters,
 )
-from .errors import DataError, ModelFileError, json_column, read_model_file, write_model_file
+from .errors import (DataError, ModelFileError, json_column, json_scalar, read_model_file,
+                     write_model_file)
 from .features import (
     FeatureMatrix,
     SparseComponents,
@@ -289,7 +290,7 @@ def save_models(model: PipelineModel, model_dir: str | Path, stamp: str,
 def _clusters(payload: dict) -> tuple[ClusterModel, np.ndarray, int]:
     rows = payload["policies"]
     policies = json_column(rows, np.int64, "an item of cluster {}'s policy row")
-    min_visits = json_column(payload["min_visits"], np.int64, "min_visits").item()
+    min_visits = json_scalar(payload["min_visits"], np.int64, "min_visits")
     return cluster_model_from(payload), policies.reshape(len(rows), 9), min_visits
 
 

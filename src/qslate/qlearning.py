@@ -59,7 +59,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DataError, TrainError, json_column, read_model_file, write_model_file
+from .errors import (DataError, TrainError, json_column, json_scalar, read_model_file,
+                     write_model_file)
 from .ingest import STEPS, ItemCatalog, TransitionTable, slate_faults
 
 QTABLES_FORMAT = "qslate-qtables"
@@ -244,8 +245,9 @@ class QTableBank:
         def build(payload: dict) -> "QTableBank":
             counts = json_column(payload["cells"], np.int64, "the cell count of table {}")
             cluster, step = np.divmod(np.repeat(np.arange(len(counts)), counts), len(STEPS))
-            return cls.from_columns(payload["n_clusters"], cluster, step + STEPS[0],
-                                    payload["slate"], payload["q"], payload["visits"])
+            n_clusters = json_scalar(payload["n_clusters"], np.int64, "n_clusters")
+            return cls.from_columns(n_clusters, cluster, step + STEPS[0], payload["slate"],
+                                    payload["q"], payload["visits"])
 
         return read_model_file(path, QTABLES_FORMAT, QTABLES_VERSION, build)
 

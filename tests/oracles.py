@@ -611,6 +611,26 @@ def one_shot_covariance(values, means, scales, root_w):
     return rows.T @ rows
 
 
+def as_features(X, zscore=False) -> FeatureMatrix:
+    """The plain 2-D array ``X`` as a :class:`FeatureMatrix`, the input of
+    ``fit_sparse_pca`` and ``transform``: one unit-weight row per row of
+    ``X``, after ``N_PORTRAITS`` zero portrait columns.
+
+    A fit z-scores the portrait columns, but constant ones keep scale 1 and
+    add nothing to any component, so it fits ``X`` centered only and
+    ``loadings[:, N_PORTRAITS:]`` are ``X``'s loadings.  With ``zscore``
+    every column of ``X`` is standardized first (a constant one centered
+    only), for the fit of ``X`` with every column z-scored.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if zscore:
+        stds = X.std(axis=0)
+        stds[stds == 0.0] = 1.0
+        X = (X - X.mean(axis=0)) / stds
+    return FeatureMatrix(np.hstack([np.zeros((len(X), N_PORTRAITS)), X]),
+                         np.ones(len(X), dtype=np.int64), np.arange(len(X)))
+
+
 def whole_matrix_transform(X, components):
     """Projection through one standardized copy of the whole matrix.
 
@@ -619,9 +639,7 @@ def whole_matrix_transform(X, components):
     then accumulates its columns in the same order, so the two agree bit for
     bit.
     """
-    values = X.values if isinstance(X, FeatureMatrix) else np.asarray(X, dtype=np.float64)
-    if values.ndim == 1:
-        values = values[None, :]
+    values = X.values
     out = np.zeros((values.shape[0], components.k))
     standardized = (values - components.column_means) / components.column_scales
     loadings_t = components.loadings.T
@@ -633,8 +651,8 @@ def whole_matrix_transform(X, components):
 def unweighted_kmeans(Z, k, seed=0, max_iter=100):
     """k-means++ and Lloyd with one training point per row and no weights.
 
-    The reference for ``qslate.clustering.fit_kmeans`` without ``rows``,
-    which must match it bit for bit: the same seeding draws, the same means
+    The reference for ``qslate.clustering.fit_kmeans`` with one training
+    point per row of ``Z``, which must match it bit for bit: the same seeding draws, the same means
     and the same inertia sums.  Returns centroids, labels and the inertia
     history.
     """
@@ -691,7 +709,7 @@ def _matmul_sq_dists(A, B):
     return d2
 
 
-def expansion_dbscan(Z, eps, min_pts, rows=None):
+def expansion_dbscan(Z, eps, min_pts, rows):
     """DBSCAN grown breadth-first from each unlabeled core point in row order.
 
     The reference for the union-find core graph in
@@ -699,14 +717,14 @@ def expansion_dbscan(Z, eps, min_pts, rows=None):
     direct ``sum((a - b)**2)`` form, labels each core point with the count of
     clusters started before its own.  Eps-ball counts and the final
     nearest-core labels use the ``|a|^2 + |b|^2 - 2ab`` form.  Returns a
-    ``DbscanModel``, or None when no point is core; with ``rows`` the
-    training points are ``Z[rows]``.
+    ``DbscanModel``, or None when no point is core; the training points
+    are ``Z[rows]``.
     """
     from qslate.clustering import DbscanModel
 
     Z = np.asarray(Z, dtype=np.float64)
     n = len(Z)
-    weights = np.ones(n, dtype=np.int64) if rows is None else np.bincount(rows, minlength=n)
+    weights = np.bincount(rows, minlength=n)
     eps2 = eps * eps
     counts = (_matmul_sq_dists(Z, Z) <= eps2) @ weights
     core_Z = Z[counts >= min_pts]

@@ -15,6 +15,7 @@ import pytest
 
 from oracles import (
     adjusted_rand_index,
+    as_features,
     backward_ordered,
     expected_policy_score,
     naive_metric_score,
@@ -25,12 +26,13 @@ from oracles import (
 )
 from qslate.cli import main
 from qslate.features import fit_sparse_pca
-from qslate.ingest import SyntheticConfig, generate_synthetic, sessions_to_transitions
+from qslate.ingest import (N_PORTRAITS, SyntheticConfig, generate_synthetic,
+                           sessions_to_transitions)
 from qslate.metric import MetricConfig, holdout_split, score
 from qslate.pipeline import PipelineParams, fit_pipeline, recommend_for_sessions
 from qslate.qlearning import QTableBank, TrainConfig, export_policies, train
 from test_clustering import three_blobs
-from test_features import center_only, planted_sparse_data
+from test_features import planted_sparse_data
 
 
 @contextlib.contextmanager
@@ -101,10 +103,10 @@ def test_criterion_2_metric_exactness():
 def test_criterion_3_sparse_recovery():
     with criterion(3, "planted sparse support recovery and monotone l1 sweep"):
         X, supports = planted_sparse_data(seed=123, p=391, k=4, nnz=10, n=800)
-        comps = fit_sparse_pca(X, k=4, l1_penalty=0.25, seed=0, zscore_mask=center_only(391))
+        comps = fit_sparse_pca(as_features(X), k=4, l1_penalty=0.25, seed=0)
         matched = set()
         for j in range(4):
-            recovered = set(np.flatnonzero(comps.loadings[j]).tolist())
+            recovered = set(np.flatnonzero(comps.loadings[j, N_PORTRAITS:]).tolist())
             best = max(range(4), key=lambda t: len(recovered & set(supports[t].tolist())))
             overlap = len(recovered & set(supports[best].tolist())) / 10
             assert overlap >= 0.9, f"component {j} overlap {overlap}"
@@ -113,8 +115,8 @@ def test_criterion_3_sparse_recovery():
 
         fractions = []
         for lam in (0.0, 0.05, 0.1, 0.2, 0.35, 0.5, 0.7):
-            sweep = fit_sparse_pca(X, k=4, l1_penalty=lam, seed=0, zscore_mask=center_only(391))
-            fractions.append(float((sweep.loadings == 0.0).mean()))
+            sweep = fit_sparse_pca(as_features(X), k=4, l1_penalty=lam, seed=0)
+            fractions.append(float((sweep.loadings[:, N_PORTRAITS:] == 0.0).mean()))
         assert all(a <= b + 1e-12 for a, b in zip(fractions, fractions[1:])), fractions
 
 
@@ -123,7 +125,7 @@ def test_criterion_4_clustering_quality():
         from qslate.clustering import fit_dbscan, fit_kmeans
 
         Z, truth = three_blobs(seed=1, n_per=150, spread=0.1, sep=10.0)
-        model = fit_kmeans(Z, k=3, seed=0)
+        model = fit_kmeans(Z, k=3, rows=np.arange(len(Z)), seed=0)
         ari = adjusted_rand_index(truth.tolist(), model.labels_.tolist())
         assert ari >= 0.99, f"ARI {ari}"
 
@@ -133,7 +135,7 @@ def test_criterion_4_clustering_quality():
         noise = np.array([[50.0, 50.0], [-40.0, 10.0], [5.0, -45.0],
                           [60.0, -60.0], [-50.0, -50.0]])
         points = np.concatenate([blob_a, blob_b, noise])
-        db = fit_dbscan(points, eps=1.0, min_pts=4)
+        db = fit_dbscan(points, eps=1.0, min_pts=4, rows=np.arange(len(points)))
         assert db.n_clusters == 2
         assert db.n_noise == 5
         assert (db.labels_[:70] == db.labels_[0]).all()

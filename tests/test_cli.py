@@ -522,8 +522,10 @@ class TestEvaluate:
          "an entry of centroids row 1 is '1e3', not a number"),
         ("clusters.json", lambda p: p.update(min_visits=3.0),
          "min_visits is 3.0, not an integer"),
+        ("clusters.json", lambda p: p.update(min_visits=[3]),
+         "min_visits is [3], not an integer"),
     ], ids=["string-loading", "bool-loading", "string-converged", "fractional-merge-map",
-            "string-centroid", "fractional-min-visits"])
+            "string-centroid", "fractional-min-visits", "listed-min-visits"])
     def test_mistyped_model_field_names_it(self, tmp_path, capsys, command, name, edit, message):
         """The message names the file, and ``message`` names the field."""
         data = generate_corpus(tmp_path)
@@ -532,6 +534,16 @@ class TestEvaluate:
         assert serve(command, data, models, tmp_path) == 2
         err = capsys.readouterr().err
         assert str(models / name) in err and message in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "recommend"])
+    def test_listed_noise_count_names_it(self, tmp_path, capsys, command):
+        data = generate_corpus(tmp_path)
+        models = train_models(tmp_path, data, **{"--cluster": "dbscan", "--eps": 3,
+                                                  "--min-pts": 3, "--min-support": 1})
+        edit_model_file(models / "clusters.json", lambda p: p.update(n_noise=[p["n_noise"]]))
+        assert serve(command, data, models, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert str(models / "clusters.json") in err and "n_noise is [" in err
 
     @pytest.mark.parametrize("name", ["components.json", "clusters.json"])
     def test_model_file_version_2_refused(self, tmp_path, capsys, name):

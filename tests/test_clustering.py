@@ -54,13 +54,13 @@ def grid_fits(draw, max_points=60):
     """DBSCAN inputs on a half-integer grid, where both distance forms are exact.
 
     Small coordinates make duplicate points and pairs exactly eps apart
-    common; ``rows`` optionally repeats each point one to three times.
+    common; ``rows`` holds each point once, or one to three times.
     """
     dim = draw(st.integers(1, 3))
     coords = st.tuples(*[st.integers(-6, 6)] * dim)
     Z = np.array(draw(st.lists(coords, min_size=1, max_size=max_points)), dtype=np.float64) / 2
-    repeats = draw(st.none() | st.lists(st.integers(1, 3), min_size=len(Z), max_size=len(Z)))
-    rows = None if repeats is None else np.repeat(np.arange(len(Z)), repeats)
+    repeats = draw(st.just(1) | st.lists(st.integers(1, 3), min_size=len(Z), max_size=len(Z)))
+    rows = np.repeat(np.arange(len(Z)), repeats)
     return Z, rows, draw(st.sampled_from([0.5, 1.0, 1.5, 2.0])), draw(st.integers(1, 6))
 
 
@@ -76,7 +76,7 @@ def shuffled_chains(draw):
     return np.array(points)[list(order)]
 
 
-def assert_matches_expansion(Z, eps, min_pts, rows=None):
+def assert_matches_expansion(Z, eps, min_pts, rows):
     expected = expansion_dbscan(Z, eps, min_pts, rows=rows)
     if expected is None:
         with pytest.raises(FitError, match="noise"):
@@ -116,18 +116,18 @@ def grid_islands(cells, sizes):
 class TestKMeans:
     def test_k1_centroid_is_column_mean(self):
         Z = np.random.default_rng(1).normal(size=(50, 4))
-        model = fit_kmeans(Z, k=1, seed=0)
+        model = fit_kmeans(Z, k=1, rows=np.arange(len(Z)), seed=0)
         assert np.allclose(model.centroids[0], Z.mean(axis=0), atol=1e-12)
 
     def test_well_separated_blobs_recovered(self):
         Z, truth = three_blobs()
-        model = fit_kmeans(Z, k=3, seed=0)
+        model = fit_kmeans(Z, k=3, rows=np.arange(len(Z)), seed=0)
         ari = adjusted_rand_index(truth.tolist(), model.labels_.tolist())
         assert ari >= 0.99
 
     def test_inertia_non_increasing(self):
         Z, _ = three_blobs(seed=5, spread=2.0, sep=4.0)
-        model = fit_kmeans(Z, k=4, seed=1)
+        model = fit_kmeans(Z, k=4, rows=np.arange(len(Z)), seed=1)
         history = model.inertia_history
         assert len(history) >= 2
         assert all(a >= b - 1e-9 for a, b in zip(history, history[1:]))
@@ -135,32 +135,32 @@ class TestKMeans:
     def test_more_clusters_than_distinct_rows(self):
         Z = np.array([[1.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         with pytest.raises(FitError, match="distinct"):
-            fit_kmeans(Z, k=3, seed=0)
+            fit_kmeans(Z, k=3, rows=np.arange(len(Z)), seed=0)
 
     def test_deterministic_for_seed(self):
         Z, _ = three_blobs(seed=7)
-        a = fit_kmeans(Z, k=3, seed=42)
-        b = fit_kmeans(Z, k=3, seed=42)
+        a = fit_kmeans(Z, k=3, rows=np.arange(len(Z)), seed=42)
+        b = fit_kmeans(Z, k=3, rows=np.arange(len(Z)), seed=42)
         assert (a.centroids == b.centroids).all()
         assert (a.labels_ == b.labels_).all()
 
     def test_training_labels_reproduced_by_assign(self):
         Z, _ = three_blobs(seed=3, spread=1.5, sep=5.0)
-        model = fit_kmeans(Z, k=5, seed=2)
+        model = fit_kmeans(Z, k=5, rows=np.arange(len(Z)), seed=2)
         recomputed = model.assign_many(Z)
         assert (recomputed == model.labels_).all()
 
     @pytest.mark.parametrize("data, k, seed", [
         ("blobs", 3, 0), ("overlapping", 5, 2), ("overlapping", 4, 1), ("normal", 8, 7),
     ])
-    def test_without_rows_bit_identical_to_unweighted_oracle(self, data, k, seed):
+    def test_one_row_each_bit_identical_to_unweighted_oracle(self, data, k, seed):
         if data == "blobs":
             Z, _ = three_blobs()
         elif data == "overlapping":
             Z, _ = three_blobs(seed=5, spread=2.0, sep=4.0)
         else:
             Z = np.random.default_rng(seed).normal(size=(300, 6))
-        model = fit_kmeans(Z, k=k, seed=seed)
+        model = fit_kmeans(Z, k=k, rows=np.arange(len(Z)), seed=seed)
         centroids, labels, history = unweighted_kmeans(Z, k, seed=seed)
         assert (model.centroids == centroids).all()
         assert (model.labels_ == labels).all()
@@ -171,7 +171,7 @@ class TestKMeans:
         Z, _ = three_blobs(seed=3, spread=1.5, sep=5.0)
         rows = repeat_rows(len(Z), seed=k)
         weighted = fit_kmeans(Z, k=k, seed=seed, rows=rows)
-        expanded = fit_kmeans(Z[rows], k=k, seed=seed)
+        expanded = fit_kmeans(Z[rows], k=k, rows=np.arange(len(rows)), seed=seed)
         assert (weighted.labels_[rows] == expanded.labels_).all()
         assert np.abs(weighted.centroids - expanded.centroids).max() <= 1e-12
         assert len(weighted.inertia_history) == len(expanded.inertia_history)
@@ -192,7 +192,7 @@ class TestDbscan:
         blob_b = rng.normal(size=(60, 2)) * 0.2 + np.array([8.0, 0.0])
         outliers = np.array([[40.0, 40.0], [-30.0, 5.0], [4.0, -25.0], [50.0, -50.0], [-40.0, -40.0]])
         Z = np.concatenate([blob_a, blob_b, outliers])
-        model = fit_dbscan(Z, eps=1.0, min_pts=4)
+        model = fit_dbscan(Z, eps=1.0, min_pts=4, rows=np.arange(len(Z)))
         assert model.n_clusters == 2
         assert model.n_noise == 5
         assert set(model.labels_[-5:]) == {-1}
@@ -205,7 +205,7 @@ class TestDbscan:
     def test_everything_reachable_single_cluster(self):
         Z = np.random.default_rng(2).normal(size=(30, 3))
         diameter = 2 * np.abs(Z).max() * np.sqrt(3) + 1
-        model = fit_dbscan(Z, eps=diameter, min_pts=1)
+        model = fit_dbscan(Z, eps=diameter, min_pts=1, rows=np.arange(len(Z)))
         assert model.n_clusters == 1
         assert model.n_noise == 0
         assert (model.labels_ == 0).all()
@@ -215,9 +215,9 @@ class TestDbscan:
         blob_a = rng.normal(size=(40, 2)) * 0.3
         blob_b = rng.normal(size=(50, 2)) * 0.3 + np.array([6.0, 6.0])
         Z = np.concatenate([blob_a, blob_b])
-        model = fit_dbscan(Z, eps=1.2, min_pts=3)
+        model = fit_dbscan(Z, eps=1.2, min_pts=3, rows=np.arange(len(Z)))
         perm = rng.permutation(len(Z))
-        permuted = fit_dbscan(Z[perm], eps=1.2, min_pts=3)
+        permuted = fit_dbscan(Z[perm], eps=1.2, min_pts=3, rows=np.arange(len(Z)))
         # same partition up to relabeling
         original = model.labels_[perm]
         pairs = {}
@@ -231,18 +231,18 @@ class TestDbscan:
     def test_all_noise_is_an_error(self):
         Z = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [10.0, 10.0]])
         with pytest.raises(FitError, match="noise"):
-            fit_dbscan(Z, eps=0.5, min_pts=2)
+            fit_dbscan(Z, eps=0.5, min_pts=2, rows=np.arange(len(Z)))
 
     def test_parameter_validation(self):
         Z = np.zeros((5, 2))
         with pytest.raises(FitError):
-            fit_dbscan(Z, eps=0.0, min_pts=1)
+            fit_dbscan(Z, eps=0.0, min_pts=1, rows=np.arange(len(Z)))
         with pytest.raises(FitError):
-            fit_dbscan(Z, eps=1.0, min_pts=0)
+            fit_dbscan(Z, eps=1.0, min_pts=0, rows=np.arange(len(Z)))
 
     def test_nan_eps_is_rejected_as_not_positive(self):
         with pytest.raises(FitError, match="eps must be positive"):
-            fit_dbscan(np.zeros((5, 2)), eps=float("nan"), min_pts=1)
+            fit_dbscan(np.zeros((5, 2)), eps=float("nan"), min_pts=1, rows=np.arange(5))
 
     def test_repeated_rows_fit_equals_expanded_fit(self):
         rng = np.random.default_rng(21)
@@ -253,23 +253,24 @@ class TestDbscan:
         ])
         rows = repeat_rows(len(Z), seed=22)
         weighted = fit_dbscan(Z, eps=0.6, min_pts=8, rows=rows)
-        expanded = fit_dbscan(Z[rows], eps=0.6, min_pts=8)
+        expanded = fit_dbscan(Z[rows], eps=0.6, min_pts=8, rows=np.arange(len(rows)))
         assert same_partition(weighted.labels_[rows], expanded.labels_)
         assert weighted.n_clusters == expanded.n_clusters
         assert weighted.n_noise == expanded.n_noise == int((expanded.labels_ == -1).sum())
         assert (np.unique(weighted.core_points, axis=0)
                 == np.unique(expanded.core_points, axis=0)).all()
         # The counts matter: one point per row would leave other core points.
-        assert len(fit_dbscan(Z, eps=0.6, min_pts=8).core_points) != len(weighted.core_points)
+        once = fit_dbscan(Z, eps=0.6, min_pts=8, rows=np.arange(len(Z)))
+        assert len(once.core_points) != len(weighted.core_points)
 
     def test_labels_independent_of_block_size(self, monkeypatch):
         Z, _ = three_blobs(seed=15, n_per=220, spread=1.0, sep=4.0)
         probe = np.random.default_rng(16).normal(size=(650, 2)) * 6.0
-        default = fit_dbscan(Z, eps=0.35, min_pts=6)
+        default = fit_dbscan(Z, eps=0.35, min_pts=6, rows=np.arange(len(Z)))
         default_assigned = default.assign_many(probe)
         # 7-row blocks against all of Z, and at least that against the core points.
         monkeypatch.setattr(clustering, "_CELLS", 7 * len(Z))
-        small = fit_dbscan(Z, eps=0.35, min_pts=6)
+        small = fit_dbscan(Z, eps=0.35, min_pts=6, rows=np.arange(len(Z)))
         assert len(Z) >= 600 and default.n_noise > 0 and default.n_clusters > 1
         assert (small.labels_ == default.labels_).all()
         assert (small.core_points == default.core_points).all()
@@ -319,7 +320,7 @@ class TestDbscanMatchesExpansionOracle:
     @given(shuffled_chains(), st.integers(1, 3))
     def test_chains_across_blocks_of_7(self, Z, min_pts):
         with mock.patch.object(clustering, "_CELLS", 7 * len(Z)):
-            assert_matches_expansion(Z, 1.0, min_pts)
+            assert_matches_expansion(Z, 1.0, min_pts, np.arange(len(Z)))
 
     # Off the grid the two distance forms differ in the last bits; on these
     # seeds no core pair lies close enough to eps for that to matter.
@@ -327,13 +328,13 @@ class TestDbscanMatchesExpansionOracle:
     def test_gaussian_points(self, seed):
         rng = np.random.default_rng(seed)
         Z = rng.normal(size=(700, 3)) * 2.0
-        assert_matches_expansion(Z, [0.5, 1.0][seed % 2], 4)
+        assert_matches_expansion(Z, [0.5, 1.0][seed % 2], 4, np.arange(len(Z)))
 
 
 class TestAssign:
     def test_exact_centroid_maps_to_its_id(self):
         Z, _ = three_blobs(seed=4)
-        model = fit_kmeans(Z, k=3, seed=0)
+        model = fit_kmeans(Z, k=3, rows=np.arange(len(Z)), seed=0)
         for cid, centroid in enumerate(model.centroids):
             assert model.assign_many(centroid).tolist() == [cid]
 
@@ -354,7 +355,8 @@ class TestAssign:
         rng = np.random.default_rng(6)
         blob_a = rng.normal(size=(30, 2)) * 0.2
         blob_b = rng.normal(size=(30, 2)) * 0.2 + np.array([5.0, 0.0])
-        model = fit_dbscan(np.concatenate([blob_a, blob_b]), eps=1.0, min_pts=3)
+        Z = np.concatenate([blob_a, blob_b])
+        model = fit_dbscan(Z, eps=1.0, min_pts=3, rows=np.arange(len(Z)))
         far_point = np.array([1000.0, 990.0])
         [label] = model.assign_many(far_point).tolist()
         assert label in range(model.n_clusters)
@@ -397,7 +399,8 @@ class TestMergeSmallClusters:
         blob_a = rng.normal(size=(40, 2)) * 0.2
         blob_b = rng.normal(size=(40, 2)) * 0.2 + np.array([4.0, 0.0])
         blob_c = rng.normal(size=(12, 2)) * 0.2 + np.array([50.0, 0.0])
-        model = fit_dbscan(np.concatenate([blob_a, blob_b, blob_c]), eps=1.0, min_pts=3)
+        Z = np.concatenate([blob_a, blob_b, blob_c])
+        model = fit_dbscan(Z, eps=1.0, min_pts=3, rows=np.arange(len(Z)))
         assert model.n_clusters == 3
         counts = np.array([800, 700, 20])
         merged, remap = merge_small_clusters(model, counts, min_support=100)
@@ -428,7 +431,8 @@ class TestMergeMatchesPairwiseOracle:
     )
     def test_dbscan_islands(self, cells, data):
         sizes = data.draw(st.lists(st.integers(1, 2), min_size=len(cells), max_size=len(cells)))
-        model = fit_dbscan(grid_islands(cells, sizes), eps=1.0, min_pts=1)
+        Z = grid_islands(cells, sizes)
+        model = fit_dbscan(Z, eps=1.0, min_pts=1, rows=np.arange(len(Z)))
         assert model.n_clusters == len(cells)
         counts = data.draw(st.lists(st.integers(0, 5), min_size=len(cells),
                                     max_size=len(cells)))
@@ -449,7 +453,8 @@ class TestMergeMatchesPairwiseOracle:
         rng = np.random.default_rng(31)
         cells = [(x, y) for x in range(25) for y in range(25) if rng.random() < 0.97]
         Z = grid_islands(cells, rng.integers(1, 3, size=len(cells)))
-        model = fit_dbscan(Z[rng.permutation(len(Z))], eps=1.0, min_pts=1)
+        Z = Z[rng.permutation(len(Z))]
+        model = fit_dbscan(Z, eps=1.0, min_pts=1, rows=np.arange(len(Z)))
         assert model.n_clusters == len(cells) >= 500
         counts = rng.integers(0, 10, size=model.n_clusters)
         merged = assert_same_merge(model, counts, 60)
@@ -464,7 +469,7 @@ def json_round_trip(model):
 class TestSerialization:
     def test_kmeans_round_trip(self):
         Z, _ = three_blobs(seed=8)
-        model = fit_kmeans(Z, k=3, seed=0)
+        model = fit_kmeans(Z, k=3, rows=np.arange(len(Z)), seed=0)
         merged, _ = merge_small_clusters(model, np.array([1000, 5, 1000]), min_support=50)
         loaded = json_round_trip(merged)
         assert isinstance(loaded, KMeansModel)
@@ -478,7 +483,7 @@ class TestSerialization:
         Z = np.concatenate(
             [rng.normal(size=(30, 2)) * 0.2, rng.normal(size=(30, 2)) * 0.2 + 5.0]
         )
-        model = fit_dbscan(Z, eps=1.0, min_pts=3)
+        model = fit_dbscan(Z, eps=1.0, min_pts=3, rows=np.arange(len(Z)))
         loaded = json_round_trip(model)
         assert isinstance(loaded, DbscanModel)
         assert loaded.n_clusters == model.n_clusters

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import catalog_rows, heap_added, make_session
-from oracles import one_shot_covariance, residual_sparse_pca, whole_matrix_transform
+from oracles import as_features, one_shot_covariance, residual_sparse_pca, whole_matrix_transform
 from qslate import features
 from qslate.errors import ComponentCollapseError, DataError, FitError
 from qslate.features import (
@@ -44,8 +44,10 @@ def zero_rows(comps):
     return tuple(not row.any() for row in comps.loadings)
 
 
-def center_only(p):
-    return np.zeros(p, dtype=bool)
+def session_rows(fm):
+    """``fm`` as one unit-weight row per session: the rows ``fm.values[fm.rows]``."""
+    n = len(fm.rows)
+    return FeatureMatrix(fm.values[fm.rows], np.ones(n, dtype=np.int64), np.arange(n))
 
 
 def readme_shaped_features():
@@ -156,20 +158,20 @@ class TestFitSparsePca:
         u = rng.normal(size=60)
         w = rng.normal(size=12)
         X = np.outer(u, w) + 1e-6 * rng.normal(size=(60, 12))
-        comps = fit_sparse_pca(X, k=1, l1_penalty=0.0, seed=0, zscore_mask=center_only(12))
-        Xs = (X - comps.column_means) / comps.column_scales
+        comps = fit_sparse_pca(as_features(X), k=1, l1_penalty=0.0, seed=0)
+        Xs = (X - comps.column_means[N_PORTRAITS:]) / comps.column_scales[N_PORTRAITS:]
         _, _, vt = np.linalg.svd(Xs, full_matrices=False)
         v = vt[0]
         if v[np.argmax(np.abs(v))] < 0:
             v = -v
-        assert np.linalg.norm(comps.loadings[0] - v) < 1e-5
+        assert np.linalg.norm(comps.loadings[0, N_PORTRAITS:] - v) < 1e-5
 
     def test_planted_support_recovery(self):
         X, supports = planted_sparse_data()
-        comps = fit_sparse_pca(X, k=4, l1_penalty=0.25, seed=0, zscore_mask=center_only(391))
+        comps = fit_sparse_pca(as_features(X), k=4, l1_penalty=0.25, seed=0)
         matched = set()
         for j in range(4):
-            recovered = set(np.flatnonzero(comps.loadings[j]).tolist())
+            recovered = set(np.flatnonzero(comps.loadings[j, N_PORTRAITS:]).tolist())
             best = max(range(4), key=lambda t: len(recovered & set(supports[t].tolist())))
             overlap = len(recovered & set(supports[best].tolist())) / len(supports[best])
             assert overlap >= 0.9
@@ -180,21 +182,21 @@ class TestFitSparsePca:
         X, _ = planted_sparse_data()
         fractions = []
         for lam in (0.0, 0.05, 0.1, 0.2, 0.35, 0.5, 0.7):
-            comps = fit_sparse_pca(X, k=4, l1_penalty=lam, seed=0, zscore_mask=center_only(391))
-            fractions.append(float((comps.loadings == 0.0).mean()))
+            comps = fit_sparse_pca(as_features(X), k=4, l1_penalty=lam, seed=0)
+            fractions.append(float((comps.loadings[:, N_PORTRAITS:] == 0.0).mean()))
         assert all(a <= b + 1e-12 for a, b in zip(fractions, fractions[1:]))
         assert fractions[0] == 0.0
 
     def test_deterministic_bit_for_bit(self):
         X, _ = planted_sparse_data(seed=5, p=60, n=120)
-        a = fit_sparse_pca(X, k=3, l1_penalty=0.2, seed=9)
-        b = fit_sparse_pca(X, k=3, l1_penalty=0.2, seed=9)
+        a = fit_sparse_pca(as_features(X, zscore=True), k=3, l1_penalty=0.2, seed=9)
+        b = fit_sparse_pca(as_features(X, zscore=True), k=3, l1_penalty=0.2, seed=9)
         assert (a.loadings == b.loadings).all()
         assert (a.explained_variance == b.explained_variance).all()
 
     def test_loading_rows_unit_or_zero(self):
         X, _ = planted_sparse_data(seed=5, p=60, n=120)
-        comps = fit_sparse_pca(X, k=3, l1_penalty=0.3, seed=1)
+        comps = fit_sparse_pca(as_features(X, zscore=True), k=3, l1_penalty=0.3, seed=1)
         for row in comps.loadings:
             norm = np.linalg.norm(row)
             if norm:
@@ -202,46 +204,46 @@ class TestFitSparsePca:
 
     def test_explained_variance_non_increasing_without_penalty(self):
         X, _ = planted_sparse_data(seed=8, p=80, n=200)
-        comps = fit_sparse_pca(X, k=6, l1_penalty=0.0, seed=0, zscore_mask=center_only(80))
+        comps = fit_sparse_pca(as_features(X), k=6, l1_penalty=0.0, seed=0)
         ev = comps.explained_variance
         assert all(a >= b - 1e-9 for a, b in zip(ev, ev[1:]))
 
     def test_k_out_of_range(self):
-        X = np.random.default_rng(0).normal(size=(10, 6))
-        with pytest.raises(FitError):
+        X = as_features(np.random.default_rng(0).normal(size=(10, 6)), zscore=True)
+        with pytest.raises(FitError, match=r"k=0 out of range \[1, 10\]"):
             fit_sparse_pca(X, k=0)
-        with pytest.raises(FitError):
-            fit_sparse_pca(X, k=7)
+        with pytest.raises(FitError, match=r"k=11 out of range \[1, 10\]"):
+            fit_sparse_pca(X, k=11)
 
     @pytest.mark.parametrize("l1", [-0.1, float("nan")])
     def test_negative_or_nan_l1_penalty_rejected(self, l1):
-        X = np.random.default_rng(0).normal(size=(10, 6))
+        X = as_features(np.random.default_rng(0).normal(size=(10, 6)), zscore=True)
         with pytest.raises(FitError, match=f"l1_penalty must be nonnegative, got {l1}"):
             fit_sparse_pca(X, k=2, l1_penalty=l1)
 
     def test_component_collapse_signals_penalty_too_large(self):
         X, _ = planted_sparse_data(seed=5, p=60, n=120)
         with pytest.raises(ComponentCollapseError, match="too large"):
-            fit_sparse_pca(X, k=2, l1_penalty=1.0, seed=0)
+            fit_sparse_pca(as_features(X, zscore=True), k=2, l1_penalty=1.0, seed=0)
 
     def test_rank_deficient_zero_penalty_flags_degenerate(self):
         rng = np.random.default_rng(2)
         base = rng.normal(size=(40, 2))
         X = base @ rng.normal(size=(2, 5))  # rank 2 in 5 columns
-        comps = fit_sparse_pca(X, k=5, l1_penalty=0.0, seed=0, zscore_mask=center_only(5))
+        comps = fit_sparse_pca(as_features(X), k=5, l1_penalty=0.0, seed=0)
         assert any(zero_rows(comps))
 
     def test_positive_rounding_past_rank_flags_degenerate(self):
         # On this rank-2 matrix the trace left after two deflations is a
-        # positive 1e-16 of the starting trace: rounding the floor must catch.
+        # positive 2e-17 of the starting trace: rounding the floor must catch.
         rng = np.random.default_rng(1)
         X = rng.normal(size=(40, 2)) @ rng.normal(size=(2, 5))
-        comps = fit_sparse_pca(X, k=5, l1_penalty=0.0, seed=0, zscore_mask=center_only(5))
+        comps = fit_sparse_pca(as_features(X), k=5, l1_penalty=0.0, seed=0)
         assert zero_rows(comps) == (False, False, True, True, True)
 
     def test_full_rank_full_k_flags_nothing_degenerate(self):
         X = np.random.default_rng(12).normal(size=(60, 9))
-        comps = fit_sparse_pca(X, k=9, l1_penalty=0.0, seed=0, zscore_mask=center_only(9))
+        comps = fit_sparse_pca(as_features(X), k=9, l1_penalty=0.0, seed=0)
         assert not any(zero_rows(comps))
         assert (comps.explained_variance > 0).all()
 
@@ -252,19 +254,16 @@ class TestFitSparsePca:
     )
     def test_matches_residual_form_oracle(self, data, k, l1):
         if data == "planted":
-            values, _ = planted_sparse_data()
-            X = values
-            mask = center_only(values.shape[1])
+            X = as_features(planted_sparse_data()[0])
+        elif data == "readme":
+            X = session_rows(readme_shaped_features())
         else:
-            fm = readme_shaped_features() if data == "readme" else few_states_features(states=6)
-            values = fm.values[fm.rows]
-            mask = np.arange(fm.n_cols) < N_PORTRAITS
             # Six weighted states in 391 columns run the row form; without a
             # penalty their deflated rows reach rank 5 before the 8th component.
-            X = fm if data == "few-states" else values
-        comps = fit_sparse_pca(X, k=k, l1_penalty=l1, seed=3, zscore_mask=mask)
+            X = few_states_features(states=6)
+        comps = fit_sparse_pca(X, k=k, l1_penalty=l1, seed=3)
         loadings, explained, degenerate, n_iter, converged = residual_sparse_pca(
-            values, k, l1, mask, seed=3
+            X.values[X.rows], k, l1, np.arange(X.n_cols) < N_PORTRAITS, seed=3
         )
         if data == "few-states" and l1 == 0.0:
             assert degenerate == (False,) * 5 + (True,) * 3
@@ -287,10 +286,7 @@ class TestFitSparsePca:
         else:
             fm = readme_shaped_features()
         assert fm.weights.max() > 1
-        expanded = FeatureMatrix(
-            fm.values[fm.rows], np.ones(len(fm.rows), dtype=np.int64),
-            np.arange(len(fm.rows)),
-        )
+        expanded = session_rows(fm)
         # The weighted fit runs in row form and the expanded one on the covariance.
         assert len(fm.values) < fm.n_cols <= len(expanded.values)
         weighted = fit_sparse_pca(fm, k=k, l1_penalty=l1, seed=3)
@@ -308,16 +304,14 @@ class TestFitSparsePca:
     )
     def test_blocked_covariance_matches_one_shot_oracle(self, monkeypatch, data, k, l1):
         if data == "planted":
-            X, _ = planted_sparse_data()
-            rows = len(X)
+            X = as_features(planted_sparse_data()[0], zscore=True)
         else:
-            fm = readme_shaped_features()
-            rows = len(fm.rows)
-            X = FeatureMatrix(fm.values[fm.rows], np.ones(rows, dtype=np.int64), np.arange(rows))
+            X = session_rows(readme_shaped_features())
         # 97-row blocks: several full ones and a partial last one, and the
         # fit runs on the covariance.
         monkeypatch.setattr(features, "_BLOCK", 97)
-        assert rows >= 391 and rows > 2 * 97 and rows % 97
+        rows = len(X.values)
+        assert rows >= X.n_cols and rows > 2 * 97 and rows % 97
         blocked = fit_sparse_pca(X, k=k, l1_penalty=l1, seed=3)
         monkeypatch.setattr(features, "_covariance", one_shot_covariance)
         reference = fit_sparse_pca(X, k=k, l1_penalty=l1, seed=3)
@@ -345,16 +339,15 @@ class TestFitSparsePca:
         # Three distinct states in eight columns, each state the state of
         # three sessions: k may reach the nine session rows, and components
         # past the rank are flagged as on the expanded rows.
-        values = np.random.default_rng(8).normal(size=(3, 8))
+        values = as_features(np.random.default_rng(8).normal(size=(3, 8)), zscore=True).values
         rows = np.repeat(np.arange(3), 3)
         fm = FeatureMatrix(values, np.bincount(rows), rows)
-        expanded = FeatureMatrix(values[rows], np.ones(9, dtype=np.int64), np.arange(9))
-        every_column = np.ones(8, bool)
-        weighted = fit_sparse_pca(fm, k=8, seed=0, zscore_mask=every_column)
-        reference = fit_sparse_pca(expanded, k=8, seed=0, zscore_mask=every_column)
+        weighted = fit_sparse_pca(fm, k=8, seed=0)
+        reference = fit_sparse_pca(session_rows(fm), k=8, seed=0)
         assert zero_rows(weighted) == zero_rows(reference) == (False,) * 2 + (True,) * 6
-        with pytest.raises(FitError, match=r"\[1, 8\]"):
-            fit_sparse_pca(fm, k=9)
+        fit_sparse_pca(fm, k=9, seed=0)
+        with pytest.raises(FitError, match=r"\[1, 9\]"):
+            fit_sparse_pca(fm, k=10)
 
     def test_smaller_k_is_prefix_of_larger_k(self):
         fm = readme_shaped_features()
@@ -374,23 +367,25 @@ class TestFitSparsePca:
     def test_iteration_cap_reports_unconverged(self, monkeypatch):
         monkeypatch.setattr(features, "_MAX_ITER", 1)
         X, _ = planted_sparse_data(seed=5, p=60, n=120)
-        comps = fit_sparse_pca(X, k=3, l1_penalty=0.2, seed=1)
+        comps = fit_sparse_pca(as_features(X, zscore=True), k=3, l1_penalty=0.2, seed=1)
         assert comps.n_iter == (1, 1, 1)
         assert comps.converged == (False, False, False)
 
     def test_planted_fit_converges(self):
         X, _ = planted_sparse_data()
-        comps = fit_sparse_pca(X, k=4, l1_penalty=0.25, seed=0, zscore_mask=center_only(391))
+        comps = fit_sparse_pca(as_features(X), k=4, l1_penalty=0.25, seed=0)
         assert all(comps.converged)
         assert all(0 < n < 200 for n in comps.n_iter)
 
     def test_constant_columns_get_unit_scale(self):
         rng = np.random.default_rng(3)
-        X = rng.normal(size=(30, 4))
-        X[:, 2] = 7.0
-        comps = fit_sparse_pca(X, k=2, seed=0)
+        values = rng.normal(size=(30, N_PORTRAITS + 4))
+        values[:, 2] = 7.0
+        fm = FeatureMatrix(values, np.ones(30, dtype=np.int64), np.arange(30))
+        comps = fit_sparse_pca(fm, k=2)
         assert (comps.column_scales > 0).all()
         assert comps.column_scales[2] == 1.0
+        assert (comps.column_scales[:N_PORTRAITS] != 1.0).sum() == N_PORTRAITS - 1
 
     def test_feature_matrix_zscores_portraits_only(self, catalog9):
         sessions = [
@@ -409,54 +404,55 @@ class TestFitSparsePca:
 class TestTransform:
     def test_rows_at_column_means_map_to_zero(self):
         X = np.random.default_rng(1).normal(size=(25, 8))
-        comps = fit_sparse_pca(X, k=3, seed=0)
-        z = transform(np.tile(comps.column_means, (4, 1)), comps)
+        comps = fit_sparse_pca(as_features(X), k=3, seed=0)
+        z = transform(as_features(np.tile(comps.column_means[N_PORTRAITS:], (4, 1))), comps)
         assert np.abs(z).max() < 1e-12
 
     def test_full_basis_reconstruction(self):
         X = np.random.default_rng(6).normal(size=(50, 7))
-        comps = fit_sparse_pca(X, k=7, l1_penalty=0.0, seed=0, zscore_mask=center_only(7))
-        Xs = (X - comps.column_means) / comps.column_scales
-        Z = transform(X, comps)
-        assert np.abs(Xs - Z @ comps.loadings).max() < 1e-8
+        comps = fit_sparse_pca(as_features(X), k=7, l1_penalty=0.0, seed=0)
+        Xs = (X - comps.column_means[N_PORTRAITS:]) / comps.column_scales[N_PORTRAITS:]
+        Z = transform(as_features(X), comps)
+        assert np.abs(Xs - Z @ comps.loadings[:, N_PORTRAITS:]).max() < 1e-8
 
     def test_single_row_identical_to_batch_row(self):
         X = np.random.default_rng(7).normal(size=(40, 12))
-        comps = fit_sparse_pca(X, k=4, l1_penalty=0.1, seed=0)
-        batch = transform(X, comps)
+        comps = fit_sparse_pca(as_features(X, zscore=True), k=4, l1_penalty=0.1, seed=0)
+        batch = transform(as_features(X), comps)
         for i in (0, 17, 39):
-            single = transform(X[i], comps)
+            single = transform(as_features(X[i : i + 1]), comps)
             assert (single[0] == batch[i]).all()
 
     def test_linearity_on_centered_data(self):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(30, 6))
-        comps = fit_sparse_pca(X, k=3, seed=0)
-        comps.column_means = np.zeros(6)
+        comps = fit_sparse_pca(as_features(X, zscore=True), k=3, seed=0)
+        comps.column_means = np.zeros(N_PORTRAITS + 6)
         A = rng.normal(size=(5, 6))
         B = rng.normal(size=(5, 6))
-        combined = transform(0.5 * A + 2.0 * B, comps)
-        separate = 0.5 * transform(A, comps) + 2.0 * transform(B, comps)
+        combined = transform(as_features(0.5 * A + 2.0 * B), comps)
+        separate = 0.5 * transform(as_features(A), comps) + 2.0 * transform(as_features(B), comps)
         assert np.abs(combined - separate).max() < 1e-9
 
     def test_matches_whole_matrix_oracle(self):
         fm = readme_shaped_features()
         comps = fit_sparse_pca(fm, k=16, l1_penalty=0.1, seed=0)
         X = np.random.default_rng(7).normal(size=(40, 12))
-        plain = fit_sparse_pca(X, k=4, l1_penalty=0.1, seed=0)
-        for data, c in [(fm, comps), (fm.values[fm.rows], comps), (fm.values[5], comps),
-                        (X, plain), (X[17], plain)]:
+        plain = fit_sparse_pca(as_features(X, zscore=True), k=4, l1_penalty=0.1, seed=0)
+        row_5 = FeatureMatrix(fm.values[5:6], np.ones(1, dtype=np.int64), np.zeros(1, np.int64))
+        for data, c in [(fm, comps), (session_rows(fm), comps), (row_5, comps),
+                        (as_features(X), plain), (as_features(X[17:18]), plain)]:
             expected = whole_matrix_transform(data, c)
             assert transform(data, c).tobytes() == expected.tobytes()
 
     def test_dimension_mismatch(self):
         X = np.random.default_rng(1).normal(size=(10, 5))
-        comps = fit_sparse_pca(X, k=2, seed=0)
-        with pytest.raises(DataError, match="columns"):
-            transform(np.zeros((3, 4)), comps)
+        comps = fit_sparse_pca(as_features(X, zscore=True), k=2, seed=0)
+        with pytest.raises(DataError, match="feature matrix has 14 columns, components expect 15"):
+            transform(as_features(np.zeros((3, 4))), comps)
 
     def test_transform_is_idempotent_on_training_data(self):
-        X = np.random.default_rng(11).normal(size=(20, 5))
+        X = as_features(np.random.default_rng(11).normal(size=(20, 5)), zscore=True)
         comps = fit_sparse_pca(X, k=2, seed=0)
         assert (transform(X, comps) == transform(X, comps)).all()
 
@@ -489,8 +485,8 @@ class TestSerialization:
     def test_save_load_round_trip(self, tmp_path, monkeypatch):
         monkeypatch.setattr(features, "_MAX_ITER", 6)
         X, _ = planted_sparse_data(seed=14, p=40, n=90)
-        comps = fit_sparse_pca(X, k=3, l1_penalty=0.2, seed=2)
-        assert comps.converged == (True, True, False)
+        comps = fit_sparse_pca(as_features(X, zscore=True), k=3, l1_penalty=0.2, seed=2)
+        assert comps.converged == (False, False, True)
         path = tmp_path / "components.json"
         comps.save(path, stamp="abc123")
         loaded, stamp = SparseComponents.load(path)

@@ -230,8 +230,9 @@ def is_lexsort(call: ast.Call) -> bool:
 
 
 # Calls that cast a JSON value leniently: ``int(3.9)``, ``float("1e3")`` and
-# ``bool("no")`` all succeed, as do the numpy array constructors on them.
-LENIENT_CASTS = {"int", "float", "bool", "asarray", "array"}
+# ``bool("no")`` all succeed, as do the numpy array constructors on them, and
+# ``.item()`` reads ``[3]`` as ``3``.
+LENIENT_CASTS = {"int", "float", "bool", "asarray", "array", "item"}
 
 
 def is_payload_field(node: ast.AST) -> bool:
@@ -241,7 +242,8 @@ def is_payload_field(node: ast.AST) -> bool:
 
 def lenient_field_reads(source: str) -> list[str]:
     """Each call in ``LENIENT_CASTS`` that reads a ``payload[...]`` field,
-    directly or as the element of a comprehension over one."""
+    directly or as the element of a comprehension over one, or as the
+    ``.item()`` of a ``json_column`` read of one."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.GeneratorExp, ast.ListComp, ast.SetComp)):
@@ -250,6 +252,11 @@ def lenient_field_reads(source: str) -> list[str]:
             casts = [call for call in ast.walk(node.elt) if isinstance(call, ast.Call)
                      and any(getattr(arg, "id", None) in elements for arg in call.args)]
         elif isinstance(node, ast.Call) and any(map(is_payload_field, node.args)):
+            casts = [node]
+        elif (isinstance(node, ast.Call) and called_name(node) == "item"
+              and isinstance(node.func.value, ast.Call)
+              and called_name(node.func.value) == "json_column"
+              and any(map(is_payload_field, node.func.value.args))):
             casts = [node]
         else:
             continue
@@ -298,9 +305,8 @@ def test_every_public_name_is_read():
     assert [entry.split(": ")[1] for entry in unread] == UNREAD_BY_DESIGN
 
 
-# Options that only tests set: ``zscore_mask`` is set by the feature tests
-# and acceptance criterion 3, while every fit z-scores the portrait columns.
-UNSET_BY_DESIGN = ["fit_sparse_pca.zscore_mask"]
+# Options that only tests set.
+UNSET_BY_DESIGN = []
 
 
 def test_every_option_is_set_by_the_program():
@@ -364,10 +370,11 @@ def test_check_sees_lenient_field_reads():
         "    ids = [int(v) + 1 for _, v in payload['pairs']]\n"
         "    y = json_column(payload['y'], np.float64, 'y')\n"
         "    n = len(payload['z']) + int(other['k']) + int(y[0])\n"
-        "    return [float(v) for v in range(n)], k, x, flags, ids\n"
+        "    m = json_column(payload['m'], np.int64, 'm').item() + y.item()\n"
+        "    return [float(v) for v in range(n)], k, x, flags, ids, m\n"
     )
     assert lenient_field_reads(source) == [
-        "line 4: asarray", "line 4: int", "line 5: bool", "line 6: int",
+        "line 4: asarray", "line 4: int", "line 5: bool", "line 6: int", "line 9: item",
     ]
 
 

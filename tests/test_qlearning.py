@@ -1090,9 +1090,11 @@ class TestBankSerialization:
              "the cell count of table 1 is 1.0, not an integer"),
             (lambda p: p.update(q=[[1.0]]), "bank columns differ in length: 1 cluster, "
              "1 step, 1 q and 1 visits values, and 3 slate items"),
+            (lambda p: p.update(n_clusters=4.0), "n_clusters is 4.0, not an integer"),
+            (lambda p: p.update(n_clusters=[1]), "n_clusters is [1], not an integer"),
         ],
         ids=["ragged-columns", "repeated-slate", "huge-visits", "missing-q", "unknown-table",
-             "fractional-count", "nested-q"],
+             "fractional-count", "nested-q", "fractional-clusters", "listed-clusters"],
     )
     def test_load_rejects_malformed_table(self, tmp_path, edit, reason):
         path = tmp_path / "qtables.json"
