@@ -12,6 +12,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from .errors import DataError, ModelFileError, QslateError, read_model_file, write_model_file
@@ -198,14 +199,14 @@ def cmd_train(args) -> int:
     wall = time.perf_counter() - started
 
     digests = {"items": items_digest, "sessions": sessions_digest}
-    stamp = _stamp(digests, params.resolved(), args.train_frac)
+    stamp = _stamp(digests, asdict(params), args.train_frac)
     model_dir = Path(args.model_dir)
     save_models(model, model_dir, stamp, stats.bank)
 
     write_model_file(model_dir / MANIFEST_FILE, MANIFEST_FORMAT, MANIFEST_VERSION, stamp, {
         "seed": args.seed,
         "train_fraction": args.train_frac,
-        "params": params.resolved(),
+        "params": asdict(params),
         "sha256": digests,
     })
 

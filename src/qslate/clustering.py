@@ -1,12 +1,13 @@
 """User clustering over the reduced state space.
 
-Two interchangeable models: k-means (k-means++ seeding, Lloyd iterations)
-and DBSCAN.  Both assign rows with a total ``assign_many``: k-means maps
-each row to the nearest centroid with ties broken toward the lowest cluster
-id; DBSCAN maps it to the cluster of the nearest core point regardless of
-``eps``, because every user must receive some policy even if they would be
-noise under the training-time rule.  Fitting is single-threaded and
-deterministic for a fixed seed.
+One served model, fit two ways: k-means (k-means++ seeding, Lloyd
+iterations) and DBSCAN.  A :class:`ClusterModel` holds base points with a
+cluster id each, k-means centroids or DBSCAN core points, and its total
+``assign_many`` maps each row to the cluster of its nearest point, ties
+broken toward the lowest point index.  For DBSCAN that ignores ``eps``,
+because every user must receive some policy even if they would be noise
+under the training-time rule.  Fitting is single-threaded and deterministic
+for a fixed seed.
 
 Both fits take a ``rows`` index for training points that repeat (the
 sessions of one user state): the training points are ``Z[rows]``, but each
@@ -19,11 +20,11 @@ Every distance goes through ``_blocks``, which measures a set of rows
 against a set of points a block of rows at a time, at most ``_CELLS``
 distances (at least one row) per block, with the points' squared norms
 computed once per pass.  ``_nearest`` reads each row's nearest point from
-those blocks; both models' ``assign_many``, Lloyd's assignment step,
-k-means++ seeding and DBSCAN's noise labels use it.  So no pass holds more
-than a block of distances, however many rows it measures.  DBSCAN's clusters
-are the connected components of the core graph (core points within eps of
-each other), found with a vectorised union-find over each block's edges.
+those blocks; ``assign_many``, Lloyd's assignment step, k-means++ seeding
+and DBSCAN's noise labels use it.  So no pass holds more than a block of
+distances, however many rows it measures.  DBSCAN's clusters are the
+connected components of the core graph (core points within eps of each
+other), found with a vectorised union-find over each block's edges.
 The support merge measures single linkage on demand: each merge takes the
 blocked distances from the small cluster's base points (DBSCAN core points,
 or k-means centroids) to all base points and reduces each column to its
@@ -34,7 +35,7 @@ points, and no distance outlives its merge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Union
+from typing import Iterator
 
 import numpy as np
 
@@ -80,14 +81,6 @@ def _nearest(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nearest, d2
 
 
-def _check_points(points: np.ndarray, name: str) -> None:
-    """Refuse base points that are not a finite 2-D array."""
-    if points.ndim != 2:
-        raise DataError(f"{name} must be a 2-D array, not of shape {points.shape}")
-    if not np.isfinite(points).all():
-        raise DataError(f"{name} must be finite")
-
-
 def _join(parent: np.ndarray, start: int, adjacent: np.ndarray) -> None:
     """Union the components joined by the true cells of ``adjacent``.
 
@@ -115,68 +108,29 @@ def _join(parent: np.ndarray, start: int, adjacent: np.ndarray) -> None:
 
 
 @dataclass
-class KMeansModel:
-    """Fitted k-means: centroids plus an optional small-cluster merge map.
+class ClusterModel:
+    """A fitted cluster model: base points (k-means centroids or DBSCAN core
+    points), the cluster id of each point, and the fit's labels of its rows.
 
-    Construction raises :class:`DataError` unless the centroids are a finite
-    2-D array and the merge map a flat list of one cluster id per centroid.
+    A row is assigned the cluster of its nearest point, the lowest index on
+    ties.  Construction raises :class:`DataError` unless the points are a
+    finite 2-D array and ``point_labels`` a flat list of one id per point.
     """
 
-    centroids: np.ndarray
-    merge_map: tuple[int, ...] = field(default=())
-    inertia_history: tuple[float, ...] = field(default=(), repr=False)
+    points: np.ndarray
+    point_labels: np.ndarray
     labels_: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        _check_points(self.centroids, "centroids")
-        if not self.merge_map:
-            self.merge_map = tuple(range(len(self.centroids)))
-        if np.ndim(self.merge_map) != 1:
-            raise DataError("merge_map must be a flat list of cluster ids")
-        if len(self.merge_map) != len(self.centroids):
-            raise DataError(f"merge_map lists {len(self.merge_map)} cluster ids "
-                            f"for {len(self.centroids)} centroids")
-
-    @property
-    def n_clusters(self) -> int:
-        return len(set(self.merge_map))
-
-    def cluster_ids(self) -> set[int]:
-        """The ids that ``assign_many`` can return."""
-        return set(self.merge_map)
-
-    @property
-    def dim(self) -> int:
-        return self.centroids.shape[1]
-
-    def assign_many(self, Z: np.ndarray) -> np.ndarray:
-        Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
-        if Z.shape[1] != self.dim:
-            raise DataError(f"vector dim {Z.shape[1]} != model dim {self.dim}")
-        return np.asarray(self.merge_map)[_nearest(Z, self.centroids)[0]]
-
-
-@dataclass
-class DbscanModel:
-    """Fitted DBSCAN: core points with their cluster labels.
-
-    ``n_clusters`` counts the distinct labels.  Construction raises
-    :class:`DataError` unless the core points are a finite 2-D array and
-    the labels a flat list of one label per core point.
-    """
-
-    core_points: np.ndarray
-    core_labels: np.ndarray
-    n_noise: int = 0
-    labels_: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        _check_points(self.core_points, "core_points")
-        if self.core_labels.ndim != 1:
-            raise DataError("core_labels must be a flat list of labels")
-        if len(self.core_labels) != len(self.core_points):
-            raise DataError(f"core_labels lists {len(self.core_labels)} labels "
-                            f"for {len(self.core_points)} core points")
+        if self.points.ndim != 2:
+            raise DataError(f"points must be a 2-D array, not of shape {self.points.shape}")
+        if not np.isfinite(self.points).all():
+            raise DataError("points must be finite")
+        if self.point_labels.ndim != 1:
+            raise DataError("point_labels must be a flat list of cluster ids")
+        if len(self.point_labels) != len(self.points):
+            raise DataError(f"point_labels lists {len(self.point_labels)} cluster ids "
+                            f"for {len(self.points)} points")
 
     @property
     def n_clusters(self) -> int:
@@ -184,20 +138,38 @@ class DbscanModel:
 
     @property
     def dim(self) -> int:
-        return self.core_points.shape[1]
+        return self.points.shape[1]
 
     def cluster_ids(self) -> set[int]:
         """The ids that ``assign_many`` can return."""
-        return set(self.core_labels.tolist())
+        return set(self.point_labels.tolist())
 
     def assign_many(self, Z: np.ndarray) -> np.ndarray:
         Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
         if Z.shape[1] != self.dim:
             raise DataError(f"vector dim {Z.shape[1]} != model dim {self.dim}")
-        return self.core_labels[_nearest(Z, self.core_points)[0]]
+        return self.point_labels[_nearest(Z, self.points)[0]]
 
 
-ClusterModel = Union[KMeansModel, DbscanModel]
+@dataclass
+class KMeansModel(ClusterModel):
+    """Fitted k-means: the points are the centroids, one cluster each until a merge."""
+
+    inertia_history: tuple[float, ...] = field(default=(), repr=False)
+
+    # Bound here too: perfbench's tracer looks methods up in the class's own vars.
+    assign_many = ClusterModel.assign_many
+
+
+@dataclass
+class DbscanModel(ClusterModel):
+    """Fitted DBSCAN: the points are the core points; ``n_noise`` counts the
+    training points that the fit left as noise."""
+
+    n_noise: int = 0
+
+    # Bound here too: perfbench's tracer looks methods up in the class's own vars.
+    assign_many = ClusterModel.assign_many
 
 
 def _row_weights(Z: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -279,9 +251,10 @@ def fit_kmeans(Z: np.ndarray, k: int, rows: np.ndarray, seed: int = 0) -> KMeans
         history.append(float((weights * d2).sum()))
 
     return KMeansModel(
-        centroids=centroids,
-        inertia_history=tuple(history),
+        points=centroids,
+        point_labels=np.arange(k),
         labels_=labels,
+        inertia_history=tuple(history),
     )
 
 
@@ -331,16 +304,16 @@ def fit_dbscan(Z: np.ndarray, eps: float, min_pts: int, rows: np.ndarray) -> Dbs
 
     core_Z = Z[core_rows]
     root_rows = core_rows[parent[core_rows] == core_rows]
-    core_labels = np.searchsorted(root_rows, parent[core_rows])
+    point_labels = np.searchsorted(root_rows, parent[core_rows])
 
     nearest, d2 = _nearest(Z, core_Z)
-    labels = np.where(d2 <= eps2, core_labels[nearest], -1)
+    labels = np.where(d2 <= eps2, point_labels[nearest], -1)
 
     return DbscanModel(
-        core_points=core_Z,
-        core_labels=core_labels,
-        n_noise=int(weights[labels == -1].sum()),
+        points=core_Z,
+        point_labels=point_labels,
         labels_=labels,
+        n_noise=int(weights[labels == -1].sum()),
     )
 
 
@@ -361,11 +334,7 @@ def merge_small_clusters(
     the old-id -> new-id relabeling.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    # Each base point (centroid or core point) and the cluster it belongs to.
-    if isinstance(model, KMeansModel):
-        points, base_to_group = model.centroids, np.asarray(model.merge_map, dtype=np.int64)
-    else:
-        points, base_to_group = model.core_points, model.core_labels
+    points = model.points
     n_groups = model.n_clusters
     if len(counts) != n_groups:
         raise DataError(f"expected {n_groups} counts, got {len(counts)}")
@@ -373,7 +342,7 @@ def merge_small_clusters(
         return model, np.arange(n_groups)
 
     # Each base point's surviving id: the lowest id of the groups merged with its own.
-    group_of = base_to_group.copy()
+    group_of = model.point_labels.copy()
     bb = _sq_norms(points)
     support = counts.copy()
     alive = np.ones(n_groups, dtype=bool)
@@ -397,45 +366,27 @@ def merge_small_clusters(
     survivors = np.flatnonzero(alive)
     base_final = np.searchsorted(survivors, group_of)
     old_to_new = np.empty(n_groups, dtype=np.int64)
-    old_to_new[base_to_group] = base_final
-
-    if isinstance(model, KMeansModel):
-        merged = replace(model, merge_map=tuple(int(v) for v in base_final), labels_=None)
-    else:
-        merged = replace(model, core_labels=base_final, labels_=None)
-    return merged, old_to_new
+    old_to_new[model.point_labels] = base_final
+    return replace(model, point_labels=base_final, labels_=None), old_to_new
 
 
 def cluster_model_fields(model: ClusterModel) -> dict:
     """The fields of ``clusters.json`` that hold ``model``."""
-    if isinstance(model, KMeansModel):
-        return {
-            "method": "kmeans",
-            "centroids": model.centroids.tolist(),
-            "merge_map": list(model.merge_map),
-        }
-    return {
-        "method": "dbscan",
-        "core_points": model.core_points.tolist(),
-        "core_labels": model.core_labels.tolist(),
-        "n_noise": model.n_noise,
-    }
+    fields = {"method": "kmeans", "points": model.points.tolist(),
+              "point_labels": model.point_labels.tolist()}
+    if isinstance(model, DbscanModel):
+        fields.update(method="dbscan", n_noise=model.n_noise)
+    return fields
 
 
 def cluster_model_from(payload: dict) -> ClusterModel:
     """The model that the fields of :func:`cluster_model_fields` hold."""
     method = payload.get("method")
+    if method not in ("kmeans", "dbscan"):
+        raise DataError(f"unknown cluster method {method!r}")
+    points = json_column(payload["points"], np.float64, "an entry of points row {}")
+    point_labels = json_column(payload["point_labels"], np.int64, "point_labels entry {}")
     if method == "kmeans":
-        merge_map = json_column(payload["merge_map"], np.int64, "merge_map entry {}")
-        return KMeansModel(
-            centroids=json_column(payload["centroids"], np.float64, "an entry of centroids row {}"),
-            merge_map=tuple(merge_map.tolist()),
-        )
-    if method == "dbscan":
-        return DbscanModel(
-            core_points=json_column(payload["core_points"], np.float64,
-                                    "an entry of core_points row {}"),
-            core_labels=json_column(payload["core_labels"], np.int64, "core_labels entry {}"),
-            n_noise=json_scalar(payload["n_noise"], np.int64, "n_noise"),
-        )
-    raise DataError(f"unknown cluster method {method!r}")
+        return KMeansModel(points, point_labels)
+    return DbscanModel(points, point_labels,
+                       n_noise=json_scalar(payload["n_noise"], np.int64, "n_noise"))

@@ -187,8 +187,8 @@ class SessionTable:
     is not an array of its shape and kind or length, or a state number is
     outside ``[0, u)``.
 
-    Iterating, or indexing with an int, gives :class:`SessionRecord` rows;
-    indexing with a slice gives a table.
+    Iterating gives :class:`SessionRecord` rows, and :meth:`take` a table of
+    chosen rows.
     """
 
     user_id: np.ndarray
@@ -239,12 +239,6 @@ class SessionTable:
             tuple(self.clicks[s] for s in kept.tolist()),
             self.portraits[kept],
         )
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return self.take(np.arange(len(self))[i])
-        i = range(len(self))[i]
-        return next(self._records(i, i + 1))
 
     def __iter__(self) -> Iterator[SessionRecord]:
         for lo in range(0, len(self), _BLOCK):

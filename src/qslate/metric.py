@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -24,12 +24,7 @@ import numpy as np
 from .errors import ComponentCollapseError, DataError, FitError, QslateError
 from .features import FeatureMatrix, SparseComponents, build_raw_features, transform
 from .ingest import ItemCatalog, SessionTable, TransitionTable, sessions_to_transitions
-from .pipeline import (
-    PipelineParams,
-    fit_components,
-    fit_on_reduced,
-    training_features,
-)
+from .pipeline import PipelineParams, fit_components, fit_on_reduced
 from .qlearning import export_policies
 
 
@@ -258,7 +253,7 @@ def _shared_components(
     while cells:
         k = max(map(k_of, cells))
         try:
-            return fit_components(raw, params[cells[0].index].replace(k_features=k)), cells
+            return fit_components(raw, replace(params[cells[0].index], k_features=k)), cells
         except QslateError as exc:
             limit = exc.component if isinstance(exc, ComponentCollapseError) else k - 1
             _fail([c for c in cells if k_of(c) > limit], exc)
@@ -310,7 +305,7 @@ def _reduce(
     reach.
     """
     try:
-        raw = training_features(train_set, catalog)
+        raw = build_raw_features(train_set, catalog)
     except QslateError as exc:
         _fail(cells, exc)
         return []
@@ -397,13 +392,13 @@ def tune(
     base = base_params or PipelineParams(seed=seed)
 
     cells = [GridCellResult(index=i, params=o) for i, o in enumerate(cells_params)]
-    params = [base.replace(**overrides) for overrides in cells_params]
+    params = [replace(base, **overrides) for overrides in cells_params]
     # Built on first use, after the first clustering, as fit_pipeline does,
     # and then shared; a failure is raised again for each model.
     transitions = functools.cache(lambda: sessions_to_transitions(train_set, catalog))
     for group in _reduce(cells, params, train_set, validation, catalog):
         for model_cells in _groups(
-            group.cells, lambda c: params[c.index].replace(min_visits=0)
+            group.cells, lambda c: replace(params[c.index], min_visits=0)
         ):
             _score_model_cells(
                 model_cells,

@@ -2,7 +2,7 @@
 
 Shared by the train and tune entry points so a hyperparameter grid cell and
 a production fit run exactly the same code.  ``fit_pipeline`` runs every
-stage in order through ``training_features``, ``fit_components`` and
+stage in order through ``build_raw_features``, ``fit_components`` and
 ``fit_on_reduced``; ``tune`` calls those three itself so that it can build
 features once and fit sparse PCA once for cells that share it.
 
@@ -14,7 +14,6 @@ support counts, training) counts sessions.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -77,14 +76,6 @@ class PipelineParams:
     threads: int = 1
     deterministic: bool = False
 
-    def replace(self, **overrides) -> "PipelineParams":
-        return dataclasses.replace(self, **overrides)
-
-    def resolved(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["cluster"] = dict(self.cluster)
-        return out
-
 
 @dataclass
 class PipelineModel:
@@ -144,13 +135,6 @@ def _stage_seeds(seed: int) -> tuple[int, int]:
     return int(seed_pca), int(seed_cluster)
 
 
-def training_features(sessions: SessionTable, catalog: ItemCatalog) -> FeatureMatrix:
-    """Check the fit inputs and build their raw state matrix."""
-    if not sessions:
-        raise DataError("cannot fit on zero sessions")
-    return build_raw_features(sessions, catalog)
-
-
 def fit_components(raw: FeatureMatrix, params: PipelineParams) -> SparseComponents:
     """The sparse PCA stage, seeded from ``params.seed``."""
     return fit_sparse_pca(
@@ -165,8 +149,10 @@ def fit_pipeline(
     sessions: SessionTable, catalog: ItemCatalog, params: PipelineParams
 ) -> tuple[PipelineModel, FitStats]:
     """Fit the full pipeline on the given sessions."""
+    if not sessions:
+        raise DataError("cannot fit on zero sessions")
     timings: list[tuple[str, float]] = []
-    raw = timed(timings, "build_features", lambda: training_features(sessions, catalog))
+    raw = timed(timings, "build_features", lambda: build_raw_features(sessions, catalog))
     components = timed(timings, "fit_sparse_pca", lambda: fit_components(raw, params))
     reduced = timed(timings, "transform", lambda: transform(raw, components))
     return fit_on_reduced(
@@ -267,7 +253,7 @@ COMPONENTS_FILE = "components.json"
 CLUSTERS_FILE = "clusters.json"
 QTABLES_FILE = "qtables.json"
 CLUSTERS_FORMAT = "qslate-clusters"
-CLUSTERS_VERSION = 3
+CLUSTERS_VERSION = 4
 
 
 def save_models(model: PipelineModel, model_dir: str | Path, stamp: str,

@@ -752,8 +752,8 @@ def expansion_dbscan(Z, eps, min_pts, rows):
     within = d2[np.arange(n), nearest] <= eps2
     labels = np.where(within, core_labels[nearest], -1)
     return DbscanModel(
-        core_points=core_Z,
-        core_labels=core_labels,
+        points=core_Z,
+        point_labels=core_labels,
         n_noise=int(weights[labels == -1].sum()),
         labels_=labels,
     )
@@ -773,17 +773,17 @@ def pairwise_merge(model, counts, min_support):
 
     counts = np.asarray(counts, dtype=np.int64)
     if isinstance(model, KMeansModel):
-        n_base = len(model.centroids)
-        base_to_group = np.asarray(model.merge_map, dtype=np.int64)
-        base_dist = np.sqrt(_matmul_sq_dists(model.centroids, model.centroids))
+        n_base = len(model.points)
+        base_to_group = np.asarray(model.point_labels, dtype=np.int64)
+        base_dist = np.sqrt(_matmul_sq_dists(model.points, model.points))
     else:
         n_base = model.n_clusters
         base_to_group = np.arange(n_base)
         base_dist = np.full((n_base, n_base), np.inf)
         for a in range(n_base):
-            pa = model.core_points[model.core_labels == a]
+            pa = model.points[model.point_labels == a]
             for b in range(a + 1, n_base):
-                pb = model.core_points[model.core_labels == b]
+                pb = model.points[model.point_labels == b]
                 d = float(np.sqrt(_matmul_sq_dists(pa, pb).min()))
                 base_dist[a, b] = base_dist[b, a] = d
         np.fill_diagonal(base_dist, 0.0)
@@ -822,14 +822,14 @@ def pairwise_merge(model, counts, min_support):
             old_to_new[int(base_to_group[base])] = final_ids[key]
     if isinstance(model, KMeansModel):
         merged = KMeansModel(
-            centroids=model.centroids,
-            merge_map=tuple(int(v) for v in base_final),
+            points=model.points,
+            point_labels=base_final,
             inertia_history=model.inertia_history,
         )
     else:
         merged = DbscanModel(
-            core_points=model.core_points,
-            core_labels=base_final[model.core_labels],
+            points=model.points,
+            point_labels=base_final[model.point_labels],
             n_noise=model.n_noise,
         )
     return merged, old_to_new

@@ -84,7 +84,7 @@ def test_criterion_2_metric_exactness():
                             preference_scale=2.0, base_appeal=0.4)
         )
         weights = (1.0, 2.0, 3.0)
-        arbitrary_policy = [s.exposed_slate for s in corpus.sessions[::-1]]
+        arbitrary_policy = [s.exposed_slate for s in corpus.sessions][::-1]
         report = score(arbitrary_policy, corpus.sessions, corpus.catalog, MetricConfig(weights))
         oracle_total, oracle_steps = naive_metric_score(
             arbitrary_policy, corpus.sessions, corpus.catalog, weights

@@ -375,7 +375,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("name, field", [
         ("components.json", "loadings"),
-        ("clusters.json", "centroids"),
+        ("clusters.json", "points"),
         ("clusters.json", "policies"),
         ("manifest.json", "seed"),
     ])
@@ -393,10 +393,10 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("command", ["evaluate", "recommend"])
     @pytest.mark.parametrize("flags, name, corrupt, message", [
-        ({}, "clusters.json", lambda p: p["merge_map"].pop(),
-         "merge_map lists 3 cluster ids for 4 centroids"),
+        ({}, "clusters.json", lambda p: p["point_labels"].pop(),
+         "point_labels lists 3 cluster ids for 4 points"),
         ({"--cluster": "dbscan", "--eps": 3, "--min-pts": 3, "--min-support": 1},
-         "clusters.json", lambda p: p["core_labels"].pop(), "labels for"),
+         "clusters.json", lambda p: p["point_labels"].pop(), "cluster ids for"),
         ({}, "components.json",
          lambda p: p.update(column_means=p["column_means"][:10],
                             column_scales=p["column_scales"][:10]),
@@ -407,31 +407,31 @@ class TestEvaluate:
          lambda p: p.update({key: p[key][:5] for key in (
              "loadings", "explained_variance", "n_iter", "converged")}),
          "components.json holds 5 components, but clusters.json clusters vectors of dim 6"),
-        ({}, "clusters.json", lambda p: p["centroids"][1].__setitem__(0, float("nan")),
-         "centroids must be finite"),
+        ({}, "clusters.json", lambda p: p["points"][1].__setitem__(0, float("nan")),
+         "points must be finite"),
         ({"--cluster": "dbscan", "--eps": 3, "--min-pts": 3, "--min-support": 1},
-         "clusters.json", lambda p: p["core_points"][0].__setitem__(2, float("inf")),
-         "core_points must be finite"),
+         "clusters.json", lambda p: p["points"][0].__setitem__(2, float("inf")),
+         "points must be finite"),
         ({}, "components.json", lambda p: p["loadings"][0].__setitem__(3, float("nan")),
          "loadings must be finite"),
         ({}, "components.json",
          lambda p: p["explained_variance"].__setitem__(1, float("-inf")),
          "explained_variance must be finite"),
-        ({}, "clusters.json", lambda p: p.update(centroids=[row[0] for row in p["centroids"]]),
-         "centroids must be a 2-D array, not of shape (4,)"),
+        ({}, "clusters.json", lambda p: p.update(points=[row[0] for row in p["points"]]),
+         "points must be a 2-D array, not of shape (4,)"),
         ({"--cluster": "dbscan", "--eps": 3, "--min-pts": 3, "--min-support": 1},
          "clusters.json",
-         lambda p: p.update(core_points=[row[0] for row in p["core_points"]]),
-         "core_points must be a 2-D array, not of shape ("),
-        ({}, "clusters.json", lambda p: p.update(merge_map=[[v] for v in p["merge_map"]]),
-         "merge_map must be a flat list of cluster ids"),
+         lambda p: p.update(points=[row[0] for row in p["points"]]),
+         "points must be a 2-D array, not of shape ("),
+        ({}, "clusters.json", lambda p: p.update(point_labels=[[v] for v in p["point_labels"]]),
+         "point_labels must be a flat list of cluster ids"),
         ({"--cluster": "dbscan", "--eps": 3, "--min-pts": 3, "--min-support": 1},
-         "clusters.json", lambda p: p.update(core_labels=[[v] for v in p["core_labels"]]),
-         "core_labels must be a flat list of labels"),
-    ], ids=["merge-map-short", "core-labels-short", "means-short", "scale-zero",
-            "fewer-components", "nan-centroid", "inf-core-point", "nan-loading",
+         "clusters.json", lambda p: p.update(point_labels=[[v] for v in p["point_labels"]]),
+         "point_labels must be a flat list of cluster ids"),
+    ], ids=["kmeans-point-labels-short", "dbscan-point-labels-short", "means-short",
+            "scale-zero", "fewer-components", "nan-centroid", "inf-core-point", "nan-loading",
             "inf-explained-variance", "flat-centroids", "flat-core-points",
-            "nested-merge-map", "nested-core-labels"])
+            "kmeans-nested-point-labels", "dbscan-nested-point-labels"])
     def test_model_file_arrays_that_disagree_name_it(self, tmp_path, capsys, command, flags,
                                                       name, corrupt, message):
         data = generate_corpus(tmp_path)
@@ -461,9 +461,9 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("command", ["evaluate", "recommend"])
     @pytest.mark.parametrize("corrupt", [
-        lambda p: p["merge_map"].__setitem__(-1, 99),  # an id without a policy row
+        lambda p: p["point_labels"].__setitem__(-1, 99),  # an id without a policy row
         lambda p: p["policies"].pop(),  # one row too few
-    ], ids=["merge-map", "row-missing"])
+    ], ids=["point-labels", "row-missing"])
     def test_cluster_ids_must_match_policy_rows(self, tmp_path, capsys, command, corrupt):
         data = generate_corpus(tmp_path)
         models = train_models(tmp_path, data, **{"--min-support": 1})
@@ -516,15 +516,15 @@ class TestEvaluate:
          "an entry of loadings row 2 is True, not a number"),
         ("components.json", lambda p: p["converged"].__setitem__(1, "no"),
          "converged entry 1 is 'no', not a boolean"),
-        ("clusters.json", lambda p: p["merge_map"].__setitem__(3, 0.9),
-         "merge_map entry 3 is 0.9, not an integer"),
-        ("clusters.json", lambda p: p["centroids"][1].__setitem__(0, "1e3"),
-         "an entry of centroids row 1 is '1e3', not a number"),
+        ("clusters.json", lambda p: p["point_labels"].__setitem__(3, 0.9),
+         "point_labels entry 3 is 0.9, not an integer"),
+        ("clusters.json", lambda p: p["points"][1].__setitem__(0, "1e3"),
+         "an entry of points row 1 is '1e3', not a number"),
         ("clusters.json", lambda p: p.update(min_visits=3.0),
          "min_visits is 3.0, not an integer"),
         ("clusters.json", lambda p: p.update(min_visits=[3]),
          "min_visits is [3], not an integer"),
-    ], ids=["string-loading", "bool-loading", "string-converged", "fractional-merge-map",
+    ], ids=["string-loading", "bool-loading", "string-converged", "fractional-point-label",
             "string-centroid", "fractional-min-visits", "listed-min-visits"])
     def test_mistyped_model_field_names_it(self, tmp_path, capsys, command, name, edit, message):
         """The message names the file, and ``message`` names the field."""
@@ -561,6 +561,22 @@ class TestEvaluate:
         assert serve("evaluate", data, models, tmp_path) == 2
         err = capsys.readouterr().err
         assert "clusters.json" in err and "unsupported version 1" in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "recommend"])
+    def test_clusters_version_3_refused(self, tmp_path, capsys, command):
+        """A model trained before the shared ``points`` and ``point_labels``
+        keys is refused, not read under the old keys."""
+        data = generate_corpus(tmp_path)
+        models = train_models(tmp_path, data)
+
+        def to_version_3(payload):
+            payload.update(version=3, centroids=payload.pop("points"),
+                           merge_map=payload.pop("point_labels"))
+
+        edit_model_file(models / "clusters.json", to_version_3)
+        assert serve(command, data, models, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "clusters.json" in err and "unsupported version 3" in err
 
     @pytest.mark.parametrize("command", ["evaluate", "recommend"])
     @pytest.mark.parametrize("edit", [
@@ -761,7 +777,7 @@ class TestRecommend:
         sessions = parse_sessions((data / "sessions.txt").read_text(), catalog)
         users = tmp_path / "users.txt"
         lines = []
-        for i, s in enumerate(sessions[:1000]):
+        for i, s in zip(range(1000), sessions):
             clicks = ",".join(str(c) for c in sorted(s.clicked_items)) or "-"
             portraits = ",".join(repr(p) for p in s.portraits)
             lines.append(f"{s.user_id} {clicks} {portraits}")

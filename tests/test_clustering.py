@@ -84,8 +84,8 @@ def assert_matches_expansion(Z, eps, min_pts, rows):
         return
     model = fit_dbscan(Z, eps, min_pts, rows=rows)
     assert (model.labels_ == expected.labels_).all()
-    assert (model.core_points == expected.core_points).all()
-    assert (model.core_labels == expected.core_labels).all()
+    assert (model.points == expected.points).all()
+    assert (model.point_labels == expected.point_labels).all()
     assert model.n_clusters == expected.n_clusters
     assert model.n_noise == expected.n_noise
 
@@ -96,14 +96,16 @@ def assert_same_merge(model, counts, min_support):
     assert (remap == expected_remap).all()
     assert type(merged) is type(expected)
     assert merged.n_clusters == expected.n_clusters
-    if isinstance(expected, KMeansModel):
-        assert merged.merge_map == expected.merge_map
-        assert (merged.centroids == expected.centroids).all()
-    else:
-        assert (merged.core_labels == expected.core_labels).all()
-        assert (merged.core_points == expected.core_points).all()
+    assert (merged.point_labels == expected.point_labels).all()
+    assert (merged.points == expected.points).all()
+    if isinstance(expected, DbscanModel):
         assert merged.n_noise == expected.n_noise
     return merged
+
+
+def centroid_model(centroids):
+    """A k-means model of ``centroids``, one cluster each, as ``fit_kmeans`` labels them."""
+    return KMeansModel(points=centroids, point_labels=np.arange(len(centroids)))
 
 
 def grid_islands(cells, sizes):
@@ -117,7 +119,7 @@ class TestKMeans:
     def test_k1_centroid_is_column_mean(self):
         Z = np.random.default_rng(1).normal(size=(50, 4))
         model = fit_kmeans(Z, k=1, rows=np.arange(len(Z)), seed=0)
-        assert np.allclose(model.centroids[0], Z.mean(axis=0), atol=1e-12)
+        assert np.allclose(model.points[0], Z.mean(axis=0), atol=1e-12)
 
     def test_well_separated_blobs_recovered(self):
         Z, truth = three_blobs()
@@ -141,7 +143,7 @@ class TestKMeans:
         Z, _ = three_blobs(seed=7)
         a = fit_kmeans(Z, k=3, rows=np.arange(len(Z)), seed=42)
         b = fit_kmeans(Z, k=3, rows=np.arange(len(Z)), seed=42)
-        assert (a.centroids == b.centroids).all()
+        assert (a.points == b.points).all()
         assert (a.labels_ == b.labels_).all()
 
     def test_training_labels_reproduced_by_assign(self):
@@ -162,7 +164,7 @@ class TestKMeans:
             Z = np.random.default_rng(seed).normal(size=(300, 6))
         model = fit_kmeans(Z, k=k, rows=np.arange(len(Z)), seed=seed)
         centroids, labels, history = unweighted_kmeans(Z, k, seed=seed)
-        assert (model.centroids == centroids).all()
+        assert (model.points == centroids).all()
         assert (model.labels_ == labels).all()
         assert model.inertia_history == tuple(history)
 
@@ -173,7 +175,7 @@ class TestKMeans:
         weighted = fit_kmeans(Z, k=k, seed=seed, rows=rows)
         expanded = fit_kmeans(Z[rows], k=k, rows=np.arange(len(rows)), seed=seed)
         assert (weighted.labels_[rows] == expanded.labels_).all()
-        assert np.abs(weighted.centroids - expanded.centroids).max() <= 1e-12
+        assert np.abs(weighted.points - expanded.points).max() <= 1e-12
         assert len(weighted.inertia_history) == len(expanded.inertia_history)
         assert np.allclose(weighted.inertia_history, expanded.inertia_history, rtol=1e-12, atol=0)
 
@@ -199,7 +201,7 @@ class TestDbscan:
         # brute-force neighborhood counts agree with the core designation
         for i, z in enumerate(Z):
             count = sum(1 for other in Z if float(((z - other) ** 2).sum()) <= 1.0)
-            is_core = any((model.core_points == z).all(axis=1))
+            is_core = any((model.points == z).all(axis=1))
             assert is_core == (count >= 4)
 
     def test_everything_reachable_single_cluster(self):
@@ -257,11 +259,11 @@ class TestDbscan:
         assert same_partition(weighted.labels_[rows], expanded.labels_)
         assert weighted.n_clusters == expanded.n_clusters
         assert weighted.n_noise == expanded.n_noise == int((expanded.labels_ == -1).sum())
-        assert (np.unique(weighted.core_points, axis=0)
-                == np.unique(expanded.core_points, axis=0)).all()
+        assert (np.unique(weighted.points, axis=0)
+                == np.unique(expanded.points, axis=0)).all()
         # The counts matter: one point per row would leave other core points.
         once = fit_dbscan(Z, eps=0.6, min_pts=8, rows=np.arange(len(Z)))
-        assert len(once.core_points) != len(weighted.core_points)
+        assert len(once.points) != len(weighted.points)
 
     def test_labels_independent_of_block_size(self, monkeypatch):
         Z, _ = three_blobs(seed=15, n_per=220, spread=1.0, sep=4.0)
@@ -273,8 +275,8 @@ class TestDbscan:
         small = fit_dbscan(Z, eps=0.35, min_pts=6, rows=np.arange(len(Z)))
         assert len(Z) >= 600 and default.n_noise > 0 and default.n_clusters > 1
         assert (small.labels_ == default.labels_).all()
-        assert (small.core_points == default.core_points).all()
-        assert (small.core_labels == default.core_labels).all()
+        assert (small.points == default.points).all()
+        assert (small.point_labels == default.point_labels).all()
         assert small.n_noise == default.n_noise
         assert (small.assign_many(probe) == default_assigned).all()
 
@@ -295,7 +297,7 @@ class TestDbscan:
     def test_kmeans_assign_many_adds_at_most_8_mib(self):
         # Assignment measures a bounded block at a time, not all rows at once.
         rng = np.random.default_rng(17)
-        model = KMeansModel(centroids=rng.normal(size=(64, 16)))
+        model = centroid_model(rng.normal(size=(64, 16)))
         Z = rng.normal(size=(50_000, 16))
         assigned, added = heap_added(lambda: model.assign_many(Z))
         assert len(assigned) == len(Z)
@@ -335,19 +337,19 @@ class TestAssign:
     def test_exact_centroid_maps_to_its_id(self):
         Z, _ = three_blobs(seed=4)
         model = fit_kmeans(Z, k=3, rows=np.arange(len(Z)), seed=0)
-        for cid, centroid in enumerate(model.centroids):
+        for cid, centroid in enumerate(model.points):
             assert model.assign_many(centroid).tolist() == [cid]
 
     def test_equidistant_tie_breaks_to_lowest_id(self):
-        model = KMeansModel(centroids=np.array([[-1.0, 0.0], [5.0, 5.0], [1.0, 0.0]]))
+        model = centroid_model(np.array([[-1.0, 0.0], [5.0, 5.0], [1.0, 0.0]]))
         assert model.assign_many(np.array([0.0, 0.0])).tolist() == [0]
 
     def test_matches_brute_force_nearest_centroid(self):
         rng = np.random.default_rng(5)
-        model = KMeansModel(centroids=rng.normal(size=(7, 6)))
+        model = centroid_model(rng.normal(size=(7, 6)))
         for z in rng.normal(size=(1000, 6)):
             brute = min(
-                range(7), key=lambda c: float(((z - model.centroids[c]) ** 2).sum())
+                range(7), key=lambda c: float(((z - model.points[c]) ** 2).sum())
             )
             assert model.assign_many(z).tolist() == [brute]
 
@@ -362,7 +364,7 @@ class TestAssign:
         assert label in range(model.n_clusters)
 
     def test_dimension_mismatch(self):
-        model = KMeansModel(centroids=np.zeros((2, 3)))
+        model = centroid_model(np.zeros((2, 3)))
         with pytest.raises(DataError, match="dim"):
             model.assign_many(np.zeros(4))
         with pytest.raises(DataError, match="dim"):
@@ -372,7 +374,7 @@ class TestAssign:
 class TestMergeSmallClusters:
     def test_kmeans_small_cluster_folds_into_nearest(self):
         centroids = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0], [11.0, 0.0]])
-        model = KMeansModel(centroids=centroids)
+        model = centroid_model(centroids)
         counts = np.array([1000, 30, 1000, 40])
         merged, remap = merge_small_clusters(model, counts, min_support=100)
         assert merged.n_clusters == 2
@@ -383,13 +385,13 @@ class TestMergeSmallClusters:
         assert merged.assign_many(np.array([1.0, 0.01])).tolist() == [remap[1]]
 
     def test_merging_stops_at_single_cluster(self):
-        model = KMeansModel(centroids=np.array([[0.0], [1.0], [2.0]]))
+        model = centroid_model(np.array([[0.0], [1.0], [2.0]]))
         merged, remap = merge_small_clusters(model, np.array([1, 1, 1]), min_support=10)
         assert merged.n_clusters == 1
         assert set(remap.tolist()) == {0}
 
     def test_satisfied_support_untouched(self):
-        model = KMeansModel(centroids=np.array([[0.0], [5.0]]))
+        model = centroid_model(np.array([[0.0], [5.0]]))
         merged, remap = merge_small_clusters(model, np.array([500, 600]), min_support=100)
         assert merged.n_clusters == 2
         assert remap.tolist() == [0, 1]
@@ -408,14 +410,14 @@ class TestMergeSmallClusters:
         assert remap[2] == remap[1]  # distant small blob folds into nearest (blob b)
 
     def test_count_length_must_match(self):
-        model = KMeansModel(centroids=np.zeros((3, 2)))
+        model = centroid_model(np.zeros((3, 2)))
         with pytest.raises(DataError):
             merge_small_clusters(model, np.array([1, 2]), min_support=10)
 
     def test_working_memory_does_not_grow_with_clusters_squared(self):
         # 2,000 single-point clusters: one float64 matrix between them is 30.5 MiB.
         rng = np.random.default_rng(21)
-        model = DbscanModel(core_points=rng.normal(size=(2000, 16)), core_labels=np.arange(2000))
+        model = DbscanModel(points=rng.normal(size=(2000, 16)), point_labels=np.arange(2000))
         counts = rng.integers(1, 60, size=2000)
         (merged, _), added = heap_added(lambda: merge_small_clusters(model, counts, 500))
         assert 1 < merged.n_clusters < 2000
@@ -443,7 +445,7 @@ class TestMergeMatchesPairwiseOracle:
     def test_kmeans_merged_twice(self, k, data):
         centroids = data.draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
                                        min_size=k, max_size=k))
-        model = KMeansModel(centroids=np.array(centroids, dtype=np.float64))
+        model = centroid_model(np.array(centroids, dtype=np.float64))
         for _ in range(2):
             n = model.n_clusters
             counts = np.array(data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)))
@@ -473,8 +475,8 @@ class TestSerialization:
         merged, _ = merge_small_clusters(model, np.array([1000, 5, 1000]), min_support=50)
         loaded = json_round_trip(merged)
         assert isinstance(loaded, KMeansModel)
-        assert (loaded.centroids == merged.centroids).all()
-        assert loaded.merge_map == merged.merge_map
+        assert (loaded.points == merged.points).all()
+        assert (loaded.point_labels == merged.point_labels).all()
         probe = np.random.default_rng(0).normal(size=(20, 2)) * 10
         assert (loaded.assign_many(probe) == merged.assign_many(probe)).all()
 

@@ -336,6 +336,34 @@ def test_distances_are_measured_only_in_blocks():
     assert found == [("clustering.py", "_blocks")]
 
 
+# The fitted cluster models, which serve through their base ``ClusterModel``.
+MODEL_KINDS = {"KMeansModel", "DbscanModel"}
+
+
+def is_model_kind_test(call: ast.Call) -> bool:
+    """An ``isinstance`` test against a class in ``MODEL_KINDS``."""
+    return called_name(call) == "isinstance" and len(call.args) == 2 and any(
+        getattr(node, "id", getattr(node, "attr", None)) in MODEL_KINDS
+        for node in ast.walk(call.args[1]))
+
+
+def test_model_kind_is_tested_only_by_the_codec():
+    """Fits, merge and serving treat both models as one ``ClusterModel``;
+    only ``clusters.json`` tells them apart, for DBSCAN's ``n_noise``."""
+    found = [(path.name, scope) for path in MODULES
+             for scope in calls_by_scope(path.read_text(), is_model_kind_test)]
+    assert found == [("clustering.py", "cluster_model_fields")]
+
+
+def test_cluster_models_share_one_assign_many():
+    """Each model binds ``assign_many`` on its own class, for the traced
+    run, but the one bound is ``ClusterModel``'s: no model forks assignment."""
+    from qslate.clustering import ClusterModel, DbscanModel, KMeansModel
+
+    for cls in (KMeansModel, DbscanModel):
+        assert vars(cls)["assign_many"] is ClusterModel.assign_many, cls.__name__
+
+
 def test_model_fields_are_read_only_through_json_column():
     """A model file's numbers go through ``errors.json_column``, which
     refuses a value of another JSON kind that a cast would accept."""
@@ -359,6 +387,15 @@ def test_check_sees_calls_by_scope():
     )
     assert calls_by_scope(source, searches_catalog_ids) == ["Catalog.index", "find.inner"]
     assert calls_by_scope(source, is_lexsort) == ["", "find"]
+
+
+def test_check_sees_model_kind_tests():
+    source = (
+        "def fields(m):\n"
+        "    return isinstance(m, KMeansModel), isinstance(m, (int, clustering.DbscanModel))\n\n"
+        "def merge(m):\n    return isinstance(m, ClusterModel), isinstance(KMeansModel, type)\n"
+    )
+    assert calls_by_scope(source, is_model_kind_test) == ["fields", "fields"]
 
 
 def test_check_sees_lenient_field_reads():
@@ -516,7 +553,7 @@ def test_bank_offers_what_the_bench_reads():
 @pytest.mark.parametrize("cluster", [{"method": "kmeans", "k": 4},
                                      {"method": "dbscan", "eps": 3.0, "min_pts": 3}],
                          ids=["kmeans", "dbscan"])
-def test_model_files_hold_only_their_version_3_keys(tmp_path, cluster):
+def test_model_files_hold_only_their_version_4_keys(tmp_path, cluster):
     """Each fact is stored once: nothing that another field of the file or
     the manifest determines (a component count, zero-row flags, the l1
     penalty, a cluster count, DBSCAN's eps and min_pts)."""
@@ -529,13 +566,13 @@ def test_model_files_hold_only_their_version_3_keys(tmp_path, cluster):
     model, stats = fit_pipeline(corpus.sessions, corpus.catalog, params)
     save_models(model, tmp_path, "stamp", stats.bank)
     header = {"format", "version", "stamp"}
-    model_keys = {"kmeans": {"centroids", "merge_map"},
-                  "dbscan": {"core_points", "core_labels", "n_noise"}}[cluster["method"]]
+    model_keys = {"kmeans": {"points", "point_labels"},
+                  "dbscan": {"points", "point_labels", "n_noise"}}[cluster["method"]]
     expected = {
-        "components.json": header | {"column_means", "column_scales", "loadings",
-                                     "explained_variance", "n_iter", "converged"},
-        "clusters.json": header | {"method", "policies", "min_visits"} | model_keys,
+        "components.json": (header | {"column_means", "column_scales", "loadings",
+                                      "explained_variance", "n_iter", "converged"}, 3),
+        "clusters.json": (header | {"method", "policies", "min_visits"} | model_keys, 4),
     }
-    for name, keys in expected.items():
+    for name, keys_and_version in expected.items():
         payload = json.loads((tmp_path / name).read_text())
-        assert (set(payload), payload["version"]) == (keys, 3), name
+        assert (set(payload), payload["version"]) == keys_and_version, name

@@ -242,15 +242,15 @@ class TestParseSessions:
     def test_minimal_valid_line(self, catalog9):
         line = "7 1,5 0,1,2,3,4,5,6,7,8,9 1,2,3,4,5,6,7,8,9 1,0,1,1,1,1,0,0,1 1700000000\n"
         sessions = parse_sessions(line, catalog9)
-        assert len(sessions) == 1
-        s = sessions[0]
+        [s] = sessions
         assert s.user_id == 7
         assert len(s.purchase_labels) == 9
         assert s.clicked_items == {1, 5}
 
     def test_empty_click_history_dash(self, catalog9):
         line = "7 - 0,1,2,3,4,5,6,7,8,9 1,2,3,4,5,6,7,8,9 0,0,0,0,0,0,0,0,0 5\n"
-        assert parse_sessions(line, catalog9)[0].clicked_items == frozenset()
+        [s] = parse_sessions(line, catalog9)
+        assert s.clicked_items == frozenset()
 
     def test_location_mismatch_names_position(self, catalog9):
         # Position 4 must hold a location-2 item; item 1 has location 1.
@@ -827,12 +827,13 @@ class TestTransitions:
         )
         trans = sessions_to_transitions(corpus.sessions, corpus.catalog)
         price = by_id(corpus.catalog, "prices")
+        records = list(corpus.sessions)
         for ref, step, action, reward, terminal in table_rows(trans):
             assert action == tuple(sorted(action))
             assert len(set(action)) == 3
             assert {corpus.catalog.location(i) for i in action} == {step}
             assert reward >= 0
-            sess = corpus.sessions[ref]
+            sess = records[ref]
             lo = (step - 1) * 3
             row_purchased = sum(
                 price[it]
@@ -1059,7 +1060,7 @@ class TestGenerator:
         corpus = generate_synthetic(cfg)
         beta = corpus.truth.price_penalty
         row_of = {it: j for j, it in enumerate(corpus.catalog.ids.tolist())}
-        for s in corpus.sessions[:200]:
+        for s in corpus.sessions.take(np.arange(200)):
             pref = np.asarray(corpus.truth.user_preferences[s.user_id])
             reached = True
             for step in (1, 2, 3):

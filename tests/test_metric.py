@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -131,7 +133,7 @@ class TestScore:
             SyntheticConfig(num_items=30, num_users=120, num_sessions=1000, seed=61,
                             preference_scale=2.0, base_appeal=0.4)
         )
-        rng_rec = [s.exposed_slate for s in corpus.sessions[::-1]]  # arbitrary policy
+        rng_rec = [s.exposed_slate for s in corpus.sessions][::-1]  # arbitrary policy
         weights = (1.0, 2.0, 3.0)
         report = score(rng_rec, corpus.sessions, corpus.catalog, MetricConfig(weights))
         oracle_total, oracle_steps = naive_metric_score(
@@ -383,7 +385,7 @@ class TestTune:
         train_set, validation = holdout_split(corpus.sessions, 0.8, 0)
         for cell in result.cells:
             try:
-                model, stats = fit_pipeline(train_set, corpus.catalog, base.replace(**cell.params))
+                model, stats = fit_pipeline(train_set, corpus.catalog, replace(base, **cell.params))
                 recs = recommend_for_sessions(model, validation, corpus.catalog)
                 expected = (score(recs, validation, corpus.catalog).score, stats.n_clusters, None)
             except QslateError as exc:

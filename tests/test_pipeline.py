@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -28,10 +30,10 @@ def corpus():
 
 
 def fit(corpus, **overrides):
-    params = PipelineParams(
+    params = replace(PipelineParams(
         k_features=6, l1_penalty=0.1, cluster={"method": "kmeans", "k": 4},
         min_cluster_support=100, epochs=5, seed=2, deterministic=True,
-    ).replace(**overrides)
+    ), **overrides)
     return fit_pipeline(corpus.sessions, corpus.catalog, params)
 
 
@@ -76,7 +78,7 @@ def test_merge_stage_counts_transitions(corpus):
 
 def test_recommendations_align_with_sessions(corpus):
     model, _ = fit(corpus)
-    recs = recommend_for_sessions(model, corpus.sessions[:25], corpus.catalog)
+    recs = recommend_for_sessions(model, corpus.sessions.take(np.arange(25)), corpus.catalog)
     assert recs.shape == (25, 9) and recs.dtype == np.int64
     for rec in recs:
         assert [corpus.catalog.location(i) for i in rec] == [1, 1, 1, 2, 2, 2, 3, 3, 3]
@@ -88,7 +90,7 @@ def test_recommendations_align_with_sessions(corpus):
 ])
 def test_recommendations_equal_per_session_pipeline(corpus, cluster):
     model, stats = fit(corpus, cluster=cluster, min_cluster_support=1)
-    sessions = corpus.sessions[:400]
+    sessions = corpus.sessions.take(np.arange(400))
     assert sum(stats.cluster_sizes) == len(corpus.sessions)
     policies = export_policies(stats.bank, corpus.catalog, model.min_visits)
     expected = []
@@ -103,7 +105,7 @@ def test_dbscan_variant_fits(corpus):
     model, stats = fit(corpus, cluster={"method": "dbscan", "eps": 2.0, "min_pts": 10},
                        min_cluster_support=1)
     assert stats.n_clusters >= 1
-    recs = recommend_for_sessions(model, corpus.sessions[:5], corpus.catalog)
+    recs = recommend_for_sessions(model, corpus.sessions.take(np.arange(5)), corpus.catalog)
     assert len(recs) == 5
 
 
@@ -118,8 +120,8 @@ def test_save_load_round_trip(tmp_path, corpus):
     loaded, stamp = load_models(tmp_path, min_visits=model.min_visits)
     assert stamp == "deadbeef"
     assert np.array_equal(loaded.policies, model.policies)
-    before = recommend_for_sessions(model, corpus.sessions[:10], corpus.catalog)
-    after = recommend_for_sessions(loaded, corpus.sessions[:10], corpus.catalog)
+    before = recommend_for_sessions(model, corpus.sessions.take(np.arange(10)), corpus.catalog)
+    after = recommend_for_sessions(loaded, corpus.sessions.take(np.arange(10)), corpus.catalog)
     assert np.array_equal(before, after)
 
 

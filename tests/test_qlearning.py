@@ -950,7 +950,7 @@ def recommend_one(model, record, catalog):
 class TestRecommend:
     def test_nine_items_in_step_order(self, fitted):
         corpus, model = fitted
-        items = recommend_one(model, corpus.sessions[0], corpus.catalog)
+        items = recommend_one(model, next(iter(corpus.sessions)), corpus.catalog)
         assert len(items) == 9
         for pos, item in enumerate(items, 1):
             assert corpus.catalog.location(item) == (pos - 1) // 3 + 1
@@ -959,17 +959,17 @@ class TestRecommend:
         corpus, model = fitted
         from qslate.features import build_raw_features, transform
 
-        raw = build_raw_features(corpus.sessions[:50], corpus.catalog)
+        raw = build_raw_features(corpus.sessions.take(np.arange(50)), corpus.catalog)
         cids = model.cluster_model.assign_many(transform(raw, model.components))[raw.rows]
         outputs = {}
-        for sess, cid in zip(corpus.sessions[:50], cids):
+        for sess, cid in zip(corpus.sessions.take(np.arange(50)), cids):
             items = tuple(recommend_one(model, sess, corpus.catalog))
             outputs.setdefault(int(cid), set()).add(items)
         assert all(len(v) == 1 for v in outputs.values())
 
     def test_location_constraint_for_many_users(self, fitted):
         corpus, model = fitted
-        for sess in corpus.sessions[:1000]:
+        for sess in corpus.sessions.take(np.arange(1000)):
             items = recommend_one(model, sess, corpus.catalog)
             assert [corpus.catalog.location(i) for i in items] == [1, 1, 1, 2, 2, 2, 3, 3, 3]
 
